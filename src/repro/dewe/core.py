@@ -1,0 +1,445 @@
+"""The DEWE v2 master's decisions, written once (sans-IO).
+
+Paper §III makes the master daemon the only stateful component: one
+small state machine that publishes eligible jobs, reacts to acks and
+timeouts, and knows nothing about workers.  :class:`MasterCore` is that
+state machine and nothing else — no simulator, no threads, no clock.
+Callers pass ``now`` into every entry point and the core talks back
+only through ports bound at construction:
+
+``publish(state, job_id, attempt, priority)``
+    put one eligible job on the dispatching topic;
+``reprioritize(workflow, job_id, priority)``
+    retag a still-queued dispatch broker-side;
+``call_later(delay, fn)``
+    run ``fn(now)`` after ``delay`` (retry backoff);
+``log(kind, workflow, job_id, attempt, detail)``
+    the write-ahead journal, written *before* the side effect it names;
+``trace(now, kind, node, detail)``
+    the fault trace (:meth:`FaultTrace.record`; dead letters);
+``on_settled(state)``
+    one workflow reached its terminal state, exactly once per core.
+
+Two drivers feed it: :class:`repro.engines.pull.PullEngine` (DES
+processes, simulated time) and :class:`repro.dewe.master.MasterDaemon`
+(one thread, ``time.monotonic()``).  Only this module calls the
+:class:`~repro.dewe.state.WorkflowState` transitions, so a recovery
+feature wired here is wired for both stacks, and the race detector, the
+crash matrix and the golden digests all exercise one body of logic.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+
+import repro.analysis.sanitizer as _sanitizer
+from repro.dewe.state import JobStatus, WorkflowState
+from repro.faults.retry import DeadLetterEntry, RetryPolicy
+from repro.liveness import LeaseConfig, ServiceAdmissionPolicy
+from repro.mq.priority import RepriorityPolicy, base_band, rank_for_sla
+from repro.storage.integrity import FileIntegrity
+from repro.workflow.dag import Workflow
+
+__all__ = ["Admission", "MasterCore", "RUNNING", "COMPLETED", "FAILED", "CORRUPT"]
+
+#: Worker acknowledgment kinds, as the core's ``on_ack`` takes them.
+RUNNING = 0
+COMPLETED = 1
+FAILED = 2
+CORRUPT = 3    # worker found the job's input files corrupt/missing
+
+
+class Admission(NamedTuple):
+    """What the master decided when it admitted a workflow.
+
+    Remembered outside :meth:`WorkflowState.snapshot` (whose format the
+    checkpoint digests pin) so a standby or a restarted master rebuilds
+    each state with the deadline slack and the arrival anchor it was
+    admitted with, not with defaults.
+    """
+
+    timeout: float
+    arrival: float
+    deadline_factor: float
+
+
+def _ignore(*_args) -> None:
+    """Default port: a driver without a journal or a fault trace."""
+
+
+class MasterCore:
+    """Workflow progress, retry, fencing recovery and settlement."""
+
+    __slots__ = (
+        "states", "finished", "dead_letters", "assignments", "admissions",
+        "default_timeout", "retry", "repriority", "service", "liveness",
+        "integrity", "_dead_cursor", "_publish", "_reprioritize",
+        "_call_later", "_log", "_trace", "_on_settled",
+    )
+
+    def __init__(
+        self,
+        default_timeout: float,
+        retry: RetryPolicy,
+        publish: Callable[[WorkflowState, str, int, float], None],
+        reprioritize: Callable[[str, str, float], None],
+        call_later: Callable[[float, Callable[[float], None]], None],
+        on_settled: Callable[[WorkflowState], None],
+        log: Callable[[str, str, str, int, str], None] = _ignore,
+        trace: Callable[[float, str, Optional[int], str], object] = _ignore,
+        repriority: Optional[RepriorityPolicy] = None,
+        service: Optional[ServiceAdmissionPolicy] = None,
+        liveness: Optional[LeaseConfig] = None,
+        integrity: Optional[FileIntegrity] = None,
+    ):
+        self.states: Dict[str, WorkflowState] = {}
+        #: Names of settled workflows (``on_settled`` already fired, or
+        #: restored as settled).
+        self.finished: Set[str] = set()
+        #: Every dead letter, in the order the master learned of it.
+        self.dead_letters: List[DeadLetterEntry] = []
+        #: (workflow, job_id) -> (worker, attempt) for deliveries accepted
+        #: as RUNNING under the lease protocol; drained by :meth:`fence`.
+        self.assignments: Dict[Tuple[str, str], Tuple[object, int]] = {}
+        self.admissions: Dict[str, Admission] = {}
+        self.default_timeout = default_timeout
+        self.retry = retry
+        self.repriority = repriority
+        self.service = service
+        self.liveness = liveness
+        self.integrity = integrity
+        self._dead_cursor: Dict[str, int] = {}
+        self._publish = publish
+        self._reprioritize = reprioritize
+        self._call_later = call_later
+        self._log = log
+        self._trace = trace
+        self._on_settled = on_settled
+
+    # -- admission -----------------------------------------------------------
+    def admit(
+        self,
+        workflow: Workflow,
+        now: float,
+        timeout_factor: float = 1.0,
+        tenant: str = "",
+        sla: str = "",
+    ) -> WorkflowState:
+        """Create and launch one admitted workflow's state machine.
+
+        The caller has already validated the DAG and decided admission;
+        ``timeout_factor`` is the SLA class's deadline slack.
+        """
+        admission = Admission(
+            self.default_timeout * timeout_factor, now, timeout_factor
+        )
+        state = self._install(
+            WorkflowState(
+                workflow, admission.timeout, validate=False,
+                retry=self.retry, tenant=tenant, sla=sla,
+            ),
+            admission,
+        )
+        self._launch(state, now)
+        return state
+
+    def _install(self, state: WorkflowState, admission: Admission) -> WorkflowState:
+        state.arrival = admission.arrival
+        state.deadline_factor = admission.deadline_factor
+        # Only the repriority aging term reads queue ages; skip the
+        # per-dispatch bookkeeping on plain runs.
+        state.track_queue_age = self.repriority is not None
+        self.admissions[state.name] = admission
+        self.states[state.name] = state
+        return state
+
+    def _launch(self, state: WorkflowState, now: float) -> None:
+        for job_id in state.initial_ready():
+            self.dispatch(state, job_id, now)
+        self._maybe_finish(state)  # degenerate empty-DAG guard
+
+    # -- dispatch ------------------------------------------------------------
+    def dispatch(self, state: WorkflowState, job_id: str, now: float) -> None:
+        """Journal, arm the dispatch-loss deadline, score and publish."""
+        san = _sanitizer._ACTIVE
+        if san is not None:
+            san.check_dispatch(
+                state.name, job_id, state.status[job_id].value, time=now
+            )
+        attempt = state.current_attempt(job_id)
+        self._log("dispatch", state.name, job_id, attempt, "")
+        # The lease protocol needs the deadline armed on every dispatch:
+        # see WorkflowState.mark_dispatched.
+        state.mark_dispatched(job_id, now, force=self.liveness is not None)
+        policy = self.repriority
+        priority = (
+            state.job_priority(job_id, now, policy, self._band(state))
+            if policy is not None else 0.0
+        )
+        self._publish(state, job_id, attempt, priority)
+
+    def _band(self, state: WorkflowState) -> float:
+        """The member's SLA priority band (0.0 for untagged work)."""
+        if self.service is not None:
+            return base_band(self.service.rank_of(state.name))
+        return base_band(rank_for_sla(state.sla))
+
+    def rerank(self, state: WorkflowState, now: float) -> None:
+        """Re-score the member's still-queued dispatches broker-side.
+
+        Called as completions land and from the aging sweep (the OSPREY
+        ``asynch_repriority`` pattern): each queued job's critical-path/
+        slack/age score is recomputed at ``now`` and pushed into the
+        priority topic as a retag — consumed-but-unsettled deliveries
+        are naturally untouched (they are no longer in the topic).
+        """
+        base = self._band(state)
+        for job_id in state.queued_jobs():
+            self._reprioritize(
+                state.name, job_id,
+                state.job_priority(job_id, now, self.repriority, base),
+            )
+
+    def redispatch(self, state: WorkflowState, job_id: str, now: float) -> None:
+        """Re-dispatch after the retry policy's backoff."""
+        expected = state.current_attempt(job_id)
+        delay = self.retry.backoff(expected - 1, key=f"{state.name}/{job_id}")
+        if delay <= 0:
+            self.dispatch(state, job_id, now)
+            return
+
+        def fire(then: float) -> None:
+            # Only if this delivery is still the current one — a
+            # completion or a newer resubmission supersedes it.
+            if (
+                state.status[job_id] is JobStatus.QUEUED
+                and state.current_attempt(job_id) == expected
+            ):
+                self.dispatch(state, job_id, then)
+
+        self._call_later(delay, fire)
+
+    # -- settlement ----------------------------------------------------------
+    def _collect_dead(self, state: WorkflowState, now: float) -> None:
+        seen = self._dead_cursor.get(state.name, 0)
+        if len(state.dead_letters) > seen:
+            self._dead_cursor[state.name] = len(state.dead_letters)
+            for entry in state.dead_letters[seen:]:
+                self.dead_letters.append(entry)
+                self._log(
+                    "dead-letter", entry.workflow, entry.job_id,
+                    entry.attempts, entry.reason,
+                )
+                self._trace(
+                    now, "dead-letter", None,
+                    f"{entry.workflow}/{entry.job_id} "
+                    f"({entry.reason}, {entry.attempts} attempts)",
+                )
+
+    def _maybe_finish(self, state: WorkflowState) -> None:
+        if state.name in self.finished or not state.is_settled:
+            return
+        self.finished.add(state.name)
+        if self.service is not None:
+            self.service.settle(state.name)  # release the fair-share charge
+        self._on_settled(state)
+
+    # -- acknowledgments -----------------------------------------------------
+    def on_ack(
+        self,
+        kind: int,
+        name: str,
+        job_id: str,
+        attempt: int,
+        worker: Optional[object],
+        now: float,
+        bad_files: Sequence[str] = (),
+    ) -> None:
+        """Apply one worker acknowledgment the driver's gate let through.
+
+        ``worker`` identifies the sender under the lease protocol
+        (``None`` without it); ``bad_files`` are the damaged inputs a
+        :data:`CORRUPT` ack reports.
+        """
+        state = self.states[name]
+        if kind == RUNNING:
+            self._log("ack-running", name, job_id, attempt, "")
+            accepted = state.on_running(job_id, attempt, now)
+            if accepted and worker is not None:
+                self.assignments[(name, job_id)] = (worker, attempt)
+            return
+        if self.assignments:
+            self.assignments.pop((name, job_id), None)
+        if kind == FAILED:
+            self._log("ack-failed", name, job_id, attempt, "")
+            republish = state.on_failed(job_id, attempt, now)
+            self._collect_dead(state, now)
+            if republish is not None:
+                self.redispatch(state, republish, now)
+            else:
+                self._maybe_finish(state)
+        elif kind == CORRUPT:
+            self._log("ack-corrupt", name, job_id, attempt, ",".join(bad_files))
+            self._on_corrupt(state, job_id, attempt, bad_files, now)
+        else:
+            self._log("ack-complete", name, job_id, attempt, "")
+            for child_id in state.on_completed(job_id, attempt):
+                self.dispatch(state, child_id, now)
+            if self.repriority is not None and name not in self.finished:
+                self.rerank(state, now)
+            self._maybe_finish(state)
+
+    def _on_corrupt(
+        self,
+        state: WorkflowState,
+        job_id: str,
+        attempt: int,
+        bad_files: Sequence[str],
+        now: float,
+    ) -> None:
+        """Data-aware recovery: map damaged files to their producer
+        jobs and re-execute the minimal ancestor set; producerless raw
+        inputs are re-staged from the submit host."""
+        # file name -> producer job id; interned on the skeleton, shared
+        # by all relabelled ensemble members.
+        producer_of = state.workflow.skeleton().producer_of
+        producers: List[str] = []
+        raw: List[str] = []
+        for file_name in bad_files:
+            producer_id = producer_of.get(file_name)
+            if producer_id is None:
+                raw.append(file_name)
+            elif producer_id not in producers:
+                producers.append(producer_id)
+        to_dispatch = state.on_corrupt(job_id, attempt, producers, now)
+        if to_dispatch is None:
+            return  # stale/duplicate detection report
+        if raw and self.integrity is not None:
+            by_name = {f.name: f for f in state.workflow.job(job_id).inputs}
+            for file_name in raw:
+                self.integrity.restage(state.name, by_name[file_name], now)
+        self._collect_dead(state, now)
+        for regen_id in to_dispatch:
+            self.dispatch(state, regen_id, now)
+        self._maybe_finish(state)
+
+    # -- sweeps --------------------------------------------------------------
+    def sweep_timeouts(self, now: float) -> None:
+        """Requeue every delivery whose ack missed its deadline."""
+        for state in self.states.values():
+            if state.name in self.finished:
+                continue
+            for job_id in state.expired(now):
+                self._log(
+                    "timeout-requeue", state.name, job_id,
+                    state.current_attempt(job_id), "",
+                )
+                self.redispatch(state, job_id, now)
+            self._collect_dead(state, now)
+            self._maybe_finish(state)
+
+    def sweep_priorities(self, now: float) -> None:
+        """Periodic re-score of every queued job (starvation avoidance):
+        this is where the aging term takes effect — a job that keeps
+        losing ties accrues age until it outranks fresher work of its
+        band."""
+        for name in sorted(self.states):
+            if name not in self.finished:
+                self.rerank(self.states[name], now)
+
+    def fence(self, worker: object, now: float) -> None:
+        """A worker's lease was fenced: requeue its in-flight deliveries
+        through the retry policy.  Any late ack from the fenced lease is
+        now stale (exactly-once settlement is carried by the attempt
+        bump here plus the driver's epoch gate)."""
+        held = sorted(
+            key for key, value in self.assignments.items() if value[0] == worker
+        )
+        for key in held:
+            name, job_id = key
+            _worker, attempt = self.assignments.pop(key)
+            state = self.states[name]
+            republish = state.on_lease_expired(job_id, attempt, now)
+            if republish is not None:
+                self._log(
+                    "lease-requeue", name, job_id,
+                    state.current_attempt(job_id), "",
+                )
+                self.redispatch(state, republish, now)
+            else:
+                self._collect_dead(state, now)
+                self._maybe_finish(state)
+
+    # -- checkpoint / restore ------------------------------------------------
+    def snapshots(self) -> Dict[str, Dict]:
+        """Name-sorted state snapshots: the journal's checkpoint payload."""
+        return {name: self.states[name].snapshot() for name in sorted(self.states)}
+
+    def restore(
+        self,
+        workflows: Mapping[str, Workflow],
+        snapshots: Mapping[str, Dict],
+        admissions: Mapping[str, Admission],
+        now: float,
+        readmit: Sequence[Tuple[Workflow, str, str]] = (),
+    ) -> None:
+        """Rebuild a *fresh* core from the last durable checkpoint.
+
+        Standby takeover and threaded-master restart are this one
+        method.  ``snapshots`` are restored over ``workflows`` (the DAGs
+        are not checkpointed); ``readmit`` lists ``(workflow, tenant,
+        sla)`` admitted after that checkpoint, which start over
+        (at-least-once execution; settlement stays exactly-once because
+        the state machine absorbs duplicate acks).  ``admissions`` is
+        the previous incarnation's admission memory.  Completed jobs
+        stay completed; every delivery that was in flight is requeued
+        with a fresh attempt number, so late acks from the old
+        incarnation go stale.
+        """
+        for name in sorted(snapshots):
+            if name in workflows:
+                admission = admissions.get(name) or Admission(
+                    self.default_timeout, now, 1.0
+                )
+                self._install(
+                    WorkflowState.restore(
+                        workflows[name], snapshots[name],
+                        admission.timeout, self.retry,
+                    ),
+                    admission,
+                )
+        fresh: Set[str] = set()
+        for workflow, tenant, sla in readmit:
+            self._log("submit", workflow.name, "", 0, f"jobs={len(workflow.jobs)}")
+            admission = admissions.get(workflow.name) or Admission(
+                self.default_timeout, now, 1.0
+            )
+            self._install(
+                WorkflowState(
+                    workflow, admission.timeout, validate=False,
+                    retry=self.retry, tenant=tenant, sla=sla,
+                ),
+                admission,
+            )
+            fresh.add(workflow.name)
+        # Rebuild the dead-letter ledger and settlement bookkeeping
+        # from the restored states.
+        for name in sorted(self.states):
+            state = self.states[name]
+            self._dead_cursor[name] = len(state.dead_letters)
+            self.dead_letters.extend(state.dead_letters)
+            if state.is_settled:
+                self.finished.add(name)
+        for name in sorted(self.states):
+            state = self.states[name]
+            if name in fresh:
+                self._launch(state, now)
+            elif not state.is_settled:
+                for job_id in state.requeue_in_flight(now):
+                    self._log(
+                        "requeue", name, job_id,
+                        state.current_attempt(job_id), "",
+                    )
+                    self.redispatch(state, job_id, now)
+                self._collect_dead(state, now)
+                self._maybe_finish(state)

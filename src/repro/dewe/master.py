@@ -13,6 +13,13 @@ three topics:
   workflows share the one dispatch topic, so ensembles run in parallel);
 * timeouts — periodically republish jobs whose completion ack is overdue.
 
+What to do with each message is decided by the
+:class:`~repro.dewe.core.MasterCore` this daemon drives — the same core
+the DES :class:`~repro.engines.pull.PullEngine` drives.  The daemon is
+the thread driver around it: the loop, the locks, completion events,
+checkpoints, a wall-clock backoff heap, and the lease ack-gate
+(renew-on-contact ``observe``, where the DES checks epoch-stamped acks).
+
 A :class:`~repro.faults.retry.RetryPolicy` governs re-dispatches: failed
 and timed-out jobs back off exponentially (with deterministic jitter)
 before republication, and a job that exhausts its attempt budget is
@@ -32,7 +39,8 @@ import repro.analysis.concurrency.recorder as _conc
 import repro.analysis.sanitizer as _sanitizer
 from repro.analysis.concurrency import shims as _shims
 from repro.dewe.config import DeweConfig
-from repro.dewe.state import JobStatus, WorkflowState
+from repro.dewe.core import COMPLETED, FAILED, RUNNING, Admission, MasterCore
+from repro.dewe.state import WorkflowState
 from repro.faults.retry import DeadLetterEntry, RetryPolicy
 from repro.liveness import (
     AdmissionControl,
@@ -41,7 +49,7 @@ from repro.liveness import (
     new_liveness_stats,
 )
 from repro.mq.broker import Broker
-from repro.mq.priority import RepriorityPolicy, base_band, rank_for_sla
+from repro.mq.priority import RepriorityPolicy
 from repro.mq.tcpbroker import RemoteBroker
 from repro.mq.messages import (
     TOPIC_ACK,
@@ -53,8 +61,15 @@ from repro.mq.messages import (
     JobDispatch,
     WorkflowSubmission,
 )
+from repro.workflow.validation import validate_workflow
 
 __all__ = ["MasterDaemon"]
+
+_ACK_KINDS = {
+    AckKind.RUNNING: RUNNING,
+    AckKind.COMPLETED: COMPLETED,
+    AckKind.FAILED: FAILED,
+}
 
 
 class MasterDaemon:
@@ -77,7 +92,7 @@ class MasterDaemon:
         "_submit_times": "_state_lock",
         "_delayed": "_state_lock",
         "_delayed_seq": "_state_lock",
-        "_assignments": "_state_lock",
+        "_core": "_state_lock",
         "_last_sweep": "_state_lock",
         "liveness": "_state_lock",
         "shed_submissions": "_state_lock",
@@ -99,7 +114,6 @@ class MasterDaemon:
         self._repriority = repriority
         #: Wall-clock time of the last aging sweep (``_check_timeouts``).
         self._last_sweep = time.monotonic()
-        self.states: Dict[str, WorkflowState] = {}
         #: Rejected submissions: name -> reason (duplicate, invalid DAG...).
         self.rejected: Dict[str, str] = {}
         self.makespans: Dict[str, float] = {}
@@ -108,8 +122,8 @@ class MasterDaemon:
         #: masters, a submission that raced ahead of its acks...).
         self.dropped_acks = 0
         self._submit_times: Dict[str, float] = {}
-        #: Backoff queue: (due_time, seq, workflow, job_id, attempt).
-        self._delayed: List[Tuple[float, int, str, str, int]] = []
+        #: Backoff queue: (due_time, seq, fn) — ``fn(now)`` redispatches.
+        self._delayed: List[Tuple[float, int, object]] = []
         self._delayed_seq = 0
         #: Liveness counters (docs/FAULTS.md), shared with the lease table.
         self.liveness: Dict[str, int] = new_liveness_stats()
@@ -118,17 +132,13 @@ class MasterDaemon:
         #: is set once here and never rebound; the table's contents are
         #: only touched under ``_state_lock``.
         self._lease: Optional[LeaseTable] = None
+        lease_config: Optional[LeaseConfig] = None
         if self.config.heartbeat_interval > 0:
-            self._lease = LeaseTable(
-                LeaseConfig(
-                    heartbeat_interval=self.config.heartbeat_interval,
-                    miss_threshold=self.config.lease_miss_threshold,
-                ),
-                stats=self.liveness,
+            lease_config = LeaseConfig(
+                heartbeat_interval=self.config.heartbeat_interval,
+                miss_threshold=self.config.lease_miss_threshold,
             )
-        #: (workflow, job_id) -> (worker, attempt) of RUNNING deliveries,
-        #: so a fenced worker's in-flight jobs can be requeued.
-        self._assignments: Dict[Tuple[str, str], Tuple[str, int]] = {}
+            self._lease = LeaseTable(lease_config, stats=self.liveness)
         #: The shared backlog gate (repro.liveness), or ``None`` when
         #: admission control is off.  Set once here, never rebound.
         self._admission: Optional[AdmissionControl] = None
@@ -147,6 +157,19 @@ class MasterDaemon:
         self._state_lock = _shims.make_lock("master.state")
         self._stop = _shims.make_event("master.stop")
         self._thread: Optional[threading.Thread] = None
+        #: Every scheduling decision; only touched under ``_state_lock``.
+        self._core = MasterCore(
+            self.config.default_timeout,
+            self.retry,
+            publish=self._publish,
+            reprioritize=self._reprioritize,
+            call_later=self._call_later,
+            on_settled=self._settled,
+            repriority=repriority,
+            liveness=lease_config,
+        )
+        #: The core's state table (same dict object, same lock).
+        self.states: Dict[str, WorkflowState] = self._core.states
 
     def _trace(self, op: str, site: str) -> None:
         """Report a scheduler-state access to the race recorder, if any."""
@@ -209,12 +232,9 @@ class MasterDaemon:
     @property
     def dead_letters(self) -> List[DeadLetterEntry]:
         """Dead-lettered jobs across every submitted workflow."""
-        out: List[DeadLetterEntry] = []
         with self._state_lock:
             self._trace("read", "master.dead_letters")
-            for state in self.states.values():
-                out.extend(state.dead_letters)
-        return out
+            return list(self._core.dead_letters)
 
     # -- checkpoint / restore ------------------------------------------------
     def checkpoint(self) -> "object":
@@ -241,6 +261,7 @@ class MasterDaemon:
                 },
                 makespans=dict(self.makespans),
                 rejected=dict(self.rejected),
+                repriority=self._repriority,
             )
 
     @classmethod
@@ -250,149 +271,114 @@ class MasterDaemon:
         checkpoint: "object",
         config: Optional[DeweConfig] = None,
         retry: Optional[RetryPolicy] = None,
-        republish: bool = True,
+        repriority: Optional[RepriorityPolicy] = None,
     ) -> "MasterDaemon":
         """Rebuild a master from a :meth:`checkpoint` after a crash.
 
         Completed jobs stay completed — nothing that settled before the
-        checkpoint is re-run.  With ``republish`` (the default), every
-        job that was in flight at the checkpoint is re-dispatched with a
-        fresh attempt number: the old delivery may still be held by a
-        worker, and at-least-once idempotency absorbs whichever ack
-        loses the race.  The caller still has to :meth:`start` the
-        daemon.
+        checkpoint is re-run.  Every job that was in flight at the
+        checkpoint is re-dispatched with a fresh attempt number
+        (:meth:`MasterCore.restore`): the old delivery may still be held
+        by a worker, and at-least-once idempotency absorbs whichever ack
+        loses the race.  ``repriority`` defaults to the policy of the
+        master that took the checkpoint.  The caller still has to
+        :meth:`start` the daemon.
         """
-        master = cls(broker, config=config, retry=retry)
+        master = cls(
+            broker, config=config, retry=retry,
+            repriority=repriority or checkpoint.repriority,
+        )
         now = time.monotonic()
-        for name, (workflow, snapshot) in checkpoint.states.items():
-            state = WorkflowState.restore(
-                workflow,
-                snapshot,
-                default_timeout=master.config.default_timeout,
-                retry=master.retry,
-            )
-            state.track_queue_age = master._repriority is not None
-            master.states[name] = state
+        for name in checkpoint.states:
             master._submit_times[name] = now - checkpoint.elapsed.get(name, 0.0)
         master.makespans.update(checkpoint.makespans)
         master.rejected.update(checkpoint.rejected)
         for name in checkpoint.makespans:
             master.completion_event(name).set()
-        if republish:
-            for state in master.states.values():
-                if state.is_settled:
-                    master._finish(state)
-                    continue
-                for job_id in state.requeue_in_flight(now):
-                    master._dispatch(state, job_id)
+        timeout = master.config.default_timeout
+        master._core.restore(
+            {name: wf for name, (wf, _snap) in checkpoint.states.items()},
+            {name: snap for name, (_wf, snap) in checkpoint.states.items()},
+            {
+                name: Admission(timeout, master._submit_times[name], 1.0)
+                for name in checkpoint.states
+            },
+            now,
+        )
+        for name in sorted(master._core.finished):
+            master._settled(master.states[name])
         return master
 
-    # -- internals ----------------------------------------------------------
-    def _priority_of(self, state: WorkflowState, job_id: str, now: float) -> float:
-        """SLA band + bounded heuristic score (0.0 with the policy off)."""
-        if self._repriority is None:
-            return 0.0
-        return state.job_priority(
-            job_id, now, self._repriority, base_band(rank_for_sla(state.sla))
-        )
-
-    def _dispatch(self, state: WorkflowState, job_id: str) -> None:
+    # -- the core's ports ----------------------------------------------------
+    def _publish(
+        self, state: WorkflowState, job_id: str, attempt: int, priority: float
+    ) -> None:
         """Publish one eligible job.
 
         Requires: ``_state_lock``
         """
-        now = time.monotonic()
-        state.mark_dispatched(job_id, now, force=self._lease is not None)
         self.broker.publish(
             TOPIC_DISPATCH,
             JobDispatch(
                 workflow_name=state.name,
                 job_id=job_id,
-                attempt=state.current_attempt(job_id),
+                attempt=attempt,
                 job=state.workflow.job(job_id),
             ),
             tag=(state.tenant, state.sla) if state.tenant else None,
-            priority=self._priority_of(state, job_id, now),
+            priority=priority,
         )
 
-    def _rerank(self, state: WorkflowState, now: float) -> None:
-        """Re-score the member's still-queued dispatches broker-side
-        (the OSPREY ``asynch_repriority`` pattern — called as
-        completions land and from the periodic aging sweep).
+    def _reprioritize(self, name: str, job_id: str, priority: float) -> None:
+        """Retag one still-queued dispatch broker-side.
 
         Requires: ``_state_lock``
         """
-        remote = isinstance(self.broker, RemoteBroker)
-        for job_id in state.queued_jobs():
-            prio = state.job_priority(
-                job_id, now, self._repriority,
-                base_band(rank_for_sla(state.sla)),
+        if isinstance(self.broker, RemoteBroker):
+            # Selectors cannot cross the wire: the TCP broker retags
+            # by (workflow, job) fields via a PriorityUpdate message.
+            self.broker.reprioritize(
+                TOPIC_DISPATCH, priority, workflow_name=name, job_id=job_id
             )
-            if remote:
-                # Selectors cannot cross the wire: the TCP broker retags
-                # by (workflow, job) fields via a PriorityUpdate message.
-                self.broker.reprioritize(
-                    TOPIC_DISPATCH, prio,
-                    workflow_name=state.name, job_id=job_id,
-                )
-            else:
-                self.broker.reprioritize(
-                    TOPIC_DISPATCH,
-                    lambda m, n=state.name, j=job_id: (
-                        m.workflow_name == n and m.job_id == j
-                    ),
-                    prio,
-                )
+        else:
+            self.broker.reprioritize(
+                TOPIC_DISPATCH,
+                lambda m: m.workflow_name == name and m.job_id == job_id,
+                priority,
+            )
 
-    def _republish(self, state: WorkflowState, job_id: str) -> None:
-        """Re-dispatch after the policy's backoff (immediately if none).
+    def _call_later(self, delay: float, fn) -> None:
+        """Queue a backed-off redispatch; :meth:`_check_timeouts` fires it.
 
         Requires: ``_state_lock``
         """
         self._trace("write", "master.republish")
-        attempts = state.current_attempt(job_id) - 1  # deliveries so far
-        delay = self.retry.backoff(attempts, key=f"{state.name}/{job_id}")
-        if delay <= 0:
-            self._dispatch(state, job_id)
-            return
         self._delayed_seq += 1
         heapq.heappush(
-            self._delayed,
-            (
-                time.monotonic() + delay,
-                self._delayed_seq,
-                state.name,
-                job_id,
-                state.current_attempt(job_id),
-            ),
+            self._delayed, (time.monotonic() + delay, self._delayed_seq, fn)
         )
 
-    def _drain_delayed(self, now: float) -> None:
-        """Fire backed-off redispatches that have come due.
+    def _settled(self, state: WorkflowState) -> None:
+        """Record settlement and release waiters.
 
         Requires: ``_state_lock``
         """
-        while self._delayed and self._delayed[0][0] <= now:
-            _due, _seq, name, job_id, attempt = heapq.heappop(self._delayed)
-            state = self.states.get(name)
-            if state is None:
-                continue
-            # Only fire if the delivery we backed off is still the
-            # current one (a completion or a newer resubmission wins).
-            if (
-                state.status.get(job_id) is JobStatus.QUEUED
-                and state.current_attempt(job_id) == attempt
-            ):
-                self._dispatch(state, job_id)
+        if state.name in self.makespans:
+            return
+        self._trace("write", "master.finish")
+        self.makespans[state.name] = time.monotonic() - self._submit_times[state.name]
+        self.completion_event(state.name).set()
 
+    # -- message handlers ----------------------------------------------------
     def _handle_submission(self, msg: WorkflowSubmission) -> None:
         """Validate and admit one submitted workflow.
 
         Requires: ``_state_lock``
         """
         self._trace("write", "master.handle_submission")
-        if msg.workflow.name in self.states:
-            raise ValueError(f"workflow {msg.workflow.name!r} already submitted")
+        name = msg.workflow.name
+        if name in self.states:
+            raise ValueError(f"workflow {name!r} already submitted")
         if self._admission is not None:
             backlog = self.broker.depth(TOPIC_DISPATCH)
             if not self._admission.admits(backlog):
@@ -405,46 +391,26 @@ class MasterDaemon:
                     key = f"shed_{msg.sla}"
                     self.liveness[key] = self.liveness.get(key, 0) + 1
                 retry_after = self._admission.retry_hint(backlog)
-                self.shed_submissions[msg.workflow.name] = retry_after
+                self.shed_submissions[name] = retry_after
                 raise RuntimeError(
                     f"admission: dispatch backlog {backlog} >= "
                     f"{self._admission.max_pending_jobs}; "
                     f"retry after {retry_after:g}s"
                 )
-        state = WorkflowState(
-            msg.workflow, self.config.default_timeout, retry=self.retry,
-            tenant=msg.tenant, sla=msg.sla,
-        )
-        state.arrival = time.monotonic()
-        # Only the repriority aging term reads queue ages; skip the
-        # per-dispatch bookkeeping when the policy is off.
-        state.track_queue_age = self._repriority is not None
-        self.states[state.name] = state
-        self._submit_times[state.name] = state.arrival
-        for job_id in state.initial_ready():
-            self._dispatch(state, job_id)
-        if state.is_settled:  # degenerate empty-DAG guard
-            self._finish(state)
-
-    def _finish(self, state: WorkflowState) -> None:
-        """Record settlement and release waiters.
-
-        Requires: ``_state_lock``
-        """
-        if state.name in self.makespans:
-            return
-        self._trace("write", "master.finish")
-        self.makespans[state.name] = time.monotonic() - self._submit_times[state.name]
-        self.completion_event(state.name).set()
+        validate_workflow(msg.workflow)
+        now = time.monotonic()
+        self._submit_times[name] = now
+        self._core.admit(msg.workflow, now, tenant=msg.tenant, sla=msg.sla)
 
     def _handle_ack(self, ack: JobAck) -> None:
-        """Apply one worker acknowledgment to the state machine.
+        """Gate one worker acknowledgment and hand it to the core.
 
         Requires: ``_state_lock``
         """
         self._trace("write", "master.handle_ack")
         now = time.monotonic()
-        if self._lease is not None and ack.worker:
+        worker = ack.worker if self._lease is not None and ack.worker else None
+        if worker is not None:
             # Renew-on-contact: any ack from a live worker renews its
             # lease, and contact from a fenced or unknown worker
             # re-admits it under a fresh epoch *before* the ack is
@@ -452,100 +418,51 @@ class MasterDaemon:
             # staleness — fencing bumped the attempt of everything the
             # worker held — so no settlement is ever applied from a
             # still-fenced lease (the sanitizer hook below verifies it).
-            self._lease.observe(ack.worker, now)
-        state = self.states.get(ack.workflow_name)
-        if state is None:
+            self._lease.observe(worker, now)
+        if ack.workflow_name not in self.states:
             self.dropped_acks += 1
             return  # ack for an unknown workflow: drop (but count)
-        if ack.kind is AckKind.RUNNING:
-            accepted = state.on_running(ack.job_id, ack.attempt, now)
-            if accepted and self._lease is not None and ack.worker:
-                self._assignments[(ack.workflow_name, ack.job_id)] = (
-                    ack.worker,
-                    ack.attempt,
+        if worker is not None and ack.kind is AckKind.COMPLETED:
+            san = _sanitizer._ACTIVE
+            if san is not None:
+                san.check_lease_fencing(
+                    ack.workflow_name, ack.job_id, worker,
+                    stale=self._lease.is_fenced(worker),
                 )
-        elif ack.kind is AckKind.COMPLETED:
-            if self._lease is not None and ack.worker:
-                san = _sanitizer._ACTIVE
-                if san is not None:
-                    san.check_lease_fencing(
-                        ack.workflow_name,
-                        ack.job_id,
-                        ack.worker,
-                        stale=self._lease.is_fenced(ack.worker),
-                    )
-            self._assignments.pop((ack.workflow_name, ack.job_id), None)
-            for job_id in state.on_completed(ack.job_id, ack.attempt):
-                self._dispatch(state, job_id)
-            if self._repriority is not None and not state.is_settled:
-                self._rerank(state, now)
-            if state.is_settled:
-                self._finish(state)
-        else:  # FAILED: resubmission with backoff, or dead-letter
-            self._assignments.pop((ack.workflow_name, ack.job_id), None)
-            republish = state.on_failed(ack.job_id, ack.attempt, now)
-            if republish is not None:
-                self._republish(state, republish)
-            elif state.is_settled:
-                self._finish(state)
+        self._core.on_ack(
+            _ACK_KINDS[ack.kind], ack.workflow_name, ack.job_id,
+            ack.attempt, worker, now,
+        )
 
     def _check_timeouts(self) -> None:
-        """Sweep deadlines and the backoff queue.
+        """Sweep deadlines, the backoff queue, leases and queue ages.
 
         Requires: ``_state_lock``
         """
         self._trace("write", "master.check_timeouts")
         now = time.monotonic()
-        for state in self.states.values():
-            for job_id in state.expired(now):
-                self._republish(state, job_id)
-            if state.is_settled:
-                self._finish(state)
-        self._drain_delayed(now)
+        core = self._core
+        core.sweep_timeouts(now)
+        while self._delayed and self._delayed[0][0] <= now:
+            heapq.heappop(self._delayed)[2](now)
         if self._lease is not None:
             for worker in self._lease.expire(now):
-                self._fence_worker(worker, now)
+                # The liveness recovery path (docs/FAULTS.md): the worker
+                # missed ``lease_miss_threshold`` beats — hung,
+                # partitioned, or dead — so every delivery it holds is
+                # presumed lost and requeued by the core.  The worker
+                # rejoins on its next contact under a fresh epoch.
+                self._trace("write", "master.fence_worker")
+                self._lease.fence(worker, now)
+                core.fence(worker, now)
         policy = self._repriority
         if (
             policy is not None
             and policy.interval > 0
             and now - self._last_sweep >= policy.interval
         ):
-            # Aging sweep: re-score every queued job so starving work
-            # accrues enough age to outrank fresher peers of its band.
             self._last_sweep = now
-            for state in self.states.values():
-                if not state.is_settled:
-                    self._rerank(state, now)
-
-    def _fence_worker(self, worker: str, now: float) -> None:
-        """Fence a lapsed worker's lease and requeue its in-flight jobs.
-
-        The liveness recovery path (docs/FAULTS.md): the worker missed
-        ``lease_miss_threshold`` beats — hung, partitioned, or dead —
-        so every delivery it holds is presumed lost and re-queued
-        through the retry policy with a fresh attempt number (late acks
-        from the fenced delivery become stale).  The worker rejoins on
-        its next contact under a fresh epoch.
-
-        Requires: ``_state_lock``
-        """
-        self._trace("write", "master.fence_worker")
-        self._lease.fence(worker, now)
-        held = sorted(
-            key for key, value in self._assignments.items() if value[0] == worker
-        )
-        for key in held:
-            name, job_id = key
-            _worker, attempt = self._assignments.pop(key)
-            state = self.states.get(name)
-            if state is None:
-                continue
-            republish = state.on_lease_expired(job_id, attempt, now)
-            if republish is not None:
-                self._republish(state, republish)
-            elif state.is_settled:
-                self._finish(state)
+            core.sweep_priorities(now)
 
     def _reject(self, workflow_name: str, exc: Exception) -> None:
         """Record a rejected submission.

@@ -34,10 +34,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.cloud.cluster import ClusterSpec
-from repro.dewe.state import JobStatus, WorkflowState
+from repro.dewe.core import COMPLETED, CORRUPT, FAILED, RUNNING, MasterCore
 from repro.engines.base import EngineBase, EngineResult, JobRecord, RunConfig, execute_job
 from repro.faults.models import ChaosAPI, FaultTrace, TransientFaultModel
-from repro.faults.retry import DeadLetterEntry, RetryPolicy
+from repro.faults.retry import RetryPolicy
 from repro.liveness import (
     AdmissionControl,
     LeaseConfig,
@@ -47,7 +47,7 @@ from repro.liveness import (
     new_liveness_stats,
 )
 from repro.mq.chaosbroker import ChaosSimBroker, MessageChaos
-from repro.mq.priority import RepriorityPolicy, base_band, rank_for_sla
+from repro.mq.priority import RepriorityPolicy
 from repro.mq.simbroker import SimBroker
 from repro.recovery.journal import Journal, MasterCrash
 from repro.sim import AnyOf, Interrupt, Process
@@ -59,10 +59,6 @@ __all__ = ["PullEngine"]
 _DISPATCH = "job-dispatching"
 _ACK = "job-acknowledgment"
 _HEARTBEAT = "worker-heartbeat"
-_RUNNING = 0
-_COMPLETED = 1
-_FAILED = 2
-_CORRUPT = 3    # worker found the job's input files corrupt/missing
 
 
 @dataclass
@@ -218,1082 +214,7 @@ class PullEngine(EngineBase):
         self.repriority = repriority
 
     def run(self, ensemble: Ensemble) -> EngineResult:
-        sim, cluster, thread_logs = self._setup(ensemble)
-        cfg = self.config
-        retry_policy = self.retry
-        transient = self.transient
-        trace = self.fault_trace
-        if trace is None:
-            trace = FaultTrace()
-        if self.message_chaos is not None:
-            broker = ChaosSimBroker(
-                sim, self.message_chaos, latency=self.broker_latency, trace=trace
-            )
-        else:
-            broker = SimBroker(sim, self.broker_latency)
-        fs = cluster.fs
-        states: Dict[str, WorkflowState] = {}
-        spans: Dict[str, Tuple[float, float]] = {}
-        records: List[JobRecord] = []
-        done = sim.event()
-        members = list(ensemble)
-        remaining = [len(members)]
-        jobs_executed = [0]
-        finished: set = set()
-        dead_letters: List[DeadLetterEntry] = []
-        dead_cursor: Dict[str, int] = {}
-        thread_counts = [0] * len(cluster.nodes)
-        node_slots: List[List[Process]] = [[] for _ in cluster.nodes]
-
-        # -- liveness / partition / backpressure plane -------------------------
-        n_nodes = len(cluster.nodes)
-        liveness_cfg = self.liveness
-        admission = self.admission
-        failover = self.failover
-        service = self.service
-        repriority = self.repriority
-        live_stats = new_liveness_stats()
-        if service is not None:
-            # The policy accumulates its counters straight into the
-            # run-level stats dict (stable new_liveness_stats schema);
-            # effective per-workflow timeouts are remembered so a
-            # standby can rebuild states with their admitted deadline
-            # slack intact.
-            service.stats = live_stats
-        wf_timeouts: Dict[str, float] = {}
-        lease: Optional[LeaseTable] = (
-            LeaseTable(liveness_cfg, stats=live_stats)
-            if liveness_cfg is not None
-            else None
-        )
-        #: Worker-side view of the node's current lease epoch; stamped on
-        #: every outgoing ack so the master can reject stale deliveries.
-        worker_epoch = [0] * n_nodes
-        #: (workflow, job_id) -> (node, attempt) for in-flight deliveries
-        #: the master accepted as RUNNING; drained when a lease is fenced.
-        assignments: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        #: Per-node partition state: ``None`` (connected) or the active
-        #: :data:`~repro.faults.models.PARTITION_MODES` entry.
-        partition_mode: List[Optional[str]] = [None] * n_nodes
-        #: Worker->master messages held in flight by an uplink partition,
-        #: republished in order when it heals (heartbeats are dropped
-        #: instead — a stale beat carries no information).
-        pending_up: List[List[Tuple[str, tuple]]] = [[] for _ in range(n_nodes)]
-        #: Master->worker control callbacks deferred by a downlink partition.
-        pending_down: List[list] = [[] for _ in range(n_nodes)]
-        heal_events: List = [sim.event() for _ in range(n_nodes)]
-        hb_procs: List[Optional[Process]] = [None] * n_nodes
-        master_procs: List[Process] = []
-
-        def _up_blocked(node_index: int) -> bool:
-            return partition_mode[node_index] in ("full", "to-master")
-
-        def _pull_blocked(node_index: int) -> bool:
-            return partition_mode[node_index] in ("full", "from-master")
-
-        def send_up(
-            node_index: int, topic: str, payload: tuple, drop: bool = False
-        ) -> None:
-            """Worker->master publish, honouring an uplink partition."""
-            if _up_blocked(node_index):
-                if not drop:
-                    pending_up[node_index].append((topic, payload))
-                return
-            broker.publish(topic, payload)
-
-        def send_ack(node_index: int, payload: tuple) -> None:
-            if lease is not None:
-                payload = payload + (node_index, worker_epoch[node_index])
-            send_up(node_index, _ACK, payload)
-
-        def _set_epoch(node_index: int, epoch: int) -> None:
-            worker_epoch[node_index] = epoch
-
-        def route_down(node_index: int, fn, *fn_args) -> None:
-            """Master->worker control delivery, honouring a downlink
-            partition (deferred callbacks fire in order at heal)."""
-            if _pull_blocked(node_index):
-                pending_down[node_index].append((fn, fn_args))
-            else:
-                sim.schedule_call(self.broker_latency, lambda: fn(*fn_args))
-
-        # -- data-integrity plane ---------------------------------------------
-        integrity: Optional[FileIntegrity] = None
-        if self.integrity_models:
-            integrity = FileIntegrity(trace=trace, models=self.integrity_models)
-            for wf in ensemble.workflows:
-                for f in wf.files().values():
-                    if f.kind == "input":
-                        integrity.record_stage(wf.name, f)
-        def producer_index(state: WorkflowState) -> Dict[str, str]:
-            # file name -> producer job id; interned on the skeleton,
-            # shared by all relabelled ensemble members.
-            return state.workflow.skeleton().producer_of
-
-        # -- write-ahead journal ----------------------------------------------
-        journal = self.journal
-        crash_event = sim.event()
-        if journal is None:
-            def jlog(kind: str, workflow: str = "", job_id: str = "",
-                     attempt: int = 0, detail: str = "") -> None:
-                return
-        else:
-            run_token = object()
-            journal.owner = run_token
-
-            def make_jlog():
-                # Each master incarnation logs under the journal epoch it
-                # was born with; after a failover fences the journal, a
-                # revived primary's stragglers append nothing (the stale
-                # epoch is silently refused — no split-brain records).
-                my_epoch = journal.epoch
-
-                def jlog(kind: str, workflow: str = "", job_id: str = "",
-                         attempt: int = 0, detail: str = "") -> None:
-                    # Stale writers (a crashed run's generators, finalized
-                    # by GC after the resume took over) must not touch the
-                    # log.
-                    if journal.owner is not run_token:
-                        return
-                    journal.append(
-                        sim.now, kind, workflow, job_id, attempt, detail,
-                        epoch=my_epoch,
-                    )
-
-                return jlog
-
-            jlog = make_jlog()
-
-            def _snapshots() -> Dict[str, Dict]:
-                return {name: states[name].snapshot() for name in sorted(states)}
-
-            def _on_crash() -> None:
-                if not crash_event.triggered:
-                    crash_event.succeed()
-
-            journal.snapshot_provider = _snapshots
-            journal.on_crash = _on_crash
-
-        def dispatch(state: WorkflowState, job_id: str) -> None:
-            san = _sanitizer._ACTIVE
-            if san is not None:
-                san.check_dispatch(
-                    state.name, job_id, state.status[job_id].value, time=sim.now
-                )
-            jlog("dispatch", state.name, job_id, state.attempt.get(job_id, 0))
-            state.mark_dispatched(
-                job_id, sim.now, force=liveness_cfg is not None
-            )
-            message = (state.name, job_id, state.attempt[job_id])
-            priority = (
-                state.job_priority(job_id, sim.now, repriority, wf_base(state))
-                if repriority is not None else 0.0
-            )
-            if service is not None:
-                # Class-aware backstop: a bounded dispatch topic at
-                # capacity evicts the most sheddable queued job in favor
-                # of a less sheddable one (gold displaces best-effort).
-                broker.publish(
-                    _DISPATCH, message,
-                    klass=service.rank_of(state.name),
-                    tag=(state.tenant, state.sla),
-                    priority=priority,
-                )
-            else:
-                broker.publish(_DISPATCH, message, priority=priority)
-
-        def wf_base(state: WorkflowState) -> float:
-            """The member's SLA priority band (0.0 for untagged work)."""
-            if service is not None:
-                return base_band(service.rank_of(state.name))
-            return base_band(rank_for_sla(state.sla))
-
-        def rerank(state: WorkflowState) -> None:
-            """Re-score the member's still-queued dispatches broker-side.
-
-            Called as completions land (and from the aging sweep): each
-            queued job's critical-path/slack/age score is recomputed at
-            the current simulated time and pushed into the priority
-            topic as a retag — consumed-but-unsettled deliveries are
-            naturally untouched (they are no longer in the topic)."""
-            now = sim.now
-            base = wf_base(state)
-            for job_id in state.queued_jobs():
-                prio = state.job_priority(job_id, now, repriority, base)
-                broker.reprioritize(
-                    _DISPATCH,
-                    lambda m, n=state.name, j=job_id: m[0] == n and m[1] == j,
-                    prio,
-                )
-
-        def redispatch(state: WorkflowState, job_id: str) -> None:
-            """Re-dispatch after the retry policy's backoff."""
-            delay = retry_policy.backoff(
-                state.attempt[job_id] - 1, key=f"{state.name}/{job_id}"
-            )
-            if delay <= 0:
-                dispatch(state, job_id)
-                return
-            expected = state.attempt[job_id]
-
-            def fire() -> None:
-                # Only if this delivery is still the current one — a
-                # completion or a newer resubmission supersedes it.
-                if (
-                    state.status[job_id] is JobStatus.QUEUED
-                    and state.attempt[job_id] == expected
-                ):
-                    dispatch(state, job_id)
-
-            sim.schedule_call(delay, fire)
-
-        def collect_dead(state: WorkflowState) -> None:
-            seen = dead_cursor.get(state.name, 0)
-            if len(state.dead_letters) > seen:
-                dead_cursor[state.name] = len(state.dead_letters)
-                for entry in state.dead_letters[seen:]:
-                    dead_letters.append(entry)
-                    jlog(
-                        "dead-letter", entry.workflow, entry.job_id,
-                        entry.attempts, entry.reason,
-                    )
-                    trace.record(
-                        sim.now,
-                        "dead-letter",
-                        detail=f"{entry.workflow}/{entry.job_id} "
-                        f"({entry.reason}, {entry.attempts} attempts)",
-                    )
-
-        def maybe_finish(state: WorkflowState) -> None:
-            if state.name in finished or not state.is_settled:
-                return
-            finished.add(state.name)
-            spans[state.name] = (spans[state.name][0], sim.now)
-            if service is not None:
-                service.settle(state.name)  # release the fair-share charge
-            remaining[0] -= 1
-            if remaining[0] == 0 and not done.triggered:
-                done.succeed()
-
-        # -- master daemon ---------------------------------------------------
-        def admit(wf, timeout_factor: float = 1.0,
-                  tenant: str = "", sla: str = "") -> None:
-            """Create and launch one admitted workflow's state machine."""
-            timeout = cfg.default_timeout * timeout_factor
-            wf_timeouts[wf.name] = timeout
-            state = WorkflowState(
-                wf, timeout, validate=False, retry=retry_policy,
-                tenant=tenant, sla=sla,
-            )
-            state.arrival = sim.now
-            state.deadline_factor = timeout_factor
-            # Only the repriority aging term reads queue ages; skip the
-            # per-dispatch bookkeeping on plain runs.
-            state.track_queue_age = repriority is not None
-            states[wf.name] = state
-            spans.setdefault(wf.name, (sim.now, float("nan")))
-            for job_id in state.initial_ready():
-                dispatch(state, job_id)
-            maybe_finish(state)  # degenerate empty-DAG guard
-
-        def service_shed(name: str) -> None:
-            """Account one open-loop shed: the workflow will never run,
-            so it leaves the remaining count (else ``done`` never
-            fires) — its retry is the *client's* problem, signalled by
-            the deterministic retry-after hint in the shed record."""
-            record = service.sheds[-1]
-            trace.record(
-                sim.now,
-                "service-shed",
-                detail=f"{name} tenant={record.tenant} sla={record.sla} "
-                f"reason={record.reason} retry_after={record.retry_after:g}",
-            )
-            jlog(
-                "service-shed", name,
-                detail=f"tenant={record.tenant} sla={record.sla} "
-                f"reason={record.reason} retry_after={record.retry_after:g}",
-            )
-            remaining[0] -= 1
-            if remaining[0] == 0 and not done.triggered:
-                done.succeed()
-
-        def submitter(skip_admitted: bool = False):
-            try:
-                for submit_time, wf in members:
-                    if skip_admitted and (
-                        wf.name in states
-                        or (service is not None and wf.name in service.shed_names)
-                    ):
-                        continue  # the failed-over primary decided it
-                    if submit_time > sim.now:
-                        yield sim.timeout(submit_time - sim.now)
-                    if service is not None:
-                        # Open-loop front door: each arrival runs the
-                        # quota -> fair-share -> brownout -> backlog
-                        # ladder exactly once — admitted or shed, never
-                        # blocked (offered load is not ours to pause).
-                        decision = service.decide(
-                            wf.name, len(wf.jobs),
-                            broker.depth(_DISPATCH), sim.now,
-                        )
-                        if not decision.admit:
-                            service_shed(wf.name)
-                            continue
-                        tenant, sla = service.tag_of(wf.name)
-                        jlog(
-                            "submit", wf.name,
-                            detail=f"jobs={len(wf.jobs)} tenant={tenant} "
-                            f"sla={sla} factor={decision.timeout_factor:g}",
-                        )
-                        admit(
-                            wf, decision.timeout_factor,
-                            tenant=tenant, sla=sla,
-                        )
-                        continue
-                    # Admission control: reject-new before degrade-running
-                    # — a submission arriving while the dispatch backlog
-                    # is saturated is shed with a retry-after hint, never
-                    # queued on top of the running work.
-                    while admission is not None and not admission.admits(
-                        broker.depth(_DISPATCH)
-                    ):
-                        hint = admission.retry_hint(broker.depth(_DISPATCH))
-                        live_stats["shed_submissions"] += 1
-                        trace.record(
-                            sim.now,
-                            "admission-shed",
-                            detail=f"{wf.name} retry_after={hint:g}",
-                        )
-                        jlog(
-                            "admission-shed", wf.name,
-                            detail=f"retry_after={hint:g}",
-                        )
-                        yield sim.timeout(hint)
-                    jlog("submit", wf.name, detail=f"jobs={len(wf.jobs)}")
-                    admit(wf)
-            except Interrupt:
-                return  # primary master failed mid-submission
-
-        def on_corrupt_ack(
-            state: WorkflowState, job_id: str, attempt: int, bad_names
-        ) -> None:
-            """Data-aware recovery: map damaged files to their producer
-            jobs and re-execute the minimal ancestor set; producerless
-            raw inputs are re-staged from the submit host."""
-            index = producer_index(state)
-            producers: List[str] = []
-            raw: List[str] = []
-            seen: set = set()
-            for file_name in bad_names:
-                producer_id = index.get(file_name)
-                if producer_id is None:
-                    raw.append(file_name)
-                elif producer_id not in seen:
-                    seen.add(producer_id)
-                    producers.append(producer_id)
-            to_dispatch = state.on_corrupt(job_id, attempt, producers, sim.now)
-            if to_dispatch is None:
-                return  # stale/duplicate detection report
-            if raw and integrity is not None:
-                by_name = {f.name: f for f in state.workflow.job(job_id).inputs}
-                for file_name in raw:
-                    integrity.restage(state.name, by_name[file_name], sim.now)
-            collect_dead(state)
-            for regen_id in to_dispatch:
-                dispatch(state, regen_id)
-            maybe_finish(state)
-
-        def handle_ack(msg) -> None:
-            kind, name, job_id, attempt = msg[:4]
-            if lease is not None:
-                # With the liveness protocol on, every ack carries the
-                # sender's (node, lease epoch); acks from a fenced or
-                # superseded lease are rejected before they can settle a
-                # delivery the master already redispatched.
-                ack_node, ack_epoch = msg[-2], msg[-1]
-                if not lease.valid(ack_node, ack_epoch):
-                    live_stats["stale_epoch_acks"] += 1
-                    trace.record(
-                        sim.now,
-                        "stale-epoch-ack",
-                        ack_node,
-                        f"{name}/{job_id}#{attempt} epoch={ack_epoch}",
-                    )
-                    return
-            state = states[name]
-            if kind == _RUNNING:
-                jlog("ack-running", name, job_id, attempt)
-                accepted = state.on_running(job_id, attempt, sim.now)
-                if lease is not None and accepted:
-                    assignments[(name, job_id)] = (msg[-2], attempt)
-                return
-            if lease is not None:
-                assignments.pop((name, job_id), None)
-            if kind == _FAILED:
-                jlog("ack-failed", name, job_id, attempt)
-                republish = state.on_failed(job_id, attempt, sim.now)
-                collect_dead(state)
-                if republish is not None:
-                    redispatch(state, republish)
-                else:
-                    maybe_finish(state)
-            elif kind == _CORRUPT:
-                jlog(
-                    "ack-corrupt", name, job_id, attempt,
-                    ",".join(msg[4]),
-                )
-                on_corrupt_ack(state, job_id, attempt, msg[4])
-            else:
-                if lease is not None:
-                    san = _sanitizer._ACTIVE
-                    if san is not None:
-                        # Structural tripwire: the epoch check above must
-                        # have rejected any settlement from a fenced lease.
-                        san.check_lease_fencing(
-                            name, job_id,
-                            cluster.nodes[msg[-2]].name,
-                            stale=not lease.valid(msg[-2], msg[-1]),
-                            time=sim.now,
-                        )
-                jlog("ack-complete", name, job_id, attempt)
-                for child_id in state.on_completed(job_id, attempt):
-                    dispatch(state, child_id)
-                if repriority is not None and name not in finished:
-                    rerank(state)
-                maybe_finish(state)
-
-        def ack_loop():
-            while True:
-                pending = broker.consume(_ACK)
-                try:
-                    msg = yield pending
-                except Interrupt:
-                    # Primary master failed: release the pending consume
-                    # so the standby's ack loop sees every message.
-                    broker.cancel(_ACK, pending)
-                    return
-                if msg is None:
-                    return  # consume cancelled
-                # Drain the whole burst before suspending: same-instant
-                # acks (batched broker deliveries) cost one resume total
-                # instead of one suspend/resume round-trip per message.
-                while True:
-                    handle_ack(msg)
-                    if done.triggered:
-                        return
-                    msg = broker.consume_nowait(_ACK)
-                    if msg is None:
-                        break
-
-        def timeout_loop():
-            while not done.triggered:
-                try:
-                    yield sim.timeout(cfg.timeout_check_interval)
-                except Interrupt:
-                    return  # primary master failed
-                for state in states.values():
-                    if state.name in finished:
-                        continue
-                    for job_id in state.expired(sim.now):
-                        jlog(
-                            "timeout-requeue", state.name, job_id,
-                            state.attempt[job_id],
-                        )
-                        redispatch(state, job_id)
-                    collect_dead(state)
-                    maybe_finish(state)
-
-        def repriority_sweep_loop():
-            """Periodic re-score of every queued job (starvation
-            avoidance): this is where the aging term takes effect — a
-            job that keeps losing ties accrues age until it outranks
-            fresher work of its band."""
-            interval = repriority.interval
-            while not done.triggered:
-                try:
-                    yield sim.timeout(interval)
-                except Interrupt:
-                    return  # primary master failed
-                for name in sorted(states):
-                    if name not in finished:
-                        rerank(states[name])
-
-        # -- liveness protocol (master side) -----------------------------------
-        def on_beat(msg) -> None:
-            """Apply one heartbeat: renew the lease, or re-grant it when
-            the beat is stale (fenced worker back from a partition, or a
-            standby master that inherited no lease state)."""
-            node_index, epoch = msg
-            now = sim.now
-            if lease.beat(node_index, epoch, now):
-                return
-            if slot_alive[node_index] <= 0:
-                return  # a drained/dead node's parting beat
-            new_epoch = lease.grant(node_index, now)
-            trace.record(
-                sim.now, "lease-epoch", node_index, f"epoch={new_epoch}"
-            )
-            jlog("lease-epoch", detail=f"node={node_index} epoch={new_epoch}")
-            route_down(node_index, _set_epoch, node_index, new_epoch)
-
-        def heartbeat_loop():
-            while True:
-                pending = broker.consume(_HEARTBEAT)
-                try:
-                    msg = yield pending
-                except Interrupt:
-                    broker.cancel(_HEARTBEAT, pending)
-                    return
-                if msg is None:
-                    return
-                while msg is not None:
-                    on_beat(msg)
-                    if done.triggered:
-                        return
-                    msg = broker.consume_nowait(_HEARTBEAT)
-
-        def lease_sweep_loop():
-            interval = liveness_cfg.heartbeat_interval
-            while not done.triggered:
-                try:
-                    yield sim.timeout(interval)
-                except Interrupt:
-                    return  # primary master failed
-                for node_index in lease.expire(sim.now):
-                    fence_node(node_index)
-
-        def fence_node(node_index: int) -> None:
-            """Declare a worker dead: fence its lease epoch and requeue
-            its in-flight deliveries through the retry policy.  Any late
-            ack from the fenced lease is now stale (exactly-once
-            settlement is carried by the epoch + attempt checks)."""
-            fenced = lease.fence(node_index, sim.now)
-            trace.record(
-                sim.now,
-                "lease-fence",
-                node_index,
-                f"epoch={fenced} after "
-                f"{liveness_cfg.miss_threshold} missed beats",
-            )
-            jlog("lease-fence", detail=f"node={node_index} epoch={fenced}")
-            held = sorted(
-                key for key, value in assignments.items()
-                if value[0] == node_index
-            )
-            for key in held:
-                wf_name, job_id = key
-                _node, attempt = assignments.pop(key)
-                state = states[wf_name]
-                republish = state.on_lease_expired(job_id, attempt, sim.now)
-                if republish is not None:
-                    jlog(
-                        "lease-requeue", wf_name, job_id,
-                        state.attempt[job_id],
-                    )
-                    redispatch(state, republish)
-                else:
-                    collect_dead(state)
-                    maybe_finish(state)
-
-        # -- worker daemons ----------------------------------------------------
-        # Rental accounting for elastic provisioning: a node's lease runs
-        # from worker start until its last slot exits.
-        leases: List[List[List[float]]] = [[] for _ in range(n_nodes)]
-        slot_alive = [0] * n_nodes
-        draining: set = set()
-        idle_waits: List[set] = [set() for _ in range(n_nodes)]
-        cpu_factor = [1.0] * n_nodes
-        spot_interrupted: Dict[int, List[int]] = {}
-
-        def _slot_exit(node_index: int) -> None:
-            slot_alive[node_index] -= 1
-            if slot_alive[node_index] == 0 and leases[node_index]:
-                leases[node_index][-1][1] = sim.now
-                jlog("lease-expiry", detail=f"node={node_index}")
-
-        def worker_slot(node_index: int):
-            node = cluster.nodes[node_index]
-            log = thread_logs[node_index]
-            try:
-                while node_index not in draining:
-                    if _pull_blocked(node_index):
-                        # Partitioned from the master: no pulling until
-                        # the partition heals (in-flight jobs continue).
-                        try:
-                            yield heal_events[node_index]
-                        except Interrupt:
-                            return
-                        continue
-                    pending = broker.consume(_DISPATCH)
-                    if pending.triggered:
-                        # A job was already queued: take it without a
-                        # suspend/resume round-trip.  (Queued jobs imply
-                        # no other slot is waiting, so no one is bypassed.)
-                        msg = pending.value
-                    else:
-                        idle_waits[node_index].add(pending)
-                        try:
-                            msg = yield pending
-                        except Interrupt:
-                            broker.cancel(_DISPATCH, pending)
-                            return
-                        finally:
-                            idle_waits[node_index].discard(pending)
-                    if msg is None:
-                        if _pull_blocked(node_index):
-                            # Partition onset cancelled the idle pull;
-                            # loop back into the heal wait.
-                            continue
-                        return  # consume cancelled (graceful scale-in)
-                    name, job_id, attempt = msg
-                    job = states[name].workflow.job(job_id)
-                    send_ack(node_index, (_RUNNING, name, job_id, attempt))
-                    if integrity is not None:
-                        bad = integrity.verify(name, job.inputs, sim.now)
-                        if bad:
-                            # Don't run on damaged data: report the bad
-                            # files so the master can regenerate them.
-                            send_ack(
-                                node_index,
-                                (_CORRUPT, name, job_id, attempt, tuple(bad)),
-                            )
-                            continue
-                    start = sim.now
-                    thread_counts[node_index] += 1
-                    log.record(sim.now, thread_counts[node_index])
-                    try:
-                        phases = yield from execute_job(
-                            sim,
-                            node,
-                            fs,
-                            job,
-                            speed=node.itype.cpu_speed * cpu_factor[node_index],
-                            owner=name,
-                        )
-                    except Interrupt:
-                        # Worker daemon killed mid-job: no completion ack;
-                        # the master's timeout will resubmit (paper §V.A.3).
-                        thread_counts[node_index] -= 1
-                        log.record(sim.now, thread_counts[node_index])
-                        return
-                    thread_counts[node_index] -= 1
-                    log.record(sim.now, thread_counts[node_index])
-                    jobs_executed[0] += 1
-                    if integrity is not None:
-                        for f in job.outputs:
-                            integrity.record_write(name, f, sim.now)
-                    if cfg.record_jobs:
-                        read_t, compute_t, write_t = phases
-                        records.append(
-                            JobRecord(
-                                workflow=name,
-                                job_id=job_id,
-                                task_type=job.task_type,
-                                node=node_index,
-                                start=start,
-                                end=sim.now,
-                                read_time=read_t,
-                                compute_time=compute_t,
-                                write_time=write_t,
-                                attempt=attempt,
-                            )
-                        )
-                    if transient is not None and transient.should_fail(
-                        name, job_id, attempt
-                    ):
-                        trace.record(
-                            sim.now,
-                            "transient-failure",
-                            node_index,
-                            f"{name}/{job_id}#{attempt}",
-                        )
-                        send_ack(node_index, (_FAILED, name, job_id, attempt))
-                    else:
-                        send_ack(
-                            node_index, (_COMPLETED, name, job_id, attempt)
-                        )
-            finally:
-                _slot_exit(node_index)
-
-        def heartbeat_agent(node_index: int):
-            """Worker-side liveness: renew the node's lease every
-            heartbeat interval.  Beats are *dropped* (not buffered) by an
-            uplink partition — a stale beat carries no information — so
-            a partitioned worker looks exactly like a dead one until the
-            partition heals."""
-            interval = liveness_cfg.heartbeat_interval
-            try:
-                while slot_alive[node_index] > 0:
-                    send_up(
-                        node_index,
-                        _HEARTBEAT,
-                        (node_index, worker_epoch[node_index]),
-                        drop=True,
-                    )
-                    yield sim.timeout(interval)
-            except Interrupt:
-                return  # worker daemon killed
-
-        def start_worker(node_index: int) -> None:
-            if slot_alive[node_index] > 0:
-                return  # daemon already running on this node
-            draining.discard(node_index)
-            jlog("lease-grant", detail=f"node={node_index}")
-            leases[node_index].append([sim.now, None])
-            slots = node_slots[node_index]
-            slots.clear()
-            capacity = cluster.nodes[node_index].cores.capacity
-            slot_alive[node_index] = capacity
-            if lease is not None:
-                # Lease grant is part of the provisioning handshake, so
-                # the node's very first ack already carries a live epoch.
-                epoch = lease.grant(node_index, sim.now)
-                worker_epoch[node_index] = epoch
-                trace.record(
-                    sim.now, "lease-epoch", node_index, f"epoch={epoch}"
-                )
-                jlog("lease-epoch", detail=f"node={node_index} epoch={epoch}")
-                hb_procs[node_index] = sim.process(heartbeat_agent(node_index))
-            for _ in range(capacity):
-                slots.append(sim.process(worker_slot(node_index)))
-
-        def kill_worker(node_index: int) -> None:
-            """Abrupt death: in-flight jobs are lost (fault injection)."""
-            for proc in node_slots[node_index]:
-                proc.interrupt("worker daemon killed")
-            node_slots[node_index].clear()
-            hb = hb_procs[node_index]
-            if hb is not None:
-                hb.interrupt("worker daemon killed")
-                hb_procs[node_index] = None
-            # A dead process sends nothing: messages it had in flight
-            # behind a partition die with it.
-            pending_up[node_index].clear()
-
-        def stop_worker(node_index: int) -> None:
-            """Graceful scale-in: idle slots leave now, busy slots finish
-            their current job first — nothing is lost, no timeout needed.
-            Slot processes stay registered so a later kill (spot notice
-            followed by the termination) still interrupts stragglers."""
-            draining.add(node_index)
-            for pending in list(idle_waits[node_index]):
-                broker.cancel(_DISPATCH, pending)
-
-        # -- chaos model hooks -------------------------------------------------
-        disk_base = [
-            (node.disk.read.capacity, node.disk.write.capacity)
-            for node in cluster.nodes
-        ]
-
-        def set_disk_factor(node_index: int, factor: float) -> None:
-            node = cluster.nodes[node_index]
-            node.disk.read.set_capacity(disk_base[node_index][0] * factor)
-            node.disk.write.set_capacity(disk_base[node_index][1] * factor)
-
-        def set_cpu_factor(node_index: int, factor: float) -> None:
-            if factor <= 0:
-                raise ValueError(f"cpu factor must be positive, got {factor}")
-            cpu_factor[node_index] = factor
-
-        def mark_spot_terminated(node_index: int) -> None:
-            # The kill has already closed the node's current lease; flag
-            # it for partial-hour-free spot billing.  A later replacement
-            # starts a *new* lease, billed normally.
-            if leases[node_index]:
-                jlog("billing-spot", detail=f"node={node_index}")
-                spot_interrupted.setdefault(node_index, []).append(
-                    len(leases[node_index]) - 1
-                )
-
-        def traced_start(node_index: int) -> None:
-            trace.record(sim.now, "restart", node_index)
-            start_worker(node_index)
-
-        def traced_kill(node_index: int) -> None:
-            trace.record(sim.now, "kill", node_index)
-            kill_worker(node_index)
-
-        # -- network partitions ------------------------------------------------
-        def begin_partition(node_index: int, mode: str) -> None:
-            live_stats["partitions"] += 1
-            partition_mode[node_index] = mode
-            heal_events[node_index] = sim.event()
-            if _pull_blocked(node_index):
-                # Idle slots waiting on the dispatch topic can no longer
-                # hear the master: cancel their pulls (they park on the
-                # heal event; queued jobs go to connected workers).
-                for pending in list(idle_waits[node_index]):
-                    broker.cancel(_DISPATCH, pending)
-
-        def end_partition(node_index: int) -> None:
-            partition_mode[node_index] = None
-            # Uplink messages held in flight arrive now, in send order.
-            flush = pending_up[node_index]
-            pending_up[node_index] = []
-            for topic, payload in flush:
-                broker.publish(topic, payload)
-            deferred = pending_down[node_index]
-            pending_down[node_index] = []
-            for fn, fn_args in deferred:
-                fn(*fn_args)
-            ev = heal_events[node_index]
-            if not ev.triggered:
-                ev.succeed()
-
-        # -- master failover ---------------------------------------------------
-        def start_master(takeover: bool = False) -> None:
-            master_procs[:] = [
-                sim.process(submitter(skip_admitted=takeover)),
-                sim.process(ack_loop()),
-                sim.process(timeout_loop()),
-            ]
-            if lease is not None:
-                master_procs.append(sim.process(heartbeat_loop()))
-                master_procs.append(sim.process(lease_sweep_loop()))
-            if repriority is not None and repriority.interval > 0:
-                master_procs.append(sim.process(repriority_sweep_loop()))
-
-        def _primary_die() -> None:
-            if done.triggered:
-                return
-            trace.record(sim.now, "master-fail", detail="primary stops")
-            # Interrupting a finished process is a no-op, so the whole
-            # roster can be torn down blindly.
-            for proc in master_procs:
-                proc.interrupt("primary master failed")
-            master_procs.clear()
-
-        def _standby_takeover() -> None:
-            if done.triggered:
-                return
-            nonlocal jlog, lease
-            live_stats["failovers"] += 1
-            # Fence the journal first: from here on the standby's epoch
-            # is the only one the log accepts, so a revived primary (or
-            # its straggling callbacks) cannot split-brain the record.
-            new_epoch = journal.fence()
-            jlog = make_jlog()
-            trace.record(sim.now, "failover", detail=f"epoch={new_epoch}")
-            jlog("failover", detail=f"epoch={new_epoch}")
-            # The standby tails the journal: its view of the run is the
-            # last durable checkpoint.  Restore what it has...
-            snaps = (
-                journal.checkpoint.snapshots
-                if journal.checkpoint is not None
-                else {}
-            )
-            wf_by_name = {wf.name: wf for _t, wf in members}
-            states.clear()
-            for name in sorted(snaps):
-                if name in wf_by_name:
-                    restored = WorkflowState.restore(
-                        wf_by_name[name], snaps[name],
-                        wf_timeouts.get(name, cfg.default_timeout),
-                        retry_policy,
-                    )
-                    restored.track_queue_age = repriority is not None
-                    states[name] = restored
-            # ...and re-admit workflows submitted after that checkpoint
-            # (at-least-once execution; settlement stays exactly-once
-            # because the state machine absorbs duplicate acks).  In
-            # service mode the primary's *decisions* are authoritative:
-            # shed workflows stay shed, admitted ones are re-created
-            # with their admitted deadline slack — the policy object
-            # survived the failover, so quota and fair-share charges
-            # carry over unchanged.
-            readmitted: set = set()
-            for submit_time, wf in members:
-                if submit_time <= sim.now and wf.name not in states:
-                    if service is not None and wf.name in service.shed_names:
-                        continue
-                    tenant, sla = (
-                        service.tag_of(wf.name)
-                        if service is not None else ("", "")
-                    )
-                    jlog("submit", wf.name, detail=f"jobs={len(wf.jobs)}")
-                    readmit = WorkflowState(
-                        wf, wf_timeouts.get(wf.name, cfg.default_timeout),
-                        validate=False, retry=retry_policy,
-                        tenant=tenant, sla=sla,
-                    )
-                    readmit.track_queue_age = repriority is not None
-                    states[wf.name] = readmit
-                    spans.setdefault(wf.name, (sim.now, float("nan")))
-                    readmitted.add(wf.name)
-            # Rebuild the dead-letter ledger and settlement bookkeeping
-            # from the restored states.
-            dead_letters[:] = []
-            dead_cursor.clear()
-            finished.clear()
-            for name in sorted(states):
-                state = states[name]
-                dead_cursor[name] = len(state.dead_letters)
-                dead_letters.extend(state.dead_letters)
-                if state.is_settled:
-                    finished.add(name)
-            remaining[0] = len(members) - len(finished)
-            if service is not None:
-                # Shed workflows already left the remaining count when
-                # the primary shed them; they are neither in states nor
-                # in finished, so subtract them here too.
-                remaining[0] -= len(service.shed_names)
-            # In-flight deliveries from the primary era are unaccounted:
-            # requeue them (late acks go stale via the attempt number —
-            # and, with leases on, via the fresh epoch fence below).
-            assignments.clear()
-            for name in sorted(states):
-                state = states[name]
-                if name in readmitted:
-                    for job_id in state.initial_ready():
-                        dispatch(state, job_id)
-                    maybe_finish(state)
-                elif not state.is_settled:
-                    for job_id in state.requeue_in_flight(sim.now):
-                        jlog("requeue", name, job_id, state.attempt[job_id])
-                        redispatch(state, job_id)
-                    collect_dead(state)
-                    maybe_finish(state)
-            if lease is not None:
-                # The standby inherits no lease state; epochs stay
-                # globally monotonic so every primary-era ack is stale.
-                # Workers re-register on their next heartbeat.
-                lease = LeaseTable(
-                    liveness_cfg,
-                    epoch_floor=lease.max_epoch,
-                    stats=live_stats,
-                )
-            start_master(takeover=True)
-            if remaining[0] == 0 and not done.triggered:
-                done.succeed()
-
-        start_master()
-        initially_down = set(self.initially_down)
-        if self.fault_schedule is not None:
-            initially_down |= set(self.fault_schedule.initially_down)
-            self.fault_schedule.install(sim, traced_start, traced_kill)
-        if self.chaos_models:
-            api = ChaosAPI(
-                sim=sim,
-                n_nodes=n_nodes,
-                start_worker=start_worker,
-                stop_worker=stop_worker,
-                kill_worker=kill_worker,
-                set_disk_factor=set_disk_factor,
-                set_cpu_factor=set_cpu_factor,
-                mark_spot_terminated=mark_spot_terminated,
-                trace=trace,
-                begin_partition=begin_partition,
-                end_partition=end_partition,
-            )
-            for model in self.chaos_models:
-                model.install(api)
-        if failover is not None:
-            sim.schedule_call(failover.at, _primary_die)
-            sim.schedule_call(
-                failover.at + failover.detection, _standby_takeover
-            )
-        for i in range(n_nodes):
-            if i not in initially_down:
-                start_worker(i)
-        if self.autoscaler is not None:
-            api = ElasticAPI(
-                sim=sim,
-                n_nodes=n_nodes,
-                _queue_depth=lambda: broker.depth(_DISPATCH),
-                _active=lambda: [i for i in range(n_nodes) if slot_alive[i] > 0],
-                _start=start_worker,
-                _stop=stop_worker,
-                _done=done,
-            )
-            sim.process(self.autoscaler(api))
-
-        until = done if journal is None else AnyOf(sim, [done, crash_event])
-        try:
-            sim.run_until(until)
-        except MasterCrash:
-            # Raised out of a scheduled callback (e.g. a backoff
-            # redispatch) after the journal's crash budget was hit; the
-            # crash_event path below reports it uniformly.
-            pass
-        finally:
-            # The run is over: revoke write access so this run's worker
-            # generators — finalized by GC at some arbitrary later point
-            # — cannot append trailing records to a journal that a
-            # resumed run (or nobody) now owns.
-            if journal is not None:
-                journal.owner = None
-        if journal is not None and journal.crashed:
-            raise MasterCrash(
-                f"master crashed at t={sim.now:.6f} after {journal.seq} "
-                f"journal records; resume via resume_from(journal)"
-            )
-        if cfg.drain_caches:
-            sim.run_until(fs.drained())
-
-        # Under an open-loop service every member may have been shed, in
-        # which case nothing ever ran and the makespan is simply "now".
-        makespan = max(
-            (end for _start, end in spans.values()), default=sim.now
-        )
-        rental_spans = {
-            i: [(s, e if e is not None else makespan) for s, e in leases[i]]
-            for i in range(n_nodes)
-            if leases[i]
-        }
-        interrupted_spans = {
-            i: [rental_spans[i][k] for k in indices]
-            for i, indices in spot_interrupted.items()
-            if i in rental_spans
-        }
-        san = _sanitizer._ACTIVE
-        if san is not None:
-            for i, node_spans in rental_spans.items():
-                san.check_leases(cluster.nodes[i].name, node_spans, makespan)
-            if live_stats["failovers"]:
-                # A standby takeover must not have re-opened a rental the
-                # primary already closed (no double-billed lease interval).
-                for i, node_spans in rental_spans.items():
-                    san.check_failover_billing(
-                        cluster.nodes[i].name, node_spans, makespan
-                    )
-        liveness_stats: Dict[str, int] = {}
-        if (
-            liveness_cfg is not None
-            or admission is not None
-            or service is not None
-            or failover is not None
-            or repriority is not None
-            or live_stats["partitions"]
-        ):
-            liveness_stats = dict(live_stats)
-            liveness_stats["dead_letter_depth"] = len(dead_letters)
-            # Shed-record ledger overflow (bounded deque): non-zero means
-            # the oldest shed evidence was dropped, not that sheds were.
-            liveness_stats["shed_record_drops"] = broker.dropped_records
-        return EngineResult(
-            engine=self.name,
-            spec=self.spec,
-            n_workflows=len(ensemble),
-            makespan=makespan,
-            workflow_spans=dict(spans),
-            records=records,
-            cluster=cluster,
-            resubmissions=sum(s.resubmissions for s in states.values()),
-            jobs_executed=jobs_executed[0],
-            thread_logs=thread_logs,
-            rental_spans=rental_spans,
-            interrupted_spans=interrupted_spans,
-            fault_events=list(trace),
-            dead_letters=dead_letters,
-            job_counts={name: state.counts() for name, state in states.items()},
-            mq_chaos_stats=(
-                broker.stats() if isinstance(broker, ChaosSimBroker) else {}
-            ),
-            integrity_stats=dict(integrity.stats) if integrity is not None else {},
-            data_recoveries=sum(s.data_recoveries for s in states.values()),
-            journal=journal,
-            liveness_stats=liveness_stats,
-        )
+        return _PullRun(self, ensemble).execute()
 
     def resume_from(self, journal: Journal, ensemble: Ensemble) -> EngineResult:
         """Resume a crashed run from its write-ahead journal.
@@ -1317,3 +238,868 @@ class PullEngine(EngineBase):
         # created inside run() when none is pinned on the engine.
         self.fault_trace = None
         return self.run(ensemble)
+
+
+class _PullRun:
+    """One :meth:`PullEngine.run`: the DES driver around a
+    :class:`~repro.dewe.core.MasterCore`.
+
+    The master's decisions live in the core; this object owns everything
+    with a simulated clock or a wire in it: the master's processes
+    (submitter, ack/heartbeat consumers, timeout/lease/aging timers),
+    the journal and failover wiring, the worker daemons (slots and
+    heartbeat agents), network partitions, the chaos hooks and the
+    result assembly.  A standby takeover swaps :attr:`core` for a fresh
+    one restored from the journal's checkpoint; nothing else is
+    rebuilt.
+    """
+
+    def __init__(self, engine: PullEngine, ensemble: Ensemble):
+        sim, cluster, thread_logs = engine._setup(ensemble)
+        self.engine = engine
+        self.sim = sim
+        self.cluster = cluster
+        self.thread_logs = thread_logs
+        self.cfg = engine.config
+        self.trace = (
+            engine.fault_trace if engine.fault_trace is not None else FaultTrace()
+        )
+        if engine.message_chaos is not None:
+            self.broker = ChaosSimBroker(
+                sim, engine.message_chaos,
+                latency=engine.broker_latency, trace=self.trace,
+            )
+        else:
+            self.broker = SimBroker(sim, engine.broker_latency)
+        self.members = list(ensemble)
+        self.n_workflows = len(ensemble)
+        #: What a dispatch message resolves against worker-side (the
+        #: real message carries the job; workers never read master state).
+        self.workflows = {wf.name: wf for _t, wf in self.members}
+        self.spans: Dict[str, Tuple[float, float]] = {}
+        self.records: List[JobRecord] = []
+        self.done = sim.event()
+        self.jobs_executed = 0
+        #: Submissions the open-loop service shed: they never run, so
+        #: they count towards ``done`` without ever settling.
+        self.shed = 0
+        n_nodes = self.n_nodes = len(cluster.nodes)
+        self.thread_counts = [0] * n_nodes
+        self.node_slots: List[List[Process]] = [[] for _ in range(n_nodes)]
+
+        # -- liveness / partition / backpressure plane -------------------------
+        self.stats = new_liveness_stats()
+        self.service = engine.service
+        if self.service is not None:
+            # The policy accumulates its counters straight into the
+            # run-level stats dict (stable new_liveness_stats schema).
+            self.service.stats = self.stats
+        self.lease: Optional[LeaseTable] = (
+            LeaseTable(engine.liveness, stats=self.stats)
+            if engine.liveness is not None
+            else None
+        )
+        #: Worker-side view of the node's current lease epoch; stamped on
+        #: every outgoing ack so the master can reject stale deliveries.
+        self.worker_epoch = [0] * n_nodes
+        #: Per-node partition state: ``None`` (connected) or the active
+        #: :data:`~repro.faults.models.PARTITION_MODES` entry.
+        self.partition_mode: List[Optional[str]] = [None] * n_nodes
+        #: Worker->master messages held in flight by an uplink partition,
+        #: republished in order when it heals (heartbeats are dropped
+        #: instead — a stale beat carries no information).
+        self.pending_up: List[List[Tuple[str, tuple]]] = [[] for _ in range(n_nodes)]
+        #: Master->worker control callbacks deferred by a downlink partition.
+        self.pending_down: List[list] = [[] for _ in range(n_nodes)]
+        self.heal_events: List = [sim.event() for _ in range(n_nodes)]
+        self.hb_procs: List[Optional[Process]] = [None] * n_nodes
+        self.master_procs: List[Process] = []
+
+        # -- data-integrity plane ---------------------------------------------
+        self.integrity: Optional[FileIntegrity] = None
+        if engine.integrity_models:
+            self.integrity = FileIntegrity(
+                trace=self.trace, models=engine.integrity_models
+            )
+            for wf in ensemble.workflows:
+                for f in wf.files().values():
+                    if f.kind == "input":
+                        self.integrity.record_stage(wf.name, f)
+
+        # -- write-ahead journal ----------------------------------------------
+        self.journal = engine.journal
+        self.crash_event = sim.event()
+        #: The current master incarnation's journal fencing epoch.
+        self.epoch = 0
+        if self.journal is not None:
+            # This run is the journal's writer until it ends (see jlog).
+            self.journal.owner = self
+            self.epoch = self.journal.epoch
+            self.journal.snapshot_provider = self._snapshots
+            self.journal.on_crash = self._on_crash
+
+        # -- worker daemons ----------------------------------------------------
+        # Rental accounting for elastic provisioning: a node's lease runs
+        # from worker start until its last slot exits.
+        self.leases: List[List[List[float]]] = [[] for _ in range(n_nodes)]
+        self.slot_alive = [0] * n_nodes
+        self.draining: set = set()
+        self.idle_waits: List[set] = [set() for _ in range(n_nodes)]
+        self.cpu_factor = [1.0] * n_nodes
+        self.spot_interrupted: Dict[int, List[int]] = {}
+        self.disk_base = [
+            (node.disk.read.capacity, node.disk.write.capacity)
+            for node in cluster.nodes
+        ]
+        self.core = self._new_core()
+
+    # -- the master core and its ports ---------------------------------------
+    def _new_core(self) -> MasterCore:
+        engine = self.engine
+        return MasterCore(
+            self.cfg.default_timeout,
+            engine.retry,
+            publish=self._publish,
+            reprioritize=self._reprioritize,
+            call_later=self._call_later,
+            on_settled=self._on_settled,
+            log=self.jlog,
+            trace=self.trace.record,
+            repriority=engine.repriority,
+            service=self.service,
+            liveness=engine.liveness,
+            integrity=self.integrity,
+        )
+
+    def jlog(self, kind: str, workflow: str = "", job_id: str = "",
+             attempt: int = 0, detail: str = "") -> None:
+        """Append one record under the current incarnation's epoch."""
+        journal = self.journal
+        # Stale writers (a finished or crashed run's generators,
+        # finalized by GC after a resume took over) must not touch the
+        # log: execute() revokes ownership when the run ends.
+        if journal is None or journal.owner is not self:
+            return
+        journal.append(
+            self.sim.now, kind, workflow, job_id, attempt, detail,
+            epoch=self.epoch,
+        )
+
+    def _snapshots(self) -> Dict[str, Dict]:
+        return self.core.snapshots()
+
+    def _on_crash(self) -> None:
+        if not self.crash_event.triggered:
+            self.crash_event.succeed()
+
+    def _publish(self, state, job_id: str, attempt: int, priority: float) -> None:
+        message = (state.name, job_id, attempt)
+        service = self.service
+        if service is not None:
+            # Class-aware backstop: a bounded dispatch topic at
+            # capacity evicts the most sheddable queued job in favor
+            # of a less sheddable one (gold displaces best-effort).
+            self.broker.publish(
+                _DISPATCH, message,
+                klass=service.rank_of(state.name),
+                tag=(state.tenant, state.sla),
+                priority=priority,
+            )
+        else:
+            self.broker.publish(_DISPATCH, message, priority=priority)
+
+    def _reprioritize(self, name: str, job_id: str, priority: float) -> None:
+        self.broker.reprioritize(
+            _DISPATCH, lambda m: m[0] == name and m[1] == job_id, priority
+        )
+
+    def _call_later(self, delay: float, fn) -> None:
+        self.sim.schedule_call(delay, self._fire, fn)
+
+    def _fire(self, fn) -> None:
+        fn(self.sim.now)
+
+    def _on_settled(self, state) -> None:
+        self.spans[state.name] = (self.spans[state.name][0], self.sim.now)
+        self._check_done()
+
+    def _check_done(self) -> None:
+        if (
+            len(self.core.finished) + self.shed == len(self.members)
+            and not self.done.triggered
+        ):
+            self.done.succeed()
+
+    # -- master processes ------------------------------------------------------
+    def _admit(self, wf, timeout_factor: float = 1.0,
+               tenant: str = "", sla: str = "") -> None:
+        now = self.sim.now
+        self.spans.setdefault(wf.name, (now, float("nan")))
+        self.core.admit(wf, now, timeout_factor, tenant, sla)
+
+    def _service_arrival(self, wf) -> None:
+        """Open-loop front door: each arrival runs the quota ->
+        fair-share -> brownout -> backlog ladder exactly once — admitted
+        or shed, never blocked (offered load is not ours to pause)."""
+        service = self.service
+        now = self.sim.now
+        decision = service.decide(
+            wf.name, len(wf.jobs), self.broker.depth(_DISPATCH), now
+        )
+        if decision.admit:
+            tenant, sla = service.tag_of(wf.name)
+            self.jlog(
+                "submit", wf.name,
+                detail=f"jobs={len(wf.jobs)} tenant={tenant} "
+                f"sla={sla} factor={decision.timeout_factor:g}",
+            )
+            self._admit(wf, decision.timeout_factor, tenant, sla)
+            return
+        # Shed: the workflow will never run, so it leaves the unsettled
+        # count (else ``done`` never fires) — its retry is the *client's*
+        # problem, signalled by the deterministic retry-after hint.
+        record = service.sheds[-1]
+        detail = (
+            f"tenant={record.tenant} sla={record.sla} "
+            f"reason={record.reason} retry_after={record.retry_after:g}"
+        )
+        self.trace.record(now, "service-shed", detail=f"{wf.name} {detail}")
+        self.jlog("service-shed", wf.name, detail=detail)
+        self.shed += 1
+        self._check_done()
+
+    def submitter(self, skip_admitted: bool = False):
+        sim = self.sim
+        service = self.service
+        admission = self.engine.admission
+        broker = self.broker
+        decided: set = set()
+        if skip_admitted:
+            # What the failed-over primary admitted or shed stays decided.
+            decided.update(self.core.states)
+            if service is not None:
+                decided |= service.shed_names
+        try:
+            for submit_time, wf in self.members:
+                if wf.name in decided:
+                    continue
+                if submit_time > sim.now:
+                    yield sim.timeout(submit_time - sim.now)
+                if service is not None:
+                    self._service_arrival(wf)
+                    continue
+                # Admission control: reject-new before degrade-running
+                # — a submission arriving while the dispatch backlog
+                # is saturated is shed with a retry-after hint, never
+                # queued on top of the running work.
+                while admission is not None and not admission.admits(
+                    broker.depth(_DISPATCH)
+                ):
+                    hint = admission.retry_hint(broker.depth(_DISPATCH))
+                    self.stats["shed_submissions"] += 1
+                    self.trace.record(
+                        sim.now, "admission-shed",
+                        detail=f"{wf.name} retry_after={hint:g}",
+                    )
+                    self.jlog(
+                        "admission-shed", wf.name, detail=f"retry_after={hint:g}"
+                    )
+                    yield sim.timeout(hint)
+                self.jlog("submit", wf.name, detail=f"jobs={len(wf.jobs)}")
+                self._admit(wf)
+        except Interrupt:
+            return  # primary master failed mid-submission
+
+    def _handle_ack(self, msg) -> None:
+        kind, name, job_id, attempt = msg[:4]
+        lease = self.lease
+        worker = None
+        if lease is not None:
+            # With the liveness protocol on, every ack carries the
+            # sender's (node, lease epoch); acks from a fenced or
+            # superseded lease are rejected before they can settle a
+            # delivery the master already redispatched.
+            worker, ack_epoch = msg[-2], msg[-1]
+            if not lease.valid(worker, ack_epoch):
+                self.stats["stale_epoch_acks"] += 1
+                self.trace.record(
+                    self.sim.now, "stale-epoch-ack", worker,
+                    f"{name}/{job_id}#{attempt} epoch={ack_epoch}",
+                )
+                return
+            san = _sanitizer._ACTIVE
+            if san is not None and kind == COMPLETED:
+                # Structural tripwire: the epoch check above must have
+                # rejected any settlement from a fenced lease.
+                san.check_lease_fencing(
+                    name, job_id, self.cluster.nodes[worker].name,
+                    stale=not lease.valid(worker, ack_epoch),
+                    time=self.sim.now,
+                )
+        self.core.on_ack(
+            kind, name, job_id, attempt, worker, self.sim.now,
+            msg[4] if kind == CORRUPT else (),
+        )
+
+    def _on_beat(self, msg) -> None:
+        """Apply one heartbeat: renew the lease, or re-grant it when
+        the beat is stale (fenced worker back from a partition, or a
+        standby master that inherited no lease state)."""
+        node_index, epoch = msg
+        now = self.sim.now
+        if self.lease.beat(node_index, epoch, now):
+            return
+        if self.slot_alive[node_index] <= 0:
+            return  # a drained/dead node's parting beat
+        new_epoch = self.lease.grant(node_index, now)
+        self.trace.record(now, "lease-epoch", node_index, f"epoch={new_epoch}")
+        self.jlog("lease-epoch", detail=f"node={node_index} epoch={new_epoch}")
+        self.route_down(node_index, self._set_epoch, node_index, new_epoch)
+
+    def _consume_loop(self, topic: str, handle):
+        """Master-side consumer of one worker->master topic."""
+        broker = self.broker
+        done = self.done
+        while True:
+            pending = broker.consume(topic)
+            try:
+                msg = yield pending
+            except Interrupt:
+                # Primary master failed: release the pending consume
+                # so the standby's loop sees every message.
+                broker.cancel(topic, pending)
+                return
+            if msg is None:
+                return  # consume cancelled
+            # Drain the whole burst before suspending: same-instant
+            # messages (batched broker deliveries) cost one resume total
+            # instead of one suspend/resume round-trip per message.
+            while msg is not None:
+                handle(msg)
+                if done.triggered:
+                    return
+                msg = broker.consume_nowait(topic)
+
+    def _every(self, interval: float, sweep):
+        """Master-side timer: ``sweep(now)`` every ``interval``."""
+        sim = self.sim
+        while not self.done.triggered:
+            try:
+                yield sim.timeout(interval)
+            except Interrupt:
+                return  # primary master failed
+            sweep(sim.now)
+
+    def _sweep_leases(self, now: float) -> None:
+        """Declare silent workers dead: fence the lease epoch (any late
+        ack from it is now stale) and let the core requeue what the
+        worker held."""
+        for node_index in self.lease.expire(now):
+            fenced = self.lease.fence(node_index, now)
+            self.trace.record(
+                now, "lease-fence", node_index,
+                f"epoch={fenced} after "
+                f"{self.engine.liveness.miss_threshold} missed beats",
+            )
+            self.jlog("lease-fence", detail=f"node={node_index} epoch={fenced}")
+            self.core.fence(node_index, now)
+
+    # -- network: worker<->master paths under partitions -----------------------
+    def _up_blocked(self, node_index: int) -> bool:
+        return self.partition_mode[node_index] in ("full", "to-master")
+
+    def _pull_blocked(self, node_index: int) -> bool:
+        return self.partition_mode[node_index] in ("full", "from-master")
+
+    def send_up(self, node_index: int, topic: str, payload: tuple,
+                drop: bool = False) -> None:
+        """Worker->master publish, honouring an uplink partition."""
+        if self._up_blocked(node_index):
+            if not drop:
+                self.pending_up[node_index].append((topic, payload))
+            return
+        self.broker.publish(topic, payload)
+
+    def send_ack(self, node_index: int, payload: tuple) -> None:
+        if self.lease is not None:
+            payload = payload + (node_index, self.worker_epoch[node_index])
+        self.send_up(node_index, _ACK, payload)
+
+    def _set_epoch(self, node_index: int, epoch: int) -> None:
+        self.worker_epoch[node_index] = epoch
+
+    def route_down(self, node_index: int, fn, *fn_args) -> None:
+        """Master->worker control delivery, honouring a downlink
+        partition (deferred callbacks fire in order at heal)."""
+        if self._pull_blocked(node_index):
+            self.pending_down[node_index].append((fn, fn_args))
+        else:
+            self.sim.schedule_call(self.engine.broker_latency, fn, *fn_args)
+
+    def begin_partition(self, node_index: int, mode: str) -> None:
+        self.stats["partitions"] += 1
+        self.partition_mode[node_index] = mode
+        self.heal_events[node_index] = self.sim.event()
+        if self._pull_blocked(node_index):
+            # Idle slots waiting on the dispatch topic can no longer
+            # hear the master: cancel their pulls (they park on the
+            # heal event; queued jobs go to connected workers).
+            for pending in list(self.idle_waits[node_index]):
+                self.broker.cancel(_DISPATCH, pending)
+
+    def end_partition(self, node_index: int) -> None:
+        self.partition_mode[node_index] = None
+        # Uplink messages held in flight arrive now, in send order.
+        flush = self.pending_up[node_index]
+        self.pending_up[node_index] = []
+        for topic, payload in flush:
+            self.broker.publish(topic, payload)
+        deferred = self.pending_down[node_index]
+        self.pending_down[node_index] = []
+        for fn, fn_args in deferred:
+            fn(*fn_args)
+        ev = self.heal_events[node_index]
+        if not ev.triggered:
+            ev.succeed()
+
+    # -- worker daemons ----------------------------------------------------------
+    def _slot_exit(self, node_index: int) -> None:
+        self.slot_alive[node_index] -= 1
+        if self.slot_alive[node_index] == 0 and self.leases[node_index]:
+            self.leases[node_index][-1][1] = self.sim.now
+            self.jlog("lease-expiry", detail=f"node={node_index}")
+
+    def worker_slot(self, node_index: int):
+        sim = self.sim
+        broker = self.broker
+        node = self.cluster.nodes[node_index]
+        log = self.thread_logs[node_index]
+        fs = self.cluster.fs
+        integrity = self.integrity
+        transient = self.engine.transient
+        record_jobs = self.cfg.record_jobs
+        workflows = self.workflows
+        idle_waits = self.idle_waits[node_index]
+        thread_counts = self.thread_counts
+        cpu_factor = self.cpu_factor
+        draining = self.draining
+        send_ack = self.send_ack
+        try:
+            while node_index not in draining:
+                if self._pull_blocked(node_index):
+                    # Partitioned from the master: no pulling until
+                    # the partition heals (in-flight jobs continue).
+                    try:
+                        yield self.heal_events[node_index]
+                    except Interrupt:
+                        return
+                    continue
+                pending = broker.consume(_DISPATCH)
+                if pending.triggered:
+                    # A job was already queued: take it without a
+                    # suspend/resume round-trip.  (Queued jobs imply
+                    # no other slot is waiting, so no one is bypassed.)
+                    msg = pending.value
+                else:
+                    idle_waits.add(pending)
+                    try:
+                        msg = yield pending
+                    except Interrupt:
+                        broker.cancel(_DISPATCH, pending)
+                        return
+                    finally:
+                        idle_waits.discard(pending)
+                if msg is None:
+                    if self._pull_blocked(node_index):
+                        # Partition onset cancelled the idle pull;
+                        # loop back into the heal wait.
+                        continue
+                    return  # consume cancelled (graceful scale-in)
+                name, job_id, attempt = msg
+                job = workflows[name].job(job_id)
+                send_ack(node_index, (RUNNING, name, job_id, attempt))
+                if integrity is not None:
+                    bad = integrity.verify(name, job.inputs, sim.now)
+                    if bad:
+                        # Don't run on damaged data: report the bad
+                        # files so the master can regenerate them.
+                        send_ack(
+                            node_index,
+                            (CORRUPT, name, job_id, attempt, tuple(bad)),
+                        )
+                        continue
+                start = sim.now
+                thread_counts[node_index] += 1
+                log.record(sim.now, thread_counts[node_index])
+                try:
+                    phases = yield from execute_job(
+                        sim, node, fs, job,
+                        speed=node.itype.cpu_speed * cpu_factor[node_index],
+                        owner=name,
+                    )
+                except Interrupt:
+                    # Worker daemon killed mid-job: no completion ack;
+                    # the master's timeout will resubmit (paper §V.A.3).
+                    thread_counts[node_index] -= 1
+                    log.record(sim.now, thread_counts[node_index])
+                    return
+                thread_counts[node_index] -= 1
+                log.record(sim.now, thread_counts[node_index])
+                self.jobs_executed += 1
+                if integrity is not None:
+                    for f in job.outputs:
+                        integrity.record_write(name, f, sim.now)
+                if record_jobs:
+                    read_t, compute_t, write_t = phases
+                    self.records.append(
+                        JobRecord(
+                            workflow=name, job_id=job_id,
+                            task_type=job.task_type, node=node_index,
+                            start=start, end=sim.now, read_time=read_t,
+                            compute_time=compute_t, write_time=write_t,
+                            attempt=attempt,
+                        )
+                    )
+                if transient is not None and transient.should_fail(
+                    name, job_id, attempt
+                ):
+                    self.trace.record(
+                        sim.now, "transient-failure", node_index,
+                        f"{name}/{job_id}#{attempt}",
+                    )
+                    send_ack(node_index, (FAILED, name, job_id, attempt))
+                else:
+                    send_ack(node_index, (COMPLETED, name, job_id, attempt))
+        finally:
+            self._slot_exit(node_index)
+
+    def heartbeat_agent(self, node_index: int):
+        """Worker-side liveness: renew the node's lease every
+        heartbeat interval.  Beats are *dropped* (not buffered) by an
+        uplink partition — a stale beat carries no information — so
+        a partitioned worker looks exactly like a dead one until the
+        partition heals."""
+        interval = self.engine.liveness.heartbeat_interval
+        try:
+            while self.slot_alive[node_index] > 0:
+                self.send_up(
+                    node_index, _HEARTBEAT,
+                    (node_index, self.worker_epoch[node_index]),
+                    drop=True,
+                )
+                yield self.sim.timeout(interval)
+        except Interrupt:
+            return  # worker daemon killed
+
+    def start_worker(self, node_index: int) -> None:
+        if self.slot_alive[node_index] > 0:
+            return  # daemon already running on this node
+        sim = self.sim
+        self.draining.discard(node_index)
+        self.jlog("lease-grant", detail=f"node={node_index}")
+        self.leases[node_index].append([sim.now, None])
+        slots = self.node_slots[node_index]
+        slots.clear()
+        capacity = self.cluster.nodes[node_index].cores.capacity
+        self.slot_alive[node_index] = capacity
+        if self.lease is not None:
+            # Lease grant is part of the provisioning handshake, so
+            # the node's very first ack already carries a live epoch.
+            epoch = self.lease.grant(node_index, sim.now)
+            self.worker_epoch[node_index] = epoch
+            self.trace.record(sim.now, "lease-epoch", node_index, f"epoch={epoch}")
+            self.jlog("lease-epoch", detail=f"node={node_index} epoch={epoch}")
+            self.hb_procs[node_index] = sim.process(
+                self.heartbeat_agent(node_index)
+            )
+        for _ in range(capacity):
+            slots.append(sim.process(self.worker_slot(node_index)))
+
+    def kill_worker(self, node_index: int) -> None:
+        """Abrupt death: in-flight jobs are lost (fault injection)."""
+        for proc in self.node_slots[node_index]:
+            proc.interrupt("worker daemon killed")
+        self.node_slots[node_index].clear()
+        hb = self.hb_procs[node_index]
+        if hb is not None:
+            hb.interrupt("worker daemon killed")
+            self.hb_procs[node_index] = None
+        # A dead process sends nothing: messages it had in flight
+        # behind a partition die with it.
+        self.pending_up[node_index].clear()
+
+    def stop_worker(self, node_index: int) -> None:
+        """Graceful scale-in: idle slots leave now, busy slots finish
+        their current job first — nothing is lost, no timeout needed.
+        Slot processes stay registered so a later kill (spot notice
+        followed by the termination) still interrupts stragglers."""
+        self.draining.add(node_index)
+        for pending in list(self.idle_waits[node_index]):
+            self.broker.cancel(_DISPATCH, pending)
+
+    # -- chaos model hooks -------------------------------------------------------
+    def set_disk_factor(self, node_index: int, factor: float) -> None:
+        node = self.cluster.nodes[node_index]
+        base_read, base_write = self.disk_base[node_index]
+        node.disk.read.set_capacity(base_read * factor)
+        node.disk.write.set_capacity(base_write * factor)
+
+    def set_cpu_factor(self, node_index: int, factor: float) -> None:
+        if factor <= 0:
+            raise ValueError(f"cpu factor must be positive, got {factor}")
+        self.cpu_factor[node_index] = factor
+
+    def mark_spot_terminated(self, node_index: int) -> None:
+        # The kill has already closed the node's current lease; flag
+        # it for partial-hour-free spot billing.  A later replacement
+        # starts a *new* lease, billed normally.
+        if self.leases[node_index]:
+            self.jlog("billing-spot", detail=f"node={node_index}")
+            self.spot_interrupted.setdefault(node_index, []).append(
+                len(self.leases[node_index]) - 1
+            )
+
+    def traced_start(self, node_index: int) -> None:
+        self.trace.record(self.sim.now, "restart", node_index)
+        self.start_worker(node_index)
+
+    def traced_kill(self, node_index: int) -> None:
+        self.trace.record(self.sim.now, "kill", node_index)
+        self.kill_worker(node_index)
+
+    # -- master failover -----------------------------------------------------------
+    def start_master(self, takeover: bool = False) -> None:
+        sim = self.sim
+        core = self.core
+        procs = self.master_procs
+        procs[:] = [
+            sim.process(self.submitter(skip_admitted=takeover)),
+            sim.process(self._consume_loop(_ACK, self._handle_ack)),
+            sim.process(
+                self._every(self.cfg.timeout_check_interval, core.sweep_timeouts)
+            ),
+        ]
+        if self.lease is not None:
+            procs.append(
+                sim.process(self._consume_loop(_HEARTBEAT, self._on_beat))
+            )
+            procs.append(
+                sim.process(
+                    self._every(
+                        self.engine.liveness.heartbeat_interval,
+                        self._sweep_leases,
+                    )
+                )
+            )
+        repriority = self.engine.repriority
+        if repriority is not None and repriority.interval > 0:
+            procs.append(
+                sim.process(self._every(repriority.interval, core.sweep_priorities))
+            )
+
+    def _primary_die(self) -> None:
+        if self.done.triggered:
+            return
+        self.trace.record(self.sim.now, "master-fail", detail="primary stops")
+        # Interrupting a finished process is a no-op, so the whole
+        # roster can be torn down blindly.
+        for proc in self.master_procs:
+            proc.interrupt("primary master failed")
+        self.master_procs.clear()
+
+    def _standby_takeover(self) -> None:
+        if self.done.triggered:
+            return
+        now = self.sim.now
+        journal = self.journal
+        service = self.service
+        self.stats["failovers"] += 1
+        # Fence the journal first: from here on the standby's epoch
+        # is the only one the log accepts, so a revived primary cannot
+        # split-brain the record.
+        self.epoch = journal.fence()
+        self.trace.record(now, "failover", detail=f"epoch={self.epoch}")
+        self.jlog("failover", detail=f"epoch={self.epoch}")
+        # The standby tails the journal: its view of the run is the
+        # last durable checkpoint, plus every workflow submitted since,
+        # which it re-admits.  In service mode the primary's *decisions*
+        # are authoritative: shed workflows stay shed, admitted ones
+        # keep their admitted deadline slack — the policy object
+        # survived the failover, so quota and fair-share charges carry
+        # over unchanged.
+        snaps = (
+            journal.checkpoint.snapshots if journal.checkpoint is not None else {}
+        )
+        shed = service.shed_names if service is not None else ()
+        readmit = []
+        for submit_time, wf in self.members:
+            if submit_time <= now and wf.name not in snaps and wf.name not in shed:
+                self.spans.setdefault(wf.name, (now, float("nan")))
+                tenant, sla = (
+                    service.tag_of(wf.name) if service is not None else ("", "")
+                )
+                readmit.append((wf, tenant, sla))
+        self.shed = len(shed)
+        admissions = self.core.admissions
+        self.core = self._new_core()
+        self.core.restore(self.workflows, snaps, admissions, now, readmit)
+        if self.lease is not None:
+            # The standby inherits no lease state; epochs stay
+            # globally monotonic so every primary-era ack is stale.
+            # Workers re-register on their next heartbeat.
+            self.lease = LeaseTable(
+                self.engine.liveness,
+                epoch_floor=self.lease.max_epoch,
+                stats=self.stats,
+            )
+        self.start_master(takeover=True)
+        self._check_done()
+
+    # -- the run -------------------------------------------------------------------
+    def execute(self) -> EngineResult:
+        engine = self.engine
+        sim = self.sim
+        journal = self.journal
+        n_nodes = self.n_nodes
+        self.start_master()
+        initially_down = set(engine.initially_down)
+        if engine.fault_schedule is not None:
+            initially_down |= set(engine.fault_schedule.initially_down)
+            engine.fault_schedule.install(sim, self.traced_start, self.traced_kill)
+        if engine.chaos_models:
+            api = ChaosAPI(
+                sim=sim,
+                n_nodes=n_nodes,
+                start_worker=self.start_worker,
+                stop_worker=self.stop_worker,
+                kill_worker=self.kill_worker,
+                set_disk_factor=self.set_disk_factor,
+                set_cpu_factor=self.set_cpu_factor,
+                mark_spot_terminated=self.mark_spot_terminated,
+                trace=self.trace,
+                begin_partition=self.begin_partition,
+                end_partition=self.end_partition,
+            )
+            for model in engine.chaos_models:
+                model.install(api)
+        failover = engine.failover
+        if failover is not None:
+            sim.schedule_call(failover.at, self._primary_die)
+            sim.schedule_call(
+                failover.at + failover.detection, self._standby_takeover
+            )
+        for i in range(n_nodes):
+            if i not in initially_down:
+                self.start_worker(i)
+        if engine.autoscaler is not None:
+            api = ElasticAPI(
+                sim=sim,
+                n_nodes=n_nodes,
+                _queue_depth=lambda: self.broker.depth(_DISPATCH),
+                _active=lambda: [
+                    i for i in range(n_nodes) if self.slot_alive[i] > 0
+                ],
+                _start=self.start_worker,
+                _stop=self.stop_worker,
+                _done=self.done,
+            )
+            sim.process(engine.autoscaler(api))
+
+        until = (
+            self.done if journal is None
+            else AnyOf(sim, [self.done, self.crash_event])
+        )
+        try:
+            sim.run_until(until)
+        except MasterCrash:
+            # Raised out of a scheduled callback (e.g. a backoff
+            # redispatch) after the journal's crash budget was hit; the
+            # crash_event path below reports it uniformly.
+            pass
+        finally:
+            # The run is over: revoke write access so this run's worker
+            # generators — finalized by GC at some arbitrary later point
+            # — cannot append trailing records to a journal that a
+            # resumed run (or nobody) now owns.
+            if journal is not None:
+                journal.owner = None
+        if journal is not None and journal.crashed:
+            raise MasterCrash(
+                f"master crashed at t={sim.now:.6f} after {journal.seq} "
+                f"journal records; resume via resume_from(journal)"
+            )
+        if self.cfg.drain_caches:
+            sim.run_until(self.cluster.fs.drained())
+        return self._result()
+
+    def _result(self) -> EngineResult:
+        engine = self.engine
+        cluster = self.cluster
+        states = self.core.states
+        stats = self.stats
+        # Under an open-loop service every member may have been shed, in
+        # which case nothing ever ran and the makespan is simply "now".
+        makespan = max(
+            (end for _start, end in self.spans.values()), default=self.sim.now
+        )
+        rental_spans = {
+            i: [(s, e if e is not None else makespan) for s, e in self.leases[i]]
+            for i in range(self.n_nodes)
+            if self.leases[i]
+        }
+        interrupted_spans = {
+            i: [rental_spans[i][k] for k in indices]
+            for i, indices in self.spot_interrupted.items()
+            if i in rental_spans
+        }
+        san = _sanitizer._ACTIVE
+        if san is not None:
+            for i, node_spans in rental_spans.items():
+                san.check_leases(cluster.nodes[i].name, node_spans, makespan)
+            if stats["failovers"]:
+                # A standby takeover must not have re-opened a rental the
+                # primary already closed (no double-billed lease interval).
+                for i, node_spans in rental_spans.items():
+                    san.check_failover_billing(
+                        cluster.nodes[i].name, node_spans, makespan
+                    )
+        liveness_stats: Dict[str, int] = {}
+        if (
+            engine.liveness is not None
+            or engine.admission is not None
+            or engine.service is not None
+            or engine.failover is not None
+            or engine.repriority is not None
+            or stats["partitions"]
+        ):
+            liveness_stats = dict(stats)
+            liveness_stats["dead_letter_depth"] = len(self.core.dead_letters)
+            # Shed-record ledger overflow (bounded deque): non-zero means
+            # the oldest shed evidence was dropped, not that sheds were.
+            liveness_stats["shed_record_drops"] = self.broker.dropped_records
+        integrity = self.integrity
+        return EngineResult(
+            engine=engine.name,
+            spec=engine.spec,
+            n_workflows=self.n_workflows,
+            makespan=makespan,
+            workflow_spans=dict(self.spans),
+            records=self.records,
+            cluster=cluster,
+            resubmissions=sum(s.resubmissions for s in states.values()),
+            jobs_executed=self.jobs_executed,
+            thread_logs=self.thread_logs,
+            rental_spans=rental_spans,
+            interrupted_spans=interrupted_spans,
+            fault_events=list(self.trace),
+            dead_letters=self.core.dead_letters,
+            job_counts={name: state.counts() for name, state in states.items()},
+            mq_chaos_stats=(
+                self.broker.stats()
+                if isinstance(self.broker, ChaosSimBroker) else {}
+            ),
+            integrity_stats=dict(integrity.stats) if integrity is not None else {},
+            data_recoveries=sum(s.data_recoveries for s in states.values()),
+            journal=self.journal,
+            liveness_stats=liveness_stats,
+        )

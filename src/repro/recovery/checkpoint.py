@@ -35,7 +35,9 @@ class MasterCheckpoint:
     ``states`` maps workflow name to ``(workflow, snapshot)`` — the DAG
     itself plus the JSON-able :meth:`~repro.dewe.state.WorkflowState.snapshot`;
     ``elapsed`` is each workflow's age (seconds since submission) at the
-    checkpoint, so the restored master's makespans stay meaningful.
+    checkpoint, so the restored master's makespans stay meaningful;
+    ``repriority`` is the checkpointed master's live-reprioritization
+    policy, so a restart keeps publishing banded priorities.
     """
 
     states: Dict[str, Tuple[Workflow, Dict[str, Any]]] = field(
@@ -44,6 +46,7 @@ class MasterCheckpoint:
     elapsed: Dict[str, float] = field(default_factory=dict)
     makespans: Dict[str, float] = field(default_factory=dict)
     rejected: Dict[str, str] = field(default_factory=dict)
+    repriority: Optional[Any] = None
 
     @property
     def n_workflows(self) -> int:
@@ -145,9 +148,11 @@ class MasterCrashModel:
         checkpoint: Optional[MasterCheckpoint] = None,
         config=None,
         retry=None,
+        repriority=None,
     ):
         """Start a replacement master from ``checkpoint`` (default: the
-        last one taken), re-attach the checkpointer, and return it."""
+        last one taken), re-attach the checkpointer, and return it.
+        ``repriority`` overrides the policy carried by the checkpoint."""
         from repro.dewe.master import MasterDaemon
 
         master = MasterDaemon.from_checkpoint(
@@ -155,6 +160,7 @@ class MasterCrashModel:
             checkpoint if checkpoint is not None else self.last_checkpoint,
             config=config,
             retry=retry,
+            repriority=repriority,
         ).start()
         self.attach(master)
         return master
