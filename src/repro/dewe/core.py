@@ -30,7 +30,9 @@ crash matrix and the golden digests all exercise one body of logic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import Sequence, Set, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.dewe.state import JobStatus, WorkflowState
@@ -50,15 +52,13 @@ CORRUPT = 3    # worker found the job's input files corrupt/missing
 
 
 class Admission(NamedTuple):
-    """What the master decided when it admitted a workflow.
+    """When a workflow was admitted and with what deadline slack.
 
     Remembered outside :meth:`WorkflowState.snapshot` (whose format the
     checkpoint digests pin) so a standby or a restarted master rebuilds
-    each state with the deadline slack and the arrival anchor it was
-    admitted with, not with defaults.
+    each state as it was admitted, not with defaults.
     """
 
-    timeout: float
     arrival: float
     deadline_factor: float
 
@@ -67,85 +67,58 @@ def _ignore(*_args) -> None:
     """Default port: a driver without a journal or a fault trace."""
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class MasterCore:
-    """Workflow progress, retry, fencing recovery and settlement."""
+    """Workflow progress, retry, fencing recovery and settlement.
 
-    __slots__ = (
-        "states", "finished", "dead_letters", "assignments", "admissions",
-        "default_timeout", "retry", "repriority", "service", "liveness",
-        "integrity", "_dead_cursor", "_publish", "_reprioritize",
-        "_call_later", "_log", "_trace", "_on_settled",
-    )
+    The first six fields are required: the timeout/retry policy and the
+    four ports every driver must provide.
+    """
 
-    def __init__(
-        self,
-        default_timeout: float,
-        retry: RetryPolicy,
-        publish: Callable[[WorkflowState, str, int, float], None],
-        reprioritize: Callable[[str, str, float], None],
-        call_later: Callable[[float, Callable[[float], None]], None],
-        on_settled: Callable[[WorkflowState], None],
-        log: Callable[[str, str, str, int, str], None] = _ignore,
-        trace: Callable[[float, str, Optional[int], str], object] = _ignore,
-        repriority: Optional[RepriorityPolicy] = None,
-        service: Optional[ServiceAdmissionPolicy] = None,
-        liveness: Optional[LeaseConfig] = None,
-        integrity: Optional[FileIntegrity] = None,
-    ):
-        self.states: Dict[str, WorkflowState] = {}
-        #: Names of settled workflows (``on_settled`` already fired, or
-        #: restored as settled).
-        self.finished: Set[str] = set()
-        #: Every dead letter, in the order the master learned of it.
-        self.dead_letters: List[DeadLetterEntry] = []
-        #: (workflow, job_id) -> (worker, attempt) for deliveries accepted
-        #: as RUNNING under the lease protocol; drained by :meth:`fence`.
-        self.assignments: Dict[Tuple[str, str], Tuple[object, int]] = {}
-        self.admissions: Dict[str, Admission] = {}
-        self.default_timeout = default_timeout
-        self.retry = retry
-        self.repriority = repriority
-        self.service = service
-        self.liveness = liveness
-        self.integrity = integrity
-        self._dead_cursor: Dict[str, int] = {}
-        self._publish = publish
-        self._reprioritize = reprioritize
-        self._call_later = call_later
-        self._log = log
-        self._trace = trace
-        self._on_settled = on_settled
+    default_timeout: float
+    retry: RetryPolicy
+    publish: Callable[[WorkflowState, str, int, float], None]
+    reprioritize: Callable[[str, str, float], None]
+    call_later: Callable[[float, Callable[[float], None]], None]
+    on_settled: Callable[[WorkflowState], None]
+    log: Callable[[str, str, str, int, str], None] = _ignore
+    trace: Callable[[float, str, Optional[int], str], object] = _ignore
+    repriority: Optional[RepriorityPolicy] = None
+    service: Optional[ServiceAdmissionPolicy] = None
+    liveness: Optional[LeaseConfig] = None
+    integrity: Optional[FileIntegrity] = None
+    states: Dict[str, WorkflowState] = field(default_factory=dict)
+    #: Names of settled workflows (``on_settled`` already fired, or
+    #: restored as settled).
+    finished: Set[str] = field(default_factory=set)
+    #: Every dead letter, in the order the master learned of it.
+    dead_letters: List[DeadLetterEntry] = field(default_factory=list)
+    #: (workflow, job_id) -> (worker, attempt) for deliveries accepted
+    #: as RUNNING under the lease protocol; drained by :meth:`fence`.
+    assignments: Dict[Tuple[str, str], Tuple[object, int]] = field(default_factory=dict)
+    admissions: Dict[str, Admission] = field(default_factory=dict)
+    _dead_cursor: Dict[str, int] = field(default_factory=dict)
 
     # -- admission -----------------------------------------------------------
-    def admit(
-        self,
-        workflow: Workflow,
-        now: float,
-        timeout_factor: float = 1.0,
-        tenant: str = "",
-        sla: str = "",
-    ) -> WorkflowState:
-        """Create and launch one admitted workflow's state machine.
-
-        The caller has already validated the DAG and decided admission;
-        ``timeout_factor`` is the SLA class's deadline slack.
-        """
-        admission = Admission(
-            self.default_timeout * timeout_factor, now, timeout_factor
-        )
-        state = self._install(
-            WorkflowState(
-                workflow, admission.timeout, validate=False,
-                retry=self.retry, tenant=tenant, sla=sla,
-            ),
-            admission,
-        )
+    def admit(self, workflow: Workflow, now: float, timeout_factor: float = 1.0,
+              tenant: str = "", sla: str = "") -> WorkflowState:
+        """Create and launch one workflow the caller validated and
+        admitted; ``timeout_factor`` is its SLA class's deadline slack."""
+        state = self._install(workflow, Admission(now, timeout_factor), tenant, sla)
         self._launch(state, now)
         return state
 
-    def _install(self, state: WorkflowState, admission: Admission) -> WorkflowState:
-        state.arrival = admission.arrival
-        state.deadline_factor = admission.deadline_factor
+    def _install(self, workflow: Workflow, admission: Admission, tenant: str = "",
+                 sla: str = "", snapshot: Optional[Dict] = None) -> WorkflowState:
+        timeout = self.default_timeout * admission.deadline_factor
+        if snapshot is None:
+            state = WorkflowState(
+                workflow, timeout, validate=False,
+                retry=self.retry, tenant=tenant, sla=sla,
+            )
+        else:
+            state = WorkflowState.restore(workflow, snapshot, timeout, self.retry)
+        state.arrival, state.deadline_factor = admission
         # Only the repriority aging term reads queue ages; skip the
         # per-dispatch bookkeeping on plain runs.
         state.track_queue_age = self.repriority is not None
@@ -167,7 +140,7 @@ class MasterCore:
                 state.name, job_id, state.status[job_id].value, time=now
             )
         attempt = state.current_attempt(job_id)
-        self._log("dispatch", state.name, job_id, attempt, "")
+        self.log("dispatch", state.name, job_id, attempt, "")
         # The lease protocol needs the deadline armed on every dispatch:
         # see WorkflowState.mark_dispatched.
         state.mark_dispatched(job_id, now, force=self.liveness is not None)
@@ -176,7 +149,7 @@ class MasterCore:
             state.job_priority(job_id, now, policy, self._band(state))
             if policy is not None else 0.0
         )
-        self._publish(state, job_id, attempt, priority)
+        self.publish(state, job_id, attempt, priority)
 
     def _band(self, state: WorkflowState) -> float:
         """The member's SLA priority band (0.0 for untagged work)."""
@@ -195,7 +168,7 @@ class MasterCore:
         """
         base = self._band(state)
         for job_id in state.queued_jobs():
-            self._reprioritize(
+            self.reprioritize(
                 state.name, job_id,
                 state.job_priority(job_id, now, self.repriority, base),
             )
@@ -217,7 +190,7 @@ class MasterCore:
             ):
                 self.dispatch(state, job_id, then)
 
-        self._call_later(delay, fire)
+        self.call_later(delay, fire)
 
     # -- settlement ----------------------------------------------------------
     def _collect_dead(self, state: WorkflowState, now: float) -> None:
@@ -226,11 +199,11 @@ class MasterCore:
             self._dead_cursor[state.name] = len(state.dead_letters)
             for entry in state.dead_letters[seen:]:
                 self.dead_letters.append(entry)
-                self._log(
-                    "dead-letter", entry.workflow, entry.job_id,
-                    entry.attempts, entry.reason,
+                self.log(
+                    "dead-letter", entry.workflow, entry.job_id, entry.attempts,
+                    entry.reason,
                 )
-                self._trace(
+                self.trace(
                     now, "dead-letter", None,
                     f"{entry.workflow}/{entry.job_id} "
                     f"({entry.reason}, {entry.attempts} attempts)",
@@ -242,19 +215,12 @@ class MasterCore:
         self.finished.add(state.name)
         if self.service is not None:
             self.service.settle(state.name)  # release the fair-share charge
-        self._on_settled(state)
+        self.on_settled(state)
 
     # -- acknowledgments -----------------------------------------------------
-    def on_ack(
-        self,
-        kind: int,
-        name: str,
-        job_id: str,
-        attempt: int,
-        worker: Optional[object],
-        now: float,
-        bad_files: Sequence[str] = (),
-    ) -> None:
+    def on_ack(self, kind: int, name: str, job_id: str, attempt: int,
+               worker: Optional[object], now: float,
+               bad_files: Sequence[str] = ()) -> None:
         """Apply one worker acknowledgment the driver's gate let through.
 
         ``worker`` identifies the sender under the lease protocol
@@ -263,7 +229,7 @@ class MasterCore:
         """
         state = self.states[name]
         if kind == RUNNING:
-            self._log("ack-running", name, job_id, attempt, "")
+            self.log("ack-running", name, job_id, attempt, "")
             accepted = state.on_running(job_id, attempt, now)
             if accepted and worker is not None:
                 self.assignments[(name, job_id)] = (worker, attempt)
@@ -271,7 +237,7 @@ class MasterCore:
         if self.assignments:
             self.assignments.pop((name, job_id), None)
         if kind == FAILED:
-            self._log("ack-failed", name, job_id, attempt, "")
+            self.log("ack-failed", name, job_id, attempt, "")
             republish = state.on_failed(job_id, attempt, now)
             self._collect_dead(state, now)
             if republish is not None:
@@ -279,24 +245,18 @@ class MasterCore:
             else:
                 self._maybe_finish(state)
         elif kind == CORRUPT:
-            self._log("ack-corrupt", name, job_id, attempt, ",".join(bad_files))
+            self.log("ack-corrupt", name, job_id, attempt, ",".join(bad_files))
             self._on_corrupt(state, job_id, attempt, bad_files, now)
         else:
-            self._log("ack-complete", name, job_id, attempt, "")
+            self.log("ack-complete", name, job_id, attempt, "")
             for child_id in state.on_completed(job_id, attempt):
                 self.dispatch(state, child_id, now)
             if self.repriority is not None and name not in self.finished:
                 self.rerank(state, now)
             self._maybe_finish(state)
 
-    def _on_corrupt(
-        self,
-        state: WorkflowState,
-        job_id: str,
-        attempt: int,
-        bad_files: Sequence[str],
-        now: float,
-    ) -> None:
+    def _on_corrupt(self, state: WorkflowState, job_id: str, attempt: int,
+                    bad_files: Sequence[str], now: float) -> None:
         """Data-aware recovery: map damaged files to their producer
         jobs and re-execute the minimal ancestor set; producerless raw
         inputs are re-staged from the submit host."""
@@ -330,10 +290,8 @@ class MasterCore:
             if state.name in self.finished:
                 continue
             for job_id in state.expired(now):
-                self._log(
-                    "timeout-requeue", state.name, job_id,
-                    state.current_attempt(job_id), "",
-                )
+                attempt = state.current_attempt(job_id)
+                self.log("timeout-requeue", state.name, job_id, attempt, "")
                 self.redispatch(state, job_id, now)
             self._collect_dead(state, now)
             self._maybe_finish(state)
@@ -355,15 +313,13 @@ class MasterCore:
         held = sorted(
             key for key, value in self.assignments.items() if value[0] == worker
         )
-        for key in held:
-            name, job_id = key
-            _worker, attempt = self.assignments.pop(key)
+        for name, job_id in held:
+            attempt = self.assignments.pop((name, job_id))[1]
             state = self.states[name]
             republish = state.on_lease_expired(job_id, attempt, now)
             if republish is not None:
-                self._log(
-                    "lease-requeue", name, job_id,
-                    state.current_attempt(job_id), "",
+                self.log(
+                    "lease-requeue", name, job_id, state.current_attempt(job_id), ""
                 )
                 self.redispatch(state, republish, now)
             else:
@@ -377,68 +333,48 @@ class MasterCore:
 
     def restore(
         self,
-        workflows: Mapping[str, Workflow],
-        snapshots: Mapping[str, Dict],
+        restored: Mapping[str, Tuple[Workflow, Dict]],
         admissions: Mapping[str, Admission],
         now: float,
         readmit: Sequence[Tuple[Workflow, str, str]] = (),
     ) -> None:
-        """Rebuild a *fresh* core from the last durable checkpoint.
+        """Rebuild a *fresh* core from the last durable checkpoint:
+        standby takeover and threaded-master restart are this one method.
 
-        Standby takeover and threaded-master restart are this one
-        method.  ``snapshots`` are restored over ``workflows`` (the DAGs
-        are not checkpointed); ``readmit`` lists ``(workflow, tenant,
-        sla)`` admitted after that checkpoint, which start over
-        (at-least-once execution; settlement stays exactly-once because
-        the state machine absorbs duplicate acks).  ``admissions`` is
-        the previous incarnation's admission memory.  Completed jobs
-        stay completed; every delivery that was in flight is requeued
-        with a fresh attempt number, so late acks from the old
-        incarnation go stale.
+        ``restored`` maps name to ``(workflow, snapshot)`` (the DAGs are
+        not checkpointed); ``readmit`` lists ``(workflow, tenant, sla)``
+        admitted after that checkpoint, which start over (at-least-once
+        execution; settlement stays exactly-once because the state
+        machine absorbs duplicate acks); ``admissions`` is the previous
+        incarnation's memory.  Completed jobs stay completed; every
+        in-flight delivery is requeued through the retry policy under a
+        fresh attempt number, so the old incarnation's acks go stale.
         """
-        for name in sorted(snapshots):
-            if name in workflows:
-                admission = admissions.get(name) or Admission(
-                    self.default_timeout, now, 1.0
-                )
-                self._install(
-                    WorkflowState.restore(
-                        workflows[name], snapshots[name],
-                        admission.timeout, self.retry,
-                    ),
-                    admission,
-                )
-        fresh: Set[str] = set()
-        for workflow, tenant, sla in readmit:
-            self._log("submit", workflow.name, "", 0, f"jobs={len(workflow.jobs)}")
-            admission = admissions.get(workflow.name) or Admission(
-                self.default_timeout, now, 1.0
+        fallback = Admission(now, 1.0)
+        for name in sorted(restored):
+            workflow, snapshot = restored[name]
+            state = self._install(
+                workflow, admissions.get(name, fallback), snapshot=snapshot
             )
-            self._install(
-                WorkflowState(
-                    workflow, admission.timeout, validate=False,
-                    retry=self.retry, tenant=tenant, sla=sla,
-                ),
-                admission,
-            )
-            fresh.add(workflow.name)
-        # Rebuild the dead-letter ledger and settlement bookkeeping
-        # from the restored states.
-        for name in sorted(self.states):
-            state = self.states[name]
+            # Rebuild the dead-letter ledger and settlement bookkeeping.
             self._dead_cursor[name] = len(state.dead_letters)
             self.dead_letters.extend(state.dead_letters)
             if state.is_settled:
                 self.finished.add(name)
+        for workflow, tenant, sla in readmit:
+            self.log("submit", workflow.name, "", 0, f"jobs={len(workflow.jobs)}")
+            self._install(
+                workflow, admissions.get(workflow.name, fallback), tenant, sla
+            )
+        fresh = {workflow.name for workflow, _tenant, _sla in readmit}
         for name in sorted(self.states):
             state = self.states[name]
             if name in fresh:
                 self._launch(state, now)
-            elif not state.is_settled:
+            elif name not in self.finished:
                 for job_id in state.requeue_in_flight(now):
-                    self._log(
-                        "requeue", name, job_id,
-                        state.current_attempt(job_id), "",
+                    self.log(
+                        "requeue", name, job_id, state.current_attempt(job_id), ""
                     )
                     self.redispatch(state, job_id, now)
                 self._collect_dead(state, now)

@@ -109,9 +109,6 @@ class MasterDaemon:
         self.broker = broker
         self.config = config or DeweConfig()
         self.retry = retry or RetryPolicy()
-        #: Live-reprioritization policy (``None`` keeps every dispatch at
-        #: priority 0.0 — FIFO order).  Set once here, never rebound.
-        self._repriority = repriority
         #: Wall-clock time of the last aging sweep (``_check_timeouts``).
         self._last_sweep = time.monotonic()
         #: Rejected submissions: name -> reason (duplicate, invalid DAG...).
@@ -261,7 +258,7 @@ class MasterDaemon:
                 },
                 makespans=dict(self.makespans),
                 rejected=dict(self.rejected),
-                repriority=self._repriority,
+                repriority=self._core.repriority,
             )
 
     @classmethod
@@ -271,22 +268,20 @@ class MasterDaemon:
         checkpoint: "object",
         config: Optional[DeweConfig] = None,
         retry: Optional[RetryPolicy] = None,
-        repriority: Optional[RepriorityPolicy] = None,
     ) -> "MasterDaemon":
         """Rebuild a master from a :meth:`checkpoint` after a crash.
 
         Completed jobs stay completed — nothing that settled before the
         checkpoint is re-run.  Every job that was in flight at the
-        checkpoint is re-dispatched with a fresh attempt number
-        (:meth:`MasterCore.restore`): the old delivery may still be held
-        by a worker, and at-least-once idempotency absorbs whichever ack
-        loses the race.  ``repriority`` defaults to the policy of the
-        master that took the checkpoint.  The caller still has to
-        :meth:`start` the daemon.
+        checkpoint is re-dispatched through the retry policy with a
+        fresh attempt number (:meth:`MasterCore.restore`): the old
+        delivery may still be held by a worker, and at-least-once
+        idempotency absorbs whichever ack loses the race.  The master
+        keeps the checkpointed ``repriority`` policy.  The caller still
+        has to :meth:`start` the daemon.
         """
         master = cls(
-            broker, config=config, retry=retry,
-            repriority=repriority or checkpoint.repriority,
+            broker, config=config, retry=retry, repriority=checkpoint.repriority
         )
         now = time.monotonic()
         for name in checkpoint.states:
@@ -295,14 +290,9 @@ class MasterDaemon:
         master.rejected.update(checkpoint.rejected)
         for name in checkpoint.makespans:
             master.completion_event(name).set()
-        timeout = master.config.default_timeout
         master._core.restore(
-            {name: wf for name, (wf, _snap) in checkpoint.states.items()},
-            {name: snap for name, (_wf, snap) in checkpoint.states.items()},
-            {
-                name: Admission(timeout, master._submit_times[name], 1.0)
-                for name in checkpoint.states
-            },
+            checkpoint.states,
+            {name: Admission(t, 1.0) for name, t in master._submit_times.items()},
             now,
         )
         for name in sorted(master._core.finished):
@@ -455,7 +445,7 @@ class MasterDaemon:
                 self._trace("write", "master.fence_worker")
                 self._lease.fence(worker, now)
                 core.fence(worker, now)
-        policy = self._repriority
+        policy = core.repriority
         if (
             policy is not None
             and policy.interval > 0

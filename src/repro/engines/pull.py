@@ -29,7 +29,6 @@ so a seeded run's fault history is byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
@@ -61,7 +60,6 @@ _ACK = "job-acknowledgment"
 _HEARTBEAT = "worker-heartbeat"
 
 
-@dataclass
 class ElasticAPI:
     """What an autoscaler controller can see and do during a run.
 
@@ -71,32 +69,25 @@ class ElasticAPI:
     management interface.
     """
 
-    sim: "object"
-    n_nodes: int
-    _queue_depth: "object"
-    _active: "object"
-    _start: "object"
-    _stop: "object"
-    _done: "object"
+    def __init__(self, run: "_PullRun"):
+        self._run = run
+        self.sim = run.sim
+        self.n_nodes = run.n_nodes
+        self.start_worker = run.start_worker
+        #: Graceful scale-in: the node finishes in-flight jobs, then leaves.
+        self.stop_worker = run.stop_worker
 
     def queue_depth(self) -> int:
         """Jobs waiting in the dispatching topic right now."""
-        return self._queue_depth()
+        return self._run.broker.depth(_DISPATCH)
 
     def active_nodes(self) -> list:
         """Node indices with a live worker daemon."""
-        return self._active()
-
-    def start_worker(self, node_index: int) -> None:
-        self._start(node_index)
-
-    def stop_worker(self, node_index: int) -> None:
-        """Graceful scale-in: the node finishes in-flight jobs, then leaves."""
-        self._stop(node_index)
+        return [i for i, alive in enumerate(self._run.slot_alive) if alive > 0]
 
     @property
     def finished(self) -> bool:
-        return self._done.triggered
+        return self._run.done.triggered
 
 
 class PullEngine(EngineBase):
@@ -260,7 +251,6 @@ class _PullRun:
         self.sim = sim
         self.cluster = cluster
         self.thread_logs = thread_logs
-        self.cfg = engine.config
         self.trace = (
             engine.fault_trace if engine.fault_trace is not None else FaultTrace()
         )
@@ -272,7 +262,6 @@ class _PullRun:
         else:
             self.broker = SimBroker(sim, engine.broker_latency)
         self.members = list(ensemble)
-        self.n_workflows = len(ensemble)
         #: What a dispatch message resolves against worker-side (the
         #: real message carries the job; workers never read master state).
         self.workflows = {wf.name: wf for _t, wf in self.members}
@@ -309,8 +298,8 @@ class _PullRun:
         #: republished in order when it heals (heartbeats are dropped
         #: instead — a stale beat carries no information).
         self.pending_up: List[List[Tuple[str, tuple]]] = [[] for _ in range(n_nodes)]
-        #: Master->worker control callbacks deferred by a downlink partition.
-        self.pending_down: List[list] = [[] for _ in range(n_nodes)]
+        #: Master->worker lease grant held back by a downlink partition.
+        self.pending_epoch: List[Optional[int]] = [None] * n_nodes
         self.heal_events: List = [sim.event() for _ in range(n_nodes)]
         self.hb_procs: List[Optional[Process]] = [None] * n_nodes
         self.master_procs: List[Process] = []
@@ -335,7 +324,7 @@ class _PullRun:
             # This run is the journal's writer until it ends (see jlog).
             self.journal.owner = self
             self.epoch = self.journal.epoch
-            self.journal.snapshot_provider = self._snapshots
+            self.journal.snapshot_provider = lambda: self.core.snapshots()
             self.journal.on_crash = self._on_crash
 
         # -- worker daemons ----------------------------------------------------
@@ -357,7 +346,7 @@ class _PullRun:
     def _new_core(self) -> MasterCore:
         engine = self.engine
         return MasterCore(
-            self.cfg.default_timeout,
+            engine.config.default_timeout,
             engine.retry,
             publish=self._publish,
             reprioritize=self._reprioritize,
@@ -385,9 +374,6 @@ class _PullRun:
             epoch=self.epoch,
         )
 
-    def _snapshots(self) -> Dict[str, Dict]:
-        return self.core.snapshots()
-
     def _on_crash(self) -> None:
         if not self.crash_event.triggered:
             self.crash_event.succeed()
@@ -414,10 +400,7 @@ class _PullRun:
         )
 
     def _call_later(self, delay: float, fn) -> None:
-        self.sim.schedule_call(delay, self._fire, fn)
-
-    def _fire(self, fn) -> None:
-        fn(self.sim.now)
+        self.sim.schedule_call(delay, lambda: fn(self.sim.now))
 
     def _on_settled(self, state) -> None:
         self.spans[state.name] = (self.spans[state.name][0], self.sim.now)
@@ -551,10 +534,23 @@ class _PullRun:
             return
         if self.slot_alive[node_index] <= 0:
             return  # a drained/dead node's parting beat
-        new_epoch = self.lease.grant(node_index, now)
-        self.trace.record(now, "lease-epoch", node_index, f"epoch={new_epoch}")
-        self.jlog("lease-epoch", detail=f"node={node_index} epoch={new_epoch}")
-        self.route_down(node_index, self._set_epoch, node_index, new_epoch)
+        epoch = self._grant_lease(node_index)
+        if self._pull_blocked(node_index):
+            # The grant cannot reach a worker behind a downlink
+            # partition; it is delivered when the partition heals.
+            self.pending_epoch[node_index] = epoch
+        else:
+            self.sim.schedule_call(
+                self.engine.broker_latency,
+                self.worker_epoch.__setitem__, node_index, epoch,
+            )
+
+    def _grant_lease(self, node_index: int) -> int:
+        now = self.sim.now
+        epoch = self.lease.grant(node_index, now)
+        self.trace.record(now, "lease-epoch", node_index, f"epoch={epoch}")
+        self.jlog("lease-epoch", detail=f"node={node_index} epoch={epoch}")
+        return epoch
 
     def _consume_loop(self, topic: str, handle):
         """Master-side consumer of one worker->master topic."""
@@ -605,16 +601,13 @@ class _PullRun:
             self.core.fence(node_index, now)
 
     # -- network: worker<->master paths under partitions -----------------------
-    def _up_blocked(self, node_index: int) -> bool:
-        return self.partition_mode[node_index] in ("full", "to-master")
-
     def _pull_blocked(self, node_index: int) -> bool:
         return self.partition_mode[node_index] in ("full", "from-master")
 
     def send_up(self, node_index: int, topic: str, payload: tuple,
                 drop: bool = False) -> None:
         """Worker->master publish, honouring an uplink partition."""
-        if self._up_blocked(node_index):
+        if self.partition_mode[node_index] in ("full", "to-master"):
             if not drop:
                 self.pending_up[node_index].append((topic, payload))
             return
@@ -624,17 +617,6 @@ class _PullRun:
         if self.lease is not None:
             payload = payload + (node_index, self.worker_epoch[node_index])
         self.send_up(node_index, _ACK, payload)
-
-    def _set_epoch(self, node_index: int, epoch: int) -> None:
-        self.worker_epoch[node_index] = epoch
-
-    def route_down(self, node_index: int, fn, *fn_args) -> None:
-        """Master->worker control delivery, honouring a downlink
-        partition (deferred callbacks fire in order at heal)."""
-        if self._pull_blocked(node_index):
-            self.pending_down[node_index].append((fn, fn_args))
-        else:
-            self.sim.schedule_call(self.engine.broker_latency, fn, *fn_args)
 
     def begin_partition(self, node_index: int, mode: str) -> None:
         self.stats["partitions"] += 1
@@ -654,10 +636,9 @@ class _PullRun:
         self.pending_up[node_index] = []
         for topic, payload in flush:
             self.broker.publish(topic, payload)
-        deferred = self.pending_down[node_index]
-        self.pending_down[node_index] = []
-        for fn, fn_args in deferred:
-            fn(*fn_args)
+        if self.pending_epoch[node_index] is not None:
+            self.worker_epoch[node_index] = self.pending_epoch[node_index]
+            self.pending_epoch[node_index] = None
         ev = self.heal_events[node_index]
         if not ev.triggered:
             ev.succeed()
@@ -677,7 +658,7 @@ class _PullRun:
         fs = self.cluster.fs
         integrity = self.integrity
         transient = self.engine.transient
-        record_jobs = self.cfg.record_jobs
+        record_jobs = self.engine.config.record_jobs
         workflows = self.workflows
         idle_waits = self.idle_waits[node_index]
         thread_counts = self.thread_counts
@@ -805,10 +786,7 @@ class _PullRun:
         if self.lease is not None:
             # Lease grant is part of the provisioning handshake, so
             # the node's very first ack already carries a live epoch.
-            epoch = self.lease.grant(node_index, sim.now)
-            self.worker_epoch[node_index] = epoch
-            self.trace.record(sim.now, "lease-epoch", node_index, f"epoch={epoch}")
-            self.jlog("lease-epoch", detail=f"node={node_index} epoch={epoch}")
+            self.worker_epoch[node_index] = self._grant_lease(node_index)
             self.hb_procs[node_index] = sim.process(
                 self.heartbeat_agent(node_index)
             )
@@ -869,33 +847,24 @@ class _PullRun:
 
     # -- master failover -----------------------------------------------------------
     def start_master(self, takeover: bool = False) -> None:
-        sim = self.sim
         core = self.core
-        procs = self.master_procs
-        procs[:] = [
-            sim.process(self.submitter(skip_admitted=takeover)),
-            sim.process(self._consume_loop(_ACK, self._handle_ack)),
-            sim.process(
-                self._every(self.cfg.timeout_check_interval, core.sweep_timeouts)
-            ),
+        config = self.engine.config
+        loops = [
+            self.submitter(skip_admitted=takeover),
+            self._consume_loop(_ACK, self._handle_ack),
+            self._every(config.timeout_check_interval, core.sweep_timeouts),
         ]
         if self.lease is not None:
-            procs.append(
-                sim.process(self._consume_loop(_HEARTBEAT, self._on_beat))
-            )
-            procs.append(
-                sim.process(
-                    self._every(
-                        self.engine.liveness.heartbeat_interval,
-                        self._sweep_leases,
-                    )
+            loops.append(self._consume_loop(_HEARTBEAT, self._on_beat))
+            loops.append(
+                self._every(
+                    self.engine.liveness.heartbeat_interval, self._sweep_leases
                 )
             )
         repriority = self.engine.repriority
         if repriority is not None and repriority.interval > 0:
-            procs.append(
-                sim.process(self._every(repriority.interval, core.sweep_priorities))
-            )
+            loops.append(self._every(repriority.interval, core.sweep_priorities))
+        self.master_procs[:] = [self.sim.process(loop) for loop in loops]
 
     def _primary_die(self) -> None:
         if self.done.triggered:
@@ -942,7 +911,11 @@ class _PullRun:
         self.shed = len(shed)
         admissions = self.core.admissions
         self.core = self._new_core()
-        self.core.restore(self.workflows, snaps, admissions, now, readmit)
+        restored = {
+            name: (self.workflows[name], snap)
+            for name, snap in snaps.items() if name in self.workflows
+        }
+        self.core.restore(restored, admissions, now, readmit)
         if self.lease is not None:
             # The standby inherits no lease state; epochs stay
             # globally monotonic so every primary-era ack is stale.
@@ -992,18 +965,7 @@ class _PullRun:
             if i not in initially_down:
                 self.start_worker(i)
         if engine.autoscaler is not None:
-            api = ElasticAPI(
-                sim=sim,
-                n_nodes=n_nodes,
-                _queue_depth=lambda: self.broker.depth(_DISPATCH),
-                _active=lambda: [
-                    i for i in range(n_nodes) if self.slot_alive[i] > 0
-                ],
-                _start=self.start_worker,
-                _stop=self.stop_worker,
-                _done=self.done,
-            )
-            sim.process(engine.autoscaler(api))
+            sim.process(engine.autoscaler(ElasticAPI(self)))
 
         until = (
             self.done if journal is None
@@ -1028,7 +990,7 @@ class _PullRun:
                 f"master crashed at t={sim.now:.6f} after {journal.seq} "
                 f"journal records; resume via resume_from(journal)"
             )
-        if self.cfg.drain_caches:
+        if self.engine.config.drain_caches:
             sim.run_until(self.cluster.fs.drained())
         return self._result()
 
@@ -1081,7 +1043,7 @@ class _PullRun:
         return EngineResult(
             engine=engine.name,
             spec=engine.spec,
-            n_workflows=self.n_workflows,
+            n_workflows=len(self.members),
             makespan=makespan,
             workflow_spans=dict(self.spans),
             records=self.records,

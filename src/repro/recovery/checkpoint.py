@@ -148,11 +148,9 @@ class MasterCrashModel:
         checkpoint: Optional[MasterCheckpoint] = None,
         config=None,
         retry=None,
-        repriority=None,
     ):
         """Start a replacement master from ``checkpoint`` (default: the
-        last one taken), re-attach the checkpointer, and return it.
-        ``repriority`` overrides the policy carried by the checkpoint."""
+        last one taken), re-attach the checkpointer, and return it."""
         from repro.dewe.master import MasterDaemon
 
         master = MasterDaemon.from_checkpoint(
@@ -160,7 +158,6 @@ class MasterCrashModel:
             checkpoint if checkpoint is not None else self.last_checkpoint,
             config=config,
             retry=retry,
-            repriority=repriority,
         ).start()
         self.attach(master)
         return master

@@ -327,6 +327,40 @@ def test_des_failover_settles_every_job_exactly_once(liveness):
     assert results[0].makespan == results[1].makespan
 
 
+def test_des_failover_keeps_admission_arrival_and_deadline_slack(monkeypatch):
+    """A standby re-scores restored and re-admitted members against the
+    arrival they were admitted with, not against t=0 (the bug: members
+    submitted at t=5 and t=10 were ranked as if they arrived at t=0
+    after a takeover at t=12.5)."""
+    from repro.dewe.state import WorkflowState
+    from repro.mq.priority import RepriorityPolicy
+
+    scored = []
+    job_priority = WorkflowState.job_priority
+
+    def spy(self, job_id, now, policy, base=0.0):
+        scored.append((now, self.name, self.arrival, self.deadline_factor))
+        return job_priority(self, job_id, now, policy, base)
+
+    monkeypatch.setattr(WorkflowState, "job_priority", spy)
+    result = PullEngine(
+        small_spec(1),
+        journal=Journal(checkpoint_every=50),
+        failover=MasterFailoverModel(12.0, 0.5),
+        repriority=RepriorityPolicy(),
+    ).run(Ensemble.replicated(montage_workflow(degree=1.0), 3, interval=5.0))
+    assert result.liveness_stats["failovers"] == 1
+    after = [row for row in scored if row[0] >= 12.5]
+    assert {name for _now, name, _arrival, _factor in after} == set(
+        result.workflow_spans
+    )
+    assert {(name, arrival) for _now, name, arrival, _factor in after} == {
+        (name, start) for name, (start, _end) in result.workflow_spans.items()
+    }
+    assert {arrival for _now, _name, arrival, _factor in after} == {0.0, 5.0, 10.0}
+    assert {factor for _now, _name, _arrival, factor in after} == {1.0}
+
+
 def test_des_failover_requires_journal():
     with pytest.raises(ValueError, match="journal"):
         PullEngine(small_spec(2), failover=MasterFailoverModel(at=1.0))

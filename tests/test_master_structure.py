@@ -1,0 +1,71 @@
+"""Structure guard for the master core and its two drivers.
+
+``PullEngine.run`` was once a 1,077-line method holding 47 nested
+closures; this keeps the three files from growing back into that shape:
+no function over 120 lines, and inside a method at most one level of
+nested ``def`` (a callback may be local; a callback's callback may not).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).parent
+FILES = ["engines/pull.py", "dewe/master.py", "dewe/core.py"]
+MAX_LINES = 120
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _functions(node, depth=0):
+    """Yield ``(function, nesting depth)``; a method or a module-level
+    function has depth 0, a ``def`` inside it depth 1, and so on."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFS):
+            yield child, depth
+            yield from _functions(child, depth + 1)
+        else:
+            yield from _functions(child, depth)
+
+
+@pytest.mark.parametrize("relative", FILES)
+def test_no_long_functions_and_no_deep_closures(relative):
+    tree = ast.parse((SRC / relative).read_text())
+    too_long = [
+        f"{fn.name} ({fn.end_lineno - fn.lineno + 1} lines)"
+        for fn, _depth in _functions(tree)
+        if fn.end_lineno - fn.lineno + 1 > MAX_LINES
+    ]
+    too_deep = [
+        f"{fn.name} (line {fn.lineno})"
+        for fn, depth in _functions(tree)
+        if depth > 1
+    ]
+    assert not too_long, f"{relative}: functions over {MAX_LINES} lines: {too_long}"
+    assert not too_deep, f"{relative}: defs nested more than one level: {too_deep}"
+
+
+def test_pull_engine_closure_budget():
+    tree = ast.parse((SRC / "engines/pull.py").read_text())
+    nested = [fn.name for fn, depth in _functions(tree) if depth >= 1]
+    assert len(nested) <= 10, nested
+
+
+def test_only_the_core_drives_workflow_state_transitions():
+    transitions = {
+        "mark_dispatched", "on_running", "on_completed", "on_failed",
+        "on_corrupt", "on_lease_expired", "requeue_in_flight", "expired",
+        "initial_ready",
+    }
+    for relative in ("engines/pull.py", "dewe/master.py"):
+        tree = ast.parse((SRC / relative).read_text())
+        calls = sorted(
+            f"{node.func.attr} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in transitions
+        )
+        assert not calls, f"{relative} calls WorkflowState transitions: {calls}"

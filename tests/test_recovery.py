@@ -352,7 +352,21 @@ def test_from_checkpoint_requeues_in_flight_jobs():
     state_master._submit_times["chain"] = time.monotonic()
     checkpoint = state_master.checkpoint()
 
+    # Requeues go through the retry policy: under a backoff nothing is
+    # published until the delay has run out (the first due timeout sweep).
+    from repro.mq.messages import TOPIC_DISPATCH
+
+    backed_off = MasterDaemon.from_checkpoint(
+        Broker(), checkpoint, config=FAST, retry=RetryPolicy(base_delay=0.05)
+    )
+    assert backed_off.broker.depth(TOPIC_DISPATCH) == 0
+    assert len(backed_off._delayed) == 1
+    with backed_off, WorkerDaemon(backed_off.broker, config=FAST):
+        assert backed_off.wait("chain", timeout=10.0)
+    assert backed_off.states["chain"].attempt["a1"] >= 2
+
     restored = MasterDaemon.from_checkpoint(broker, checkpoint, config=FAST)
+    assert broker.depth(TOPIC_DISPATCH) == 1  # no backoff: published at once
     worker = WorkerDaemon(broker, config=FAST).start()
     try:
         restored.start()
@@ -365,6 +379,56 @@ def test_from_checkpoint_requeues_in_flight_jobs():
     # a1 was re-dispatched with a bumped attempt; a0 stayed completed.
     assert new_state.resubmissions >= 1
     assert new_state.attempt["a1"] >= 2
+
+
+def test_restarted_master_keeps_publishing_banded_priorities():
+    """A master restarted from a checkpoint carries the repriority
+    policy of the master that took it (the bug: the restart reverted to
+    FIFO — every post-restart dispatch went out at priority 0.0)."""
+    from repro.mq.messages import TOPIC_DISPATCH
+    from repro.mq.priority import RepriorityPolicy, base_band, rank_for_sla
+
+    class RecordingBroker(Broker):
+        def __init__(self):
+            super().__init__()
+            self.priorities = []
+
+        def publish(self, topic, message, **kw):
+            if topic == TOPIC_DISPATCH:
+                self.priorities.append(kw.get("priority", 0.0))
+            return super().publish(topic, message, **kw)
+
+    broker = RecordingBroker()
+    model = MasterCrashModel(checkpoint_interval=0.01)
+    master = MasterDaemon(broker, FAST, repriority=RepriorityPolicy()).start()
+    model.attach(master)
+    worker = None
+    try:
+        # No worker yet: a0 is dispatched and stays in flight.
+        submit_workflow(broker, _chain(3), tenant="t", sla="gold")
+        deadline = time.monotonic() + 5.0
+        while (
+            "chain" not in model.last_checkpoint.states
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert "chain" in model.last_checkpoint.states
+        model.crash()
+        before = len(broker.priorities)
+        master = model.restart(broker, config=FAST)
+        worker = WorkerDaemon(broker, config=FAST).start()
+        assert master.wait("chain", timeout=10.0)
+    finally:
+        model.detach()
+        if worker is not None:
+            worker.stop()
+        master.stop()
+    after_restart = broker.priorities[before:]
+    gold = base_band(rank_for_sla("gold"))
+    assert gold > 0.0
+    assert len(after_restart) >= 3  # a0 requeued, then a1 and a2
+    assert all(priority >= gold for priority in after_restart)
+    assert master.states["chain"].track_queue_age
 
 
 def test_state_snapshot_restore_round_trip():
