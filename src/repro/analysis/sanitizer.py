@@ -149,6 +149,37 @@ class Sanitizer:
                 )
             owners[id(d)] = (state.name, d)
 
+    def check_touch_isolation(self, fs) -> None:
+        """The page-cache touch table extends the same rule to per-file
+        state: no two owners share a row, every row is as long as its
+        index, and an index the file system may grow is its own — a
+        skeleton's shared ``file_index()`` grown through one member would
+        leave every other member's row shorter than its index.
+        """
+        rows: Dict[int, str] = {}
+        grown: Dict[int, str] = {}
+        for owner, (index, row) in fs._touch.items():
+            other = rows.setdefault(id(row), owner)
+            if other != owner:
+                self._report(
+                    "cow-isolation",
+                    f"{fs.name}: touch row of {owner!r} is shared with {other!r}",
+                )
+            if len(row) != len(index):
+                self._report(
+                    "cow-isolation",
+                    f"{fs.name}: touch row of {owner!r} has {len(row)} slots "
+                    f"for an index of {len(index)} files",
+                )
+            if owner in fs._private:
+                other = grown.setdefault(id(index), owner)
+                if other != owner:
+                    self._report(
+                        "cow-isolation",
+                        f"{fs.name}: growable file index of {owner!r} is "
+                        f"shared with {other!r}",
+                    )
+
     # -- core pools (repro.sim.resources.CorePool) ----------------------
     def check_core_pool(self, pool) -> None:
         """0 <= in-use <= capacity at every acquire/release."""

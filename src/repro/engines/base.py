@@ -208,7 +208,7 @@ def execute_job(
             if not ev.triggered:
                 yield ev
         else:
-            yield from _read_with_miss(sim, node, fs, job, read_miss_override)
+            yield from _read_with_miss(node, fs, job, read_miss_override)
     t1 = sim.now
     # -- compute phase -------------------------------------------------------
     cpu_seconds = job.runtime / speed + extra_cpu
@@ -243,10 +243,8 @@ def execute_job(
     return (t1 - t0, t2 - t1, t3 - t2)
 
 
-def _read_with_miss(sim, node, fs, job, miss: float):
+def _read_with_miss(node, fs, job, miss: float):
     """Read inputs at an explicit miss ratio (bypasses the cache model)."""
-    from repro.sim import JoinEvent
-
     local = 0.0
     remote: dict = {}
     for f in job.inputs:
@@ -256,26 +254,8 @@ def _read_with_miss(sim, node, fs, job, miss: float):
             local += nbytes
         else:
             remote[home] = remote.get(home, 0.0) + nbytes
-    if not remote:
-        if local > 0:
-            fs.bytes_read += local
-            yield node.disk.read.transfer(local)
-        return
-    join = JoinEvent(sim, (1 if local > 0 else 0) + 3 * len(remote))
-    if local > 0:
-        fs.bytes_read += local
-        node.disk.read.transfer_into(local, join)
-    sizes = []
-    for home, nbytes in remote.items():
-        fs.bytes_read += nbytes
-        home.disk.read.transfer_into(nbytes, join)
-        home.nic_out.transfer_into(nbytes, join)
-        sizes.append(nbytes)
-    if len(sizes) == 1:
-        node.nic_in.transfer_into(sizes[0], join)
-    else:
-        node.nic_in.transfer_many(sizes, join)
-    yield join
+    if local > 0 or remote:
+        yield fs._start_read(node, local, remote)
 
 
 class EngineBase:

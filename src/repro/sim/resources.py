@@ -30,7 +30,7 @@ monitoring layer can reconstruct mpstat/iostat-style time series (paper
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from array import array
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
@@ -56,18 +56,18 @@ class SegmentLog:
     ``record(t, value)`` appends a change point; queries integrate or
     resample the step function.  Used for busy-core counts and link
     throughput.
+
+    The history is two flat ``array('d')`` columns — 16 bytes per change
+    point, a dozen or so points per simulated job.  Nothing else is kept
+    per point: queries run after the simulation, so the running integral
+    is computed when asked for.
     """
 
-    __slots__ = ("times", "values", "_cum")
+    __slots__ = ("times", "values")
 
     def __init__(self, t0: float = 0.0, v0: float = 0.0):
-        self.times: List[float] = [t0]
-        self.values: List[float] = [v0]
-        #: Running integral at each change point: _cum[i] is the integral
-        #: of the step function over [times[0], times[i]].  Maintained
-        #: incrementally so integrate() is O(log n) instead of rebuilding
-        #: numpy arrays over the whole history per call.
-        self._cum: List[float] = [0.0]
+        self.times = array("d", (t0,))
+        self.values = array("d", (v0,))
 
     def record(self, t: float, value: float) -> None:
         """Append a change point at ``t`` (must be non-decreasing)."""
@@ -75,19 +75,17 @@ class SegmentLog:
         if value == values[-1]:
             return
         times = self.times
-        if t == times[-1]:
+        last = times[-1]
+        if t == last:
             # Same-instant update: overwrite instead of storing a
             # zero-length segment.
             values[-1] = value
             if len(times) >= 2 and values[-2] == value:
                 times.pop()
                 values.pop()
-                self._cum.pop()
             return
-        if t < times[-1]:
-            raise ValueError(f"time went backwards: {t} < {times[-1]}")
-        cum = self._cum
-        cum.append(cum[-1] + (t - times[-1]) * values[-1])
+        if t < last:
+            raise ValueError(f"time went backwards: {t} < {last}")
         times.append(t)
         values.append(value)
 
@@ -95,13 +93,26 @@ class SegmentLog:
     def current(self) -> float:
         return self.values[-1]
 
+    def _integral_at(self, t):
+        """Integral of the step function from its start to ``t`` (a
+        scalar or an array of instants).
+
+        The prefix integral is one sequential ``cumsum`` over zero-copy
+        views of the two columns — the same left-to-right double
+        arithmetic as summing segment by segment.  The views are locals:
+        an ``array`` cannot grow while a buffer export is alive, so they
+        must not outlive the query.
+        """
+        times = np.frombuffer(self.times)
+        values = np.frombuffer(self.values)
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * values[:-1])))
+        idx = np.searchsorted(times, t, side="right") - 1
+        idx = np.clip(idx, 0, len(times) - 1)
+        return cum[idx] + np.clip(t - times[idx], 0.0, None) * values[idx]
+
     def integrate(self, t_end: float) -> float:
         """Integral of the step function from its start to ``t_end``."""
-        times = self.times
-        if t_end <= times[0]:
-            return 0.0
-        idx = bisect_right(times, t_end) - 1
-        return self._cum[idx] + (t_end - times[idx]) * self.values[idx]
+        return float(self._integral_at(t_end))
 
     def sample(
         self, t_end: float, dt: float, t_start: float = 0.0
@@ -117,18 +128,7 @@ class SegmentLog:
             return np.empty(0), np.empty(0)
         edges = np.arange(t_start, t_end, dt)
         edges = np.append(edges, t_end)  # final bucket may be partial
-        times = np.asarray(self.times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        # Cumulative integral at every change point.
-        seg_widths = np.diff(times)
-        cum = np.concatenate(([0.0], np.cumsum(seg_widths * values[:-1])))
-
-        def integral_at(t: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(times, t, side="right") - 1
-            idx = np.clip(idx, 0, len(times) - 1)
-            return cum[idx] + np.clip(t - times[idx], 0.0, None) * values[idx]
-
-        area = np.diff(integral_at(edges))
+        area = np.diff(self._integral_at(edges))
         widths = np.diff(edges)
         with np.errstate(invalid="ignore", divide="ignore"):
             means = np.where(widths > 0, area / widths, 0.0)

@@ -14,8 +14,10 @@ run plus every intermediate written during it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence
+from array import array
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import repro.analysis.sanitizer as _sanitizer
 from repro.sim import AllOf, Event, JoinEvent, Simulator
 from repro.storage.cache import read_miss_ratio
 from repro.workflow.dag import DataFile, Workflow
@@ -24,6 +26,11 @@ __all__ = ["SharedFileSystem", "local_placement"]
 
 #: A placement policy: (file_name, n_nodes) -> home node index.
 PlacementPolicy = Callable[[str, int], int]
+
+
+#: Touch-row value of a file its owner has never read, written or staged
+#: (every real touch is a ``write_clock`` reading, which starts at 0).
+_NEVER = -1.0
 
 
 def local_placement(file_name: str, n_nodes: int) -> int:
@@ -73,8 +80,18 @@ class SharedFileSystem:
         # mDiffFit reading projections written seconds earlier) free while
         # stage 3 re-reads of stage-1 outputs go to disk once the working
         # set outgrows memory (Fig 4's i2 < r3 < c3 stage-3 ordering).
+        #
+        # The touch table is one flat row per owner (ensemble member):
+        # ``row[index[file name]]`` is the ``write_clock`` reading when
+        # the owner's copy of that file was last touched, or ``_NEVER``.
+        # A staged member's ``index`` is its skeleton's shared, immutable
+        # ``file_index()``, so a member costs 8 bytes per file.  Owners
+        # in ``_private`` have an index this file system owns and may
+        # grow: those it was never told about, and those that touched a
+        # file name outside their skeleton.
         self.write_clock = 0.0
-        self._last_touch: dict = {}
+        self._touch: Dict[str, Tuple[Dict[str, int], array]] = {}
+        self._private: Set[str] = set()
         # Single-node clusters have exactly one possible home; skipping
         # the placement call per file is a measurable win on the
         # local-filesystem benchmark configurations.
@@ -91,13 +108,61 @@ class SharedFileSystem:
         §V.B).  Every ensemble member has its own copy of its inputs (the
         paper's 200-workflow ensemble has 288,800 input files — 200 x
         1,444), so staging is counted per workflow even when relabelled
-        members share DataFile objects."""
+        members share DataFile objects.  Staging also registers each
+        member's touch row over its skeleton's shared file index."""
         for wf in workflows:
-            for f in wf.files().values():
+            skeleton = wf.skeleton()
+            owner = wf.name
+            index, row = self._touch_of(owner, skeleton.file_index())
+            for f in skeleton.files.values():
                 if f.kind == "input":
                     self.active_bytes += f.size
                     self.write_clock += f.size
-                    self._last_touch[(wf.name, f.name)] = self.write_clock
+                    try:
+                        i = index[f.name]
+                    except KeyError:
+                        i = self._grow(owner, f.name)
+                    row[i] = self.write_clock
+        san = _sanitizer._ACTIVE
+        if san is not None:
+            san.check_touch_isolation(self)
+
+    def _touch_of(
+        self, owner: str, shared_index: Optional[Dict[str, int]] = None
+    ) -> Tuple[Dict[str, int], array]:
+        """The ``(index, row)`` pair of ``owner``, registering it if new:
+        over ``shared_index`` (a skeleton's, never written through) when
+        given, else over an empty private index that grows on demand."""
+        entry = self._touch.get(owner)
+        if entry is None:
+            if shared_index is None:
+                shared_index = {}
+                self._private.add(owner)
+            row = array("d", (_NEVER,)) * len(shared_index)
+            entry = self._touch[owner] = (shared_index, row)
+        return entry
+
+    def _grow(self, owner: str, name: str) -> int:
+        """Slot of a file ``name`` that ``owner``'s index lacked when the
+        caller looked (slow path: tests, ad-hoc owners, files outside the
+        skeleton).  A shared skeleton index is copied, once, before the
+        first name is added — it is never mutated.  The row object is
+        extended in place, so a pair the caller already holds stays
+        usable; its index may be stale, which only routes it here again.
+        """
+        index, row = self._touch[owner]
+        slot = index.get(name)
+        if slot is None:
+            if owner not in self._private:
+                self._private.add(owner)
+                index = dict(index)
+                self._touch[owner] = (index, row)
+            slot = index[name] = len(row)
+            row.append(_NEVER)
+            san = _sanitizer._ACTIVE
+            if san is not None:
+                san.check_touch_isolation(self)
+        return slot
 
     def home_of(self, f: DataFile):
         if self._sole is not None:
@@ -117,10 +182,14 @@ class SharedFileSystem:
         """
         if not self.precise_cache:
             return f.size * read_miss_ratio(node.page_cache_bytes, self.active_bytes)
-        key = (owner, f.name)
-        last = self._last_touch.get(key)
-        self._last_touch[key] = self.write_clock  # LRU touch
-        if last is None:
+        index, row = self._touch_of(owner)
+        try:
+            i = index[f.name]
+        except KeyError:
+            i = self._grow(owner, f.name)
+        last = row[i]
+        row[i] = self.write_clock  # LRU touch
+        if last < 0.0:
             return f.size
         distance = self.write_clock - last
         return f.size * min(1.0, distance / node.page_cache_bytes)
@@ -137,17 +206,20 @@ class SharedFileSystem:
         remote: dict = {}
         sole = self._sole
         if self.precise_cache:
-            # Inlined _read_bytes_of: the per-file dict traffic dominates
+            # Inlined _read_bytes_of: the per-file table traffic dominates
             # the read path on cache-heavy workloads, so hoist the loop
             # invariants out of the method-call overhead.
-            touch = self._last_touch
+            index, row = self._touch.get(owner) or self._touch_of(owner)
             clock = self.write_clock
             cache_bytes = node.page_cache_bytes
             for f in files:
-                key = (owner, f.name)
-                last = touch.get(key)
-                touch[key] = clock
-                if last is None:
+                try:
+                    i = index[f.name]
+                except KeyError:
+                    i = self._grow(owner, f.name)
+                last = row[i]
+                row[i] = clock
+                if last < 0.0:
                     nbytes = f.size
                 else:
                     distance = clock - last
@@ -176,6 +248,12 @@ class SharedFileSystem:
                 else:
                     remote[home] = remote.get(home, 0.0) + nbytes
                     self.remote_reads += 1
+        return self._start_read(node, local, remote)
+
+    def _start_read(self, node, local: float, remote: dict) -> Event:
+        """Start the device streams of one read: ``local`` bytes off
+        ``node``'s own disk plus ``remote[home]`` bytes from each other
+        home; the returned event fires when all of them have arrived."""
         if not remote:
             if local > 0:
                 self.bytes_read += local
@@ -213,7 +291,8 @@ class SharedFileSystem:
         routes: dict = {}
         sole = self._sole
         precise = self.precise_cache
-        touch = self._last_touch
+        if precise:
+            index, row = self._touch.get(owner) or self._touch_of(owner)
         clock = self.write_clock
         total = 0.0
         for f in files:
@@ -223,7 +302,11 @@ class SharedFileSystem:
             total += size
             if precise:
                 clock += size
-                touch[(owner, f.name)] = clock
+                try:
+                    i = index[f.name]
+                except KeyError:
+                    i = self._grow(owner, f.name)
+                row[i] = clock
             if sole is not None:
                 continue  # single node: one route, summed below
             home = self.home_of(f)

@@ -193,7 +193,7 @@ class WorkflowSkeleton:
 
     __slots__ = (
         "jobs", "initial_pending", "roots", "files", "producer_of", "_cp",
-        "_arena",
+        "_arena", "_file_index",
     )
 
     def __init__(self, jobs: Dict[str, Job]):
@@ -222,6 +222,22 @@ class WorkflowSkeleton:
         #: Lazy arena index (int job indices + flat structural arrays),
         #: likewise shared by every ensemble member.
         self._arena: Optional[SkeletonArena] = None
+        #: Lazy dense file index, shared the same way.
+        self._file_index: Optional[Dict[str, int]] = None
+
+    def file_index(self) -> Dict[str, int]:
+        """``file name -> dense index`` in ``files`` insertion order.
+
+        Cached and shared by every relabelled member; each member's
+        per-file run state (the shared file system's page-cache touch
+        row) is a flat array indexed by it.  Never mutated once built.
+        """
+        index = self._file_index
+        if index is None:
+            index = self._file_index = {
+                name: i for i, name in enumerate(self.files)
+            }
+        return index
 
     def arena(self) -> SkeletonArena:
         """The interned integer-index arena (cached; shared by relabels)."""

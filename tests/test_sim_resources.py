@@ -31,16 +31,26 @@ def test_segment_log_same_instant_overwrite():
     log = SegmentLog(0.0, 0.0)
     log.record(1.0, 5.0)
     log.record(1.0, 7.0)
-    assert log.times == [0.0, 1.0]
-    assert log.values == [0.0, 7.0]
+    # The later value wins and no zero-length segment is kept.
+    assert log.current == 7.0
+    assert len(log.times) == len(log.values) == 2
+    assert log.integrate(3.0) == 14.0
+    _times, means = log.sample(t_end=3.0, dt=1.0)
+    assert means.tolist() == [0.0, 7.0, 7.0]
 
 
 def test_segment_log_same_instant_collapse_back():
     log = SegmentLog(0.0, 3.0)
     log.record(1.0, 5.0)
     log.record(1.0, 3.0)  # back to previous value: change point vanishes
-    assert log.times == [0.0]
-    assert log.values == [3.0]
+    assert log.current == 3.0
+    assert len(log.times) == len(log.values) == 1
+    assert log.integrate(2.0) == 6.0
+    # The vanished point left nothing behind: the log keeps recording.
+    log.record(2.0, 1.0)
+    assert log.integrate(4.0) == 8.0
+    _times, means = log.sample(t_end=4.0, dt=2.0)
+    assert means.tolist() == [3.0, 1.0]
 
 
 def test_segment_log_time_backwards_raises():

@@ -1,6 +1,8 @@
 """Tests for the storage substrate: disks, write-back cache, shared FS."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import ClusterSpec, SimCluster, get_instance_type
 from repro.sim import FairShareLink, Simulator
@@ -14,7 +16,7 @@ from repro.storage import (
 from repro.storage.cache import MIN_MISS_RATIO
 from repro.storage.moosefs import moosefs_placement
 from repro.storage.nfs import nton_placement
-from repro.workflow.dag import DataFile
+from repro.workflow.dag import DataFile, Workflow
 
 
 def make_cluster(n_nodes=2, itype="c3.8xlarge", fs="moosefs"):
@@ -230,16 +232,19 @@ def test_read_miss_grows_with_stack_distance():
     sim, cluster = make_cluster(n_nodes=1, fs="local")
     node = cluster.nodes[0]
     fs = cluster.fs
+    cache = node.page_cache_bytes
     f = DataFile("wf/x.dat", 1e9)
-    fs.write_clock = 0.0
-    fs._last_touch[("", f.name)] = 0.0
-    fs.write_clock = 0.5 * node.page_cache_bytes  # half the cache since
-    assert fs._read_bytes_of(node, f, "") == pytest.approx(0.5e9)
+    fs.write(node, [f])  # touches f
+    fs.write(node, [DataFile("wf/half.dat", 0.5 * cache)])  # half the cache since
+    fs.read(node, [f])
+    assert fs.bytes_read == pytest.approx(0.5e9)
     # Touch reset the distance: an immediate re-read is free.
-    assert fs._read_bytes_of(node, f, "") == pytest.approx(0.0)
+    fs.read(node, [f])
+    assert fs.bytes_read == pytest.approx(0.5e9)
     # Beyond the cache size: full miss.
-    fs.write_clock += 2 * node.page_cache_bytes
-    assert fs._read_bytes_of(node, f, "") == pytest.approx(1e9)
+    fs.write(node, [DataFile("wf/double.dat", 2 * cache)])
+    fs.read(node, [f])
+    assert fs.bytes_read == pytest.approx(1.5e9)
 
 
 def test_first_touch_is_full_miss():
@@ -292,6 +297,116 @@ def test_stage_inputs_counts_every_member():
     # 200-workflow ensemble has 288,800 input files), so staging counts
     # each member even when relabelled copies share DataFile objects.
     assert cluster.fs.active_bytes == pytest.approx(2 * wf.bytes_by_kind()["input"])
+
+
+# ---------------------------------------------------------------------------
+# Page-cache touch table: one row per owner over the shared file index
+# ---------------------------------------------------------------------------
+
+
+def _template():
+    wf = Workflow("tpl")
+    a = DataFile("in/a.dat", 3e8, "input")
+    b = DataFile("in/b.dat", 5e8, "input")
+    x, y = DataFile("x.dat", 2e8), DataFile("y.dat", 7e8)
+    wf.new_job("p1", "project", inputs=[a], outputs=[x])
+    wf.new_job("p2", "project", inputs=[b], outputs=[y])
+    wf.new_job("add", "add", inputs=[x, y], outputs=[DataFile("out.dat", 1e8, "output")])
+    wf.add_dependency("p1", "add")
+    wf.add_dependency("p2", "add")
+    return wf
+
+
+#: Two names no skeleton knows; the second is bigger than any page cache.
+_OUTSIDE = [DataFile("scratch/log.txt", 4e8), DataFile("scratch/dump.bin", 1e11)]
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.booleans(),  # read / write
+            st.integers(0, 1),  # which member
+            st.lists(st.integers(0, 6), min_size=1, max_size=4),  # which files
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_staged_and_never_staged_owners_read_the_same_bytes(ops):
+    """The same traffic through a registered member (shared skeleton
+    index) and through an owner the fs was never told about (private
+    growable index) costs the same device bytes, op by op — including
+    files outside the skeleton, which never grow the shared index."""
+    wf = _template()
+    members = [wf.relabel("m0"), wf.relabel("m1")]
+    files = list(wf.files().values()) + _OUTSIDE
+    index_before = dict(wf.skeleton().file_index())
+    _sim, staged = make_cluster(n_nodes=1, fs="local")
+    _sim, adhoc = make_cluster(n_nodes=1, fs="local")
+    staged.fs.stage_inputs(members)
+    for member in members:
+        # What staging does, through the public write path.
+        inputs = [f for f in files if f.kind == "input"]
+        adhoc.fs.write(adhoc.nodes[0], inputs, member.name)
+    for is_read, who, picks in ops:
+        for cluster in (staged, adhoc):
+            call = cluster.fs.read if is_read else cluster.fs.write
+            call(cluster.nodes[0], [files[i] for i in picks], members[who].name)
+        assert staged.fs.bytes_read == adhoc.fs.bytes_read
+        assert staged.fs.write_clock == adhoc.fs.write_clock
+        assert staged.fs.active_bytes == adhoc.fs.active_bytes
+    assert wf.skeleton().file_index() == index_before
+    assert list(wf.skeleton().file_index()) == list(wf.skeleton().files)
+
+
+def test_relabelled_members_never_share_a_touch_row():
+    sim, cluster = make_cluster(n_nodes=1, fs="local")
+    fs, node = cluster.fs, cluster.nodes[0]
+    wf = _template()
+    fs.stage_inputs([wf.relabel("m0"), wf.relabel("m1")])
+    x = wf.files()["x.dat"]
+    fs.write(node, [x], "m0")
+    fs.read(node, [x], "m1")  # m1 never wrote its x: full miss
+    assert fs.bytes_read == x.size
+    fs.read(node, [x], "m0")  # m0 just did: free
+    assert fs.bytes_read == x.size
+
+
+def test_file_outside_the_skeleton_is_a_miss_and_leaves_the_index_alone():
+    sim, cluster = make_cluster(n_nodes=1, fs="local")
+    fs, node = cluster.fs, cluster.nodes[0]
+    wf = _template()
+    index = wf.skeleton().file_index()
+    before = dict(index)
+    fs.stage_inputs([wf.relabel("m0"), wf.relabel("m1")])
+    stray = _OUTSIDE[0]
+    fs.read(node, [stray], "m0")
+    assert fs.bytes_read == stray.size  # never seen: full miss
+    fs.read(node, [stray, stray], "m0")  # now tracked for m0: free
+    assert fs.bytes_read == stray.size
+    fs.read(node, [stray], "m1")  # but not for m1
+    assert fs.bytes_read == 2 * stray.size
+    assert wf.skeleton().file_index() is index
+    assert index == before
+    # m0 still reads its skeleton files through its (now private) index.
+    a = wf.files()["in/a.dat"]
+    fs.read(node, [a], "m0")
+    assert fs.bytes_read < 2 * stray.size + a.size  # staged: mostly cached
+
+
+def test_ratio_cache_model_never_touches_the_table():
+    sim, cluster = make_cluster(n_nodes=1, fs="local")
+    fs, node = cluster.fs, cluster.nodes[0]
+    f = DataFile("wf/x.dat", 1e9)
+    fs.precise_cache = False
+    fs.write(node, [f], "w")
+    fs.read(node, [f], "w")
+    ratio_bytes = fs.bytes_read
+    assert ratio_bytes == pytest.approx(1e9 * MIN_MISS_RATIO)
+    # Had either call touched f, this precise read would be (nearly) free.
+    fs.precise_cache = True
+    fs.read(node, [f], "w")
+    assert fs.bytes_read == ratio_bytes + 1e9
 
 
 def test_nton_fs_concentrates_workflow_io():
