@@ -332,7 +332,8 @@ class WorkflowState:
     # -- lifecycle ---------------------------------------------------------
     def initial_ready(self) -> List[str]:
         """Jobs eligible at submission; marks them QUEUED."""
-        self._trace("write", "state.initial_ready")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.initial_ready")
         ready = []
         status_arr = self._status_arr
         attempt_arr = self._attempt_arr
@@ -379,7 +380,8 @@ class WorkflowState:
         stay QUEUED forever (it never reaches the fencing requeue, which
         only covers validly-acked assignments).
         """
-        self._trace("write", "state.mark_dispatched")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.mark_dispatched")
         if self.track_queue_age:
             # First dispatch time, kept across resubmissions: the aging
             # term measures how long the job has been waiting overall.
@@ -394,7 +396,8 @@ class WorkflowState:
     def queued_jobs(self) -> List[str]:
         """Job ids currently QUEUED (published, not yet running), in the
         deterministic jobs-table insertion order."""
-        self._trace("read", "state.queued_jobs")
+        if _conc._ACTIVE is not None:
+            self._trace("read", "state.queued_jobs")
         job_ids = self._arena.job_ids
         return [
             job_ids[i]
@@ -423,7 +426,8 @@ class WorkflowState:
 
     def on_running(self, job_id: str, attempt: int, now: float) -> bool:
         """Handle a running ack; returns False for stale/duplicate acks."""
-        self._trace("write", "state.on_running")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.on_running")
         i = self._arena.index_of[job_id]
         status_arr = self._status_arr
         code = status_arr[i]
@@ -448,7 +452,8 @@ class WorkflowState:
         A completion for a job already dead-lettered is likewise dropped:
         its descendants have been cascaded and must not be revived.
         """
-        self._trace("write", "state.on_completed")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.on_completed")
         arena = self._arena
         i = arena.index_of[job_id]
         status_arr = self._status_arr
@@ -498,7 +503,8 @@ class WorkflowState:
         for jobs whose attempt budget is exhausted (the caller should
         then check :attr:`is_settled`).
         """
-        self._trace("write", "state.on_failed")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.on_failed")
         i = self._arena.index_of[job_id]
         status_arr = self._status_arr
         code = status_arr[i]
@@ -534,7 +540,8 @@ class WorkflowState:
         consumer goes back to WAITING on them and is re-queued by
         :meth:`on_completed`'s regeneration path.
         """
-        self._trace("write", "state.on_corrupt")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.on_corrupt")
         arena = self._arena
         index_of = arena.index_of
         i = index_of[job_id]
@@ -601,7 +608,8 @@ class WorkflowState:
         republish; ``None`` for stale calls, already-settled jobs, and
         exhausted attempt budgets (dead-letter ``lease-expired``).
         """
-        self._trace("write", "state.on_lease_expired")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.on_lease_expired")
         i = self._arena.index_of[job_id]
         status_arr = self._status_arr
         code = status_arr[i]
@@ -627,7 +635,8 @@ class WorkflowState:
         safe (a late completion from the old delivery is absorbed as a
         duplicate).  Jobs out of attempt budget dead-letter instead.
         """
-        self._trace("write", "state.requeue_in_flight")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.requeue_in_flight")
         out: List[str] = []
         status_arr = self._status_arr
         job_ids = self._arena.job_ids
@@ -648,7 +657,8 @@ class WorkflowState:
         """Jobs whose completion ack missed its deadline; re-QUEUED with a
         fresh attempt number, ready to be republished.  Jobs that exhaust
         their attempt budget are dead-lettered instead (and not returned)."""
-        self._trace("write", "state.expired")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.expired")
         out = []
         index_of = self._arena.index_of
         status_arr = self._status_arr
@@ -673,7 +683,8 @@ class WorkflowState:
         never become eligible; cascading it keeps the workflow able to
         *settle* (completed + dead == all jobs) instead of hanging.
         """
-        self._trace("write", "state.dead_letter")
+        if _conc._ACTIVE is not None:
+            self._trace("write", "state.dead_letter")
         arena = self._arena
         i = arena.index_of[job_id]
         status_arr = self._status_arr
@@ -773,7 +784,8 @@ class WorkflowState:
         """JSON-able snapshot of the full scheduler state for this
         workflow — everything needed to resume after a master crash, and
         the input to the journal's checkpoint digest."""
-        self._trace("read", "state.snapshot")
+        if _conc._ACTIVE is not None:
+            self._trace("read", "state.snapshot")
         job_ids = self._arena.job_ids
         return {
             "name": self.name,

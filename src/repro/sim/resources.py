@@ -37,7 +37,7 @@ from typing import Any, Deque, List, Optional, Tuple
 import numpy as np
 
 import repro.analysis.sanitizer as _sanitizer
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator, Timeout
 
 __all__ = [
     "SegmentLog",
@@ -238,6 +238,7 @@ class FairShareLink:
         "_seq",
         "_wake_ev",
         "_wake_time",
+        "_wake_cb",
         "bytes_total",
     )
 
@@ -255,21 +256,70 @@ class FairShareLink:
         self._seq = 0
         self._wake_ev: Optional[Event] = None
         self._wake_time = 0.0
+        # The one bound method every wake-up timer carries as its
+        # callback (a fresh bound method per timer is an allocation).
+        self._wake_cb = self._wake
         self.bytes_total = 0.0
 
     @property
     def active(self) -> int:
         return self._n
 
-    def _advance(self) -> None:
-        now = self.sim.now
-        if self._n > 0 and now > self._last:
-            delta = (now - self._last) * self.capacity / self._n
-            self._v += delta
-            self.bytes_total += delta * self._n
-        self._last = now
+    # The link's life is one cycle — settle the virtual clock up to now,
+    # change the active set, arm the timer for the next completion — and
+    # most of a workflow run's events are that cycle.  ``_wake`` and
+    # ``transfer_into`` therefore each run it in a single frame; the
+    # settle and arm arithmetic below is written out where it runs, in
+    # one operand order, so the floats are the same on every path.
 
-    def _reschedule(self) -> None:
+    def _wake(self, _timer: Event) -> None:
+        """Timer callback: complete every ripe stream, re-arm."""
+        self._wake_ev = None
+        sim = self.sim
+        now = sim.now
+        n = self._n
+        capacity = self.capacity
+        if n > 0 and now > self._last:
+            delta = (now - self._last) * capacity / n
+            self._v += delta
+            self.bytes_total += delta * n
+        self._last = now
+        v = self._v
+        heap = self._heap
+        # Tolerance must scale with the magnitudes of both clocks.  The
+        # virtual-byte clock: once v reaches ~1e9, double rounding leaves
+        # residues far above any fixed epsilon.  The time clock: when the
+        # remaining service converts to a dt below the float resolution of
+        # `now`, the wake-up cannot advance time at all — so anything
+        # within one clock quantum's worth of bytes counts as delivered.
+        quantum = 1e-9 * (now if now > 1.0 else 1.0)
+        ripe = v + (
+            _EPS + 1e-9 * abs(v) + capacity * quantum / (n if n > 0 else 1)
+        )
+        while heap and heap[0][0] <= ripe:
+            # _complete is succeed() for plain events and arrive() for
+            # JoinEvents, so batched storage fan-outs finish without an
+            # intermediate event per stream.
+            heapq.heappop(heap)[2]._complete()
+            n -= 1
+        self._n = n
+        if n == 0:
+            self.log.record(now, 0.0)
+            self._v = 0.0  # rebase the virtual clock between busy periods
+        san = _sanitizer._ACTIVE
+        if san is not None:
+            san.check_link(self)
+        if n:
+            # No wake-up is pending (this *was* it), so arming needs
+            # none of _arm's reuse logic.
+            dt = (heap[0][0] - v) * n / capacity
+            if dt < 0.0:
+                dt = 0.0
+            self._wake_ev = wake = Timeout(sim, dt)
+            wake.callbacks.append(self._wake_cb)
+            self._wake_time = now + dt
+
+    def _arm(self, now: float) -> None:
         """Arm (or keep) the wake-up for the next completion.
 
         A pending wake-up that fires *no later* than the new target is
@@ -279,57 +329,28 @@ class FairShareLink:
         common churn pattern — transfer starts while others are in
         flight — keeps one wake-up alive instead of cancelling and
         re-allocating an event per arrival.
+
+        ``transfer_into`` carries this body inline; ``transfer_many``
+        and ``set_capacity`` call it.
         """
         wake = self._wake_ev
-        if self._n == 0:
+        n = self._n
+        if n == 0:
             if wake is not None:
                 wake.cancel()
                 self._wake_ev = None
             return
-        v_next = self._heap[0][0]
-        dt = (v_next - self._v) * self._n / self.capacity
+        dt = (self._heap[0][0] - self._v) * n / self.capacity
         if dt < 0.0:
             dt = 0.0
-        target = self.sim.now + dt
+        target = now + dt
         if wake is not None:
             if wake.callbacks and self._wake_time <= target:
                 return
             wake.cancel()  # fires too late (or already dead): supersede
-        self._wake_ev = self.sim.schedule_call(dt, self._wake)
+        self._wake_ev = wake = Timeout(self.sim, dt)
+        wake.callbacks.append(self._wake_cb)
         self._wake_time = target
-
-    def _wake(self) -> None:
-        self._wake_ev = None
-        self._advance()
-        heap = self._heap
-        fired = 0
-        # Tolerance must scale with the magnitudes of both clocks.  The
-        # virtual-byte clock: once v reaches ~1e9, double rounding leaves
-        # residues far above any fixed epsilon.  The time clock: when the
-        # remaining service converts to a dt below the float resolution of
-        # `now`, the wake-up cannot advance time at all — so anything
-        # within one clock quantum's worth of bytes counts as delivered.
-        quantum = 1e-9 * max(1.0, self.sim.now)
-        tol = (
-            _EPS
-            + 1e-9 * abs(self._v)
-            + self.capacity * quantum / max(self._n, 1)
-        )
-        while heap and heap[0][0] <= self._v + tol:
-            _v_target, _seq, event = heapq.heappop(heap)
-            # _complete is succeed() for plain events and arrive() for
-            # JoinEvents, so batched storage fan-outs finish without an
-            # intermediate event per stream.
-            event._complete()
-            fired += 1
-        self._n -= fired
-        if self._n == 0:
-            self.log.record(self.sim.now, 0.0)
-            self._v = 0.0  # rebase the virtual clock between busy periods
-        san = _sanitizer._ACTIVE
-        if san is not None:
-            san.check_link(self)
-        self._reschedule()
 
     def set_capacity(self, capacity: float) -> None:
         """Change the link's bandwidth mid-run (degraded-disk faults).
@@ -340,32 +361,25 @@ class FairShareLink:
         """
         if capacity <= 0:
             raise ValueError(f"link capacity must be positive, got {capacity}")
-        self._advance()
+        now = self.sim.now
+        n = self._n
+        if n > 0 and now > self._last:
+            delta = (now - self._last) * self.capacity / n
+            self._v += delta
+            self.bytes_total += delta * n
+        self._last = now
         self.capacity = float(capacity)
-        if self._n > 0:
-            self.log.record(self.sim.now, self.capacity)
+        if n > 0:
+            self.log.record(now, self.capacity)
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_link(self)
-        self._reschedule()
+        self._arm(now)
 
     def transfer(self, nbytes: float) -> Event:
         """Start a stream of ``nbytes``; returns its completion event."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
         event = Event(self.sim)
-        if nbytes == 0:
-            return event.succeed()
-        self._advance()
-        if self._n == 0:
-            self.log.record(self.sim.now, self.capacity)
-        self._seq += 1
-        heapq.heappush(self._heap, (self._v + nbytes, self._seq, event))
-        self._n += 1
-        san = _sanitizer._ACTIVE
-        if san is not None:
-            san.check_link(self)
-        self._reschedule()
+        self._admit(nbytes, event)
         return event
 
     def transfer_into(self, nbytes: float, event: Event) -> None:
@@ -381,35 +395,72 @@ class FairShareLink:
                 raise ValueError(f"negative transfer size: {nbytes}")
             event._complete()
             return
-        self._advance()
-        if self._n == 0:
-            self.log.record(self.sim.now, self.capacity)
+        sim = self.sim
+        now = sim.now
+        n = self._n
+        capacity = self.capacity
+        if n == 0:
+            self.log.record(now, capacity)
+        elif now > self._last:
+            delta = (now - self._last) * capacity / n
+            self._v += delta
+            self.bytes_total += delta * n
+        self._last = now
+        v = self._v
+        heap = self._heap
         self._seq += 1
-        heapq.heappush(self._heap, (self._v + nbytes, self._seq, event))
-        self._n += 1
+        heapq.heappush(heap, (v + nbytes, self._seq, event))
+        self._n = n = n + 1
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_link(self)
-        self._reschedule()
+        # Inlined _arm (n >= 1 here).
+        dt = (heap[0][0] - v) * n / capacity
+        if dt < 0.0:
+            dt = 0.0
+        target = now + dt
+        wake = self._wake_ev
+        if wake is not None:
+            if wake.callbacks and self._wake_time <= target:
+                return
+            wake.cancel()
+        self._wake_ev = wake = Timeout(sim, dt)
+        wake.callbacks.append(self._wake_cb)
+        self._wake_time = target
+
+    #: ``transfer``'s way in: the same function under a private name, so
+    #: a wrapper installed on the public attribute (bench/spans.py counts
+    #: calls there) sees one call per stream, not two.
+    _admit = transfer_into
 
     def transfer_many(self, sizes, event: Event) -> None:
-        """Start one stream per entry of ``sizes``, all arriving into
-        ``event``, with a *single* bandwidth re-partition for the batch.
+        """Start one stream per entry of the sequence ``sizes``, all
+        arriving into ``event``, with a *single* bandwidth re-partition
+        for the batch.
 
-        N same-instant starts on one link cost one ``_advance`` / log
-        record / sanitizer check / wake-up reschedule instead of N —
-        the streams are admitted at the same virtual time either way, so
-        the heap ends up byte-identical to N ``transfer_into`` calls.
+        N same-instant starts on one link cost one settle / log record /
+        sanitizer check / wake-up arming instead of N — the streams are
+        admitted at the same virtual time either way, so the heap ends
+        up byte-identical to N ``transfer_into`` calls.  Every size is
+        validated before anything is touched: a bad batch leaves link,
+        ``event`` and log as they were.
         """
-        self._advance()
+        for nbytes in sizes:
+            if nbytes < 0:
+                raise ValueError(f"negative transfer size: {nbytes}")
+        now = self.sim.now
+        n = self._n
+        if n > 0 and now > self._last:
+            delta = (now - self._last) * self.capacity / n
+            self._v += delta
+            self.bytes_total += delta * n
+        self._last = now
         v = self._v
         heap = self._heap
         seq = self._seq
         started = 0
         for nbytes in sizes:
-            if nbytes <= 0:
-                if nbytes < 0:
-                    raise ValueError(f"negative transfer size: {nbytes}")
+            if nbytes == 0:
                 event._complete()
                 continue
             seq += 1
@@ -418,13 +469,13 @@ class FairShareLink:
         self._seq = seq
         if started == 0:
             return
-        if self._n == 0:
-            self.log.record(self.sim.now, self.capacity)
-        self._n += started
+        if n == 0:
+            self.log.record(now, self.capacity)
+        self._n = n + started
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_link(self)
-        self._reschedule()
+        self._arm(now)
 
 
 class FifoStore:

@@ -96,6 +96,7 @@ class SharedFileSystem:
         # the placement call per file is a measurable win on the
         # local-filesystem benchmark configurations.
         self._sole = self.nodes[0] if len(self.nodes) == 1 else None
+        self._homes: Dict[str, object] = {}  # file name -> home node
         # Shared already-triggered event for no-op reads/writes (fully
         # cached inputs, zero-byte outputs); callers only check
         # ``triggered`` so one processed event serves them all.
@@ -165,9 +166,20 @@ class SharedFileSystem:
         return slot
 
     def home_of(self, f: DataFile):
+        """The node whose disks hold ``f``.  Placement is a pure function
+        of the file name over a node list fixed at construction, and
+        relabelled members share names, so it is computed once per name.
+        """
         if self._sole is not None:
             return self._sole
-        return self.nodes[self.placement(f.name, len(self.nodes))]
+        name = f.name
+        try:
+            return self._homes[name]
+        except KeyError:
+            home = self._homes[name] = self.nodes[
+                self.placement(name, len(self.nodes))
+            ]
+            return home
 
     def _read_bytes_of(self, node, f: DataFile, owner: str) -> float:
         """Device bytes a read of ``f`` costs on ``node`` (cache model).

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.analysis.concurrency.recorder as race_recorder
 from repro.dewe import JobStatus, WorkflowState
 from repro.workflow import Workflow
 
@@ -32,6 +33,26 @@ def test_initial_ready_roots_only():
     assert state.initial_ready() == ["a"]
     assert state.status["a"] is JobStatus.QUEUED
     assert state.status["b"] is JobStatus.WAITING
+
+
+def test_transitions_reach_the_race_recorder_when_one_is_installed():
+    """The hook's call sites are gated on the recorder module attribute
+    (no frame when off); with a recorder installed every transition must
+    still register its status-map access, or the CI ``concurrency`` job
+    silently loses its coverage of the state machine."""
+    state = WorkflowState(chain3())
+    state.initial_ready()
+    state.on_completed("a", 1)  # recorder off (or the suite's): no error
+    with race_recorder.enabled() as rec:
+        assert state.on_completed("b", 1) == ["c"]
+        state.queued_jobs()
+    accesses = [
+        (e.op, e.key, e.site) for e in rec.events if e.op in ("read", "write")
+    ]
+    assert accesses == [
+        ("write", ("var", "wfstate.status", id(state)), "state.on_completed"),
+        ("read", ("var", "wfstate.status", id(state)), "state.queued_jobs"),
+    ]
 
 
 def test_completion_unlocks_children():

@@ -97,6 +97,213 @@ def test_link_makespan_at_least_serial_bound(plan):
     assert end >= earliest + total / capacity - 1e-6
 
 
+class _Arrival:
+    """A completion target that only records: the link asks nothing of
+    one but ``_complete()``."""
+
+    def __init__(self, sim, done, flow):
+        self.sim, self.done, self.flow = sim, done, flow
+
+    def _complete(self):
+        self.done.append((self.flow, self.sim.now))
+
+
+def _naive_processor_sharing(capacity, batches, change):
+    """Reference model: remaining bytes per flow, recomputed at every
+    arrival, capacity change and completion.  ``batches`` is a list of
+    ``(time, sizes)`` in arrival order, ``change`` a ``(time, capacity)``
+    pair or ``None``.  Returns ``{flow number: completion instant}``."""
+    pending = sorted(
+        [(t, 0, i, sizes) for i, (t, sizes) in enumerate(batches)]
+        + ([(change[0], -1, -1, change[1])] if change else [])
+    )
+    remaining, finished = {}, {}
+    now, flow = 0.0, 0
+    while pending or remaining:
+        ahead = pending[0][0] if pending else float("inf")
+        if remaining:
+            least = min(remaining.values())
+            ends = now + least * len(remaining) / capacity
+            if ends <= ahead:
+                served = least
+                for f in list(remaining):
+                    remaining[f] -= served
+                    if remaining[f] <= 0.0:
+                        del remaining[f]
+                        finished[f] = ends
+                now = ends
+                continue
+            served = (ahead - now) * capacity / len(remaining)
+            for f in remaining:
+                remaining[f] -= served
+        now = ahead
+        _t, order, _i, payload = pending.pop(0)
+        if order < 0:
+            capacity = payload
+            continue
+        for size in payload:
+            if size > 0.0:
+                remaining[flow] = size
+            else:
+                finished[flow] = now
+            flow += 1
+    return finished
+
+
+#: A stream size: zero-byte streams are legal and complete on admission.
+_stream_size = st.one_of(
+    st.just(0.0), st.floats(min_value=0.5, max_value=1e4, allow_nan=False)
+)
+
+
+@st.composite
+def link_schedules(draw):
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+                st.sampled_from(["transfer", "transfer_into", "transfer_many"]),
+                st.lists(_stream_size, min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    # One entry point admits one stream; only transfer_many takes a list.
+    batches = sorted(
+        (t, how, sizes if how == "transfer_many" else sizes[:1])
+        for t, how, sizes in batches
+    )
+    capacity = st.floats(min_value=1.0, max_value=1e3, allow_nan=False)
+    change = draw(
+        st.none()
+        | st.tuples(st.floats(min_value=0.0, max_value=60.0, allow_nan=False), capacity)
+    )
+    return draw(capacity), batches, change
+
+
+@given(link_schedules())
+@settings(max_examples=200, deadline=None)
+def test_link_matches_naive_processor_sharing(schedule):
+    """One link, every entry point, zero-byte streams and a mid-flight
+    capacity change, against a model that shares no code or idea with
+    the virtual-time heap.  The link counts a stream delivered once it
+    is within a part in 1e9 of the byte clock and of the time clock
+    (``_wake``'s tolerance); ``n`` sharers stretch a byte of slack to
+    ``n`` bytes of wall service, hence the factor on the bound."""
+    capacity, batches, change = schedule
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=capacity)
+    done = []
+    flow = 0
+    # The change is scheduled first, so it precedes a same-instant
+    # arrival in the simulator as it does in the model.
+    if change is not None:
+        sim.schedule_call(change[0], link.set_capacity, change[1])
+
+    def single(f, nbytes):
+        link.transfer(nbytes).callbacks.append(lambda _e: done.append((f, sim.now)))
+
+    for t, how, sizes in batches:
+        if how == "transfer":
+            sim.schedule_call(t, single, flow, sizes[0])
+        elif how == "transfer_into":
+            sim.schedule_call(
+                t, link.transfer_into, sizes[0], _Arrival(sim, done, flow)
+            )
+        else:
+            # One target for the batch: its streams are told apart by
+            # completion order, which is size order.
+            sim.schedule_call(
+                t, link.transfer_many, sizes, _Arrival(sim, done, ("many", flow))
+            )
+        flow += len(sizes)
+    sim.run()
+
+    expected = _naive_processor_sharing(
+        capacity, [(t, sizes) for t, _how, sizes in batches], change
+    )
+    got = {}
+    many = {}
+    for f, when in done:
+        if isinstance(f, tuple):
+            many.setdefault(f[1], []).append(when)
+        else:
+            got[f] = when
+    flow = 0
+    for _t, how, sizes in batches:
+        if how == "transfer_many":
+            order = sorted(range(len(sizes)), key=lambda k: sizes[k])
+            for k, when in zip(order, sorted(many[flow])):
+                got[flow + k] = when
+        flow += len(sizes)
+    assert got.keys() == expected.keys()
+    slack = 1e-9 * (flow + 1)
+    for f, when in expected.items():
+        assert got[f] == pytest.approx(when, rel=slack, abs=slack), (f, got, expected)
+    total = sum(sum(sizes) for _t, _how, sizes in batches)
+    assert link.bytes_total == pytest.approx(total, rel=slack, abs=1e-9)
+    assert link.active == 0 and not link._heap
+
+
+@given(
+    st.lists(_stream_size, min_size=1, max_size=6),
+    st.lists(
+        st.floats(min_value=0.5, max_value=1e4, allow_nan=False), max_size=3
+    ),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_link_transfer_many_is_repeated_transfer_into(sizes, in_flight, at):
+    """``transfer_many(sizes, j)`` admits exactly what ``len(sizes)``
+    calls of ``transfer_into`` admit — same heap (so the same virtual
+    clock at admission), same link sequence numbers, same log, same
+    zero-byte arrivals — whatever is already in flight."""
+
+    def run(batched):
+        sim = Simulator()
+        link = FairShareLink(sim, capacity=100.0)
+        done = []
+        target = _Arrival(sim, done, "batch")
+        for nbytes in in_flight:
+            link.transfer_into(nbytes, _Arrival(sim, done, "earlier"))
+        admitted = []
+
+        def admit():
+            if batched:
+                link.transfer_many(sizes, target)
+            else:
+                for nbytes in sizes:
+                    link.transfer_into(nbytes, target)
+            admitted.append(
+                (
+                    sorted((v, seq) for v, seq, _event in link._heap),
+                    link._seq,
+                    link._n,
+                    list(link.log.times),
+                    list(link.log.values),
+                    list(done),
+                )
+            )
+
+        sim.schedule_call(at, admit)
+        sim.run()
+        return admitted[0], done, list(link.log.times), list(link.log.values)
+
+    state_many, done_many, times_many, values_many = run(batched=True)
+    state_each, done_each, times_each, values_each = run(batched=False)
+    assert state_many == state_each
+    # A wake-up armed for the first of several same-instant admissions
+    # may fire early and re-arm, which settles the clock in two steps
+    # instead of one: instants agree to rounding, not to the bit.
+    assert [f for f, _ in done_many] == [f for f, _ in done_each]
+    assert [t for _, t in done_many] == pytest.approx(
+        [t for _, t in done_each], rel=1e-12, abs=1e-12
+    )
+    assert values_many == values_each
+    assert times_many == pytest.approx(times_each, rel=1e-12, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # CorePool invariants
 # ---------------------------------------------------------------------------

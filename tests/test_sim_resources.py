@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.sim import CorePool, FairShareLink, FifoStore, SegmentLog, Simulator
+from repro.sim import (
+    CorePool,
+    FairShareLink,
+    FifoStore,
+    JoinEvent,
+    SegmentLog,
+    Simulator,
+)
 from repro.sim.engine import SimulationError
 
 # ---------------------------------------------------------------------------
@@ -306,6 +313,104 @@ def test_link_conservation_many_streams():
     # Work conservation: all bytes drained at capacity once saturated.
     assert link.log.integrate(sim.now) == pytest.approx(sum(sizes), rel=1e-6)
     assert max(finish) == pytest.approx(sim.now)
+
+
+def run_fixed_link_plan():
+    """Twelve flows through one link by every entry point: staggered
+    ``transfer`` / ``transfer_into`` / ``transfer_many`` arrivals, two
+    zero-byte streams, two equal targets, two mid-flight capacity
+    changes, an idle gap (virtual clock rebased) and one stream large
+    enough for the magnitude-scaled tolerance.  Returns each stream's
+    ``(label, repr(completion instant), sim._seq when it was observed)``,
+    the simulator and the link."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=57.0)
+    seen = []
+
+    class Arrival:
+        # What the link needs of a completion target: ``_complete()``.
+        def __init__(self, label):
+            self.label = label
+
+        def _complete(self):
+            seen.append((self.label, repr(sim.now), sim._seq))
+
+    def single(label, nbytes):
+        link.transfer(nbytes).callbacks.append(
+            lambda _event: seen.append((label, repr(sim.now), sim._seq))
+        )
+
+    def into(label, nbytes):
+        link.transfer_into(nbytes, Arrival(label))
+
+    sim.schedule_call(0.0, single, "a", 13.0)
+    sim.schedule_call(0.0, into, "b", 99.5)
+    sim.schedule_call(0.3, into, "c", 1.0 / 3.0)
+    sim.schedule_call(
+        0.7, link.transfer_many, [250.0, 0.0, 40.0, 40.0], Arrival("d")
+    )
+    sim.schedule_call(1.1, single, "e", 0.0)
+    sim.schedule_call(1.9, link.set_capacity, 23.0)
+    sim.schedule_call(2.5, into, "f", 7.5)
+    sim.schedule_call(2.5, single, "g", 7.5)
+    sim.schedule_call(6.0, link.set_capacity, 111.0)
+    sim.schedule_call(40.0, single, "h", 1e-3)
+    sim.schedule_call(40.0, into, "i", 5e9)
+    sim.run()
+    return seen, sim, link
+
+
+def test_link_fixed_plan_exact_floats_and_event_count():
+    """The link's exact arithmetic and the number of events it schedules,
+    pinned as literals (taken before the wake cycle was fused into one
+    frame): bounds and conservation laws cannot see a changed rounding
+    or an extra wake-up, whole-engine digests see it only from afar."""
+    seen, sim, link = run_fixed_link_plan()
+    assert seen == [
+        ("c", "0.31754385964912285", 14),
+        ("a", "0.4619883040935673", 17),
+        ("d", "0.7", 17),
+        ("e", "1.1", 18),
+        ("f", "4.456521739130435", 21),
+        ("g", "4.456521739130435", 23),
+        ("d", "6.110810810810811", 24),
+        ("d", "6.110810810810811", 24),
+        ("b", "6.7042042042042045", 25),
+        ("d", "8.2993993993994", 26),
+        ("h", "40.00001801801802", 30),
+        ("i", "45045085.04505405", 30),
+    ]
+    assert sim._seq == 30
+    assert repr(link.bytes_total) == "5000000457.834332"
+    assert list(link.log.times) == [
+        0.0, 1.9, 6.0, 8.2993993993994, 40.0, 45045085.04505405
+    ]
+    assert list(link.log.values) == [57.0, 23.0, 111.0, 0.0, 111.0, 0.0]
+
+
+def test_link_transfer_many_validates_before_it_mutates(_strict_sanitizer):
+    """A batch with a bad size is refused whole.  It used to raise with
+    the streams before the bad one already on the heap: ``_n`` and
+    ``_seq`` not advanced (the next stream reused a sequence number), no
+    wake-up armed, and an orphan waiting to fire into the abandoned
+    barrier during a later busy period."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=100.0)
+    join = JoinEvent(sim, 3)
+    with pytest.raises(ValueError, match="negative transfer size"):
+        link.transfer_many([50.0, 0.0, -1.0], join)
+    assert (link._n, link._heap, link._seq, link._wake_ev) == (0, [], 0, None)
+    assert (link._v, link.bytes_total) == (0.0, 0.0)
+    assert list(link.log.times) == [0.0] and list(link.log.values) == [0.0]
+    assert join._pending == 3 and not join.triggered
+    assert sim._seq == 0
+    # The link is as good as new: a later busy period runs clean under
+    # the strict sanitizer and nothing arrives into the refused barrier.
+    done = link.transfer(50.0)
+    sim.run()
+    assert done.ok and sim.now == 0.5
+    assert join._pending == 3
+    assert not _strict_sanitizer.violations
 
 
 # ---------------------------------------------------------------------------
