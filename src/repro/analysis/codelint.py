@@ -8,11 +8,12 @@ These rules encode exactly that:
 ========  ==================================================================
 rule id   meaning
 ========  ==================================================================
-CL001     wall-clock call (``time.time``/``datetime.now``/...) inside
-          deterministic simulation code (``repro/sim``, ``repro/cloud``)
+CL001     wall-clock call (``time.time``/``datetime.now``/...) anywhere in
+          ``repro`` except ``repro/dewe``, the real-thread stack — every
+          other sub-package runs on simulated time only
 CL002     nondeterministically seeded RNG call inside deterministic
-          simulation code (module-level ``random.*``, unseeded
-          ``default_rng()``)
+          simulation code (``repro/sim``, ``repro/cloud``: module-level
+          ``random.*``, unseeded ``default_rng()``)
 CL003     iteration over a ``set`` in scheduling/provisioning decision code
           (``repro/sim``, ``repro/cloud``, ``repro/engines``,
           ``repro/provision``, ``repro/dewe``) — iteration order is
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 RULES: Dict[str, str] = {
-    "CL001": "wall-clock call inside deterministic simulation code",
+    "CL001": "wall-clock call outside the real-thread stack (repro/dewe)",
     "CL002": "nondeterministic RNG call inside deterministic simulation code",
     "CL003": "iteration over an unordered set in decision code",
     "CL004": "__slots__ class assigns an attribute not declared in __slots__",
@@ -82,7 +83,10 @@ CONCURRENCY_RULES: FrozenSet[str] = frozenset(
     {"CL005", "CL006", "CL007", "CL008", "CL009"}
 )
 
-#: Sub-packages that must be bit-deterministic (CL001/CL002).
+#: The one sub-package that may read the host clock (CL001 skips it):
+#: master, remote worker and sampler daemons run on real threads.
+WALL_CLOCK_SUBPACKAGES = frozenset({"dewe"})
+#: Sub-packages whose RNG use must be explicitly seeded (CL002).
 DETERMINISTIC_SUBPACKAGES = frozenset({"sim", "cloud"})
 #: Sub-packages whose decisions must not depend on set order (CL003).
 DECISION_SUBPACKAGES = frozenset({"sim", "cloud", "engines", "provision", "dewe"})
@@ -138,8 +142,10 @@ def default_rules_for(path: Union[str, Path]) -> FrozenSet[str]:
     """The rule set that applies to ``path`` by repository convention."""
     rules: Set[str] = {"CL004"}
     sub = _subpackage_of(path)
+    if sub is not None and sub not in WALL_CLOCK_SUBPACKAGES:
+        rules.add("CL001")
     if sub in DETERMINISTIC_SUBPACKAGES:
-        rules |= {"CL001", "CL002"}
+        rules.add("CL002")
     if sub in DECISION_SUBPACKAGES:
         rules.add("CL003")
     if sub in THREADED_SUBPACKAGES:

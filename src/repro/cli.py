@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Five commands mirror the system's main user journeys:
+Seven commands mirror the system's main user journeys:
 
 * ``repro-run`` — execute a workflow ensemble on a simulated cluster with
   a chosen engine and print the run summary (the DAG is validated at
@@ -13,10 +13,6 @@ Five commands mirror the system's main user journeys:
   the repo code lint (``--code``).  See docs/STATIC_ANALYSIS.md.
 * ``repro-chaos`` — run an ensemble under a named fault scenario and
   verify the recovery invariants.  See docs/FAULTS.md.
-* ``repro-bench`` — benchmark harness: the ``kernel`` suite measures
-  event-loop and engine throughput (``BENCH_kernel.json``); the
-  ``service`` suite gates the soak's deterministic admission counters
-  (``BENCH_service.json``).  See docs/PERFORMANCE.md.
 * ``repro-schedules`` — seeded schedule explorer: run bounded concurrency
   scenarios under exhaustive/PCT-sampled interleavings and shrink any
   failing schedule to a minimal trace.  See docs/STATIC_ANALYSIS.md.
@@ -482,131 +478,6 @@ def main_schedules(argv: Optional[List[str]] = None) -> int:
             expected = "a bug" if args.expect_bug else "a clean pass"
             print(f"{name}: expected {expected}", file=sys.stderr)
     return 1 if mismatches else 0
-
-
-def main_bench(argv: Optional[List[str]] = None) -> int:
-    """Benchmark harness (docs/PERFORMANCE.md).
-
-    ``--suite kernel`` (default) measures wall-clock throughput of the
-    DES layers; ``--suite service`` runs the multi-tenant soak and gates
-    its deterministic admission counters.  Exit codes: 0 pass, 1
-    regression or determinism failure against the snapshot given to
-    ``--compare``, 2 usage error.
-    """
-    import os
-
-    from repro.parallel.bench import (
-        BENCH_FILENAME,
-        compare_benchmarks,
-        compare_warnings,
-        load_snapshot,
-        render_report,
-        run_benchmarks,
-        save_snapshot,
-    )
-    from repro.service.bench import (
-        BENCH_SERVICE_FILENAME,
-        run_service_benchmarks,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Measure kernel/engine throughput or service soak "
-                    f"behaviour; write or compare the {BENCH_FILENAME} / "
-                    f"{BENCH_SERVICE_FILENAME} regression snapshots.",
-    )
-    parser.add_argument("--suite", choices=("kernel", "service"),
-                        default="kernel",
-                        help="kernel: wall-clock throughput; service: "
-                             "deterministic soak admission counters")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer repetitions and smaller workloads "
-                             "(CI mode)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="process-pool size for the parallel-runner "
-                             "benchmark (kernel suite)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="soak seed (service suite)")
-    parser.add_argument("--write", nargs="?", const="__default__",
-                        default=None, metavar="PATH",
-                        help=f"save the snapshot (default {BENCH_FILENAME} "
-                             f"or {BENCH_SERVICE_FILENAME} per suite); an "
-                             "existing file's 'baseline' section is "
-                             "preserved")
-    parser.add_argument("--mark-baseline", action="store_true",
-                        help="with --write: also store this run's numbers "
-                             "as the 'baseline' (before) section")
-    parser.add_argument("--compare", default=None, metavar="PATH",
-                        help="compare against a committed snapshot and "
-                             "fail on regression")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional rate drop for --compare "
-                             "(default 0.30; drifts past 10%% print a "
-                             "soft warning before the gate)")
-    parser.add_argument("--filter", default=None, metavar="SUBSTR",
-                        help="run only kernel benchmarks whose name "
-                             "contains SUBSTR (e.g. fig10); incompatible "
-                             "with --write")
-    args = parser.parse_args(argv)
-
-    if args.filter is not None and args.write is not None:
-        print("--filter produces a partial suite; refusing to --write it",
-              file=sys.stderr)
-        return 2
-
-    if args.write == "__default__":
-        args.write = (
-            BENCH_FILENAME if args.suite == "kernel"
-            else BENCH_SERVICE_FILENAME
-        )
-    if args.suite == "service":
-        payload = run_service_benchmarks(quick=args.quick, seed=args.seed)
-    else:
-        payload = run_benchmarks(quick=args.quick, workers=args.workers,
-                                 only=args.filter)
-    print(render_report(payload))
-
-    status = 0
-    soak_problems = (
-        payload["benchmarks"].get("service_soak", {}).get("problems", [])
-    )
-    for problem in soak_problems:
-        print(f"SOAK INVARIANT VIOLATED {problem}", file=sys.stderr)
-        status = 1
-    if args.compare is not None:
-        try:
-            committed = load_snapshot(args.compare)
-        except OSError as exc:
-            print(f"cannot read snapshot: {exc}", file=sys.stderr)
-            return 2
-        # Soft warnings first: a slide past 10% shows up in the log long
-        # before it trips the hard gate.
-        for warning in compare_warnings(payload, committed):
-            print(f"DRIFT {warning}", file=sys.stderr)
-        failures = compare_benchmarks(payload, committed, args.tolerance)
-        for failure in failures:
-            print(f"REGRESSION {failure}", file=sys.stderr)
-        if failures:
-            status = 1
-        else:
-            print(f"compare: within {args.tolerance:.0%} of "
-                  f"{args.compare} — OK")
-    if args.write is not None:
-        if args.mark_baseline:
-            payload["baseline"] = {
-                "benchmarks": payload["benchmarks"],
-                "machine": payload["machine"],
-            }
-        elif os.path.exists(args.write):
-            try:
-                payload["baseline"] = load_snapshot(args.write).get(
-                    "baseline", {}
-                )
-            except (OSError, ValueError):
-                pass
-        save_snapshot(payload, args.write)
-        print(f"snapshot written to {args.write}")
-    return status
 
 
 def main_service(argv: Optional[List[str]] = None) -> int:

@@ -42,6 +42,7 @@ they hold only in-flight jobs, never all of them.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -81,15 +82,42 @@ _CODE_BY_VALUE: Dict[str, int] = {
 _VALUE_BY_CODE: Tuple[str, ...] = tuple(s.value for s in _STATUS_BY_CODE)
 
 
-class _StatusView:
-    """Mapping-shaped view of the status bytearray (job id -> JobStatus)."""
+class _ArenaView(Mapping):
+    """Mapping-shaped view of one per-member arena array (job id -> cell).
+
+    Only the four primitives live here; ``get`` / ``keys`` / ``values`` /
+    ``items`` / ``__contains__`` / ``__eq__`` are the
+    :class:`collections.abc.Mapping` mixins.  No view call is on a
+    per-job path — the state machine itself indexes the arrays directly.
+    """
 
     __slots__ = ("_arr", "_index_of", "_job_ids")
 
-    def __init__(self, arr: bytearray, arena):
+    def __init__(self, arr, arena):
         self._arr = arr
         self._index_of = arena.index_of
         self._job_ids = arena.job_ids
+
+    def __getitem__(self, job_id: str):
+        return self._arr[self._index_of[job_id]]
+
+    def __setitem__(self, job_id: str, value) -> None:
+        self._arr[self._index_of[job_id]] = value
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._job_ids)
+
+    def __len__(self) -> int:
+        return len(self._arr)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class _StatusView(_ArenaView):
+    """The status bytearray, cells decoded to :class:`JobStatus`."""
+
+    __slots__ = ()
 
     def __getitem__(self, job_id: str) -> JobStatus:
         return _STATUS_BY_CODE[self._arr[self._index_of[job_id]]]
@@ -97,152 +125,29 @@ class _StatusView:
     def __setitem__(self, job_id: str, status: JobStatus) -> None:
         self._arr[self._index_of[job_id]] = _CODE_BY_STATUS[status]
 
-    def get(self, job_id: str, default=None):
-        i = self._index_of.get(job_id)
-        return default if i is None else _STATUS_BY_CODE[self._arr[i]]
 
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._index_of
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._job_ids)
-
-    def __len__(self) -> int:
-        return len(self._arr)
-
-    def keys(self) -> Tuple[str, ...]:
-        return self._job_ids
-
-    def values(self) -> List[JobStatus]:
-        by_code = _STATUS_BY_CODE
-        return [by_code[code] for code in self._arr]
-
-    def items(self) -> List[Tuple[str, JobStatus]]:
-        by_code = _STATUS_BY_CODE
-        return [
-            (job_id, by_code[code])
-            for job_id, code in zip(self._job_ids, self._arr)
-        ]
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, _StatusView):
-            return self._job_ids == other._job_ids and self._arr == other._arr
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"_StatusView({dict(self.items())!r})"
-
-
-class _PendingView:
-    """Mapping-shaped view of the pending-parents array (job id -> int)."""
-
-    __slots__ = ("_arr", "_index_of", "_job_ids")
-
-    def __init__(self, arr: array, arena):
-        self._arr = arr
-        self._index_of = arena.index_of
-        self._job_ids = arena.job_ids
-
-    def __getitem__(self, job_id: str) -> int:
-        return self._arr[self._index_of[job_id]]
-
-    def __setitem__(self, job_id: str, count: int) -> None:
-        self._arr[self._index_of[job_id]] = count
-
-    def get(self, job_id: str, default=None):
-        i = self._index_of.get(job_id)
-        return default if i is None else self._arr[i]
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._index_of
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._job_ids)
-
-    def __len__(self) -> int:
-        return len(self._arr)
-
-    def keys(self) -> Tuple[str, ...]:
-        return self._job_ids
-
-    def values(self) -> List[int]:
-        return list(self._arr)
-
-    def items(self) -> List[Tuple[str, int]]:
-        return list(zip(self._job_ids, self._arr))
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, _PendingView):
-            return self._job_ids == other._job_ids and self._arr == other._arr
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"_PendingView({dict(self.items())!r})"
-
-
-class _AttemptView:
-    """Mapping-shaped view of the attempt array (job id -> int).
+class _AttemptView(_ArenaView):
+    """The attempt array, sparse: a cell per job, 0 meaning "never queued".
 
     The dict era only held entries for jobs that had been queued at least
-    once; the arena holds a cell per job with 0 meaning "never queued".
-    Iteration therefore skips zeros, so ``dict(state.attempt)`` and the
-    snapshot/journal digests keep their historical shape, while
-    ``attempt[job_id]`` returns 0 instead of raising for untouched jobs
-    (every call site already used ``.get(job_id, 0)`` for that case).
+    once.  Iteration, ``len`` and ``in`` therefore skip zeros, so
+    ``dict(state.attempt)`` and the snapshot/journal digests keep their
+    historical shape, while ``attempt[job_id]`` returns 0 instead of
+    raising for untouched jobs (every call site already used
+    ``.get(job_id, 0)`` for that case).
     """
 
-    __slots__ = ("_arr", "_index_of", "_job_ids")
+    __slots__ = ()
 
-    def __init__(self, arr: array, arena):
-        self._arr = arr
-        self._index_of = arena.index_of
-        self._job_ids = arena.job_ids
-
-    def __getitem__(self, job_id: str) -> int:
-        return self._arr[self._index_of[job_id]]
-
-    def __setitem__(self, job_id: str, count: int) -> None:
-        self._arr[self._index_of[job_id]] = count
-
-    def get(self, job_id: str, default=None):
-        i = self._index_of.get(job_id)
-        return default if i is None else self._arr[i]
-
-    def __contains__(self, job_id: str) -> bool:
+    def __contains__(self, job_id: object) -> bool:
         i = self._index_of.get(job_id)
         return i is not None and self._arr[i] != 0
 
     def __iter__(self) -> Iterator[str]:
-        arr = self._arr
-        return (job_id for job_id, a in zip(self._job_ids, arr) if a)
+        return (job_id for job_id, a in zip(self._job_ids, self._arr) if a)
 
     def __len__(self) -> int:
         return len(self._arr) - self._arr.count(0)
-
-    def keys(self) -> List[str]:
-        return [job_id for job_id, a in zip(self._job_ids, self._arr) if a]
-
-    def values(self) -> List[int]:
-        return [a for a in self._arr if a]
-
-    def items(self) -> List[Tuple[str, int]]:
-        return [
-            (job_id, a) for job_id, a in zip(self._job_ids, self._arr) if a
-        ]
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, _AttemptView):
-            return self._job_ids == other._job_ids and self._arr == other._arr
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"_AttemptView({dict(self.items())!r})"
 
 
 class WorkflowState:
@@ -310,7 +215,7 @@ class WorkflowState:
         self._pending_arr = array("i", arena.initial_pending)
         self._attempt_arr = array("I", bytes(4 * arena.n))
         self.status = _StatusView(self._status_arr, arena)
-        self.pending = _PendingView(self._pending_arr, arena)
+        self.pending = _ArenaView(self._pending_arr, arena)
         self.attempt = _AttemptView(self._attempt_arr, arena)
         san = _sanitizer._ACTIVE
         if san is not None:

@@ -1,4 +1,4 @@
-"""Deterministic parallel experiment runner and benchmark harness.
+"""Deterministic parallel experiment runner.
 
 The paper's evaluation sweeps whole grids of independent simulated runs
 (engines x cluster sizes x ensemble sizes, §V).  Each run is a
@@ -7,15 +7,18 @@ parallel — :func:`run_many` shards the runs across worker processes and
 merges the results in canonical submission order, producing output
 byte-identical to the serial :func:`run_serial` path.
 
-One *giant* ensemble shards the same way: :func:`run_sharded` splits a
-single run into per-member-group shards (disjoint sub-clusters, paper
-§V), executes them serially or across a pool, and merges the per-shard
-digests with :func:`merge_digests` into one result byte-identical to the
-:func:`run_sharded_serial` reference.
+:func:`run_sharded` applies the same machinery *inside* one ensemble:
+members and nodes are split into equal groups, each group is simulated
+as its own small cluster, and :func:`merge_digests` combines the
+per-shard digests.  That is an approximation — the monolithic run
+(:func:`execute_spec`) has one queue and one file system shared by
+every node, a shard has neither cross-group reads nor cross-group
+queueing — whose measured error is in docs/PERFORMANCE.md.  The merge
+itself is exact: pool and :func:`run_sharded_serial` agree byte for
+byte.
 
-See docs/PERFORMANCE.md for the execution model and determinism
-contract; :mod:`repro.parallel.bench` holds the ``repro-bench`` kernel
-benchmark harness.
+Host-time measurement lives in the repo-root ``bench`` package
+(``python3 -m bench``, ``BENCHMARK.json``), not here.
 """
 
 from repro.parallel.runner import (

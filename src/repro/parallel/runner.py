@@ -207,14 +207,18 @@ def run_many(
 
 # -- single-ensemble sharding ------------------------------------------------
 #
-# A sweep shards *across* specs; the paper-scale figures need to shard
-# *within* one giant run: hundreds of ensemble members on a matching
-# fleet of sub-clusters (paper §V: each member group gets its own
-# provisioned slice, members in different slices never share a node or a
-# link).  That independence is what makes member sharding exact: the
-# giant run *is* the union of its shard runs, so executing the shards in
-# one process or across a pool must — and does — merge to the same
-# digest byte for byte.
+# A sweep shards *across* specs; :func:`run_sharded` shards *within* one
+# run: members and nodes are split into equal groups and each group is
+# simulated as its own small cluster.  That is an approximation of the
+# monolithic run, not a decomposition of it: in the paper (and in
+# ``execute_spec``) any worker pulls any job from the one queue and
+# every node is a chunk server of the one file system, so members do
+# share nodes and links.  A shard has no cross-group reads and no
+# cross-group queueing, so it schedules far fewer events and its
+# makespan differs; docs/PERFORMANCE.md has the measured gap.  What
+# *is* exact is the merge: executing the shards in one process or
+# across a pool yields the same digest byte for byte
+# (tests/test_sharding.py).
 
 
 def shard_ensemble(spec: RunSpec, shards: int) -> List[RunSpec]:
@@ -224,10 +228,17 @@ def shard_ensemble(spec: RunSpec, shards: int) -> List[RunSpec]:
     every shard simulates the same members-per-nodes ratio.  The
     filesystem default is resolved *before* splitting: a 25-node shared-fs
     run must not silently turn into local-fs shards when the per-shard
-    node count reaches 1.
+    node count reaches 1.  A spec with a submission interval is
+    rejected: every shard would restart its arrivals at t = 0.
     """
     if shards <= 0:
         raise ValueError(f"shards must be positive: {shards!r}")
+    if spec.interval != 0:
+        raise ValueError(
+            f"cannot shard a run with interval={spec.interval!r}: each "
+            "shard would submit its first member at t=0, not at its "
+            "position in the monolithic arrival sequence"
+        )
     if spec.workflows % shards or spec.nodes % shards:
         raise ValueError(
             f"shards={shards} must divide workflows={spec.workflows} "
@@ -250,8 +261,8 @@ def shard_ensemble(spec: RunSpec, shards: int) -> List[RunSpec]:
 def merge_digests(label: str, digests: Sequence[RunDigest]) -> RunDigest:
     """Merge per-shard digests into one ensemble-level :class:`RunDigest`.
 
-    Scalars sum; the makespan is the max (shards run concurrently in
-    simulated time on disjoint sub-clusters); spans are namespaced by
+    Scalars sum; the makespan is the max (shards are modelled as running
+    concurrently on disjoint sub-clusters); spans are namespaced by
     shard index so relabelled members from different shards cannot
     collide.  The fingerprint hashes the ordered shard fingerprints, so
     the merged digest is byte-identical iff every shard is.
@@ -298,41 +309,14 @@ def run_sharded_serial(spec: RunSpec, shards: int) -> RunDigest:
     return merge_digests(spec.title(), run_serial(shard_ensemble(spec, shards)))
 
 
-def run_sharded(
-    spec: RunSpec,
-    shards: int,
-    workers: int = 0,
-    dedupe: bool = True,
-) -> RunDigest:
-    """Execute one giant ensemble as member shards; merge to one digest.
+def run_sharded(spec: RunSpec, shards: int, workers: int = 0) -> RunDigest:
+    """Execute one ensemble as member shards across a pool; merge.
 
     ``workers`` defaults to (and is always capped at) ``cpu_count`` — a
-    pool wider than the machine only adds scheduling noise.  With
-    ``dedupe`` on, structurally identical shards (same spec up to the
-    label — the common case for a replicated ensemble) execute once and
-    the digest is reused, which is exact because ``execute_spec`` is
-    deterministic (pinned by the fast-path regression tests).
+    pool wider than the machine only adds scheduling noise.  Every shard
+    is simulated; the result equals :func:`run_sharded_serial`.
     """
-    shard_specs = shard_ensemble(spec, shards)
     cpus = os.cpu_count() or 1
     workers = min(workers if workers > 0 else cpus, cpus)
-    canon = [replace(s, label="") for s in shard_specs]
-    if dedupe:
-        unique: List[RunSpec] = []
-        index_of: Dict[RunSpec, int] = {}
-        for key in canon:
-            if key not in index_of:
-                index_of[key] = len(unique)
-                unique.append(key)
-    else:
-        unique = canon
-        index_of = {}  # positional 1:1 mapping below
-    results = run_many(unique, workers=workers)
-    digests = [
-        replace(
-            results[index_of[key] if dedupe else i],
-            label=shard_specs[i].label,
-        )
-        for i, key in enumerate(canon)
-    ]
+    digests = run_many(shard_ensemble(spec, shards), workers=workers)
     return merge_digests(spec.title(), digests)

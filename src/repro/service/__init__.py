@@ -17,10 +17,7 @@ This package holds the workload side of that story:
   :class:`~repro.workflow.ensemble.Ensemble` plus the policy registry;
 * :mod:`~repro.service.soak` — the ``repro-service`` soak harness: a
   multi-hour simulated trace through the DES pull engine reporting
-  per-tenant, per-class p50/p99 slowdown, shed counts and cost;
-* :mod:`~repro.service.bench` — the ``BENCH_service.json`` regression
-  payload (sustained arrival rate at saturation, shed fraction per
-  class) gated by ``repro-bench``.
+  per-tenant, per-class p50/p99 slowdown, shed counts and cost.
 """
 
 from repro.service.arrivals import OnOffArrivals, PoissonArrivals

@@ -10,17 +10,18 @@ package models that stack:
   channel, per Table II);
 * :class:`~repro.storage.cache.WriteBackCache` — the OS page cache's
   write-back behaviour ("the operating system caches the disk writes and
-  flushes them to the disk in batches", §IV.A) plus the read-miss model
-  that makes stage 3 I/O-bound once the working set outgrows memory;
+  flushes them to the disk in batches", §IV.A);
 * :class:`~repro.storage.base.SharedFileSystem` — routes file reads and
-  writes over disks and 10 Gbps NICs according to a placement policy;
+  writes over disks and 10 Gbps NICs according to a placement policy,
+  and holds the LRU page-cache read model that makes stage 3 I/O-bound
+  once the working set outgrows memory;
 * :mod:`~repro.storage.nfs` / :mod:`~repro.storage.moosefs` — the
   placement policies: central NFS server, N-to-N NFS exports (per-workflow
   hot spots) and MooseFS chunk servers (uniform per-file striping).
 """
 
 from repro.storage.base import SharedFileSystem, local_placement
-from repro.storage.cache import WriteBackCache, read_miss_ratio
+from repro.storage.cache import WriteBackCache
 from repro.storage.disk import DiskArray
 from repro.storage.moosefs import make_moosefs, moosefs_placement
 from repro.storage.nfs import make_central_nfs, make_nton_nfs
@@ -34,5 +35,4 @@ __all__ = [
     "make_moosefs",
     "make_nton_nfs",
     "moosefs_placement",
-    "read_miss_ratio",
 ]

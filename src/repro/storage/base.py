@@ -7,9 +7,9 @@ egress, and the reader's NIC ingress in parallel (pipelined streaming);
 writes are absorbed by the writer's write-back cache and flushed through
 the corresponding route.
 
-The file system also maintains the *active data set* used by the
-read-miss model (see :mod:`repro.storage.cache`): inputs staged before the
-run plus every intermediate written during it.
+The file system also counts the *active data set* (``active_bytes``:
+inputs staged before the run plus every intermediate written during it)
+and holds the page-cache read model, an LRU stack distance per file.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.sim import AllOf, Event, JoinEvent, Simulator
-from repro.storage.cache import read_miss_ratio
 from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["SharedFileSystem", "local_placement"]
@@ -59,7 +58,6 @@ class SharedFileSystem:
         nodes: Sequence,
         placement: PlacementPolicy = local_placement,
         name: str = "sharedfs",
-        precise_cache: bool = True,
     ):
         if not nodes:
             raise ValueError("a shared file system needs at least one node")
@@ -67,7 +65,6 @@ class SharedFileSystem:
         self.nodes = list(nodes)
         self.placement = placement
         self.name = name
-        self.precise_cache = precise_cache
         self.active_bytes = 0.0
         self.bytes_read = 0.0       # effective device reads (after cache)
         self.bytes_written = 0.0    # logical writes
@@ -181,31 +178,6 @@ class SharedFileSystem:
             ]
             return home
 
-    def _read_bytes_of(self, node, f: DataFile, owner: str) -> float:
-        """Device bytes a read of ``f`` costs on ``node`` (cache model).
-
-        Linear-decay LRU: the page cache holds ``node.page_cache_bytes``;
-        a page's survival probability decays linearly with the bytes that
-        entered the cache since it was last touched (competing traffic
-        evicts pages long before the strict LRU depth is reached —
-        readahead, metadata, uneven access).  Miss fraction =
-        ``min(1, stack_distance / cache_bytes)``; never-seen files miss
-        entirely.
-        """
-        if not self.precise_cache:
-            return f.size * read_miss_ratio(node.page_cache_bytes, self.active_bytes)
-        index, row = self._touch_of(owner)
-        try:
-            i = index[f.name]
-        except KeyError:
-            i = self._grow(owner, f.name)
-        last = row[i]
-        row[i] = self.write_clock  # LRU touch
-        if last < 0.0:
-            return f.size
-        distance = self.write_clock - last
-        return f.size * min(1.0, distance / node.page_cache_bytes)
-
     # -- I/O ----------------------------------------------------------------
     def read(self, node, files: Sequence[DataFile], owner: str = "") -> Event:
         """Read ``files`` from ``node``; fires when all bytes arrived.
@@ -217,49 +189,41 @@ class SharedFileSystem:
         local = 0.0
         remote: dict = {}
         sole = self._sole
-        if self.precise_cache:
-            # Inlined _read_bytes_of: the per-file table traffic dominates
-            # the read path on cache-heavy workloads, so hoist the loop
-            # invariants out of the method-call overhead.
-            index, row = self._touch.get(owner) or self._touch_of(owner)
-            clock = self.write_clock
-            cache_bytes = node.page_cache_bytes
-            for f in files:
-                try:
-                    i = index[f.name]
-                except KeyError:
-                    i = self._grow(owner, f.name)
-                last = row[i]
-                row[i] = clock
-                if last < 0.0:
+        # Linear-decay LRU: the page cache holds ``node.page_cache_bytes``;
+        # a page's survival probability decays linearly with the bytes
+        # that entered the cache since it was last touched (competing
+        # traffic evicts pages long before the strict LRU depth is
+        # reached — readahead, metadata, uneven access).  Miss fraction =
+        # ``min(1, stack_distance / cache_bytes)``; never-seen files miss
+        # entirely.  The per-file table traffic dominates the read path
+        # on cache-heavy workloads, so the loop invariants are hoisted.
+        index, row = self._touch.get(owner) or self._touch_of(owner)
+        clock = self.write_clock
+        cache_bytes = node.page_cache_bytes
+        for f in files:
+            try:
+                i = index[f.name]
+            except KeyError:
+                i = self._grow(owner, f.name)
+            last = row[i]
+            row[i] = clock  # LRU touch
+            if last < 0.0:
+                nbytes = f.size
+            else:
+                distance = clock - last
+                if distance >= cache_bytes:
                     nbytes = f.size
                 else:
-                    distance = clock - last
-                    if distance >= cache_bytes:
-                        nbytes = f.size
-                    else:
-                        nbytes = f.size * (distance / cache_bytes)
-                if nbytes == 0.0:
-                    continue
-                home = sole if sole is not None else self.home_of(f)
-                if home is node:
-                    local += nbytes
-                    self.local_reads += 1
-                else:
-                    remote[home] = remote.get(home, 0.0) + nbytes
-                    self.remote_reads += 1
-        else:
-            for f in files:
-                nbytes = self._read_bytes_of(node, f, owner)
-                if nbytes == 0.0:
-                    continue
-                home = self.home_of(f)
-                if home is node:
-                    local += nbytes
-                    self.local_reads += 1
-                else:
-                    remote[home] = remote.get(home, 0.0) + nbytes
-                    self.remote_reads += 1
+                    nbytes = f.size * (distance / cache_bytes)
+            if nbytes == 0.0:
+                continue
+            home = sole if sole is not None else self.home_of(f)
+            if home is node:
+                local += nbytes
+                self.local_reads += 1
+            else:
+                remote[home] = remote.get(home, 0.0) + nbytes
+                self.remote_reads += 1
         return self._start_read(node, local, remote)
 
     def _start_read(self, node, local: float, remote: dict) -> Event:
@@ -302,9 +266,7 @@ class SharedFileSystem:
         """
         routes: dict = {}
         sole = self._sole
-        precise = self.precise_cache
-        if precise:
-            index, row = self._touch.get(owner) or self._touch_of(owner)
+        index, row = self._touch.get(owner) or self._touch_of(owner)
         clock = self.write_clock
         total = 0.0
         for f in files:
@@ -312,13 +274,12 @@ class SharedFileSystem:
             if size == 0:
                 continue
             total += size
-            if precise:
-                clock += size
-                try:
-                    i = index[f.name]
-                except KeyError:
-                    i = self._grow(owner, f.name)
-                row[i] = clock
+            clock += size
+            try:
+                i = index[f.name]
+            except KeyError:
+                i = self._grow(owner, f.name)
+            row[i] = clock
             if sole is not None:
                 continue  # single node: one route, summed below
             home = self.home_of(f)
@@ -329,8 +290,7 @@ class SharedFileSystem:
             routes[links] = routes.get(links, 0.0) + size
         self.active_bytes += total
         self.bytes_written += total
-        if precise:
-            self.write_clock = clock
+        self.write_clock = clock
         if sole is not None and total > 0.0:
             routes[(node.disk.write,)] = total
         if not routes:

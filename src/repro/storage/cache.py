@@ -1,4 +1,4 @@
-"""Page-cache models: write-back buffering and read-miss ratio.
+"""Page-cache write-back buffering.
 
 **Write-back** (paper §IV.A): "The operating system caches the disk writes
 and flushes them to the disk in batches, resulting in the intermittent
@@ -9,13 +9,8 @@ bytes through the disk/NIC links at device speed.  Because of this, stage
 very different write throughput — unless the dirty set outgrows the cache,
 in which case writers throttle (exactly the kernel's dirty-page limit).
 
-**Read-miss** model: the shared file system tracks the *active* data set
-(bytes of inputs plus intermediates written so far).  A node's chance of
-finding a byte in its page cache is ``cache_bytes / active_bytes``; the
-remainder goes to the device.  With one 6.0-degree workflow (~39 GB
-working set) a 244 GB r3/i2 node serves stage 3 mostly from memory, while
-ten workflows (~390 GB, §IV.A) overwhelm every node and stage 3 becomes
-disk-bound in exactly the i2 < r3 < c3 order of Fig 4c.
+The read side of the page cache (an LRU stack distance per file) lives
+in :meth:`repro.storage.base.SharedFileSystem.read`.
 """
 
 from __future__ import annotations
@@ -26,21 +21,7 @@ from typing import Deque, List, Tuple
 import repro.analysis.sanitizer as _sanitizer
 from repro.sim import Event, FairShareLink, JoinEvent, Simulator
 
-__all__ = ["WriteBackCache", "read_miss_ratio"]
-
-#: Reads never hit 100% in cache: metadata, readahead misses, first-touch
-#: of cold files.  Calibrated so single-workflow runs stay compute-bound.
-MIN_MISS_RATIO = 0.05
-
-
-def read_miss_ratio(cache_bytes: float, active_bytes: float) -> float:
-    """Fraction of read bytes that must come from the device."""
-    if cache_bytes < 0 or active_bytes < 0:
-        raise ValueError("cache_bytes and active_bytes must be >= 0")
-    if active_bytes <= 0:
-        return MIN_MISS_RATIO
-    miss = 1.0 - cache_bytes / active_bytes
-    return min(1.0, max(MIN_MISS_RATIO, miss))
+__all__ = ["WriteBackCache"]
 
 
 class WriteBackCache:

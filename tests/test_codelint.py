@@ -164,10 +164,23 @@ def test_default_rules_scope_by_subpackage():
         {"CL001", "CL002", "CL003", "CL004"}
     )
     assert default_rules_for("src/repro/engines/pull.py") == frozenset(
-        {"CL003", "CL004"}
+        {"CL001", "CL003", "CL004"}
     )
-    assert default_rules_for("src/repro/monitor/plot.py") == frozenset({"CL004"})
+    assert default_rules_for("src/repro/monitor/plot.py") == frozenset(
+        {"CL001", "CL004"}
+    )
     assert default_rules_for("scripts/helper.py") == frozenset({"CL004"})
+
+
+def test_host_clock_is_readable_under_dewe_only(tmp_path):
+    source = "import time\n\ndef wall():\n    return time.perf_counter()\n"
+    for sub in ("parallel", "dewe"):
+        (tmp_path / "repro" / sub).mkdir(parents=True)
+        (tmp_path / "repro" / sub / "x.py").write_text(source)
+    findings = lint_paths([tmp_path])
+    assert [(f.rule, Path(f.path).parent.name) for f in findings] == [
+        ("CL001", "parallel")
+    ]
 
 
 def test_rule_catalogue_is_documented():

@@ -490,19 +490,29 @@ def test_state_job_priority_aging_from_first_dispatch():
 # ---------------------------------------------------------------------------
 
 
-def _skewed_members():
+def _skewed_members(leaves=20, links=12):
     """Wide members first — FIFO's worst case for the trailing chain."""
-    members = [_wide(f"wide-{i}", leaves=20) for i in range(3)]
-    members.append(_chain("deadline-chain", links=12, runtime=2.0))
+    members = [_wide(f"wide-{i}", leaves=leaves) for i in range(3)]
+    members.append(_chain("deadline-chain", links=links, runtime=2.0))
     return members
 
 
-def _run_skewed(repriority):
+def _run_skewed(repriority, **geometry):
     spec = ClusterSpec("m3.2xlarge", 1, filesystem="local")
-    members = _skewed_members()
+    members = _skewed_members(**geometry)
     return PullEngine(spec, repriority=repriority).run(
         Ensemble([wf.relabel(wf.name) for wf in members])
     )
+
+
+def _starved(result):
+    """``(member, status) -> count`` of admitted jobs left un-completed."""
+    return {
+        (name, status): n
+        for name, counts in result.job_counts.items()
+        for status, n in counts.items()
+        if status != JobStatus.COMPLETED.value and n
+    }
 
 
 def _chain_start(result):
@@ -523,6 +533,22 @@ def test_priority_beats_fifo_on_deadline_skew():
     assert prio.jobs_executed == fifo.jobs_executed == 72
 
 
+def test_priority_gain_on_deadline_skew_is_pinned():
+    """README's and docs/FAULTS.md's "11.9%": 3 x 30 one-second leaves
+    ahead of a 24-link x 2 s chain on the 8 slots of one m3.2xlarge.
+    Simulated values, so exact literals."""
+    fifo = _run_skewed(None, leaves=30, links=24)
+    prio = _run_skewed(
+        RepriorityPolicy(aging_rate=0.25, interval=2.0), leaves=30, links=24
+    )
+    assert repr(fifo.makespan) == "107.36872727272721"
+    assert repr(prio.makespan) == "94.62945454545451"
+    assert round(1.0 - prio.makespan / fifo.makespan, 3) == 0.119
+    for result in (fifo, prio):
+        assert result.jobs_executed == 114
+        assert _starved(result) == {}
+
+
 def test_priority_run_is_deterministic():
     policy = RepriorityPolicy(aging_rate=0.25, interval=2.0)
     a = _run_skewed(policy)
@@ -535,12 +561,7 @@ def test_priority_run_is_deterministic():
 
 def test_aging_leaves_no_job_starved():
     result = _run_skewed(RepriorityPolicy(aging_rate=0.25, interval=2.0))
-    for name, counts in result.job_counts.items():
-        non_completed = {
-            status: n for status, n in counts.items()
-            if status != JobStatus.COMPLETED.value and n
-        }
-        assert non_completed == {}, (name, counts)
+    assert _starved(result) == {}
 
 
 def test_priority_run_surfaces_shed_record_drops():

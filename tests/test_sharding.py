@@ -1,8 +1,9 @@
 """Member sharding: ``shard_ensemble`` / ``merge_digests`` /
 ``run_sharded`` / ``run_sharded_serial`` (ROADMAP 4a).
 
-The byte-identity of the pool, serial and result-reuse paths was only
-ever asserted inside the benchmark; these are the tier-1 versions.
+Sharding approximates the monolithic run (docs/PERFORMANCE.md has the
+measured gap); what these tests hold exact is that the pool and serial
+paths merge to the same digest.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from repro.parallel import (
     shard_ensemble,
 )
 
-SPEC = RunSpec(size=0.3, workflows=4, nodes=2, interval=1.0)
+SPEC = RunSpec(size=0.3, workflows=4, nodes=2)
 
 
 def test_shard_ensemble_rejects_indivisible_counts():
@@ -32,6 +33,16 @@ def test_shard_ensemble_rejects_indivisible_counts():
         shard_ensemble(replace(SPEC, workflows=6, nodes=2), 3)  # nodes do not
     with pytest.raises(ValueError, match="positive"):
         shard_ensemble(SPEC, 0)
+
+
+def test_shard_ensemble_rejects_a_submission_interval():
+    # Each shard rebuilds its members from t=0, so members 2 and 3 of a
+    # 4-member run at interval 50 would start at 0/50 instead of 100/150
+    # and the merged makespan would come out 100 s short.
+    with pytest.raises(ValueError, match="interval=5.0"):
+        shard_ensemble(replace(SPEC, interval=5.0), 2)
+    with pytest.raises(ValueError, match="interval"):
+        run_sharded_serial(replace(SPEC, interval=5.0), 2)
 
 
 def test_shard_ensemble_resolves_filesystem_before_splitting():
@@ -50,10 +61,8 @@ def test_shard_ensemble_resolves_filesystem_before_splitting():
 
 def test_pool_serial_and_result_reuse_paths_agree_byte_for_byte():
     serial = run_sharded_serial(SPEC, 2)
-    reused = run_sharded(SPEC, 2, dedupe=True)
-    simulated = run_sharded(SPEC, 2, dedupe=False)
-    assert serial == reused == simulated
-    # ...and all of them are the merge of the individually run shards,
+    assert run_sharded(SPEC, 2) == serial
+    # ...and both are the merge of the individually run shards,
     # whether those ran here or in a process pool (run_sharded caps its
     # pool at cpu_count, so the pool is driven directly).
     shards = [execute_spec(s) for s in shard_ensemble(SPEC, 2)]

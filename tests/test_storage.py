@@ -11,9 +11,7 @@ from repro.storage import (
     WriteBackCache,
     make_moosefs,
     make_nton_nfs,
-    read_miss_ratio,
 )
-from repro.storage.cache import MIN_MISS_RATIO
 from repro.storage.moosefs import moosefs_placement
 from repro.storage.nfs import nton_placement
 from repro.workflow.dag import DataFile, Workflow
@@ -23,32 +21,6 @@ def make_cluster(n_nodes=2, itype="c3.8xlarge", fs="moosefs"):
     sim = Simulator()
     cluster = SimCluster(sim, ClusterSpec(itype, n_nodes, filesystem=fs))
     return sim, cluster
-
-
-# ---------------------------------------------------------------------------
-# Read-miss model
-# ---------------------------------------------------------------------------
-
-
-def test_miss_ratio_small_working_set_is_floor():
-    assert read_miss_ratio(100e9, 10e9) == MIN_MISS_RATIO
-
-
-def test_miss_ratio_large_working_set():
-    assert read_miss_ratio(60e9, 350e9) == pytest.approx(1 - 60 / 350)
-
-
-def test_miss_ratio_zero_active():
-    assert read_miss_ratio(10e9, 0.0) == MIN_MISS_RATIO
-
-
-def test_miss_ratio_never_above_one():
-    assert read_miss_ratio(0.0, 1e9) == 1.0
-
-
-def test_miss_ratio_validation():
-    with pytest.raises(ValueError):
-        read_miss_ratio(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +141,6 @@ def test_local_read_uses_local_disk_only():
     sim, cluster = make_cluster(n_nodes=1, fs="local")
     node = cluster.nodes[0]
     f = DataFile("wf/x.dat", 1e9)
-    cluster.fs.active_bytes = 1e15  # force full miss ratio
     done = []
 
     def reader():
@@ -186,8 +157,7 @@ def test_local_read_uses_local_disk_only():
 def test_remote_read_crosses_network():
     sim, cluster = make_cluster(n_nodes=2, fs="moosefs")
     fs = cluster.fs
-    fs.active_bytes = 1e15
-    f = DataFile("wf/x.dat", 1e9)
+    f = DataFile("wf/x.dat", 1e9)  # never seen: full miss
     home = fs.home_of(f)
     reader_node = cluster.nodes[1 - home.index]
     done = []
@@ -252,21 +222,8 @@ def test_first_touch_is_full_miss():
     node = cluster.nodes[0]
     fs = cluster.fs
     f = DataFile("wf/new.dat", 1e6)
-    assert fs._read_bytes_of(node, f, "w") == pytest.approx(1e6)
-
-
-def test_ratio_cache_model_fallback():
-    from repro.sim import Simulator
-    from repro.cloud import SimCluster, ClusterSpec
-
-    sim = Simulator()
-    cluster = SimCluster(sim, ClusterSpec("c3.8xlarge", 1, filesystem="local"))
-    fs = cluster.fs
-    fs.precise_cache = False
-    node = cluster.nodes[0]
-    fs.active_bytes = node.page_cache_bytes  # fully cacheable -> floor miss
-    f = DataFile("wf/x.dat", 1e9)
-    assert fs._read_bytes_of(node, f, "") == pytest.approx(1e9 * MIN_MISS_RATIO)
+    fs.read(node, [f], "w")
+    assert fs.bytes_read == pytest.approx(1e6)
 
 
 def test_write_updates_active_bytes_and_routes_to_cache():
@@ -392,21 +349,6 @@ def test_file_outside_the_skeleton_is_a_miss_and_leaves_the_index_alone():
     a = wf.files()["in/a.dat"]
     fs.read(node, [a], "m0")
     assert fs.bytes_read < 2 * stray.size + a.size  # staged: mostly cached
-
-
-def test_ratio_cache_model_never_touches_the_table():
-    sim, cluster = make_cluster(n_nodes=1, fs="local")
-    fs, node = cluster.fs, cluster.nodes[0]
-    f = DataFile("wf/x.dat", 1e9)
-    fs.precise_cache = False
-    fs.write(node, [f], "w")
-    fs.read(node, [f], "w")
-    ratio_bytes = fs.bytes_read
-    assert ratio_bytes == pytest.approx(1e9 * MIN_MISS_RATIO)
-    # Had either call touched f, this precise read would be (nearly) free.
-    fs.precise_cache = True
-    fs.read(node, [f], "w")
-    assert fs.bytes_read == ratio_bytes + 1e9
 
 
 def test_nton_fs_concentrates_workflow_io():
