@@ -26,27 +26,19 @@ Hot-path design (docs/PERFORMANCE.md):
 * Abandoned timeouts are cancelled *lazily* (:meth:`Event.cancel`): the
   agenda entry stays where it is and is skipped for free when popped,
   instead of paying an O(n) heap removal.
-* Dense short-horizon timers go through a timer wheel instead of the
-  heap: a ring of ``wheel_slots`` buckets, each ``wheel_granularity``
-  seconds wide, covering the near future.  Insertion is an O(1) list
-  append; a bucket is sorted once (C-speed, on mostly-ordered data) when
-  the clock reaches it, instead of paying two O(log n) heap operations
-  per timer.  Timers beyond the wheel horizon fall back to the heap.
-  Ordering is byte-identical to the heap-only agenda: entries keep their
-  global ``(time, seq)`` key, buckets are sorted on that key before
-  dispatch, and every pop compares the sorted bucket against the heap
-  head (see :meth:`Simulator._flush_wheel` for the boundary invariant).
 * The sanitizer-active check is cached on the simulator (``_san``) and
   refreshed at every ``run``/``run_until``/``step`` entry, so the
-  disabled path costs nothing per scheduled event.  The run loops are
-  inlined and dispatch same-instant callbacks in batches.
+  disabled path costs nothing per scheduled event.
+* There is one dispatch loop, :meth:`Simulator._drain`; ``step``,
+  ``run`` and ``run_until`` differ only in the stop condition they hand
+  it, so the lane merge and the callback dispatch are written once.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections import deque
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 import repro.analysis.sanitizer as _sanitizer
@@ -200,8 +192,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        # One chained comparison also rejects NaN, which as a heap key
+        # would break (time, seq) ordering silently.
+        if not 0.0 <= delay < inf:
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay!r}")
         # Flattened Event.__init__ + schedule: this is one of the hottest
         # allocation sites in an engine run.
         self.sim = sim
@@ -209,11 +203,11 @@ class Timeout(Event):
         self._state = _SUCCEEDED
         self._value = value
         self.delay = delay
+        sim._seq += 1
         if delay == 0.0:
-            sim._seq += 1
             sim._imm.append((sim._seq, self))
         else:
-            sim._timed(sim.now + delay, self)
+            heappush(sim._heap, (sim.now + delay, sim._seq, self))
 
 
 class Call(Timeout):
@@ -440,29 +434,14 @@ class Simulator:
     same time fire in scheduling order (a global sequence number breaks
     ties), so repeated runs with the same seed are bit-identical.
 
-    The agenda has two lanes sharing one sequence-number space: a timed
-    lane for future events as ``(time, seq, event)`` and ``_imm`` for
-    zero-delay events as ``(seq, event)``.  A timed entry whose time
+    The agenda has two lanes sharing one sequence-number space: ``_heap``
+    for future events as ``(time, seq, event)`` and ``_imm`` for
+    zero-delay events as ``(seq, event)``.  A heap entry whose time
     equals ``now`` was scheduled at an earlier instant, so its seq is
     smaller than that of any ``_imm`` entry (which was scheduled *at*
-    ``now``); the dispatch loops exploit this to merge the lanes in exact
-    ``(time, seq)`` order with one comparison.
-
-    The timed lane is itself hierarchical: a timer wheel of
-    ``wheel_slots`` ring buckets, each ``wheel_granularity`` seconds
-    wide, absorbs timers landing within the wheel horizon
-    (``slots * granularity`` seconds past the flush cursor), and ``_heap``
-    holds everything beyond it.  Bucket insertion is an O(1) append; a
-    bucket is sorted by ``(time, seq)`` into the ``_ready`` deque when the
-    clock reaches it.  The ordering invariant: every entry still in the
-    wheel lies at or past the flush boundary (``_wheel_next *
-    granularity``), so whenever the heap head or the ready head precedes
-    the boundary it precedes every unflushed bucket entry and may be
-    popped without looking at the wheel.  ``wheel_granularity`` must be a
-    power of two so ``time / granularity`` is exact in binary floating
-    point — otherwise a timer could land in a bucket *behind* its own
-    timestamp and fire late.  ``wheel_slots=0`` disables the wheel
-    (pure heap agenda, same event order).
+    ``now``); :meth:`_drain`, the one dispatch loop, exploits this to
+    merge the lanes in exact ``(time, seq)`` order with one comparison.
+    ``step``, ``run`` and ``run_until`` are its three callers.
 
     The sanitizer hook is sampled at construction and refreshed at every
     ``run``/``run_until``/``step`` entry (see docs/PERFORMANCE.md);
@@ -470,117 +449,23 @@ class Simulator:
     supported, enabling it mid-``run`` is not.
     """
 
-    def __init__(
-        self, *, wheel_slots: int = 256, wheel_granularity: float = 1.0
-    ) -> None:
-        if wheel_slots < 0:
-            raise ValueError(f"wheel_slots must be >= 0: {wheel_slots!r}")
-        if wheel_granularity <= 0.0:
-            raise ValueError(
-                f"wheel_granularity must be positive: {wheel_granularity!r}"
-            )
-        if math.frexp(wheel_granularity)[0] != 0.5:
-            raise ValueError(
-                "wheel_granularity must be a power of two for exact "
-                f"bucket arithmetic: {wheel_granularity!r}"
-            )
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list = []
         self._imm: deque = deque()
         self._seq: int = 0
         self._san = _sanitizer._ACTIVE
-        # Timer wheel (see class docstring).  _wheel_next is the absolute
-        # index of the next unflushed bucket; _ready holds the current
-        # bucket, already sorted, awaiting dispatch.
-        self._nslots: int = wheel_slots
-        self._inv_gran: float = 1.0 / wheel_granularity
-        self._gran: float = wheel_granularity
-        self._wheel: list = [[] for _ in range(wheel_slots)]
-        self._wheel_next: int = 0
-        self._wheel_count: int = 0
-        self._ready: deque = deque()
 
     # -- scheduling ------------------------------------------------------
-    def _timed(self, time: float, event: Event) -> None:
-        """Insert a future event at absolute ``time`` (wheel or heap)."""
-        self._seq += 1
-        base = self._wheel_next
-        if self._wheel_count == 0:
-            # Empty wheel: snap the cursor forward so the horizon starts
-            # at the current instant instead of wherever the last flush
-            # left it (time may have advanced arbitrarily far since).
-            here = int(self.now * self._inv_gran)
-            if here > base:
-                self._wheel_next = base = here
-        slot = int(time * self._inv_gran)
-        if base <= slot < base + self._nslots:
-            self._wheel[slot % self._nslots].append((time, self._seq, event))
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, (time, self._seq, event))
-
-    def _flush_wheel(self) -> None:
-        """Advance the flush cursor until a lane has the next timed event.
-
-        Stops as soon as (a) the heap head precedes the flush boundary —
-        every unflushed bucket entry lies at or past the boundary, so the
-        heap head is globally next — or (b) a non-empty bucket was sorted
-        into ``_ready``, or (c) the wheel drained.  Only called when
-        ``_ready`` is empty and the wheel is not.
-        """
-        heap = self._heap
-        wheel = self._wheel
-        nslots = self._nslots
-        gran = self._gran
-        while self._wheel_count:
-            if heap and heap[0][0] < self._wheel_next * gran:
-                return
-            bucket = wheel[self._wheel_next % nslots]
-            self._wheel_next += 1
-            if bucket:
-                self._wheel_count -= len(bucket)
-                bucket.sort()
-                self._ready.extend(bucket)
-                del bucket[:]
-                return
-
-    def _pop_timed(self) -> tuple:
-        """Pop the next ``(time, seq, event)`` across heap, ready, wheel.
-
-        Raises IndexError when all timed lanes are empty (matching the
-        bare ``heappop`` the two-lane agenda used).
-        """
-        ready = self._ready
-        if not ready and self._wheel_count:
-            self._flush_wheel()
-        heap = self._heap
-        if ready:
-            if heap and heap[0] < ready[0]:
-                return heapq.heappop(heap)
-            return ready.popleft()
-        return heapq.heappop(heap)
-
-    def _next_time(self) -> float:
-        """Time of the next timed event, or ``inf``; flushes as needed."""
-        ready = self._ready
-        if not ready and self._wheel_count:
-            self._flush_wheel()
-        heap = self._heap
-        if ready:
-            if heap and heap[0][0] < ready[0][0]:
-                return heap[0][0]
-            return ready[0][0]
-        return heap[0][0] if heap else float("inf")
-
     def _schedule(self, delay: float, event: Event) -> None:
         san = self._san
         if san is not None:
             san.check_schedule(self.now, delay)
+        self._seq += 1
         if delay == 0.0:
-            self._seq += 1
             self._imm.append((self._seq, event))
         else:
-            self._timed(self.now + delay, event)
+            heappush(self._heap, (self.now + delay, self._seq, event))
 
     def schedule_call(
         self, delay: float, func: Callable[..., Any], *args: Any
@@ -610,114 +495,61 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- execution -------------------------------------------------------
+    def _drain(
+        self,
+        until: float = inf,
+        awaited: Optional[Event] = None,
+        limit: float = inf,
+    ) -> None:
+        """Dispatch agenda entries in ``(time, seq)`` order.
+
+        Stops when ``limit`` events have fired, when ``awaited`` has been
+        processed, or when nothing is left at or before ``until`` (a later
+        heap entry stays where it is).
+        """
+        self._san = san = _sanitizer._ACTIVE
+        heap = self._heap
+        imm = self._imm
+        popleft = imm.popleft
+        now = self.now
+        while limit and (awaited is None or awaited.callbacks is not None):
+            # A heap entry at the current instant outranks the imm lane:
+            # it was scheduled at an earlier instant, so its seq is smaller.
+            if imm and not (heap and heap[0][0] == now and heap[0][1] < imm[0][0]):
+                event = popleft()[1]
+            elif heap and heap[0][0] <= until:
+                time, _seq, event = heappop(heap)
+                if san is not None:
+                    san.check_step(now, time)
+                self.now = now = time
+            else:
+                return
+            limit -= 1
+            callbacks = event.callbacks
+            event.callbacks = None  # marks the event as processed
+            if callbacks:
+                for callback in callbacks:
+                    callback(event)
+
     def step(self) -> None:
         """Process one event from the agenda."""
-        self._san = san = _sanitizer._ACTIVE
-        imm = self._imm
-        heap = self._heap
-        ready = self._ready
-        now = self.now
-        if imm:
-            # A timed entry at the current instant outranks the imm lane
-            # (it was scheduled at an earlier instant, so its seq is
-            # smaller); both timed lanes can hold one.
-            iseq = imm[0][0]
-            timed = None
-            if heap and heap[0][0] == now and heap[0][1] < iseq:
-                timed = heap[0]
-            if ready and ready[0][0] == now and ready[0][1] < iseq:
-                if timed is None or ready[0][1] < timed[1]:
-                    time, _seq, event = ready.popleft()
-                else:
-                    time, _seq, event = heapq.heappop(heap)
-            elif timed is not None:
-                time, _seq, event = heapq.heappop(heap)
-            else:
-                time = now
-                event = imm.popleft()[1]
-        else:
-            time, _seq, event = self._pop_timed()
-        if san is not None:
-            san.check_step(self.now, time)
-        self.now = time
-        callbacks = event.callbacks
-        event.callbacks = None  # marks the event as processed
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
+        if not (self._imm or self._heap):
+            raise SimulationError("step() on an empty agenda")
+        self._drain(limit=1)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the agenda is empty or ``until`` is reached.
 
         Returns the simulation time at exit.
         """
-        self._san = san = _sanitizer._ACTIVE
-        heap = self._heap
-        imm = self._imm
-        ready = self._ready
-        if until is not None and until < self.now:
+        if until is None:
+            self._drain()
+        elif until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
-        if san is not None:
-            if until is None:
-                while imm or heap or ready or self._wheel_count:
-                    self.step()
-            else:
-                while imm or self._next_time() <= until:
-                    self.step()
-                if self.now < until:
-                    self.now = until
-            return self.now
-        # Fast path: inlined dispatch, no per-event method call, batched
-        # same-instant callbacks (the imm lane drains without touching
-        # the clock or the timed lanes).
-        pop = heapq.heappop
-        popleft = imm.popleft
-        rpopleft = ready.popleft
-        while True:
-            if imm:
-                now = self.now
-                iseq = imm[0][0]
-                if heap and heap[0][0] == now and heap[0][1] < iseq:
-                    if ready and ready[0][0] == now and ready[0][1] < heap[0][1]:
-                        event = rpopleft()[2]
-                    else:
-                        event = pop(heap)[2]
-                elif ready and ready[0][0] == now and ready[0][1] < iseq:
-                    event = rpopleft()[2]
-                else:
-                    event = popleft()[1]
-            else:
-                if not ready and self._wheel_count:
-                    self._flush_wheel()
-                if ready:
-                    if heap and heap[0] < ready[0]:
-                        entry = pop(heap)
-                        in_ready = False
-                    else:
-                        entry = rpopleft()
-                        in_ready = True
-                elif heap:
-                    entry = pop(heap)
-                    in_ready = False
-                else:
-                    break
-                time = entry[0]
-                if until is not None and time > until:
-                    if in_ready:
-                        ready.appendleft(entry)
-                    else:
-                        heapq.heappush(heap, entry)
-                    break
-                self.now = time
-                event = entry[2]
-        # -- dispatch -----------------------------------------------
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-        if until is not None and self.now < until:
-            self.now = until
+        else:
+            self._drain(until)
+            if self.now < until:
+                self.now = until
         return self.now
 
     def run_until(self, event: Event) -> float:
@@ -727,59 +559,15 @@ class Simulator:
         service processes (worker pull loops, timeout checkers) still
         have events on the agenda.
         """
-        self._san = san = _sanitizer._ACTIVE
-        heap = self._heap
-        imm = self._imm
-        ready = self._ready
-        if san is not None:
-            while event.callbacks is not None:
-                if not (imm or heap or ready or self._wheel_count):
-                    raise SimulationError(
-                        "agenda exhausted before the awaited event triggered"
-                    )
-                self.step()
-            return self.now
-        pop = heapq.heappop
-        popleft = imm.popleft
-        rpopleft = ready.popleft
-        while event.callbacks is not None:
-            if imm:
-                now = self.now
-                iseq = imm[0][0]
-                if heap and heap[0][0] == now and heap[0][1] < iseq:
-                    if ready and ready[0][0] == now and ready[0][1] < heap[0][1]:
-                        current = rpopleft()[2]
-                    else:
-                        current = pop(heap)[2]
-                elif ready and ready[0][0] == now and ready[0][1] < iseq:
-                    current = rpopleft()[2]
-                else:
-                    current = popleft()[1]
-            else:
-                if not ready and self._wheel_count:
-                    self._flush_wheel()
-                if ready:
-                    if heap and heap[0] < ready[0]:
-                        entry = pop(heap)
-                    else:
-                        entry = rpopleft()
-                elif heap:
-                    entry = pop(heap)
-                else:
-                    raise SimulationError(
-                        "agenda exhausted before the awaited event triggered"
-                    )
-                self.now = entry[0]
-                current = entry[2]
-            callbacks = current.callbacks
-            current.callbacks = None
-            if callbacks:
-                for callback in callbacks:
-                    callback(current)
+        self._drain(awaited=event)
+        if event.callbacks is not None:
+            raise SimulationError(
+                "agenda exhausted before the awaited event triggered"
+            )
         return self.now
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._imm:
             return self.now
-        return self._next_time()
+        return self._heap[0][0] if self._heap else inf

@@ -14,11 +14,12 @@ SCRIPTS = {
 }
 
 #: Names of the harness retired in PR 18 (``python3 -m bench`` is the one
-#: benchmark).  CHANGES.md, ROADMAP.md and bench/README.md keep them as
+#: benchmark) and of the two ``Simulator`` options retired in PR 19 (one
+#: agenda).  CHANGES.md, ROADMAP.md and bench/README.md keep them as
 #: history and are not scanned.
 RETIRED = (
     "repro-bench", "BENCH_kernel", "BENCH_service", "fig10_scale",
-    "parallel.bench", "service.bench",
+    "parallel.bench", "service.bench", "wheel_slots", "wheel_granularity",
 )
 
 

@@ -9,15 +9,20 @@ admit, wake, arrive — is paid in Python frames under ``repro/sim`` and
 4 x r3.8xlarge sharing one MooseFS, ``record_jobs=False`` (3,392 jobs,
 61,162 events), Python 3.11:
 
-* parent (link wake-up armed through ``_reschedule -> schedule_call ->
-  Call.__init__ -> Timeout.__init__`` and fired through ``Call.__call__
-  -> _wake -> _advance``): 169.84 sim + 24.25 storage = 194.1 per job;
-* wake cycle fused into ``_wake`` and ``transfer_into``, wake-up a plain
-  ``Timeout``, placement memoised per file name: 110.17 + 17.65 = 127.8.
+* before PR 17 (link wake-up armed through ``_reschedule ->
+  schedule_call -> Call.__init__ -> Timeout.__init__`` and fired through
+  ``Call.__call__ -> _wake -> _advance``): 169.84 sim + 24.25 storage =
+  194.1 per job;
+* PR 17, wake cycle fused into ``_wake`` and ``transfer_into``, wake-up a
+  plain ``Timeout``, placement memoised per file name: 110.17 + 17.65 =
+  127.8;
+* PR 19, the bucket ring in front of the heap deleted: a timed
+  ``Timeout`` pushes onto the heap itself, and no bucket is flushed or
+  peeked on the way out: 92.85 + 17.65 = 110.5.
 
-The budget is 1.05 x the latter, which the parent misses by 45%.  A
-second case pins one uncontended flow: 4 frames to admit it and 5
-inside ``run()`` to complete it, where the parent took 8 and 8.
+The budget is 1.05 x the last, which each earlier row misses (by 67% and
+10%).  A second case pins one uncontended flow: 4 frames to admit it and
+5 inside ``run()`` to complete it, where the first row took 8 and 8.
 """
 
 import os
@@ -36,7 +41,7 @@ from tests.callcount import count_calls
 SIM_DIR = os.path.dirname(repro.sim.__file__) + os.sep
 STORAGE_DIR = os.path.dirname(repro.storage.__file__) + os.sep
 
-MEASURED_SIM_FRAMES_PER_JOB = 110.17
+MEASURED_SIM_FRAMES_PER_JOB = 92.85
 MEASURED_STORAGE_FRAMES_PER_JOB = 17.65
 
 

@@ -7,11 +7,13 @@ nested ``def`` (a callback may be local; a callback's callback may not).
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.sim import Simulator
 
 SRC = Path(repro.__file__).parent
 FILES = ["engines/pull.py", "dewe/master.py", "dewe/core.py"]
@@ -69,3 +71,21 @@ def test_only_the_core_drives_workflow_state_transitions():
             and node.func.attr in transitions
         )
         assert not calls, f"{relative} calls WorkflowState transitions: {calls}"
+
+
+def test_kernel_has_one_agenda_and_one_dispatch_loop():
+    """The kernel once popped its agenda in five loops behind two
+    constructor options; one function pops it now and there is no option."""
+    tree = ast.parse((SRC / "sim/engine.py").read_text())
+    functions = [fn for fn, _depth in _functions(tree)]
+    poppers = [
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and "heappop" in (getattr(node.func, "id", ""), getattr(node.func, "attr", ""))
+    ]
+    assert poppers == ["_drain"]
+    assert list(inspect.signature(Simulator.__init__).parameters) == ["self"]
+    too_long = [fn.name for fn in functions if fn.end_lineno - fn.lineno + 1 > 60]
+    assert not too_long, too_long

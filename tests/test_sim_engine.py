@@ -1,7 +1,10 @@
 """Unit tests for the DES kernel event loop and process model."""
 
+import random
+
 import pytest
 
+import repro.analysis.sanitizer as sanitizer
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -338,3 +341,137 @@ def test_nested_processes_chain():
     sim.process(level(3))
     sim.run()
     assert trace == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_delay_rejected(delay):
+    # A NaN key in the heap would break (time, seq) ordering silently.
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(delay)
+    with pytest.raises(ValueError):
+        sim.schedule_call(delay, lambda: None)
+    assert sim.peek() == float("inf") and sim._seq == 0
+
+
+def test_negative_zero_delay_takes_the_zero_delay_lane():
+    sim = Simulator()
+    log = []
+    sim.timeout(-0.0).callbacks.append(lambda ev: log.append("timeout"))
+    sim.schedule_call(-0.0, log.append, "call")
+    assert not sim._heap and sim.peek() == 0.0
+    sim.run()
+    assert log == ["timeout", "call"] and sim.now == 0.0
+
+
+def test_step_on_empty_agenda_raises():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="empty agenda"):
+        sim.step()
+    sim.timeout(1.0)
+    sim.step()
+    assert sim.now == 1.0
+    with pytest.raises(SimulationError, match="empty agenda"):
+        sim.step()
+
+
+def test_run_until_exhausted_agenda_raises():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="agenda exhausted"):
+        sim.run_until(sim.event())
+    assert sim.now == 1.0
+
+
+def _tagged(sim, log, delay, tag):
+    timer = sim.timeout(delay)
+    timer.callbacks.append(lambda ev: log.append((sim.now, tag)))
+    return timer
+
+
+def test_same_instant_ties_break_by_schedule_order():
+    sim = Simulator()
+    log = []
+    for tag in "abc":
+        _tagged(sim, log, 2.0, tag)
+    _tagged(sim, log, 1.0, "edge")
+    sim.run()
+    assert log == [(1.0, "edge"), (2.0, "a"), (2.0, "b"), (2.0, "c")]
+
+
+def test_succeed_during_same_instant_dispatch_runs_after_peers():
+    # An event succeeded while an instant drains gets a fresh (larger)
+    # seq, so the timers already scheduled for that instant go first.
+    sim = Simulator()
+    log = []
+    side = Event(sim)
+    side.callbacks.append(lambda ev: log.append("side"))
+    first = sim.timeout(0.5)
+    first.callbacks.append(lambda ev: (log.append("first"), side.succeed()))
+    sim.timeout(0.5).callbacks.append(lambda ev: log.append("second"))
+    sim.run()
+    assert log == ["first", "second", "side"]
+
+
+def test_far_future_timer_fires_after_near_one():
+    sim = Simulator()
+    log = []
+    _tagged(sim, log, 1000.0, "far")
+    _tagged(sim, log, 2.0, "near")
+    sim.run()
+    assert log == [(2.0, "near"), (1000.0, "far")]
+
+
+def test_run_until_boundary_leaves_later_entry_on_the_agenda():
+    sim = Simulator()
+    log = []
+    _tagged(sim, log, 3.0, "late")
+    assert sim.run(until=2.0) == 2.0
+    assert log == []
+    assert sim.peek() == 3.0  # entry survived the early stop
+    sim.run()
+    assert log == [(3.0, "late")]
+
+
+def test_cancelled_timer_is_skipped():
+    sim = Simulator()
+    log = []
+    doomed = _tagged(sim, log, 1.0, "doomed")
+    _tagged(sim, log, 2.0, "keeper")
+    assert doomed.cancel()
+    sim.run()
+    assert log == [(2.0, "keeper")]
+    assert not doomed.cancel()  # already processed
+
+
+def test_peek_tracks_the_earliest_timer():
+    sim = Simulator()
+    sim.timeout(2.5)
+    assert sim.peek() == 2.5
+    sim.timeout(1.25)
+    assert sim.peek() == 1.25
+    sim.timeout(0.0)
+    assert sim.peek() == 0.0
+
+
+def test_sanitized_run_matches_unsanitized_run(monkeypatch):
+    def burst(sim, log):
+        rng = random.Random(11)
+        for i in range(300):
+            delay = rng.choice([0.0, 1.0, 2.0, 2.0, rng.uniform(0.0, 8.0), 3e3])
+            timer = _tagged(sim, log, delay, i)
+            if rng.random() < 0.1:
+                timer.cancel()
+            if rng.random() < 0.2:
+                yield sim.timeout(rng.uniform(0.1, 3.0))
+
+    def trace():
+        sim, log = Simulator(), []
+        sim.process(burst(sim, log))
+        sim.run()
+        return log
+
+    assert sanitizer.active() is not None  # conftest arms the strict one
+    checked = trace()
+    monkeypatch.setattr(sanitizer, "_ACTIVE", None)
+    assert trace() == checked and len(checked) > 250

@@ -5,7 +5,142 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CorePool, FairShareLink, SegmentLog, Simulator
+import repro.analysis.sanitizer as sanitizer
+from repro.sim import CorePool, Event, FairShareLink, SegmentLog, Simulator
+
+# ---------------------------------------------------------------------------
+# The agenda against a naive model that can disagree
+# ---------------------------------------------------------------------------
+
+INF = float("inf")
+
+#: One op: ``(kind, delay, parent key, victim key)``.  Op ``i`` runs when
+#: op ``parent key % (i + 1) - 1`` fires (-1: before the run starts), so a
+#: program schedules from inside callbacks as well as up front.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["timeout", "call", "succeed", "cancel"]),
+        # Zero, tied, short and week-long delays.
+        st.sampled_from([0.0, 1.0, 1.0, 2.0, 1e7]) | st.floats(0.001, 8.0),
+        st.integers(0, 1000),
+        st.integers(0, 1000),
+    ),
+    max_size=14,
+)
+_SLICES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e7]), max_size=6)
+
+
+def _program(ops, now, after, cancel):
+    """Start ``ops`` on an agenda given as three functions.  Returns the
+    log the run will fill and the handle of every op scheduled so far."""
+    log, handles = [], {}
+
+    def execute(i):
+        kind, delay, _parent, victim = ops[i]
+        if kind == "cancel":
+            handle = handles.get(victim % (i + 1))
+            log.append((now(), i, handle is not None and cancel(handle)))
+        else:
+            delay = 0.0 if kind == "succeed" else delay
+            handles[i] = after(kind, delay, lambda: fire(i))
+
+    def execute_children(i):
+        for j in range(i + 1, len(ops)):
+            if ops[j][2] % (j + 1) - 1 == i:
+                execute(j)
+
+    def fire(i):
+        log.append((now(), i))
+        execute_children(i)
+
+    execute_children(-1)
+    return log, handles
+
+
+def _naive_trace(ops):
+    """The agenda as a plain list of ``[time, seq, fire]``, sorted before
+    every pop; a cancelled entry keeps its place and fires nothing."""
+    now, seq, entries = 0.0, 0, []
+
+    def after(_kind, delay, fire):
+        nonlocal seq
+        seq += 1
+        entries.append([now + delay, seq, fire])
+        return entries[-1]
+
+    def cancel(entry):
+        pending = any(other is entry for other in entries)
+        entry[2] = None
+        return pending
+
+    log, _handles = _program(ops, lambda: now, after, cancel)
+    while entries:
+        entries.sort(key=lambda entry: entry[:2])
+        now, _seq, fire = entries.pop(0)
+        if fire is not None:
+            fire()
+    return log
+
+
+def _kernel_trace(ops, drive):
+    sim = Simulator()
+
+    def after(kind, delay, fire):
+        if kind == "call":
+            return sim.schedule_call(delay, fire)
+        event = sim.event().succeed() if kind == "succeed" else sim.timeout(delay)
+        event.callbacks.append(lambda _event: fire())
+        return event
+
+    log, handles = _program(ops, lambda: sim.now, after, Event.cancel)
+    drive(sim, log, sorted(handles.items()))
+    assert sim.peek() == INF
+    return log
+
+
+def _by_steps(sim, _log, _roots):
+    while sim.peek() < INF:
+        sim.step()
+
+
+def _by_slices(widths):
+    def drive(sim, log, _roots):
+        for width in widths:
+            until = sim.now + width
+            assert sim.run(until=until) == until == sim.now
+            assert sim.peek() > until and all(entry[0] <= until for entry in log)
+        sim.run()
+
+    return drive
+
+
+def _by_awaiting(sim, log, roots):
+    for i, handle in roots:
+        live = handle.callbacks  # emptied in place by a cancel
+        sim.run_until(handle)
+        assert handle.callbacks is None
+        if live:  # stopped right behind it: nothing has fired since
+            assert [entry for entry in log if len(entry) == 2][-1] == (sim.now, i)
+    sim.run()
+
+
+@given(_OPS, _SLICES)
+@settings(max_examples=200, deadline=None)
+def test_agenda_matches_naive_sorted_list(ops, widths):
+    """Timeouts, ``schedule_call``s, ``succeed``s and cancels, up front
+    and from callbacks: ``run()``, ``run(until)`` in slices, ``run_until``
+    on each up-front event in turn and a ``step()`` loop all leave the
+    model's ``(time, op)`` trace, with the sanitizer on and off."""
+    expected = _naive_trace(ops)
+    drives = [lambda sim, *_: sim.run(), _by_slices(widths), _by_awaiting, _by_steps]
+    assert sanitizer.active() is not None  # conftest arms the strict one
+    for armed in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not armed:
+                patch.setattr(sanitizer, "_ACTIVE", None)
+            for drive in drives:
+                assert _kernel_trace(ops, drive) == expected
+
 
 # ---------------------------------------------------------------------------
 # FairShareLink invariants
