@@ -205,7 +205,7 @@ def execute_job(
     if job.inputs:
         if read_miss_override is None:
             ev = fs.read(node, job.inputs, owner)
-            if not ev.triggered:
+            if not ev._state:
                 yield ev
         else:
             yield from _read_with_miss(node, fs, job, read_miss_override)
@@ -214,7 +214,7 @@ def execute_job(
     cpu_seconds = job.runtime / speed + extra_cpu
     if cpu_seconds > 0:
         grant = node.cores.acquire()
-        if not grant.triggered:
+        if not grant._state:
             yield grant
         extra_cores = 0
         if job.threads > 1:
@@ -232,12 +232,12 @@ def execute_job(
     # -- write phase ---------------------------------------------------------
     if job.outputs or extra_write_bytes > 0:
         ev = fs.write(node, job.outputs, owner)
-        if not ev.triggered:
+        if not ev._state:
             yield ev
         if extra_write_bytes > 0:
             # Overhead bytes go to the local disk via the write cache.
             ev = node.write_cache.write(extra_write_bytes, (node.disk.write,))
-            if not ev.triggered:
+            if not ev._state:
                 yield ev
     t3 = sim.now
     return (t1 - t0, t2 - t1, t3 - t2)

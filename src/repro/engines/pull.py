@@ -572,7 +572,7 @@ class _PullRun:
             # instead of one suspend/resume round-trip per message.
             while msg is not None:
                 handle(msg)
-                if done.triggered:
+                if done._state:
                     return
                 msg = broker.consume_nowait(topic)
 
@@ -614,9 +614,13 @@ class _PullRun:
         self.broker.publish(topic, payload)
 
     def send_ack(self, node_index: int, payload: tuple) -> None:
+        """``send_up`` for the ack topic, its body carried here (two per job)."""
         if self.lease is not None:
             payload = payload + (node_index, self.worker_epoch[node_index])
-        self.send_up(node_index, _ACK, payload)
+        if self.partition_mode[node_index] in ("full", "to-master"):
+            self.pending_up[node_index].append((_ACK, payload))
+        else:
+            self.broker.publish(_ACK, payload)
 
     def begin_partition(self, node_index: int, mode: str) -> None:
         self.stats["partitions"] += 1
@@ -676,7 +680,7 @@ class _PullRun:
                         return
                     continue
                 pending = broker.consume(_DISPATCH)
-                if pending.triggered:
+                if pending._state:
                     # A job was already queued: take it without a
                     # suspend/resume round-trip.  (Queued jobs imply
                     # no other slot is waiting, so no one is bypassed.)

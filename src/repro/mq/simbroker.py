@@ -196,7 +196,10 @@ class SimBroker:
         """Deposit one message with its shedding meta attached to the
         store entry itself (no parallel mirror to desync)."""
         meta = (klass, tag) if klass is not None or tag is not None else None
-        self.topic(topic_name).put(message, priority, meta)
+        store = self._topics.get(topic_name)
+        if store is None:
+            store = self.topic(topic_name)
+        store.put(message, priority, meta)
 
     def _deliver(self, topic_name: str, batch) -> None:
         if self._pending.get(topic_name) is batch:
@@ -207,7 +210,10 @@ class SimBroker:
     def consume(self, topic_name: str) -> Event:
         """Event that fires with the next message of the topic."""
         self.consumed += 1
-        return self.topic(topic_name).get()
+        store = self._topics.get(topic_name)
+        if store is None:
+            store = self.topic(topic_name)
+        return store.get()
 
     def consume_nowait(self, topic_name: str) -> Any:
         """Pop the next queued message synchronously, or ``None``.
@@ -215,7 +221,9 @@ class SimBroker:
         Lets a consumer loop drain a burst of same-instant deliveries
         without one suspend/resume round-trip per message.
         """
-        store = self.topic(topic_name)
+        store = self._topics.get(topic_name)
+        if store is None:
+            store = self.topic(topic_name)
         if len(store):
             self.consumed += 1
             return store.pop_nowait()

@@ -144,7 +144,7 @@ class Event:
         the callback list is emptied instead, so the dispatch loop skips
         the event for free when it surfaces.  Returns False if the event
         was already processed.  Only sensible for events nothing waits on
-        (superseded wake-ups, abandoned timeouts).
+        (abandoned timeouts, withdrawn deferred calls).
         """
         callbacks = self.callbacks
         if callbacks is None:
@@ -152,10 +152,9 @@ class Event:
         del callbacks[:]
         return True
 
-    #: Completion protocol used by resources that finish many streams into
-    #: one waiter: a plain event simply succeeds, a :class:`JoinEvent`
-    #: counts down.  An alias instead of an isinstance check keeps the
-    #: link wake-up loop monomorphic and branch-free.
+    #: Completion protocol of resources that finish many streams into one
+    #: waiter: a plain event succeeds, a :class:`JoinEvent` counts down,
+    #: any other object with a ``_complete()`` does what it likes.
     _complete = succeed
 
 
@@ -172,15 +171,22 @@ class JoinEvent(Event):
     __slots__ = ("_pending",)
 
     def __init__(self, sim: "Simulator", count: int):
-        Event.__init__(self, sim)
+        self.sim = sim
+        self.callbacks = []
+        self._state = _PENDING
+        self._value = None
         self._pending = count
         if count <= 0:
             self.succeed()
 
     def arrive(self) -> None:
-        """Record one completed stream; triggers the join on the last."""
-        self._pending -= 1
-        if self._pending == 0:
+        """Record one completed stream; triggers the join on the last.
+        (``FairShareLink._wake`` carries a copy of this body.)"""
+        pending = self._pending - 1
+        if pending < 0:
+            raise SimulationError("join arrived more often than its count")
+        self._pending = pending
+        if pending == 0:
             self.succeed()
 
     _complete = arrive

@@ -19,12 +19,14 @@ The PS link uses the standard virtual-time trick: because every active
 stream receives the *same* service rate, per-stream progress is a single
 shared scalar ``v`` (bytes served per stream).  A transfer of ``S`` bytes
 admitted at virtual time ``v0`` completes when ``v`` reaches ``v0 + S``,
-so completions are managed with one heap and one pending wake-up event —
-O(log n) per transfer regardless of how often the active set changes.
+so completions are managed with one heap and one pending wake-up (a bare
+agenda entry, not an event) — O(log n) per transfer regardless of how
+often the active set changes.
 
 Each resource keeps a :class:`SegmentLog` of its utilisation so the
 monitoring layer can reconstruct mpstat/iostat-style time series (paper
-§IV.A) without per-sample instrumentation overhead in the hot loop.
+§IV.A) without per-sample instrumentation overhead in the hot loop; the
+link writes its busy/idle edges into the log's columns itself.
 """
 
 from __future__ import annotations
@@ -32,12 +34,15 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import deque
+from math import inf
 from typing import Any, Deque, List, Optional, Tuple
 
 import numpy as np
 
 import repro.analysis.sanitizer as _sanitizer
-from repro.sim.engine import Event, SimulationError, Simulator, Timeout
+from repro.sim.engine import (
+    _PENDING, _SUCCEEDED, Event, JoinEvent, SimulationError, Simulator,
+)
 
 __all__ = [
     "SegmentLog",
@@ -218,6 +223,14 @@ class CorePool:
             san.check_core_pool(self)
 
 
+class _Wake:
+    """A link wake-up as a bare agenda entry: ``Simulator._drain`` reads
+    only ``callbacks`` of what it pops, and a wake-up has no value, state
+    or waiter.  Holds its link's one callback tuple; cleared to cancel."""
+
+    __slots__ = ("callbacks",)
+
+
 class FairShareLink:
     """Exact processor-sharing bandwidth resource (disk channel / NIC).
 
@@ -243,8 +256,8 @@ class FairShareLink:
     )
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "link"):
-        if capacity <= 0:
-            raise ValueError(f"link capacity must be positive, got {capacity}")
+        if not 0.0 < capacity < inf:
+            raise ValueError(f"link capacity must be in (0, inf), got {capacity}")
         self.sim = sim
         self.capacity = float(capacity)
         self.name = name
@@ -254,11 +267,10 @@ class FairShareLink:
         self._n = 0
         self._heap: list = []  # (v_target, seq, event)
         self._seq = 0
-        self._wake_ev: Optional[Event] = None
+        self._wake_ev: Optional[_Wake] = None
         self._wake_time = 0.0
-        # The one bound method every wake-up timer carries as its
-        # callback (a fresh bound method per timer is an allocation).
-        self._wake_cb = self._wake
+        # Every wake-up's callbacks: one tuple of one bound method, built once.
+        self._wake_cb = (self._wake,)
         self.bytes_total = 0.0
 
     @property
@@ -266,14 +278,16 @@ class FairShareLink:
         return self._n
 
     # The link's life is one cycle — settle the virtual clock up to now,
-    # change the active set, arm the timer for the next completion — and
-    # most of a workflow run's events are that cycle.  ``_wake`` and
-    # ``transfer_into`` therefore each run it in a single frame; the
-    # settle and arm arithmetic below is written out where it runs, in
-    # one operand order, so the floats are the same on every path.
+    # change the active set, arm the wake-up for the next completion — and
+    # most of a run's events are that cycle, so ``_wake`` and
+    # ``transfer_into`` each run it in one frame with the helpers' bodies
+    # written out: the busy/idle edge is ``SegmentLog.record``'s, a ripe
+    # stream's completion ``JoinEvent.arrive``'s and ``Event.succeed``'s,
+    # the arming ``Simulator._schedule``'s behind ``Timeout``'s finite
+    # check; the arithmetic keeps one operand order on every path.
 
-    def _wake(self, _timer: Event) -> None:
-        """Timer callback: complete every ripe stream, re-arm."""
+    def _wake(self, _entry: _Wake) -> None:
+        """Wake-up callback: complete every ripe stream, re-arm."""
         self._wake_ev = None
         sim = self.sim
         now = sim.now
@@ -297,14 +311,40 @@ class FairShareLink:
             _EPS + 1e-9 * abs(v) + capacity * quantum / (n if n > 0 else 1)
         )
         while heap and heap[0][0] <= ripe:
-            # _complete is succeed() for plain events and arrive() for
-            # JoinEvents, so batched storage fan-outs finish without an
-            # intermediate event per stream.
-            heapq.heappop(heap)[2]._complete()
+            event = heapq.heappop(heap)[2]
             n -= 1
+            kind = type(event)
+            if kind is JoinEvent:
+                pending = event._pending - 1
+                if pending < 0:
+                    raise SimulationError("join arrived more often than its count")
+                event._pending = pending
+                if pending:
+                    continue
+            elif kind is not Event:
+                event._complete()  # any other waiter, by the protocol
+                continue
+            if event._state != _PENDING:
+                raise SimulationError("event already triggered")
+            event._state = _SUCCEEDED
+            event._value = None
+            sim._seq += 1
+            sim._imm.append((sim._seq, event))
         self._n = n
         if n == 0:
-            self.log.record(now, 0.0)
+            values = self.log.values
+            if values[-1] != 0.0:
+                times = self.log.times
+                if now > times[-1]:
+                    times.append(now)
+                    values.append(0.0)
+                elif now < times[-1]:
+                    raise ValueError(f"time went backwards: {now} < {times[-1]}")
+                elif len(times) >= 2 and values[-2] == 0.0:
+                    times.pop()  # same instant, back to the value before
+                    values.pop()
+                else:
+                    values[-1] = 0.0  # same instant: overwrite
             self._v = 0.0  # rebase the virtual clock between busy periods
         san = _sanitizer._ACTIVE
         if san is not None:
@@ -315,9 +355,16 @@ class FairShareLink:
             dt = (heap[0][0] - v) * n / capacity
             if dt < 0.0:
                 dt = 0.0
-            self._wake_ev = wake = Timeout(sim, dt)
-            wake.callbacks.append(self._wake_cb)
-            self._wake_time = now + dt
+            elif not dt < inf:
+                raise ValueError(f"wake-up delay must be finite: {dt!r}")
+            self._wake_time = target = now + dt
+            self._wake_ev = wake = _Wake()
+            wake.callbacks = self._wake_cb
+            sim._seq += 1
+            if dt == 0.0:
+                sim._imm.append((sim._seq, wake))
+            else:
+                heapq.heappush(sim._heap, (target, sim._seq, wake))
 
     def _arm(self, now: float) -> None:
         """Arm (or keep) the wake-up for the next completion.
@@ -328,29 +375,29 @@ class FairShareLink:
         completion.  Since arrivals only push completions later, the
         common churn pattern — transfer starts while others are in
         flight — keeps one wake-up alive instead of cancelling and
-        re-allocating an event per arrival.
-
-        ``transfer_into`` carries this body inline; ``transfer_many``
-        and ``set_capacity`` call it.
+        re-allocating an entry per arrival.
         """
         wake = self._wake_ev
         n = self._n
         if n == 0:
             if wake is not None:
-                wake.cancel()
+                wake.callbacks = None
                 self._wake_ev = None
             return
         dt = (self._heap[0][0] - self._v) * n / self.capacity
         if dt < 0.0:
             dt = 0.0
+        elif not dt < inf:
+            raise ValueError(f"wake-up delay must be finite: {dt!r}")
         target = now + dt
         if wake is not None:
             if wake.callbacks and self._wake_time <= target:
                 return
-            wake.cancel()  # fires too late (or already dead): supersede
-        self._wake_ev = wake = Timeout(self.sim, dt)
-        wake.callbacks.append(self._wake_cb)
+            wake.callbacks = None  # fires too late: supersede
         self._wake_time = target
+        self._wake_ev = wake = _Wake()
+        wake.callbacks = self._wake_cb
+        self.sim._schedule(dt, wake)
 
     def set_capacity(self, capacity: float) -> None:
         """Change the link's bandwidth mid-run (degraded-disk faults).
@@ -359,8 +406,8 @@ class FairShareLink:
         pending completions are rescheduled at the new rate — active
         streams simply speed up or slow down from this instant.
         """
-        if capacity <= 0:
-            raise ValueError(f"link capacity must be positive, got {capacity}")
+        if not 0.0 < capacity < inf:
+            raise ValueError(f"link capacity must be in (0, inf), got {capacity}")
         now = self.sim.now
         n = self._n
         if n > 0 and now > self._last:
@@ -390,9 +437,9 @@ class FairShareLink:
         stream completes without allocating a per-stream event or an
         agenda entry.  A zero-byte stream arrives immediately.
         """
-        if nbytes <= 0:
-            if nbytes < 0:
-                raise ValueError(f"negative transfer size: {nbytes}")
+        if not 0.0 < nbytes < inf:
+            if nbytes != 0:
+                raise ValueError(f"non-finite or negative transfer size: {nbytes}")
             event._complete()
             return
         sim = self.sim
@@ -400,7 +447,19 @@ class FairShareLink:
         n = self._n
         capacity = self.capacity
         if n == 0:
-            self.log.record(now, capacity)
+            values = self.log.values
+            if values[-1] != capacity:
+                times = self.log.times
+                if now > times[-1]:
+                    times.append(now)
+                    values.append(capacity)
+                elif now < times[-1]:
+                    raise ValueError(f"time went backwards: {now} < {times[-1]}")
+                elif len(times) >= 2 and values[-2] == capacity:
+                    times.pop()  # same instant, back to the value before
+                    values.pop()
+                else:
+                    values[-1] = capacity  # same instant: overwrite
         elif now > self._last:
             delta = (now - self._last) * capacity / n
             self._v += delta
@@ -418,15 +477,22 @@ class FairShareLink:
         dt = (heap[0][0] - v) * n / capacity
         if dt < 0.0:
             dt = 0.0
+        elif not dt < inf:
+            raise ValueError(f"wake-up delay must be finite: {dt!r}")
         target = now + dt
         wake = self._wake_ev
         if wake is not None:
             if wake.callbacks and self._wake_time <= target:
                 return
-            wake.cancel()
-        self._wake_ev = wake = Timeout(sim, dt)
-        wake.callbacks.append(self._wake_cb)
+            wake.callbacks = None
         self._wake_time = target
+        self._wake_ev = wake = _Wake()
+        wake.callbacks = self._wake_cb
+        sim._seq += 1
+        if dt == 0.0:
+            sim._imm.append((sim._seq, wake))
+        else:
+            heapq.heappush(sim._heap, (target, sim._seq, wake))
 
     #: ``transfer``'s way in: the same function under a private name, so
     #: a wrapper installed on the public attribute (bench/spans.py counts
@@ -446,8 +512,8 @@ class FairShareLink:
         ``event`` and log as they were.
         """
         for nbytes in sizes:
-            if nbytes < 0:
-                raise ValueError(f"negative transfer size: {nbytes}")
+            if not 0.0 <= nbytes < inf:
+                raise ValueError(f"non-finite or negative transfer size: {nbytes}")
         now = self.sim.now
         n = self._n
         if n > 0 and now > self._last:
@@ -670,7 +736,7 @@ class PriorityStore:
         getters = self._getters
         while getters:
             getter = getters.popleft()
-            if getter.triggered:
+            if getter._state:
                 continue  # cancelled getter
             getter.succeed(item)
             return

@@ -189,6 +189,7 @@ class SharedFileSystem:
         local = 0.0
         remote: dict = {}
         sole = self._sole
+        homes = self._homes  # home_of() only on a name's first sight
         # Linear-decay LRU: the page cache holds ``node.page_cache_bytes``;
         # a page's survival probability decays linearly with the bytes
         # that entered the cache since it was last touched (competing
@@ -217,7 +218,7 @@ class SharedFileSystem:
                     nbytes = f.size * (distance / cache_bytes)
             if nbytes == 0.0:
                 continue
-            home = sole if sole is not None else self.home_of(f)
+            home = sole if sole is not None else homes.get(f.name) or self.home_of(f)
             if home is node:
                 local += nbytes
                 self.local_reads += 1
@@ -282,7 +283,7 @@ class SharedFileSystem:
             row[i] = clock
             if sole is not None:
                 continue  # single node: one route, summed below
-            home = self.home_of(f)
+            home = self._homes.get(f.name) or self.home_of(f)
             if home is node:
                 links = (node.disk.write,)
             else:

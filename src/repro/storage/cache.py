@@ -86,7 +86,11 @@ class WriteBackCache:
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_cache(self)
-        self._ensure_flusher()
+        work = self._work
+        if work is not None and not work._state:
+            work.succeed()  # the flusher is parked: nudge it
+        elif not self._flusher_started:
+            self._ensure_flusher()
         return event
 
     def write_into(self, nbytes: float, links: Tuple[FairShareLink, ...],
@@ -113,7 +117,11 @@ class WriteBackCache:
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_cache(self)
-        self._ensure_flusher()
+        work = self._work
+        if work is not None and not work._state:
+            work.succeed()  # the flusher is parked: nudge it
+        elif not self._flusher_started:
+            self._ensure_flusher()
 
     def drained(self) -> Event:
         """Event that fires when every buffered byte has hit the device."""
@@ -128,13 +136,8 @@ class WriteBackCache:
         # One persistent flusher process per cache: it parks on a signal
         # event between busy periods instead of being re-spawned per
         # burst (a generator + Process + bootstrap event each time).
-        if not self._flusher_started:
-            self._flusher_started = True
-            self.sim.process(self._flush_loop())
-        else:
-            work = self._work
-            if work is not None and not work.triggered:
-                work.succeed()
+        self._flusher_started = True
+        self.sim.process(self._flush_loop())
 
     def _admit_stalled(self) -> None:
         while self._stalled:
@@ -164,7 +167,8 @@ class WriteBackCache:
                 # Let dirty pages accumulate, then drain in one burst.
                 yield sim.timeout(self.flush_interval)
             first_batch = False
-            self._admit_stalled()
+            if self._stalled:
+                self._admit_stalled()
             while self._queue:
                 nbytes, links = self._queue.popleft()
                 # Coalesce queued entries bound for the same route, up to
@@ -194,7 +198,8 @@ class WriteBackCache:
                     san = _sanitizer._ACTIVE
                     if san is not None:
                         san.check_cache(self)
-                    self._admit_stalled()
+                    if self._stalled:
+                        self._admit_stalled()
         if self.dirty <= 1e-6 and not self._stalled:
             san = _sanitizer._ACTIVE
             if san is not None:

@@ -18,15 +18,27 @@ admit, wake, arrive — is paid in Python frames under ``repro/sim`` and
   127.8;
 * PR 19, the bucket ring in front of the heap deleted: a timed
   ``Timeout`` pushes onto the heap itself, and no bucket is flushed or
-  peeked on the way out: 92.85 + 17.65 = 110.5.
+  peeked on the way out: 92.85 + 17.65 = 110.5;
+* PR 20, one frame per flow edge: the wake-up a bare agenda entry the
+  link pushes itself, ripe streams completed and the busy/idle edge
+  logged inside ``_wake`` / ``transfer_into``, and the one-line hops of
+  the per-job path (``home_of``, ``topic``, ``triggered``, ``send_up``,
+  the flusher nudge) folded into their callers: 53.50 + 7.94 = 61.4,
+  and 99.61 under all of ``repro`` (157.74 before).
 
-The budget is 1.05 x the last, which each earlier row misses (by 67% and
-10%).  A second case pins one uncontended flow: 4 frames to admit it and
-5 inside ``run()`` to complete it, where the first row took 8 and 8.
+The budget is 1.05 x the last, which each earlier row misses (by 201%,
+98% and 71%); the whole-``repro`` budget is there so that a hop moved out
+of ``sim/`` into an engine does not pass.  The same counted run pins what
+was *not* allowed to move: ``sim._seq`` and the wake-up census (armed,
+fired, cancelled, fired with nothing ripe) are the integers the parent of
+PR 20 gave.  A second case pins one uncontended flow: 1 frame to admit it
+and 2 inside ``run()`` to complete it, where the first row took 8 and 8.
 """
 
 import os
+from collections import Counter
 
+import repro
 import repro.analysis.sanitizer as sanitizer
 import repro.sim
 import repro.storage
@@ -38,11 +50,19 @@ from repro.sim import FairShareLink, JoinEvent, Simulator
 from repro.workflow import Ensemble
 from tests.callcount import count_calls
 
+REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 SIM_DIR = os.path.dirname(repro.sim.__file__) + os.sep
 STORAGE_DIR = os.path.dirname(repro.storage.__file__) + os.sep
 
-MEASURED_SIM_FRAMES_PER_JOB = 92.85
-MEASURED_STORAGE_FRAMES_PER_JOB = 17.65
+MEASURED_SIM_FRAMES_PER_JOB = 53.50
+MEASURED_STORAGE_FRAMES_PER_JOB = 7.94
+MEASURED_REPRO_FRAMES_PER_JOB = 99.61
+
+#: Wake-ups of the counted run, all links together, taken on the parent
+#: of PR 20 (where a wake-up was a ``Timeout``): every one armed took a
+#: ``sim._seq``, and armed - fired - cancelled were pending at the end.
+WAKE_CENSUS = {"armed": 34892, "fired": 28824, "cancelled": 6064, "spurious": 2788}
+EVENTS_SCHEDULED = 61162
 
 
 def _unsanitized(fn):
@@ -51,12 +71,46 @@ def _unsanitized(fn):
     at teardown)."""
     previous = sanitizer.disable()
     try:
-        return count_calls(fn, under=(SIM_DIR, STORAGE_DIR))
+        return count_calls(fn, under=(REPRO_DIR,))
     finally:
         sanitizer._ACTIVE = previous
 
 
-def test_sim_and_storage_frames_per_job_within_budget():
+def _take_wake_census(monkeypatch):
+    """Count every link's wake-ups from outside, by the identity of the
+    pending ``_wake_ev`` around each entry point — nothing here knows
+    what a wake-up is made of.  The wrappers are frames of this file, so
+    they do not count under ``repro/``."""
+    census = Counter(armed=0, fired=0, cancelled=0, spurious=0)
+    wake = FairShareLink._wake
+
+    def fired(link, entry):
+        active = link._n
+        wake(link, entry)
+        census["fired"] += 1
+        census["spurious"] += link._n == active
+        census["armed"] += link._wake_ev is not None
+
+    def admitting(original):
+        def admit(link, *args):
+            pending = link._wake_ev
+            original(link, *args)
+            if link._wake_ev is not pending:
+                census["cancelled"] += pending is not None
+                census["armed"] += link._wake_ev is not None
+
+        return admit
+
+    monkeypatch.setattr(FairShareLink, "_wake", fired)
+    for name in ("transfer_into", "_admit", "transfer_many", "set_capacity"):
+        monkeypatch.setattr(
+            FairShareLink, name, admitting(FairShareLink.__dict__[name])
+        )
+    return census
+
+
+def test_sim_and_storage_frames_per_job_within_budget(monkeypatch):
+    census = _take_wake_census(monkeypatch)
     ensemble = Ensemble.replicated(montage_workflow(degree=1.0), 16)
     engine = PullEngine(
         ClusterSpec("r3.8xlarge", 4, filesystem="moosefs"),
@@ -68,11 +122,24 @@ def test_sim_and_storage_frames_per_job_within_budget():
     assert results[0].jobs_executed == jobs == 3392
     sim = counted.under(SIM_DIR) / jobs
     storage = counted.under(STORAGE_DIR) / jobs
+    everything = counted.under(REPRO_DIR) / jobs
+    print(
+        f"frames per job: {sim:.2f} sim + {storage:.2f} storage, "
+        f"{everything:.2f} under repro/; wake-ups {dict(census)}"
+    )
     budget = 1.05 * (MEASURED_SIM_FRAMES_PER_JOB + MEASURED_STORAGE_FRAMES_PER_JOB)
     assert sim + storage <= budget, (
         f"{sim:.2f} sim + {storage:.2f} storage frames/job > {budget:.1f}\n"
         + counted.top(per=jobs)
     )
+    budget = 1.05 * MEASURED_REPRO_FRAMES_PER_JOB
+    assert everything <= budget, (
+        f"{everything:.2f} frames/job under repro/ > {budget:.1f}\n"
+        + counted.top(per=jobs)
+    )
+    # Same events: fewer frames may not mean fewer (or other) wake-ups.
+    assert results[0].cluster.sim._seq == EVENTS_SCHEDULED
+    assert dict(census) == WAKE_CENSUS
 
 
 def test_uncontended_flow_frames():
@@ -82,5 +149,5 @@ def test_uncontended_flow_frames():
     admit = _unsanitized(lambda: link.transfer_into(50.0, join))
     finish = _unsanitized(sim.run)
     assert join.callbacks is None and sim.now == 0.5
-    assert admit.python <= 4, admit.top(per=1)
-    assert finish.python <= 5, finish.top(per=1)
+    assert admit.python <= 1, admit.top(per=1)
+    assert finish.python <= 2, finish.top(per=1)

@@ -89,3 +89,34 @@ def test_kernel_has_one_agenda_and_one_dispatch_loop():
     assert list(inspect.signature(Simulator.__init__).parameters) == ["self"]
     too_long = [fn.name for fn in functions if fn.end_lineno - fn.lineno + 1 > 60]
     assert not too_long, too_long
+
+
+def test_link_cycle_calls_no_helper_it_carries_inline():
+    """``FairShareLink._wake`` and ``transfer_into`` carry the bodies of
+    ``SegmentLog.record``, ``JoinEvent.arrive``, ``Event.succeed``,
+    ``Event.cancel`` and the wake-up's arming; a call to one of them (or a
+    ``Timeout`` / ``schedule_call`` wake-up) coming back is the frame per
+    flow edge coming back."""
+    banned = {"record", "arrive", "succeed", "cancel", "Timeout", "schedule_call"}
+    tree = ast.parse((SRC / "sim/resources.py").read_text())
+    link = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "FairShareLink"
+    )
+    checked = []
+    for fn, _depth in _functions(link):
+        if fn.name not in ("_wake", "transfer_into"):
+            continue
+        checked.append(fn.name)
+        calls = sorted(
+            f"{fn.name}: {name} (line {node.lineno})"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            for name in (getattr(node.func, "id", ""), getattr(node.func, "attr", ""))
+            if name in banned
+        )
+        assert not calls, calls
+    assert checked == ["_wake", "transfer_into"]
+    names = {node.id for node in ast.walk(link) if isinstance(node, ast.Name)}
+    assert "Timeout" not in names  # no path of the link arms a Timeout

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.sanitizer as sanitizer
-from repro.sim import CorePool, Event, FairShareLink, SegmentLog, Simulator
+from repro.sim import (
+    CorePool,
+    Event,
+    FairShareLink,
+    JoinEvent,
+    SegmentLog,
+    Simulator,
+)
 
 # ---------------------------------------------------------------------------
 # The agenda against a naive model that can disagree
@@ -285,6 +292,20 @@ def _naive_processor_sharing(capacity, batches, change):
     return finished
 
 
+def _run_replaying_link_log(sim, link):
+    """Run ``sim`` dry one event at a time, feeding the throughput the
+    link shows after each to a fresh log through ``SegmentLog.record``:
+    the link writes its busy/idle edges into its own log without calling
+    ``record``, and the two logs must hold the same bytes."""
+    replayed = SegmentLog(sim.now, 0.0)
+    while sim.peek() < INF:
+        sim.step()
+        replayed.record(sim.now, link.capacity if link.active else 0.0)
+    assert link.log.times.tobytes() == replayed.times.tobytes()
+    assert link.log.values.tobytes() == replayed.values.tobytes()
+    return replayed
+
+
 #: A stream size: zero-byte streams are legal and complete on admission.
 _stream_size = st.one_of(
     st.just(0.0), st.floats(min_value=0.5, max_value=1e4, allow_nan=False)
@@ -299,15 +320,30 @@ def link_schedules(draw):
                 st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
                 st.sampled_from(["transfer", "transfer_into", "transfer_many"]),
                 st.lists(_stream_size, min_size=1, max_size=4),
+                # What the streams complete into: a plain Event each, one
+                # of three JoinEvents shared with whoever else drew it,
+                # or the duck-typed recorder.
+                st.sampled_from(["event", "join0", "join1", "join2", "arrival"]),
             ),
             min_size=1,
             max_size=8,
         )
     )
     # One entry point admits one stream; only transfer_many takes a list.
+    # ``transfer`` makes its own Event, and one Event takes one stream.
+    def fitting(how, sizes, waiter):
+        if how == "transfer":
+            return "event"
+        if how == "transfer_many" and waiter == "event" and len(sizes) > 1:
+            return "arrival"
+        return waiter
+
     batches = sorted(
-        (t, how, sizes if how == "transfer_many" else sizes[:1])
-        for t, how, sizes in batches
+        (t, how, sizes, fitting(how, sizes, waiter))
+        for t, how, sizes, waiter in (
+            (t, how, sizes if how == "transfer_many" else sizes[:1], waiter)
+            for t, how, sizes, waiter in batches
+        )
     )
     capacity = st.floats(min_value=1.0, max_value=1e3, allow_nan=False)
     change = draw(
@@ -320,12 +356,18 @@ def link_schedules(draw):
 @given(link_schedules())
 @settings(max_examples=200, deadline=None)
 def test_link_matches_naive_processor_sharing(schedule):
-    """One link, every entry point, zero-byte streams and a mid-flight
-    capacity change, against a model that shares no code or idea with
-    the virtual-time heap.  The link counts a stream delivered once it
-    is within a part in 1e9 of the byte clock and of the time clock
-    (``_wake``'s tolerance); ``n`` sharers stretch a byte of slack to
-    ``n`` bytes of wall service, hence the factor on the bound."""
+    """One link, every entry point, every kind of waiter (plain ``Event``
+    and shared ``JoinEvent``, which ``_wake`` completes in its own frame,
+    and a duck-typed ``_Arrival``, which it completes by ``_complete()``),
+    zero-byte streams and a mid-flight capacity change, against a model
+    that shares no code or idea with the virtual-time heap.  The link
+    counts a stream delivered once it is within a part in 1e9 of the byte
+    clock and of the time clock (``_wake``'s tolerance); ``n`` sharers
+    stretch a byte of slack to ``n`` bytes of wall service, hence the
+    factor on the bound.
+
+    The run is stepped, and the link's log compared with a replay of its
+    edges through ``SegmentLog.record`` (``_run_replaying_link_log``)."""
     capacity, batches, change = schedule
     sim = Simulator()
     link = FairShareLink(sim, capacity=capacity)
@@ -336,27 +378,48 @@ def test_link_matches_naive_processor_sharing(schedule):
     if change is not None:
         sim.schedule_call(change[0], link.set_capacity, change[1])
 
-    def single(f, nbytes):
-        link.transfer(nbytes).callbacks.append(lambda _e: done.append((f, sim.now)))
+    def watch(event, f):
+        event.callbacks.append(lambda _e: done.append((f, sim.now)))
+        return event
 
-    for t, how, sizes in batches:
+    def single(f, nbytes):
+        watch(link.transfer(nbytes), f)
+
+    members = {}  # join name -> flows completing into it
+    for _t, _how, sizes, waiter in batches:
+        if waiter.startswith("join"):
+            members.setdefault(waiter, []).extend(range(flow, flow + len(sizes)))
+        flow += len(sizes)
+    joins = {
+        name: watch(JoinEvent(sim, len(flows)), name)
+        for name, flows in members.items()
+    }
+
+    flow = 0
+    for t, how, sizes, waiter in batches:
+        if how == "transfer":
+            target = None  # the link makes the Event
+        elif waiter in joins:
+            target = joins[waiter]
+        elif waiter == "event":
+            target = watch(Event(sim), flow)
+        else:
+            # One target for a batch: its streams are told apart by
+            # completion order, which is size order.
+            key = ("many", flow) if how == "transfer_many" else flow
+            target = _Arrival(sim, done, key)
         if how == "transfer":
             sim.schedule_call(t, single, flow, sizes[0])
         elif how == "transfer_into":
-            sim.schedule_call(
-                t, link.transfer_into, sizes[0], _Arrival(sim, done, flow)
-            )
+            sim.schedule_call(t, link.transfer_into, sizes[0], target)
         else:
-            # One target for the batch: its streams are told apart by
-            # completion order, which is size order.
-            sim.schedule_call(
-                t, link.transfer_many, sizes, _Arrival(sim, done, ("many", flow))
-            )
+            sim.schedule_call(t, link.transfer_many, sizes, target)
         flow += len(sizes)
-    sim.run()
+
+    _run_replaying_link_log(sim, link)
 
     expected = _naive_processor_sharing(
-        capacity, [(t, sizes) for t, _how, sizes in batches], change
+        capacity, [(t, sizes) for t, _how, sizes, _waiter in batches], change
     )
     got = {}
     many = {}
@@ -366,19 +429,101 @@ def test_link_matches_naive_processor_sharing(schedule):
         else:
             got[f] = when
     flow = 0
-    for _t, how, sizes in batches:
-        if how == "transfer_many":
+    for _t, how, sizes, waiter in batches:
+        if how == "transfer_many" and waiter == "arrival":
             order = sorted(range(len(sizes)), key=lambda k: sizes[k])
             for k, when in zip(order, sorted(many[flow])):
                 got[flow + k] = when
         flow += len(sizes)
-    assert got.keys() == expected.keys()
     slack = 1e-9 * (flow + 1)
+    # A join fires once, when the last of its streams is delivered.
+    for name, flows in members.items():
+        last = max(expected.pop(f) for f in flows)
+        assert got.pop(name) == pytest.approx(last, rel=slack, abs=slack), name
+        assert joins[name]._pending == 0
+    assert got.keys() == expected.keys()
     for f, when in expected.items():
         assert got[f] == pytest.approx(when, rel=slack, abs=slack), (f, got, expected)
-    total = sum(sum(sizes) for _t, _how, sizes in batches)
+    total = sum(sum(sizes) for _t, _how, sizes, _waiter in batches)
     assert link.bytes_total == pytest.approx(total, rel=slack, abs=1e-9)
     assert link.active == 0 and not link._heap
+
+
+def test_link_log_same_instant_edges_match_record():
+    """The same-instant branches of the edge logging that generated
+    schedules almost never reach: an edge at the log's first point, idle
+    and busy again at one instant (every back-to-back flusher chunk),
+    busy and idle at one instant, an idle edge on top of a same-instant
+    capacity change, and time running backwards."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=1e3)
+    sim.schedule_call(3.0, link.set_capacity, 500.0)
+
+    def chain():
+        yield link.transfer(500.0)  # t=0: overwrites the first point
+        yield link.transfer(250.0)  # t=0.5: idle, busy again -> collapses
+        yield sim.timeout(1.25)
+        # Ends at t=3 exactly, after the capacity change of that instant:
+        # the idle edge overwrites the point the change appended.
+        yield link.transfer(1e3)
+        yield sim.timeout(1e7)
+        # Below the clock's resolution at this instant: busy and idle at
+        # once, and the busy point collapses away again.
+        yield link.transfer(1e-9)
+
+    sim.process(chain())
+    replayed = _run_replaying_link_log(sim, link)
+    assert list(replayed.times) == [0.0, 0.75, 2.0, 3.0]
+    assert list(replayed.values) == [1e3, 0.0, 1e3, 0.0]
+
+    # What the link's own invariants keep it from reaching, by hand: a
+    # point that already holds the value is left alone, on both edges...
+    link.log.values[-1] = link.capacity
+    link.transfer(1.0)
+    link.log.values[-1] = 0.0
+    sim.run()
+    assert list(link.log.times) == [0.0, 0.75, 2.0, 3.0] and link.active == 0
+    # ... and a clock behind the log's last point is refused, on both.
+    link.log.times[-1] = sim.now + 1.0
+    with pytest.raises(ValueError, match="time went backwards"):
+        link.transfer(1.0)
+    link.log.times[-1] = 3.0
+    link.transfer(1.0)
+    link.log.times[-1] = sim.now + 1.0
+    with pytest.raises(ValueError, match="time went backwards"):
+        sim.run()
+
+
+def test_superseded_link_wake_up_is_an_ordinary_dead_agenda_entry():
+    """A link wake-up is a bare object with the one slot ``_drain`` reads.
+    Superseded, it stays on the agenda like a cancelled ``Timeout``: it
+    took its ``sim._seq``, ``peek()`` still sees its instant,
+    ``run(until)`` pops it in order, and nothing is called."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=100.0)
+    woken = []
+    wake = link._wake_cb[0]
+    link._wake_cb = (lambda entry: (woken.append(sim.now), wake(entry)),)
+    slow, fast = Event(sim), Event(sim)
+    link.transfer_into(1000.0, slow)  # alone: wake-up at t=10
+    dead = link._wake_ev
+    assert sim._seq == 1 and sim.peek() == 10.0
+    link.transfer_into(100.0, fast)  # shared: t=2 comes first, supersede
+    live = link._wake_ev
+    assert live is not dead and dead.callbacks is None
+    assert sim._seq == 2 and sim.peek() == 2.0
+    assert [time for time, _seq, _entry in sorted(sim._heap)] == [2.0, 10.0]
+
+    assert sim.run(until=5.0) == 5.0
+    assert woken == [2.0] and fast.callbacks is None and live.callbacks is None
+    # fast's completion and the wake-up re-armed for slow took 3 and 4;
+    # the dead entry (seq 1, t=10) is still the agenda's head.
+    assert sim._seq == 4 and sim.peek() == 10.0
+    assert sim.run(until=10.5) == 10.5
+    assert woken == [2.0] and sim.peek() == 11.0 and not slow.triggered
+    sim.run()
+    assert woken == [2.0, 11.0] and slow.callbacks is None and sim.now == 11.0
+    assert sim._seq == 5 and link.active == 0 and link._wake_ev is None
 
 
 @given(

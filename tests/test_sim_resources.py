@@ -388,6 +388,107 @@ def test_link_fixed_plan_exact_floats_and_event_count():
     assert list(link.log.values) == [57.0, 23.0, 111.0, 0.0, 111.0, 0.0]
 
 
+def test_join_arriving_more_often_than_its_count_raises():
+    """``JoinEvent(sim, 2)`` used to take a third ``arrive()`` in silence
+    (``_pending`` -1) while a second ``succeed()`` raised.  The link's
+    in-frame copy of ``arrive`` refuses the same way."""
+    sim = Simulator()
+    join = JoinEvent(sim, 2)
+    join.arrive()
+    join.arrive()
+    assert join.triggered and join._pending == 0
+    with pytest.raises(SimulationError, match="more often than its count"):
+        join.arrive()
+    assert join._pending == 0
+    with pytest.raises(SimulationError, match="more often than its count"):
+        JoinEvent(sim, 0).arrive()
+
+    link = FairShareLink(sim, capacity=100.0)
+    short = JoinEvent(sim, 1)
+    link.transfer_into(50.0, short)
+    link.transfer_into(60.0, short)  # one stream too many for the count
+    with pytest.raises(SimulationError, match="more often than its count"):
+        sim.run()
+    assert short.triggered and short._pending == 0
+
+
+def test_link_in_frame_completion_refuses_a_triggered_event():
+    """Completing a stream into an event somebody already triggered raises
+    what ``succeed()`` raises."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=100.0)
+    event = sim.event()
+    link.transfer_into(50.0, event)
+    event.succeed()
+    with pytest.raises(SimulationError, match="event already triggered"):
+        sim.run()
+
+
+_BAD_SIZES = [float("inf"), float("nan"), -1.0]
+
+
+def _assert_untouched_then_honest(sim, link, join):
+    """After a refused call: link, barrier, log and agenda as they were,
+    and an honest stream still completes at the exact instant."""
+    assert (link._n, link._heap, link._seq, link._wake_ev) == (0, [], 0, None)
+    assert (link._v, link.bytes_total) == (0.0, 0.0)
+    assert list(link.log.times) == [0.0] and list(link.log.values) == [0.0]
+    assert join._pending == 1 and not join.triggered
+    assert sim._seq == 0 and sim.peek() == float("inf")
+    link.transfer_into(50.0, join)
+    sim.run()
+    assert join.callbacks is None and sim.now == 0.5
+    assert list(link.log.times) == [0.0, 0.5]
+    assert list(link.log.values) == [link.capacity, 0.0]
+
+
+@pytest.mark.parametrize("bad", _BAD_SIZES, ids=repr)
+@pytest.mark.parametrize("how", ["transfer", "transfer_into", "transfer_many"])
+def test_link_refuses_a_bad_size_before_it_mutates(how, bad, _strict_sanitizer):
+    """``transfer_into(inf, join)`` used to push the stream, count it and
+    log the link busy, and only then die arming the wake-up; the orphan
+    blew up inside ``run()`` on the next honest transfer.  ``nan`` did
+    the same and poisoned the heap order."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=100.0)
+    join = JoinEvent(sim, 1)
+    with pytest.raises(ValueError, match="transfer size"):
+        if how == "transfer":
+            link.transfer(bad)
+        elif how == "transfer_into":
+            link.transfer_into(bad, join)
+        else:
+            link.transfer_many([25.0, bad], join)
+    _assert_untouched_then_honest(sim, link, join)
+    assert not _strict_sanitizer.violations
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -5.0], ids=repr)
+def test_link_refuses_a_bad_capacity(bad, _strict_sanitizer):
+    """``nan <= 0`` is false: the constructor and ``set_capacity`` took
+    ``nan`` and ``inf``.  A refused ``set_capacity`` leaves the rate."""
+    sim = Simulator()
+    with pytest.raises(ValueError, match="link capacity"):
+        FairShareLink(sim, capacity=bad)
+    link = FairShareLink(sim, capacity=100.0)
+    with pytest.raises(ValueError, match="link capacity"):
+        link.set_capacity(bad)
+    assert link.capacity == 100.0
+    _assert_untouched_then_honest(sim, link, JoinEvent(sim, 1))
+    assert not _strict_sanitizer.violations
+
+
+def test_link_overflowing_wake_up_delay_is_refused_at_arm_time():
+    """Finite size over a tiny finite capacity: the delay overflows, and
+    the arm-time check (``Timeout``'s) raises before the agenda is
+    touched."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=1e-300)
+    with pytest.raises(ValueError, match="delay must be finite"):
+        link.transfer(1e300)
+    assert sim._seq == 0 and sim.peek() == float("inf")
+
+
 def test_link_transfer_many_validates_before_it_mutates(_strict_sanitizer):
     """A batch with a bad size is refused whole.  It used to raise with
     the streams before the bad one already on the heap: ``_n`` and
