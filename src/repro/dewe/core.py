@@ -14,9 +14,10 @@ only through ports bound at construction:
 ``call_later(delay, fn)``
     run ``fn(now)`` after ``delay`` (retry backoff);
 ``log(kind, workflow, job_id, attempt, detail)``
-    the write-ahead journal, written *before* the side effect it names;
+    the write-ahead journal, written *before* the side effect it names
+    (``None`` for a driver without a journal: nothing is called);
 ``trace(now, kind, node, detail)``
-    the fault trace (:meth:`FaultTrace.record`; dead letters);
+    the fault trace (:meth:`FaultTrace.record`; dead letters; optional);
 ``on_settled(state)``
     one workflow reached its terminal state, exactly once per core.
 
@@ -63,10 +64,6 @@ class Admission(NamedTuple):
     deadline_factor: float
 
 
-def _ignore(*_args) -> None:
-    """Default port: a driver without a journal or a fault trace."""
-
-
 @dataclass(slots=True, eq=False, repr=False)
 class MasterCore:
     """Workflow progress, retry, fencing recovery and settlement.
@@ -81,13 +78,17 @@ class MasterCore:
     reprioritize: Callable[[str, str, float], None]
     call_later: Callable[[float, Callable[[float], None]], None]
     on_settled: Callable[[WorkflowState], None]
-    log: Callable[[str, str, str, int, str], None] = _ignore
-    trace: Callable[[float, str, Optional[int], str], object] = _ignore
+    log: Optional[Callable[[str, str, str, int, str], None]] = None
+    trace: Optional[Callable[[float, str, Optional[int], str], object]] = None
     repriority: Optional[RepriorityPolicy] = None
     service: Optional[ServiceAdmissionPolicy] = None
     liveness: Optional[LeaseConfig] = None
     integrity: Optional[FileIntegrity] = None
     states: Dict[str, WorkflowState] = field(default_factory=dict)
+    #: The not-yet-finished members of ``states``, in admission order:
+    #: what the sweeps walk, so a long run does not revisit everything
+    #: it ever settled on every tick.
+    live: Dict[str, WorkflowState] = field(default_factory=dict)
     #: Names of settled workflows (``on_settled`` already fired, or
     #: restored as settled).
     finished: Set[str] = field(default_factory=set)
@@ -124,12 +125,19 @@ class MasterCore:
         state.track_queue_age = self.repriority is not None
         self.admissions[state.name] = admission
         self.states[state.name] = state
+        self.live[state.name] = state
         return state
 
     def _launch(self, state: WorkflowState, now: float) -> None:
         for job_id in state.initial_ready():
             self.dispatch(state, job_id, now)
         self._maybe_finish(state)  # degenerate empty-DAG guard
+
+    def _journal(self, *record) -> None:
+        """``log`` off the per-message path (dispatch and the two acks of
+        a clean job test the port in their own frame)."""
+        if self.log is not None:
+            self.log(*record)
 
     # -- dispatch ------------------------------------------------------------
     def dispatch(self, state: WorkflowState, job_id: str, now: float) -> None:
@@ -139,8 +147,10 @@ class MasterCore:
             san.check_dispatch(
                 state.name, job_id, state.status[job_id].value, time=now
             )
-        attempt = state.current_attempt(job_id)
-        self.log("dispatch", state.name, job_id, attempt, "")
+        # WorkflowState.current_attempt, read in this frame.
+        attempt = state._attempt_arr[state._arena.index_of[job_id]]
+        if self.log is not None:
+            self.log("dispatch", state.name, job_id, attempt, "")
         # The lease protocol needs the deadline armed on every dispatch:
         # see WorkflowState.mark_dispatched.
         state.mark_dispatched(job_id, now, force=self.liveness is not None)
@@ -199,20 +209,22 @@ class MasterCore:
             self._dead_cursor[state.name] = len(state.dead_letters)
             for entry in state.dead_letters[seen:]:
                 self.dead_letters.append(entry)
-                self.log(
+                self._journal(
                     "dead-letter", entry.workflow, entry.job_id, entry.attempts,
                     entry.reason,
                 )
-                self.trace(
-                    now, "dead-letter", None,
-                    f"{entry.workflow}/{entry.job_id} "
-                    f"({entry.reason}, {entry.attempts} attempts)",
-                )
+                if self.trace is not None:
+                    self.trace(
+                        now, "dead-letter", None,
+                        f"{entry.workflow}/{entry.job_id} "
+                        f"({entry.reason}, {entry.attempts} attempts)",
+                    )
 
     def _maybe_finish(self, state: WorkflowState) -> None:
         if state.name in self.finished or not state.is_settled:
             return
         self.finished.add(state.name)
+        self.live.pop(state.name, None)
         if self.service is not None:
             self.service.settle(state.name)  # release the fair-share charge
         self.on_settled(state)
@@ -229,7 +241,8 @@ class MasterCore:
         """
         state = self.states[name]
         if kind == RUNNING:
-            self.log("ack-running", name, job_id, attempt, "")
+            if self.log is not None:
+                self.log("ack-running", name, job_id, attempt, "")
             accepted = state.on_running(job_id, attempt, now)
             if accepted and worker is not None:
                 self.assignments[(name, job_id)] = (worker, attempt)
@@ -237,7 +250,7 @@ class MasterCore:
         if self.assignments:
             self.assignments.pop((name, job_id), None)
         if kind == FAILED:
-            self.log("ack-failed", name, job_id, attempt, "")
+            self._journal("ack-failed", name, job_id, attempt, "")
             republish = state.on_failed(job_id, attempt, now)
             self._collect_dead(state, now)
             if republish is not None:
@@ -245,15 +258,19 @@ class MasterCore:
             else:
                 self._maybe_finish(state)
         elif kind == CORRUPT:
-            self.log("ack-corrupt", name, job_id, attempt, ",".join(bad_files))
+            self._journal("ack-corrupt", name, job_id, attempt, ",".join(bad_files))
             self._on_corrupt(state, job_id, attempt, bad_files, now)
         else:
-            self.log("ack-complete", name, job_id, attempt, "")
+            if self.log is not None:
+                self.log("ack-complete", name, job_id, attempt, "")
             for child_id in state.on_completed(job_id, attempt):
                 self.dispatch(state, child_id, now)
             if self.repriority is not None and name not in self.finished:
                 self.rerank(state, now)
-            self._maybe_finish(state)
+            # WorkflowState.is_settled, read in this frame: all but a
+            # member's last completion stop here.
+            if state._n_completed + state._n_dead == state._arena.n:
+                self._maybe_finish(state)
 
     def _on_corrupt(self, state: WorkflowState, job_id: str, attempt: int,
                     bad_files: Sequence[str], now: float) -> None:
@@ -286,12 +303,10 @@ class MasterCore:
     # -- sweeps --------------------------------------------------------------
     def sweep_timeouts(self, now: float) -> None:
         """Requeue every delivery whose ack missed its deadline."""
-        for state in self.states.values():
-            if state.name in self.finished:
-                continue
+        for state in list(self.live.values()):  # _maybe_finish removes
             for job_id in state.expired(now):
                 attempt = state.current_attempt(job_id)
-                self.log("timeout-requeue", state.name, job_id, attempt, "")
+                self._journal("timeout-requeue", state.name, job_id, attempt, "")
                 self.redispatch(state, job_id, now)
             self._collect_dead(state, now)
             self._maybe_finish(state)
@@ -301,9 +316,8 @@ class MasterCore:
         this is where the aging term takes effect — a job that keeps
         losing ties accrues age until it outranks fresher work of its
         band."""
-        for name in sorted(self.states):
-            if name not in self.finished:
-                self.rerank(self.states[name], now)
+        for name in sorted(self.live):
+            self.rerank(self.live[name], now)
 
     def fence(self, worker: object, now: float) -> None:
         """A worker's lease was fenced: requeue its in-flight deliveries
@@ -318,7 +332,7 @@ class MasterCore:
             state = self.states[name]
             republish = state.on_lease_expired(job_id, attempt, now)
             if republish is not None:
-                self.log(
+                self._journal(
                     "lease-requeue", name, job_id, state.current_attempt(job_id), ""
                 )
                 self.redispatch(state, republish, now)
@@ -361,8 +375,9 @@ class MasterCore:
             self.dead_letters.extend(state.dead_letters)
             if state.is_settled:
                 self.finished.add(name)
+                del self.live[name]
         for workflow, tenant, sla in readmit:
-            self.log("submit", workflow.name, "", 0, f"jobs={len(workflow.jobs)}")
+            self._journal("submit", workflow.name, "", 0, f"jobs={len(workflow.jobs)}")
             self._install(
                 workflow, admissions.get(workflow.name, fallback), tenant, sla
             )
@@ -373,7 +388,7 @@ class MasterCore:
                 self._launch(state, now)
             elif name not in self.finished:
                 for job_id in state.requeue_in_flight(now):
-                    self.log(
+                    self._journal(
                         "requeue", name, job_id, state.current_attempt(job_id), ""
                     )
                     self.redispatch(state, job_id, now)

@@ -250,13 +250,6 @@ class WorkflowState:
                 ready.append(job_ids[i])
         return ready
 
-    def _timeout_of(self, job_id: str) -> float:
-        return self._timeout_at(self._arena.index_of[job_id])
-
-    def _timeout_at(self, i: int) -> float:
-        timeout = self._arena.timeouts[i]
-        return timeout if timeout > 0.0 else self.default_timeout
-
     def exhausted(self, job_id: str) -> bool:
         """Attempt budget check: the job's own ``max_attempts`` override
         when set (0 = unlimited), else the shared retry policy."""
@@ -293,9 +286,14 @@ class WorkflowState:
             self.queued_at.setdefault(job_id, now)
         if not (force or self.retry.redispatch_lost):
             return
-        i = self._arena.index_of[job_id]
+        arena = self._arena
+        i = arena.index_of[job_id]
         if self._status_arr[i] == _QUEUED:
-            self.deadline[job_id] = now + self._timeout_at(i)
+            # The job's own timeout when it has one, else the default.
+            timeout = arena.timeouts[i]
+            self.deadline[job_id] = now + (
+                timeout if timeout > 0.0 else self.default_timeout
+            )
 
     # -- live reprioritization ---------------------------------------------
     def queued_jobs(self) -> List[str]:
@@ -333,7 +331,8 @@ class WorkflowState:
         """Handle a running ack; returns False for stale/duplicate acks."""
         if _conc._ACTIVE is not None:
             self._trace("write", "state.on_running")
-        i = self._arena.index_of[job_id]
+        arena = self._arena
+        i = arena.index_of[job_id]
         status_arr = self._status_arr
         code = status_arr[i]
         if code == _COMPLETED or code == _DEAD:
@@ -346,7 +345,11 @@ class WorkflowState:
             self.duplicate_acks += 1
             return False  # ack from a superseded delivery
         status_arr[i] = _RUNNING
-        self.deadline[job_id] = now + self._timeout_at(i)
+        # The job's own timeout when it has one, else the default.
+        timeout = arena.timeouts[i]
+        self.deadline[job_id] = now + (
+            timeout if timeout > 0.0 else self.default_timeout
+        )
         return True
 
     def on_completed(self, job_id: str, attempt: int) -> List[str]:

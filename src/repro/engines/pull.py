@@ -58,6 +58,9 @@ __all__ = ["PullEngine"]
 _DISPATCH = "job-dispatching"
 _ACK = "job-acknowledgment"
 _HEARTBEAT = "worker-heartbeat"
+#: Partition modes that cut the master->worker and worker->master path.
+_DOWN_CUT = ("full", "from-master")
+_UP_CUT = ("full", "to-master")
 
 
 class ElasticAPI:
@@ -352,7 +355,7 @@ class _PullRun:
             reprioritize=self._reprioritize,
             call_later=self._call_later,
             on_settled=self._on_settled,
-            log=self.jlog,
+            log=self.jlog if self.journal is not None else None,
             trace=self.trace.record,
             repriority=engine.repriority,
             service=self.service,
@@ -494,31 +497,29 @@ class _PullRun:
             return  # primary master failed mid-submission
 
     def _handle_ack(self, msg) -> None:
+        """One ack under the liveness protocol: it carries the sender's
+        (node, lease epoch), and an ack from a fenced or superseded
+        lease is rejected before it can settle a delivery the master
+        already redispatched."""
         kind, name, job_id, attempt = msg[:4]
         lease = self.lease
-        worker = None
-        if lease is not None:
-            # With the liveness protocol on, every ack carries the
-            # sender's (node, lease epoch); acks from a fenced or
-            # superseded lease are rejected before they can settle a
-            # delivery the master already redispatched.
-            worker, ack_epoch = msg[-2], msg[-1]
-            if not lease.valid(worker, ack_epoch):
-                self.stats["stale_epoch_acks"] += 1
-                self.trace.record(
-                    self.sim.now, "stale-epoch-ack", worker,
-                    f"{name}/{job_id}#{attempt} epoch={ack_epoch}",
-                )
-                return
-            san = _sanitizer._ACTIVE
-            if san is not None and kind == COMPLETED:
-                # Structural tripwire: the epoch check above must have
-                # rejected any settlement from a fenced lease.
-                san.check_lease_fencing(
-                    name, job_id, self.cluster.nodes[worker].name,
-                    stale=not lease.valid(worker, ack_epoch),
-                    time=self.sim.now,
-                )
+        worker, ack_epoch = msg[-2], msg[-1]
+        if not lease.valid(worker, ack_epoch):
+            self.stats["stale_epoch_acks"] += 1
+            self.trace.record(
+                self.sim.now, "stale-epoch-ack", worker,
+                f"{name}/{job_id}#{attempt} epoch={ack_epoch}",
+            )
+            return
+        san = _sanitizer._ACTIVE
+        if san is not None and kind == COMPLETED:
+            # Structural tripwire: the epoch check above must have
+            # rejected any settlement from a fenced lease.
+            san.check_lease_fencing(
+                name, job_id, self.cluster.nodes[worker].name,
+                stale=not lease.valid(worker, ack_epoch),
+                time=self.sim.now,
+            )
         self.core.on_ack(
             kind, name, job_id, attempt, worker, self.sim.now,
             msg[4] if kind == CORRUPT else (),
@@ -535,7 +536,7 @@ class _PullRun:
         if self.slot_alive[node_index] <= 0:
             return  # a drained/dead node's parting beat
         epoch = self._grant_lease(node_index)
-        if self._pull_blocked(node_index):
+        if self.partition_mode[node_index] in _DOWN_CUT:
             # The grant cannot reach a worker behind a downlink
             # partition; it is delivered when the partition heals.
             self.pending_epoch[node_index] = epoch
@@ -553,9 +554,15 @@ class _PullRun:
         return epoch
 
     def _consume_loop(self, topic: str, handle):
-        """Master-side consumer of one worker->master topic."""
+        """Master-side consumer of one worker->master topic.
+
+        ``handle=None``: the ack topic of a run without a lease table —
+        nothing gates an ack, so it goes to this incarnation's core from
+        this frame (a takeover starts new loops)."""
         broker = self.broker
         done = self.done
+        sim = self.sim
+        on_ack = self.core.on_ack
         while True:
             pending = broker.consume(topic)
             try:
@@ -571,7 +578,14 @@ class _PullRun:
             # messages (batched broker deliveries) cost one resume total
             # instead of one suspend/resume round-trip per message.
             while msg is not None:
-                handle(msg)
+                if handle is not None:
+                    handle(msg)
+                else:
+                    kind = msg[0]
+                    on_ack(
+                        kind, msg[1], msg[2], msg[3], None, sim.now,
+                        msg[4] if kind == CORRUPT else (),
+                    )
                 if done._state:
                     return
                 msg = broker.consume_nowait(topic)
@@ -601,23 +615,13 @@ class _PullRun:
             self.core.fence(node_index, now)
 
     # -- network: worker<->master paths under partitions -----------------------
-    def _pull_blocked(self, node_index: int) -> bool:
-        return self.partition_mode[node_index] in ("full", "from-master")
-
-    def send_up(self, node_index: int, topic: str, payload: tuple,
-                drop: bool = False) -> None:
-        """Worker->master publish, honouring an uplink partition."""
-        if self.partition_mode[node_index] in ("full", "to-master"):
-            if not drop:
-                self.pending_up[node_index].append((topic, payload))
-            return
-        self.broker.publish(topic, payload)
-
     def send_ack(self, node_index: int, payload: tuple) -> None:
-        """``send_up`` for the ack topic, its body carried here (two per job)."""
+        """Worker->master ack: stamps the lease epoch and honours an
+        uplink partition.  (A slot of a lease-free, connected node
+        publishes its RUNNING/COMPLETED acks itself.)"""
         if self.lease is not None:
             payload = payload + (node_index, self.worker_epoch[node_index])
-        if self.partition_mode[node_index] in ("full", "to-master"):
+        if self.partition_mode[node_index] in _UP_CUT:
             self.pending_up[node_index].append((_ACK, payload))
         else:
             self.broker.publish(_ACK, payload)
@@ -626,7 +630,7 @@ class _PullRun:
         self.stats["partitions"] += 1
         self.partition_mode[node_index] = mode
         self.heal_events[node_index] = self.sim.event()
-        if self._pull_blocked(node_index):
+        if mode in _DOWN_CUT:
             # Idle slots waiting on the dispatch topic can no longer
             # hear the master: cancel their pulls (they park on the
             # heal event; queued jobs go to connected workers).
@@ -669,9 +673,14 @@ class _PullRun:
         cpu_factor = self.cpu_factor
         draining = self.draining
         send_ack = self.send_ack
+        # No lease table (run-constant: a takeover swaps tables, never
+        # adds one) and no partition (read per ack: one can begin
+        # mid-job): this slot publishes its own RUNNING/COMPLETED acks.
+        partition_mode = self.partition_mode
+        leased = self.lease is not None
         try:
             while node_index not in draining:
-                if self._pull_blocked(node_index):
+                if partition_mode[node_index] in _DOWN_CUT:
                     # Partitioned from the master: no pulling until
                     # the partition heals (in-flight jobs continue).
                     try:
@@ -684,7 +693,7 @@ class _PullRun:
                     # A job was already queued: take it without a
                     # suspend/resume round-trip.  (Queued jobs imply
                     # no other slot is waiting, so no one is bypassed.)
-                    msg = pending.value
+                    msg = pending._value
                 else:
                     idle_waits.add(pending)
                     try:
@@ -695,14 +704,17 @@ class _PullRun:
                     finally:
                         idle_waits.discard(pending)
                 if msg is None:
-                    if self._pull_blocked(node_index):
+                    if partition_mode[node_index] in _DOWN_CUT:
                         # Partition onset cancelled the idle pull;
                         # loop back into the heal wait.
                         continue
                     return  # consume cancelled (graceful scale-in)
                 name, job_id, attempt = msg
-                job = workflows[name].job(job_id)
-                send_ack(node_index, (RUNNING, name, job_id, attempt))
+                job = workflows[name].jobs[job_id]
+                if leased or partition_mode[node_index] is not None:
+                    send_ack(node_index, (RUNNING, name, job_id, attempt))
+                else:
+                    broker.publish(_ACK, (RUNNING, name, job_id, attempt))
                 if integrity is not None:
                     bad = integrity.verify(name, job.inputs, sim.now)
                     if bad:
@@ -753,8 +765,10 @@ class _PullRun:
                         f"{name}/{job_id}#{attempt}",
                     )
                     send_ack(node_index, (FAILED, name, job_id, attempt))
-                else:
+                elif leased or partition_mode[node_index] is not None:
                     send_ack(node_index, (COMPLETED, name, job_id, attempt))
+                else:
+                    broker.publish(_ACK, (COMPLETED, name, job_id, attempt))
         finally:
             self._slot_exit(node_index)
 
@@ -767,11 +781,10 @@ class _PullRun:
         interval = self.engine.liveness.heartbeat_interval
         try:
             while self.slot_alive[node_index] > 0:
-                self.send_up(
-                    node_index, _HEARTBEAT,
-                    (node_index, self.worker_epoch[node_index]),
-                    drop=True,
-                )
+                if self.partition_mode[node_index] not in _UP_CUT:
+                    self.broker.publish(
+                        _HEARTBEAT, (node_index, self.worker_epoch[node_index])
+                    )
                 yield self.sim.timeout(interval)
         except Interrupt:
             return  # worker daemon killed
@@ -855,7 +868,9 @@ class _PullRun:
         config = self.engine.config
         loops = [
             self.submitter(skip_admitted=takeover),
-            self._consume_loop(_ACK, self._handle_ack),
+            self._consume_loop(
+                _ACK, self._handle_ack if self.lease is not None else None
+            ),
             self._every(config.timeout_check_interval, core.sweep_timeouts),
         ]
         if self.lease is not None:

@@ -108,6 +108,10 @@ class ChaosSimBroker(SimBroker):
         priority: float = 0.0,
     ) -> bool:
         chaos = self.chaos
+        if message is None:
+            # Refused like SimBroker.publish does, before the draw: the
+            # delayed band below bypasses it.
+            raise ValueError(f"cannot publish None to {topic_name!r}")
         if not chaos.applies_to(topic_name):
             return super().publish(
                 topic_name, message, klass=klass, tag=tag, priority=priority
@@ -131,11 +135,11 @@ class ChaosSimBroker(SimBroker):
             self.delayed += 1
             self._record("mq-delay", topic_name, message)
             self.published += 1
-            # Deliver through the meta-preserving direct put so a delayed
-            # message keeps its class, tag and priority.
+            # Its own one-entry batch, so a delayed message keeps its
+            # class, tag and priority.
             self.sim.schedule_call(
-                self.latency + chaos.delay,
-                self._put_direct, topic_name, message, klass, tag, priority,
+                self.latency + chaos.delay, self._deliver, topic_name,
+                (self.sim.now, [[message, klass, tag, priority]]),
             )
             return True
         return super().publish(

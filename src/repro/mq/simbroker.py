@@ -158,8 +158,14 @@ class SimBroker:
         a shed) when the topic is bounded and its backlog — queued plus
         in-flight deliveries — is at capacity and nothing more sheddable
         than ``klass`` could be evicted; the message is dropped and the
-        publisher is expected to back off and retry.
+        publisher is expected to back off and retry.  A ``None`` message
+        is refused with :class:`ValueError` before anything is counted.
         """
+        if message is None:
+            # ``None`` is what a cancelled consume delivers and what
+            # ``consume_nowait`` returns for "empty": as a payload it
+            # would silently end the consumer that reads it.
+            raise ValueError(f"cannot publish None to {topic_name!r}")
         limit = self.limits.get(topic_name)
         if limit is not None:
             backlog = len(self.topic(topic_name))
@@ -172,40 +178,36 @@ class SimBroker:
                 self._count_shed(topic_name, tag, "incoming")
                 return False
         self.published += 1
-        if self.latency == 0:
-            self._put_direct(topic_name, message, klass, tag, priority)
-            return True
+        entry = [message, klass, tag, priority]
         now = self.sim.now
+        if self.latency == 0:
+            self._deliver(topic_name, (now, [entry]))
+            return True
         pending = self._pending.get(topic_name)
         if pending is not None and pending[0] == now:
-            pending[1].append([message, klass, tag, priority])
+            pending[1].append(entry)
             return True
-        batch = (now, [[message, klass, tag, priority]])
+        batch = (now, [entry])
         self._pending[topic_name] = batch
         self.sim.schedule_call(self.latency, self._deliver, topic_name, batch)
         return True
 
-    def _put_direct(
-        self,
-        topic_name: str,
-        message: Any,
-        klass: Optional[int],
-        tag: Any,
-        priority: float,
-    ) -> None:
-        """Deposit one message with its shedding meta attached to the
-        store entry itself (no parallel mirror to desync)."""
-        meta = (klass, tag) if klass is not None or tag is not None else None
+    def _deliver(self, topic_name: str, batch) -> None:
+        """A batch arrives: each message into the store in publish order,
+        its shedding meta on the store entry itself (no parallel mirror
+        to desync).  The one place a message enters a topic — a latency
+        batch, a zero-latency publish and the chaos shim's delayed
+        message (one-entry batches that never were ``_pending``)."""
+        if self._pending.get(topic_name) is batch:
+            del self._pending[topic_name]
         store = self._topics.get(topic_name)
         if store is None:
             store = self.topic(topic_name)
-        store.put(message, priority, meta)
-
-    def _deliver(self, topic_name: str, batch) -> None:
-        if self._pending.get(topic_name) is batch:
-            del self._pending[topic_name]
         for message, klass, tag, priority in batch[1]:
-            self._put_direct(topic_name, message, klass, tag, priority)
+            store.put(
+                message, priority,
+                (klass, tag) if klass is not None or tag is not None else None,
+            )
 
     def consume(self, topic_name: str) -> Event:
         """Event that fires with the next message of the topic."""
@@ -224,10 +226,10 @@ class SimBroker:
         store = self._topics.get(topic_name)
         if store is None:
             store = self.topic(topic_name)
-        if len(store):
+        message = store.pop_nowait()
+        if message is not None:
             self.consumed += 1
-            return store.pop_nowait()
-        return None
+        return message
 
     def reprioritize(self, topic_name: str, selector, priority: float) -> int:
         """Retag queued messages for which ``selector(message)`` is true

@@ -227,10 +227,22 @@ class Call(Timeout):
     __slots__ = ("func", "args")
 
     def __init__(self, sim: "Simulator", delay: float, func: Callable, args: tuple):
-        Timeout.__init__(self, sim, delay)
+        # Timeout.__init__ written out (broker latency builds one of these
+        # per delivery batch): same check, same agenda entry, one frame.
+        if not 0.0 <= delay < inf:
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay!r}")
+        self.sim = sim
+        self.callbacks = [self]
+        self._state = _SUCCEEDED
+        self._value = None
+        self.delay = delay
         self.func = func
         self.args = args
-        self.callbacks.append(self)
+        sim._seq += 1
+        if delay == 0.0:
+            sim._imm.append((sim._seq, self))
+        else:
+            heappush(sim._heap, (sim.now + delay, sim._seq, self))
 
     def __call__(self, _event: Event) -> None:
         self.func(*self.args)

@@ -150,6 +150,8 @@ class WriteBackCache:
             event._complete()  # succeed() for write(), arrive() for write_into()
 
     def _flush_loop(self):
+        """The flusher: park while idle, then drain in bursts.  One
+        generator, so a resume after a chunk re-enters one frame."""
         sim = self.sim
         while True:
             while not (self._queue or self._stalled):
@@ -157,53 +159,49 @@ class WriteBackCache:
                 event = self._work = Event(sim)
                 yield event
                 self._work = None
-            yield from self._flush_burst()
-
-    def _flush_burst(self):
-        sim = self.sim
-        first_batch = True
-        while self._queue or self._stalled:
-            if not first_batch and self.flush_interval > 0:
-                # Let dirty pages accumulate, then drain in one burst.
-                yield sim.timeout(self.flush_interval)
-            first_batch = False
-            if self._stalled:
-                self._admit_stalled()
-            while self._queue:
-                nbytes, links = self._queue.popleft()
-                # Coalesce queued entries bound for the same route, up to
-                # one chunk: the links see one stream with the same total
-                # bytes either way (PS-exact), and dirty pages were
-                # already released at burst granularity.
-                queue = self._queue
-                while (
-                    queue
-                    and queue[0][1] == links
-                    and nbytes + queue[0][0] <= self.chunk
-                ):
-                    nbytes += queue.popleft()[0]
-                remaining = nbytes
-                while remaining > 0:
-                    burst = min(self.chunk, remaining)
-                    if len(links) == 1:
-                        yield links[0].transfer(burst)
-                    else:
-                        join = JoinEvent(sim, len(links))
-                        for link in links:
-                            link.transfer_into(burst, join)
-                        yield join
-                    remaining -= burst
-                    self.dirty -= burst
-                    self.bytes_flushed += burst
-                    san = _sanitizer._ACTIVE
-                    if san is not None:
-                        san.check_cache(self)
-                    if self._stalled:
-                        self._admit_stalled()
-        if self.dirty <= 1e-6 and not self._stalled:
-            san = _sanitizer._ACTIVE
-            if san is not None:
-                san.check_cache_drained(self)
-            drained, self._drained = self._drained, []
-            for event in drained:
-                event.succeed()
+            first_batch = True
+            while self._queue or self._stalled:
+                if not first_batch and self.flush_interval > 0:
+                    # Let dirty pages accumulate, then drain in one burst.
+                    yield sim.timeout(self.flush_interval)
+                first_batch = False
+                if self._stalled:
+                    self._admit_stalled()
+                while self._queue:
+                    nbytes, links = self._queue.popleft()
+                    # Coalesce queued entries bound for the same route, up
+                    # to one chunk: the links see one stream with the same
+                    # total bytes either way (PS-exact), and dirty pages
+                    # were already released at burst granularity.
+                    queue = self._queue
+                    while (
+                        queue
+                        and queue[0][1] == links
+                        and nbytes + queue[0][0] <= self.chunk
+                    ):
+                        nbytes += queue.popleft()[0]
+                    remaining = nbytes
+                    while remaining > 0:
+                        burst = min(self.chunk, remaining)
+                        if len(links) == 1:
+                            yield links[0].transfer(burst)
+                        else:
+                            join = JoinEvent(sim, len(links))
+                            for link in links:
+                                link.transfer_into(burst, join)
+                            yield join
+                        remaining -= burst
+                        self.dirty -= burst
+                        self.bytes_flushed += burst
+                        san = _sanitizer._ACTIVE
+                        if san is not None:
+                            san.check_cache(self)
+                        if self._stalled:
+                            self._admit_stalled()
+            if self.dirty <= 1e-6 and not self._stalled:
+                san = _sanitizer._ACTIVE
+                if san is not None:
+                    san.check_cache_drained(self)
+                drained, self._drained = self._drained, []
+                for event in drained:
+                    event.succeed()

@@ -1,6 +1,6 @@
 """Tier-1 stand-in for the benchmark's ``jobs_per_ref_s`` (CI cannot run
-the bench): how many interpreter frames the kernel and the storage layer
-enter per simulated job.
+the bench): how many interpreter frames the kernel, the storage layer
+and the control plane enter per simulated job.
 
 Every storage read fans out into fair-share flows, and a flow's life —
 admit, wake, arrive — is paid in Python frames under ``repro/sim`` and
@@ -24,15 +24,26 @@ admit, wake, arrive — is paid in Python frames under ``repro/sim`` and
   logged inside ``_wake`` / ``transfer_into``, and the one-line hops of
   the per-job path (``home_of``, ``topic``, ``triggered``, ``send_up``,
   the flusher nudge) folded into their callers: 53.50 + 7.94 = 61.4,
-  and 99.61 under all of ``repro`` (157.74 before).
+  and 99.61 under all of ``repro`` (157.74 before), of which the control
+  plane — everything that is neither ``sim/`` nor ``storage/`` — 38.17;
+* PR 21, one frame per message hop: a run without a journal, a lease
+  table or a partition calls no ``jlog``, no ``_handle_ack``, no
+  ``send_ack``; a latency batch enters the store from ``_deliver``;
+  ``Call`` builds itself and the flusher is one generator; six one-line
+  lookups read in their callers' frames: 50.41 + 6.47 = 56.9, 79.02
+  under all of ``repro``, control plane 22.14.  On ``single_node``'s
+  geometry (second case below) 84.45 -> 64.13.
 
-The budget is 1.05 x the last, which each earlier row misses (by 201%,
-98% and 71%); the whole-``repro`` budget is there so that a hop moved out
-of ``sim/`` into an engine does not pass.  The same counted run pins what
-was *not* allowed to move: ``sim._seq`` and the wake-up census (armed,
-fired, cancelled, fired with nothing ripe) are the integers the parent of
-PR 20 gave.  A second case pins one uncontended flow: 1 frame to admit it
-and 2 inside ``run()`` to complete it, where the first row took 8 and 8.
+The budget is 1.05 x the last, which each earlier row misses (by 225%,
+114%, 85% and 3%); the whole-``repro`` budget is there so that a hop
+moved out of ``sim/`` into an engine does not pass, and the control-plane
+remainder and the single-node case have their own, the last row plus
+0.75 of a frame, so that one hop moved back fails by name.  The same
+counted runs pin what was *not* allowed to move: ``sim._seq`` and the
+wake-up census (armed, fired, cancelled, fired with nothing ripe) are the
+integers the parent of PR 20 gave.  A last case pins one uncontended
+flow: 1 frame to admit it and 2 inside ``run()`` to complete it, where
+the first row took 8 and 8.
 """
 
 import os
@@ -54,9 +65,16 @@ REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 SIM_DIR = os.path.dirname(repro.sim.__file__) + os.sep
 STORAGE_DIR = os.path.dirname(repro.storage.__file__) + os.sep
 
-MEASURED_SIM_FRAMES_PER_JOB = 53.50
-MEASURED_STORAGE_FRAMES_PER_JOB = 7.94
-MEASURED_REPRO_FRAMES_PER_JOB = 99.61
+MEASURED_SIM_FRAMES_PER_JOB = 50.41
+MEASURED_STORAGE_FRAMES_PER_JOB = 6.47
+MEASURED_REPRO_FRAMES_PER_JOB = 79.02
+#: Everything under ``repro/`` that is neither ``sim/`` nor ``storage/``:
+#: broker, pull engine, master core, workflow state, ``execute_job``.
+MEASURED_CONTROL_FRAMES_PER_JOB = 22.14
+#: ``single_node``'s geometry at 2.0 degrees: no shared file system and
+#: no remote flow, so the control plane is a third of the frames.
+MEASURED_SINGLE_NODE_FRAMES_PER_JOB = 64.13
+SINGLE_NODE_EVENTS_SCHEDULED = 73976
 
 #: Wake-ups of the counted run, all links together, taken on the parent
 #: of PR 20 (where a wake-up was a ``Timeout``): every one armed took a
@@ -109,6 +127,16 @@ def _take_wake_census(monkeypatch):
     return census
 
 
+def _counted_run(engine, ensemble):
+    """One unsanitized run under the frame counter: the counts, the
+    job count and the run's ``sim._seq``."""
+    results = []
+    counted = _unsanitized(lambda: results.append(engine.run(ensemble)))
+    jobs = ensemble.total_jobs
+    assert results[0].jobs_executed == jobs
+    return counted, jobs, results[0].cluster.sim._seq
+
+
 def test_sim_and_storage_frames_per_job_within_budget(monkeypatch):
     census = _take_wake_census(monkeypatch)
     ensemble = Ensemble.replicated(montage_workflow(degree=1.0), 16)
@@ -116,16 +144,16 @@ def test_sim_and_storage_frames_per_job_within_budget(monkeypatch):
         ClusterSpec("r3.8xlarge", 4, filesystem="moosefs"),
         RunConfig(default_timeout=600.0, record_jobs=False),
     )
-    results = []
-    counted = _unsanitized(lambda: results.append(engine.run(ensemble)))
-    jobs = ensemble.total_jobs
-    assert results[0].jobs_executed == jobs == 3392
+    counted, jobs, events = _counted_run(engine, ensemble)
+    assert jobs == 3392
     sim = counted.under(SIM_DIR) / jobs
     storage = counted.under(STORAGE_DIR) / jobs
     everything = counted.under(REPRO_DIR) / jobs
+    control = everything - sim - storage
     print(
-        f"frames per job: {sim:.2f} sim + {storage:.2f} storage, "
-        f"{everything:.2f} under repro/; wake-ups {dict(census)}"
+        f"frames per job: {sim:.2f} sim + {storage:.2f} storage + "
+        f"{control:.2f} control plane = {everything:.2f} under repro/; "
+        f"wake-ups {dict(census)}"
     )
     budget = 1.05 * (MEASURED_SIM_FRAMES_PER_JOB + MEASURED_STORAGE_FRAMES_PER_JOB)
     assert sim + storage <= budget, (
@@ -137,9 +165,37 @@ def test_sim_and_storage_frames_per_job_within_budget(monkeypatch):
         f"{everything:.2f} frames/job under repro/ > {budget:.1f}\n"
         + counted.top(per=jobs)
     )
+    # A hop on the per-message path is a whole frame per job: less slack
+    # than one, so that one coming back fails here by name.
+    budget = MEASURED_CONTROL_FRAMES_PER_JOB + 0.75
+    assert control <= budget, (
+        f"{control:.2f} control-plane frames/job > {budget:.1f}\n"
+        + counted.top(per=jobs, limit=40)
+    )
     # Same events: fewer frames may not mean fewer (or other) wake-ups.
-    assert results[0].cluster.sim._seq == EVENTS_SCHEDULED
+    assert events == EVENTS_SCHEDULED
     assert dict(census) == WAKE_CENSUS
+
+
+def test_single_node_frames_per_job_within_budget():
+    """The benchmark's claimed workload in small: 8 members on one
+    c3.8xlarge with node-local storage, where the three messages and
+    three transitions of a job are most of what is left."""
+    ensemble = Ensemble.replicated(montage_workflow(degree=2.0), 8)
+    engine = PullEngine(
+        ClusterSpec("c3.8xlarge", 1, filesystem="local"),
+        RunConfig(default_timeout=600.0, record_jobs=False),
+    )
+    counted, jobs, events = _counted_run(engine, ensemble)
+    assert jobs == 8080
+    everything = counted.under(REPRO_DIR) / jobs
+    print(f"frames per job, single node: {everything:.2f} under repro/")
+    budget = MEASURED_SINGLE_NODE_FRAMES_PER_JOB + 0.75
+    assert everything <= budget, (
+        f"{everything:.2f} frames/job under repro/ > {budget:.1f}\n"
+        + counted.top(per=jobs, limit=40)
+    )
+    assert events == SINGLE_NODE_EVENTS_SCHEDULED
 
 
 def test_uncontended_flow_frames():

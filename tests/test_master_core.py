@@ -15,10 +15,12 @@ import repro.engines.pull as pull
 from repro.cloud import ClusterSpec
 from repro.dewe import DeweConfig, MasterDaemon, WorkerDaemon, submit_workflow
 from repro.dewe.core import COMPLETED, FAILED, RUNNING, MasterCore
+from repro.dewe.state import WorkflowState
 from repro.engines import PullEngine, RunConfig
 from repro.faults.retry import RetryPolicy
 from repro.liveness import LeaseConfig
 from repro.mq import Broker
+from repro.mq.priority import RepriorityPolicy
 from repro.workflow import Ensemble, Workflow
 
 
@@ -207,6 +209,68 @@ def test_core_restore_requeues_in_flight_and_keeps_admission_facts():
     assert restored.default_timeout == 20.0
     assert standby.states["late"].arrival == 9.0
     assert standby.states["wf"].n_completed == 1
+
+
+class _Finished:
+    """Stands in for a settled member's state: any touch fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a sweep read .{name} of a finished member")
+
+
+def _settle(core, name):
+    for job_id in "abcd":
+        core.on_ack(COMPLETED, name, job_id, 1, None, 1.0)
+
+
+def test_sweeps_visit_live_members_only(monkeypatch):
+    ports = RecordingPorts()
+    core = make_core(ports, retry=RetryPolicy(), repriority=RepriorityPolicy())
+    names = [f"m{i}" for i in (3, 0, 4, 1, 2)]  # admission order, not sorted
+    for name in names:
+        core.admit(diamond(name), now=0.0)
+    for name in ("m0", "m4", "m2"):
+        _settle(core, name)
+    assert core.finished == {"m0", "m4", "m2"}
+    assert list(core.live) == ["m3", "m1"]
+    for name in core.finished:
+        core.states[name] = _Finished()
+    ports.take()
+
+    entered = []
+    expired = WorkflowState.expired
+    monkeypatch.setattr(
+        WorkflowState, "expired",
+        lambda state, now: entered.append(state.name) or expired(state, now),
+    )
+    # Both live members hold a QUEUED root past its dispatch deadline.
+    for name in core.live:
+        core.states[name].deadline["a"] = 5.0
+    core.sweep_timeouts(6.0)
+    assert entered == ["m3", "m1"]  # admission order
+    assert [c for c in ports.take() if c[0] == "log"] == [
+        ("log", "timeout-requeue", "m3", "a", 2, ""),
+        ("log", "dispatch", "m3", "a", 2, ""),
+        ("log", "timeout-requeue", "m1", "a", 2, ""),
+        ("log", "dispatch", "m1", "a", 2, ""),
+    ]
+    core.sweep_priorities(7.0)
+    assert [c[1] for c in ports.take()] == ["m1", "m3"]  # name order
+
+    # A member the sweep itself settles leaves the live set mid-walk.
+    _settle(core, "m3")
+    assert list(core.live) == ["m1"] and "m3" in core.finished
+
+    # A restored core starts with the settled members already out.
+    standby = make_core(ports, retry=RetryPolicy())
+    standby.restore(
+        {
+            name: (diamond(name), core.states[name].snapshot())
+            for name in ("m1", "m3")
+        },
+        core.admissions, 8.0,
+    )
+    assert list(standby.live) == ["m1"] and standby.finished == {"m3"}
 
 
 # -- DES <-> threads ---------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.dewe.core import MasterCore
 from repro.sim import Simulator
 
 SRC = Path(repro.__file__).parent
@@ -120,3 +121,90 @@ def test_link_cycle_calls_no_helper_it_carries_inline():
     assert checked == ["_wake", "transfer_into"]
     names = {node.id for node in ast.walk(link) if isinstance(node, ast.Name)}
     assert "Timeout" not in names  # no path of the link arms a Timeout
+
+
+def _is_not_none_test(test, dumped):
+    """``<expr> is not None`` for the expression whose dump is ``dumped``."""
+    return (
+        isinstance(test, ast.Compare)
+        and ast.dump(test.left) == dumped
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.IsNot)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    )
+
+
+def test_core_calls_the_journal_port_only_under_a_none_test():
+    """``MasterCore.log`` is ``None`` for a driver without a journal, so
+    a plain run pays no frame for it — and so every call of it has to
+    sit in the body of ``if self.log is not None``."""
+    tree = ast.parse((SRC / "dewe/core.py").read_text())
+    port = ast.dump(ast.parse("self.log", mode="eval").body)
+    guarded, calls = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and _is_not_none_test(node.test, port):
+            for stmt in node.body:
+                guarded.update(id(inner) for inner in ast.walk(stmt))
+        if isinstance(node, ast.Call) and ast.dump(node.func) == port:
+            calls.append(node)
+    assert len(calls) >= 4  # dispatch, two acks, the cold-path helper
+    bare = [f"line {call.lineno}" for call in calls if id(call) not in guarded]
+    assert not bare, f"self.log( outside `if self.log is not None`: {bare}"
+    fields = MasterCore.__dataclass_fields__
+    assert fields["log"].default is None and fields["trace"].default is None
+    # The no-op default port is gone from the package, not just unused.
+    ignoring = [
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, _DEFS) and node.name == "_ignore"
+    ]
+    assert not ignoring, ignoring
+
+
+def test_worker_slot_reads_the_partition_state_per_message():
+    """A partition can begin mid-run, so the slot may keep the *list*
+    but not an element of it: every ``partition_mode[...]`` sits inside
+    the pull loop."""
+    tree = ast.parse((SRC / "engines/pull.py").read_text())
+    slot = next(
+        fn for fn, _depth in _functions(tree) if fn.name == "worker_slot"
+    )
+    loops = [node for node in ast.walk(slot) if isinstance(node, ast.While)]
+    in_loop = {id(inner) for loop in loops for inner in ast.walk(loop)}
+    reads = [
+        node
+        for node in ast.walk(slot)
+        if isinstance(node, ast.Subscript)
+        and "partition_mode" in (
+            getattr(node.value, "id", ""), getattr(node.value, "attr", "")
+        )
+    ]
+    assert len(reads) >= 3  # pull gate, cancelled pull, one per ack
+    outside = [f"line {node.lineno}" for node in reads if id(node) not in in_loop]
+    assert not outside, f"partition_mode[...] read outside the loop: {outside}"
+
+
+def test_one_function_puts_messages_into_a_topic():
+    """Latency batches, zero-latency publishes and the chaos shim's
+    delayed messages all arrive through ``SimBroker._deliver``; a second
+    ``store.put`` caller is a second delivery path (and, per message, the
+    frame ``_put_direct`` used to be)."""
+    putters = []
+    for relative in ("mq/simbroker.py", "mq/chaosbroker.py"):
+        tree = ast.parse((SRC / relative).read_text())
+        sim_classes = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and "SimBroker" in node.name
+        ]
+        putters += [
+            f"{cls.name}.{fn.name}"
+            for cls in sim_classes
+            for fn, _depth in _functions(cls)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "put"
+        ]
+    assert putters == ["SimBroker._deliver"]

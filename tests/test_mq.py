@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.mq import Broker, SimBroker
+from repro.mq.chaosbroker import ChaosSimBroker, MessageChaos
 from repro.sim import Simulator
 
 
@@ -202,3 +203,58 @@ def test_simbroker_negative_latency_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         SimBroker(sim, latency=-1.0)
+
+
+def _broker_state(broker, sim):
+    return (
+        broker.published, dict(broker._pending), broker.depth("t"),
+        dict(broker.shed), sim._seq,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda sim: SimBroker(sim, latency=0.5),
+        lambda sim: SimBroker(sim, latency=0.0),
+        lambda sim: SimBroker(sim, latency=0.5, limits={"t": 1}),
+        lambda sim: ChaosSimBroker(sim, MessageChaos(), latency=0.5),
+        lambda sim: ChaosSimBroker(
+            sim, MessageChaos(p_delay=1.0, delay=0.2), latency=0.5
+        ),
+        lambda sim: ChaosSimBroker(sim, MessageChaos(p_duplicate=1.0)),
+        lambda sim: ChaosSimBroker(sim, MessageChaos(p_drop=1.0)),
+    ],
+    ids=["latency", "direct", "bounded", "chaos-pass", "chaos-delay",
+         "chaos-duplicate", "chaos-drop"],
+)
+def test_simbroker_refuses_a_none_payload_before_counting(make):
+    """``None`` is what a cancelled consume delivers and what
+    ``consume_nowait`` returns for "empty": as a payload it would end the
+    master's ack loop silently.  Refused on every publish path, with no
+    counter, batch, store entry, agenda entry or chaos draw spent."""
+    sim = Simulator()
+    broker = make(sim)
+    before = _broker_state(broker, sim)
+    draw = getattr(broker, "_rng", None) and broker._rng.getstate()
+    with pytest.raises(ValueError, match="None"):
+        broker.publish("t", None)
+    assert _broker_state(broker, sim) == before
+    if draw:
+        assert broker._rng.getstate() == draw
+        assert broker.stats() == {"dropped": 0, "duplicated": 0, "delayed": 0}
+    sim.run()
+    assert broker.consume_nowait("t") is None and broker.consumed == 0
+
+
+def test_simbroker_consume_nowait_counts_only_what_it_pops():
+    sim = Simulator()
+    broker = SimBroker(sim, latency=0.0)
+    assert broker.consume_nowait("t") is None
+    assert broker.consumed == 0
+    broker.publish("t", 0)  # a falsy payload is still a payload
+    broker.publish("t", "m")
+    assert broker.consume_nowait("t") == 0
+    assert broker.consume_nowait("t") == "m"
+    assert broker.consume_nowait("t") is None
+    assert broker.consumed == 2
