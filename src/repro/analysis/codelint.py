@@ -84,7 +84,7 @@ CONCURRENCY_RULES: FrozenSet[str] = frozenset(
 )
 
 #: The one sub-package that may read the host clock (CL001 skips it):
-#: master, remote worker and sampler daemons run on real threads.
+#: master and remote worker daemons run on real threads.
 WALL_CLOCK_SUBPACKAGES = frozenset({"dewe"})
 #: Sub-packages whose RNG use must be explicitly seeded (CL002).
 DETERMINISTIC_SUBPACKAGES = frozenset({"sim", "cloud"})

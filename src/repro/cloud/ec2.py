@@ -1,6 +1,6 @@
 """Simulated EC2 lifecycle: launch, describe, terminate.
 
-A thin control-plane model used by the CLI and the examples: instances
+A thin control-plane model: instances
 have ids, states and launch times; placement groups guarantee the
 homogeneous, tightly coupled environment DEWE v2's design assumes (paper
 §III.A: "a homogeneous environment can be achieved by launching all the

@@ -315,7 +315,6 @@ class MasterDaemon:
                 attempt=attempt,
                 job=state.workflow.job(job_id),
             ),
-            tag=(state.tenant, state.sla) if state.tenant else None,
             priority=priority,
         )
 

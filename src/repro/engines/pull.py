@@ -63,6 +63,12 @@ _DOWN_CUT = ("full", "from-master")
 _UP_CUT = ("full", "to-master")
 
 
+def _reraise(proc: Process) -> None:
+    # A MasterCrash is already reported through ``crash_event``.
+    if not proc.ok and not isinstance(proc.value, MasterCrash):
+        raise proc.value
+
+
 class ElasticAPI:
     """What an autoscaler controller can see and do during a run.
 
@@ -381,21 +387,19 @@ class _PullRun:
         if not self.crash_event.triggered:
             self.crash_event.succeed()
 
+    def _spawn(self, generator) -> Process:
+        """Start a process this run owns.  The kernel drops an exception
+        raised in a process nobody waits on, and the sweep timers would
+        then keep ``run_until(done)`` alive for ever — so the exit
+        callback raises it out of the agenda instead."""
+        proc = self.sim.process(generator)
+        proc.callbacks.append(_reraise)
+        return proc
+
     def _publish(self, state, job_id: str, attempt: int, priority: float) -> None:
-        message = (state.name, job_id, attempt)
-        service = self.service
-        if service is not None:
-            # Class-aware backstop: a bounded dispatch topic at
-            # capacity evicts the most sheddable queued job in favor
-            # of a less sheddable one (gold displaces best-effort).
-            self.broker.publish(
-                _DISPATCH, message,
-                klass=service.rank_of(state.name),
-                tag=(state.tenant, state.sla),
-                priority=priority,
-            )
-        else:
-            self.broker.publish(_DISPATCH, message, priority=priority)
+        self.broker.publish(
+            _DISPATCH, (state.name, job_id, attempt), priority=priority
+        )
 
     def _reprioritize(self, name: str, job_id: str, priority: float) -> None:
         self.broker.reprioritize(
@@ -804,11 +808,11 @@ class _PullRun:
             # Lease grant is part of the provisioning handshake, so
             # the node's very first ack already carries a live epoch.
             self.worker_epoch[node_index] = self._grant_lease(node_index)
-            self.hb_procs[node_index] = sim.process(
+            self.hb_procs[node_index] = self._spawn(
                 self.heartbeat_agent(node_index)
             )
         for _ in range(capacity):
-            slots.append(sim.process(self.worker_slot(node_index)))
+            slots.append(self._spawn(self.worker_slot(node_index)))
 
     def kill_worker(self, node_index: int) -> None:
         """Abrupt death: in-flight jobs are lost (fault injection)."""
@@ -883,7 +887,7 @@ class _PullRun:
         repriority = self.engine.repriority
         if repriority is not None and repriority.interval > 0:
             loops.append(self._every(repriority.interval, core.sweep_priorities))
-        self.master_procs[:] = [self.sim.process(loop) for loop in loops]
+        self.master_procs[:] = [self._spawn(loop) for loop in loops]
 
     def _primary_die(self) -> None:
         if self.done.triggered:
@@ -984,7 +988,7 @@ class _PullRun:
             if i not in initially_down:
                 self.start_worker(i)
         if engine.autoscaler is not None:
-            sim.process(engine.autoscaler(ElasticAPI(self)))
+            self._spawn(engine.autoscaler(ElasticAPI(self)))
 
         until = (
             self.done if journal is None
@@ -1055,9 +1059,10 @@ class _PullRun:
         ):
             liveness_stats = dict(stats)
             liveness_stats["dead_letter_depth"] = len(self.core.dead_letters)
-            # Shed-record ledger overflow (bounded deque): non-zero means
-            # the oldest shed evidence was dropped, not that sheds were.
-            liveness_stats["shed_record_drops"] = self.broker.dropped_records
+            # Constant: the shed ledger it counted is gone, but the
+            # quick-soak SHA-256 in tests/test_golden_runs.py hashes this
+            # dict — the key goes when those pins are next regenerated.
+            liveness_stats["shed_record_drops"] = 0
         integrity = self.integrity
         return EngineResult(
             engine=engine.name,

@@ -57,8 +57,6 @@ class CentralDispatchEngine(EngineBase):
         output_copy_factor: float = 0.0,
         log_bytes_per_job: float = 0.0,
         sequential_workflows: bool = False,
-        type_aware: bool = False,
-        long_job_threshold: float = 30.0,
     ):
         super().__init__(spec, config)
         self.max_slots_per_node = max_slots_per_node
@@ -69,14 +67,6 @@ class CentralDispatchEngine(EngineBase):
         self.output_copy_factor = output_copy_factor
         self.log_bytes_per_job = log_bytes_per_job
         self.sequential_workflows = sequential_workflows
-        #: Grid-era matchmaking (paper §II): "schedule critical jobs to
-        #: worker nodes with more processing power".  When True, jobs
-        #: longer than ``long_job_threshold`` reference-seconds are
-        #: upgraded to a fastest-core slot if one is free.  Only relevant
-        #: on heterogeneous clusters — the situation whose disappearance
-        #: in public clouds is DEWE v2's whole premise.
-        self.type_aware = type_aware
-        self.long_job_threshold = long_job_threshold
 
     def run(self, ensemble: Ensemble) -> EngineResult:
         sim, cluster, thread_logs = self._setup(ensemble)
@@ -169,25 +159,10 @@ class CentralDispatchEngine(EngineBase):
                     state, job_id = yield pending
                 yield from run_job(node_index, state, job_id)
 
-        max_speed = max(node.itype.cpu_speed for node in cluster.nodes)
-
         def dispatcher():
             while True:
                 state, job_id = yield ready.get()
                 node_index = yield slots.get()
-                if (
-                    self.type_aware
-                    and state.workflow.job(job_id).runtime >= self.long_job_threshold
-                    and cluster.nodes[node_index].itype.cpu_speed < max_speed
-                ):
-                    # Matchmaking: trade the slot for a fastest-core one
-                    # if any is idle right now (no waiting).
-                    better = slots.take(
-                        lambda i: cluster.nodes[i].itype.cpu_speed == max_speed
-                    )
-                    if better is not None:
-                        slots.put(node_index)
-                        node_index = better
                 if self.submit_overhead > 0:
                     # The submission path handles one job at a time.
                     yield sim.timeout(self.submit_overhead)

@@ -18,18 +18,14 @@ engines only consume job runtimes and file sizes).
 """
 
 from repro.generators.cybershake import cybershake_workflow
-from repro.generators.epigenomics import epigenomics_workflow
 from repro.generators.ligo import ligo_workflow
 from repro.generators.montage import MONTAGE_BLOCKING_TYPES, montage_workflow
 from repro.generators.random_dag import random_layered_workflow
-from repro.generators.sipht import sipht_workflow
 
 __all__ = [
     "MONTAGE_BLOCKING_TYPES",
     "cybershake_workflow",
-    "epigenomics_workflow",
     "ligo_workflow",
     "montage_workflow",
     "random_layered_workflow",
-    "sipht_workflow",
 ]

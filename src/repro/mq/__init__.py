@@ -14,9 +14,15 @@ discrete-event simulator, with configurable publish latency.
 :class:`~repro.mq.chaosbroker.ChaosBroker` / ``ChaosSimBroker`` wrap them
 with a seeded :class:`~repro.mq.chaosbroker.MessageChaos` band that
 drops, duplicates or delays published messages.
+
+All five brokers (those four and the TCP client
+:class:`~repro.mq.tcpbroker.RemoteBroker`) publish with one signature,
+``publish(topic_name, message, priority=0.0)``, into unbounded topics:
+backpressure is the admission gate and the service ladder reading
+``depth``, never a refused or evicted message.
 """
 
-from repro.mq.broker import SHED_RECORD_CAP, Broker, Topic
+from repro.mq.broker import Broker, Topic
 from repro.mq.chaosbroker import ChaosBroker, ChaosSimBroker, MessageChaos
 from repro.mq.tcpbroker import BrokerServer, RemoteBroker
 from repro.mq.messages import (
@@ -47,7 +53,6 @@ __all__ = [
     "RepriorityPolicy",
     "JobAck",
     "JobDispatch",
-    "SHED_RECORD_CAP",
     "SimBroker",
     "TOPIC_ACK",
     "TOPIC_DISPATCH",

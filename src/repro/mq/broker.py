@@ -26,17 +26,11 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import repro.analysis.concurrency.recorder as _conc
 
-__all__ = ["SHED_RECORD_CAP", "Topic", "Broker"]
-
-#: Upper bound on retained shed-attribution records per topic.  The
-#: ``shed`` counters stay exact over arbitrarily long soaks; only the
-#: per-record ring is capped (``dropped_records`` counts the discards).
-SHED_RECORD_CAP = 256
+__all__ = ["Topic", "Broker"]
 
 
 class Topic:
@@ -54,16 +48,10 @@ class Topic:
     _guarded_by_ = {
         "published": "_cond",
         "consumed": "_cond",
-        "shed": "_cond",
-        "shed_records": "_cond",
-        "dropped_records": "_cond",
-        "capacity": "_cond",
         "_heap": "_cond",
     }
 
-    def __init__(self, name: str, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, name: str):
         self.name = name
         #: Entries are ``[-priority, seq, message]`` — lists, so
         #: ``reprioritize`` can retag in place; ``seq`` is unique, so the
@@ -71,18 +59,6 @@ class Topic:
         self._heap: List[list] = []
         self.published = 0
         self.consumed = 0
-        #: Backlog bound; ``None`` = unbounded.  Publishes at the bound
-        #: are shed (``publish`` returns ``False``) rather than blocked:
-        #: the backpressure is explicit so publishers can back off.
-        self.capacity = capacity
-        self.shed = 0
-        #: Attribution tags of shed publishes (service plane: the
-        #: ``(tenant, sla)`` of each message lost at the capacity bound),
-        #: in shed order, for post-mortems.  Bounded to the newest
-        #: :data:`SHED_RECORD_CAP` tags.
-        self.shed_records: Deque[Any] = deque(maxlen=SHED_RECORD_CAP)
-        #: How many shed records the cap discarded (oldest-first).
-        self.dropped_records = 0
         self._cond = threading.Condition(threading.Lock())
         rec = _conc.active()
         self._key = (
@@ -90,16 +66,8 @@ class Topic:
             else ("topic", name, 0)
         )
 
-    def publish(
-        self, message: Any, tag: Any = None, priority: float = 0.0
-    ) -> bool:
+    def publish(self, message: Any, priority: float = 0.0) -> None:
         with self._cond:
-            if self.capacity is not None and len(self._heap) >= self.capacity:
-                self.shed += 1
-                if len(self.shed_records) == SHED_RECORD_CAP:
-                    self.dropped_records += 1
-                self.shed_records.append(tag)
-                return False
             self.published += 1
             seq = self.published
             rec = _conc.active()
@@ -110,7 +78,6 @@ class Topic:
             # to at most one blocked consumer.
             heapq.heappush(self._heap, [-priority, seq, message])
             self._cond.notify()
-        return True
 
     def consume(self, timeout: Optional[float] = None) -> Optional[Any]:
         """Pop the best-ranked message; ``None`` when empty after
@@ -155,8 +122,6 @@ class Topic:
                 "published": self.published,
                 "consumed": self.consumed,
                 "depth": len(self._heap),
-                "shed": self.shed,
-                "dropped_records": self.dropped_records,
             }
 
     @property
@@ -169,30 +134,24 @@ class Topic:
 class Broker:
     """A set of named topics; topics are created on first use."""
 
-    _guarded_by_ = {"_topics": "_lock", "_limits": "_lock"}
+    _guarded_by_ = {"_topics": "_lock"}
 
-    def __init__(self, topic_limits: Optional[Dict[str, int]] = None) -> None:
+    def __init__(self) -> None:
         self._topics: Dict[str, Topic] = {}
-        #: Capacity applied to a topic when it is first created.
-        self._limits: Dict[str, int] = dict(topic_limits or {})
         self._lock = threading.Lock()
 
     def topic(self, name: str) -> Topic:
         with self._lock:
             topic = self._topics.get(name)
             if topic is None:
-                topic = Topic(name, capacity=self._limits.get(name))
+                topic = Topic(name)
                 self._topics[name] = topic
             return topic
 
     def publish(
-        self,
-        topic_name: str,
-        message: Any,
-        tag: Any = None,
-        priority: float = 0.0,
-    ) -> bool:
-        return self.topic(topic_name).publish(message, tag=tag, priority=priority)
+        self, topic_name: str, message: Any, priority: float = 0.0
+    ) -> None:
+        self.topic(topic_name).publish(message, priority=priority)
 
     def consume(self, topic_name: str, timeout: Optional[float] = None) -> Optional[Any]:
         return self.topic(topic_name).consume(timeout)

@@ -104,18 +104,16 @@ class ChaosSimBroker(SimBroker):
             )
 
     def publish(
-        self, topic_name: str, message: Any, klass=None, tag=None,
-        priority: float = 0.0,
+        self, topic_name: str, message: Any, priority: float = 0.0
     ) -> bool:
+        # True on every path, for the reason SimBroker.publish gives.
         chaos = self.chaos
         if message is None:
             # Refused like SimBroker.publish does, before the draw: the
             # delayed band below bypasses it.
             raise ValueError(f"cannot publish None to {topic_name!r}")
         if not chaos.applies_to(topic_name):
-            return super().publish(
-                topic_name, message, klass=klass, tag=tag, priority=priority
-            )
+            return super().publish(topic_name, message, priority=priority)
         u = self._rng.random()
         if u < chaos.p_drop:
             self.dropped += 1
@@ -124,27 +122,20 @@ class ChaosSimBroker(SimBroker):
         if u < chaos.p_drop + chaos.p_duplicate:
             self.duplicated += 1
             self._record("mq-duplicate", topic_name, message)
-            ok = super().publish(
-                topic_name, message, klass=klass, tag=tag, priority=priority
-            )
-            super().publish(
-                topic_name, message, klass=klass, tag=tag, priority=priority
-            )
-            return ok
+            super().publish(topic_name, message, priority=priority)
+            return super().publish(topic_name, message, priority=priority)
         if u < chaos.p_drop + chaos.p_duplicate + chaos.p_delay:
             self.delayed += 1
             self._record("mq-delay", topic_name, message)
             self.published += 1
             # Its own one-entry batch, so a delayed message keeps its
-            # class, tag and priority.
+            # priority.
             self.sim.schedule_call(
                 self.latency + chaos.delay, self._deliver, topic_name,
-                (self.sim.now, [[message, klass, tag, priority]]),
+                (self.sim.now, [[message, priority]]),
             )
             return True
-        return super().publish(
-            topic_name, message, klass=klass, tag=tag, priority=priority
-        )
+        return super().publish(topic_name, message, priority=priority)
 
 
 class ChaosBroker(Broker):
@@ -272,17 +263,14 @@ class ChaosBroker(Broker):
             return True
 
     def publish(
-        self,
-        topic_name: str,
-        message: Any,
-        tag: Any = None,
-        priority: float = 0.0,
-    ) -> bool:
+        self, topic_name: str, message: Any, priority: float = 0.0
+    ) -> None:
         chaos = self.chaos
         if self._hold_if_partitioned(topic_name, message, priority):
-            return True  # in flight until the partition heals
+            return  # in flight until the partition heals
         if not chaos.applies_to(topic_name):
-            return super().publish(topic_name, message, tag=tag, priority=priority)
+            super().publish(topic_name, message, priority=priority)
+            return
         with self._rng_lock:
             u = self._rng.random()
             if u < chaos.p_drop:
@@ -297,11 +285,9 @@ class ChaosBroker(Broker):
             else:
                 outcome = "deliver"
         if outcome == "drop":
-            return True  # accepted, then lost — chaos, not backpressure
+            return  # accepted, then lost
         if outcome == "duplicate":
-            ok = super().publish(topic_name, message, tag=tag, priority=priority)
-            super().publish(topic_name, message, tag=tag, priority=priority)
-            return ok
+            super().publish(topic_name, message, priority=priority)  # + below
         if outcome == "delay":
             timer = threading.Timer(
                 chaos.delay,
@@ -311,5 +297,5 @@ class ChaosBroker(Broker):
             )
             timer.daemon = True
             timer.start()
-            return True
-        return super().publish(topic_name, message, tag=tag, priority=priority)
+            return
+        super().publish(topic_name, message, priority=priority)

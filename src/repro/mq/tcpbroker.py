@@ -330,15 +330,8 @@ class RemoteBroker:
 
     # -- Broker interface ----------------------------------------------------
     def publish(
-        self,
-        topic_name: str,
-        message: Any,
-        tag: Any = None,
-        priority: float = 0.0,
+        self, topic_name: str, message: Any, priority: float = 0.0
     ) -> None:
-        # ``tag`` (service-plane shed attribution) is accepted for
-        # interface parity; the wire protocol has no bounded topics, so
-        # there is nothing to attribute on this side.
         self._call(
             {
                 "op": "publish",

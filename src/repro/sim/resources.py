@@ -577,28 +577,9 @@ class FifoStore:
             self._getters.append(event)
         return event
 
-    def take(self, predicate) -> Any:
-        """Synchronously remove and return the first queued item matching
-        ``predicate``, or ``None`` if no current item matches (never
-        blocks).  Used by schedulers that want to pick a *specific*
-        resource token instead of the FIFO head."""
-        items = self._items
-        for index, item in enumerate(items):
-            if predicate(item):
-                del items[index]
-                return item
-        return None
-
     def peek_all(self) -> List[Any]:
         """The queued items in consumption order, without removing them."""
         return list(self._items)
-
-    def remove_at(self, index: int) -> Any:
-        """Remove and return the queued item at ``index`` (consumption
-        order, 0 = next out)."""
-        item = self._items[index]
-        del self._items[index]
-        return item
 
     def pop_nowait(self) -> Any:
         """Remove and return the next item, or ``None`` when empty."""
@@ -623,13 +604,12 @@ class _PriorityEntry:
     through to the payload.
     """
 
-    __slots__ = ("neg_priority", "seq", "item", "meta", "alive")
+    __slots__ = ("neg_priority", "seq", "item", "alive")
 
-    def __init__(self, neg_priority: float, seq: int, item: Any, meta: Any):
+    def __init__(self, neg_priority: float, seq: int, item: Any):
         self.neg_priority = neg_priority
         self.seq = seq
         self.item = item
-        self.meta = meta
         self.alive = True
 
     def __lt__(self, other: "_PriorityEntry") -> bool:
@@ -655,18 +635,12 @@ class PriorityStore:
     no entry record, no sequence stamp, no heap — so a workload that
     never sets a priority pays deque costs identical to
     :class:`FifoStore` (the fast-path microbench pins parity within
-    10%).  The first prioritized/metadata put, ``reprioritize``,
-    ``remove`` or ``snapshot`` materializes the queued items into
-    :class:`_PriorityEntry` records (arrival order preserved) and the
-    store stays in entry mode from then on.  ``reprioritize`` retags
-    queued entries in place (lazy deletion + re-push under the *same*
-    sequence number, so a reprioritized message keeps its arrival order
-    within its new priority level).
-
-    Each entry may carry an opaque ``meta`` value (the simulated broker
-    stores its ``(klass, tag)`` shedding attribution there), which keeps
-    message and metadata in one record instead of a parallel mirror that
-    can desync.
+    10%).  The first prioritized put or ``reprioritize`` materializes
+    the queued items into :class:`_PriorityEntry` records (arrival order
+    preserved) and the store stays in entry mode from then on.
+    ``reprioritize`` retags queued entries in place (lazy deletion +
+    re-push under the *same* sequence number, so a reprioritized message
+    keeps its arrival order within its new priority level).
     """
 
     __slots__ = (
@@ -698,7 +672,7 @@ class PriorityStore:
         entries: Deque[_PriorityEntry] = deque()
         for item in self._fifo:
             self._seq += 1
-            entries.append(_PriorityEntry(0.0, self._seq, item, None))
+            entries.append(_PriorityEntry(0.0, self._seq, item))
         self._live = len(entries)
         self._fifo = entries
 
@@ -727,7 +701,7 @@ class PriorityStore:
         self._live -= 1
         return entry
 
-    def put(self, item: Any, priority: float = 0.0, meta: Any = None) -> None:
+    def put(self, item: Any, priority: float = 0.0) -> None:
         """Deposit an item, waking the oldest waiting getter if any.
 
         A waiting getter implies the queue is empty, so the item is
@@ -741,12 +715,12 @@ class PriorityStore:
             getter.succeed(item)
             return
         if self._plain:
-            if meta is None and priority == 0.0:
+            if priority == 0.0:
                 self._fifo.append(item)  # allocation-free fast path
                 return
             self._materialize()
         self._seq += 1
-        entry = _PriorityEntry(-priority, self._seq, item, meta)
+        entry = _PriorityEntry(-priority, self._seq, item)
         self._live += 1
         if priority == 0.0:
             self._fifo.append(entry)
@@ -781,41 +755,13 @@ class PriorityStore:
         """The queued items in consumption order, without removing them."""
         if self._plain:
             return list(self._fifo)
-        return [entry.item for entry in self._ordered_live()]
-
-    def snapshot(self) -> List[Tuple[int, Any, Any]]:
-        """Live ``(seq, item, meta)`` triples in consumption order."""
-        self._materialize()
-        return [(e.seq, e.item, e.meta) for e in self._ordered_live()]
-
-    def _ordered_live(self) -> List[_PriorityEntry]:
         live = [e for e in self._fifo if e.alive]
         live.extend(e for e in self._heap if e.alive)
         live.sort(key=_PriorityEntry.key)
-        return live
-
-    def remove(self, seq: int) -> bool:
-        """Mark the live entry with sequence number ``seq`` dead (it will
-        never be consumed).  O(n); used only on rare eviction paths."""
-        self._materialize()
-        for entry in self._fifo:
-            if entry.seq == seq and entry.alive:
-                self._kill(entry)
-                return True
-        for entry in self._heap:
-            if entry.seq == seq and entry.alive:
-                self._kill(entry)
-                return True
-        return False
-
-    def _kill(self, entry: _PriorityEntry) -> None:
-        entry.alive = False
-        self._live -= 1
-        self._dead += 1
-        self._maybe_compact()
+        return [entry.item for entry in live]
 
     def reprioritize(self, selector, priority: float) -> int:
-        """Retag every queued entry for which ``selector(item, meta)`` is
+        """Retag every queued entry for which ``selector(item)`` is
         true with ``priority``, preserving each entry's original sequence
         number (so arrival order still breaks ties at the new level).
         Returns the number of entries retagged."""
@@ -825,27 +771,21 @@ class PriorityStore:
             if (
                 entry.alive
                 and -entry.neg_priority != priority
-                and selector(entry.item, entry.meta)
+                and selector(entry.item)
             ):
                 entry.alive = False
                 self._dead += 1
-                moved.append(
-                    _PriorityEntry(-priority, entry.seq, entry.item, entry.meta)
-                )
+                moved.append(_PriorityEntry(-priority, entry.seq, entry.item))
         for entry in moved:
             heapq.heappush(self._heap, entry)
-        self._maybe_compact()
+        # Purge dead entries once they outnumber live ones (bounds the
+        # garbage a reprioritize-heavy run can accumulate).
+        if self._dead > 64 and self._dead > self._live:
+            self._fifo = deque(e for e in self._fifo if e.alive)
+            self._heap = [e for e in self._heap if e.alive]
+            heapq.heapify(self._heap)
+            self._dead = 0
         return len(moved)
-
-    def _maybe_compact(self) -> None:
-        """Purge dead entries once they outnumber live ones (bounds the
-        garbage a reprioritize-heavy run can accumulate)."""
-        if self._dead <= 64 or self._dead <= self._live:
-            return
-        self._fifo = deque(e for e in self._fifo if e.alive)
-        self._heap = [e for e in self._heap if e.alive]
-        heapq.heapify(self._heap)
-        self._dead = 0
 
     def cancel(self, event: Event) -> bool:
         """Abandon a pending get (the event is failed so waiters wake up)."""

@@ -18,7 +18,6 @@ real DEWE v2 engine (:mod:`repro.dewe`) and the cluster-simulation engines
 
 from repro.workflow.dag import DataFile, Job, Workflow, WorkflowSkeleton
 from repro.workflow.ensemble import Ensemble, SubmissionPlan
-from repro.workflow.traces import homogeneity_index, task_type_stats
 from repro.workflow.validation import ValidationError, validate_workflow
 
 __all__ = [
@@ -29,7 +28,5 @@ __all__ = [
     "ValidationError",
     "Workflow",
     "WorkflowSkeleton",
-    "homogeneity_index",
-    "task_type_stats",
     "validate_workflow",
 ]

@@ -140,18 +140,59 @@ def test_uplink_partition_without_leases_holds_acks_until_heal(monkeypatch):
 
 def _drive_to_horizon(engine, ensemble, horizon):
     """``_PullRun.execute`` without its open-ended wait: master and
-    workers started, the agenda run to ``horizon`` simulated seconds.  A
-    master loop that died of an exception — which the kernel drops when
-    nobody waits on the process, while the sweep timers keep the agenda
-    alive for ever — is a failed assertion here, not a hung test."""
+    workers started, the agenda run to ``horizon`` simulated seconds."""
     run = pull._PullRun(engine, ensemble)
     run.start_master()
     for node_index in range(run.n_nodes):
         run.start_worker(node_index)
     run.sim.run(until=horizon)
-    died = [p._value for p in run.master_procs if not p.is_alive and not p.ok]
-    assert not died, died
     return run
+
+
+class _Boom(Exception):
+    pass
+
+
+def _third_call_raises(fn):
+    calls = []
+
+    def raising(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise _Boom("third call")
+        return fn(*args, **kwargs)
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(pull.MasterCore, "on_ack"), (pull, "execute_job")],
+    ids=["master-loop", "worker-slot"],
+)
+def test_a_process_that_dies_fails_the_run(monkeypatch, owner, name):
+    """The kernel drops an exception raised in a process nobody waits
+    on, and the timeout sweep keeps ``run_until(done)`` busy for ever:
+    the run's own exit callback raises it out of ``engine.run``.  A
+    deadline on the agenda turns a regression into a failure, not a
+    hang."""
+    monkeypatch.setattr(owner, name, _third_call_raises(getattr(owner, name)))
+    execute = pull._PullRun.execute
+
+    def hung():
+        raise AssertionError("the run outlived the process that died")
+
+    def bounded(run):
+        run.sim.schedule_call(120.0, hung)
+        return execute(run)
+
+    monkeypatch.setattr(pull._PullRun, "execute", bounded)
+    engine = PullEngine(
+        ClusterSpec("m3.2xlarge", 2),
+        RunConfig(default_timeout=10.0, timeout_check_interval=0.5),
+    )
+    with pytest.raises(_Boom, match="third call"):
+        engine.run(Ensemble([montage_workflow(degree=0.3)]))
 
 
 @pytest.mark.parametrize(
@@ -170,7 +211,7 @@ def test_lease_free_acks_reach_the_core_from_the_consumer_loop(
 ):
     """No lease table: ``_consume_loop`` applies RUNNING, COMPLETED and
     CORRUPT acks (the last with its file list) itself, and the run
-    settles well inside the horizon with no master loop dead."""
+    settles well inside the horizon."""
     engine = PullEngine(
         ClusterSpec("m3.2xlarge", 2),
         RunConfig(default_timeout=10.0, timeout_check_interval=0.5,

@@ -27,9 +27,7 @@ from repro.liveness import (
     new_liveness_stats,
 )
 from repro.monitor import robustness_metrics, to_chrome_trace
-from repro.mq.simbroker import SimBroker
 from repro.recovery.journal import Journal
-from repro.sim import Simulator
 from repro.workflow import Ensemble
 
 
@@ -183,17 +181,6 @@ def test_journal_fence_refuses_stale_epoch_appends():
     assert journal.fenced_appends == 1
     assert journal.append(1.0, "dispatch", "wf", "job", epoch=token) is not None
     assert len(journal) == 2
-
-
-# -- bounded broker topics ---------------------------------------------------
-def test_simbroker_bounded_topic_sheds_deterministically():
-    sim = Simulator()
-    broker = SimBroker(sim, limits={"work": 2})
-    assert broker.publish("work", "a")
-    assert broker.publish("work", "b")
-    assert not broker.publish("work", "c")  # at capacity: shed
-    assert broker.shed == {"work": 1}
-    assert broker.publish("other", "unbounded")
 
 
 # -- sanitizer hooks ---------------------------------------------------------

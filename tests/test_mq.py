@@ -207,8 +207,7 @@ def test_simbroker_negative_latency_rejected():
 
 def _broker_state(broker, sim):
     return (
-        broker.published, dict(broker._pending), broker.depth("t"),
-        dict(broker.shed), sim._seq,
+        broker.published, dict(broker._pending), broker.depth("t"), sim._seq,
     )
 
 
@@ -217,7 +216,6 @@ def _broker_state(broker, sim):
     [
         lambda sim: SimBroker(sim, latency=0.5),
         lambda sim: SimBroker(sim, latency=0.0),
-        lambda sim: SimBroker(sim, latency=0.5, limits={"t": 1}),
         lambda sim: ChaosSimBroker(sim, MessageChaos(), latency=0.5),
         lambda sim: ChaosSimBroker(
             sim, MessageChaos(p_delay=1.0, delay=0.2), latency=0.5
@@ -225,7 +223,7 @@ def _broker_state(broker, sim):
         lambda sim: ChaosSimBroker(sim, MessageChaos(p_duplicate=1.0)),
         lambda sim: ChaosSimBroker(sim, MessageChaos(p_drop=1.0)),
     ],
-    ids=["latency", "direct", "bounded", "chaos-pass", "chaos-delay",
+    ids=["latency", "direct", "chaos-pass", "chaos-delay",
          "chaos-duplicate", "chaos-drop"],
 )
 def test_simbroker_refuses_a_none_payload_before_counting(make):
@@ -245,6 +243,35 @@ def test_simbroker_refuses_a_none_payload_before_counting(make):
         assert broker.stats() == {"dropped": 0, "duplicated": 0, "delayed": 0}
     sim.run()
     assert broker.consume_nowait("t") is None and broker.consumed == 0
+
+
+def test_chaos_simbroker_priority_survives_the_delay_band_and_the_latency_batch():
+    """Both ways a message reaches ``_deliver`` carry ``[message,
+    priority]``: a delayed message travels as its own one-entry batch
+    (never ``_pending``, so only a reprioritize after it lands retags
+    it), a pass-through publish joins the latency batch, which a
+    reprioritize retags in flight."""
+    sim = Simulator()
+    broker = ChaosSimBroker(
+        sim, MessageChaos(p_delay=1.0, delay=0.2, topics=("slow",)), latency=0.5
+    )
+    broker.publish("slow", "bulk")
+    broker.publish("slow", "urgent", priority=10.0)
+    assert broker.stats()["delayed"] == 2 and not broker._pending
+    assert broker.reprioritize("slow", lambda m: True, 3.0) == 0  # out of reach
+    broker.publish("fast", "a")
+    broker.publish("fast", "b")
+    assert broker.reprioritize("fast", lambda m: m == "b", 7.0) == 1
+    sim.run()
+    assert sim.now == 0.7 and broker.published == 4
+
+    def drain(topic):
+        return [broker.consume_nowait(topic) for _ in range(broker.depth(topic))]
+
+    assert drain("fast") == ["b", "a"]
+    assert broker.topic("slow").peek_all() == ["urgent", "bulk"]
+    assert broker.reprioritize("slow", lambda m: m == "bulk", 20.0) == 1
+    assert drain("slow") == ["bulk", "urgent"]
 
 
 def test_simbroker_consume_nowait_counts_only_what_it_pops():

@@ -137,7 +137,7 @@ def test_store_reprioritize_retags_and_keeps_arrival_order():
     store = PriorityStore(Simulator())
     for name in ("a", "b", "c", "d"):
         store.put(name)
-    moved = store.reprioritize(lambda item, meta: item in ("b", "d"), 5.0)
+    moved = store.reprioritize(lambda item: item in ("b", "d"), 5.0)
     assert moved == 2
     # b and d jump ahead; within the new level they keep arrival order.
     assert store.peek_all() == ["b", "d", "a", "c"]
@@ -147,30 +147,8 @@ def test_store_reprioritize_retags_and_keeps_arrival_order():
 def test_store_reprioritize_same_priority_is_a_noop():
     store = PriorityStore(Simulator())
     store.put("a", priority=2.0)
-    assert store.reprioritize(lambda item, meta: True, 2.0) == 0
+    assert store.reprioritize(lambda item: True, 2.0) == 0
     assert store.peek_all() == ["a"]
-
-
-def test_store_snapshot_exposes_seq_and_meta():
-    store = PriorityStore(Simulator())
-    store.put("a", priority=1.0, meta=("k", "tag"))
-    store.put("b", priority=9.0)
-    snap = store.snapshot()
-    assert [(item, meta) for _seq, item, meta in snap] == [
-        ("b", None), ("a", ("k", "tag")),
-    ]
-    seqs = [seq for seq, _item, _meta in snap]
-    assert len(set(seqs)) == 2
-
-
-def test_store_remove_by_seq():
-    store = PriorityStore(Simulator())
-    store.put("a")
-    store.put("b", priority=4.0)
-    seq_a = next(s for s, item, _m in store.snapshot() if item == "a")
-    assert store.remove(seq_a)
-    assert not store.remove(seq_a)  # already dead
-    assert _drain(store) == ["b"]
 
 
 def test_store_compaction_bounds_garbage():
@@ -182,7 +160,7 @@ def test_store_compaction_bounds_garbage():
     for i in range(n):
         store.put(i, priority=1.0)
     for round_ in range(2, 12):
-        store.reprioritize(lambda item, meta: True, float(round_))
+        store.reprioritize(lambda item: True, float(round_))
     assert len(store) == n
     internal = len(store._heap) + len(store._fifo)
     assert internal < 4 * n
@@ -220,7 +198,7 @@ def test_store_reprioritize_reaches_plain_mode_backlog():
     store = PriorityStore(Simulator())
     for name in ("a", "b", "c"):
         store.put(name)
-    assert store.reprioritize(lambda item, meta: item == "c", 9.0) == 1
+    assert store.reprioritize(lambda item: item == "c", 9.0) == 1
     assert _drain(store) == ["c", "a", "b"]
 
 
@@ -251,10 +229,9 @@ def test_fifostore_public_inspection_api():
     for i in range(4):
         store.put(i)
     assert store.peek_all() == [0, 1, 2, 3]
-    assert store.remove_at(1) == 1
     assert store.pop_nowait() == 0
-    assert store.peek_all() == [2, 3]
-    assert _drain_fifo(store) == [2, 3]
+    assert store.peek_all() == [1, 2, 3]
+    assert _drain_fifo(store) == [1, 2, 3]
 
 
 def _drain_fifo(store):
@@ -565,6 +542,8 @@ def test_aging_leaves_no_job_starved():
 
 
 def test_priority_run_surfaces_shed_record_drops():
+    """A constant since the shed ledger went: the key stays because the
+    quick-soak digest in tests/test_golden_runs.py hashes the dict."""
     result = _run_skewed(RepriorityPolicy())
     assert result.liveness_stats["shed_record_drops"] == 0
 

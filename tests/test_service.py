@@ -3,8 +3,8 @@
 Covers the :mod:`repro.service` package and the
 :class:`~repro.liveness.ServiceAdmissionPolicy` ladder end to end:
 seeded open-loop arrival processes, token-bucket determinism, brownout
-class ordering, fair share, the admission boundary, class-aware broker
-shedding, backward-compatible dead-letter snapshots and the seeded soak
+class ordering, fair share, the admission boundary,
+backward-compatible dead-letter snapshots and the seeded soak
 harness (byte-identical per seed, zero gold sheds at 2x capacity).
 """
 
@@ -22,16 +22,17 @@ from repro.liveness import (
     TokenBucket,
 )
 from repro.monitor import percentile
-from repro.mq.simbroker import SimBroker
+from repro.engines import pull
+from repro.mq import RepriorityPolicy
 from repro.service import (
     OnOffArrivals,
     PoissonArrivals,
     SoakConfig,
     TenantSpec,
+    build_soak,
     build_workload,
     run_soak,
 )
-from repro.sim import Simulator
 
 # -- arrival processes -------------------------------------------------------
 
@@ -271,38 +272,6 @@ def test_build_workload_rejects_bad_input():
         build_workload(dup, template, horizon=10.0, seed=0)
 
 
-# -- class-aware broker shedding --------------------------------------------
-
-
-def test_simbroker_classed_publish_evicts_more_sheddable():
-    sim = Simulator()
-    broker = SimBroker(sim, latency=0.0, limits={"work": 2})
-    assert broker.publish("work", "be-1", klass=2, tag=("casual", "best_effort"))
-    assert broker.publish("work", "be-2", klass=2, tag=("casual", "best_effort"))
-    # Gold dispatches at capacity displace the queued best-effort ones.
-    assert broker.publish("work", "gold-1", klass=0, tag=("acme", "gold"))
-    assert list(broker.shed_records) == [
-        ("work", ("casual", "best_effort"), "evicted")
-    ]
-    assert broker.publish("work", "gold-2", klass=0, tag=("acme", "gold"))
-    assert broker.shed_records[-1][2] == "evicted"
-    # The reverse never happens: best_effort cannot displace gold — the
-    # incoming publish itself is the one dropped.
-    assert not broker.publish("work", "be-3", klass=2, tag=("casual", "best_effort"))
-    assert broker.shed_records[-1] == (
-        "work", ("casual", "best_effort"), "incoming"
-    )
-    assert broker.shed == {"work": 3}
-
-
-def test_simbroker_untagged_messages_are_never_evicted():
-    sim = Simulator()
-    broker = SimBroker(sim, latency=0.0, limits={"work": 1})
-    assert broker.publish("work", "legacy")  # klass=None
-    assert not broker.publish("work", "gold", klass=0, tag=("acme", "gold"))
-    assert list(broker.shed_records) == [("work", ("acme", "gold"), "incoming")]
-
-
 # -- dead-letter attribution and snapshot compatibility ----------------------
 
 
@@ -376,3 +345,29 @@ def test_soak_is_byte_identical_per_seed():
     b = run_soak(_mini_soak(seed=5)).to_json()
     assert a == b
     assert a != run_soak(_mini_soak(seed=6)).to_json()
+
+
+@pytest.mark.parametrize(
+    "repriority, plain", [(None, True), (RepriorityPolicy(), False)],
+    ids=["service-only", "repriority"],
+)
+def test_soak_dispatch_topic_leaves_plain_mode_only_for_priorities(
+    monkeypatch, repriority, plain
+):
+    """A service policy alone publishes every dispatch at priority 0.0,
+    so the dispatch topic's store stays in its allocation-free plain
+    mode; only a repriority policy (SLA bands, retags) materializes
+    entry records."""
+    setup = build_soak(_mini_soak())
+    setup.engine.repriority = repriority
+    runs = []
+    execute = pull._PullRun.execute
+
+    def spy(run):
+        runs.append(run)
+        return execute(run)
+
+    monkeypatch.setattr(pull._PullRun, "execute", spy)
+    result = setup.engine.run(setup.workload.ensemble)
+    assert result.jobs_executed > 0
+    assert runs[0].broker.topic(pull._DISPATCH)._plain is plain

@@ -587,37 +587,3 @@ def test_fifo_store_cancel_pending_get():
     # The cancelled getter received None and must not steal the item.
     assert results == ["only"]
     assert len(store) == 0
-
-
-def test_fifo_store_take_matching():
-    sim = Simulator()
-    store = FifoStore(sim)
-    for item in (3, 5, 8, 5):
-        store.put(item)
-    assert store.take(lambda x: x == 5) == 5
-    assert len(store) == 3
-    # FIFO order of the rest is preserved.
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(consumer())
-    sim.run()
-    assert got == [3, 8, 5]
-
-
-def test_fifo_store_take_no_match():
-    sim = Simulator()
-    store = FifoStore(sim)
-    store.put(1)
-    assert store.take(lambda x: x > 10) is None
-    assert len(store) == 1
-
-
-def test_fifo_store_take_empty():
-    sim = Simulator()
-    store = FifoStore(sim)
-    assert store.take(lambda x: True) is None
