@@ -39,9 +39,7 @@ def run_ablation(template):
         scale_in_depth=2,
         boot_delay=15.0,
     )
-    elastic = PullEngine(
-        spec, cfg, autoscaler=auto, initially_down=tuple(range(1, N_NODES))
-    ).run(ensemble)
+    elastic = PullEngine(spec, cfg, controllers=[auto]).run(ensemble)
     return static, elastic
 
 

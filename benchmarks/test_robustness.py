@@ -61,7 +61,7 @@ def run_robustness(template):
     fan_schedule = FaultSchedule(
         [FaultAction(t_fan, 0, "kill"), FaultAction(t_fan + DOWNTIME, 0, "restart")]
     )
-    fan = PullEngine(spec, config=cfg, fault_schedule=fan_schedule).run(
+    fan = PullEngine(spec, config=cfg, controllers=[fan_schedule]).run(
         Ensemble([template])
     )
 
@@ -70,7 +70,7 @@ def run_robustness(template):
     block_schedule = FaultSchedule(
         [FaultAction(t_block, 0, "kill"), FaultAction(t_block + DOWNTIME, 0, "restart")]
     )
-    blocking = PullEngine(spec, config=cfg, fault_schedule=block_schedule).run(
+    blocking = PullEngine(spec, config=cfg, controllers=[block_schedule]).run(
         Ensemble([template])
     )
 
@@ -82,7 +82,7 @@ def run_robustness(template):
         [FaultAction(t_kill, 0, "kill"), FaultAction(t_kill + DOWNTIME, 1, "restart")],
         initially_down=(1,),
     )
-    failover = PullEngine(spec2, config=cfg, fault_schedule=failover_schedule).run(
+    failover = PullEngine(spec2, config=cfg, controllers=[failover_schedule]).run(
         Ensemble([template])
     )
     return baseline, fan, blocking, failover

@@ -91,7 +91,7 @@ def simulated_interruptions() -> None:
         schedule = FaultSchedule(
             [FaultAction(t_kill, 0, "kill"), FaultAction(t_kill + 5.0, 0, "restart")]
         )
-        result = PullEngine(spec, config=cfg, fault_schedule=schedule).run(
+        result = PullEngine(spec, config=cfg, controllers=[schedule]).run(
             Ensemble([template])
         )
         delta = result.makespan - baseline.makespan

@@ -25,7 +25,6 @@ from repro.cloud import (
     BillingModel,
     ClusterSpec,
     InstanceType,
-    SimulatedEC2,
     get_instance_type,
     price_per_workflow,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "RunConfig",
     "SCENARIOS",
     "SchedulingEngine",
-    "SimulatedEC2",
     "SpotTerminationModel",
     "StragglerModel",
     "SubmissionPlan",

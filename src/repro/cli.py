@@ -29,32 +29,12 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.cloud import ClusterSpec
 from repro.cloud.cluster import FS_KINDS
-from repro.engines import DeweV1Engine, PullEngine, SchedulingEngine
-from repro.engines.base import RunConfig
-from repro.generators import cybershake_workflow, ligo_workflow, montage_workflow
+from repro.generators import WORKFLOW_KINDS, make_workflow, montage_workflow
 from repro.monitor import run_summary, summary_table
+from repro.parallel.runner import ENGINES, RunSpec, build_engine, build_ensemble
 from repro.provision import ProfilingCampaign, plan_cluster
 from repro.workflow import Ensemble, ValidationError, validate_workflow
-
-ENGINES = {
-    "dewe-v2": PullEngine,
-    "pegasus": SchedulingEngine,
-    "dewe-v1": DeweV1Engine,
-}
-
-WORKFLOW_KINDS = ("montage", "ligo", "cybershake")
-
-
-def _make_workflow(kind: str, size: float):
-    if kind == "montage":
-        return montage_workflow(degree=size)
-    if kind == "ligo":
-        return ligo_workflow(blocks=max(1, int(size)))
-    if kind == "cybershake":
-        return cybershake_workflow(ruptures=max(1, int(size)))
-    raise SystemExit(f"unknown workflow kind {kind!r}")
 
 
 def _load_workflow_file(path: str):
@@ -71,8 +51,7 @@ def main_run(argv: Optional[List[str]] = None) -> int:
         description="Run a workflow ensemble on a simulated EC2 cluster.",
     )
     parser.add_argument("--engine", choices=sorted(ENGINES), default="dewe-v2")
-    parser.add_argument("--workflow", default="montage",
-                        choices=("montage", "ligo", "cybershake"))
+    parser.add_argument("--workflow", default="montage", choices=WORKFLOW_KINDS)
     parser.add_argument("--size", type=float, default=1.0,
                         help="Montage degree / LIGO blocks / CyberShake ruptures")
     parser.add_argument("--workflows", type=int, default=1,
@@ -97,17 +76,22 @@ def main_run(argv: Optional[List[str]] = None) -> int:
                              "hot spots by cumulative time")
     args = parser.parse_args(argv)
 
-    fs = args.filesystem or ("local" if args.nodes == 1 else "moosefs")
-    spec = ClusterSpec(args.instance_type, args.nodes, filesystem=fs)
-    template = _make_workflow(args.workflow, args.size)
+    spec = RunSpec(
+        engine=args.engine, workflow=args.workflow, size=args.size,
+        workflows=args.workflows, interval=args.interval,
+        instance_type=args.instance_type, nodes=args.nodes,
+        filesystem=args.filesystem, timeout=args.timeout,
+        record_jobs=args.export_dir is not None,
+    )
+    ensemble = build_ensemble(spec)
     # Submission-time validation (paper §III.C): reject malformed DAGs
-    # before burning simulated cluster time on them.
+    # before burning simulated cluster time on them.  (Members share the
+    # template's jobs, so the first member stands for all.)
     try:
-        validate_workflow(template)
+        validate_workflow(ensemble.workflows[0])
     except ValidationError as exc:
         print(exc.render(verbose=args.verbose), file=sys.stderr)
         return 2
-    ensemble = Ensemble.replicated(template, args.workflows, interval=args.interval)
     if args.lint:
         from repro.analysis.dataflow import analyze_ensemble
 
@@ -118,10 +102,7 @@ def main_run(argv: Optional[List[str]] = None) -> int:
             print("lint pre-flight failed: refusing to simulate",
                   file=sys.stderr)
             return 2
-    config = RunConfig(
-        default_timeout=args.timeout, record_jobs=args.export_dir is not None
-    )
-    engine = ENGINES[args.engine](spec, config)
+    engine = build_engine(spec)
     if args.profile:
         import cProfile
         import pstats
@@ -368,7 +349,7 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
             print(f"cannot read workflow file: {exc}", file=sys.stderr)
             return 2
     else:
-        template = _make_workflow(args.workflow, args.size)
+        template = make_workflow(args.workflow, args.size)
     ensemble = Ensemble.replicated(
         template, max(1, args.workflows), interval=args.interval
     )

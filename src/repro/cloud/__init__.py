@@ -2,15 +2,13 @@
 
 Replaces the paper's Amazon EC2 testbed (see DESIGN.md §1).  The instance
 catalogue transcribes the paper's Table I (specs, prices) and Table II
-(RAID-0 disk I/O capacity); :class:`~repro.cloud.ec2.SimulatedEC2`
-provides the launch/terminate lifecycle; :mod:`~repro.cloud.pricing`
+(RAID-0 disk I/O capacity); :mod:`~repro.cloud.pricing`
 implements the charge-by-hour model (and the charge-by-minute model the
 paper mentions for Google Compute Engine); :class:`~repro.cloud.node.SimNode`
 assembles a node's DES resources from its instance type.
 """
 
 from repro.cloud.cluster import ClusterSpec, SimCluster
-from repro.cloud.ec2 import Instance, SimulatedEC2
 from repro.cloud.instances import (
     INSTANCE_TYPES,
     DiskProfile,
@@ -25,11 +23,9 @@ __all__ = [
     "ClusterSpec",
     "DiskProfile",
     "INSTANCE_TYPES",
-    "Instance",
     "InstanceType",
     "SimCluster",
     "SimNode",
-    "SimulatedEC2",
     "cluster_cost",
     "get_instance_type",
     "price_per_workflow",

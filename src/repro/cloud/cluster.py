@@ -9,6 +9,7 @@ file system, ready for an execution engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.cloud.instances import InstanceType, get_instance_type
 from repro.cloud.node import SimNode
@@ -18,9 +19,15 @@ from repro.storage.base import SharedFileSystem
 from repro.storage.moosefs import make_moosefs
 from repro.storage.nfs import make_central_nfs, make_nton_nfs
 
-__all__ = ["ClusterSpec", "SimCluster", "FS_KINDS"]
+__all__ = ["ClusterSpec", "SimCluster", "FS_KINDS", "default_filesystem"]
 
 FS_KINDS = ("local", "nfs-central", "nfs-nton", "moosefs")
+
+
+def default_filesystem(n_nodes: int) -> str:
+    """What the paper deploys when nothing is asked for: one node works
+    on its own disks, a cluster shares one MooseFS."""
+    return "local" if n_nodes == 1 else "moosefs"
 
 
 @dataclass(frozen=True)

@@ -420,14 +420,9 @@ class WorkflowState:
             return None
         if attempt != self._attempt_arr[i]:
             return None  # stale ack (superseded, or state rewound)
-        if self._exhausted_at(i):
-            self._dead_letter(job_id, "failed", now)
-            return None
-        self._attempt_arr[i] += 1
-        status_arr[i] = _QUEUED
-        self.deadline.pop(job_id, None)
-        self.resubmissions += 1
-        return job_id
+        if self._requeue_or_bury(i, job_id, "failed", now):
+            return job_id
+        return None
 
     def on_corrupt(
         self,
@@ -525,14 +520,9 @@ class WorkflowState:
             return None
         if attempt != self._attempt_arr[i]:
             return None
-        if self._exhausted_at(i):
-            self._dead_letter(job_id, "lease-expired", now)
-            return None
-        self._attempt_arr[i] += 1
-        status_arr[i] = _QUEUED
-        self.deadline.pop(job_id, None)
-        self.resubmissions += 1
-        return job_id
+        if self._requeue_or_bury(i, job_id, "lease-expired", now):
+            return job_id
+        return None
 
     def requeue_in_flight(self, now: float = 0.0) -> List[str]:
         """Requeue every QUEUED/RUNNING job with a fresh attempt number.
@@ -551,14 +541,8 @@ class WorkflowState:
         for i, code in enumerate(status_arr):
             if code == _QUEUED or code == _RUNNING:
                 job_id = job_ids[i]
-                if self._exhausted_at(i):
-                    self._dead_letter(job_id, "master-crash", now)
-                    continue
-                self._attempt_arr[i] += 1
-                status_arr[i] = _QUEUED
-                self.deadline.pop(job_id, None)
-                self.resubmissions += 1
-                out.append(job_id)
+                if self._requeue_or_bury(i, job_id, "master-crash", now):
+                    out.append(job_id)
         return out
 
     def expired(self, now: float) -> List[str]:
@@ -574,15 +558,23 @@ class WorkflowState:
             i = index_of[job_id]
             code = status_arr[i]
             if now >= deadline and (code == _RUNNING or code == _QUEUED):
-                if self._exhausted_at(i):
-                    self._dead_letter(job_id, "timeout", now)
-                    continue
-                self._attempt_arr[i] += 1
-                status_arr[i] = _QUEUED
-                del self.deadline[job_id]
-                self.resubmissions += 1
-                out.append(job_id)
+                if self._requeue_or_bury(i, job_id, "timeout", now):
+                    out.append(job_id)
         return out
+
+    def _requeue_or_bury(self, i: int, job_id: str, reason: str, now: float) -> bool:
+        """The one recovery transition: re-QUEUE under a fresh attempt
+        number (acks of the old delivery go stale), or dead-letter with
+        ``reason`` once the attempt budget is spent.  ``True`` means
+        republish."""
+        if self._exhausted_at(i):
+            self._dead_letter(job_id, reason, now)
+            return False
+        self._attempt_arr[i] += 1
+        self._status_arr[i] = _QUEUED
+        self.deadline.pop(job_id, None)
+        self.resubmissions += 1
+        return True
 
     def _dead_letter(self, job_id: str, reason: str, now: float) -> None:
         """Take ``job_id`` out of circulation and cascade to descendants.

@@ -8,23 +8,38 @@ its pull loop + bounded thread pool).  Slots across all nodes wait on the
 same topic, so jobs go to whichever slot asked first — first come, first
 served, with zero scheduling decisions.
 
-Fault injection (paper §V.A.3 and the chaos engine beyond it):
+Fault injection (paper §V.A.3 and the chaos engine beyond it): the paper
+disturbs a running cluster from outside — kill a daemon, restart it
+elsewhere, add nodes — and so does everything here.  A *controller* is
+any object with ``install(run)``; the engine calls it once with the
+:class:`PullRun`, before any worker starts, and the run's public methods
+are what it may schedule against:
 
 * a :class:`~repro.faults.injection.FaultSchedule` scripts worker-daemon
   kills and restarts; killed slots acknowledge nothing, so interrupted
   jobs are recovered by the master's timeout resubmission;
-* seeded stochastic models from :mod:`repro.faults.models` drive spot
-  terminations (with drain-on-notice), transient/poison job failures and
-  degraded straggler nodes through a :class:`~repro.faults.models.ChaosAPI`;
+* the seeded models of :mod:`repro.faults.models` drive spot
+  terminations (with drain-on-notice), degraded straggler nodes and
+  network partitions;
+* :func:`~repro.provision.autoscale.queue_depth_autoscaler` starts and
+  drains worker daemons on queue depth;
+* a :class:`~repro.liveness.MasterFailoverModel` kills the primary
+  master and has the warm standby take over.
+
+Inside the run rather than against it:
+
+* a :class:`~repro.faults.models.TransientFaultModel` fails job attempts
+  (and poison jobs) worker-side;
 * a :class:`~repro.mq.chaosbroker.MessageChaos` band makes the broker
   drop, duplicate or delay messages;
 * a :class:`~repro.faults.retry.RetryPolicy` governs recovery: backoff
   before re-dispatch, attempt budgets, and dead-lettering of poison jobs
   so the rest of the ensemble still settles.
 
-Every injected fault is recorded on a
-:class:`~repro.faults.models.FaultTrace` and exported with the result,
-so a seeded run's fault history is byte-reproducible.
+Every injected fault is recorded on the run's
+:class:`~repro.faults.models.FaultTrace` and exported as
+``EngineResult.fault_events``, so a seeded run's fault history is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -35,13 +50,12 @@ import repro.analysis.sanitizer as _sanitizer
 from repro.cloud.cluster import ClusterSpec
 from repro.dewe.core import COMPLETED, CORRUPT, FAILED, RUNNING, MasterCore
 from repro.engines.base import EngineBase, EngineResult, JobRecord, RunConfig, execute_job
-from repro.faults.models import ChaosAPI, FaultTrace, TransientFaultModel
+from repro.faults.models import FaultTrace, TransientFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.liveness import (
     AdmissionControl,
     LeaseConfig,
     LeaseTable,
-    MasterFailoverModel,
     ServiceAdmissionPolicy,
     new_liveness_stats,
 )
@@ -53,7 +67,7 @@ from repro.sim import AnyOf, Interrupt, Process
 from repro.storage.integrity import FileIntegrity
 from repro.workflow.ensemble import Ensemble
 
-__all__ = ["PullEngine"]
+__all__ = ["PullEngine", "PullRun"]
 
 _DISPATCH = "job-dispatching"
 _ACK = "job-acknowledgment"
@@ -69,36 +83,6 @@ def _reraise(proc: Process) -> None:
         raise proc.value
 
 
-class ElasticAPI:
-    """What an autoscaler controller can see and do during a run.
-
-    The controller is a generator process: it yields DES events (usually
-    ``api.sim.timeout(check_interval)``) and reacts to queue state —
-    exactly the information a real controller could read off the broker's
-    management interface.
-    """
-
-    def __init__(self, run: "_PullRun"):
-        self._run = run
-        self.sim = run.sim
-        self.n_nodes = run.n_nodes
-        self.start_worker = run.start_worker
-        #: Graceful scale-in: the node finishes in-flight jobs, then leaves.
-        self.stop_worker = run.stop_worker
-
-    def queue_depth(self) -> int:
-        """Jobs waiting in the dispatching topic right now."""
-        return self._run.broker.depth(_DISPATCH)
-
-    def active_nodes(self) -> list:
-        """Node indices with a live worker daemon."""
-        return [i for i, alive in enumerate(self._run.slot_alive) if alive > 0]
-
-    @property
-    def finished(self) -> bool:
-        return self._run.done.triggered
-
-
 class PullEngine(EngineBase):
     """DEWE v2 over the cluster simulator."""
 
@@ -109,138 +93,114 @@ class PullEngine(EngineBase):
         spec: ClusterSpec,
         config: Optional[RunConfig] = None,
         broker_latency: float = 0.002,
-        fault_schedule=None,
-        autoscaler=None,
-        initially_down: tuple = (),
         retry: Optional[RetryPolicy] = None,
         transient: Optional[TransientFaultModel] = None,
-        chaos_models: Sequence = (),
         message_chaos: Optional[MessageChaos] = None,
-        fault_trace: Optional[FaultTrace] = None,
         journal: Optional[Journal] = None,
         integrity_models: Sequence = (),
         liveness: Optional[LeaseConfig] = None,
         admission: Optional[AdmissionControl] = None,
-        failover: Optional[MasterFailoverModel] = None,
         service: Optional[ServiceAdmissionPolicy] = None,
         repriority: Optional[RepriorityPolicy] = None,
+        controllers: Sequence = (),
     ):
-        """``autoscaler`` is an optional controller — a generator function
-        taking an :class:`ElasticAPI` — that may start and (gracefully)
-        stop per-node worker daemons while the ensemble runs, the dynamic
-        resource provisioning the paper sketches in §V.A.3.
-        ``initially_down`` lists nodes whose daemon the autoscaler will
-        bring up later (they are provisioned but not leased at t=0).
+        """``config`` is the :class:`~repro.engines.base.RunConfig` every
+        engine takes (job timeout, timeout sweep interval, job records,
+        cache draining).
 
-        Chaos knobs: ``retry`` is the re-dispatch policy (default:
-        unlimited immediate retries, the paper's behaviour);
-        ``transient`` injects per-attempt job failures; ``chaos_models``
-        are installable models (spot terminations, stragglers) driven
-        through a :class:`~repro.faults.models.ChaosAPI`;
-        ``message_chaos`` wraps the broker in a drop/duplicate/delay
-        band; ``fault_trace`` collects every injected fault (a fresh
-        trace is created when any chaos is configured and none given).
+        ``broker_latency`` is the one-way delay of every message through
+        the simulated broker, seconds.
 
-        Recovery knobs: ``journal`` is a write-ahead
+        ``retry`` is the re-dispatch policy: backoff before a failed or
+        timed-out job goes back on the queue, the attempt budget, and
+        dead-lettering once it is spent (default: unlimited immediate
+        retries, the paper's behaviour).
+
+        ``transient`` injects per-attempt job failures and always-failing
+        poison jobs worker-side.
+
+        ``message_chaos`` wraps the broker in a drop/duplicate/delay band.
+
+        ``journal`` is a write-ahead
         :class:`~repro.recovery.journal.Journal` recording every master
         state transition (and, with ``crash_after`` set, injecting a
-        master crash); ``integrity_models`` are data-plane fault
-        injectors (:class:`~repro.faults.models.FileCorruptionModel`,
+        master crash; :func:`repro.recovery.crash.resume_until_complete`
+        resumes it).
+
+        ``integrity_models`` are data-plane fault injectors
+        (:class:`~repro.faults.models.FileCorruptionModel`,
         :class:`~repro.faults.models.FileLossModel`) — when present,
         workers checksum their inputs before running a job and the
         master regenerates damaged files by re-executing the minimal
         ancestor set (data-aware recovery).
 
-        Liveness knobs (docs/FAULTS.md): ``liveness`` is a
-        :class:`~repro.liveness.LeaseConfig` enabling the heartbeat/lease
-        protocol — workers renew time-bounded leases and the master
-        fences a silent worker's lease epoch, requeueing its in-flight
-        jobs through the retry policy while stale-epoch acks are
-        rejected for exactly-once settlement.  ``admission`` is an
-        :class:`~repro.liveness.AdmissionControl` gating new workflow
-        submissions on the dispatch backlog (reject-new before
-        degrade-running).  ``failover`` is a
-        :class:`~repro.liveness.MasterFailoverModel`: the primary master
-        dies mid-run and a warm standby — tailing the write-ahead
-        journal — takes over under a fresh fencing epoch (requires
-        ``journal``).
+        ``liveness`` is a :class:`~repro.liveness.LeaseConfig` enabling
+        the heartbeat/lease protocol (docs/FAULTS.md) — workers renew
+        time-bounded leases and the master fences a silent worker's
+        lease epoch, requeueing its in-flight jobs through the retry
+        policy while stale-epoch acks are rejected for exactly-once
+        settlement.
 
-        Service knob: ``service`` is a
-        :class:`~repro.liveness.ServiceAdmissionPolicy` turning the
-        submitter into the *open-loop* multi-tenant front door: instead
-        of blocking at the admission gate, each arriving submission runs
-        the quota -> fair-share -> brownout -> backlog ladder and is
-        either admitted (with its SLA class's deadline slack) or shed
-        with a deterministic retry-after hint.  Mutually exclusive with
-        ``admission`` (the policy embeds its own gate).  The policy
-        object outlives master incarnations, so quota and fair-share
-        state survive a failover.
+        ``admission`` is an :class:`~repro.liveness.AdmissionControl`
+        gating new workflow submissions on the dispatch backlog
+        (reject-new before degrade-running).
 
-        Priority knob: ``repriority`` is a
-        :class:`~repro.mq.priority.RepriorityPolicy` turning the
-        dispatching topic into a live priority queue.  Each dispatch is
-        published at its SLA band (gold structurally above best-effort,
-        :func:`~repro.mq.priority.base_band`) plus a bounded heuristic
-        score from critical-path remaining, deadline slack and queue
-        age; every completion re-scores the member's still-queued jobs
-        broker-side (the OSPREY ``asynch_repriority`` pattern), and
+        ``service`` is a :class:`~repro.liveness.ServiceAdmissionPolicy`
+        turning the submitter into the *open-loop* multi-tenant front
+        door: instead of blocking at the admission gate, each arriving
+        submission runs the quota -> fair-share -> brownout -> backlog
+        ladder and is either admitted (with its SLA class's deadline
+        slack) or shed with a deterministic retry-after hint.  Mutually
+        exclusive with ``admission`` (the policy embeds its own gate).
+        The policy object outlives master incarnations, so quota and
+        fair-share state survive a failover.
+
+        ``repriority`` is a :class:`~repro.mq.priority.RepriorityPolicy`
+        turning the dispatching topic into a live priority queue.  Each
+        dispatch is published at its SLA band (gold structurally above
+        best-effort, :func:`~repro.mq.priority.base_band`) plus a bounded
+        heuristic score from critical-path remaining, deadline slack and
+        queue age; every completion re-scores the member's still-queued
+        jobs broker-side (the OSPREY ``asynch_repriority`` pattern), and
         ``interval > 0`` adds a periodic master sweep so aging can lift
         starving work.  Without this knob all publishes stay at
         priority 0.0, which is byte-identical to FIFO order.
+
+        ``controllers`` are the disturbances scheduled against the run
+        from outside, in the paper's sense (§V.A.3): each is an object
+        with ``install(run)``, called once in list order with the
+        :class:`PullRun` after the master's loops exist and before any
+        worker starts.  A
+        :class:`~repro.faults.injection.FaultSchedule`, the sampled
+        models of :mod:`repro.faults.models`, a
+        :func:`~repro.provision.autoscale.queue_depth_autoscaler` and a
+        :class:`~repro.liveness.MasterFailoverModel` (needs ``journal``)
+        are the ones the repo ships; what they record lands in
+        ``EngineResult.fault_events``.
         """
         super().__init__(spec, config)
-        if failover is not None and journal is None:
-            raise ValueError("master failover requires a write-ahead journal")
         if service is not None and admission is not None:
             raise ValueError(
                 "pass either admission= (closed-loop gate) or service= "
                 "(open-loop policy, embeds its own gate), not both"
             )
         self.broker_latency = broker_latency
-        self.fault_schedule = fault_schedule
-        self.autoscaler = autoscaler
-        self.initially_down = tuple(initially_down)
         self.retry = retry or RetryPolicy()
         self.transient = transient
-        self.chaos_models = tuple(chaos_models)
         self.message_chaos = message_chaos
-        self.fault_trace = fault_trace
         self.journal = journal
         self.integrity_models = tuple(integrity_models)
         self.liveness = liveness
         self.admission = admission
-        self.failover = failover
         self.service = service
         self.repriority = repriority
+        self.controllers = tuple(controllers)
 
     def run(self, ensemble: Ensemble) -> EngineResult:
-        return _PullRun(self, ensemble).execute()
-
-    def resume_from(self, journal: Journal, ensemble: Ensemble) -> EngineResult:
-        """Resume a crashed run from its write-ahead journal.
-
-        The engine is deterministic, so resume is *validated replay*:
-        the journal is re-armed (:meth:`~repro.recovery.journal.Journal.resume`)
-        and the ensemble re-runs from t=0 with identical seeds; every
-        record appended inside the journaled prefix is validated
-        byte-for-byte against the crashed run's records (sanitizer check
-        ``journal-replay``), then the journal switches to live appends
-        and the run completes.  The caller must pass the same ensemble
-        (or an identically seeded rebuild).
-
-        Raises :class:`~repro.recovery.journal.ReplayDivergence` if the
-        resumed run diverges from the journaled prefix.
-        """
-        if journal.crashed:
-            journal.resume()
-        self.journal = journal
-        # Trace and broker chaos state are per-run: a fresh trace is
-        # created inside run() when none is pinned on the engine.
-        self.fault_trace = None
-        return self.run(ensemble)
+        return PullRun(self, ensemble).execute()
 
 
-class _PullRun:
+class PullRun:
     """One :meth:`PullEngine.run`: the DES driver around a
     :class:`~repro.dewe.core.MasterCore`.
 
@@ -248,10 +208,34 @@ class _PullRun:
     with a simulated clock or a wire in it: the master's processes
     (submitter, ack/heartbeat consumers, timeout/lease/aging timers),
     the journal and failover wiring, the worker daemons (slots and
-    heartbeat agents), network partitions, the chaos hooks and the
-    result assembly.  A standby takeover swaps :attr:`core` for a fresh
-    one restored from the journal's checkpoint; nothing else is
-    rebuilt.
+    heartbeat agents), network partitions and the result assembly.  A
+    standby takeover swaps :attr:`core` for a fresh one restored from
+    the journal's checkpoint; nothing else is rebuilt.
+
+    The run is also its own control surface.  A controller's
+    ``install(run)`` may read and call the names without an underscore
+    that this list gives, and nothing else
+    (``tests/test_master_structure.py`` walks the controller modules):
+
+    * ``sim``, ``n_nodes``, ``trace``, ``journal`` — the simulator to
+      schedule on, the cluster size to validate against, the
+      :class:`~repro.faults.models.FaultTrace` to record on, and the
+      write-ahead journal (``None`` without one);
+    * ``initially_down`` — the set of nodes whose daemon is not started
+      at t=0 (provisioned, not leased); controllers add to it;
+    * :meth:`start_worker`, :meth:`stop_worker` (graceful drain),
+      :meth:`kill_worker` (abrupt death) — the worker daemons;
+    * :meth:`set_disk_factor`, :meth:`set_cpu_factor`,
+      :meth:`mark_spot_terminated` — a node's speed and its billing;
+    * :meth:`begin_partition`, :meth:`end_partition` — a node's
+      connectivity to the control plane;
+    * :meth:`queue_depth`, :meth:`active_nodes`, :attr:`finished` — what
+      a real controller could read off the broker's management interface;
+    * :meth:`primary_die`, :meth:`standby_takeover` — the master itself
+      (``report_liveness`` makes the result carry the liveness tallies
+      even if the run ends before the takeover);
+    * :meth:`spawn` — start a controller's own process, a generator
+      yielding DES events.
     """
 
     def __init__(self, engine: PullEngine, ensemble: Ensemble):
@@ -260,9 +244,7 @@ class _PullRun:
         self.sim = sim
         self.cluster = cluster
         self.thread_logs = thread_logs
-        self.trace = (
-            engine.fault_trace if engine.fault_trace is not None else FaultTrace()
-        )
+        self.trace = FaultTrace()
         if engine.message_chaos is not None:
             self.broker = ChaosSimBroker(
                 sim, engine.message_chaos,
@@ -287,6 +269,12 @@ class _PullRun:
 
         # -- liveness / partition / backpressure plane -------------------------
         self.stats = new_liveness_stats()
+        self.report_liveness = (
+            engine.liveness is not None
+            or engine.admission is not None
+            or engine.service is not None
+            or engine.repriority is not None
+        )
         self.service = engine.service
         if self.service is not None:
             # The policy accumulates its counters straight into the
@@ -340,6 +328,7 @@ class _PullRun:
         # Rental accounting for elastic provisioning: a node's lease runs
         # from worker start until its last slot exits.
         self.leases: List[List[List[float]]] = [[] for _ in range(n_nodes)]
+        self.initially_down: set = set()
         self.slot_alive = [0] * n_nodes
         self.draining: set = set()
         self.idle_waits: List[set] = [set() for _ in range(n_nodes)]
@@ -387,7 +376,7 @@ class _PullRun:
         if not self.crash_event.triggered:
             self.crash_event.succeed()
 
-    def _spawn(self, generator) -> Process:
+    def spawn(self, generator) -> Process:
         """Start a process this run owns.  The kernel drops an exception
         raised in a process nobody waits on, and the sweep timers would
         then keep ``run_until(done)`` alive for ever — so the exit
@@ -808,11 +797,11 @@ class _PullRun:
             # Lease grant is part of the provisioning handshake, so
             # the node's very first ack already carries a live epoch.
             self.worker_epoch[node_index] = self._grant_lease(node_index)
-            self.hb_procs[node_index] = self._spawn(
+            self.hb_procs[node_index] = self.spawn(
                 self.heartbeat_agent(node_index)
             )
         for _ in range(capacity):
-            slots.append(self._spawn(self.worker_slot(node_index)))
+            slots.append(self.spawn(self.worker_slot(node_index)))
 
     def kill_worker(self, node_index: int) -> None:
         """Abrupt death: in-flight jobs are lost (fault injection)."""
@@ -836,7 +825,19 @@ class _PullRun:
         for pending in list(self.idle_waits[node_index]):
             self.broker.cancel(_DISPATCH, pending)
 
-    # -- chaos model hooks -------------------------------------------------------
+    def queue_depth(self) -> int:
+        """Jobs waiting in the dispatching topic right now."""
+        return self.broker.depth(_DISPATCH)
+
+    def active_nodes(self) -> list:
+        """Node indices with a live worker daemon."""
+        return [i for i, alive in enumerate(self.slot_alive) if alive > 0]
+
+    @property
+    def finished(self) -> bool:
+        return self.done.triggered
+
+    # -- node speed and billing ----------------------------------------------------
     def set_disk_factor(self, node_index: int, factor: float) -> None:
         node = self.cluster.nodes[node_index]
         base_read, base_write = self.disk_base[node_index]
@@ -857,14 +858,6 @@ class _PullRun:
             self.spot_interrupted.setdefault(node_index, []).append(
                 len(self.leases[node_index]) - 1
             )
-
-    def traced_start(self, node_index: int) -> None:
-        self.trace.record(self.sim.now, "restart", node_index)
-        self.start_worker(node_index)
-
-    def traced_kill(self, node_index: int) -> None:
-        self.trace.record(self.sim.now, "kill", node_index)
-        self.kill_worker(node_index)
 
     # -- master failover -----------------------------------------------------------
     def start_master(self, takeover: bool = False) -> None:
@@ -887,9 +880,11 @@ class _PullRun:
         repriority = self.engine.repriority
         if repriority is not None and repriority.interval > 0:
             loops.append(self._every(repriority.interval, core.sweep_priorities))
-        self.master_procs[:] = [self._spawn(loop) for loop in loops]
+        self.master_procs[:] = [self.spawn(loop) for loop in loops]
 
-    def _primary_die(self) -> None:
+    def primary_die(self) -> None:
+        """The primary master stops: every loop it runs is torn down and
+        acks pile up in the broker until :meth:`standby_takeover`."""
         if self.done.triggered:
             return
         self.trace.record(self.sim.now, "master-fail", detail="primary stops")
@@ -899,7 +894,9 @@ class _PullRun:
             proc.interrupt("primary master failed")
         self.master_procs.clear()
 
-    def _standby_takeover(self) -> None:
+    def standby_takeover(self) -> None:
+        """The warm standby fences the journal and takes over from its
+        last checkpoint (needs a journal)."""
         if self.done.triggered:
             return
         now = self.sim.now
@@ -953,42 +950,14 @@ class _PullRun:
 
     # -- the run -------------------------------------------------------------------
     def execute(self) -> EngineResult:
-        engine = self.engine
         sim = self.sim
         journal = self.journal
-        n_nodes = self.n_nodes
         self.start_master()
-        initially_down = set(engine.initially_down)
-        if engine.fault_schedule is not None:
-            initially_down |= set(engine.fault_schedule.initially_down)
-            engine.fault_schedule.install(sim, self.traced_start, self.traced_kill)
-        if engine.chaos_models:
-            api = ChaosAPI(
-                sim=sim,
-                n_nodes=n_nodes,
-                start_worker=self.start_worker,
-                stop_worker=self.stop_worker,
-                kill_worker=self.kill_worker,
-                set_disk_factor=self.set_disk_factor,
-                set_cpu_factor=self.set_cpu_factor,
-                mark_spot_terminated=self.mark_spot_terminated,
-                trace=self.trace,
-                begin_partition=self.begin_partition,
-                end_partition=self.end_partition,
-            )
-            for model in engine.chaos_models:
-                model.install(api)
-        failover = engine.failover
-        if failover is not None:
-            sim.schedule_call(failover.at, self._primary_die)
-            sim.schedule_call(
-                failover.at + failover.detection, self._standby_takeover
-            )
-        for i in range(n_nodes):
-            if i not in initially_down:
+        for controller in self.engine.controllers:
+            controller.install(self)
+        for i in range(self.n_nodes):
+            if i not in self.initially_down:
                 self.start_worker(i)
-        if engine.autoscaler is not None:
-            self._spawn(engine.autoscaler(ElasticAPI(self)))
 
         until = (
             self.done if journal is None
@@ -1011,7 +980,8 @@ class _PullRun:
         if journal is not None and journal.crashed:
             raise MasterCrash(
                 f"master crashed at t={sim.now:.6f} after {journal.seq} "
-                f"journal records; resume via resume_from(journal)"
+                f"journal records; resume via "
+                f"repro.recovery.crash.resume_until_complete"
             )
         if self.engine.config.drain_caches:
             sim.run_until(self.cluster.fs.drained())
@@ -1049,14 +1019,7 @@ class _PullRun:
                         cluster.nodes[i].name, node_spans, makespan
                     )
         liveness_stats: Dict[str, int] = {}
-        if (
-            engine.liveness is not None
-            or engine.admission is not None
-            or engine.service is not None
-            or engine.failover is not None
-            or engine.repriority is not None
-            or stats["partitions"]
-        ):
+        if self.report_liveness or stats["partitions"]:
             liveness_stats = dict(stats)
             liveness_stats["dead_letter_depth"] = len(self.core.dead_letters)
             # Constant: the shed ledger it counted is gone, but the

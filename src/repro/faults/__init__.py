@@ -21,7 +21,6 @@ policy) free of import cycles.
 
 from repro.faults.injection import FaultAction, FaultSchedule, kill_restart_cycle
 from repro.faults.models import (
-    ChaosAPI,
     Degradation,
     FaultEvent,
     FaultTrace,
@@ -34,7 +33,6 @@ from repro.faults.models import (
 from repro.faults.retry import DeadLetterEntry, DeadLetterQueue, RetryPolicy
 
 __all__ = [
-    "ChaosAPI",
     "ChaosReport",
     "ChaosScenario",
     "DeadLetterEntry",

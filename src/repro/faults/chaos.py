@@ -35,10 +35,10 @@ from typing import Dict, List, Optional, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.cloud import ClusterSpec
+from repro.cloud.cluster import default_filesystem
 from repro.engines.base import RunConfig
 from repro.engines.pull import PullEngine
 from repro.faults.models import (
-    FaultTrace,
     FileCorruptionModel,
     FileLossModel,
     NetworkPartitionModel,
@@ -47,6 +47,7 @@ from repro.faults.models import (
     TransientFaultModel,
 )
 from repro.faults.retry import RetryPolicy
+from repro.generators import make_workflow
 from repro.liveness import (
     AdmissionControl,
     BrownoutController,
@@ -201,23 +202,8 @@ class ChaosScenario:
         )
 
     def spec(self) -> ClusterSpec:
-        fs = self.filesystem or ("local" if self.n_nodes == 1 else "moosefs")
+        fs = self.filesystem or default_filesystem(self.n_nodes)
         return ClusterSpec(self.instance_type, self.n_nodes, filesystem=fs)
-
-    def _template(self):
-        from repro.generators import (
-            cybershake_workflow,
-            ligo_workflow,
-            montage_workflow,
-        )
-
-        if self.workflow == "montage":
-            return montage_workflow(degree=self.size)
-        if self.workflow == "ligo":
-            return ligo_workflow(blocks=max(1, int(self.size)))
-        if self.workflow == "cybershake":
-            return cybershake_workflow(ruptures=max(1, int(self.size)))
-        raise ValueError(f"unknown workflow kind {self.workflow!r}")
 
     @property
     def is_service(self) -> bool:
@@ -264,7 +250,8 @@ class ChaosScenario:
             ),
         ]
         return build_workload(
-            tenants, self._template(), self.service_horizon, self.seed,
+            tenants, make_workflow(self.workflow, self.size),
+            self.service_horizon, self.seed,
             name=f"{self.name}-service",
         )
 
@@ -272,7 +259,8 @@ class ChaosScenario:
         if self.is_service:
             return self.service_workload().ensemble
         return Ensemble.replicated(
-            self._template(), self.n_workflows, interval=self.interval
+            make_workflow(self.workflow, self.size), self.n_workflows,
+            interval=self.interval,
         )
 
     def run_config(self) -> RunConfig:
@@ -286,9 +274,9 @@ class ChaosScenario:
         self, seed: int, horizon: float, journal: Optional[Journal] = None
     ) -> PullEngine:
         """Assemble the chaos-wired pull engine for one seeded run."""
-        models: list = []
+        controllers: list = []
         if self.spot_rate_per_hour > 0:
-            models.append(
+            controllers.append(
                 SpotTerminationModel.sample(
                     seed + _SALT_SPOT,
                     self.n_nodes,
@@ -301,7 +289,7 @@ class ChaosScenario:
                 )
             )
         if self.p_partition > 0:
-            models.append(
+            controllers.append(
                 NetworkPartitionModel.sample(
                     seed + _SALT_PARTITION,
                     self.n_nodes,
@@ -313,7 +301,7 @@ class ChaosScenario:
                 )
             )
         if self.p_straggler > 0:
-            models.append(
+            controllers.append(
                 StragglerModel.sample(
                     seed + _SALT_STRAGGLER,
                     self.n_nodes,
@@ -389,11 +377,12 @@ class ChaosScenario:
                 max_pending_jobs=self.admission_max_pending,
                 retry_after=self.admission_retry_after,
             )
-        failover = (
-            MasterFailoverModel(self.failover_at, detection=self.failover_detection)
-            if self.failover_at is not None
-            else None
-        )
+        if self.failover_at is not None:
+            controllers.append(
+                MasterFailoverModel(
+                    self.failover_at, detection=self.failover_detection
+                )
+            )
         repriority = (
             RepriorityPolicy(
                 aging_rate=self.repriority_aging,
@@ -407,16 +396,14 @@ class ChaosScenario:
             config=self.run_config(),
             retry=self.retry_policy(),
             transient=transient,
-            chaos_models=models,
             message_chaos=message_chaos,
-            fault_trace=FaultTrace(),
             journal=journal,
             integrity_models=integrity_models,
             liveness=liveness,
             admission=admission,
-            failover=failover,
             service=service,
             repriority=repriority,
+            controllers=controllers,
         )
 
 

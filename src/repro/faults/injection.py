@@ -3,8 +3,9 @@
 The paper's robustness tests (§V.A.3) kill the worker daemon mid-run and
 start it again 5 seconds later — either on the same node, or on the other
 node of a two-node cluster.  A :class:`FaultSchedule` expresses such
-scripts as timed kill/restart actions against node indices and installs
-them into an engine run.
+scripts as timed kill/restart actions against node indices; it is a
+controller (``PullEngine(controllers=[schedule])``) that installs them
+against the run.
 
 Expected behaviour (asserted by the robustness benchmark):
 
@@ -19,9 +20,9 @@ Expected behaviour (asserted by the robustness benchmark):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
-from repro.sim import Simulator
+from repro.faults.models import check_node
 
 __all__ = ["FaultAction", "FaultSchedule", "kill_restart_cycle"]
 
@@ -58,16 +59,21 @@ class FaultSchedule:
         self.actions: List[FaultAction] = sorted(actions, key=lambda a: a.time)
         self.initially_down = tuple(initially_down)
 
-    def install(
-        self,
-        sim: Simulator,
-        start_worker: Callable[[int], None],
-        kill_worker: Callable[[int], None],
-    ) -> None:
-        """Schedule every action inside ``sim``."""
+    def install(self, run) -> None:
+        """Schedule every action against ``run`` and hold the
+        ``initially_down`` nodes' daemons back at t=0."""
+        for node in [a.node for a in self.actions] + list(self.initially_down):
+            check_node(run, node, "fault schedule")
+        run.initially_down.update(self.initially_down)
         for action in self.actions:
-            func = kill_worker if action.action == "kill" else start_worker
-            sim.schedule_call(action.time, func, action.node)
+            run.sim.schedule_call(action.time, self._apply, run, action)
+
+    def _apply(self, run, action: FaultAction) -> None:
+        run.trace.record(run.sim.now, action.action, action.node)
+        if action.action == "kill":
+            run.kill_worker(action.node)
+        else:
+            run.start_worker(action.node)
 
     def __len__(self) -> int:
         return len(self.actions)

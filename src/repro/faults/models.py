@@ -16,9 +16,9 @@ al.'s EC2 workflow studies show actually dominate in public clouds:
 Every model is driven by an explicit ``random.Random(seed)`` at
 *construction* time: sampling happens once, up front, so the resulting
 event list — and therefore the whole fault trace — is a pure function of
-the seed (codelint CL002 discipline).  Models install themselves against
-a :class:`ChaosAPI`, the narrow set of hooks an engine exposes, so the
-same model drives any engine that provides the hooks.
+the seed (codelint CL002 discipline).  The three node-level models
+are controllers: ``install(run)`` schedules their events against a
+:class:`~repro.engines.pull.PullRun` through its public methods.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ import random
 import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FaultEvent",
     "FaultTrace",
-    "ChaosAPI",
     "SpotTerminationModel",
     "TransientFaultModel",
     "Degradation",
@@ -82,12 +81,6 @@ class FaultTrace:
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self.events)
 
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
-
     def lines(self) -> List[str]:
         return [event.line() for event in self.events]
 
@@ -95,35 +88,13 @@ class FaultTrace:
         return "\n".join(self.lines())
 
 
-@dataclass
-class ChaosAPI:
-    """Engine hooks a fault model may drive.
-
-    ``sim`` is the engine's :class:`~repro.sim.Simulator`;
-    ``stop_worker`` is a graceful drain (finish in-flight jobs, pull
-    nothing new), ``kill_worker`` the abrupt death.  ``set_disk_factor``
-    / ``set_cpu_factor`` scale a node's disk bandwidth / CPU speed
-    relative to its nominal capacity.  ``mark_spot_terminated`` flags
-    the node's current lease as provider-interrupted for billing.
-
-    ``begin_partition`` / ``end_partition`` (optional — engines without
-    a network model leave them ``None``) cut and restore a node's
-    connectivity to the control plane: mode ``"full"`` severs both
-    directions, ``"to-master"`` only the worker's uplink (acks buffered,
-    heartbeats dropped), ``"from-master"`` only the dispatch downlink.
-    """
-
-    sim: "object"
-    n_nodes: int
-    start_worker: Callable[[int], None]
-    stop_worker: Callable[[int], None]
-    kill_worker: Callable[[int], None]
-    set_disk_factor: Callable[[int, float], None]
-    set_cpu_factor: Callable[[int, float], None]
-    mark_spot_terminated: Callable[[int], None]
-    trace: FaultTrace
-    begin_partition: Optional[Callable[[int, str], None]] = None
-    end_partition: Optional[Callable[[int], None]] = None
+def check_node(run, node: int, what: str) -> None:
+    """Refuse, at install, a controller entry naming a node the run's
+    cluster does not have."""
+    if not 0 <= node < run.n_nodes:
+        raise ValueError(
+            f"{what} targets node {node} of a {run.n_nodes}-node cluster"
+        )
 
 
 def _hazard_steps(
@@ -254,32 +225,29 @@ class SpotTerminationModel:
                 terminations.append((t, node))
         return cls(terminations, notice=notice, replacement_delay=replacement_delay)
 
-    def install(self, api: ChaosAPI) -> None:
+    def install(self, run) -> None:
         for t, node in self.terminations:
-            if node >= api.n_nodes:
-                raise ValueError(
-                    f"termination targets node {node} of a {api.n_nodes}-node cluster"
-                )
+            check_node(run, node, "termination")
             if self.notice > 0:
-                api.sim.schedule_call(
-                    max(0.0, t - self.notice), self._notice, api, node
+                run.sim.schedule_call(
+                    max(0.0, t - self.notice), self._notice, run, node
                 )
-            api.sim.schedule_call(t, self._terminate, api, node)
+            run.sim.schedule_call(t, self._terminate, run, node)
 
-    def _notice(self, api: ChaosAPI, node: int) -> None:
-        api.trace.record(api.sim.now, "spot-notice", node)
-        api.stop_worker(node)  # drain: in-flight jobs may still finish
+    def _notice(self, run, node: int) -> None:
+        run.trace.record(run.sim.now, "spot-notice", node)
+        run.stop_worker(node)  # drain: in-flight jobs may still finish
 
-    def _terminate(self, api: ChaosAPI, node: int) -> None:
-        api.trace.record(api.sim.now, "spot-termination", node)
-        api.kill_worker(node)
-        api.mark_spot_terminated(node)
+    def _terminate(self, run, node: int) -> None:
+        run.trace.record(run.sim.now, "spot-termination", node)
+        run.kill_worker(node)
+        run.mark_spot_terminated(node)
         if self.replacement_delay is not None:
-            api.sim.schedule_call(self.replacement_delay, self._replace, api, node)
+            run.sim.schedule_call(self.replacement_delay, self._replace, run, node)
 
-    def _replace(self, api: ChaosAPI, node: int) -> None:
-        api.trace.record(api.sim.now, "spot-replacement", node)
-        api.start_worker(node)
+    def _replace(self, run, node: int) -> None:
+        run.trace.record(run.sim.now, "spot-replacement", node)
+        run.start_worker(node)
 
 
 class TransientFaultModel:
@@ -390,30 +358,26 @@ class StragglerModel:
             )
         return cls(degradations)
 
-    def install(self, api: ChaosAPI) -> None:
+    def install(self, run) -> None:
         for d in self.degradations:
-            if d.node >= api.n_nodes:
-                raise ValueError(
-                    f"degradation targets node {d.node} of a "
-                    f"{api.n_nodes}-node cluster"
-                )
-            api.sim.schedule_call(d.start, self._begin, api, d)
+            check_node(run, d.node, "degradation")
+            run.sim.schedule_call(d.start, self._begin, run, d)
 
-    def _begin(self, api: ChaosAPI, d: Degradation) -> None:
-        api.trace.record(
-            api.sim.now,
+    def _begin(self, run, d: Degradation) -> None:
+        run.trace.record(
+            run.sim.now,
             "degrade-start",
             d.node,
             f"disk*{d.disk_factor:g} cpu*{d.cpu_factor:g} for {d.duration:g}s",
         )
-        api.set_disk_factor(d.node, d.disk_factor)
-        api.set_cpu_factor(d.node, d.cpu_factor)
-        api.sim.schedule_call(d.duration, self._end, api, d)
+        run.set_disk_factor(d.node, d.disk_factor)
+        run.set_cpu_factor(d.node, d.cpu_factor)
+        run.sim.schedule_call(d.duration, self._end, run, d)
 
-    def _end(self, api: ChaosAPI, d: Degradation) -> None:
-        api.trace.record(api.sim.now, "degrade-end", d.node)
-        api.set_disk_factor(d.node, 1.0)
-        api.set_cpu_factor(d.node, 1.0)
+    def _end(self, run, d: Degradation) -> None:
+        run.trace.record(run.sim.now, "degrade-end", d.node)
+        run.set_disk_factor(d.node, 1.0)
+        run.set_cpu_factor(d.node, 1.0)
 
 
 #: Valid partition directions.  ``full`` severs both directions;
@@ -503,31 +467,22 @@ class NetworkPartitionModel:
             )
         return cls(windows)
 
-    def install(self, api: ChaosAPI) -> None:
-        if api.begin_partition is None or api.end_partition is None:
-            raise ValueError(
-                "engine does not expose partition hooks "
-                "(ChaosAPI.begin_partition/end_partition)"
-            )
+    def install(self, run) -> None:
         for w in self.windows:
-            if w.node >= api.n_nodes:
-                raise ValueError(
-                    f"partition targets node {w.node} of a "
-                    f"{api.n_nodes}-node cluster"
-                )
-            api.sim.schedule_call(w.start, self._begin, api, w)
+            check_node(run, w.node, "partition")
+            run.sim.schedule_call(w.start, self._begin, run, w)
 
-    def _begin(self, api: ChaosAPI, w: PartitionWindow) -> None:
-        api.trace.record(
-            api.sim.now, "partition-start", w.node,
+    def _begin(self, run, w: PartitionWindow) -> None:
+        run.trace.record(
+            run.sim.now, "partition-start", w.node,
             f"mode={w.mode} for {w.duration:g}s",
         )
-        api.begin_partition(w.node, w.mode)
-        api.sim.schedule_call(w.duration, self._end, api, w)
+        run.begin_partition(w.node, w.mode)
+        run.sim.schedule_call(w.duration, self._end, run, w)
 
-    def _end(self, api: ChaosAPI, w: PartitionWindow) -> None:
-        api.trace.record(api.sim.now, "partition-heal", w.node)
-        api.end_partition(w.node)
+    def _end(self, run, w: PartitionWindow) -> None:
+        run.trace.record(run.sim.now, "partition-heal", w.node)
+        run.end_partition(w.node)
 
 
 class _FileFaultModel:

@@ -24,8 +24,25 @@ from repro.generators.random_dag import random_layered_workflow
 
 __all__ = [
     "MONTAGE_BLOCKING_TYPES",
+    "WORKFLOW_KINDS",
     "cybershake_workflow",
     "ligo_workflow",
+    "make_workflow",
     "montage_workflow",
     "random_layered_workflow",
 ]
+
+WORKFLOW_KINDS = ("montage", "ligo", "cybershake")
+
+
+def make_workflow(kind: str, size: float):
+    """The ``kind`` workflow at ``size``: Montage degree, LIGO blocks or
+    CyberShake ruptures (what every CLI's ``--workflow`` / ``--size``,
+    a :class:`~repro.parallel.RunSpec` and a chaos scenario mean)."""
+    if kind == "montage":
+        return montage_workflow(degree=size)
+    if kind == "ligo":
+        return ligo_workflow(blocks=max(1, int(size)))
+    if kind == "cybershake":
+        return cybershake_workflow(ruptures=max(1, int(size)))
+    raise ValueError(f"unknown workflow kind {kind!r}")

@@ -39,3 +39,12 @@ class MasterFailoverModel:
             raise ValueError("failover time must be non-negative")
         if self.detection <= 0:
             raise ValueError("detection latency must be positive")
+
+    def install(self, run) -> None:
+        """Controller protocol (``PullEngine(controllers=[...])``): the
+        standby tails the journal, so a run without one is refused."""
+        if run.journal is None:
+            raise ValueError("master failover requires a write-ahead journal")
+        run.report_liveness = True
+        run.sim.schedule_call(self.at, run.primary_die)
+        run.sim.schedule_call(self.at + self.detection, run.standby_takeover)

@@ -105,7 +105,7 @@ def robustness_metrics(result: EngineResult) -> Dict[str, int]:
     """
     stats = new_liveness_stats()
     stats["dead_letter_depth"] = len(result.dead_letters)
-    # Constant, kept for the quick-soak digest (see _PullRun._result).
+    # Constant, kept for the quick-soak digest (see PullRun._result).
     stats["shed_record_drops"] = 0
     stats.update(getattr(result, "liveness_stats", None) or {})
     return stats

@@ -24,9 +24,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cloud import ClusterSpec
+from repro.cloud.cluster import default_filesystem
+from repro.engines import DeweV1Engine, PullEngine, SchedulingEngine
+from repro.engines.base import RunConfig
+from repro.generators import make_workflow
+from repro.workflow import Ensemble
+
 __all__ = [
+    "ENGINES",
     "RunSpec",
     "RunDigest",
+    "build_engine",
+    "build_ensemble",
     "digest_result",
     "execute_spec",
     "run_serial",
@@ -133,36 +143,26 @@ def digest_result(result, label: str = "", events_scheduled: int = 0) -> RunDige
     )
 
 
-def _build_engine(spec: RunSpec):
-    from repro.cloud import ClusterSpec
-    from repro.engines import DeweV1Engine, PullEngine, SchedulingEngine
-    from repro.engines.base import RunConfig
+ENGINES = {
+    "dewe-v2": PullEngine,
+    "pegasus": SchedulingEngine,
+    "dewe-v1": DeweV1Engine,
+}
 
-    engines = {
-        "dewe-v2": PullEngine,
-        "pegasus": SchedulingEngine,
-        "dewe-v1": DeweV1Engine,
-    }
-    if spec.engine not in engines:
+
+def build_engine(spec: RunSpec):
+    """The engine a spec names, on the cluster it names."""
+    if spec.engine not in ENGINES:
         raise ValueError(f"unknown engine {spec.engine!r}")
-    fs = spec.filesystem or ("local" if spec.nodes == 1 else "moosefs")
+    fs = spec.filesystem or default_filesystem(spec.nodes)
     cluster = ClusterSpec(spec.instance_type, spec.nodes, filesystem=fs)
     config = RunConfig(default_timeout=spec.timeout, record_jobs=spec.record_jobs)
-    return engines[spec.engine](cluster, config)
+    return ENGINES[spec.engine](cluster, config)
 
 
-def _build_ensemble(spec: RunSpec):
-    from repro.generators import cybershake_workflow, ligo_workflow, montage_workflow
-    from repro.workflow import Ensemble
-
-    if spec.workflow == "montage":
-        template = montage_workflow(degree=spec.size)
-    elif spec.workflow == "ligo":
-        template = ligo_workflow(blocks=max(1, int(spec.size)))
-    elif spec.workflow == "cybershake":
-        template = cybershake_workflow(ruptures=max(1, int(spec.size)))
-    else:
-        raise ValueError(f"unknown workflow kind {spec.workflow!r}")
+def build_ensemble(spec: RunSpec) -> Ensemble:
+    """``spec.workflows`` copies of the workflow a spec names."""
+    template = make_workflow(spec.workflow, spec.size)
     return Ensemble.replicated(template, spec.workflows, interval=spec.interval)
 
 
@@ -172,9 +172,7 @@ def execute_spec(spec: RunSpec) -> RunDigest:
     Module-level (picklable by reference) so :class:`ProcessPoolExecutor`
     can ship it to workers.
     """
-    engine = _build_engine(spec)
-    ensemble = _build_ensemble(spec)
-    result = engine.run(ensemble)
+    result = build_engine(spec).run(build_ensemble(spec))
     events = getattr(getattr(result.cluster, "sim", None), "_seq", 0)
     return digest_result(result, label=spec.title(), events_scheduled=events)
 
@@ -244,7 +242,7 @@ def shard_ensemble(spec: RunSpec, shards: int) -> List[RunSpec]:
             f"shards={shards} must divide workflows={spec.workflows} "
             f"and nodes={spec.nodes}"
         )
-    fs = spec.filesystem or ("local" if spec.nodes == 1 else "moosefs")
+    fs = spec.filesystem or default_filesystem(spec.nodes)
     title = spec.title()
     return [
         replace(

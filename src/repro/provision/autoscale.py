@@ -21,7 +21,8 @@ billing-model interaction: per-minute billing rewards elasticity, the
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from dataclasses import dataclass
+from typing import Generator
 
 __all__ = ["queue_depth_autoscaler"]
 
@@ -32,14 +33,15 @@ def queue_depth_autoscaler(
     scale_out_depth: float = 32.0,
     scale_in_depth: float = 1.0,
     boot_delay: float = 45.0,
-) -> Callable:
+) -> "_QueueDepthAutoscaler":
     """Build an autoscaler for :class:`~repro.engines.pull.PullEngine`.
 
     Parameters
     ----------
     min_nodes:
         Never drop below this many active worker daemons (node 0 also
-        hosts the master in the paper's deployments).
+        hosts the master in the paper's deployments).  Nodes
+        ``min_nodes`` and up are provisioned but not leased at t=0.
     check_interval:
         Controller tick, seconds.
     scale_out_depth:
@@ -51,7 +53,7 @@ def queue_depth_autoscaler(
         Seconds between the start decision and the worker daemon joining
         (instance boot + cloud-init, as in the paper's MooseFS setup).
 
-    Returns a generator function suitable for ``PullEngine(autoscaler=...)``.
+    Returns a controller for ``PullEngine(controllers=[...])``.
     """
     if min_nodes < 1:
         raise ValueError(f"min_nodes must be >= 1, got {min_nodes}")
@@ -59,33 +61,50 @@ def queue_depth_autoscaler(
         raise ValueError(f"check_interval must be positive, got {check_interval}")
     if boot_delay < 0:
         raise ValueError(f"boot_delay must be >= 0, got {boot_delay}")
+    return _QueueDepthAutoscaler(
+        min_nodes, check_interval, scale_out_depth, scale_in_depth, boot_delay
+    )
 
-    def controller(api) -> Generator:
-        sim = api.sim
+
+@dataclass(frozen=True)
+class _QueueDepthAutoscaler:
+    min_nodes: int
+    check_interval: float
+    scale_out_depth: float
+    scale_in_depth: float
+    boot_delay: float
+
+    def install(self, run) -> None:
+        run.initially_down.update(range(self.min_nodes, run.n_nodes))
+        run.spawn(self._control(run))
+
+    def _control(self, run) -> Generator:
+        """The controller process: it reacts to queue state — exactly the
+        information a real controller could read off the broker's
+        management interface."""
+        sim = run.sim
         booting: set = set()
 
         def join(node_index: int) -> None:
             booting.discard(node_index)
-            api.start_worker(node_index)
+            run.start_worker(node_index)
 
-        while not api.finished:
-            yield sim.timeout(check_interval)
-            if api.finished:
+        while not run.finished:
+            yield sim.timeout(self.check_interval)
+            if run.finished:
                 return
-            depth = api.queue_depth()
-            active = set(api.active_nodes())
+            depth = run.queue_depth()
+            active = set(run.active_nodes())
             idle_pool = [
-                i for i in range(api.n_nodes) if i not in active and i not in booting
+                i for i in range(run.n_nodes) if i not in active and i not in booting
             ]
-            if depth >= scale_out_depth and idle_pool:
+            if depth >= self.scale_out_depth and idle_pool:
                 node_index = idle_pool[0]
                 booting.add(node_index)
-                sim.schedule_call(boot_delay, join, node_index)
-            elif depth <= scale_in_depth and len(active) > min_nodes:
+                sim.schedule_call(self.boot_delay, join, node_index)
+            elif depth <= self.scale_in_depth and len(active) > self.min_nodes:
                 # Release the highest-numbered node (node 0 stays for the
                 # master); graceful, so in-flight jobs finish first.
                 victim = max(active)
-                if victim >= min_nodes:
-                    api.stop_worker(victim)
-
-    return controller
+                if victim >= self.min_nodes:
+                    run.stop_worker(victim)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cloud import ClusterSpec
+from repro.cloud.cluster import default_filesystem
 from repro.engines.base import EngineResult, RunConfig
 from repro.engines.pull import PullEngine
 from repro.liveness import (
@@ -118,7 +119,7 @@ class SoakConfig:
         return frac
 
     def spec(self) -> ClusterSpec:
-        fs = "local" if self.n_nodes == 1 else "moosefs"
+        fs = default_filesystem(self.n_nodes)
         return ClusterSpec(self.instance_type, self.n_nodes, filesystem=fs)
 
     def run_config(self) -> RunConfig:

@@ -9,14 +9,9 @@ from repro.provision import queue_depth_autoscaler
 from repro.workflow import Ensemble
 
 
-def make_engine(autoscaler=None, initially_down=(), nodes=4):
+def make_engine(*controllers, nodes=4):
     spec = ClusterSpec("c3.8xlarge", nodes, filesystem="moosefs")
-    return PullEngine(
-        spec,
-        RunConfig(record_jobs=True),
-        autoscaler=autoscaler,
-        initially_down=initially_down,
-    )
+    return PullEngine(spec, RunConfig(record_jobs=True), controllers=controllers)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +44,7 @@ def test_autoscaler_completes_workload(workload):
         min_nodes=1, check_interval=5.0, scale_out_depth=64,
         scale_in_depth=2, boot_delay=10.0,
     )
-    result = make_engine(auto, initially_down=(1, 2, 3)).run(workload)
+    result = make_engine(auto).run(workload)
     assert result.jobs_executed >= workload.total_jobs
     assert len(result.workflow_spans) == len(workload)
 
@@ -59,7 +54,7 @@ def test_autoscaler_scales_out_under_load(workload):
         min_nodes=1, check_interval=5.0, scale_out_depth=32,
         scale_in_depth=1, boot_delay=5.0,
     )
-    result = make_engine(auto, initially_down=(1, 2, 3)).run(workload)
+    result = make_engine(auto).run(workload)
     # The deep stage-1 queue must have triggered extra nodes.
     assert len(result.rental_spans) >= 2
     # Scaled-out nodes really executed jobs.
@@ -72,7 +67,7 @@ def test_elastic_leases_shorter_than_makespan(workload):
         min_nodes=1, check_interval=5.0, scale_out_depth=32,
         scale_in_depth=2, boot_delay=5.0,
     )
-    result = make_engine(auto, initially_down=(1, 2, 3)).run(workload)
+    result = make_engine(auto).run(workload)
     extra_nodes = [i for i in result.rental_spans if i != 0]
     assert extra_nodes
     for i in extra_nodes:
@@ -88,7 +83,7 @@ def test_elastic_cheaper_per_minute_static_cheaper_wallclock(workload):
         min_nodes=1, check_interval=5.0, scale_out_depth=64,
         scale_in_depth=2, boot_delay=10.0,
     )
-    elastic = make_engine(auto, initially_down=(1, 2, 3)).run(workload)
+    elastic = make_engine(auto).run(workload)
     assert elastic.elastic_cost(BillingModel.PER_MINUTE) < static.elastic_cost(
         BillingModel.PER_MINUTE
     )
@@ -101,6 +96,6 @@ def test_graceful_scale_in_loses_no_jobs(workload):
         min_nodes=1, check_interval=4.0, scale_out_depth=16,
         scale_in_depth=4, boot_delay=3.0,
     )
-    result = make_engine(auto, initially_down=(1, 2, 3)).run(workload)
+    result = make_engine(auto).run(workload)
     assert result.resubmissions == 0
     assert result.jobs_executed == workload.total_jobs

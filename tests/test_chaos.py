@@ -11,7 +11,6 @@ from repro.faults import RetryPolicy
 from repro.faults.chaos import SCENARIOS, get_scenario, run_chaos
 from repro.faults.models import (
     Degradation,
-    FaultTrace,
     SpotTerminationModel,
     StragglerModel,
     TransientFaultModel,
@@ -206,10 +205,9 @@ def test_spot_termination_interrupts_lease_and_bills_spot_rule():
     engine = PullEngine(
         small_spec(2),
         config=fast_cfg(),
-        chaos_models=(
+        controllers=(
             SpotTerminationModel([(t_kill, 1)], notice=0.5),
         ),
-        fault_trace=FaultTrace(),
     )
     result = engine.run(Ensemble([template]))
     counts = next(iter(result.job_counts.values()))
@@ -233,7 +231,7 @@ def test_spot_replacement_restores_capacity():
     engine = PullEngine(
         small_spec(2),
         config=fast_cfg(),
-        chaos_models=(
+        controllers=(
             SpotTerminationModel([(1.0, 1)], notice=0.0, replacement_delay=0.5),
         ),
     )
@@ -253,7 +251,7 @@ def test_degraded_node_slows_the_run_but_completes():
     degraded = PullEngine(
         small_spec(),
         config=fast_cfg(timeout=60.0),
-        chaos_models=(
+        controllers=(
             StragglerModel(
                 [
                     Degradation(
@@ -365,7 +363,7 @@ def test_chrome_trace_carries_fault_instants():
         config=RunConfig(
             default_timeout=6.0, timeout_check_interval=0.25, record_jobs=True
         ),
-        chaos_models=(SpotTerminationModel([(1.0, 1)], notice=0.2),),
+        controllers=(SpotTerminationModel([(1.0, 1)], notice=0.2),),
     )
     result = engine.run(Ensemble([template]))
     doc = to_chrome_trace(result)

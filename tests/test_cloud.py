@@ -1,4 +1,4 @@
-"""Tests for the cloud substrate: catalogue, pricing, clusters, EC2 model."""
+"""Tests for the cloud substrate: catalogue, pricing, clusters."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.cloud import (
     BillingModel,
     ClusterSpec,
     SimCluster,
-    SimulatedEC2,
     cluster_cost,
     get_instance_type,
     price_per_workflow,
@@ -145,40 +144,3 @@ def test_sim_cluster_local_requires_single_node():
     with pytest.raises(ValueError):
         SimCluster(sim, ClusterSpec("c3.8xlarge", 2, filesystem="local"))
 
-
-# ---------------------------------------------------------------------------
-# SimulatedEC2
-# ---------------------------------------------------------------------------
-
-
-def test_ec2_launch_and_terminate():
-    ec2 = SimulatedEC2()
-    ec2.create_placement_group("pg")
-    instances = ec2.launch("c3.8xlarge", count=3, placement_group="pg", now=0.0)
-    assert len(instances) == 3
-    assert len(ec2.running()) == 3
-    assert len(ec2.describe("pg")) == 3
-    ec2.terminate(instances[0].id, now=7200.0)
-    assert len(ec2.running()) == 2
-
-
-def test_ec2_accrued_cost_hourly_rounding():
-    ec2 = SimulatedEC2()
-    [inst] = ec2.launch("c3.8xlarge", now=0.0)
-    ec2.terminate(inst.id, now=3601.0)
-    assert ec2.accrued_cost(now=3601.0) == pytest.approx(2 * 1.68)
-
-
-def test_ec2_errors():
-    ec2 = SimulatedEC2()
-    with pytest.raises(KeyError):
-        ec2.launch("c3.8xlarge", placement_group="missing")
-    with pytest.raises(KeyError):
-        ec2.terminate("i-nope")
-    [inst] = ec2.launch("c3.8xlarge")
-    ec2.terminate(inst.id, now=10.0)
-    with pytest.raises(ValueError):
-        ec2.terminate(inst.id, now=20.0)
-    ec2.create_placement_group("pg")
-    with pytest.raises(ValueError):
-        ec2.create_placement_group("pg")

@@ -19,7 +19,6 @@ from repro.cloud import ClusterSpec
 from repro.dewe.core import COMPLETED, RUNNING
 from repro.engines import PullEngine, RunConfig
 from repro.faults.models import (
-    FaultTrace,
     FileCorruptionModel,
     FileLossModel,
     NetworkPartitionModel,
@@ -67,7 +66,7 @@ def _spied_run(monkeypatch, engine, ensemble):
     """Run ``engine`` with every ack that goes through ``send_ack`` and
     every broker publish recorded as ``(now, ...)``."""
     sent, published, runs = [], [], []
-    execute = pull._PullRun.execute
+    execute = pull.PullRun.execute
 
     def spy(run):
         runs.append(run)
@@ -85,7 +84,7 @@ def _spied_run(monkeypatch, engine, ensemble):
         run.broker.publish = recording_publish
         return execute(run)
 
-    monkeypatch.setattr(pull._PullRun, "execute", spy)
+    monkeypatch.setattr(pull.PullRun, "execute", spy)
     result = engine.run(ensemble)
     return result, runs[0], sent, published
 
@@ -101,12 +100,11 @@ def test_uplink_partition_without_leases_holds_acks_until_heal(monkeypatch):
     engine = PullEngine(
         ClusterSpec("m3.2xlarge", 2, filesystem="moosefs"),
         RunConfig(default_timeout=600.0, record_jobs=True),
-        chaos_models=[
+        controllers=[
             NetworkPartitionModel(
                 [PartitionWindow(1, start, end - start, mode="to-master")]
             )
         ],
-        fault_trace=FaultTrace(),
     )
     ensemble = Ensemble([montage_workflow(degree=0.8)])
     result, run, sent, published = _spied_run(monkeypatch, engine, ensemble)
@@ -139,9 +137,9 @@ def test_uplink_partition_without_leases_holds_acks_until_heal(monkeypatch):
 
 
 def _drive_to_horizon(engine, ensemble, horizon):
-    """``_PullRun.execute`` without its open-ended wait: master and
+    """``PullRun.execute`` without its open-ended wait: master and
     workers started, the agenda run to ``horizon`` simulated seconds."""
-    run = pull._PullRun(engine, ensemble)
+    run = pull.PullRun(engine, ensemble)
     run.start_master()
     for node_index in range(run.n_nodes):
         run.start_worker(node_index)
@@ -177,7 +175,7 @@ def test_a_process_that_dies_fails_the_run(monkeypatch, owner, name):
     deadline on the agenda turns a regression into a failure, not a
     hang."""
     monkeypatch.setattr(owner, name, _third_call_raises(getattr(owner, name)))
-    execute = pull._PullRun.execute
+    execute = pull.PullRun.execute
 
     def hung():
         raise AssertionError("the run outlived the process that died")
@@ -186,7 +184,7 @@ def test_a_process_that_dies_fails_the_run(monkeypatch, owner, name):
         run.sim.schedule_call(120.0, hung)
         return execute(run)
 
-    monkeypatch.setattr(pull._PullRun, "execute", bounded)
+    monkeypatch.setattr(pull.PullRun, "execute", bounded)
     engine = PullEngine(
         ClusterSpec("m3.2xlarge", 2),
         RunConfig(default_timeout=10.0, timeout_check_interval=0.5),

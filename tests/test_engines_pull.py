@@ -150,7 +150,7 @@ def test_worker_kill_and_restart_recovers():
     result = PullEngine(
         ClusterSpec("c3.8xlarge", 1, filesystem="local"),
         config=cfg,
-        fault_schedule=schedule,
+        controllers=[schedule],
     ).run(Ensemble([template]))
     assert result.jobs_executed >= len(template)
     assert result.makespan > baseline.makespan  # interruptions cost time
@@ -173,7 +173,7 @@ def test_two_node_failover():
     result = PullEngine(
         ClusterSpec("c3.8xlarge", 2, filesystem="nfs-nton"),
         config=cfg,
-        fault_schedule=schedule,
+        controllers=[schedule],
     ).run(Ensemble([template]))
     nodes_used = {r.node for r in result.records}
     assert nodes_used == {0, 1}  # work really moved to the other node
@@ -199,7 +199,7 @@ def test_fault_during_blocking_job_costs_timeout():
     schedule = FaultSchedule(
         [FaultAction(t_kill, 0, "kill"), FaultAction(t_kill + 2.0, 0, "restart")]
     )
-    hit_blocking = PullEngine(spec, config=cfg, fault_schedule=schedule).run(
+    hit_blocking = PullEngine(spec, config=cfg, controllers=[schedule]).run(
         Ensemble([template])
     )
     delta = hit_blocking.makespan - baseline.makespan

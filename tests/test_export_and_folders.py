@@ -1,4 +1,4 @@
-"""Tests for trace export, workflow folders and interval tuning."""
+"""Tests for trace export and workflow folders."""
 
 import json
 
@@ -16,7 +16,6 @@ from repro.generators import montage_workflow
 from repro.monitor import node_metrics
 from repro.monitor.export import ascii_gantt, metrics_to_csv, to_chrome_trace
 from repro.mq import Broker
-from repro.provision.submission import tune_submission_interval
 from repro.workflow import Ensemble
 from repro.workflow.serialize import save_dax
 
@@ -127,37 +126,3 @@ def test_submit_workflow_folder_end_to_end(tmp_path):
         name = submit_workflow_folder(broker, folder)
         assert master.wait(name, timeout=30.0)
 
-
-# ---------------------------------------------------------------------------
-# Interval tuning
-# ---------------------------------------------------------------------------
-
-
-def test_tune_submission_interval_finds_minimum():
-    template = montage_workflow(degree=1.0)
-    spec = ClusterSpec("c3.8xlarge", 1, filesystem="local")
-    sweep = tune_submission_interval(template, spec, n_workflows=4)
-    assert len(sweep.intervals) == len(sweep.makespans)
-    assert sweep.best_makespan == min(sweep.makespans)
-    assert sweep.best_makespan <= sweep.batch_makespan
-    assert 0.0 <= sweep.speedup_vs_batch < 1.0
-
-
-def test_tune_submission_interval_custom_grid():
-    template = montage_workflow(degree=0.5)
-    spec = ClusterSpec("c3.8xlarge", 1, filesystem="local")
-    sweep = tune_submission_interval(
-        template, spec, n_workflows=3, candidates=(0.0, 5.0, 10.0)
-    )
-    assert sweep.intervals == [0.0, 5.0, 10.0]
-
-
-def test_tune_submission_interval_validation():
-    template = montage_workflow(degree=0.5)
-    spec = ClusterSpec("c3.8xlarge", 1, filesystem="local")
-    with pytest.raises(ValueError):
-        tune_submission_interval(template, spec, n_workflows=1)
-    with pytest.raises(ValueError):
-        tune_submission_interval(
-            template, spec, n_workflows=3, candidates=(-5.0, 0.0)
-        )

@@ -16,10 +16,16 @@ import hashlib
 
 import pytest
 
+from repro.cloud import ClusterSpec
+from repro.engines import PullEngine, RunConfig
+from repro.faults import kill_restart_cycle
 from repro.faults.chaos import SCENARIOS, run_chaos
-from repro.parallel import RunSpec, execute_spec
+from repro.generators import montage_workflow
+from repro.parallel import RunSpec, digest_result, execute_spec
+from repro.provision import queue_depth_autoscaler
 from repro.recovery.journal import Journal
 from repro.service.soak import SoakConfig, run_soak
+from repro.workflow import Ensemble
 
 
 def _sha(*parts: str) -> str:
@@ -140,6 +146,30 @@ ENGINES = {
     ),
 }
 
+#: controller kind -> digest, recorded on the commit before ISSUE 23
+#: folded ``fault_schedule`` / ``autoscaler`` / ``initially_down`` into
+#: ``controllers``: the two kinds no chaos scenario above drives.
+CONTROLLERS = {
+    "kill-restart-other-node": (
+        "ecb5a30b2e1a1519f9946b65b18ef04b46cbdbb2fae78f478a9a4360da8490ce"
+    ),
+    "queue-depth-autoscaler": (
+        "85ce6384e6d005d9a73ed59606fbed985a3231b0d9348c187faf3742b28282f3"
+    ),
+}
+
+
+def _controller_run(kind: str):
+    """(filesystem, nodes, members, interval, controller) per pinned kind."""
+    if kind == "kill-restart-other-node":
+        return "nfs-central", 2, 3, 2.0, kill_restart_cycle(
+            [3.0, 9.0], downtime=2.0, restart_node=1
+        )
+    return "moosefs", 4, 6, 1.5, queue_depth_autoscaler(
+        min_nodes=1, check_interval=1.0, scale_out_depth=4.0,
+        scale_in_depth=1.0, boot_delay=2.0,
+    )
+
 
 def _engine_spec(engine: str) -> RunSpec:
     return RunSpec(
@@ -188,3 +218,22 @@ def test_quick_soak_matches_recorded_execution(seed):
 def test_engine_fingerprint_matches_recorded_execution(engine):
     digest = execute_spec(_engine_spec(engine))
     assert (digest.fingerprint, digest.events_scheduled) == ENGINES[engine]
+
+
+@pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+def test_controller_run_matches_recorded_execution(kind):
+    filesystem, nodes, members, interval, controller = _controller_run(kind)
+    result = PullEngine(
+        ClusterSpec("c3.8xlarge", nodes, filesystem=filesystem),
+        RunConfig(
+            default_timeout=10.0, timeout_check_interval=0.5, record_jobs=False
+        ),
+        controllers=[controller],
+    ).run(Ensemble.replicated(montage_workflow(degree=0.5), members, interval))
+    assert len(result.rental_spans) > 1  # the controller really moved nodes
+    assert _sha(
+        digest_result(result).fingerprint,
+        "\n".join(event.line() for event in result.fault_events),
+        repr(result.rental_spans),
+        repr(result.cluster.sim._seq),
+    ) == CONTROLLERS[kind]

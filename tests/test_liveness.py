@@ -13,7 +13,6 @@ from repro.engines import PullEngine, RunConfig
 from repro.faults import RetryPolicy
 from repro.faults.chaos import get_scenario, run_chaos
 from repro.faults.models import (
-    FaultTrace,
     NetworkPartitionModel,
     PartitionWindow,
     SpotTerminationModel,
@@ -212,8 +211,7 @@ def _partition_engine(windows, liveness=True, timeout=6.0):
         ClusterSpec("m3.2xlarge", 2, filesystem="moosefs"),
         config=fast_cfg(timeout),
         retry=RetryPolicy(max_attempts=6),
-        chaos_models=[NetworkPartitionModel(windows)],
-        fault_trace=FaultTrace(),
+        controllers=[NetworkPartitionModel(windows)],
         liveness=(
             LeaseConfig(heartbeat_interval=0.25, miss_threshold=3)
             if liveness
@@ -281,9 +279,8 @@ def _failover_engine(liveness: bool):
         small_spec(2),
         config=fast_cfg(),
         retry=RetryPolicy(max_attempts=6),
-        fault_trace=FaultTrace(),
         journal=Journal(checkpoint_every=10),
-        failover=MasterFailoverModel(at=1.5, detection=0.5),
+        controllers=[MasterFailoverModel(at=1.5, detection=0.5)],
         liveness=(
             LeaseConfig(heartbeat_interval=0.25, miss_threshold=3)
             if liveness
@@ -314,6 +311,58 @@ def test_des_failover_settles_every_job_exactly_once(liveness):
     assert results[0].makespan == results[1].makespan
 
 
+def test_every_controller_kind_composes_in_one_run():
+    """Schedule + spot + straggler + partition + autoscaler + failover in
+    one ``controllers`` list: six disturbances against one run, every
+    job still settles exactly once (strict sanitizer armed)."""
+    from repro.faults import Degradation, FaultSchedule, StragglerModel
+    from repro.faults import kill_restart_cycle
+    from repro.provision import queue_depth_autoscaler
+
+    def run_once():
+        controllers = [
+            kill_restart_cycle([1.0], downtime=1.5, kill_node=1),
+            SpotTerminationModel([(4.0, 0)], notice=0.5, replacement_delay=1.0),
+            StragglerModel([Degradation(0, 0.5, 3.0, disk_factor=0.3)]),
+            NetworkPartitionModel([PartitionWindow(1, 3.0, 2.0)]),
+            queue_depth_autoscaler(
+                min_nodes=2, check_interval=1.0, scale_out_depth=4.0,
+                scale_in_depth=1.0, boot_delay=1.0,
+            ),
+            MasterFailoverModel(at=2.0, detection=0.5),
+        ]
+        assert isinstance(controllers[0], FaultSchedule)
+        return PullEngine(
+            small_spec(4),
+            config=fast_cfg(),
+            retry=RetryPolicy(max_attempts=8),
+            journal=Journal(checkpoint_every=10),
+            liveness=LeaseConfig(heartbeat_interval=0.25, miss_threshold=3),
+            controllers=controllers,
+        ).run(Ensemble.replicated(montage_workflow(degree=0.5), 4, interval=0.5))
+
+    first, second = run_once(), run_once()
+    n_jobs = len(montage_workflow(degree=0.5))
+    assert len(first.job_counts) == 4 and not first.dead_letters
+    for counts in first.job_counts.values():
+        assert counts["completed"] == n_jobs
+        assert sum(counts.values()) == n_jobs
+    assert first.jobs_executed >= 4 * n_jobs
+    kinds = {e.kind for e in first.fault_events}
+    assert {
+        "kill", "restart", "spot-notice", "spot-termination",
+        "spot-replacement", "degrade-start", "degrade-end",
+        "partition-start", "partition-heal", "master-fail", "failover",
+    } <= kinds
+    # The autoscaler held nodes 2 and 3 back and leased at least one later.
+    late = [i for i in (2, 3) if i in first.rental_spans]
+    assert late and all(first.rental_spans[i][0][0] > 0.0 for i in late)
+    assert first.liveness_stats["failovers"] == 1
+    assert first.liveness_stats["partitions"] == 1
+    assert trace_lines(first) == trace_lines(second)
+    assert first.makespan == second.makespan
+
+
 def test_des_failover_keeps_admission_arrival_and_deadline_slack(monkeypatch):
     """A standby re-scores restored and re-admitted members against the
     arrival they were admitted with, not against t=0 (the bug: members
@@ -333,7 +382,7 @@ def test_des_failover_keeps_admission_arrival_and_deadline_slack(monkeypatch):
     result = PullEngine(
         small_spec(1),
         journal=Journal(checkpoint_every=50),
-        failover=MasterFailoverModel(12.0, 0.5),
+        controllers=[MasterFailoverModel(12.0, 0.5)],
         repriority=RepriorityPolicy(),
     ).run(Ensemble.replicated(montage_workflow(degree=1.0), 3, interval=5.0))
     assert result.liveness_stats["failovers"] == 1
@@ -348,9 +397,19 @@ def test_des_failover_keeps_admission_arrival_and_deadline_slack(monkeypatch):
     assert {factor for _now, _name, _arrival, factor in after} == {1.0}
 
 
-def test_des_failover_requires_journal():
-    with pytest.raises(ValueError, match="journal"):
-        PullEngine(small_spec(2), failover=MasterFailoverModel(at=1.0))
+def test_des_failover_requires_journal(monkeypatch):
+    """Refused at install, before any event is simulated."""
+    from repro.sim import Simulator
+
+    def no_events(*_args, **_kwargs):
+        raise AssertionError("simulated an event")
+
+    monkeypatch.setattr(Simulator, "_drain", no_events)
+    engine = PullEngine(
+        small_spec(2), controllers=[MasterFailoverModel(at=1.0)]
+    )
+    with pytest.raises(ValueError, match="requires a write-ahead journal"):
+        engine.run(Ensemble([montage_workflow(degree=0.3)]))
 
 
 # -- DES: admission control --------------------------------------------------
@@ -358,7 +417,6 @@ def test_des_admission_gate_sheds_then_admits():
     engine = PullEngine(
         ClusterSpec("m3.2xlarge", 1, filesystem="local"),
         config=fast_cfg(timeout=30.0),
-        fault_trace=FaultTrace(),
         admission=AdmissionControl(max_pending_jobs=4, retry_after=0.5),
     )
     # 25 ready mProjectPP jobs against 8 slots: the second workflow's
@@ -395,8 +453,7 @@ def test_chrome_trace_carries_liveness_counters():
         ClusterSpec("m3.2xlarge", 2, filesystem="moosefs"),
         config=fast_cfg(record=True),
         retry=RetryPolicy(max_attempts=6),
-        chaos_models=[NetworkPartitionModel(windows)],
-        fault_trace=FaultTrace(),
+        controllers=[NetworkPartitionModel(windows)],
         liveness=LeaseConfig(heartbeat_interval=0.25, miss_threshold=3),
     )
     result = engine.run(_montage_ensemble())

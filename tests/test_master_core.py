@@ -299,13 +299,13 @@ def _outcome(states, dead_letters):
 
 def _run_des(monkeypatch):
     runs = []
-    execute = pull._PullRun.execute
+    execute = pull.PullRun.execute
 
     def spy(run):
         runs.append(run)
         return execute(run)
 
-    monkeypatch.setattr(pull._PullRun, "execute", spy)
+    monkeypatch.setattr(pull.PullRun, "execute", spy)
     PullEngine(
         ClusterSpec("c3.8xlarge", 1, filesystem="local"),
         RunConfig(default_timeout=5.0),

@@ -259,7 +259,7 @@ def test_no_broker_topic_or_store_takes_a_bound_or_eviction_parameter():
 
 
 def test_pull_run_publishes_a_dispatch_with_one_call():
-    run = next(c for c in _classes("engines/pull.py") if c.name == "_PullRun")
+    run = next(c for c in _classes("engines/pull.py") if c.name == "PullRun")
     publish = next(fn for fn, _d in _functions(run) if fn.name == "_publish")
     calls = [
         node for node in ast.walk(publish)
@@ -268,6 +268,83 @@ def test_pull_run_publishes_a_dispatch_with_one_call():
         and node.func.attr == "publish"
     ]
     assert len(calls) == 1
+
+
+# -- the run is its own control surface ----------------------------------------
+#: What a controller's ``install(run)`` may touch (PullRun's docstring).
+CONTROL_SURFACE = {
+    "sim", "n_nodes", "trace", "journal", "initially_down", "report_liveness",
+    "start_worker", "stop_worker", "kill_worker",
+    "set_disk_factor", "set_cpu_factor", "mark_spot_terminated",
+    "begin_partition", "end_partition",
+    "queue_depth", "active_nodes", "finished",
+    "primary_die", "standby_takeover", "spawn",
+}
+CONTROLLER_FILES = (
+    "faults/injection.py", "faults/models.py", "provision/autoscale.py",
+    "liveness/failover.py",
+)
+
+
+def test_pull_engine_takes_twelve_knobs_and_one_controllers_list():
+    from repro.engines import PullEngine
+
+    params = list(inspect.signature(PullEngine).parameters)
+    assert len(params) <= 13, params  # spec + 12 knobs
+    assert "controllers" in params
+    gone = {
+        "fault_schedule", "autoscaler", "initially_down", "chaos_models",
+        "failover", "fault_trace",
+    }
+    assert not gone & set(params)
+    assert not hasattr(PullEngine, "resume_from")
+
+
+def test_no_facade_class_stands_between_a_controller_and_the_run():
+    facades = [
+        f"{path.relative_to(SRC)}: {node.name}"
+        for package in ("engines", "faults")
+        for path in sorted((SRC / package).glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("API")
+    ]
+    assert facades == []
+
+
+def test_controllers_install_against_the_runs_public_names_only():
+    """The narrowing ``ChaosAPI`` / ``ElasticAPI`` gave, kept without
+    them: every ``install`` takes the run and nothing else, and whatever
+    the four controller modules read off it is on the documented list —
+    which the run really defines."""
+    run = next(c for c in _classes("engines/pull.py") if c.name == "PullRun")
+    defined = {fn.name for fn, depth in _functions(run) if depth == 0}
+    init = next(fn for fn, _d in _functions(run) if fn.name == "__init__")
+    defined |= {
+        node.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", "") == "self"
+    }
+    assert CONTROL_SURFACE <= defined, sorted(CONTROL_SURFACE - defined)
+    installs = 0
+    for relative in CONTROLLER_FILES:
+        tree = ast.parse((SRC / relative).read_text())
+        for fn, _depth in _functions(tree):
+            if fn.name == "install":
+                installs += 1
+                assert ast.unparse(fn.args) in ("self, run", "run"), (
+                    f"{relative}:{fn.lineno} install({ast.unparse(fn.args)})"
+                )
+        off_surface = sorted(
+            f"{relative}:{node.lineno} run.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", "") == "run"
+            and node.attr not in CONTROL_SURFACE
+        )
+        assert not off_surface, off_surface
+    assert installs == 6  # schedule, spot, straggler, partition, autoscaler, failover
 
 
 # -- reachability map ----------------------------------------------------------
@@ -281,9 +358,6 @@ KEPT_UNREACHED = {
     "repro.analysis.concurrency.detector":
         "the happens-before detector tests/conftest.py arms under "
         "REPRO_RACEDETECT=1 (CI's concurrency job)",
-    "repro.cloud.ec2":
-        "DESIGN.md's stand-in for the EC2 API (launch / terminate / accrued "
-        "billing); tests/test_cloud.py only - first to go if nothing drives it",
     "repro.dewe.folder":
         "the paper's folder packaging and two-parameter submission "
         "interface (section III.B) for the threaded engine",
@@ -295,9 +369,6 @@ KEPT_UNREACHED = {
     "repro.provision.bounds":
         "critical-path / total-work lower bounds tests/test_bounds.py holds "
         "every simulated makespan to",
-    "repro.provision.submission":
-        "simulation-driven interval search (section V.A.2's future work); "
-        "tests/test_export_and_folders.py only - same verdict as cloud.ec2",
     "repro.workflow.analysis":
         "critical_path is the lower-bound oracle tests/test_engine_properties.py "
         "judges every engine against",

@@ -361,13 +361,13 @@ def test_soak_dispatch_topic_leaves_plain_mode_only_for_priorities(
     setup = build_soak(_mini_soak())
     setup.engine.repriority = repriority
     runs = []
-    execute = pull._PullRun.execute
+    execute = pull.PullRun.execute
 
     def spy(run):
         runs.append(run)
         return execute(run)
 
-    monkeypatch.setattr(pull._PullRun, "execute", spy)
+    monkeypatch.setattr(pull.PullRun, "execute", spy)
     result = setup.engine.run(setup.workload.ensemble)
     assert result.jobs_executed > 0
     assert runs[0].broker.topic(pull._DISPATCH)._plain is plain
