@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.cloud.cluster import ClusterSpec, SimCluster
 from repro.cloud.node import SimNode
 from repro.cloud.pricing import BillingModel
-from repro.sim import SegmentLog, Simulator
+from repro.recovery.journal import MasterCrash
+from repro.sim import Process, SegmentLog, Simulator
 from repro.storage.base import SharedFileSystem
 from repro.workflow.dag import Job
 from repro.workflow.ensemble import Ensemble
@@ -205,10 +206,10 @@ def execute_job(
     if job.inputs:
         if read_miss_override is None:
             ev = fs.read(node, job.inputs, owner)
-            if not ev._state:
-                yield ev
         else:
-            yield from _read_with_miss(node, fs, job, read_miss_override)
+            ev = _read_with_miss(node, fs, job, read_miss_override)
+        if not ev._state:
+            yield ev
     t1 = sim.now
     # -- compute phase -------------------------------------------------------
     cpu_seconds = job.runtime / speed + extra_cpu
@@ -244,18 +245,29 @@ def execute_job(
 
 
 def _read_with_miss(node, fs, job, miss: float):
-    """Read inputs at an explicit miss ratio (bypasses the cache model)."""
+    """Start a read of the inputs at an explicit miss ratio (bypasses the
+    cache model); returns the read's event."""
     local = 0.0
     remote: dict = {}
-    for f in job.inputs:
-        nbytes = f.size * miss
-        home = fs.home_of(f)
-        if home is node:
-            local += nbytes
-        else:
-            remote[home] = remote.get(home, 0.0) + nbytes
-    if local > 0 or remote:
-        yield fs._start_read(node, local, remote)
+    if fs._sole is node:
+        for f in job.inputs:  # one home: every file is local
+            local += f.size * miss
+    else:
+        for f in job.inputs:
+            nbytes = f.size * miss
+            home = fs.home_of(f)
+            if home is node:
+                local += nbytes
+            else:
+                remote[home] = remote.get(home, 0.0) + nbytes
+    return fs._start_read(node, local, remote)
+
+
+def _reraise(proc: Process) -> None:
+    # Exit callback of a process nothing waits on (``PullRun.spawn``).
+    # A MasterCrash is already reported through ``crash_event``.
+    if not proc.ok and not isinstance(proc.value, MasterCrash):
+        raise proc.value
 
 
 class EngineBase:

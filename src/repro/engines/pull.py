@@ -49,7 +49,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import repro.analysis.sanitizer as _sanitizer
 from repro.cloud.cluster import ClusterSpec
 from repro.dewe.core import COMPLETED, CORRUPT, FAILED, RUNNING, MasterCore
-from repro.engines.base import EngineBase, EngineResult, JobRecord, RunConfig, execute_job
+from repro.engines.base import (
+    EngineBase, EngineResult, JobRecord, RunConfig, _reraise, execute_job,
+)
 from repro.faults.models import FaultTrace, TransientFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.liveness import (
@@ -75,12 +77,6 @@ _HEARTBEAT = "worker-heartbeat"
 #: Partition modes that cut the master->worker and worker->master path.
 _DOWN_CUT = ("full", "from-master")
 _UP_CUT = ("full", "to-master")
-
-
-def _reraise(proc: Process) -> None:
-    # A MasterCrash is already reported through ``crash_event``.
-    if not proc.ok and not isinstance(proc.value, MasterCrash):
-        raise proc.value
 
 
 class PullEngine(EngineBase):

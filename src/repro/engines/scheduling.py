@@ -19,16 +19,22 @@ attributes to that architecture:
   amplification factor plus per-job log bytes — the "more disk I/O
   activities" of Fig 6c/7c.
 
-Every knob is a constructor argument with the Fig 6-calibrated default.
+Every knob is a constructor argument with the Fig 6-calibrated default,
+validated at construction: the five overheads finite and >= 0,
+``read_miss`` in [0, 1], ``max_slots_per_node`` >= 1.  Each slot is one
+persistent generator for the whole run; a job is a pass of its loop.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.cluster import ClusterSpec
 from repro.dewe.state import WorkflowState
-from repro.engines.base import EngineBase, EngineResult, JobRecord, RunConfig, execute_job
+from repro.engines.base import (
+    EngineBase, EngineResult, JobRecord, RunConfig, _reraise, execute_job,
+)
 from repro.sim import FifoStore
 from repro.workflow.ensemble import Ensemble
 
@@ -67,19 +73,28 @@ class CentralDispatchEngine(EngineBase):
         self.output_copy_factor = output_copy_factor
         self.log_bytes_per_job = log_bytes_per_job
         self.sequential_workflows = sequential_workflows
+        for knob in ("submit_overhead", "dispatch_latency", "wrapper_cpu",
+                     "output_copy_factor", "log_bytes_per_job"):
+            value = getattr(self, knob)
+            if not 0.0 <= value < inf:
+                raise ValueError(f"{knob} must be finite and >= 0, got {value!r}")
+        if read_miss is not None and not 0.0 <= read_miss <= 1.0:
+            raise ValueError(f"read_miss must be in [0, 1], got {read_miss!r}")
+        if max_slots_per_node is not None and max_slots_per_node < 1:
+            raise ValueError(
+                f"max_slots_per_node must be >= 1, got {max_slots_per_node!r}"
+            )
 
     def run(self, ensemble: Ensemble) -> EngineResult:
         sim, cluster, thread_logs = self._setup(ensemble)
         cfg = self.config
         fs = cluster.fs
-        states: Dict[str, WorkflowState] = {}
         spans: Dict[str, Tuple[float, float]] = {}
         records: List[JobRecord] = []
         done = sim.event()
         remaining = [len(ensemble)]
         jobs_executed = [0]
         extra_writes = [0.0]
-        thread_counts = [0] * len(cluster.nodes)
 
         ready = FifoStore(sim)       # (state, job_id) awaiting a slot
         slots = FifoStore(sim)       # node indices with a free slot
@@ -90,90 +105,81 @@ class CentralDispatchEngine(EngineBase):
 
         wf_complete_events: Dict[str, object] = {}
 
-        def run_job(node_index: int, state: WorkflowState, job_id: str):
-            node = cluster.nodes[node_index]
-            job = state.workflow.job(job_id)
-            attempt = state.current_attempt(job_id)
-            dispatched = sim.now
-            if self.dispatch_latency > 0:
-                # Negotiation-cycle / matchmaking wait before start.
-                yield sim.timeout(self.dispatch_latency)
-            state.on_running(job_id, attempt, sim.now)
-            start = sim.now
-            thread_counts[node_index] += 1
-            thread_logs[node_index].record(sim.now, thread_counts[node_index])
-            extra_bytes = (
-                job.output_bytes * self.output_copy_factor + self.log_bytes_per_job
-            )
-            extra_writes[0] += extra_bytes
-            phases = yield from execute_job(
-                sim,
-                node,
-                fs,
-                job,
-                speed=node.itype.cpu_speed,
-                read_miss_override=self.read_miss,
-                extra_cpu=self.wrapper_cpu,
-                extra_write_bytes=extra_bytes,
-                owner=state.name,
-            )
-            thread_counts[node_index] -= 1
-            thread_logs[node_index].record(sim.now, thread_counts[node_index])
-            jobs_executed[0] += 1
-            if cfg.record_jobs:
-                read_t, compute_t, write_t = phases
-                records.append(
-                    JobRecord(
-                        workflow=state.name,
-                        job_id=job_id,
-                        task_type=job.task_type,
-                        node=node_index,
-                        start=start,
-                        end=sim.now,
-                        read_time=read_t,
-                        compute_time=compute_t,
-                        write_time=write_t,
-                        attempt=attempt,
-                        overhead_time=start - dispatched,
-                    )
-                )
-            slots.put(node_index)
-            for child_id in state.on_completed(job_id, attempt):
-                ready.put((state, child_id))
-            if state.is_complete:
-                spans[state.name] = (spans[state.name][0], sim.now)
-                event = wf_complete_events.get(state.name)
-                if event is not None:
-                    event.succeed()
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.succeed()
-
         def slot_runner(node_index: int):
+            # What is fixed for the slot is read once; a resume enters
+            # this frame (and ``execute_job``'s during the phases) only.
+            node = cluster.nodes[node_index]
+            log = thread_logs[node_index]  # its last value: jobs on the node
             feed = node_feeds[node_index]
+            speed = node.itype.cpu_speed
+            dispatch_latency = self.dispatch_latency
+            read_miss = self.read_miss
+            wrapper_cpu = self.wrapper_cpu
+            copy_factor = self.output_copy_factor
+            log_bytes = self.log_bytes_per_job
             while True:
                 pending = feed.get()
-                if pending.triggered:
-                    state, job_id = pending.value
+                if pending._state:
+                    state, job_id = pending._value
                 else:
                     state, job_id = yield pending
-                yield from run_job(node_index, state, job_id)
+                job = state.workflow.jobs[job_id]
+                attempt = state._attempt_arr[state._arena.index_of[job_id]]
+                dispatched = sim.now
+                if dispatch_latency > 0:
+                    # Negotiation-cycle / matchmaking wait before start.
+                    yield sim.timeout(dispatch_latency)
+                start = sim.now
+                state.on_running(job_id, attempt, start)
+                log.record(start, log.values[-1] + 1)
+                output_bytes = 0
+                for f in job.outputs:  # Job.output_bytes, in this frame
+                    output_bytes += f.size
+                extra_bytes = output_bytes * copy_factor + log_bytes
+                extra_writes[0] += extra_bytes
+                phases = yield from execute_job(
+                    sim, node, fs, job, speed, read_miss, wrapper_cpu,
+                    extra_bytes, state.name,
+                )
+                log.record(sim.now, log.values[-1] - 1)
+                jobs_executed[0] += 1
+                if cfg.record_jobs:
+                    read_t, compute_t, write_t = phases
+                    records.append(
+                        JobRecord(
+                            workflow=state.name, job_id=job_id,
+                            task_type=job.task_type, node=node_index,
+                            start=start, end=sim.now, read_time=read_t,
+                            compute_time=compute_t, write_time=write_t,
+                            attempt=attempt, overhead_time=start - dispatched,
+                        )
+                    )
+                slots.put(node_index)
+                for child_id in state.on_completed(job_id, attempt):
+                    ready.put((state, child_id))
+                if state._n_completed == state._arena.n:  # is_complete
+                    spans[state.name] = (spans[state.name][0], sim.now)
+                    event = wf_complete_events.get(state.name)
+                    if event is not None:
+                        event.succeed()
+                    remaining[0] -= 1
+                    if remaining[0] == 0:
+                        done.succeed()
 
         def dispatcher():
             while True:
-                state, job_id = yield ready.get()
+                matched = yield ready.get()
                 node_index = yield slots.get()
                 if self.submit_overhead > 0:
                     # The submission path handles one job at a time.
                     yield sim.timeout(self.submit_overhead)
-                node_feeds[node_index].put((state, job_id))
+                node_feeds[node_index].put(matched)
 
         def submitter():
             for submit_time, wf in ensemble:
                 if submit_time > sim.now:
                     yield sim.timeout(submit_time - sim.now)
                 state = WorkflowState(wf, cfg.default_timeout, validate=False)
-                states[wf.name] = state
                 spans[wf.name] = (sim.now, float("nan"))
                 if self.sequential_workflows:
                     wf_complete_events[wf.name] = sim.event()
@@ -183,16 +189,17 @@ class CentralDispatchEngine(EngineBase):
                     # DEWE v1 runs one workflow at a time (paper §I).
                     yield wf_complete_events[wf.name]
 
+        # Nothing waits on these: see ``PullRun.spawn`` for ``_reraise``.
         for i, node in enumerate(cluster.nodes):
             cap = node.cores.capacity
             if self.max_slots_per_node is not None:
                 cap = min(cap, self.max_slots_per_node)
             for _ in range(cap):
                 slots.put(i)
-                sim.process(slot_runner(i))
+                sim.process(slot_runner(i)).callbacks.append(_reraise)
 
-        sim.process(submitter())
-        sim.process(dispatcher())
+        sim.process(submitter()).callbacks.append(_reraise)
+        sim.process(dispatcher()).callbacks.append(_reraise)
         sim.run_until(done)
         if cfg.drain_caches:
             sim.run_until(fs.drained())

@@ -425,7 +425,11 @@ class FairShareLink:
 
     def transfer(self, nbytes: float) -> Event:
         """Start a stream of ``nbytes``; returns its completion event."""
-        event = Event(self.sim)
+        event = Event.__new__(Event)  # Event.__init__, in this frame
+        event.sim = self.sim
+        event.callbacks = []
+        event._state = _PENDING
+        event._value = None
         self._admit(nbytes, event)
         return event
 
@@ -562,9 +566,13 @@ class FifoStore:
         getters = self._getters
         while getters:
             getter = getters.popleft()
-            if getter.triggered:
+            if getter._state:
                 continue  # cancelled getter
-            getter.succeed(item)
+            getter._state = _SUCCEEDED  # Event.succeed, in this frame
+            getter._value = item
+            sim = self.sim
+            sim._seq += 1
+            sim._imm.append((sim._seq, getter))
             return
         self._items.append(item)
 

@@ -293,7 +293,7 @@ class SharedFileSystem:
         self.bytes_written += total
         self.write_clock = clock
         if sole is not None and total > 0.0:
-            routes[(node.disk.write,)] = total
+            return node.write_cache.write(total, (node.disk.write,))
         if not routes:
             return self._noop
         if len(routes) == 1:

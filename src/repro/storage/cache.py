@@ -20,6 +20,7 @@ from typing import Deque, List, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.sim import Event, FairShareLink, JoinEvent, Simulator
+from repro.sim.engine import _SUCCEEDED
 
 __all__ = ["WriteBackCache"]
 
@@ -71,18 +72,25 @@ class WriteBackCache:
         """Buffer ``nbytes`` destined for ``links``; event fires on buffer."""
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
-        event = Event(self.sim)
         if nbytes == 0:
-            return event.succeed()
+            return Event(self.sim).succeed()
         self.bytes_written += nbytes
         if self._stalled or self.dirty + nbytes > self.capacity:
             # Dirty limit reached: the writer throttles until the flusher
             # frees space (kernel dirty_ratio behaviour).
+            event = Event(self.sim)
             self._stalled.append((event, nbytes, links))
         else:
             self.dirty += nbytes
             self._queue.append((nbytes, links))
-            event.succeed()
+            # Buffered at once: Event.__init__ and succeed in this frame.
+            event = Event.__new__(Event)
+            event.sim = sim = self.sim
+            event.callbacks = []
+            event._state = _SUCCEEDED
+            event._value = None
+            sim._seq += 1
+            sim._imm.append((sim._seq, event))
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_cache(self)
@@ -153,36 +161,37 @@ class WriteBackCache:
         """The flusher: park while idle, then drain in bursts.  One
         generator, so a resume after a chunk re-enters one frame."""
         sim = self.sim
+        queue = self._queue
+        chunk = self.chunk
         while True:
-            while not (self._queue or self._stalled):
+            while not (queue or self._stalled):
                 # Idle: park until the next write signals new work.
                 event = self._work = Event(sim)
                 yield event
                 self._work = None
             first_batch = True
-            while self._queue or self._stalled:
+            while queue or self._stalled:
                 if not first_batch and self.flush_interval > 0:
                     # Let dirty pages accumulate, then drain in one burst.
                     yield sim.timeout(self.flush_interval)
                 first_batch = False
                 if self._stalled:
                     self._admit_stalled()
-                while self._queue:
-                    nbytes, links = self._queue.popleft()
+                while queue:
+                    nbytes, links = queue.popleft()
                     # Coalesce queued entries bound for the same route, up
                     # to one chunk: the links see one stream with the same
                     # total bytes either way (PS-exact), and dirty pages
                     # were already released at burst granularity.
-                    queue = self._queue
                     while (
                         queue
                         and queue[0][1] == links
-                        and nbytes + queue[0][0] <= self.chunk
+                        and nbytes + queue[0][0] <= chunk
                     ):
                         nbytes += queue.popleft()[0]
                     remaining = nbytes
                     while remaining > 0:
-                        burst = min(self.chunk, remaining)
+                        burst = min(chunk, remaining)
                         if len(links) == 1:
                             yield links[0].transfer(burst)
                         else:

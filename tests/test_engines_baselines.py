@@ -4,6 +4,7 @@ import pytest
 
 from repro.cloud import ClusterSpec
 from repro.engines import DeweV1Engine, PullEngine, SchedulingEngine
+from repro.engines.base import RunConfig
 from repro.generators import montage_workflow
 from repro.workflow import Ensemble
 
@@ -132,3 +133,108 @@ def test_dewe_v1_staging_shows_as_io_time():
     read_heavy = [r for r in v1.records if r.task_type == "mDiffFit"]
     assert read_heavy
     assert all(r.read_time > 0 for r in read_heavy)
+
+
+# ---------------------------------------------------------------------------
+# The central-dispatch path, held to the commit before its per-job loop
+# was folded into the slot runner (PR 24)
+# ---------------------------------------------------------------------------
+
+#: ``repr`` of makespan and ``extra_write_bytes``, ``sim._seq``, and the
+#: summed read / compute / write / overhead seconds of a
+#: ``record_jobs=True`` run of 3 x 1.0-degree Montage (636 jobs), recorded
+#: on PR 24's parent.  One node takes ``_read_with_miss``'s sole-home loop
+#: and the table-free ``write``; two MooseFS nodes take the placement loop
+#: and the multi-route write; DEWE v1 is the ``sequential_workflows`` path,
+#: its two nodes Fig 2's m3.2xlarge (the one type with ``cpu_speed`` != 1);
+#: half a miss is there because every default stages at 1.0.
+RECORDED = {
+    ("pegasus", "local", 1.0): (
+        "81.00167203177914", "7385208116.34349", 8369, "16.571082375346247",
+        "996.6033240997308", "0.0", "318.0",
+    ),
+    ("pegasus", "moosefs", 1.0): (
+        "47.97082797783928", "7385208116.34349", 11501, "6.328468500197955",
+        "996.6033240997308", "0.0", "318.0",
+    ),
+    ("pegasus", "local", 0.5): (
+        "80.21326329639894", "7385208116.34349", 8315, "7.845197437672185",
+        "996.6033240997308", "0.0", "318.0",
+    ),
+    ("pegasus", "moosefs", 0.5): (
+        "47.76989212504941", "7385208116.34349", 11485, "3.127519964384496",
+        "996.6033240997308", "0.0", "318.0",
+    ),
+    ("dewe-v1", "local", 1.0): (
+        "71.35753572963026", "0.0", 4759, "360.2028921335293",
+        "646.8033240997179", "0.0", "127.20000000000127",
+    ),
+    ("dewe-v1", "moosefs", 1.0): (
+        "147.3367047388778", "0.0", 8361, "129.762986888261",
+        "1176.0060438176806", "0.0", "127.20000000000068",
+    ),
+}
+
+
+@pytest.mark.parametrize("engine,fs,read_miss", sorted(RECORDED))
+def test_central_dispatch_run_matches_recorded_floats(engine, fs, read_miss):
+    cls = {"pegasus": SchedulingEngine, "dewe-v1": DeweV1Engine}[engine]
+    if fs == "local":
+        cluster = ClusterSpec("c3.8xlarge", 1, filesystem="local")
+    else:
+        itype = "r3.8xlarge" if engine == "pegasus" else "m3.2xlarge"
+        cluster = ClusterSpec(itype, 2, filesystem="moosefs")
+    ensemble = Ensemble.replicated(montage_workflow(degree=1.0), 3)
+    config = RunConfig(record_jobs=True)
+    result = cls(cluster, config, read_miss=read_miss).run(ensemble)
+    records = result.records
+    assert len(records) == result.jobs_executed == 636
+    assert {r.attempt for r in records} == {1}
+    assert (
+        repr(result.makespan),
+        repr(result.extra_write_bytes),
+        result.cluster.sim._seq,
+        repr(sum(r.read_time for r in records)),
+        repr(sum(r.compute_time for r in records)),
+        repr(sum(r.write_time for r in records)),
+        repr(sum(r.overhead_time for r in records)),
+    ) == RECORDED[engine, fs, read_miss]
+
+
+@pytest.mark.parametrize(
+    "knob,value",
+    [
+        ("wrapper_cpu", float("nan")),
+        ("output_copy_factor", -5.0),
+        ("dispatch_latency", float("inf")),
+        ("submit_overhead", float("inf")),
+        ("max_slots_per_node", 0),
+        ("log_bytes_per_job", -1.0),
+        ("read_miss", 1.5),
+        ("read_miss", float("nan")),
+    ],
+)
+def test_hostile_knob_is_refused_at_construction(knob, value):
+    """A NaN wrapper cost used to run every job with zero CPU seconds, a
+    negative copy factor was ignored, and an infinite delay or a node
+    without slots died as 'agenda exhausted'."""
+    for cls in (SchedulingEngine, DeweV1Engine):
+        with pytest.raises(ValueError, match=knob):
+            cls(spec1(), **{knob: value})
+
+
+def test_exception_in_a_slot_runner_comes_out_of_run(monkeypatch):
+    """Nothing waits on the slot runners, so the kernel used to drop
+    their exception and the run ended as 'agenda exhausted'."""
+
+    class Boom(Exception):
+        pass
+
+    def failing_job(*_args):
+        raise Boom("stage-in failed")
+        yield  # a generator, like execute_job
+
+    monkeypatch.setattr("repro.engines.scheduling.execute_job", failing_job)
+    engine = SchedulingEngine(spec1())
+    with pytest.raises(Boom, match="stage-in failed"):
+        engine.run(Ensemble([montage_workflow(degree=0.5)]))

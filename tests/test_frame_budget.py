@@ -32,13 +32,23 @@ admit, wake, arrive — is paid in Python frames under ``repro/sim`` and
   ``Call`` builds itself and the flusher is one generator; six one-line
   lookups read in their callers' frames: 50.41 + 6.47 = 56.9, 79.02
   under all of ``repro``, control plane 22.14.  On ``single_node``'s
-  geometry (second case below) 84.45 -> 64.13.
+  geometry (second case below) 84.45 -> 64.13;
+* PR 24, one frame per resume on the central-dispatch path (third case
+  below: ``SchedulingEngine`` on ``single_node``'s geometry, the bench's
+  ``pegasus_baseline`` in small): ``run_job`` folded into a persistent
+  slot runner, ``_read_with_miss`` a plain function that skips placement
+  on a sole node, ``output_bytes`` summed in the runner's frame,
+  ``FifoStore.put`` / ``WriteBackCache.write`` / ``FairShareLink.transfer``
+  building and triggering their event in their own frame: 86.78 -> 59.47.
+  The last two folds are on the pull engine's path too: 49.24 + 6.47 =
+  55.7 and 77.89 under all of ``repro`` on the first case, 64.13 -> 60.39
+  on the second.
 
-The budget is 1.05 x the last, which each earlier row misses (by 225%,
-114%, 85% and 3%); the whole-``repro`` budget is there so that a hop
+The budget is 1.05 x the last, which each row before PR 21's misses (by
+232%, 118%, 89% and 5%); the whole-``repro`` budget is there so that a hop
 moved out of ``sim/`` into an engine does not pass, and the control-plane
-remainder and the single-node case have their own, the last row plus
-0.75 of a frame, so that one hop moved back fails by name.  The same
+remainder and the single-node and central-dispatch cases have their own,
+the last row plus 0.75 of a frame, so that one hop moved back fails by name.  The same
 counted runs pin what was *not* allowed to move: ``sim._seq`` and the
 wake-up census (armed, fired, cancelled, fired with nothing ripe) are the
 integers the parent of PR 20 gave.  A last case pins one uncontended
@@ -54,7 +64,7 @@ import repro.analysis.sanitizer as sanitizer
 import repro.sim
 import repro.storage
 from repro.cloud import ClusterSpec
-from repro.engines import PullEngine
+from repro.engines import PullEngine, SchedulingEngine
 from repro.engines.base import RunConfig
 from repro.generators import montage_workflow
 from repro.sim import FairShareLink, JoinEvent, Simulator
@@ -65,16 +75,20 @@ REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 SIM_DIR = os.path.dirname(repro.sim.__file__) + os.sep
 STORAGE_DIR = os.path.dirname(repro.storage.__file__) + os.sep
 
-MEASURED_SIM_FRAMES_PER_JOB = 50.41
+MEASURED_SIM_FRAMES_PER_JOB = 49.24
 MEASURED_STORAGE_FRAMES_PER_JOB = 6.47
-MEASURED_REPRO_FRAMES_PER_JOB = 79.02
+MEASURED_REPRO_FRAMES_PER_JOB = 77.89
 #: Everything under ``repro/`` that is neither ``sim/`` nor ``storage/``:
 #: broker, pull engine, master core, workflow state, ``execute_job``.
 MEASURED_CONTROL_FRAMES_PER_JOB = 22.14
 #: ``single_node``'s geometry at 2.0 degrees: no shared file system and
 #: no remote flow, so the control plane is a third of the frames.
-MEASURED_SINGLE_NODE_FRAMES_PER_JOB = 64.13
+MEASURED_SINGLE_NODE_FRAMES_PER_JOB = 60.39
 SINGLE_NODE_EVENTS_SCHEDULED = 73976
+#: The same inputs through ``SchedulingEngine``: 13.1 events per job
+#: (three stores, three timeouts, stage-in) against the pull engine's 9.2.
+MEASURED_CENTRAL_DISPATCH_FRAMES_PER_JOB = 59.47
+CENTRAL_DISPATCH_EVENTS_SCHEDULED = 105890
 
 #: Wake-ups of the counted run, all links together, taken on the parent
 #: of PR 20 (where a wake-up was a ``Timeout``): every one armed took a
@@ -196,6 +210,28 @@ def test_single_node_frames_per_job_within_budget():
         + counted.top(per=jobs, limit=40)
     )
     assert events == SINGLE_NODE_EVENTS_SCHEDULED
+
+
+def test_central_dispatch_frames_per_job_within_budget():
+    """The Pegasus baseline on the same inputs: a job is nine resumes
+    (four of its slot runner, three of the dispatcher, two of the
+    flusher), and each enters one generator frame — two while
+    ``execute_job`` is in its phases."""
+    ensemble = Ensemble.replicated(montage_workflow(degree=2.0), 8)
+    engine = SchedulingEngine(
+        ClusterSpec("c3.8xlarge", 1, filesystem="local"),
+        RunConfig(default_timeout=600.0, record_jobs=False),
+    )
+    counted, jobs, events = _counted_run(engine, ensemble)
+    assert jobs == 8080
+    everything = counted.under(REPRO_DIR) / jobs
+    print(f"frames per job, central dispatch: {everything:.2f} under repro/")
+    budget = MEASURED_CENTRAL_DISPATCH_FRAMES_PER_JOB + 0.75
+    assert everything <= budget, (
+        f"{everything:.2f} frames/job under repro/ > {budget:.1f}\n"
+        + counted.top(per=jobs, limit=40)
+    )
+    assert events == CENTRAL_DISPATCH_EVENTS_SCHEDULED
 
 
 def test_uncontended_flow_frames():

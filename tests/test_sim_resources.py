@@ -11,7 +11,7 @@ from repro.sim import (
     SegmentLog,
     Simulator,
 )
-from repro.sim.engine import SimulationError
+from repro.sim.engine import Event, SimulationError
 
 # ---------------------------------------------------------------------------
 # SegmentLog
@@ -587,3 +587,25 @@ def test_fifo_store_cancel_pending_get():
     # The cancelled getter received None and must not steal the item.
     assert results == ["only"]
     assert len(store) == 0
+
+
+def _slots(event):
+    return type(event), event.sim, event.callbacks, event._state, event._value
+
+
+def test_transfer_and_put_build_what_the_kernel_builds():
+    """``FairShareLink.transfer`` carries ``Event.__init__`` and
+    ``FifoStore.put`` carries ``Event.succeed`` in their own frames: slot
+    for slot and agenda entry for agenda entry what the kernel's own
+    methods leave behind."""
+    sim = Simulator()
+    assert _slots(FairShareLink(sim, 100.0).transfer(50.0)) == _slots(Event(sim))
+    store = FifoStore(sim)
+    getter, reference = store.get(), Event(sim)
+    before = sim._seq
+    store.put("item")
+    reference.succeed("item")
+    assert _slots(getter) == _slots(reference)
+    assert list(sim._imm)[-2:] == [(before + 1, getter), (before + 2, reference)]
+    with pytest.raises(SimulationError, match="already triggered"):
+        getter.succeed("again")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import ClusterSpec, SimCluster, get_instance_type
-from repro.sim import FairShareLink, Simulator
+from repro.sim import Event, FairShareLink, Simulator
 from repro.storage import (
     SharedFileSystem,
     WriteBackCache,
@@ -43,6 +43,25 @@ def test_writeback_absorbs_within_capacity():
     # Write completed immediately even though the device is glacial.
     assert times == [0.0]
     assert cache.dirty > 0
+
+
+def test_buffered_write_returns_the_event_succeed_builds():
+    """A write buffered at once carries ``Event.__init__`` and
+    ``Event.succeed`` in ``write``'s own frame: same slots, and the next
+    agenda entry of the instant (ahead of the flusher's boot event)."""
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=100.0)
+    cache = WriteBackCache(sim, capacity_bytes=100.0)
+    event = cache.write(40.0, (link,))
+    reference = Event(sim).succeed()
+
+    def slots(e):
+        return type(e), e.sim, e.callbacks, e._state, e._value
+
+    assert slots(event) == slots(reference) == (Event, sim, [], 1, None)
+    assert sim._imm[0] == (1, event) and sim._imm[-1] == (sim._seq, reference)
+    stalled = cache.write(100.0, (link,))  # over the dirty limit: pending
+    assert slots(stalled) == slots(Event(sim))
 
 
 def test_writeback_throttles_beyond_capacity():
