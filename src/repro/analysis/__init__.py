@@ -1,6 +1,6 @@
 """Static analysis and runtime invariant checking for the repro system.
 
-Three coordinated layers:
+Four coordinated layers:
 
 * :mod:`~repro.analysis.dataflow` — workflow/ensemble static analyzer
   (producer/consumer data-flow, cost-model sanity, shared-FS hotspots)
@@ -10,12 +10,11 @@ Three coordinated layers:
   cache and billing;
 * :mod:`~repro.analysis.codelint` — AST lints for repo-specific hazards
   (wall-clock/RNG in deterministic code, set-iteration tie-breaks,
-  ``__slots__`` violations, and the CL005-CL008 lock-discipline rules
+  ``__slots__`` violations, and the CL005-CL009 lock-discipline rules
   for the threaded daemons);
 * :mod:`~repro.analysis.concurrency` — the concurrency correctness
-  plane: the ``REPRO_RACEDETECT`` event recorder and shims, the offline
-  happens-before/lockset race detector, and the seeded schedule
-  explorer behind ``repro-schedules``.
+  plane: the ``REPRO_RACEDETECT`` event recorder and shims, and the
+  offline happens-before/lockset race detector.
 
 The package ``__init__`` is lazy (PEP 562): instrumented hot modules import
 ``repro.analysis.sanitizer`` at startup, and that must not drag the

@@ -90,7 +90,7 @@ WALL_CLOCK_SUBPACKAGES = frozenset({"dewe"})
 DETERMINISTIC_SUBPACKAGES = frozenset({"sim", "cloud"})
 #: Sub-packages whose decisions must not depend on set order (CL003).
 DECISION_SUBPACKAGES = frozenset({"sim", "cloud", "engines", "provision", "dewe"})
-#: Sub-packages with real threads: lock-discipline rules (CL005-CL008).
+#: Sub-packages with real threads: lock-discipline rules (CL005-CL009).
 THREADED_SUBPACKAGES = frozenset({"dewe", "mq"})
 #: Sub-packages whose loops allocate millions of records: CL004 also
 #: flags slot-less classes instantiated inside a loop there.

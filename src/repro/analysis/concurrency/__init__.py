@@ -9,13 +9,11 @@ Four coordinated pieces (see ``docs/STATIC_ANALYSIS.md`` § Concurrency):
   ``threading`` primitives (plain primitives when no recorder is active);
 * :mod:`~repro.analysis.concurrency.detector` — offline vector-clock
   happens-before race detection over the log, with stable fingerprints;
-* :mod:`~repro.analysis.concurrency.explorer` — seeded cooperative
-  schedule exploration (the ``repro-schedules`` CLI) with shrinking;
 * :mod:`~repro.analysis.concurrency.lints` — AST lock-discipline lints
-  CL005–CL008, dispatched from :mod:`repro.analysis.codelint`.
+  CL005–CL009, dispatched from :mod:`repro.analysis.codelint`.
 
 Lazy like :mod:`repro.analysis` itself: importing the package must not
-drag the detector/explorer into instrumented production modules, which
+drag the detector into instrumented production modules, which
 only need :mod:`.recorder` and :mod:`.shims`.
 """
 
@@ -30,7 +28,6 @@ __all__ = [
     "detect_races",
     "detector",
     "events",
-    "explorer",
     "lints",
     "race_report",
     "recorder",

@@ -1,5 +1,5 @@
-"""Concurrency event log: the record format shared by the recorder,
-the happens-before race detector and the schedule explorer.
+"""Concurrency event log: the record format shared by the recorder
+and the happens-before race detector.
 
 One :class:`ConcEvent` is appended per synchronization operation or
 registered shared-state access.  The log is a *total order only as an

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Seven commands mirror the system's main user journeys:
+Six commands mirror the system's main user journeys:
 
 * ``repro-run`` — execute a workflow ensemble on a simulated cluster with
   a chosen engine and print the run summary (the DAG is validated at
@@ -13,9 +13,6 @@ Seven commands mirror the system's main user journeys:
   the repo code lint (``--code``).  See docs/STATIC_ANALYSIS.md.
 * ``repro-chaos`` — run an ensemble under a named fault scenario and
   verify the recovery invariants.  See docs/FAULTS.md.
-* ``repro-schedules`` — seeded schedule explorer: run bounded concurrency
-  scenarios under exhaustive/PCT-sampled interleavings and shrink any
-  failing schedule to a minimal trace.  See docs/STATIC_ANALYSIS.md.
 * ``repro-service`` — multi-tenant open-loop soak: seeded arrival
   processes through the quota/fair-share/brownout admission ladder,
   reporting per-tenant per-class slowdown and shed counts.  See
@@ -366,99 +363,6 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
     if report.warnings:
         return 1
     return 0
-
-
-def main_schedules(argv: Optional[List[str]] = None) -> int:
-    """Schedule-explorer CLI (docs/STATIC_ANALYSIS.md § Concurrency).
-
-    Explores each selected scenario exhaustively up to a budget, then by
-    seeded PCT-style sampling; failing interleavings are shrunk and
-    printed as replayable traces.  Exit codes: 0 every scenario matched
-    expectations (clean, or failing with ``--expect-bug``), 1 mismatch,
-    2 usage error.  Output is byte-deterministic for a given seed.
-    """
-    from repro.analysis.concurrency.explorer import Explorer, shrink_schedule
-    from repro.analysis.concurrency.scenarios import SCENARIOS
-
-    parser = argparse.ArgumentParser(
-        prog="repro-schedules",
-        description="Explore thread interleavings of bounded concurrency "
-                    "scenarios; shrink failing schedules to minimal traces.",
-    )
-    parser.add_argument("--scenario", action="append", default=None,
-                        choices=sorted(SCENARIOS),
-                        help="scenario to explore (repeatable; default: all)")
-    parser.add_argument("--list", action="store_true",
-                        help="list the built-in scenarios and exit")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the PCT-style sampling phase")
-    parser.add_argument("--max-schedules", type=int, default=500,
-                        help="exhaustive-exploration budget per scenario")
-    parser.add_argument("--random", type=int, default=200, metavar="N",
-                        help="PCT-sampled schedules per scenario after the "
-                             "exhaustive budget")
-    parser.add_argument("--quick", action="store_true",
-                        help="small budgets for CI (50 exhaustive + 50 "
-                             "sampled)")
-    parser.add_argument("--expect-bug", action="store_true",
-                        help="invert the verdict: scenarios must FAIL "
-                             "(for seeded-defect scenarios in CI)")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="explore each scenario twice and require "
-                             "identical outcomes and schedules")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in sorted(SCENARIOS):
-            scenario = SCENARIOS[name]
-            tag = "seeded-bug" if scenario.expect_bug else "clean"
-            print(f"{name:16s} [{tag:10s}] {scenario.description}")
-        return 0
-
-    exhaustive = 50 if args.quick else args.max_schedules
-    sampled = 50 if args.quick else args.random
-    names = args.scenario or sorted(SCENARIOS)
-    mismatches = 0
-    for name in names:
-        scenario = SCENARIOS[name]
-
-        def explore():
-            explorer = Explorer(scenario.build)
-            outcome = explorer.explore_exhaustive(max_schedules=exhaustive)
-            if not outcome.found_bug and not outcome.complete:
-                outcome = explorer.explore_random(
-                    seed=args.seed, schedules=sampled
-                )
-            if outcome.found_bug:
-                outcome.shrunk = shrink_schedule(explorer, outcome.failure)
-            return explorer, outcome
-
-        explorer, outcome = explore()
-        if args.check_determinism:
-            _, again = explore()
-            same = outcome.found_bug == again.found_bug and (
-                outcome.failure is None
-                or outcome.failure.schedule == again.failure.schedule
-            )
-            if not same:
-                print(f"{name}: NONDETERMINISTIC exploration under seed "
-                      f"{args.seed}", file=sys.stderr)
-                mismatches += 1
-                continue
-        verdict = "bug found" if outcome.found_bug else "clean"
-        space = "complete" if outcome.complete else "bounded"
-        print(f"{name}: {verdict} after {explorer.runs} run(s) "
-              f"({space} exploration)")
-        if outcome.found_bug:
-            shrunk = outcome.shrunk or outcome.failure
-            print(f"  minimal trace ({shrunk.switches} context switch(es), "
-                  f"schedule {shrunk.schedule}):")
-            print(shrunk.render_trace())
-        if outcome.found_bug != args.expect_bug:
-            mismatches += 1
-            expected = "a bug" if args.expect_bug else "a clean pass"
-            print(f"{name}: expected {expected}", file=sys.stderr)
-    return 1 if mismatches else 0
 
 
 def main_service(argv: Optional[List[str]] = None) -> int:

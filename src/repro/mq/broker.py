@@ -67,6 +67,10 @@ class Topic:
         )
 
     def publish(self, message: Any, priority: float = 0.0) -> None:
+        if message is None:
+            # ``consume`` returns ``None`` for "empty": as a payload it
+            # would be counted, then read as no message at all.
+            raise ValueError(f"cannot publish None to {self.name!r}")
         with self._cond:
             self.published += 1
             seq = self.published

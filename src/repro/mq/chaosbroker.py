@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Optional, Tuple
 
 from repro.mq.broker import Broker
@@ -55,8 +56,8 @@ class MessageChaos:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.p_drop + self.p_duplicate + self.p_delay > 1.0 + 1e-12:
             raise ValueError("p_drop + p_duplicate + p_delay must be <= 1")
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
+        if not 0.0 <= self.delay < inf:
+            raise ValueError(f"delay must be finite and >= 0, got {self.delay!r}")
 
     def applies_to(self, topic_name: str) -> bool:
         return self.topics is None or topic_name in self.topics
@@ -266,6 +267,10 @@ class ChaosBroker(Broker):
         self, topic_name: str, message: Any, priority: float = 0.0
     ) -> None:
         chaos = self.chaos
+        if message is None:
+            # Refused like Topic.publish does, before a hold or a draw:
+            # the drop band below never reaches the topic.
+            raise ValueError(f"cannot publish None to {topic_name!r}")
         if self._hold_if_partitioned(topic_name, message, priority):
             return  # in flight until the partition heals
         if not chaos.applies_to(topic_name):

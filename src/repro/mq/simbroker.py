@@ -25,6 +25,7 @@ reading :meth:`SimBroker.depth`.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Dict
 
 from repro.sim import Event, PriorityStore, Simulator
@@ -36,8 +37,8 @@ class SimBroker:
     """Topic broker living inside a :class:`~repro.sim.Simulator`."""
 
     def __init__(self, sim: Simulator, latency: float = 0.002):
-        if latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency}")
+        if not 0.0 <= latency < inf:
+            raise ValueError(f"latency must be finite and >= 0, got {latency!r}")
         self.sim = sim
         self.latency = latency
         self._topics: Dict[str, PriorityStore] = {}

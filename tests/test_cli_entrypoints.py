@@ -10,16 +10,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPTS = {
     "repro-run", "repro-plan", "repro-profile", "repro-lint", "repro-chaos",
-    "repro-schedules", "repro-service", "repro-worker",
+    "repro-service", "repro-worker",
 }
 
-#: Names of the harness retired in PR 18 (``python3 -m bench`` is the one
-#: benchmark) and of the two ``Simulator`` options retired in PR 19 (one
-#: agenda).  CHANGES.md, ROADMAP.md and bench/README.md keep them as
-#: history and are not scanned.
+#: Names of the retired benchmark harness (``python3 -m bench`` is the
+#: one benchmark), of the two retired ``Simulator`` options (one agenda)
+#: and of the retired schedule explorer (the race detector checks the
+#: daemons themselves).  CHANGES.md, ROADMAP.md and bench/README.md keep
+#: them as history and are not scanned.
 RETIRED = (
     "repro-bench", "BENCH_kernel", "BENCH_service", "fig10_scale",
     "parallel.bench", "service.bench", "wheel_slots", "wheel_granularity",
+    "repro-schedules", "ScheduleContext", "shrink_schedule",
 )
 
 

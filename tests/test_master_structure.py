@@ -453,7 +453,7 @@ def _unreached_modules():
 
 
 def test_every_module_is_reached_or_kept_for_a_reason():
-    """Import closure of the eight console scripts, ``bench/``,
+    """Import closure of the seven console scripts, ``bench/``,
     ``benchmarks/`` and ``examples/`` (``-rA`` prints the kept list)."""
     unreached = _unreached_modules()
     for name in unreached:

@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from repro.mq import Broker, SimBroker
-from repro.mq.chaosbroker import ChaosSimBroker, MessageChaos
+from repro.mq.chaosbroker import ChaosBroker, ChaosSimBroker, MessageChaos
+from repro.mq.messages import TOPIC_ACK, AckKind, JobAck
 from repro.sim import Simulator
 
 
@@ -38,6 +39,40 @@ def test_topics_are_independent():
     broker.publish("b", 2)
     assert broker.consume("b") == 2
     assert broker.consume("a") == 1
+
+
+def _partitioned(broker):
+    broker.begin_partition("w1")
+    return broker
+
+
+def _threaded_broker_state(broker):
+    state = [broker.stats()]
+    if isinstance(broker, ChaosBroker):
+        state += [broker.chaos_stats(), broker._rng.getstate(), list(broker._held)]
+    return state
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        Broker,
+        lambda: ChaosBroker(MessageChaos(p_drop=1.0)),
+        lambda: _partitioned(ChaosBroker(MessageChaos())),
+    ],
+    ids=["plain", "chaos-drop", "chaos-partitioned"],
+)
+def test_threaded_broker_refuses_a_none_payload_before_counting(make):
+    """``consume`` returns ``None`` for "empty": as a payload it would be
+    counted as published and consumed and then read as no message.
+    Refused like the DES brokers refuse it, with no counter, recorder
+    send, partition hold or chaos draw spent."""
+    broker = make()
+    broker.publish(TOPIC_ACK, JobAck("wf", "j0", AckKind.COMPLETED, worker="w1"))
+    before = _threaded_broker_state(broker)
+    with pytest.raises(ValueError, match="None"):
+        broker.publish(TOPIC_ACK, None)
+    assert _threaded_broker_state(broker) == before
 
 
 def test_depth_and_stats():
@@ -200,9 +235,19 @@ def test_simbroker_cancel_consume():
 
 
 def test_simbroker_negative_latency_rejected():
+    """Refused at construction, naming the knob — not at the first
+    publish, as the agenda's non-finite timeout."""
     sim = Simulator()
-    with pytest.raises(ValueError):
-        SimBroker(sim, latency=-1.0)
+    for latency in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="latency"):
+            SimBroker(sim, latency=latency)
+    assert sim._seq == 0
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")])
+def test_message_chaos_refuses_a_negative_or_non_finite_delay(delay):
+    with pytest.raises(ValueError, match="delay"):
+        MessageChaos(p_delay=1.0, delay=delay)
 
 
 def _broker_state(broker, sim):

@@ -10,8 +10,11 @@ import pytest
 import repro.analysis.sanitizer as sanitizer
 from repro.analysis.sanitizer import InvariantViolation, Sanitizer
 from repro.cloud.pricing import BillingModel, billed_hours
+from repro.dewe.core import COMPLETED, FAILED, MasterCore
+from repro.faults.retry import RetryPolicy
 from repro.sim import CorePool, FairShareLink, SimulationError, Simulator
 from repro.storage.cache import WriteBackCache
+from repro.workflow import Workflow
 
 
 # -- modes and lifecycle ---------------------------------------------------
@@ -204,6 +207,45 @@ def test_billed_hours_clean_under_strict_sanitizer():
             for model in BillingModel:
                 billed_hours(seconds, model)
     assert san.violations == []
+
+
+# -- the master's dispatch hook ---------------------------------------------
+
+def _settled_job(kind):
+    """A one-job member whose job the core has completed or dead-lettered,
+    the core that did it, and the list its ``publish`` port appends to."""
+    published = []
+    core = MasterCore(
+        10.0, RetryPolicy(max_attempts=1),
+        publish=lambda state, job_id, *rest: published.append(job_id),
+        reprioritize=lambda *a: None, call_later=lambda *a: None,
+        on_settled=lambda state: None,
+    )
+    wf = Workflow("wf")
+    wf.new_job("a", "t", runtime=0.01)
+    state = core.admit(wf, now=0.0)
+    core.on_ack(kind, "wf", "a", 1, None, 1.0)
+    return core, state, published
+
+
+@pytest.mark.parametrize(
+    "kind, status", [(COMPLETED, "completed"), (FAILED, "dead")],
+    ids=["completed", "dead-lettered"],
+)
+def test_master_dispatch_of_a_settled_job_is_a_completed_redispatch(kind, status):
+    """``MasterCore.dispatch`` consults the sanitizer before it journals
+    or publishes: re-dispatching a completed or dead-lettered job is the
+    duplicate the journal/idempotency layer must have absorbed."""
+    core, state, published = _settled_job(kind)
+    assert state.status["a"].value == status and published == ["a"]
+    with sanitizer.enabled(strict=False) as san:
+        core.dispatch(state, "a", now=2.0)
+    assert [v.check for v in san.violations] == ["completed-redispatch"]
+    assert f"wf/a: dispatched while {status}" in str(san.violations[0])
+    with sanitizer.enabled(strict=True):
+        with pytest.raises(InvariantViolation, match="completed-redispatch"):
+            core.dispatch(state, "a", now=3.0)
+    assert published == ["a", "a"]  # the strict check fired before publish
 
 
 # -- integration: a real simulation stays invariant-clean ------------------
