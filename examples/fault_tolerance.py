@@ -101,6 +101,7 @@ def simulated_interruptions() -> None:
 
 def stochastic_spot_terminations() -> None:
     print("== chaos harness: spot market + a poison job " + "=" * 20)
+    from repro.faults import RetryPolicy, SpotHazard, TransientFaultModel
     from repro.faults.chaos import ChaosScenario, run_chaos
 
     scenario = ChaosScenario(
@@ -109,11 +110,12 @@ def stochastic_spot_terminations() -> None:
         "poisoned and must be dead-lettered with its descendants",
         n_nodes=4,
         n_workflows=4,
-        max_attempts=3,
-        spot_rate_per_hour=600.0,
-        spot_notice=3.0,
-        spot_replacement_delay=5.0,
-        poison=("mBgModel",),
+        retry=RetryPolicy(max_attempts=3),
+        # Node 0 is never reclaimed, so the ensemble always has a worker.
+        faults=(
+            SpotHazard(600.0, notice=3.0, replacement_delay=5.0, protected=(0,)),
+        ),
+        transient=TransientFaultModel(poison=("mBgModel",)),
         expect_dead=("mBgModel",),
     )
     for seed in (0, 1):

@@ -80,6 +80,10 @@ def main_run(argv: Optional[List[str]] = None) -> int:
         filesystem=args.filesystem, timeout=args.timeout,
         record_jobs=args.export_dir is not None,
     )
+    try:
+        engine = build_engine(spec)
+    except ValueError as exc:  # e.g. a non-finite or non-positive --timeout
+        parser.error(str(exc))
     ensemble = build_ensemble(spec)
     # Submission-time validation (paper §III.C): reject malformed DAGs
     # before burning simulated cluster time on them.  (Members share the
@@ -99,7 +103,6 @@ def main_run(argv: Optional[List[str]] = None) -> int:
             print("lint pre-flight failed: refusing to simulate",
                   file=sys.stderr)
             return 2
-    engine = build_engine(spec)
     if args.profile:
         import cProfile
         import pstats
@@ -241,16 +244,22 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
         parser.error("--journal requires a single --scenario")
 
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
+    scenarios = [SCENARIOS[name] for name in names]
+    if args.crash_at is not None:
+        # The scenario refuses a bad crash offset (or one combined with
+        # a failover) at construction: before anything is simulated.
+        try:
+            scenarios = [
+                dataclasses.replace(scenario, crash_after=args.crash_at)
+                for scenario in scenarios
+            ]
+        except ValueError as exc:
+            parser.error(str(exc))
     failures = 0
     # Collect-mode sanitizer: record every simulation-invariant violation
     # across all scenarios instead of aborting at the first.
     with sanitizer.enabled(strict=False) as san:
-        for name in names:
-            scenario = SCENARIOS[name]
-            if args.crash_at is not None:
-                scenario = dataclasses.replace(
-                    scenario, crash_after=args.crash_at
-                )
+        for scenario in scenarios:
             report = run_chaos(scenario, seed=args.seed)
             if args.check_determinism:
                 again = run_chaos(scenario, seed=args.seed)
@@ -414,8 +423,10 @@ def main_service(argv: Optional[List[str]] = None) -> int:
         overrides["load_factor"] = args.load
     if args.nodes is not None:
         overrides["n_nodes"] = args.nodes
-    if overrides:
+    try:
         cfg = dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     report = run_soak(cfg)
     print(report.render())

@@ -7,6 +7,7 @@ benchmarks consume, and the canonical three-phase job execution process
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +47,14 @@ class RunConfig:
     timeout_check_interval: float = 5.0
     record_jobs: bool = True
     drain_caches: bool = False
+
+    def __post_init__(self) -> None:
+        # A zero sweep interval spins at one simulated instant forever; a
+        # nan timeout never expires a job.
+        for name in ("default_timeout", "timeout_check_interval"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(slots=True)

@@ -1,18 +1,22 @@
 """Fault injection and fault tolerance (paper §V.A.3, and beyond).
 
-Three layers:
+Four layers:
 
 * :mod:`~repro.faults.injection` — the paper's *scripted* worker-daemon
   kill/restart schedules;
 * :mod:`~repro.faults.models` — *stochastic* fault models (spot
   terminations with two-minute notice, transient/poison job failures,
-  degraded straggler nodes), all sampled from explicit seeds;
+  degraded straggler nodes, network partitions, file corruption/loss)
+  and the three frozen samplers (:class:`SpotHazard`,
+  :class:`StragglerHazard`, :class:`PartitionHazard`) that draw the
+  node-level ones from explicit seeds;
 * :mod:`~repro.faults.retry` — the unified retry policy: exponential
   backoff with deterministic jitter, per-job attempt budgets, and
   dead-lettering of poison jobs;
 * :mod:`~repro.faults.chaos` — the chaos harness: named
-  :class:`~repro.faults.chaos.ChaosScenario` runs with recovery
-  invariants, driven by the ``repro-chaos`` CLI.
+  :class:`~repro.faults.chaos.ChaosScenario` runs, each holding the
+  models and policies it runs, with recovery invariants, driven by the
+  ``repro-chaos`` CLI.
 
 The chaos harness imports the execution engines, so its symbols are
 re-exported lazily to keep ``repro.dewe`` (which imports the retry
@@ -25,8 +29,11 @@ from repro.faults.models import (
     FaultEvent,
     FaultTrace,
     NetworkPartitionModel,
+    PartitionHazard,
     PartitionWindow,
+    SpotHazard,
     SpotTerminationModel,
+    StragglerHazard,
     StragglerModel,
     TransientFaultModel,
 )
@@ -43,10 +50,13 @@ __all__ = [
     "FaultSchedule",
     "FaultTrace",
     "NetworkPartitionModel",
+    "PartitionHazard",
     "PartitionWindow",
     "RetryPolicy",
     "SCENARIOS",
+    "SpotHazard",
     "SpotTerminationModel",
+    "StragglerHazard",
     "StragglerModel",
     "TransientFaultModel",
     "get_scenario",

@@ -1,12 +1,14 @@
 """Chaos harness: run ensembles under named fault scenarios and certify
 the recovery invariants.
 
-A :class:`ChaosScenario` bundles a workload, a cluster, a
-:class:`~repro.faults.retry.RetryPolicy` and a set of seeded fault models
-(spot terminations, transient/poison job failures, stragglers, broker
-message chaos).  :func:`run_chaos` runs the scenario twice — once
-fault-free for the baseline, once under chaos — and checks that the
-recovery machinery actually recovered:
+A :class:`ChaosScenario` holds what one run takes: a workload, a
+cluster, a :class:`~repro.faults.retry.RetryPolicy`, the liveness,
+admission and priority policies, and the fault models — the spot,
+straggler and partition samplers of :mod:`repro.faults.models`,
+transient/poison job failures, broker message chaos, file corruption
+and loss, a master failover.  :func:`run_chaos` runs the scenario twice
+— once fault-free for the baseline, once under chaos — and checks that
+the recovery machinery actually recovered:
 
 * **completion** — every job either completed exactly once or was
   dead-lettered (with its unreachable descendants); nothing is stranded
@@ -30,8 +32,8 @@ byte-identical fault traces and the same makespan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.cloud import ClusterSpec
@@ -41,9 +43,9 @@ from repro.engines.pull import PullEngine
 from repro.faults.models import (
     FileCorruptionModel,
     FileLossModel,
-    NetworkPartitionModel,
-    SpotTerminationModel,
-    StragglerModel,
+    PartitionHazard,
+    SpotHazard,
+    StragglerHazard,
     TransientFaultModel,
 )
 from repro.faults.retry import RetryPolicy
@@ -59,28 +61,40 @@ from repro.mq.chaosbroker import MessageChaos
 from repro.mq.priority import RepriorityPolicy
 from repro.recovery.crash import resume_until_complete
 from repro.recovery.journal import Journal
+from repro.service.arrivals import OnOffArrivals, PoissonArrivals
+from repro.service.workload import TenantSpec, build_workload
 from repro.workflow import Ensemble
 
 __all__ = ["ChaosScenario", "ChaosReport", "SCENARIOS", "get_scenario", "run_chaos"]
 
-#: Seed salts so each fault model draws from an independent stream.
-_SALT_SPOT = 1
-_SALT_TRANSIENT = 2
-_SALT_STRAGGLER = 3
-_SALT_MQ = 4
-_SALT_CORRUPT = 5
-_SALT_LOSS = 6
-_SALT_PARTITION = 7
+#: Seed salt per seeded model type, so each draws from an independent
+#: stream of the scenario's seed.
+_SALT = {
+    SpotHazard: 1,
+    TransientFaultModel: 2,
+    StragglerHazard: 3,
+    MessageChaos: 4,
+    FileCorruptionModel: 5,
+    FileLossModel: 6,
+    PartitionHazard: 7,
+}
+
+
+def _reseed(model, seed: int):
+    """``model`` drawing from ``seed`` plus its type's salt."""
+    return None if model is None else replace(model, seed=seed + _SALT[type(model)])
 
 
 @dataclass(frozen=True)
 class ChaosScenario:
     """One named, seeded fault-injection experiment.
 
-    The fault knobs are all *rates*; the concrete fault events are
-    sampled from ``seed`` (each model with its own salt) when the
-    scenario runs, so the scenario object itself is reusable across
-    seeds via :func:`run_chaos`'s ``seed`` override.
+    The scenario holds the objects :class:`PullEngine` takes, not copies
+    of their parameters.  Its ``seed`` decides every draw:
+    :meth:`build_engine` re-seeds each seeded model from the run's seed
+    plus the model's salt, so a model's own ``seed`` must stay at its
+    default, and the scenario object is reusable across seeds via
+    :func:`run_chaos`'s ``seed`` override.
     """
 
     name: str
@@ -89,92 +103,44 @@ class ChaosScenario:
     workflow: str = "montage"
     size: float = 0.3
     n_workflows: int = 2
-    interval: float = 0.0
+    submit_interval: float = 0.0
     # -- cluster ----------------------------------------------------------
     instance_type: str = "c3.8xlarge"
     n_nodes: int = 2
     filesystem: Optional[str] = None
-    # -- master daemon ----------------------------------------------------
+    # -- master daemon and its policies -----------------------------------
     timeout: float = 10.0
     check_interval: float = 0.5
-    # -- retry policy -----------------------------------------------------
-    max_attempts: int = 4
-    base_delay: float = 0.0
-    backoff_factor: float = 2.0
-    jitter: float = 0.0
-    redispatch_lost: bool = False
+    retry: RetryPolicy = RetryPolicy(max_attempts=4)
+    #: Heartbeat leases; ``None`` leaves partitioned workers to the job
+    #: timeout alone.
+    liveness: Optional[LeaseConfig] = None
+    #: Closed-loop admission gate on the dispatch backlog.
+    admission: Optional[AdmissionControl] = None
+    #: Run the dispatch topic as a live priority queue (the OSPREY
+    #: ``asynch_repriority`` pattern).
+    repriority: Optional[RepriorityPolicy] = None
     # -- fault models -----------------------------------------------------
     seed: int = 0
-    spot_rate_per_hour: float = 0.0
-    spot_notice: float = 120.0
-    spot_replacement_delay: Optional[float] = None
-    spot_protected: Tuple[int, ...] = (0,)
-    p_fail: float = 0.0
-    poison: Tuple[str, ...] = ()
-    p_straggler: float = 0.0
-    straggler_disk: Tuple[float, float] = (0.2, 0.6)
-    straggler_duration: Tuple[float, float] = (5.0, 20.0)
-    p_drop: float = 0.0
-    p_duplicate: float = 0.0
-    p_delay: float = 0.0
-    mq_delay: float = 0.5
-    # -- network partitions (repro.faults.models.NetworkPartitionModel) ----
-    p_partition: float = 0.0
-    partition_duration: Tuple[float, float] = (3.0, 8.0)
-    p_partition_asymmetric: float = 0.0
-    partition_protected: Tuple[int, ...] = ()
-    #: Latest partition onset (sim seconds).  The default (None) samples
-    #: onsets over the stretched fault horizon, which for short runs puts
-    #: most windows after settlement; cap it near the baseline makespan
-    #: when the scenario should reliably cut a link mid-run.
-    partition_horizon: Optional[float] = None
-    # -- control-plane liveness (repro.liveness; docs/FAULTS.md) -----------
-    #: Worker heartbeat cadence; 0 disables the lease protocol entirely
-    #: (partitioned workers then recover via the job timeout alone).
-    heartbeat_interval: float = 0.0
-    lease_miss_threshold: int = 3
-    #: Kill the primary master at this sim time and have the warm standby
-    #: take over (``failover_detection`` seconds later) by fencing the
-    #: journal and rebuilding state from the latest checkpoint.
-    failover_at: Optional[float] = None
-    failover_detection: float = 1.0
-    #: Admission gate: defer new workflow submissions while the dispatch
-    #: backlog holds this many jobs (0 = unbounded, no gate).
-    admission_max_pending: int = 0
-    admission_retry_after: float = 1.0
+    #: Sampled over the run's fault horizon, in tuple order, into the
+    #: run's controllers.
+    faults: Tuple[Union[SpotHazard, PartitionHazard, StragglerHazard], ...] = ()
+    transient: Optional[TransientFaultModel] = None
+    messages: Optional[MessageChaos] = None
+    file_faults: Tuple[Union[FileCorruptionModel, FileLossModel], ...] = ()
+    #: Kill the primary master and have the warm standby take over by
+    #: fencing the journal; installed after the sampled faults.
+    failover: Optional[MasterFailoverModel] = None
     # -- multi-tenant open-loop service (repro.service; docs/FAULTS.md) ----
-    #: Arrival window in sim seconds; > 0 switches the scenario to
-    #: open-loop service mode: the ensemble is built from seeded tenant
-    #: arrival processes (one tenant per SLA class) and the engine runs
-    #: behind a :class:`~repro.liveness.ServiceAdmissionPolicy` instead
-    #: of the closed-loop admission gate.
+    #: Arrival window in sim seconds; with ``tenants`` it switches the
+    #: scenario to open-loop service mode: the ensemble is built from the
+    #: tenants' seeded arrival processes and the engine runs behind a
+    #: :class:`~repro.liveness.ServiceAdmissionPolicy` instead of the
+    #: closed-loop admission gate.
     service_horizon: float = 0.0
-    service_gold_rate: float = 0.0
-    service_silver_rate: float = 0.0
-    #: best_effort arrives in ON-OFF bursts at this ON-window rate.
-    service_burst_rate: float = 0.0
-    service_burst_on: float = 5.0
-    service_burst_off: float = 5.0
+    tenants: Tuple[TenantSpec, ...] = ()
     #: The service policy's embedded backlog gate (jobs).
     service_max_pending: int = 24
-    service_brownout_sustain: float = 2.0
-    # -- live reprioritization (repro.mq.priority; docs/FAULTS.md) ---------
-    #: Run the dispatch topic as a live priority queue: SLA-banded
-    #: publishes plus completion-triggered re-scoring of still-queued
-    #: jobs (the OSPREY ``asynch_repriority`` pattern).
-    repriority: bool = False
-    #: Starvation-avoidance aging: priority points per queued second.
-    repriority_aging: float = 0.0
-    #: Re-score/aging sweep period; 0 = completion-triggered only.
-    repriority_interval: float = 0.0
-    #: Price-indexed spot hazard breakpoints ``(time, multiplier)``;
-    #: empty keeps the flat-rate hazard (byte-identical traces).
-    price_hazard: Tuple[Tuple[float, float], ...] = ()
-    # -- data-plane faults (repro.storage.integrity) ----------------------
-    p_corrupt: float = 0.0
-    p_file_loss: float = 0.0
-    corrupt_targets: Tuple[str, ...] = ()
-    loss_targets: Tuple[str, ...] = ()
     # -- master crash (repro.recovery) ------------------------------------
     #: Crash the master after this many journal records, then resume via
     #: validated replay and require the result to be byte-identical to
@@ -192,14 +158,30 @@ class ChaosScenario:
     #: dead-lettered directly (descendants cascade on top).
     expect_dead: Tuple[str, ...] = ()
 
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            base_delay=self.base_delay,
-            backoff_factor=self.backoff_factor,
-            jitter=self.jitter,
-            redispatch_lost=self.redispatch_lost or self.p_drop > 0,
-        )
+    def __post_init__(self) -> None:
+        if self.crash_after is not None and self.crash_after < 0:
+            raise ValueError(f"crash_after must be >= 0, got {self.crash_after}")
+        if self.crash_after is not None and self.failover is not None:
+            # The standby IS the crash recovery; replaying the same run with
+            # a second, journal-offset crash would fence the fence.
+            raise ValueError("crash_after and failover are mutually exclusive")
+        if (
+            self.messages is not None
+            and self.messages.p_drop > 0
+            and not self.retry.redispatch_lost
+        ):
+            raise ValueError(
+                "messages.p_drop > 0 needs retry.redispatch_lost=True: only "
+                "a dispatch-time deadline recovers a dropped dispatch"
+            )
+        for model in (self.transient, self.messages, *self.file_faults):
+            if model is not None and model.seed != 0:
+                raise ValueError(
+                    f"{type(model).__name__}(seed={model.seed}): the scenario's "
+                    f"seed plus a salt decides it; leave it at 0"
+                )
+        if bool(self.tenants) != (self.service_horizon > 0):
+            raise ValueError("service mode needs both tenants and service_horizon > 0")
 
     def spec(self) -> ClusterSpec:
         fs = self.filesystem or default_filesystem(self.n_nodes)
@@ -216,41 +198,8 @@ class ChaosScenario:
         :func:`run_chaos` calls to :meth:`ensemble` (baseline and chaos)
         see identical member names and submission times.
         """
-        from repro.service.arrivals import OnOffArrivals, PoissonArrivals
-        from repro.service.workload import TenantSpec, build_workload
-
-        tenants = [
-            TenantSpec(
-                tenant="gold-0", sla="gold",
-                arrivals=PoissonArrivals(self.service_gold_rate),
-                quota_rate=3.0 * self.service_gold_rate,
-                # Weight chosen so gold's fair-share bound saturates at
-                # 1.0 (max_share 0.5 x weight 3 x 3 tenants / weight sum
-                # 4.5): a share can never exceed 1, so gold is
-                # structurally exempt from fair-share shedding and its
-                # only bound is the quota — "zero gold sheds" holds even
-                # when everyone else's work is being shed.
-                quota_burst=20.0, weight=3.0,
-            ),
-            TenantSpec(
-                tenant="silver-0", sla="silver",
-                arrivals=PoissonArrivals(self.service_silver_rate),
-                quota_rate=2.0 * self.service_silver_rate,
-                quota_burst=10.0, weight=1.0,
-            ),
-            TenantSpec(
-                tenant="best_effort-0", sla="best_effort",
-                arrivals=OnOffArrivals(
-                    on_rate=self.service_burst_rate,
-                    on_duration=self.service_burst_on,
-                    off_duration=self.service_burst_off,
-                ),
-                quota_rate=self.service_burst_rate,
-                quota_burst=5.0, weight=0.5,
-            ),
-        ]
         return build_workload(
-            tenants, make_workflow(self.workflow, self.size),
+            self.tenants, make_workflow(self.workflow, self.size),
             self.service_horizon, self.seed,
             name=f"{self.name}-service",
         )
@@ -260,7 +209,7 @@ class ChaosScenario:
             return self.service_workload().ensemble
         return Ensemble.replicated(
             make_workflow(self.workflow, self.size), self.n_workflows,
-            interval=self.interval,
+            interval=self.submit_interval,
         )
 
     def run_config(self) -> RunConfig:
@@ -273,97 +222,19 @@ class ChaosScenario:
     def build_engine(
         self, seed: int, horizon: float, journal: Optional[Journal] = None
     ) -> PullEngine:
-        """Assemble the chaos-wired pull engine for one seeded run."""
-        controllers: list = []
-        if self.spot_rate_per_hour > 0:
-            controllers.append(
-                SpotTerminationModel.sample(
-                    seed + _SALT_SPOT,
-                    self.n_nodes,
-                    horizon,
-                    self.spot_rate_per_hour,
-                    notice=self.spot_notice,
-                    replacement_delay=self.spot_replacement_delay,
-                    protected=self.spot_protected,
-                    price_hazard=self.price_hazard or None,
-                )
-            )
-        if self.p_partition > 0:
-            controllers.append(
-                NetworkPartitionModel.sample(
-                    seed + _SALT_PARTITION,
-                    self.n_nodes,
-                    min(self.partition_horizon or horizon, horizon),
-                    self.p_partition,
-                    duration=self.partition_duration,
-                    p_asymmetric=self.p_partition_asymmetric,
-                    protected=self.partition_protected,
-                )
-            )
-        if self.p_straggler > 0:
-            controllers.append(
-                StragglerModel.sample(
-                    seed + _SALT_STRAGGLER,
-                    self.n_nodes,
-                    horizon,
-                    self.p_straggler,
-                    disk_factor=self.straggler_disk,
-                    duration=self.straggler_duration,
-                )
-            )
-        transient = None
-        if self.p_fail > 0 or self.poison:
-            transient = TransientFaultModel(
-                p_fail=self.p_fail, seed=seed + _SALT_TRANSIENT, poison=self.poison
-            )
-        message_chaos = None
-        if self.p_drop > 0 or self.p_duplicate > 0 or self.p_delay > 0:
-            message_chaos = MessageChaos(
-                p_drop=self.p_drop,
-                p_duplicate=self.p_duplicate,
-                p_delay=self.p_delay,
-                delay=self.mq_delay,
-                seed=seed + _SALT_MQ,
-            )
-        integrity_models: list = []
-        if self.p_corrupt > 0 or self.corrupt_targets:
-            integrity_models.append(
-                FileCorruptionModel(
-                    p=self.p_corrupt,
-                    seed=seed + _SALT_CORRUPT,
-                    targets=self.corrupt_targets,
-                )
-            )
-        if self.p_file_loss > 0 or self.loss_targets:
-            integrity_models.append(
-                FileLossModel(
-                    p=self.p_file_loss,
-                    seed=seed + _SALT_LOSS,
-                    targets=self.loss_targets,
-                )
-            )
-        liveness = (
-            LeaseConfig(
-                heartbeat_interval=self.heartbeat_interval,
-                miss_threshold=self.lease_miss_threshold,
-            )
-            if self.heartbeat_interval > 0
-            else None
-        )
+        """Assemble the chaos-wired pull engine for one seeded run.
+
+        Each seeded model draws from ``seed`` plus its salt; the faults
+        are sampled over ``horizon`` in tuple order, and the failover,
+        if any, installs after them.
+        """
         service = None
-        admission = None
         if self.is_service:
-            # Open-loop service mode: the policy embeds its own backlog
-            # gate, so the closed-loop admission knob is ignored.
             service = ServiceAdmissionPolicy(
                 admission=AdmissionControl(
-                    max_pending_jobs=self.service_max_pending,
-                    retry_after=self.admission_retry_after,
+                    max_pending_jobs=self.service_max_pending, retry_after=1.0
                 ),
-                brownout=BrownoutController(
-                    thresholds=(0.5, 1.0, 1.5),
-                    sustain=self.service_brownout_sustain,
-                ),
+                brownout=BrownoutController(thresholds=(0.5, 1.0, 1.5), sustain=2.0),
                 # Members are ~20 jobs, so the policy's default floor of
                 # 8 would make fair-share bind on the very first member
                 # and clamp the backlog before it can overshoot — the
@@ -372,38 +243,23 @@ class ChaosScenario:
                 fair_share_floor=6 * self.service_max_pending,
             )
             self.service_workload().wire(service)
-        elif self.admission_max_pending > 0:
-            admission = AdmissionControl(
-                max_pending_jobs=self.admission_max_pending,
-                retry_after=self.admission_retry_after,
-            )
-        if self.failover_at is not None:
-            controllers.append(
-                MasterFailoverModel(
-                    self.failover_at, detection=self.failover_detection
-                )
-            )
-        repriority = (
-            RepriorityPolicy(
-                aging_rate=self.repriority_aging,
-                interval=self.repriority_interval,
-            )
-            if self.repriority
-            else None
-        )
+        sampled = [
+            hazard.sample(seed + _SALT[type(hazard)], self.n_nodes, horizon)
+            for hazard in self.faults
+        ]
         return PullEngine(
             self.spec(),
             config=self.run_config(),
-            retry=self.retry_policy(),
-            transient=transient,
-            message_chaos=message_chaos,
+            retry=self.retry,
+            transient=_reseed(self.transient, seed),
+            message_chaos=_reseed(self.messages, seed),
             journal=journal,
-            integrity_models=integrity_models,
-            liveness=liveness,
-            admission=admission,
+            integrity_models=[_reseed(model, seed) for model in self.file_faults],
+            liveness=self.liveness,
+            admission=self.admission,
             service=service,
-            repriority=repriority,
-            controllers=controllers,
+            repriority=self.repriority,
+            controllers=sampled + ([self.failover] if self.failover else []),
         )
 
 
@@ -613,10 +469,6 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     :mod:`repro.recovery.journal`).
     """
     seed = scenario.seed if seed is None else seed
-    if scenario.crash_after is not None and scenario.failover_at is not None:
-        # The standby IS the crash recovery; replaying the same run with
-        # a second, journal-offset crash would fence the fence.
-        raise ValueError("crash_after and failover_at are mutually exclusive")
     baseline = PullEngine(scenario.spec(), config=scenario.run_config()).run(
         scenario.ensemble()
     )
@@ -626,7 +478,7 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     horizon = baseline.makespan * (scenario.max_slowdown or 2.0)
     journal = (
         Journal(checkpoint_every=scenario.checkpoint_every)
-        if scenario.crash_after is not None or scenario.failover_at is not None
+        if scenario.crash_after is not None or scenario.failover is not None
         else None
     )
     engine = scenario.build_engine(seed, horizon, journal=journal)
@@ -677,6 +529,24 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     )
 
 
+#: The two service scenarios' tenants, one per SLA class, each with
+#: quota headroom over its own offered rate (gold 3x, silver 2x,
+#: best_effort 1x its ON-window rate).
+_SERVICE_TENANTS = (
+    # Weight chosen so gold's fair-share bound saturates at 1.0 (max_share
+    # 0.5 x weight 3 x 3 tenants / weight sum 4.5): a share can never
+    # exceed 1, so gold is structurally exempt from fair-share shedding
+    # and its only bound is the quota — "zero gold sheds" holds even when
+    # everyone else's work is being shed.
+    TenantSpec("gold-0", "gold", PoissonArrivals(1.0),
+               quota_rate=3.0, quota_burst=20.0, weight=3.0),
+    TenantSpec("silver-0", "silver", PoissonArrivals(1.6),
+               quota_rate=3.2, quota_burst=10.0, weight=1.0),
+    TenantSpec("best_effort-0", "best_effort",
+               OnOffArrivals(on_rate=10.0, on_duration=4.0, off_duration=4.0),
+               quota_rate=10.0, quota_burst=5.0, weight=0.5),
+)
+
 #: Built-in scenarios, sized to run in seconds (CI smoke included).
 SCENARIOS: Dict[str, ChaosScenario] = {
     scenario.name: scenario
@@ -687,11 +557,11 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "with replacement, transient failures, duplicated messages.",
             n_nodes=2,
             n_workflows=2,
-            spot_rate_per_hour=120.0,
-            spot_notice=2.0,
-            spot_replacement_delay=5.0,
-            p_fail=0.05,
-            p_duplicate=0.05,
+            faults=(
+                SpotHazard(120.0, notice=2.0, replacement_delay=5.0, protected=(0,)),
+            ),
+            transient=TransientFaultModel(p_fail=0.05),
+            messages=MessageChaos(p_duplicate=0.05),
         ),
         ChaosScenario(
             name="spot",
@@ -699,9 +569,9 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "the two-minute-notice drain and auto-scaling replacements.",
             n_nodes=4,
             n_workflows=6,
-            spot_rate_per_hour=600.0,
-            spot_notice=3.0,
-            spot_replacement_delay=5.0,
+            faults=(
+                SpotHazard(600.0, notice=3.0, replacement_delay=5.0, protected=(0,)),
+            ),
             max_slowdown=4.0,
         ),
         ChaosScenario(
@@ -711,8 +581,8 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "while every other workflow completes.",
             n_nodes=2,
             n_workflows=2,
-            max_attempts=3,
-            poison=("mBgModel",),
+            retry=RetryPolicy(max_attempts=3),
+            transient=TransientFaultModel(poison=("mBgModel",)),
             expect_dead=("mBgModel",),
         ),
         ChaosScenario(
@@ -723,10 +593,10 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             n_nodes=2,
             n_workflows=2,
             timeout=6.0,
-            p_drop=0.05,
-            p_duplicate=0.05,
-            p_delay=0.10,
-            max_attempts=8,
+            retry=RetryPolicy(max_attempts=8, redispatch_lost=True),
+            messages=MessageChaos(
+                p_drop=0.05, p_duplicate=0.05, p_delay=0.10, delay=0.5
+            ),
             max_slowdown=6.0,
         ),
         ChaosScenario(
@@ -737,8 +607,8 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "uninterrupted one.",
             n_nodes=2,
             n_workflows=2,
-            p_fail=0.05,
-            p_duplicate=0.05,
+            transient=TransientFaultModel(p_fail=0.05),
+            messages=MessageChaos(p_duplicate=0.05),
             crash_after=60,
             checkpoint_every=20,
         ),
@@ -750,10 +620,10 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "re-execution and input restaging with zero dead letters.",
             n_nodes=2,
             n_workflows=2,
-            corrupt_targets=("*/p_000000.fits",),
-            loss_targets=("*/raw_000003.fits",),
-            p_corrupt=0.02,
-            p_file_loss=0.02,
+            file_faults=(
+                FileCorruptionModel(p=0.02, targets=("*/p_000000.fits",)),
+                FileLossModel(p=0.02, targets=("*/raw_000003.fits",)),
+            ),
             max_slowdown=4.0,
         ),
         ChaosScenario(
@@ -764,13 +634,14 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "acks into the stale-epoch rejection path.",
             n_nodes=3,
             n_workflows=3,
-            interval=0.5,
+            submit_interval=0.5,
             timeout=8.0,
-            heartbeat_interval=0.25,
-            p_partition=0.9,
-            partition_duration=(2.0, 5.0),
-            p_partition_asymmetric=0.4,
-            partition_horizon=6.0,
+            liveness=LeaseConfig(heartbeat_interval=0.25),
+            faults=(
+                PartitionHazard(
+                    0.9, duration=(2.0, 5.0), p_asymmetric=0.4, until=6.0
+                ),
+            ),
             max_slowdown=5.0,
         ),
         ChaosScenario(
@@ -786,25 +657,22 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             size=0.8,
             n_nodes=3,
             n_workflows=3,
-            interval=0.5,
+            submit_interval=0.5,
             timeout=15.0,
-            spot_rate_per_hour=200.0,
-            spot_notice=1.0,
-            spot_replacement_delay=5.0,
-            p_straggler=0.5,
-            straggler_disk=(0.2, 0.5),
-            straggler_duration=(3.0, 8.0),
-            heartbeat_interval=0.25,
-            p_partition=0.9,
-            partition_duration=(3.0, 6.0),
-            p_partition_asymmetric=0.3,
-            partition_horizon=20.0,
-            failover_at=8.0,
-            failover_detection=0.5,
-            admission_max_pending=8,
-            admission_retry_after=0.5,
+            liveness=LeaseConfig(heartbeat_interval=0.25),
+            admission=AdmissionControl(max_pending_jobs=8, retry_after=0.5),
+            faults=(
+                SpotHazard(
+                    200.0, notice=1.0, replacement_delay=5.0, protected=(0,),
+                    price_hazard=((0.0, 1.0), (60.0, 3.0)),
+                ),
+                PartitionHazard(
+                    0.9, duration=(3.0, 6.0), p_asymmetric=0.3, until=20.0
+                ),
+                StragglerHazard(0.5, disk_factor=(0.2, 0.5), duration=(3.0, 8.0)),
+            ),
+            failover=MasterFailoverModel(8.0, detection=0.5),
             checkpoint_every=15,
-            price_hazard=((0.0, 1.0), (60.0, 3.0)),
             max_slowdown=6.0,
             slowdown_slack=60.0,
         ),
@@ -815,20 +683,13 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "capacity comes and goes, the quota/fair-share/brownout "
             "ladder sheds best_effort first and keeps gold at zero "
             "sheds.",
-            size=0.3,
             n_nodes=2,
             timeout=20.0,
-            check_interval=0.5,
-            spot_rate_per_hour=200.0,
-            spot_notice=1.0,
-            spot_replacement_delay=5.0,
+            faults=(
+                SpotHazard(200.0, notice=1.0, replacement_delay=5.0, protected=(0,)),
+            ),
             service_horizon=20.0,
-            service_gold_rate=1.0,
-            service_silver_rate=1.6,
-            service_burst_rate=10.0,
-            service_burst_on=4.0,
-            service_burst_off=4.0,
-            service_max_pending=24,
+            tenants=_SERVICE_TENANTS,
             max_slowdown=6.0,
             slowdown_slack=60.0,
         ),
@@ -841,20 +702,11 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "still-queued jobs (critical path remaining + deadline "
             "slack), and the periodic aging sweep lifts starving "
             "best-effort work so nothing admitted waits forever.",
-            size=0.3,
             n_nodes=2,
             timeout=20.0,
-            check_interval=0.5,
+            repriority=RepriorityPolicy(aging_rate=5.0, interval=2.0),
             service_horizon=20.0,
-            service_gold_rate=1.0,
-            service_silver_rate=1.6,
-            service_burst_rate=10.0,
-            service_burst_on=4.0,
-            service_burst_off=4.0,
-            service_max_pending=24,
-            repriority=True,
-            repriority_aging=5.0,
-            repriority_interval=2.0,
+            tenants=_SERVICE_TENANTS,
             max_slowdown=6.0,
             slowdown_slack=60.0,
         ),
@@ -864,10 +716,10 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "lose most of their disk bandwidth but jobs keep completing.",
             n_nodes=3,
             n_workflows=6,
-            interval=0.5,
-            p_straggler=0.8,
-            straggler_disk=(0.1, 0.4),
-            straggler_duration=(2.0, 6.0),
+            submit_interval=0.5,
+            faults=(
+                StragglerHazard(0.8, disk_factor=(0.1, 0.4), duration=(2.0, 6.0)),
+            ),
             max_slowdown=3.0,
         ),
     )

@@ -13,12 +13,14 @@ al.'s EC2 workflow studies show actually dominate in public clouds:
   speed scaled by a factor over an interval (the "bad neighbour" /
   failing-disk straggler).
 
-Every model is driven by an explicit ``random.Random(seed)`` at
-*construction* time: sampling happens once, up front, so the resulting
-event list — and therefore the whole fault trace — is a pure function of
-the seed (codelint CL002 discipline).  The three node-level models
-are controllers: ``install(run)`` schedules their events against a
-:class:`~repro.engines.pull.PullRun` through its public methods.
+The three node-level models take explicit event lists and are
+controllers: ``install(run)`` schedules their events against a
+:class:`~repro.engines.pull.PullRun` through its public methods.  Their
+rates live in three frozen samplers — :class:`SpotHazard`,
+:class:`StragglerHazard`, :class:`PartitionHazard` — whose
+``sample(seed, n_nodes, horizon)`` draws the event list once, up front,
+from an explicit ``random.Random(seed)``, so the whole fault trace is a
+pure function of the seed (codelint CL002 discipline).
 """
 
 from __future__ import annotations
@@ -27,17 +29,20 @@ import random
 import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FaultEvent",
     "FaultTrace",
     "SpotTerminationModel",
+    "SpotHazard",
     "TransientFaultModel",
     "Degradation",
     "StragglerModel",
+    "StragglerHazard",
     "PartitionWindow",
     "NetworkPartitionModel",
+    "PartitionHazard",
     "FileCorruptionModel",
     "FileLossModel",
 ]
@@ -177,54 +182,6 @@ class SpotTerminationModel:
         self.notice = float(notice)
         self.replacement_delay = replacement_delay
 
-    @classmethod
-    def sample(
-        cls,
-        seed: int,
-        n_nodes: int,
-        horizon: float,
-        rate_per_hour: float,
-        notice: float = 120.0,
-        replacement_delay: Optional[float] = None,
-        protected: Sequence[int] = (),
-        price_hazard: Optional[Sequence[Tuple[float, float]]] = None,
-    ) -> "SpotTerminationModel":
-        """Draw at most one reclamation per node from a Poisson process.
-
-        Each non-protected node's time-to-reclamation is exponential
-        with ``rate_per_hour``; draws beyond ``horizon`` mean the node
-        survives the run.  Nodes are visited in index order so the trace
-        is a pure function of the seed.
-
-        ``price_hazard`` indexes the hazard to a price series (ROADMAP
-        item 5): a stepwise-constant sequence of ``(time, multiplier)``
-        breakpoints scaling the instantaneous rate from each breakpoint
-        onward, so reclamation risk spikes when the spot price does.
-        The exponential unit draw per node is unchanged — only the
-        inverse cumulative hazard mapping it to a time differs — so the
-        default (``None``/empty, hazard flat at 1x) reproduces the
-        pre-hazard fault traces byte-for-byte.
-        """
-        if rate_per_hour < 0:
-            raise ValueError(f"rate_per_hour must be >= 0, got {rate_per_hour}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        steps = _hazard_steps(price_hazard)
-        rng = random.Random(seed)
-        shielded = frozenset(protected)
-        terminations = []
-        for node in range(n_nodes):
-            if node in shielded or rate_per_hour == 0:
-                continue
-            unit = rng.expovariate(1.0)  # Exp(1): rate applied below
-            if steps is None:
-                t = unit / rate_per_hour * 3600.0
-            else:
-                t = _invert_hazard(unit, rate_per_hour / 3600.0, steps, horizon)
-            if t < horizon:
-                terminations.append((t, node))
-        return cls(terminations, notice=notice, replacement_delay=replacement_delay)
-
     def install(self, run) -> None:
         for t, node in self.terminations:
             check_node(run, node, "termination")
@@ -250,6 +207,59 @@ class SpotTerminationModel:
         run.start_worker(node)
 
 
+@dataclass(frozen=True)
+class SpotHazard:
+    """Spot reclamation as a rate; :meth:`sample` draws the
+    :class:`SpotTerminationModel` for one seeded run.
+
+    Each non-protected node's time-to-reclamation is exponential with
+    ``rate_per_hour``; draws beyond the horizon mean the node survives
+    the run.  Nodes are visited in index order so the trace is a pure
+    function of the seed.
+
+    ``price_hazard`` indexes the hazard to a price series (ROADMAP
+    item 5): a stepwise-constant sequence of ``(time, multiplier)``
+    breakpoints scaling the instantaneous rate from each breakpoint
+    onward, so reclamation risk spikes when the spot price does.  The
+    exponential unit draw per node is unchanged — only the inverse
+    cumulative hazard mapping it to a time differs — so the default
+    (empty, hazard flat at 1x) reproduces the pre-hazard fault traces
+    byte-for-byte.
+    """
+
+    rate_per_hour: float
+    notice: float = 120.0
+    replacement_delay: Optional[float] = None
+    protected: Tuple[int, ...] = ()
+    price_hazard: Tuple[Tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.rate_per_hour < 0:
+            raise ValueError(f"rate_per_hour must be >= 0, got {self.rate_per_hour}")
+
+    def sample(self, seed: int, n_nodes: int, horizon: float) -> SpotTerminationModel:
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        steps = _hazard_steps(self.price_hazard)
+        rng = random.Random(seed)
+        rate = self.rate_per_hour
+        terminations = []
+        for node in range(n_nodes):
+            if node in self.protected or rate == 0:
+                continue
+            unit = rng.expovariate(1.0)  # Exp(1): rate applied below
+            if steps is None:
+                t = unit / rate * 3600.0
+            else:
+                t = _invert_hazard(unit, rate / 3600.0, steps, horizon)
+            if t < horizon:
+                terminations.append((t, node))
+        return SpotTerminationModel(
+            terminations, notice=self.notice, replacement_delay=self.replacement_delay
+        )
+
+
+@dataclass(frozen=True)
 class TransientFaultModel:
     """Per-attempt transient job failures and always-failing poison jobs.
 
@@ -262,17 +272,14 @@ class TransientFaultModel:
     the retry budget exists for.
     """
 
-    def __init__(
-        self,
-        p_fail: float = 0.0,
-        seed: int = 0,
-        poison: Sequence[str] = (),
-    ):
-        if not 0.0 <= p_fail <= 1.0:
-            raise ValueError(f"p_fail must be in [0, 1], got {p_fail}")
-        self.p_fail = float(p_fail)
-        self.seed = int(seed)
-        self.poison = frozenset(poison)
+    p_fail: float = 0.0
+    seed: int = 0
+    poison: FrozenSet[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p_fail <= 1.0:
+            raise ValueError(f"p_fail must be in [0, 1], got {self.p_fail}")
+        object.__setattr__(self, "poison", frozenset(self.poison))
 
     def should_fail(self, workflow: str, job_id: str, attempt: int) -> bool:
         if job_id in self.poison:
@@ -323,41 +330,6 @@ class StragglerModel:
                 )
         self.degradations: Tuple[Degradation, ...] = tuple(ordered)
 
-    @classmethod
-    def sample(
-        cls,
-        seed: int,
-        n_nodes: int,
-        horizon: float,
-        p_straggler: float,
-        disk_factor: Tuple[float, float] = (0.2, 0.6),
-        cpu_factor: Tuple[float, float] = (1.0, 1.0),
-        duration: Tuple[float, float] = (30.0, 120.0),
-    ) -> "StragglerModel":
-        """Each node independently becomes a straggler with ``p_straggler``,
-        for one interval with uniformly drawn start, duration and factors."""
-        if not 0.0 <= p_straggler <= 1.0:
-            raise ValueError(f"p_straggler must be in [0, 1], got {p_straggler}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        rng = random.Random(seed)
-        degradations = []
-        for node in range(n_nodes):
-            if rng.random() >= p_straggler:
-                continue
-            dur = rng.uniform(*duration)
-            start = rng.uniform(0.0, max(horizon - dur, 0.0))
-            degradations.append(
-                Degradation(
-                    node=node,
-                    start=start,
-                    duration=dur,
-                    disk_factor=rng.uniform(*disk_factor),
-                    cpu_factor=rng.uniform(*cpu_factor),
-                )
-            )
-        return cls(degradations)
-
     def install(self, run) -> None:
         for d in self.degradations:
             check_node(run, d.node, "degradation")
@@ -378,6 +350,47 @@ class StragglerModel:
         run.trace.record(run.sim.now, "degrade-end", d.node)
         run.set_disk_factor(d.node, 1.0)
         run.set_cpu_factor(d.node, 1.0)
+
+
+@dataclass(frozen=True)
+class StragglerHazard:
+    """Straggling as a probability; :meth:`sample` draws the
+    :class:`StragglerModel` for one seeded run.
+
+    Each node independently becomes a straggler with ``p_straggler``,
+    for one interval with start, duration and both factors drawn
+    uniformly (``duration`` and the factors are ``(low, high)`` ranges).
+    """
+
+    p_straggler: float
+    disk_factor: Tuple[float, float] = (0.2, 0.6)
+    cpu_factor: Tuple[float, float] = (1.0, 1.0)
+    duration: Tuple[float, float] = (30.0, 120.0)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p_straggler <= 1.0:
+            raise ValueError(f"p_straggler must be in [0, 1], got {self.p_straggler}")
+
+    def sample(self, seed: int, n_nodes: int, horizon: float) -> StragglerModel:
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        rng = random.Random(seed)
+        degradations = []
+        for node in range(n_nodes):
+            if rng.random() >= self.p_straggler:
+                continue
+            dur = rng.uniform(*self.duration)
+            start = rng.uniform(0.0, max(horizon - dur, 0.0))
+            degradations.append(
+                Degradation(
+                    node=node,
+                    start=start,
+                    duration=dur,
+                    disk_factor=rng.uniform(*self.disk_factor),
+                    cpu_factor=rng.uniform(*self.cpu_factor),
+                )
+            )
+        return StragglerModel(degradations)
 
 
 #: Valid partition directions.  ``full`` severs both directions;
@@ -427,46 +440,6 @@ class NetworkPartitionModel:
                 )
         self.windows: Tuple[PartitionWindow, ...] = tuple(ordered)
 
-    @classmethod
-    def sample(
-        cls,
-        seed: int,
-        n_nodes: int,
-        horizon: float,
-        p_partition: float,
-        duration: Tuple[float, float] = (10.0, 60.0),
-        p_asymmetric: float = 0.0,
-        protected: Sequence[int] = (),
-    ) -> "NetworkPartitionModel":
-        """Each node independently partitions with ``p_partition`` for one
-        window of uniformly drawn start/duration; with ``p_asymmetric``
-        the cut is one-directional (uplink or downlink, a further coin
-        flip).  Nodes are visited in index order — pure function of seed.
-        """
-        if not 0.0 <= p_partition <= 1.0:
-            raise ValueError(f"p_partition must be in [0, 1], got {p_partition}")
-        if not 0.0 <= p_asymmetric <= 1.0:
-            raise ValueError(f"p_asymmetric must be in [0, 1], got {p_asymmetric}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        rng = random.Random(seed)
-        shielded = frozenset(protected)
-        windows = []
-        for node in range(n_nodes):
-            if rng.random() >= p_partition:
-                continue
-            dur = rng.uniform(*duration)
-            start = rng.uniform(0.0, max(horizon - dur, 0.0))
-            mode = "full"
-            if rng.random() < p_asymmetric:
-                mode = "to-master" if rng.random() < 0.5 else "from-master"
-            if node in shielded:
-                continue  # draws burned above keep traces seed-stable
-            windows.append(
-                PartitionWindow(node=node, start=start, duration=dur, mode=mode)
-            )
-        return cls(windows)
-
     def install(self, run) -> None:
         for w in self.windows:
             check_node(run, w.node, "partition")
@@ -485,6 +458,56 @@ class NetworkPartitionModel:
         run.end_partition(w.node)
 
 
+@dataclass(frozen=True)
+class PartitionHazard:
+    """Partitions as a probability; :meth:`sample` draws the
+    :class:`NetworkPartitionModel` for one seeded run.
+
+    Each node independently partitions with ``p_partition`` for one
+    window of uniformly drawn start/duration; with ``p_asymmetric`` the
+    cut is one-directional (uplink or downlink, a further coin flip).
+    Nodes are visited in index order — pure function of the seed.
+    ``until`` caps the sampling horizon (sim seconds): the default
+    samples over the run's whole fault horizon, which for short runs puts
+    most windows after settlement, so set it near the baseline makespan
+    when a link should reliably be cut mid-run.
+    """
+
+    p_partition: float
+    duration: Tuple[float, float] = (10.0, 60.0)
+    p_asymmetric: float = 0.0
+    protected: Tuple[int, ...] = ()
+    until: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("p_partition", "p_asymmetric"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
+
+    def sample(self, seed: int, n_nodes: int, horizon: float) -> NetworkPartitionModel:
+        horizon = min(self.until or horizon, horizon)
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        rng = random.Random(seed)
+        windows = []
+        for node in range(n_nodes):
+            if rng.random() >= self.p_partition:
+                continue
+            dur = rng.uniform(*self.duration)
+            start = rng.uniform(0.0, max(horizon - dur, 0.0))
+            mode = "full"
+            if rng.random() < self.p_asymmetric:
+                mode = "to-master" if rng.random() < 0.5 else "from-master"
+            if node in self.protected:
+                continue  # draws burned above keep traces seed-stable
+            windows.append(
+                PartitionWindow(node=node, start=start, duration=dur, mode=mode)
+            )
+        return NetworkPartitionModel(windows)
+
+
+@dataclass(frozen=True)
 class _FileFaultModel:
     """Common machinery of the data-plane fault injectors.
 
@@ -502,17 +525,14 @@ class _FileFaultModel:
     outcome = "corrupt"
     _salt = "file"
 
-    def __init__(
-        self,
-        p: float = 0.0,
-        seed: int = 0,
-        targets: Sequence[str] = (),
-    ):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {p}")
-        self.p = float(p)
-        self.seed = int(seed)
-        self.targets: Tuple[str, ...] = tuple(targets)
+    p: float = 0.0
+    seed: int = 0
+    targets: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"probability must be in [0, 1], got {self.p}")
+        object.__setattr__(self, "targets", tuple(self.targets))
 
     def strikes(self, owner: str, name: str, write_index: int) -> bool:
         if write_index != 1:

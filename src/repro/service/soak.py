@@ -99,6 +99,18 @@ class SoakConfig:
     #: only class with outstanding work, and its only bound is the quota.
     weights: Tuple[float, float, float] = (3.0, 1.0, 0.5)
 
+    def __post_init__(self) -> None:
+        # Refused here, before build_soak spends two capacity probes.
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
+        if not self.best_effort_fraction() > 0:
+            raise ValueError(
+                "load_factor must exceed gold_fraction + silver_fraction"
+            )
+        for name in ("tenants_per_class", "probe_members"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     @classmethod
     def quick(cls, seed: int = 0) -> "SoakConfig":
         """CI-sized soak: a few simulated minutes, same invariants."""
@@ -111,12 +123,7 @@ class SoakConfig:
         )
 
     def best_effort_fraction(self) -> float:
-        frac = self.load_factor - self.gold_fraction - self.silver_fraction
-        if frac <= 0:
-            raise ValueError(
-                "load_factor must exceed gold_fraction + silver_fraction"
-            )
-        return frac
+        return self.load_factor - self.gold_fraction - self.silver_fraction
 
     def spec(self) -> ClusterSpec:
         fs = default_filesystem(self.n_nodes)

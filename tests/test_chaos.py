@@ -11,10 +11,13 @@ from repro.faults import RetryPolicy
 from repro.faults.chaos import SCENARIOS, get_scenario, run_chaos
 from repro.faults.models import (
     Degradation,
+    FileLossModel,
+    SpotHazard,
     SpotTerminationModel,
     StragglerModel,
     TransientFaultModel,
 )
+from repro.liveness import MasterFailoverModel
 from repro.generators import montage_workflow
 from repro.mq import Broker, ChaosBroker, MessageChaos, TOPIC_ACK
 from repro.mq.messages import AckKind, JobAck
@@ -34,16 +37,17 @@ def fast_cfg(timeout: float = 6.0) -> RunConfig:
 
 # -- fault model construction ------------------------------------------------
 def test_spot_model_sampling_is_seed_deterministic():
-    a = SpotTerminationModel.sample(7, 8, 3600.0, rate_per_hour=30.0)
-    b = SpotTerminationModel.sample(7, 8, 3600.0, rate_per_hour=30.0)
-    c = SpotTerminationModel.sample(8, 8, 3600.0, rate_per_hour=30.0)
+    hazard = SpotHazard(rate_per_hour=30.0)
+    a = hazard.sample(7, 8, 3600.0)
+    b = hazard.sample(7, 8, 3600.0)
+    c = hazard.sample(8, 8, 3600.0)
     assert a.terminations == b.terminations
     assert a.terminations != c.terminations
 
 
 def test_spot_model_respects_protection():
-    model = SpotTerminationModel.sample(
-        1, 4, 3600.0, rate_per_hour=10_000.0, protected=(0, 1)
+    model = SpotHazard(rate_per_hour=10_000.0, protected=(0, 1)).sample(
+        1, 4, 3600.0
     )
     assert {node for _t, node in model.terminations} <= {2, 3}
 
@@ -289,6 +293,55 @@ def test_scenario_seed_override_changes_the_trace():
 def test_get_scenario_unknown_name():
     with pytest.raises(KeyError, match="built-ins"):
         get_scenario("no-such-scenario")
+
+
+@pytest.mark.parametrize(
+    "changes,match",
+    [
+        ({"crash_after": -1}, "crash_after must be >= 0"),
+        (
+            {"crash_after": 10, "failover": MasterFailoverModel(5.0)},
+            "mutually exclusive",
+        ),
+        ({"messages": MessageChaos(p_drop=0.1)}, "redispatch_lost"),
+        ({"transient": TransientFaultModel(p_fail=0.1, seed=3)}, "seed=3"),
+        ({"messages": MessageChaos(p_duplicate=0.1, seed=2)}, "seed=2"),
+        ({"file_faults": (FileLossModel(p=0.1, seed=9),)}, "seed=9"),
+        ({"service_horizon": 5.0}, "tenants"),
+    ],
+    ids=[
+        "negative-crash", "crash-with-failover", "drop-without-redispatch",
+        "transient-seed", "messages-seed", "file-fault-seed",
+        "horizon-without-tenants",
+    ],
+)
+def test_scenario_refuses_a_contradictory_or_ignored_field(changes, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(get_scenario("smoke"), **changes)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "smoke", "--crash-at", "-1"],
+        ["--scenario", "game-day", "--crash-at", "50"],
+    ],
+    ids=["negative", "with-failover"],
+)
+def test_chaos_cli_refuses_a_bad_crash_offset_before_simulating(
+    monkeypatch, capsys, argv
+):
+    import repro.faults.chaos as chaos_mod
+    from repro.cli import main_chaos
+
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("a refused scenario must not run")
+
+    monkeypatch.setattr(chaos_mod, "run_chaos", no_simulation)
+    with pytest.raises(SystemExit) as exit_info:
+        main_chaos(argv)
+    assert exit_info.value.code == 2
+    assert "crash_after" in capsys.readouterr().err
 
 
 def test_chaos_cli_smoke_and_list():

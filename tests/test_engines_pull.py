@@ -1,5 +1,7 @@
 """Tests for the pulling (DEWE v2) simulation engine."""
 
+import math
+
 import pytest
 
 from repro.cloud import ClusterSpec
@@ -14,6 +16,15 @@ def run_small(n_workflows=1, nodes=1, fs="local", degree=0.5, **engine_kwargs):
     ensemble = Ensemble.replicated(template, n_workflows)
     spec = ClusterSpec("c3.8xlarge", nodes, filesystem=fs)
     return PullEngine(spec, **engine_kwargs).run(ensemble)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["default_timeout", "timeout_check_interval"])
+def test_run_config_refuses_a_non_positive_or_non_finite_interval(name, value):
+    # A zero sweep interval used to spin PullEngine.run at one simulated
+    # instant forever; refused at construction, nothing runs.
+    with pytest.raises(ValueError, match=name):
+        RunConfig(**{name: value})
 
 
 def test_single_workflow_completes():

@@ -14,7 +14,9 @@ from repro.faults import RetryPolicy
 from repro.faults.chaos import get_scenario, run_chaos
 from repro.faults.models import (
     NetworkPartitionModel,
+    PartitionHazard,
     PartitionWindow,
+    SpotHazard,
     SpotTerminationModel,
 )
 from repro.generators import montage_workflow
@@ -132,24 +134,23 @@ def test_partition_model_rejects_overlapping_windows():
 
 
 def test_partition_model_sampling_is_seed_deterministic():
-    a = NetworkPartitionModel.sample(3, 8, 600.0, 0.8, p_asymmetric=0.5)
-    b = NetworkPartitionModel.sample(3, 8, 600.0, 0.8, p_asymmetric=0.5)
-    c = NetworkPartitionModel.sample(4, 8, 600.0, 0.8, p_asymmetric=0.5)
+    hazard = PartitionHazard(0.8, p_asymmetric=0.5)
+    a = hazard.sample(3, 8, 600.0)
+    b = hazard.sample(3, 8, 600.0)
+    c = hazard.sample(4, 8, 600.0)
     assert a.windows == b.windows
     assert a.windows != c.windows
     assert all(w.mode in ("full", "to-master", "from-master") for w in a.windows)
-    shielded = NetworkPartitionModel.sample(3, 8, 600.0, 1.0, protected=(0, 1))
+    shielded = PartitionHazard(1.0, protected=(0, 1)).sample(3, 8, 600.0)
     assert {w.node for w in shielded.windows} <= set(range(2, 8))
 
 
 # -- price-indexed spot hazard -----------------------------------------------
 def test_spot_price_hazard_default_preserves_traces():
-    flat = SpotTerminationModel.sample(5, 6, 3600.0, rate_per_hour=40.0)
-    default = SpotTerminationModel.sample(
-        5, 6, 3600.0, rate_per_hour=40.0, price_hazard=None
-    )
-    unit = SpotTerminationModel.sample(
-        5, 6, 3600.0, rate_per_hour=40.0, price_hazard=((0.0, 1.0),)
+    flat = SpotHazard(rate_per_hour=40.0).sample(5, 6, 3600.0)
+    default = SpotHazard(rate_per_hour=40.0, price_hazard=None).sample(5, 6, 3600.0)
+    unit = SpotHazard(rate_per_hour=40.0, price_hazard=((0.0, 1.0),)).sample(
+        5, 6, 3600.0
     )
     # A flat 1x hazard is the identity mapping: byte-for-byte the same
     # reclamations as the pre-hazard sampler.
@@ -158,10 +159,10 @@ def test_spot_price_hazard_default_preserves_traces():
 
 
 def test_spot_price_hazard_pulls_reclamations_into_the_spike():
-    flat = SpotTerminationModel.sample(5, 6, 3600.0, rate_per_hour=40.0)
-    spiky = SpotTerminationModel.sample(
-        5, 6, 3600.0, rate_per_hour=40.0, price_hazard=((0.0, 1.0), (10.0, 50.0))
-    )
+    flat = SpotHazard(rate_per_hour=40.0).sample(5, 6, 3600.0)
+    spiky = SpotHazard(
+        rate_per_hour=40.0, price_hazard=((0.0, 1.0), (10.0, 50.0))
+    ).sample(5, 6, 3600.0)
     assert spiky.terminations != flat.terminations
     # More hazard can only move each node's reclamation earlier.
     flat_by_node = dict((n, t) for t, n in flat.terminations)

@@ -7,6 +7,7 @@ nested ``def`` (a callback may be local; a callback's callback may not).
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -345,6 +346,66 @@ def test_controllers_install_against_the_runs_public_names_only():
         )
         assert not off_surface, off_surface
     assert installs == 6  # schedule, spot, straggler, partition, autoscaler, failover
+
+
+# -- a chaos scenario holds the models it runs -----------------------------------
+def test_chaos_scenario_holds_at_most_thirty_fields():
+    from repro.faults.chaos import ChaosScenario
+
+    assert len(dataclasses.fields(ChaosScenario)) <= 30
+
+
+def test_no_chaos_scenario_field_copies_a_model_parameter():
+    """The scenario holds the objects the run takes; a flat copy of one of
+    their parameters would need an ``if`` in ``build_engine`` to turn it
+    back into the object.  ``seed`` is the one shared name: the
+    scenario's seed plus a salt re-seeds every model, whose own seed the
+    scenario refuses to be anything but the default."""
+    from repro.faults.chaos import ChaosScenario
+    from repro.faults.models import (
+        FileCorruptionModel, FileLossModel, PartitionHazard, SpotHazard,
+        StragglerHazard, TransientFaultModel,
+    )
+    from repro.faults.retry import RetryPolicy
+    from repro.liveness import (
+        AdmissionControl, LeaseConfig, MasterFailoverModel,
+    )
+    from repro.mq.chaosbroker import MessageChaos
+    from repro.mq.priority import RepriorityPolicy
+    from repro.service.workload import TenantSpec
+
+    fields = {f.name for f in dataclasses.fields(ChaosScenario)} - {"seed"}
+    copied = sorted(
+        f"{model.__name__}.{name}"
+        for model in (
+            SpotHazard, PartitionHazard, StragglerHazard, TransientFaultModel,
+            MessageChaos, FileCorruptionModel, FileLossModel, RetryPolicy,
+            LeaseConfig, AdmissionControl, RepriorityPolicy,
+            MasterFailoverModel, TenantSpec,
+        )
+        for name in inspect.signature(model).parameters
+        if name in fields
+    )
+    assert copied == []
+
+
+def test_node_fault_models_take_event_lists_and_samplers_take_rates():
+    from repro.faults.models import (
+        NetworkPartitionModel, SpotTerminationModel, StragglerModel,
+    )
+
+    for model in (SpotTerminationModel, StragglerModel, NetworkPartitionModel):
+        assert not hasattr(model, "sample"), model.__name__
+
+
+def test_chaos_build_engine_branches_only_on_service_mode():
+    scenario = next(
+        c for c in _classes("faults/chaos.py") if c.name == "ChaosScenario"
+    )
+    build = next(fn for fn, _d in _functions(scenario) if fn.name == "build_engine")
+    branches = [node for node in ast.walk(build) if isinstance(node, ast.If)]
+    assert len(branches) <= 1, [ast.unparse(node.test) for node in branches]
+    assert all(ast.unparse(node.test) == "self.is_service" for node in branches)
 
 
 # -- reachability map ----------------------------------------------------------

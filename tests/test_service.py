@@ -348,6 +348,46 @@ def test_soak_is_byte_identical_per_seed():
 
 
 @pytest.mark.parametrize(
+    "changes,match",
+    [
+        ({"load_factor": 0.5}, "load_factor"),
+        ({"load_factor": 0.8}, "load_factor"),
+        ({"load_factor": float("nan")}, "load_factor"),
+        ({"tenants_per_class": 0}, "tenants_per_class"),
+        ({"probe_members": 0}, "probe_members"),
+        ({"horizon": 0.0}, "horizon"),
+        ({"horizon": float("inf")}, "horizon"),
+        ({"horizon": float("nan")}, "horizon"),
+    ],
+    ids=[
+        "load-below", "load-equal", "load-nan", "no-tenants", "no-probe",
+        "horizon-zero", "horizon-inf", "horizon-nan",
+    ],
+)
+def test_soak_config_refuses_an_unrunnable_soak_at_construction(changes, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(SoakConfig.quick(), **changes)
+
+
+def test_service_cli_refuses_a_load_below_the_reserved_classes(
+    monkeypatch, capsys
+):
+    """``--load 0.5`` leaves best_effort nothing: exit 2 before either
+    capacity probe runs."""
+    import repro.service as service
+    from repro.cli import main_service
+
+    def no_soak(_cfg):
+        raise AssertionError("a refused config must not be probed or run")
+
+    monkeypatch.setattr(service, "run_soak", no_soak)
+    with pytest.raises(SystemExit) as exit_info:
+        main_service(["--quick", "--load", "0.5"])
+    assert exit_info.value.code == 2
+    assert "load_factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "repriority, plain", [(None, True), (RepriorityPolicy(), False)],
     ids=["service-only", "repriority"],
 )
