@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["cybershake_workflow"]
@@ -61,7 +59,11 @@ def cybershake_workflow(
     if name is None:
         name = f"cybershake-{ruptures}x{variations}"
     wf = Workflow(name)
-    rng = np.random.default_rng(seed) if jitter > 0 else None
+    rng = None
+    if jitter > 0:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
 
     def runtime_of(task_type: str) -> float:
         base = RUNTIME[task_type]

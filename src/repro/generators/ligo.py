@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["ligo_workflow"]
@@ -63,7 +61,11 @@ def ligo_workflow(
     if name is None:
         name = f"ligo-{blocks}x{group}"
     wf = Workflow(name)
-    rng = np.random.default_rng(seed) if jitter > 0 else None
+    rng = None
+    if jitter > 0:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
 
     def runtime_of(task_type: str) -> float:
         base = RUNTIME[task_type]

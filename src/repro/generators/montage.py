@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.workflow.dag import DataFile, Job, Workflow
 
 __all__ = [
@@ -168,7 +166,11 @@ def montage_workflow(
     if name is None:
         name = f"montage-{degree:g}deg"
     wf = Workflow(name)
-    rng = np.random.default_rng(seed) if jitter > 0 else None
+    rng = None
+    if jitter > 0:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
 
     def runtime_of(task_type: str) -> float:
         base = RUNTIME.get(task_type)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["random_layered_workflow"]
@@ -39,6 +37,8 @@ def random_layered_workflow(
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     if max_fan_in < 1:
         raise ValueError(f"max_fan_in must be >= 1, got {max_fan_in}")
+    import numpy as np
+
     n_levels = min(n_levels, n_jobs)
     rng = np.random.default_rng(seed)
     if name is None:

@@ -7,13 +7,15 @@ paper's background monitoring process (§IV.A).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.engines.base import EngineResult
 from repro.liveness import new_liveness_stats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NodeMetrics",
@@ -68,6 +70,8 @@ def node_metrics(
     if result.thread_logs:
         _t, threads = result.thread_logs[node_index].sample(end, dt)
     else:
+        import numpy as np
+
         threads = np.zeros_like(busy)
     return NodeMetrics(
         times=times,
@@ -88,10 +92,15 @@ def percentile(values, q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    ordered = sorted(values)
+    ordered = list(values)
+    # sort() does not order a list holding a NaN: refuse it by name.
+    for value in ordered:
+        if not math.isfinite(value):
+            raise ValueError(f"percentile of a non-finite value: {value!r}")
     if not ordered:
         return 0.0
-    rank = int(np.ceil(q * len(ordered)))
+    ordered.sort()
+    rank = math.ceil(q * len(ordered))
     return float(ordered[max(0, min(len(ordered) - 1, rank - 1))])
 
 

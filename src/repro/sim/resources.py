@@ -33,16 +33,18 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_right
 from collections import deque
 from math import inf
-from typing import Any, Deque, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.sim.engine import (
     _PENDING, _SUCCEEDED, Event, JoinEvent, SimulationError, Simulator,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SegmentLog",
@@ -98,26 +100,20 @@ class SegmentLog:
     def current(self) -> float:
         return self.values[-1]
 
-    def _integral_at(self, t):
-        """Integral of the step function from its start to ``t`` (a
-        scalar or an array of instants).
-
-        The prefix integral is one sequential ``cumsum`` over zero-copy
-        views of the two columns — the same left-to-right double
-        arithmetic as summing segment by segment.  The views are locals:
-        an ``array`` cannot grow while a buffer export is alive, so they
-        must not outlive the query.
-        """
-        times = np.frombuffer(self.times)
-        values = np.frombuffer(self.values)
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * values[:-1])))
-        idx = np.searchsorted(times, t, side="right") - 1
-        idx = np.clip(idx, 0, len(times) - 1)
-        return cum[idx] + np.clip(t - times[idx], 0.0, None) * values[idx]
-
     def integrate(self, t_end: float) -> float:
-        """Integral of the step function from its start to ``t_end``."""
-        return float(self._integral_at(t_end))
+        """Integral of the step function from its start to ``t_end``.
+
+        A left-to-right sum over the two columns, segment by segment —
+        the same double arithmetic as the sequential ``cumsum`` in
+        :meth:`sample`, so both give the same bits at a change point.
+        """
+        times = self.times
+        values = self.values
+        k = max(bisect_right(times, t_end) - 1, 0)
+        acc = 0.0
+        for i in range(k):
+            acc += (times[i + 1] - times[i]) * values[i]
+        return acc + max(t_end - times[k], 0.0) * values[k]
 
     def sample(
         self, t_end: float, dt: float, t_start: float = 0.0
@@ -125,15 +121,29 @@ class SegmentLog:
         """Time-weighted average of the step function per ``dt`` bucket.
 
         Mirrors the paper's 3-second mpstat/iostat sampling.  Returns
-        ``(bucket_start_times, bucket_means)``.
+        ``(bucket_start_times, bucket_means)``.  The only array-returning
+        query, so the only one that imports numpy.
+
+        The prefix integral at every bucket edge is one sequential
+        ``cumsum`` over zero-copy views of the two columns.  The views
+        are locals: an ``array`` cannot grow while a buffer export is
+        alive, so they must not outlive the query.
         """
+        import numpy as np
+
         if dt <= 0:
             raise ValueError("dt must be positive")
         if t_end <= t_start:
             return np.empty(0), np.empty(0)
         edges = np.arange(t_start, t_end, dt)
         edges = np.append(edges, t_end)  # final bucket may be partial
-        area = np.diff(self._integral_at(edges))
+        times = np.frombuffer(self.times)
+        values = np.frombuffer(self.values)
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * values[:-1])))
+        idx = np.searchsorted(times, edges, side="right") - 1
+        idx = np.clip(idx, 0, len(times) - 1)
+        integral = cum[idx] + np.clip(edges - times[idx], 0.0, None) * values[idx]
+        area = np.diff(integral)
         widths = np.diff(edges)
         with np.errstate(invalid="ignore", divide="ignore"):
             means = np.where(widths > 0, area / widths, 0.0)

@@ -10,8 +10,12 @@ harness (byte-identical per seed, zero gold sheds at 2x capacity).
 
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dewe.state import WorkflowState
 from repro.generators import montage_workflow
@@ -308,6 +312,27 @@ def test_percentile_is_nearest_rank():
     assert percentile([], 0.5) == 0.0
     with pytest.raises(ValueError):
         percentile(values, 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_percentile_refuses_a_non_finite_value(bad):
+    # sorted([3.0, nan, 1.0]) is [3.0, nan, 1.0]: the rank would be wrong.
+    with pytest.raises(ValueError, match=repr(bad)):
+        percentile([3.0, bad, 1.0], 0.5)
+
+
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+    q=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_percentile_matches_the_numpy_ceil_rank(values, q):
+    ordered = sorted(values)
+    n = len(ordered)
+    expected = (
+        float(ordered[max(0, min(n - 1, int(np.ceil(q * n)) - 1))]) if n else 0.0
+    )
+    assert percentile(values, q) == expected
 
 
 # -- the soak harness --------------------------------------------------------

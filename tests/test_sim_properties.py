@@ -764,3 +764,43 @@ def test_segment_log_matches_naive_model(points, v0, dt):
     # Recording continues after a query (no buffer export left behind).
     log.record(t_end, 3.0)
     assert log.current == 3.0
+
+
+def _numpy_integral(log, t):
+    """``integrate`` as it was written over numpy: one sequential
+    ``cumsum`` of the segment areas, looked up by ``searchsorted``."""
+    times = np.frombuffer(log.times)
+    values = np.frombuffer(log.values)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * values[:-1])))
+    idx = np.searchsorted(times, t, side="right") - 1
+    idx = np.clip(idx, 0, len(times) - 1)
+    return float(cum[idx] + np.clip(t - times[idx], 0.0, None) * values[idx])
+
+
+@given(
+    t0=st.floats(min_value=0.0, max_value=1e4),
+    v0=st.floats(min_value=0.0, max_value=64.0),
+    points=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)),
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 32.0]),
+                st.floats(min_value=0.0, max_value=4.0e8),
+            ),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_segment_log_integrate_is_bitwise_the_numpy_formula(t0, v0, points):
+    """The pure-Python sum gives the same bits as the numpy formula: the
+    pinned ``sim_node_load_cv`` reprs depend on it."""
+    log = SegmentLog(t0, v0)
+    t = t0
+    for gap, value in points:
+        t += gap
+        log.record(t, value)
+    times = list(log.times)
+    mids = [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+    for at in [t0 - 1.0, *times, *mids, times[-1] + 0.5, times[-1] * 2.0 + 7.0]:
+        assert log.integrate(at) == _numpy_integral(log, at)
