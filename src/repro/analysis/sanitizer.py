@@ -405,25 +405,6 @@ class Sanitizer:
                 time=time,
             )
 
-    def check_replay(self, seq: int, expected: str, got: str) -> None:
-        """Journal replay must reproduce the journaled prefix
-        byte-for-byte; a mismatch means the resume diverged from the
-        crashed run."""
-        self._report(
-            "journal-replay",
-            f"replayed record {seq} diverged: expected {expected!r}, "
-            f"got {got!r}",
-        )
-
-    def check_replay_digest(self, seq: int, expected: str, got: str) -> None:
-        """At a checkpoint offset the replayed master state must digest
-        to the checkpointed value."""
-        self._report(
-            "checkpoint-digest",
-            f"checkpoint at seq {seq}: state digest {got} != journaled "
-            f"{expected}",
-        )
-
     def check_regeneration(self, owner: str, name: str,
                            expected: str, got: str,
                            time: Optional[float] = None) -> None:

@@ -225,9 +225,9 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace", action="store_true",
                         help="print the full fault trace after the summary")
     parser.add_argument("--crash-at", type=int, default=None, metavar="N",
-                        help="crash the master after N journal records and "
-                             "resume by validated replay (overrides the "
-                             "scenario's crash_after)")
+                        help="crash the master after N journal records; it "
+                             "restarts from its last checkpoint (overrides "
+                             "the scenario's crash_after)")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="write the certified run's write-ahead journal "
                              "as JSONL (requires a crashing scenario or "

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.cloud.cluster import ClusterSpec, SimCluster
 from repro.cloud.node import SimNode
 from repro.cloud.pricing import BillingModel
-from repro.recovery.journal import MasterCrash
 from repro.sim import Process, SegmentLog, Simulator
 from repro.storage.base import SharedFileSystem
 from repro.workflow.dag import Job
@@ -274,8 +273,7 @@ def _read_with_miss(node, fs, job, miss: float):
 
 def _reraise(proc: Process) -> None:
     # Exit callback of a process nothing waits on (``PullRun.spawn``).
-    # A MasterCrash is already reported through ``crash_event``.
-    if not proc.ok and not isinstance(proc.value, MasterCrash):
+    if not proc.ok:
         raise proc.value
 
 

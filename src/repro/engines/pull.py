@@ -64,8 +64,8 @@ from repro.liveness import (
 from repro.mq.chaosbroker import ChaosSimBroker, MessageChaos
 from repro.mq.priority import RepriorityPolicy
 from repro.mq.simbroker import SimBroker
-from repro.recovery.journal import Journal, MasterCrash
-from repro.sim import AnyOf, Interrupt, Process
+from repro.recovery.journal import Journal
+from repro.sim import Interrupt, Process
 from repro.storage.integrity import FileIntegrity
 from repro.workflow.ensemble import Ensemble
 
@@ -77,6 +77,9 @@ _HEARTBEAT = "worker-heartbeat"
 #: Partition modes that cut the master->worker and worker->master path.
 _DOWN_CUT = ("full", "from-master")
 _UP_CUT = ("full", "to-master")
+#: Seconds from a journal crash to the restarted master's takeover: the
+#: default ``detection`` of :class:`~repro.liveness.MasterFailoverModel`.
+_RESTART_DELAY = 1.0
 
 
 class PullEngine(EngineBase):
@@ -119,9 +122,10 @@ class PullEngine(EngineBase):
 
         ``journal`` is a write-ahead
         :class:`~repro.recovery.journal.Journal` recording every master
-        state transition (and, with ``crash_after`` set, injecting a
-        master crash; :func:`repro.recovery.crash.resume_until_complete`
-        resumes it).
+        state transition.  With ``crash_after`` set it also injects a
+        master crash, which the run recovers from in place: the master
+        restarts one second later and restores from the last checkpoint,
+        as a standby takeover does.
 
         ``integrity_models`` are data-plane fault injectors
         (:class:`~repro.faults.models.FileCorruptionModel`,
@@ -310,7 +314,6 @@ class PullRun:
 
         # -- write-ahead journal ----------------------------------------------
         self.journal = engine.journal
-        self.crash_event = sim.event()
         #: The current master incarnation's journal fencing epoch.
         self.epoch = 0
         if self.journal is not None:
@@ -358,9 +361,9 @@ class PullRun:
              attempt: int = 0, detail: str = "") -> None:
         """Append one record under the current incarnation's epoch."""
         journal = self.journal
-        # Stale writers (a finished or crashed run's generators,
-        # finalized by GC after a resume took over) must not touch the
-        # log: execute() revokes ownership when the run ends.
+        # Stale writers (a finished run's generators, finalized by GC
+        # at some later point) must not touch the log: execute()
+        # revokes ownership when the run ends.
         if journal is None or journal.owner is not self:
             return
         journal.append(
@@ -369,8 +372,12 @@ class PullRun:
         )
 
     def _on_crash(self) -> None:
-        if not self.crash_event.triggered:
-            self.crash_event.succeed()
+        """The journal refused a write: the master process died.  A
+        failover with no standby — the master restarts on its node one
+        restart delay later and restores from the checkpoint."""
+        self.report_liveness = True
+        self.primary_die()
+        self.sim.schedule_call(_RESTART_DELAY, self.standby_takeover)
 
     def spawn(self, generator) -> Process:
         """Start a process this run owns.  The kernel drops an exception
@@ -955,30 +962,15 @@ class PullRun:
             if i not in self.initially_down:
                 self.start_worker(i)
 
-        until = (
-            self.done if journal is None
-            else AnyOf(sim, [self.done, self.crash_event])
-        )
         try:
-            sim.run_until(until)
-        except MasterCrash:
-            # Raised out of a scheduled callback (e.g. a backoff
-            # redispatch) after the journal's crash budget was hit; the
-            # crash_event path below reports it uniformly.
-            pass
+            sim.run_until(self.done)
         finally:
             # The run is over: revoke write access so this run's worker
             # generators — finalized by GC at some arbitrary later point
-            # — cannot append trailing records to a journal that a
-            # resumed run (or nobody) now owns.
+            # — cannot append trailing records to a journal that another
+            # run (or nobody) now owns.
             if journal is not None:
                 journal.owner = None
-        if journal is not None and journal.crashed:
-            raise MasterCrash(
-                f"master crashed at t={sim.now:.6f} after {journal.seq} "
-                f"journal records; resume via "
-                f"repro.recovery.crash.resume_until_complete"
-            )
         if self.engine.config.drain_caches:
             sim.run_until(self.cluster.fs.drained())
         return self._result()

@@ -6,9 +6,10 @@ cluster, a :class:`~repro.faults.retry.RetryPolicy`, the liveness,
 admission and priority policies, and the fault models — the spot,
 straggler and partition samplers of :mod:`repro.faults.models`,
 transient/poison job failures, broker message chaos, file corruption
-and loss, a master failover.  :func:`run_chaos` runs the scenario twice
-— once fault-free for the baseline, once under chaos — and checks that
-the recovery machinery actually recovered:
+and loss, a master failover or crash.  :func:`run_chaos` runs the
+scenario fault-free for the baseline, then under chaos (and, with
+``crash_after``, once more with the master crashing and restoring), and
+checks that the recovery machinery actually recovered:
 
 * **completion** — every job either completed exactly once or was
   dead-lettered (with its unreachable descendants); nothing is stranded
@@ -59,7 +60,6 @@ from repro.liveness import (
 )
 from repro.mq.chaosbroker import MessageChaos
 from repro.mq.priority import RepriorityPolicy
-from repro.recovery.crash import resume_until_complete
 from repro.recovery.journal import Journal
 from repro.service.arrivals import OnOffArrivals, PoissonArrivals
 from repro.service.workload import TenantSpec, build_workload
@@ -142,9 +142,9 @@ class ChaosScenario:
     #: The service policy's embedded backlog gate (jobs).
     service_max_pending: int = 24
     # -- master crash (repro.recovery) ------------------------------------
-    #: Crash the master after this many journal records, then resume via
-    #: validated replay and require the result to be byte-identical to
-    #: the uninterrupted run.  ``None`` = no crash.
+    #: Crash the master after this many journal records; it restarts one
+    #: second later from the last checkpoint, and that run is held to
+    #: the same invariants as the chaos run.  ``None`` = no crash.
     crash_after: Optional[int] = None
     #: Journal compaction cadence (records per checkpoint; 0 = never).
     checkpoint_every: int = 25
@@ -161,9 +161,14 @@ class ChaosScenario:
     def __post_init__(self) -> None:
         if self.crash_after is not None and self.crash_after < 0:
             raise ValueError(f"crash_after must be >= 0, got {self.crash_after}")
+        if self.checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
+            )
         if self.crash_after is not None and self.failover is not None:
-            # The standby IS the crash recovery; replaying the same run with
-            # a second, journal-offset crash would fence the fence.
+            # The crash is already a failover with no standby; a scripted
+            # failover in the same run could overlap two takeovers on
+            # one journal.
             raise ValueError("crash_after and failover are mutually exclusive")
         if (
             self.messages is not None
@@ -423,37 +428,13 @@ def _check_invariants(
     return problems
 
 
-def _compare_crash_resume(uninterrupted, resumed) -> List[str]:
-    """Field-by-field equality between the uninterrupted run and the
-    crash/resume run — validated replay promises *byte-identical*
-    recovery, so any divergence is an invariant violation."""
-    checks = [
-        ("makespan", uninterrupted.makespan, resumed.makespan),
-        ("workflow_spans", uninterrupted.workflow_spans, resumed.workflow_spans),
-        ("jobs_executed", uninterrupted.jobs_executed, resumed.jobs_executed),
-        ("resubmissions", uninterrupted.resubmissions, resumed.resubmissions),
-        ("dead_letters", uninterrupted.dead_letters, resumed.dead_letters),
-        ("job_counts", uninterrupted.job_counts, resumed.job_counts),
-        ("mq_chaos_stats", uninterrupted.mq_chaos_stats, resumed.mq_chaos_stats),
-        ("data_recoveries", uninterrupted.data_recoveries, resumed.data_recoveries),
-        ("integrity_stats", uninterrupted.integrity_stats, resumed.integrity_stats),
-        ("elastic_cost", uninterrupted.elastic_cost(), resumed.elastic_cost()),
-        (
-            "fault_trace",
-            [e.line() for e in uninterrupted.fault_events],
-            [e.line() for e in resumed.fault_events],
-        ),
-        (
-            "journal",
-            uninterrupted.journal.text() if uninterrupted.journal else "",
-            resumed.journal.text() if resumed.journal else "",
-        ),
-    ]
-    return [
-        f"crash/resume divergence in {name}: {a!r} != {b!r}"
-        for name, a, b in checks
-        if a != b
-    ]
+def resume_until_complete(scenario: ChaosScenario, seed: int, horizon: float):
+    """The crash run: ``scenario`` under chaos with its master crashing
+    after ``crash_after`` journal records and restoring in place.
+    Returns the result and the crash journal."""
+    journal = Journal(scenario.checkpoint_every, scenario.crash_after)
+    engine = scenario.build_engine(seed, horizon, journal=journal)
+    return engine.run(scenario.ensemble()), journal
 
 
 def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosReport:
@@ -463,10 +444,10 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     fire; lease conservation is checked by the engine at run end.
 
     When the scenario sets ``crash_after``, the chaos run is journaled
-    and then repeated with a master crash injected at that journal
-    offset; the resumed run must reproduce the uninterrupted result
-    byte for byte (the validated-replay contract of
-    :mod:`repro.recovery.journal`).
+    and then run a third time with the master crashing at that journal
+    offset and restoring from its checkpoint.  That run is held to the
+    same invariants; the report's trace, makespan and journal stay those
+    of the uninterrupted run.
     """
     seed = scenario.seed if seed is None else seed
     baseline = PullEngine(scenario.spec(), config=scenario.run_config()).run(
@@ -486,22 +467,17 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     problems = _check_invariants(scenario, result, baseline.makespan)
     crashes = 0
     if scenario.crash_after is not None:
-        crash_journal = Journal(
-            checkpoint_every=scenario.checkpoint_every,
-            crash_after=scenario.crash_after,
-        )
-        resumed = resume_until_complete(
-            lambda j: scenario.build_engine(seed, horizon, journal=j),
-            scenario.ensemble,
-            crash_journal,
-        )
-        crashes = crash_journal.resumes
-        if crashes == 0:
+        restored, crash_journal = resume_until_complete(scenario, seed, horizon)
+        crashes = crash_journal.crashes
+        if not crashes:
             problems.append(
                 f"crash_after={scenario.crash_after} never fired "
                 f"(journal only has {len(crash_journal)} record(s))"
             )
-        problems.extend(_compare_crash_resume(result, resumed))
+        problems.extend(
+            f"crash/restore: {problem}"
+            for problem in _check_invariants(scenario, restored, baseline.makespan)
+        )
     return ChaosReport(
         scenario=scenario.name,
         seed=seed,
@@ -602,9 +578,8 @@ SCENARIOS: Dict[str, ChaosScenario] = {
         ChaosScenario(
             name="master-crash",
             description="Kill the journaled master mid-run (transient "
-            "failures and duplicate acks in flight), resume by validated "
-            "replay; the recovered run must be byte-identical to the "
-            "uninterrupted one.",
+            "failures and duplicate acks in flight); it restarts from its "
+            "last checkpoint and every job must still settle exactly once.",
             n_nodes=2,
             n_workflows=2,
             transient=TransientFaultModel(p_fail=0.05),

@@ -1,14 +1,14 @@
 """Warm-standby master failover schedule.
 
-PR 3 made a crashed master resumable *offline*: re-run from the journal
-and the result is byte-identical.  This model makes the same machinery
-work *online*: a warm standby tails the write-ahead journal, notices the
-primary's heartbeat lapse ``detection`` seconds after it dies at ``at``,
-fences the journal epoch (the PR-3 owner-token guard extended into
+A warm standby tails the write-ahead journal, notices the primary's
+heartbeat lapse ``detection`` seconds after it dies at ``at``, fences
+the journal epoch (the journal's owner-token guard extended into
 monotonic fencing tokens — see :meth:`repro.recovery.journal.Journal.fence`)
 and takes over mid-run from the last durable checkpoint.  A revived old
 primary cannot split-brain: its journal appends carry a stale epoch and
-are refused.
+are refused.  A journal crash (``Journal(crash_after=N)``) recovers
+through the same takeover, with the master restarting in place of a
+standby.
 """
 
 from __future__ import annotations

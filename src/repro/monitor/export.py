@@ -74,8 +74,8 @@ def to_chrome_trace(result: EngineResult, path: Optional[_PathLike] = None) -> d
         }
         events.append(event)
     # Journaled runs: mark every compaction checkpoint as a global
-    # instant event, so crash/resume points can be located on the
-    # timeline next to the faults they interact with.
+    # instant event, so the points a restart restores from can be
+    # located on the timeline next to the faults they interact with.
     journal = getattr(result, "journal", None)
     if journal is not None:
         for seq, time in journal.checkpoint_history:
@@ -99,7 +99,7 @@ def to_chrome_trace(result: EngineResult, path: Optional[_PathLike] = None) -> d
         other["journal"] = {
             "records": len(journal),
             "checkpoints": len(journal.checkpoint_history),
-            "resumes": journal.resumes,
+            "crashes": journal.crashes,
         }
     if result.integrity_stats:
         other["integrity"] = dict(result.integrity_stats)

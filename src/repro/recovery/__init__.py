@@ -1,19 +1,16 @@
-"""Crash-consistent master: write-ahead journal, checkpoint/resume.
+"""Crash-consistent master: write-ahead journal, checkpoint/restore.
 
 See :mod:`repro.recovery.journal` for the recovery model and
-``docs/FAULTS.md`` ("Master and data-plane recovery") for the prose
+``docs/FAULTS.md`` ("Master recovery is a restore") for the prose
 version.
 """
 
 from repro.recovery.checkpoint import MasterCheckpoint, MasterCrashModel
-from repro.recovery.crash import resume_until_complete
 from repro.recovery.journal import (
     Checkpoint,
     Journal,
     JournalError,
     JournalRecord,
-    MasterCrash,
-    ReplayDivergence,
     state_digest,
 )
 
@@ -23,9 +20,6 @@ __all__ = [
     "JournalError",
     "JournalRecord",
     "MasterCheckpoint",
-    "MasterCrash",
     "MasterCrashModel",
-    "ReplayDivergence",
-    "resume_until_complete",
     "state_digest",
 ]

@@ -1,11 +1,10 @@
 """Checkpoint/restore and crash injection for the threaded master.
 
-The DES engines recover by deterministic replay
-(:mod:`repro.recovery.journal`); the real threaded
-:class:`~repro.dewe.master.MasterDaemon` cannot replay wall-clock time,
-so it recovers the way production schedulers do: restore the last
-periodic :class:`MasterCheckpoint` and re-dispatch whatever was in
-flight, leaning on the at-least-once idempotency of
+The threaded :class:`~repro.dewe.master.MasterDaemon` recovers the way
+the DES master does (:mod:`repro.recovery.journal`) and production
+schedulers do: restore the last periodic :class:`MasterCheckpoint`
+through :meth:`~repro.dewe.core.MasterCore.restore` and re-dispatch
+whatever was in flight, leaning on the at-least-once idempotency of
 :class:`~repro.dewe.state.WorkflowState` to absorb acks from pre-crash
 workers.  Completed jobs stay completed — a 1.7M-job ensemble resumes
 from where it was, not from scratch.

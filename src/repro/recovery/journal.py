@@ -11,36 +11,30 @@ compact the log so it never grows with ensemble size.
 Recovery model
 --------------
 
-The simulation engines are deterministic state machines: given the same
-ensemble, cluster and fault seeds, every transition happens at the same
-simulated time in the same order.  Resume is therefore *validated
-replay*: a crashed run's journal is re-armed with :meth:`Journal.resume`
-and the engine re-runs from t=0; every record the resumed run appends
-inside the journaled prefix is compared byte-for-byte against the stored
-record (and the master-state digest is compared at the checkpoint), so
-any divergence — nondeterminism, a corrupted journal, a schema drift —
-is caught immediately (sanitizer check ``journal-replay``).  Past the
-stored prefix the journal switches to live mode and the run continues to
-completion.  The guarantee certified by the chaos harness: a run crashed
-at *any* journal offset and resumed produces an
-:class:`~repro.engines.base.EngineResult` byte-identical to the
-uninterrupted run.
-
-The threaded master (:mod:`repro.dewe.master`) cannot replay wall-clock
-time; it uses the snapshot half of this machinery instead
-(:mod:`repro.recovery.checkpoint`): restore from the last periodic
-checkpoint and re-dispatch in-flight jobs, relying on the at-least-once
-idempotency of :class:`~repro.dewe.state.WorkflowState`.
+A master that comes back restores; it does not re-live the run.  The
+daemons share nothing but the queue (paper §III), so a new master
+incarnation rebuilds :class:`~repro.dewe.core.MasterCore` from the last
+checkpoint through :meth:`~repro.dewe.core.MasterCore.restore`: settled
+jobs stay settled, every job in flight is requeued under a fresh attempt
+number, and the at-least-once idempotency of
+:class:`~repro.dewe.state.WorkflowState` absorbs acks from the old
+incarnation's deliveries.  The DES warm standby
+(:meth:`~repro.engines.pull.PullRun.standby_takeover`), the DES master
+crash (the same takeover with no standby, one restart delay after the
+crash) and the threaded restart
+(:meth:`~repro.dewe.master.MasterDaemon.from_checkpoint`) are that one
+path.
 
 Crash injection
 ---------------
 
 ``Journal(crash_after=N)`` models the master process dying with exactly
 ``N`` records durably on disk: the append that would write record
-``N + 1`` raises :class:`MasterCrash` instead, and every later append
-fails too (a dead master writes nothing).  Engines surface the crash by
-aborting the run with the same exception; callers resume via
-:func:`resume_until_complete` in :mod:`repro.recovery.crash`.
+``N + 1`` is refused instead (it returns ``None``), ``crashed`` is set
+and ``on_crash`` fires, once.  Every append while ``crashed`` is set is
+refused the same way (a dead master writes nothing), and each refusal is
+counted in ``fenced_appends``.  The incarnation that takes over calls
+:meth:`Journal.fence`, which clears ``crashed``.
 """
 
 from __future__ import annotations
@@ -51,32 +45,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-import repro.analysis.sanitizer as _sanitizer
-
 __all__ = [
     "JournalRecord",
     "Checkpoint",
     "Journal",
     "JournalError",
-    "MasterCrash",
-    "ReplayDivergence",
     "state_digest",
 ]
 
 
 class JournalError(RuntimeError):
-    """Malformed journal operation (append after crash, bad resume...)."""
-
-
-class MasterCrash(RuntimeError):
-    """The (injected) master crash: raised by the append that would have
-    exceeded the journal's ``crash_after`` budget, and by every append
-    after it — a dead master writes nothing."""
-
-
-class ReplayDivergence(JournalError):
-    """A resumed run appended a record that differs from the journaled
-    one at the same offset — the determinism contract is broken."""
+    """Malformed journal operation (checkpoint without a snapshot provider)."""
 
 
 @dataclass(frozen=True)
@@ -89,11 +68,11 @@ class JournalRecord:
     ``lease-expiry``, ``billing-spot``, and — in multi-tenant service
     runs — ``service-shed``, whose ``workflow`` names the shed
     submission and whose ``detail`` carries its tenant/SLA/reason and
-    retry-after hint, so a replayed post-mortem can reconstruct who
-    lost what, why, and what backoff the client was told);
+    retry-after hint, so a post-mortem can reconstruct who lost what,
+    why, and what backoff the client was told);
     ``time`` is the master's clock (simulated seconds in the DES).
-    :meth:`line` is the canonical byte representation used by the
-    replay comparison.
+    :meth:`line` is the canonical byte representation the golden digests
+    hash.
     """
 
     seq: int
@@ -137,9 +116,8 @@ class Checkpoint:
     """A compaction point: the master state at journal offset ``seq``.
 
     Records with ``seq' <= seq`` are dropped from the journal once the
-    checkpoint is durable; resume restores from ``snapshots`` (or, in
-    the deterministic replay path, merely *validates* ``digest`` when
-    the resumed run reaches the same offset).
+    checkpoint is durable; a new master incarnation restores from
+    ``snapshots``.
     """
 
     seq: int
@@ -166,8 +144,8 @@ class Journal:
         0 disables checkpointing.  Requires a ``snapshot_provider``.
     crash_after:
         Fault injection: the append that would create record
-        ``crash_after + 1`` raises :class:`MasterCrash` instead.
-        ``None`` disables crashing.
+        ``crash_after + 1`` is refused and the master is down until the
+        next :meth:`fence`.  It fires once.  ``None`` disables crashing.
     """
 
     def __init__(
@@ -190,19 +168,22 @@ class Journal:
         #: ``(seq, time)`` of every checkpoint ever taken, for exports.
         self.checkpoint_history: List[Tuple[int, float]] = []
         self.seq = 0
+        #: The master is down: set by the injected crash, cleared by
+        #: :meth:`fence`.
         self.crashed = False
-        #: How many times this journal has been resumed after a crash.
-        self.resumes = 0
-        #: Callable returning the master-state snapshot for checkpoints
-        #: and replay digest validation; installed by the engine.
+        #: Injected crashes that fired (0 or 1).
+        self.crashes = 0
+        #: Callable returning the master-state snapshot for checkpoints;
+        #: installed by the engine.
         self.snapshot_provider: Optional[Callable[[], Dict[str, Any]]] = None
-        #: Called once when the crash budget is hit (before the raise);
-        #: engines use it to schedule their own orderly abort.
+        #: Called once when the crash fires; the engine schedules the
+        #: restart from it.
         self.on_crash: Optional[Callable[[], None]] = None
         #: Token of the run currently writing to this journal.  Engines
         #: set a fresh token per run and check it before appending, so a
-        #: crashed run's abandoned coroutines (finalized by GC at an
-        #: arbitrary later point) cannot pollute the resumed run's log.
+        #: finished run's abandoned coroutines (finalized by GC at an
+        #: arbitrary later point) cannot append to a journal another run
+        #: now owns.
         self.owner: Optional[object] = None
         #: Fencing epoch: the owner-token guard extended across master
         #: *incarnations within one run*.  A standby taking over bumps
@@ -211,17 +192,8 @@ class Journal:
         #: nowhere), counted in ``fenced_appends``.
         self.epoch = 0
         self.fenced_appends = 0
-        # -- replay state (armed by resume()) -----------------------------
-        self._expected: List[JournalRecord] = []
-        self._expected_checkpoint: Optional[Checkpoint] = None
-        self._replay_end = 0
 
     # -- inspection --------------------------------------------------------
-    @property
-    def replaying(self) -> bool:
-        """True while a resumed run is still inside the journaled prefix."""
-        return self.seq < self._replay_end
-
     @property
     def n_records(self) -> int:
         """Records currently held (the tail since the last checkpoint)."""
@@ -246,53 +218,44 @@ class Journal:
     ) -> Optional[JournalRecord]:
         """Durably record one transition; write-ahead of its side effects.
 
-        ``epoch`` is the writer's fencing epoch: when given and older
-        than the journal's current epoch the append is refused (returns
-        ``None``) — this is what prevents a revived old primary from
-        split-braining the log after a standby took over.
+        Returns ``None`` when the append is refused: ``epoch`` is given
+        and older than the journal's current epoch (a revived old
+        primary cannot split-brain the log after a standby took over),
+        or the master is down.
         """
-        if epoch is not None and epoch != self.epoch:
+        if (epoch is not None and epoch != self.epoch) or self.crashed:
             self.fenced_appends += 1
             return None
-        if self.crashed:
-            raise MasterCrash(
-                f"master is down (crashed after {self.seq} journal records)"
-            )
-        if (
-            self.crash_after is not None
-            and self.seq >= self.crash_after
-            and not self.replaying
-        ):
+        if self.seq == self.crash_after and not self.crashes:
             self.crashed = True
+            self.crashes = 1
+            self.fenced_appends += 1
             if self.on_crash is not None:
                 self.on_crash()
-            raise MasterCrash(
-                f"injected master crash at journal offset {self.seq}"
-            )
+            return None
         self.seq += 1
         record = JournalRecord(
             self.seq, time, kind, workflow, job_id, attempt, detail
         )
-        if self.seq <= self._replay_end:
-            self._validate_replay(record)
-        else:
-            self.records.append(record)
-            if (
-                self.checkpoint_every
-                and self.snapshot_provider is not None
-                and self.seq % self.checkpoint_every == 0
-            ):
-                self.take_checkpoint(time)
+        self.records.append(record)
+        if (
+            self.checkpoint_every
+            and self.snapshot_provider is not None
+            and self.seq % self.checkpoint_every == 0
+        ):
+            self.take_checkpoint(time)
         return record
 
     def fence(self) -> int:
-        """Advance the fencing epoch (standby takeover).
+        """Advance the fencing epoch (standby takeover or restart).
 
         Every writer still holding the previous epoch — the possibly
         -only-partitioned old primary — is fenced: its subsequent
-        appends are refused.  Returns the new epoch, the takeover's
-        monotonic fencing token.
+        appends are refused.  The new incarnation is up, so ``crashed``
+        clears.  Returns the new epoch, the takeover's monotonic fencing
+        token.
         """
+        self.crashed = False
         self.epoch += 1
         return self.epoch
 
@@ -311,76 +274,6 @@ class Journal:
         self.checkpoint_history.append((self.seq, time))
         self.records.clear()
         return checkpoint
-
-    # -- crash / resume ----------------------------------------------------
-    def resume(self) -> "Journal":
-        """Re-arm a crashed journal for a validated-replay resume.
-
-        The surviving records (checkpoint + tail) become the *expected*
-        prefix; the journal resets to empty and the next run's appends
-        are validated against the prefix record-by-record, switching to
-        live appends once past it.  Returns ``self``.
-        """
-        if not self.crashed:
-            raise JournalError("resume() on a journal that did not crash")
-        self._expected = list(self.records)
-        self._expected_checkpoint = self.checkpoint
-        self._replay_end = self.seq
-        self.records = []
-        self.checkpoint = None
-        self.checkpoint_history = []
-        self.seq = 0
-        self.crashed = False
-        self.crash_after = None
-        self.epoch = 0  # a fresh run re-fences from scratch (replay determinism)
-        self.resumes += 1
-        return self
-
-    def _validate_replay(self, record: JournalRecord) -> None:
-        """Compare a replayed record with the journaled one at its offset."""
-        checkpoint = self._expected_checkpoint
-        if checkpoint is not None and record.seq <= checkpoint.seq:
-            # Compacted region: no record survives to compare against.
-            self.records.append(record)
-            if record.seq == checkpoint.seq:
-                self._validate_checkpoint(checkpoint)
-            return
-        base = checkpoint.seq if checkpoint is not None else 0
-        expected = self._expected[record.seq - base - 1]
-        if expected.line() != record.line():
-            san = _sanitizer._ACTIVE
-            if san is not None:
-                san.check_replay(record.seq, expected.line(), record.line())
-            raise ReplayDivergence(
-                f"journal replay diverged at seq {record.seq}: "
-                f"expected {expected.line()!r}, got {record.line()!r}"
-            )
-        self.records.append(record)
-        if record.seq == self._replay_end:
-            # Prefix fully replayed: restore any live checkpoints taken
-            # beyond this point to the normal cadence.
-            self._expected = []
-
-    def _validate_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """At the compaction offset, the replayed master state must match
-        the checkpointed one bit-for-bit (state digest)."""
-        if self.snapshot_provider is not None:
-            digest = state_digest(self.snapshot_provider())
-            if digest != checkpoint.digest:
-                san = _sanitizer._ACTIVE
-                if san is not None:
-                    san.check_replay_digest(
-                        checkpoint.seq, checkpoint.digest, digest
-                    )
-                raise ReplayDivergence(
-                    f"checkpoint digest mismatch at seq {checkpoint.seq}: "
-                    f"expected {checkpoint.digest}, got {digest}"
-                )
-        # Emulate the original compaction so the rebuilt journal ends in
-        # the same (checkpoint + tail) shape as the uninterrupted one.
-        self.checkpoint = checkpoint
-        self.checkpoint_history.append((checkpoint.seq, checkpoint.time))
-        self.records.clear()
 
     # -- persistence -------------------------------------------------------
     def to_jsonl(self, path: Union[str, Path]) -> None:

@@ -299,6 +299,7 @@ def test_get_scenario_unknown_name():
     "changes,match",
     [
         ({"crash_after": -1}, "crash_after must be >= 0"),
+        ({"checkpoint_every": -1}, "checkpoint_every must be >= 0"),
         (
             {"crash_after": 10, "failover": MasterFailoverModel(5.0)},
             "mutually exclusive",
@@ -310,7 +311,8 @@ def test_get_scenario_unknown_name():
         ({"service_horizon": 5.0}, "tenants"),
     ],
     ids=[
-        "negative-crash", "crash-with-failover", "drop-without-redispatch",
+        "negative-crash", "negative-checkpoint", "crash-with-failover",
+        "drop-without-redispatch",
         "transient-seed", "messages-seed", "file-fault-seed",
         "horizon-without-tenants",
     ],
@@ -318,6 +320,19 @@ def test_get_scenario_unknown_name():
 def test_scenario_refuses_a_contradictory_or_ignored_field(changes, match):
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(get_scenario("smoke"), **changes)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, s in SCENARIOS.items() if s.failover is None)
+)
+def test_a_master_crash_composes_with_every_scenario_without_a_failover(name):
+    """The crash run is judged like any chaos run, so a crash can be
+    dropped into every scenario whose master is not already failed
+    over: spot kills, poison jobs, lossy brokers, data loss, partitions
+    under leases and the open-loop service ladder all still settle."""
+    report = run_chaos(dataclasses.replace(SCENARIOS[name], crash_after=30), seed=0)
+    assert report.ok, report.summary()
+    assert report.crashes == 1
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,23 @@
-"""Crash consistency: write-ahead journal, validated replay, and the
-threaded master's checkpoint/restore.
+"""Crash consistency: write-ahead journal, restore from a checkpoint, and
+the threaded master's checkpoint/restore.
 
-The core guarantee under test (docs/FAULTS.md): a journaled run killed
-at *any* journal offset and resumed produces an ``EngineResult``
-byte-identical to the uninterrupted run.
+The core guarantee under test (docs/FAULTS.md, "Master recovery is a
+restore"): a master that crashes at *any* journal offset comes back
+through ``MasterCore.restore`` — settled jobs stay settled, jobs in
+flight are requeued under a fresh attempt — and every job of the run
+still settles exactly once.
 """
 
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.analysis.sanitizer as sanitizer
 from repro.cloud import ClusterSpec
 from repro.dewe import DeweConfig, MasterDaemon, WorkerDaemon, submit_workflow
+from repro.dewe.core import MasterCore
 from repro.engines.base import RunConfig
 from repro.engines.pull import PullEngine
 from repro.faults.models import TransientFaultModel
@@ -23,10 +27,7 @@ from repro.mq import Broker
 from repro.recovery import (
     Journal,
     JournalError,
-    MasterCrash,
     MasterCrashModel,
-    ReplayDivergence,
-    resume_until_complete,
     state_digest,
 )
 from repro.workflow import Ensemble, Workflow
@@ -70,66 +71,18 @@ def test_crash_after_fires_once_and_sticks():
     journal.on_crash = lambda: fired.append(True)
     journal.append(0.0, "submit", "wf")
     journal.append(0.1, "dispatch", "wf", "a", 1)
-    with pytest.raises(MasterCrash):
-        journal.append(0.2, "dispatch", "wf", "b", 1)
-    # The crashing append is NOT recorded (write-ahead died first) and
-    # a dead master writes nothing afterwards.
-    assert journal.seq == 2
+    # The crashing append is refused, not recorded (the write-ahead died
+    # first), and a dead master writes nothing afterwards.
+    assert journal.append(0.2, "dispatch", "wf", "b", 1) is None
+    assert journal.append(0.3, "ack-running", "wf", "a", 1) is None
+    assert (journal.seq, journal.fenced_appends) == (2, 2)
     assert journal.crashed and fired == [True]
-    with pytest.raises(MasterCrash):
-        journal.append(0.3, "ack-running", "wf", "a", 1)
-
-
-def test_resume_requires_a_crash():
-    with pytest.raises(JournalError, match="did not crash"):
-        Journal().resume()
-
-
-def test_validated_replay_accepts_identical_records():
-    journal = Journal(crash_after=2)
-    journal.append(0.0, "submit", "wf")
-    journal.append(0.1, "dispatch", "wf", "a", 1)
-    with pytest.raises(MasterCrash):
-        journal.append(0.2, "dispatch", "wf", "b", 1)
-    journal.resume()
-    assert journal.resumes == 1 and journal.crash_after is None
-    # Replay the identical prefix, then go live.
-    journal.append(0.0, "submit", "wf")
-    assert journal.replaying
-    journal.append(0.1, "dispatch", "wf", "a", 1)
-    assert not journal.replaying
-    journal.append(0.2, "dispatch", "wf", "b", 1)
-    assert journal.seq == 3
-
-
-def test_validated_replay_rejects_divergence():
-    journal = Journal(crash_after=1)
-    journal.append(0.0, "submit", "wf")
-    with pytest.raises(MasterCrash):
-        journal.append(0.1, "dispatch", "wf", "a", 1)
-    journal.resume()
-    with sanitizer.enabled(strict=False) as san:
-        with pytest.raises(ReplayDivergence, match="seq 1"):
-            journal.append(0.5, "submit", "wf")  # wrong time
-        assert any(v.check == "journal-replay" for v in san.violations)
-
-
-def test_replay_validates_checkpoint_digest():
-    journal = Journal(checkpoint_every=2, crash_after=3)
-    journal.snapshot_provider = lambda: {"wf": "state-a"}
-    journal.append(0.0, "submit", "wf")
-    journal.append(0.1, "dispatch", "wf", "a", 1)  # checkpoint at seq 2
-    journal.append(0.2, "ack-running", "wf", "a", 1)
-    with pytest.raises(MasterCrash):
-        journal.append(0.3, "ack-complete", "wf", "a", 1)
-    journal.resume()
-    # Resumed master state differs at the checkpoint offset: caught.
-    journal.snapshot_provider = lambda: {"wf": "state-B"}
-    journal.append(0.0, "submit", "wf")
-    with sanitizer.enabled(strict=False) as san:
-        with pytest.raises(ReplayDivergence, match="digest"):
-            journal.append(0.1, "dispatch", "wf", "a", 1)
-        assert any(v.check == "checkpoint-digest" for v in san.violations)
+    # The restarted master fences: the log goes on where it stopped, and
+    # the injected crash does not fire a second time.
+    assert journal.fence() == 1 and not journal.crashed
+    assert journal.append(1.2, "failover", detail="epoch=1", epoch=1).seq == 3
+    assert journal.append(1.3, "dispatch", "wf", "b", 2, epoch=1).seq == 4
+    assert fired == [True] and journal.crashes == 1
 
 
 def test_to_jsonl_round_trips_records(tmp_path):
@@ -145,40 +98,31 @@ def test_to_jsonl_round_trips_records(tmp_path):
     assert [rec["seq"] for rec in lines[1:]] == [5]
 
 
-# -- engine crash/resume ---------------------------------------------------
+# -- engine: a master crash is a restore -----------------------------------
 
 
 SPEC = ClusterSpec("m3.2xlarge", 2)
 CONFIG = RunConfig(default_timeout=10.0, timeout_check_interval=0.5,
                    record_jobs=False)
+RETRY = RetryPolicy(max_attempts=4)
+IN_FLIGHT = ("queued", "running")
 
 
 def _ensemble():
-    return Ensemble.replicated(montage_workflow(degree=0.3), 1)
+    return Ensemble.replicated(montage_workflow(degree=0.3), 2, interval=1.0)
 
 
-def _engine(journal=None, p_fail=0.0):
+def _engine(journal=None, p_fail=0.0, seed=7, controllers=()):
     transient = (
-        TransientFaultModel(p_fail=p_fail, seed=7) if p_fail > 0 else None
+        TransientFaultModel(p_fail=p_fail, seed=seed) if p_fail > 0 else None
     )
     return PullEngine(
         SPEC,
         config=CONFIG,
-        retry=RetryPolicy(max_attempts=4),
+        retry=RETRY,
         transient=transient,
         journal=journal,
-    )
-
-
-def _fingerprint(result):
-    return (
-        result.makespan,
-        result.workflow_spans,
-        result.jobs_executed,
-        result.resubmissions,
-        result.job_counts,
-        list(result.dead_letters),
-        result.journal.text() if result.journal else "",
+        controllers=controllers,
     )
 
 
@@ -194,80 +138,182 @@ def test_uninterrupted_journal_records_all_transitions():
     assert "ack-complete" in kinds
 
 
-def test_crash_and_resume_is_byte_identical():
-    baseline = _engine(Journal(checkpoint_every=25)).run(_ensemble())
-    journal = Journal(checkpoint_every=25, crash_after=40)
-    resumed = resume_until_complete(
-        lambda j: _engine(j), _ensemble, journal
+class _CoreAtCheckpoints:
+    """Controller: at every checkpoint, what the live core holds for each
+    job — status, attempt, unfinished parents — read off its states, next
+    to the snapshot the journal stores and the admissions it remembers."""
+
+    def __init__(self):
+        self.captures = []
+        self.workflows = {}
+
+    def install(self, run):
+        self.workflows = run.workflows
+        snapshot = run.journal.snapshot_provider
+
+        def capture():
+            snapshots = snapshot()
+            core = run.core
+            jobs = {
+                name: {
+                    job_id: (
+                        state.status[job_id].value,
+                        state.current_attempt(job_id),
+                        state.pending[job_id],
+                    )
+                    for job_id in state.workflow.jobs
+                }
+                for name, state in core.states.items()
+            }
+            self.captures.append(
+                (run.sim.now, snapshots, jobs, dict(core.admissions))
+            )
+            return snapshots
+
+        run.journal.snapshot_provider = capture
+
+
+def _restored(workflows, snapshots, admissions, now):
+    """A fresh core restored from ``snapshots`` through recording ports;
+    returns it and every ``(workflow, job, attempt)`` it published."""
+    published = []
+
+    def no_backoff(_delay, _fn):
+        raise AssertionError("RETRY has no backoff: nothing is deferred")
+
+    core = MasterCore(
+        CONFIG.default_timeout,
+        RETRY,
+        publish=lambda state, job_id, attempt, _priority: published.append(
+            (state.name, job_id, attempt)
+        ),
+        reprioritize=lambda *_args: None,
+        call_later=no_backoff,
+        on_settled=lambda _state: None,
+        log=lambda *_args: None,
     )
-    assert journal.resumes == 1
-    assert _fingerprint(resumed) == _fingerprint(baseline)
+    core.restore(
+        {name: (workflows[name], snap) for name, snap in snapshots.items()},
+        admissions,
+        now,
+    )
+    return core, published
 
 
-def test_crash_during_replay_free_run_raises_master_crash():
-    journal = Journal(crash_after=10)
-    with pytest.raises(MasterCrash):
-        _engine(journal).run(_ensemble())
-    assert journal.crashed and journal.seq == 10
+def _buried_with_descendants(workflow, jobs):
+    """In-flight jobs out of attempt budget, and the waiting descendants
+    their dead letters cascade to."""
+    buried = {
+        job_id for job_id, (status, attempt, _pending) in jobs.items()
+        if status in IN_FLIGHT and RETRY.exhausted(attempt)
+    }
+    cascaded = set()
+    stack = [child for job_id in buried for child in workflow.job(job_id).children]
+    while stack:
+        job_id = stack.pop()
+        if jobs[job_id][0] == "waiting" and job_id not in cascaded:
+            cascaded.add(job_id)
+            stack.extend(workflow.job(job_id).children)
+    return buried, cascaded
 
 
-def test_resume_budget_exhaustion_raises():
-    # A journal whose crash budget re-arms every attempt can never finish.
-    class Hostile(Journal):
-        def resume(self):
-            super().resume()
-            self.crash_after = 5
-            return self
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    p_fail=st.sampled_from([0.0, 0.2]),
+    checkpoint_every=st.integers(5, 60),
+)
+def test_restore_agrees_with_the_live_core_at_every_checkpoint(
+    seed, p_fail, checkpoint_every
+):
+    """The oracle the crash path stands on: at every checkpoint of a
+    journaled run, a fresh core restored from that checkpoint holds, job
+    by job, what the live core held — except that each job in flight is
+    requeued once under the next attempt (or dead-lettered
+    ``master-crash`` when its budget is spent), and exactly those
+    requeues are published."""
+    capture = _CoreAtCheckpoints()
+    _engine(
+        Journal(checkpoint_every=checkpoint_every), p_fail, seed, [capture]
+    ).run(_ensemble())
+    assert capture.captures
+    for now, snapshots, live, admissions in capture.captures:
+        core, published = _restored(capture.workflows, snapshots, admissions, now)
+        assert sorted(core.states) == sorted(live)
+        requeued = []
+        for name, jobs in live.items():
+            state = core.states[name]
+            buried, cascaded = _buried_with_descendants(state.workflow, jobs)
+            for job_id, (status, attempt, pending) in jobs.items():
+                got = (
+                    state.status[job_id].value,
+                    state.current_attempt(job_id),
+                    state.pending[job_id],
+                )
+                if job_id in buried or job_id in cascaded:
+                    expected = ("dead", attempt, pending)
+                elif status in IN_FLIGHT:
+                    expected = ("queued", attempt + 1, pending)
+                    requeued.append((name, job_id, attempt + 1))
+                else:
+                    expected = (status, attempt, pending)
+                assert got == expected, (now, name, job_id)
+            fresh = state.dead_letters[len(snapshots[name]["dead_letters"]):]
+            assert sorted((e.job_id, e.reason) for e in fresh) == sorted(
+                [(job_id, "master-crash") for job_id in buried]
+                + [(job_id, "upstream-dead") for job_id in cascaded]
+            )
+        assert sorted(published) == sorted(requeued)
 
-    with pytest.raises(JournalError, match="did not complete"):
-        resume_until_complete(
-            lambda j: _engine(j), _ensemble, Hostile(crash_after=5),
-            max_resumes=2,
-        )
+
+def test_crash_restores_in_run_without_a_standby():
+    """The run does not stop at the crash: the master restarts one
+    second later from the checkpoint under epoch 1, and the journal goes
+    on past the record the crash refused."""
+    journal = Journal(checkpoint_every=25, crash_after=40)
+    result = _engine(journal).run(_ensemble())
+    assert result.journal is journal
+    assert (journal.crashes, journal.epoch, journal.crashed) == (1, 1, False)
+    assert journal.fenced_appends >= 1 and journal.seq > 40
+    assert result.liveness_stats["failovers"] == 1
+    for counts in result.job_counts.values():
+        assert counts["completed"] == sum(counts.values())
 
 
-def test_crash_matrix_every_offset_resumes_identically():
-    """Satellite (c): kill the master at a sweep of journal offsets —
-    before the first checkpoint, on compaction boundaries, deep in the
-    run — and require byte-identical recovery every time.  The sweep is
-    derived from the uninterrupted journal so it covers the whole run
-    regardless of workload size."""
+def test_crash_matrix_every_offset_settles_each_job_once():
+    """Kill the master at offsets 0 and 1, one before the first
+    checkpoint, on every compaction boundary, deep in the run and at the
+    final record.  Every job settles exactly once, and the trace holds
+    the death and the restart one second apart — except at the final
+    record, where the run settles before the restart."""
     baseline = _engine(Journal(checkpoint_every=25), p_fail=0.2).run(
         _ensemble()
     )
     assert baseline.resubmissions > 0  # retries are genuinely in the log
     total = baseline.journal.seq
-    expected = _fingerprint(baseline)
-    expected_trace = [e.line() for e in baseline.fault_events]
-    step = max(1, total // 6)
-    offsets = list(range(1, total, step)) + [25, total - 1]
-    for offset in sorted(set(offsets)):
+    boundaries = [seq for seq, _time in baseline.journal.checkpoint_history]
+    offsets = sorted({0, 1, 24, *boundaries, (3 * total) // 4, total - 1})
+    n_jobs = {name: sum(c.values()) for name, c in baseline.job_counts.items()}
+    for offset in offsets:
         journal = Journal(checkpoint_every=25, crash_after=offset)
-        resumed = resume_until_complete(
-            lambda j: _engine(j, p_fail=0.2), _ensemble, journal
-        )
-        assert journal.resumes == 1, f"offset {offset}"
-        assert _fingerprint(resumed) == expected, f"offset {offset}"
-        assert [
-            e.line() for e in resumed.fault_events
-        ] == expected_trace, f"offset {offset}"
-
-
-def test_double_crash_same_run_resumes_identically():
-    baseline = _engine(Journal(checkpoint_every=20)).run(_ensemble())
-
-    class TwoCrashes(Journal):
-        def resume(self):
-            super().resume()
-            if self.resumes == 1:  # crash again, deeper into the run
-                self.crash_after = 50
-            return self
-
-    journal = TwoCrashes(checkpoint_every=20, crash_after=30)
-    resumed = resume_until_complete(lambda j: _engine(j), _ensemble, journal)
-    assert journal.resumes == 2
-    assert _fingerprint(resumed)[:-1] == _fingerprint(baseline)[:-1]
-    assert journal.text() == baseline.journal.text()
+        result = _engine(journal, p_fail=0.2).run(_ensemble())
+        assert journal.crashes == 1, offset
+        for name, counts in result.job_counts.items():
+            assert counts["completed"] + counts["dead"] == n_jobs[name], (
+                offset, name, counts,
+            )
+        assert {e.reason for e in result.dead_letters} <= {
+            "master-crash", "failed", "upstream-dead",
+        }, offset
+        died = [e.time for e in result.fault_events if e.kind == "master-fail"]
+        restarted = [e.time for e in result.fault_events if e.kind == "failover"]
+        assert len(died) == 1, offset
+        if offset == total - 1:
+            assert restarted == [] and journal.crashed
+            assert result.liveness_stats["failovers"] == 0
+        else:
+            assert restarted == [pytest.approx(died[0] + 1.0)], offset
+            assert journal.epoch == 1 and not journal.crashed, offset
 
 
 # -- threaded master checkpoint/restore ------------------------------------
