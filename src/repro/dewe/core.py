@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 from typing import Sequence, Set, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
-from repro.dewe.state import JobStatus, WorkflowState
+from repro.dewe.state import JobStatus, StateSnapshot, WorkflowState
 from repro.faults.retry import DeadLetterEntry, RetryPolicy
 from repro.liveness import LeaseConfig, ServiceAdmissionPolicy
 from repro.mq.priority import RepriorityPolicy, base_band, rank_for_sla
@@ -110,7 +110,7 @@ class MasterCore:
         return state
 
     def _install(self, workflow: Workflow, admission: Admission, tenant: str = "",
-                 sla: str = "", snapshot: Optional[Dict] = None) -> WorkflowState:
+                 sla: str = "", snapshot: Optional[StateSnapshot] = None) -> WorkflowState:
         timeout = self.default_timeout * admission.deadline_factor
         if snapshot is None:
             state = WorkflowState(
@@ -341,13 +341,13 @@ class MasterCore:
                 self._maybe_finish(state)
 
     # -- checkpoint / restore ------------------------------------------------
-    def snapshots(self) -> Dict[str, Dict]:
+    def snapshots(self) -> Dict[str, StateSnapshot]:
         """Name-sorted state snapshots: the journal's checkpoint payload."""
         return {name: self.states[name].snapshot() for name in sorted(self.states)}
 
     def restore(
         self,
-        restored: Mapping[str, Tuple[Workflow, Dict]],
+        restored: Mapping[str, Tuple[Workflow, StateSnapshot]],
         admissions: Mapping[str, Admission],
         now: float,
         readmit: Sequence[Tuple[Workflow, str, str]] = (),

@@ -33,16 +33,23 @@ A 200 x 6.0-degree Montage ensemble holds 1.7M jobs; three dicts per
 member cost hundreds of MB and a dict-build per member at admission,
 while the arenas cost ~9 bytes per job and one ``memcpy``-speed copy.
 The public ``status`` / ``pending`` / ``attempt`` attributes remain
-mapping-shaped *views* over the arrays, so the sanitizer, journal,
-repriority layer and tests keep their dict idioms unchanged.  The sparse
-maps — armed ``deadline`` entries, ``queued_at`` ages — stay real dicts:
-they hold only in-flight jobs, never all of them.
+mapping-shaped *views* over the arrays, so the sanitizer, repriority
+layer and tests keep their dict idioms unchanged.  The sparse maps —
+armed ``deadline`` entries, ``queued_at`` ages — stay real dicts: they
+hold only in-flight jobs, never all of them.
+
+**Checkpoints** are that copy: :meth:`WorkflowState.snapshot` returns a
+:class:`StateSnapshot` holding the three arenas as ``bytes`` and the
+sparse maps as tuples, and :meth:`WorkflowState.restore` writes the bytes
+back into a fresh state's arrays.  The job-keyed JSON form (journal
+export, checkpoint digest) is built only by :meth:`StateSnapshot.to_dict`.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -52,7 +59,7 @@ from repro.faults.retry import DeadLetterEntry, RetryPolicy
 from repro.workflow.dag import Workflow
 from repro.workflow.validation import validate_workflow
 
-__all__ = ["JobStatus", "WorkflowState"]
+__all__ = ["JobStatus", "StateSnapshot", "WorkflowState"]
 
 
 class JobStatus(Enum):
@@ -75,9 +82,6 @@ _STATUS_BY_CODE: Tuple[JobStatus, ...] = (
 )
 _CODE_BY_STATUS: Dict[JobStatus, int] = {
     status: code for code, status in enumerate(_STATUS_BY_CODE)
-}
-_CODE_BY_VALUE: Dict[str, int] = {
-    status.value: code for code, status in enumerate(_STATUS_BY_CODE)
 }
 _VALUE_BY_CODE: Tuple[str, ...] = tuple(s.value for s in _STATUS_BY_CODE)
 
@@ -680,25 +684,115 @@ class WorkflowState:
         }
 
     # -- checkpoint / restore ------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-able snapshot of the full scheduler state for this
-        workflow — everything needed to resume after a master crash, and
-        the input to the journal's checkpoint digest."""
+    def snapshot(self) -> "StateSnapshot":
+        """Immutable copy of the full scheduler state for this workflow —
+        everything needed to resume after a master crash.  The three
+        arenas are copied as bytes (9 B per job); the job-keyed JSON form
+        is built only by :meth:`StateSnapshot.to_dict`."""
         if _conc._ACTIVE is not None:
             self._trace("read", "state.snapshot")
-        job_ids = self._arena.job_ids
+        return StateSnapshot(
+            self.name, self.tenant, self.sla, self._arena.job_ids,
+            bytes(self._status_arr), self._attempt_arr.tobytes(),
+            self._pending_arr.tobytes(), tuple(self.deadline.items()),
+            self.resubmissions, self.duplicate_acks, self.data_recoveries,
+            tuple(self.dead_letters),
+            tuple((j, tuple(sorted(w))) for j, w in self.regen_waiters.items()),
+        )
+
+    @classmethod
+    def restore(
+        cls,
+        workflow: Workflow,
+        snapshot: "StateSnapshot",
+        default_timeout: float = 600.0,
+        retry: Optional[RetryPolicy] = None,
+    ) -> "WorkflowState":
+        """Rebuild a state machine from a :meth:`snapshot`.
+
+        The workflow structure itself is not checkpointed — the caller
+        supplies the same DAG that produced the snapshot.  A snapshot of
+        another workflow (other name, or other jobs) is refused before
+        anything is built; the arenas are then filled in place, so the
+        restored state owns its arrays and aliases nothing.
+        """
+        job_ids = workflow.skeleton().arena().job_ids
+        if snapshot.name != workflow.name:
+            raise ValueError(
+                f"snapshot is for workflow {snapshot.name!r}, "
+                f"got {workflow.name!r}"
+            )
+        if snapshot.job_ids is not job_ids and snapshot.job_ids != job_ids:
+            raise ValueError(
+                f"snapshot of {snapshot.name!r} does not fit its workflow: "
+                f"{len(snapshot.job_ids)} job(s) in the snapshot, "
+                f"{len(job_ids)} in the workflow"
+            )
+        state = cls(
+            workflow, default_timeout=default_timeout,
+            validate=False, retry=retry,
+            tenant=snapshot.tenant, sla=snapshot.sla,
+        )
+        for arr, data in (
+            (state._status_arr, snapshot.status),
+            (state._attempt_arr, snapshot.attempt),
+            (state._pending_arr, snapshot.pending),
+        ):
+            memoryview(arr).cast("B")[:] = data
+        state.deadline = dict(snapshot.deadline)
+        state.resubmissions = snapshot.resubmissions
+        state.duplicate_acks = snapshot.duplicate_acks
+        state.data_recoveries = snapshot.data_recoveries
+        state.dead_letters = list(snapshot.dead_letters)
+        state.regen_waiters = {j: set(w) for j, w in snapshot.regen_waiters}
+        state._n_completed = snapshot.status.count(_COMPLETED)
+        state._n_dead = snapshot.status.count(_DEAD)
+        return state
+
+
+@dataclass(frozen=True, slots=True)
+class StateSnapshot:
+    """One :class:`WorkflowState` at a checkpoint, as immutable values.
+
+    ``job_ids`` is the skeleton arena's tuple, held by reference;
+    ``status`` / ``attempt`` / ``pending`` are the three arenas' bytes
+    (1 + 4 + 4 per job), indexed like ``job_ids``.  The sparse parts are
+    tuples in their dicts' order.  Nothing in a snapshot can change after
+    it is taken, so a digest computed from it later equals one computed at
+    checkpoint time.
+    """
+
+    name: str
+    tenant: str
+    sla: str
+    job_ids: Tuple[str, ...]
+    status: bytes
+    attempt: bytes
+    pending: bytes
+    deadline: Tuple[Tuple[str, float], ...]
+    resubmissions: int
+    duplicate_acks: int
+    data_recoveries: int
+    dead_letters: Tuple[DeadLetterEntry, ...]
+    regen_waiters: Tuple[Tuple[str, Tuple[str, ...]], ...]
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The job-keyed JSON form: what the journal export writes and
+        the checkpoint digest hashes.  The only place it is built."""
+        job_ids = self.job_ids
         return {
             "name": self.name,
             "tenant": self.tenant,
             "sla": self.sla,
             "status": {
-                j: _VALUE_BY_CODE[c]
-                for j, c in zip(job_ids, self._status_arr)
+                j: _VALUE_BY_CODE[c] for j, c in zip(job_ids, self.status)
             },
             "attempt": {
-                j: a for j, a in zip(job_ids, self._attempt_arr) if a
+                j: a
+                for j, a in zip(job_ids, memoryview(self.attempt).cast("I"))
+                if a
             },
-            "pending": dict(zip(job_ids, self._pending_arr)),
+            "pending": dict(zip(job_ids, memoryview(self.pending).cast("i"))),
             "deadline": dict(self.deadline),
             "resubmissions": self.resubmissions,
             "duplicate_acks": self.duplicate_acks,
@@ -708,60 +802,5 @@ class WorkflowState:
                  e.tenant, e.sla]
                 for e in self.dead_letters
             ],
-            "regen_waiters": {
-                j: sorted(w) for j, w in self.regen_waiters.items()
-            },
+            "regen_waiters": {j: list(w) for j, w in self.regen_waiters},
         }
-
-    @classmethod
-    def restore(
-        cls,
-        workflow: Workflow,
-        snapshot: Dict[str, Any],
-        default_timeout: float = 600.0,
-        retry: Optional[RetryPolicy] = None,
-    ) -> "WorkflowState":
-        """Rebuild a state machine from a :meth:`snapshot`.
-
-        The workflow structure itself is not checkpointed — the caller
-        supplies the same DAG that produced the snapshot.
-        """
-        if snapshot["name"] != workflow.name:
-            raise ValueError(
-                f"snapshot is for workflow {snapshot['name']!r}, "
-                f"got {workflow.name!r}"
-            )
-        state = cls(
-            workflow, default_timeout=default_timeout,
-            validate=False, retry=retry,
-            tenant=snapshot.get("tenant", ""), sla=snapshot.get("sla", ""),
-        )
-        index_of = state._arena.index_of
-        status_arr = state._status_arr
-        for j, v in snapshot["status"].items():
-            status_arr[index_of[j]] = _CODE_BY_VALUE[v]
-        attempt_arr = state._attempt_arr
-        for j, a in snapshot["attempt"].items():
-            attempt_arr[index_of[j]] = int(a)
-        pending_arr = state._pending_arr
-        for j, p in snapshot["pending"].items():
-            pending_arr[index_of[j]] = int(p)
-        state.deadline = {j: float(d) for j, d in snapshot["deadline"].items()}
-        state.resubmissions = int(snapshot["resubmissions"])
-        state.duplicate_acks = int(snapshot["duplicate_acks"])
-        state.data_recoveries = int(snapshot.get("data_recoveries", 0))
-        # Pre-service snapshots hold 5-element dead-letter rows (no
-        # tenant/class attribution); both shapes load.
-        state.dead_letters = [
-            DeadLetterEntry(
-                row[0], row[1], int(row[2]), row[3], float(row[4]),
-                *[str(x) for x in row[5:7]],
-            )
-            for row in snapshot["dead_letters"]
-        ]
-        state.regen_waiters = {
-            j: set(w) for j, w in snapshot.get("regen_waiters", {}).items()
-        }
-        state._n_completed = status_arr.count(_COMPLETED)
-        state._n_dead = status_arr.count(_DEAD)
-        return state

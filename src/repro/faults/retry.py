@@ -118,8 +118,7 @@ class DeadLetterEntry:
 
     ``tenant``/``sla`` attribute the loss in multi-tenant service runs
     (docs/FAULTS.md); both default empty so records from single-owner
-    runs — and snapshots written before the fields existed — construct
-    and load unchanged.
+    runs construct unchanged.
     """
 
     workflow: str

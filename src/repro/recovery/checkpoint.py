@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.concurrency import shims as _shims
+from repro.dewe.state import _COMPLETED, StateSnapshot
 from repro.workflow.dag import Workflow
 
 __all__ = ["MasterCheckpoint", "MasterCrashModel"]
@@ -32,14 +33,14 @@ class MasterCheckpoint:
     """One consistent snapshot of a master daemon's scheduler state.
 
     ``states`` maps workflow name to ``(workflow, snapshot)`` — the DAG
-    itself plus the JSON-able :meth:`~repro.dewe.state.WorkflowState.snapshot`;
+    itself plus the immutable :class:`~repro.dewe.state.StateSnapshot`;
     ``elapsed`` is each workflow's age (seconds since submission) at the
     checkpoint, so the restored master's makespans stay meaningful;
     ``repriority`` is the checkpointed master's live-reprioritization
     policy, so a restart keeps publishing banded priorities.
     """
 
-    states: Dict[str, Tuple[Workflow, Dict[str, Any]]] = field(
+    states: Dict[str, Tuple[Workflow, StateSnapshot]] = field(
         default_factory=dict
     )
     elapsed: Dict[str, float] = field(default_factory=dict)
@@ -57,8 +58,8 @@ class MasterCheckpoint:
         return {
             name: sorted(
                 job_id
-                for job_id, status in snapshot["status"].items()
-                if status == "completed"
+                for job_id, code in zip(snapshot.job_ids, snapshot.status)
+                if code == _COMPLETED
             )
             for name, (_wf, snapshot) in self.states.items()
         }

@@ -42,8 +42,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "JournalRecord",
@@ -58,8 +59,7 @@ class JournalError(RuntimeError):
     """Malformed journal operation (checkpoint without a snapshot provider)."""
 
 
-@dataclass(frozen=True)
-class JournalRecord:
+class JournalRecord(NamedTuple):
     """One scheduler state transition, appended before it is applied.
 
     ``kind`` is the transition name (``submit``, ``dispatch``,
@@ -90,24 +90,23 @@ class JournalRecord:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "time": self.time,
-            "kind": self.kind,
-            "workflow": self.workflow,
-            "job_id": self.job_id,
-            "attempt": self.attempt,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JournalRecord":
         return cls(**data)
 
 
+def _as_dict(snapshot) -> Dict[str, Any]:
+    """``json.dumps`` fallback: a ``StateSnapshot`` encodes as its dict."""
+    return snapshot.to_dict()
+
+
 def state_digest(snapshots: Dict[str, Any]) -> str:
     """Stable digest of a master-state snapshot (canonical JSON, sha256)."""
-    blob = json.dumps(snapshots, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(
+        snapshots, sort_keys=True, separators=(",", ":"), default=_as_dict
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -117,13 +116,17 @@ class Checkpoint:
 
     Records with ``seq' <= seq`` are dropped from the journal once the
     checkpoint is durable; a new master incarnation restores from
-    ``snapshots``.
+    ``snapshots``.  Snapshots are immutable, so :attr:`digest` is
+    computed when it is first read, not when the checkpoint is taken.
     """
 
     seq: int
     time: float
-    digest: str
     snapshots: Dict[str, Any]
+
+    @cached_property
+    def digest(self) -> str:
+        return state_digest(self.snapshots)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -263,13 +266,7 @@ class Journal:
         """Snapshot the master state and compact the journal."""
         if self.snapshot_provider is None:
             raise JournalError("cannot checkpoint without a snapshot_provider")
-        snapshots = self.snapshot_provider()
-        checkpoint = Checkpoint(
-            seq=self.seq,
-            time=time,
-            digest=state_digest(snapshots),
-            snapshots=snapshots,
-        )
+        checkpoint = Checkpoint(self.seq, time, self.snapshot_provider())
         self.checkpoint = checkpoint
         self.checkpoint_history.append((self.seq, time))
         self.records.clear()
@@ -281,7 +278,8 @@ class Journal:
         tail records) as JSON lines."""
         out = []
         if self.checkpoint is not None:
-            out.append(json.dumps({"checkpoint": self.checkpoint.to_dict()}))
+            checkpoint = {"checkpoint": self.checkpoint.to_dict()}
+            out.append(json.dumps(checkpoint, default=_as_dict))
         out.extend(json.dumps(r.to_dict()) for r in self.records)
         Path(path).write_text("\n".join(out) + ("\n" if out else ""))
 

@@ -2,6 +2,7 @@
 retry/dead-letter recovery in both execution paths, and the harness."""
 
 import dataclasses
+import hashlib
 import pytest
 
 from repro.cloud import ClusterSpec
@@ -410,7 +411,12 @@ def test_chaos_cli_crash_at_and_journal_export(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "1 crash(es) survived" in out
-    assert path.exists() and path.read_text().strip()
+    # The export's bytes (checkpoint line and its digest included) are
+    # pinned: snapshots render to the same JSON however they are stored.
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        5361, "f5bfc29b602946ee7c325d954598611c624e7cb8af85776eba6f4daa8f2ca0aa",
+    )
 
 
 def test_chaos_cli_journal_without_crash_is_usage_error(tmp_path, capsys):

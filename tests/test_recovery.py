@@ -24,6 +24,9 @@ from repro.faults.models import TransientFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.generators import montage_workflow
 from repro.mq import Broker
+import repro.recovery.journal as journal_module
+from repro.dewe.state import StateSnapshot, WorkflowState
+from repro.faults.chaos import SCENARIOS, run_chaos
 from repro.recovery import (
     Journal,
     JournalError,
@@ -258,7 +261,7 @@ def test_restore_agrees_with_the_live_core_at_every_checkpoint(
                 else:
                     expected = (status, attempt, pending)
                 assert got == expected, (now, name, job_id)
-            fresh = state.dead_letters[len(snapshots[name]["dead_letters"]):]
+            fresh = state.dead_letters[len(snapshots[name].dead_letters):]
             assert sorted((e.job_id, e.reason) for e in fresh) == sorted(
                 [(job_id, "master-crash") for job_id in buried]
                 + [(job_id, "upstream-dead") for job_id in cascaded]
@@ -495,3 +498,92 @@ def test_state_snapshot_restore_round_trip():
     assert state_digest({"chain": snapshot}) == state_digest(
         {"chain": clone.snapshot()}
     )
+
+
+@pytest.mark.parametrize("snapshot_jobs,workflow_jobs", [(4, 3), (3, 4)])
+def test_restore_refuses_a_snapshot_of_another_dag(
+    monkeypatch, snapshot_jobs, workflow_jobs
+):
+    """Same name, other jobs: refused with both job counts, before any
+    state is built (it used to raise a bare ``KeyError``, or restore the
+    jobs it knew and leave the rest WAITING)."""
+    state = WorkflowState(_chain(snapshot_jobs), retry=RETRY)
+    state.initial_ready()
+    snapshot = state.snapshot()
+    built = []
+    init = WorkflowState.__init__
+    monkeypatch.setattr(
+        WorkflowState, "__init__",
+        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw),
+    )
+    with pytest.raises(
+        ValueError,
+        match=rf"{snapshot_jobs} job\(s\) in the snapshot, "
+        rf"{workflow_jobs} in the workflow",
+    ):
+        WorkflowState.restore(_chain(workflow_jobs), snapshot)
+    assert built == []
+
+
+#: ``run_chaos(master-crash, seed=0)``: the report journal's final
+#: checkpoint, recorded when checkpoints still hashed eagerly.
+MASTER_CRASH_FINAL_CHECKPOINT = (
+    160, "bd0b2fb564b542e2bbb1c64aff9efc5f4a915f2593c0578a850c644a3300c9fe",
+)
+
+
+def test_a_checkpoint_is_a_copy(monkeypatch):
+    """A journaled master-crash run checkpoints by copying the arenas:
+    9 bytes per job, no digest and no job-keyed dict during the run.  A
+    digest read afterwards, once the live states have moved on, equals
+    the digest of the dict form captured at checkpoint time."""
+    digested = []
+    digest = journal_module.state_digest
+    monkeypatch.setattr(
+        journal_module, "state_digest",
+        lambda snapshots: digested.append(1) or digest(snapshots),
+    )
+    rendered = []
+    to_dict = StateSnapshot.to_dict
+    monkeypatch.setattr(
+        StateSnapshot, "to_dict",
+        lambda snapshot: rendered.append(1) or to_dict(snapshot),
+    )
+    taken = []
+    take = Journal.take_checkpoint
+
+    def capture(journal, time):
+        checkpoint = take(journal, time)
+        at_checkpoint = {
+            name: to_dict(snapshot)
+            for name, snapshot in checkpoint.snapshots.items()
+        }
+        taken.append((checkpoint, at_checkpoint))
+        return checkpoint
+
+    monkeypatch.setattr(Journal, "take_checkpoint", capture)
+    report = run_chaos(SCENARIOS["master-crash"], seed=0)
+    assert report.problems == [] and report.crashes == 1
+    assert taken and digested == [] and rendered == []
+
+    copied = jobs = 0
+    for checkpoint, _ in taken:
+        members = checkpoint.snapshots.values()
+        n_jobs = sum(len(s.job_ids) for s in members)
+        n_bytes = sum(len(s.status) + len(s.attempt) + len(s.pending)
+                      for s in members)
+        assert n_jobs and n_bytes == 9 * n_jobs, checkpoint.seq
+        copied, jobs = copied + n_bytes, jobs + n_jobs
+    print(
+        f"checkpoint bytes per job: {copied / jobs:.2f} "
+        f"({len(taken)} checkpoints, {jobs} job snapshots)"
+    )
+
+    for checkpoint, at_checkpoint in taken:
+        assert checkpoint.digest == digest(at_checkpoint), checkpoint.seq
+    assert len(digested) == len(taken)
+
+
+def test_master_crash_final_checkpoint_digest_is_pinned():
+    checkpoint = run_chaos(SCENARIOS["master-crash"], seed=0).journal.checkpoint
+    assert (checkpoint.seq, checkpoint.digest) == MASTER_CRASH_FINAL_CHECKPOINT

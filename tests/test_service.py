@@ -3,8 +3,8 @@
 Covers the :mod:`repro.service` package and the
 :class:`~repro.liveness.ServiceAdmissionPolicy` ladder end to end:
 seeded open-loop arrival processes, token-bucket determinism, brownout
-class ordering, fair share, the admission boundary,
-backward-compatible dead-letter snapshots and the seeded soak
+class ordering, fair share, the admission boundary, dead-letter
+attribution through a snapshot and the seeded soak
 harness (byte-identical per seed, zero gold sheds at 2x capacity).
 """
 
@@ -276,30 +276,29 @@ def test_build_workload_rejects_bad_input():
         build_workload(dup, template, horizon=10.0, seed=0)
 
 
-# -- dead-letter attribution and snapshot compatibility ----------------------
+# -- dead-letter attribution through a snapshot ------------------------------
 
 
-def test_dead_letter_snapshot_loads_pre_service_rows():
+def test_dead_letter_snapshot_round_trips_attribution():
+    from repro.faults.retry import RetryPolicy
+
     wf = montage_workflow(degree=0.1)
-    state = WorkflowState(wf, tenant="acme", sla="gold")
-    snap = state.snapshot()
-    assert snap["tenant"] == "acme"
-    # Simulate a snapshot written before tenant/SLA attribution existed:
-    # 5-element dead-letter rows and no tenant fields.
-    snap["dead_letters"] = [["wf", "job-1", 3, "failed", 12.5]]
-    del snap["tenant"], snap["sla"]
-    snap["name"] = wf.name
-    restored = WorkflowState.restore(wf, snap)
-    assert restored.tenant == ""
-    entry = restored.dead_letters[0]
-    assert (entry.workflow, entry.job_id, entry.attempts) == ("wf", "job-1", 3)
-    assert (entry.tenant, entry.sla) == ("", "")
-    # New-style 7-element rows round-trip the attribution.
-    snap["dead_letters"] = [["wf", "job-2", 1, "timeout", 3.0, "acme", "gold"]]
-    restored = WorkflowState.restore(wf, snap)
-    assert (restored.dead_letters[0].tenant, restored.dead_letters[0].sla) == (
-        "acme", "gold",
+    state = WorkflowState(
+        wf, tenant="acme", sla="gold", retry=RetryPolicy(max_attempts=1)
     )
+    root = state.initial_ready()[0]
+    assert state.on_failed(root, 1, now=12.5) is None  # budget spent
+    snap = state.snapshot()
+    restored = WorkflowState.restore(wf, snap)
+    assert (restored.tenant, restored.sla) == ("acme", "gold")
+    assert restored.dead_letters == state.dead_letters
+    entry = restored.dead_letters[0]
+    assert (entry.job_id, entry.reason, entry.time) == (root, "failed", 12.5)
+    assert (entry.tenant, entry.sla) == ("acme", "gold")
+    # The exported form keeps the 7-element row.
+    assert snap.to_dict()["dead_letters"][0] == [
+        wf.name, root, 1, "failed", 12.5, "acme", "gold",
+    ]
 
 
 # -- percentile helper -------------------------------------------------------
