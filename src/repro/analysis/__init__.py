@@ -22,68 +22,13 @@ analyzer (and with it ``repro.workflow``/``repro.cloud``) into every
 import of the simulation kernel.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from typing import TYPE_CHECKING
-
-__all__ = [
-    "AnalysisReport",
-    "AnalyzerConfig",
-    "Finding",
-    "InvariantViolation",
-    "LintFinding",
-    "Race",
-    "Sanitizer",
-    "Severity",
-    "analyze_ensemble",
-    "analyze_workflow",
-    "codelint",
-    "concurrency",
-    "dataflow",
-    "detect_races",
-    "race_report",
-    "report",
-    "sanitizer",
-]
-
-if TYPE_CHECKING:  # pragma: no cover - static typing only
-    from repro.analysis.dataflow import (
-        AnalyzerConfig,
-        analyze_ensemble,
-        analyze_workflow,
-    )
-    from repro.analysis.report import AnalysisReport, Finding, Severity
-    from repro.analysis.sanitizer import InvariantViolation, Sanitizer
-    from repro.analysis.codelint import LintFinding
-    from repro.analysis.concurrency.detector import (
-        Race,
-        detect_races,
-        race_report,
-    )
-
-_EXPORTS = {
-    "AnalysisReport": ("repro.analysis.report", "AnalysisReport"),
-    "Finding": ("repro.analysis.report", "Finding"),
-    "Severity": ("repro.analysis.report", "Severity"),
-    "AnalyzerConfig": ("repro.analysis.dataflow", "AnalyzerConfig"),
-    "analyze_ensemble": ("repro.analysis.dataflow", "analyze_ensemble"),
-    "analyze_workflow": ("repro.analysis.dataflow", "analyze_workflow"),
-    "InvariantViolation": ("repro.analysis.sanitizer", "InvariantViolation"),
-    "Sanitizer": ("repro.analysis.sanitizer", "Sanitizer"),
-    "LintFinding": ("repro.analysis.codelint", "LintFinding"),
-    "Race": ("repro.analysis.concurrency.detector", "Race"),
-    "detect_races": ("repro.analysis.concurrency.detector", "detect_races"),
-    "race_report": ("repro.analysis.concurrency.detector", "race_report"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.report": "AnalysisReport Finding Severity",
+    "repro.analysis.dataflow": "AnalyzerConfig analyze_ensemble analyze_workflow",
+    "repro.analysis.sanitizer": "InvariantViolation Sanitizer",
+    "repro.analysis.codelint": "LintFinding",
+    "repro.analysis.concurrency.detector": "Race detect_races race_report",
+})
+__all__ += ["codelint", "concurrency", "dataflow", "report", "sanitizer"]

@@ -17,48 +17,11 @@ drag the detector into instrumented production modules, which
 only need :mod:`.recorder` and :mod:`.shims`.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from typing import TYPE_CHECKING
-
-__all__ = [
-    "ConcEvent",
-    "Race",
-    "Recorder",
-    "detect_races",
-    "detector",
-    "events",
-    "lints",
-    "race_report",
-    "recorder",
-    "shims",
-]
-
-if TYPE_CHECKING:  # pragma: no cover - static typing only
-    from repro.analysis.concurrency.detector import (
-        Race,
-        detect_races,
-        race_report,
-    )
-    from repro.analysis.concurrency.events import ConcEvent
-    from repro.analysis.concurrency.recorder import Recorder
-
-_EXPORTS = {
-    "ConcEvent": ("repro.analysis.concurrency.events", "ConcEvent"),
-    "Race": ("repro.analysis.concurrency.detector", "Race"),
-    "Recorder": ("repro.analysis.concurrency.recorder", "Recorder"),
-    "detect_races": ("repro.analysis.concurrency.detector", "detect_races"),
-    "race_report": ("repro.analysis.concurrency.detector", "race_report"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.concurrency.detector": "Race detect_races race_report",
+    "repro.analysis.concurrency.events": "ConcEvent",
+    "repro.analysis.concurrency.recorder": "Recorder",
+})
+__all__ += ["detector", "events", "lints", "recorder", "shims"]

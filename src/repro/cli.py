@@ -82,9 +82,9 @@ def main_run(argv: Optional[List[str]] = None) -> int:
     )
     try:
         engine = build_engine(spec)
-    except ValueError as exc:  # e.g. a non-finite or non-positive --timeout
+        ensemble = build_ensemble(spec)
+    except ValueError as exc:  # e.g. a non-finite or non-positive --timeout or --size
         parser.error(str(exc))
-    ensemble = build_ensemble(spec)
     # Submission-time validation (paper §III.C): reject malformed DAGs
     # before burning simulated cluster time on them.  (Members share the
     # template's jobs, so the first member stands for all.)
@@ -355,7 +355,10 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
             print(f"cannot read workflow file: {exc}", file=sys.stderr)
             return 2
     else:
-        template = make_workflow(args.workflow, args.size)
+        try:
+            template = make_workflow(args.workflow, args.size)
+        except ValueError as exc:
+            parser.error(str(exc))
     ensemble = Ensemble.replicated(
         template, max(1, args.workflows), interval=args.interval
     )

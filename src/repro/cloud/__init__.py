@@ -8,25 +8,14 @@ paper mentions for Google Compute Engine); :class:`~repro.cloud.node.SimNode`
 assembles a node's DES resources from its instance type.
 """
 
-from repro.cloud.cluster import ClusterSpec, SimCluster
-from repro.cloud.instances import (
-    INSTANCE_TYPES,
-    DiskProfile,
-    InstanceType,
-    get_instance_type,
-)
-from repro.cloud.node import SimNode
-from repro.cloud.pricing import BillingModel, cluster_cost, price_per_workflow
+from repro import lazy_exports
 
-__all__ = [
-    "BillingModel",
-    "ClusterSpec",
-    "DiskProfile",
-    "INSTANCE_TYPES",
-    "InstanceType",
-    "SimCluster",
-    "SimNode",
-    "cluster_cost",
-    "get_instance_type",
-    "price_per_workflow",
-]
+# Lazy, so that ``repro.storage.disk`` can import ``repro.cloud.instances``
+# without this package importing ``cloud.node``, which imports the disk.
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.cloud.cluster": "ClusterSpec SimCluster",
+    "repro.cloud.instances": "INSTANCE_TYPES DiskProfile InstanceType "
+                             "get_instance_type",
+    "repro.cloud.node": "SimNode",
+    "repro.cloud.pricing": "BillingModel cluster_cost price_per_workflow",
+})

@@ -21,29 +21,15 @@ resources) lives in :mod:`repro.engines.pull`; both share the DAG state
 machine in :mod:`repro.dewe.state`.
 """
 
-from repro.dewe.config import DeweConfig
-from repro.dewe.executors import CallableExecutor, NullExecutor, SubprocessExecutor
-from repro.dewe.folder import (
-    create_workflow_folder,
-    load_workflow_folder,
-    submit_workflow_folder,
-)
-from repro.dewe.master import MasterDaemon
-from repro.dewe.state import JobStatus, WorkflowState
-from repro.dewe.submit import submit_workflow
-from repro.dewe.worker import WorkerDaemon
+from repro import lazy_exports
 
-__all__ = [
-    "CallableExecutor",
-    "DeweConfig",
-    "JobStatus",
-    "MasterDaemon",
-    "NullExecutor",
-    "SubprocessExecutor",
-    "WorkerDaemon",
-    "WorkflowState",
-    "create_workflow_folder",
-    "load_workflow_folder",
-    "submit_workflow",
-    "submit_workflow_folder",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.dewe.config": "DeweConfig",
+    "repro.dewe.executors": "CallableExecutor NullExecutor SubprocessExecutor",
+    "repro.dewe.folder": "create_workflow_folder load_workflow_folder "
+                         "submit_workflow_folder",
+    "repro.dewe.master": "MasterDaemon",
+    "repro.dewe.state": "JobStatus WorkflowState",
+    "repro.dewe.submit": "submit_workflow",
+    "repro.dewe.worker": "WorkerDaemon",
+})

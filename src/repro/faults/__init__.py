@@ -18,60 +18,21 @@ Four layers:
   models and policies it runs, with recovery invariants, driven by the
   ``repro-chaos`` CLI.
 
-The chaos harness imports the execution engines, so its symbols are
-re-exported lazily to keep ``repro.dewe`` (which imports the retry
-policy) free of import cycles.
+The re-exports are lazy (:func:`repro.lazy_exports`): the chaos harness
+imports the execution engines, which import ``repro.dewe``, which
+imports the retry policy from this package, so importing the harness
+here would be an import cycle.
 """
 
-from repro.faults.injection import FaultAction, FaultSchedule, kill_restart_cycle
-from repro.faults.models import (
-    Degradation,
-    FaultEvent,
-    FaultTrace,
-    NetworkPartitionModel,
-    PartitionHazard,
-    PartitionWindow,
-    SpotHazard,
-    SpotTerminationModel,
-    StragglerHazard,
-    StragglerModel,
-    TransientFaultModel,
-)
-from repro.faults.retry import DeadLetterEntry, DeadLetterQueue, RetryPolicy
+from repro import lazy_exports
 
-__all__ = [
-    "ChaosReport",
-    "ChaosScenario",
-    "DeadLetterEntry",
-    "DeadLetterQueue",
-    "Degradation",
-    "FaultAction",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultTrace",
-    "NetworkPartitionModel",
-    "PartitionHazard",
-    "PartitionWindow",
-    "RetryPolicy",
-    "SCENARIOS",
-    "SpotHazard",
-    "SpotTerminationModel",
-    "StragglerHazard",
-    "StragglerModel",
-    "TransientFaultModel",
-    "get_scenario",
-    "kill_restart_cycle",
-    "run_chaos",
-]
-
-_CHAOS_EXPORTS = frozenset(
-    {"ChaosReport", "ChaosScenario", "SCENARIOS", "get_scenario", "run_chaos"}
-)
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from repro.faults import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.faults.chaos": "ChaosReport ChaosScenario SCENARIOS get_scenario "
+                          "run_chaos",
+    "repro.faults.injection": "FaultAction FaultSchedule kill_restart_cycle",
+    "repro.faults.models": "Degradation FaultEvent FaultTrace NetworkPartitionModel "
+                           "PartitionHazard PartitionWindow SpotHazard "
+                           "SpotTerminationModel StragglerHazard StragglerModel "
+                           "TransientFaultModel",
+    "repro.faults.retry": "DeadLetterEntry DeadLetterQueue RetryPolicy",
+})

@@ -17,6 +17,8 @@ engines only consume job runtimes and file sizes).
   random layered DAGs for property-based tests.
 """
 
+import math
+
 from repro.generators.cybershake import cybershake_workflow
 from repro.generators.ligo import ligo_workflow
 from repro.generators.montage import MONTAGE_BLOCKING_TYPES, montage_workflow
@@ -38,11 +40,18 @@ WORKFLOW_KINDS = ("montage", "ligo", "cybershake")
 def make_workflow(kind: str, size: float):
     """The ``kind`` workflow at ``size``: Montage degree, LIGO blocks or
     CyberShake ruptures (what every CLI's ``--workflow`` / ``--size``,
-    a :class:`~repro.parallel.RunSpec` and a chaos scenario mean)."""
+    a :class:`~repro.parallel.RunSpec` and a chaos scenario mean).  A
+    size that is not finite and positive, or not whole for LIGO and
+    CyberShake, is refused before anything is built."""
+    if kind not in WORKFLOW_KINDS:
+        raise ValueError(f"unknown workflow kind {kind!r}")
+    if not (0 < size < math.inf) or (kind != "montage" and size != int(size)):
+        whole = "" if kind == "montage" else "whole "
+        raise ValueError(
+            f"{kind} size must be a finite {whole}number > 0, got {size!r}"
+        )
     if kind == "montage":
         return montage_workflow(degree=size)
     if kind == "ligo":
-        return ligo_workflow(blocks=max(1, int(size)))
-    if kind == "cybershake":
-        return cybershake_workflow(ruptures=max(1, int(size)))
-    raise ValueError(f"unknown workflow kind {kind!r}")
+        return ligo_workflow(blocks=int(size))
+    return cybershake_workflow(ruptures=int(size))

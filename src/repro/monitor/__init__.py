@@ -13,29 +13,12 @@ resamples them into the same time series:
   rendering for the benchmark harness.
 """
 
-from repro.monitor.export import ascii_gantt, metrics_to_csv, to_chrome_trace
-from repro.monitor.metrics import (
-    NodeMetrics,
-    cluster_metrics,
-    node_metrics,
-    percentile,
-    robustness_metrics,
-)
-from repro.monitor.report import format_series, run_summary, summary_table
-from repro.monitor.timeline import SlotSegment, slot_timeline
+from repro import lazy_exports
 
-__all__ = [
-    "NodeMetrics",
-    "SlotSegment",
-    "ascii_gantt",
-    "cluster_metrics",
-    "format_series",
-    "metrics_to_csv",
-    "node_metrics",
-    "percentile",
-    "robustness_metrics",
-    "run_summary",
-    "slot_timeline",
-    "summary_table",
-    "to_chrome_trace",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.monitor.export": "ascii_gantt metrics_to_csv to_chrome_trace",
+    "repro.monitor.metrics": "NodeMetrics cluster_metrics node_metrics percentile "
+                             "robustness_metrics",
+    "repro.monitor.report": "format_series run_summary summary_table",
+    "repro.monitor.timeline": "SlotSegment slot_timeline",
+})

@@ -22,45 +22,15 @@ backpressure is the admission gate and the service ladder reading
 ``depth``, never a refused or evicted message.
 """
 
-from repro.mq.broker import Broker, Topic
-from repro.mq.chaosbroker import ChaosBroker, ChaosSimBroker, MessageChaos
-from repro.mq.tcpbroker import BrokerServer, RemoteBroker
-from repro.mq.messages import (
-    TOPIC_ACK,
-    TOPIC_DISPATCH,
-    TOPIC_HEARTBEAT,
-    TOPIC_SUBMIT,
-    AckKind,
-    JobAck,
-    JobDispatch,
-    PriorityUpdate,
-    WorkerHeartbeat,
-    WorkflowSubmission,
-)
-from repro.mq.priority import PRIORITY_BAND, RepriorityPolicy, base_band, rank_for_sla
-from repro.mq.simbroker import SimBroker
+from repro import lazy_exports
 
-__all__ = [
-    "AckKind",
-    "Broker",
-    "BrokerServer",
-    "ChaosBroker",
-    "ChaosSimBroker",
-    "MessageChaos",
-    "PRIORITY_BAND",
-    "PriorityUpdate",
-    "RemoteBroker",
-    "RepriorityPolicy",
-    "JobAck",
-    "JobDispatch",
-    "SimBroker",
-    "TOPIC_ACK",
-    "TOPIC_DISPATCH",
-    "TOPIC_HEARTBEAT",
-    "TOPIC_SUBMIT",
-    "Topic",
-    "WorkerHeartbeat",
-    "WorkflowSubmission",
-    "base_band",
-    "rank_for_sla",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.mq.broker": "Broker Topic",
+    "repro.mq.chaosbroker": "ChaosBroker ChaosSimBroker MessageChaos",
+    "repro.mq.tcpbroker": "BrokerServer RemoteBroker",
+    "repro.mq.messages": "TOPIC_ACK TOPIC_DISPATCH TOPIC_HEARTBEAT TOPIC_SUBMIT "
+                         "AckKind JobAck JobDispatch PriorityUpdate "
+                         "WorkerHeartbeat WorkflowSubmission",
+    "repro.mq.priority": "PRIORITY_BAND RepriorityPolicy base_band rank_for_sla",
+    "repro.mq.simbroker": "SimBroker",
+})

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -197,6 +196,10 @@ def run_many(
     specs = list(specs)
     if workers <= 1 or len(specs) <= 1:
         return run_serial(specs)
+    # Imported here: only a forking sweep needs the pool, and its modules
+    # (multiprocessing, pickle, socket) would weigh on every run's memory.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         # Executor.map preserves input order while letting runs complete
         # out of order — the canonical-order merge is the iteration.

@@ -4,7 +4,10 @@ Host time is not a tier-1 quantity (ROADMAP: no ``perf_counter``
 assertion under ``tests/``); the number of interpreter frames a piece of
 work enters is — it repeats exactly from run to run and moves only when
 the code does.  :func:`count_calls` runs a callable under
-``sys.setprofile`` and reports what it entered.
+``sys.setprofile`` and reports what it entered; :func:`count_opcodes`
+runs it under ``sys.settrace`` and reports the bytecodes it executed
+(folding a helper into its caller removes a frame, but of the bytecodes
+only the call's own).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from collections import Counter
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-__all__ = ["CallCount", "count_calls"]
+__all__ = ["CallCount", "OpcodeCount", "count_calls", "count_opcodes"]
 
 #: ``(file, function, caller function)`` of one counted Python frame.
 Row = Tuple[str, str, str]
@@ -44,6 +47,25 @@ class CallCount(NamedTuple):
             f"{n / per:9.2f}  {os.sep.join(file.split(os.sep)[-2:])}:{func}"
             f"  <- {caller}"
             for (file, func, caller), n in self.rows.most_common(limit)
+        )
+
+
+class OpcodeCount(NamedTuple):
+    """Bytecodes one traced callable executed, by source file, counting
+    only code under the ``under`` directories it was traced with."""
+
+    files: "Counter[str]"
+
+    @property
+    def total(self) -> int:
+        return sum(self.files.values())
+
+    def top(self, per: int, limit: int = 15) -> str:
+        """The ``limit`` largest files in bytecodes per ``per`` units of
+        work, one per line — a failed pin names where the change is."""
+        return "\n".join(
+            f"{n / per:11.2f}  {os.sep.join(file.split(os.sep)[-2:])}"
+            for file, n in self.files.most_common(limit)
         )
 
 
@@ -91,3 +113,43 @@ def count_calls(fn: Callable[[], object], under: Tuple[str, ...] = ()) -> CallCo
         if collecting:
             gc.enable()
     return CallCount(totals[0], totals[1], rows)
+
+
+def count_opcodes(fn: Callable[[], object], under: Tuple[str, ...]) -> OpcodeCount:
+    """Run ``fn()`` under a trace hook and count the bytecodes executed
+    in code whose source file lies under one of the ``under`` directory
+    prefixes (``frame.f_trace_opcodes``; line events are switched off).
+    Frames elsewhere are not traced at all.  The cyclic collector is
+    drained and held off as in :func:`count_calls`.
+    """
+    files: "Counter[str]" = Counter()
+    tracked: Dict[object, bool] = {}
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            files[frame.f_code.co_filename] += 1
+        return opcode
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        try:
+            traced = tracked[code]
+        except KeyError:
+            traced = tracked[code] = code.co_filename.startswith(under)
+        if not traced:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return opcode
+
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        if collecting:
+            gc.enable()
+    return OpcodeCount(files)

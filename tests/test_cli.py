@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main_plan, main_profile, main_run
+from repro.cli import main_lint, main_plan, main_profile, main_run
 
 
 def test_run_cli_dewe(capsys):
@@ -157,3 +157,18 @@ def test_validation_error_render_verbose():
     full = exc.render(verbose=True)
     assert full.count("unknown parent") == 8
     assert "more (use --verbose" not in full
+
+
+@pytest.mark.parametrize("main", [main_run, main_lint])
+@pytest.mark.parametrize(
+    "argv", [["--workflow", "ligo", "--size", "-3"],
+             ["--workflow", "cybershake", "--size", "2.7"],
+             ["--size", "nan"]]
+)
+def test_a_size_that_cannot_be_built_exits_2_before_simulating(main, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "size must be a finite" in captured.err
+    assert captured.out == ""

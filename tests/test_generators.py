@@ -5,6 +5,7 @@ import pytest
 from repro.generators import (
     cybershake_workflow,
     ligo_workflow,
+    make_workflow,
     montage_workflow,
     random_layered_workflow,
 )
@@ -197,3 +198,46 @@ def test_random_dag_every_non_root_has_parent():
 
     levels = topological_levels(wf)
     assert all(levels[j.id] == 0 for j in levels0)
+
+
+# ---------------------------------------------------------------------------
+# make_workflow: the size every CLI, RunSpec and chaos scenario passes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, size",
+    [
+        ("ligo", -3),
+        ("cybershake", -2),
+        ("cybershake", 2.7),
+        ("ligo", 0.5),
+        ("montage", 0.0),
+        ("montage", -1.0),
+        ("montage", float("nan")),
+        ("montage", float("inf")),
+        ("ligo", float("inf")),
+    ],
+)
+def test_make_workflow_refuses_a_size_it_cannot_build(kind, size):
+    with pytest.raises(ValueError, match=f"{kind} size .* got {size!r}"):
+        make_workflow(kind, size)
+
+
+def test_make_workflow_builds_whole_sizes_as_given():
+    assert make_workflow("ligo", 2.0).name == ligo_workflow(blocks=2).name
+    assert len(make_workflow("cybershake", 2).jobs) == len(
+        cybershake_workflow(ruptures=2).jobs
+    )
+    assert len(make_workflow("montage", 0.5).jobs) == len(
+        montage_workflow(degree=0.5).jobs
+    )
+    with pytest.raises(ValueError, match="unknown workflow kind"):
+        make_workflow("sipht", 1)
+
+
+def test_a_run_spec_with_a_bad_size_is_refused_before_it_runs():
+    from repro.parallel import RunSpec, execute_spec
+
+    with pytest.raises(ValueError, match="ligo size"):
+        execute_spec(RunSpec(workflow="ligo", size=-3.0))

@@ -463,6 +463,11 @@ def _definer(module, attr):
                 for alias in node.names:
                     if (alias.asname or alias.name) == attr:
                         return _definer(node.module, alias.name)
+            # A lazy package's table: ``lazy_exports(__name__, {module: names})``.
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "lazy_exports":
+                for source, names in ast.literal_eval(node.args[1]).items():
+                    if attr in names.split():
+                        return _definer(source, attr)
     return module
 
 
