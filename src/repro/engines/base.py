@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cloud.cluster import ClusterSpec, SimCluster
 from repro.cloud.node import SimNode
 from repro.cloud.pricing import BillingModel
-from repro.sim import Process, SegmentLog, Simulator
+from repro.sim import Interrupt, Process, SegmentLog, Simulator
 from repro.storage.base import SharedFileSystem
 from repro.workflow.dag import Job
 from repro.workflow.ensemble import Ensemble
@@ -224,7 +224,14 @@ def execute_job(
     if cpu_seconds > 0:
         grant = node.cores.acquire()
         if not grant._state:
-            yield grant
+            try:
+                yield grant
+            except Interrupt:
+                # Killed in the queue: withdraw, or hand back a core
+                # granted in this same instant.
+                if not node.cores.cancel(grant):
+                    node.cores.release()
+                raise
         extra_cores = 0
         if job.threads > 1:
             # Opportunistically grab idle cores for multi-threaded jobs

@@ -104,12 +104,13 @@ class CentralDispatchEngine(EngineBase):
         node_feeds: List[FifoStore] = [FifoStore(sim) for _ in cluster.nodes]
 
         wf_complete_events: Dict[str, object] = {}
+        running = [0] * len(cluster.nodes)  # jobs on each node now
 
         def slot_runner(node_index: int):
             # What is fixed for the slot is read once; a resume enters
             # this frame (and ``execute_job``'s during the phases) only.
             node = cluster.nodes[node_index]
-            log = thread_logs[node_index]  # its last value: jobs on the node
+            log = thread_logs[node_index]
             feed = node_feeds[node_index]
             speed = node.itype.cpu_speed
             dispatch_latency = self.dispatch_latency
@@ -131,7 +132,8 @@ class CentralDispatchEngine(EngineBase):
                     yield sim.timeout(dispatch_latency)
                 start = sim.now
                 state.on_running(job_id, attempt, start)
-                log.record(start, log.values[-1] + 1)
+                running[node_index] = n = running[node_index] + 1
+                log.record(start, n)
                 output_bytes = 0
                 for f in job.outputs:  # Job.output_bytes, in this frame
                     output_bytes += f.size
@@ -141,7 +143,8 @@ class CentralDispatchEngine(EngineBase):
                     sim, node, fs, job, speed, read_miss, wrapper_cpu,
                     extra_bytes, state.name,
                 )
-                log.record(sim.now, log.values[-1] - 1)
+                running[node_index] = n = running[node_index] - 1
+                log.record(sim.now, n)
                 jobs_executed[0] += 1
                 if cfg.record_jobs:
                     read_t, compute_t, write_t = phases

@@ -26,7 +26,7 @@ often the active set changes.
 Each resource keeps a :class:`SegmentLog` of its utilisation so the
 monitoring layer can reconstruct mpstat/iostat-style time series (paper
 §IV.A) without per-sample instrumentation overhead in the hot loop; the
-link writes its busy/idle edges into the log's columns itself.
+link writes its busy/idle edges' codes into the log's columns itself.
 """
 
 from __future__ import annotations
@@ -64,56 +64,103 @@ class SegmentLog:
     resample the step function.  Used for busy-core counts and link
     throughput.
 
-    The history is two flat ``array('d')`` columns — 16 bytes per change
-    point, a dozen or so points per simulated job.  Nothing else is kept
-    per point: queries run after the simulation, so the running integral
-    is computed when asked for.
+    The history is two flat columns: ``times`` (``array('d')``) and
+    ``codes``, one unsigned code per change point into ``levels``, the
+    log's distinct values as floats in first-seen order (level 0 is
+    ``v0``).  A link log has two levels and a core log one per busy
+    count, so ``codes`` is ``array('B')`` and a change point costs 9
+    bytes; the 257th level widens it to ``'H'``, the 65,537th to ``'I'``.
+    Levels are distinct under ``==``: ``0.0`` and ``-0.0`` share one.
+    Nothing else is kept per point: queries run after the simulation,
+    so the running integral is computed when asked for.
     """
 
-    __slots__ = ("times", "values")
+    __slots__ = ("times", "codes", "levels", "_index")
 
     def __init__(self, t0: float = 0.0, v0: float = 0.0):
+        if not (-inf < t0 < inf and -inf < v0 < inf):
+            raise ValueError(f"non-finite start of a log: t0={t0!r}, v0={v0!r}")
         self.times = array("d", (t0,))
-        self.values = array("d", (v0,))
+        self.codes = array("B", (0,))
+        self.levels = [float(v0)]
+        self._index = {v0: 0}
+
+    def code(self, value: float) -> int:
+        """The code of ``value``, added as a level if unseen, for a writer
+        that edits the columns itself (the link's edges).  ``record``
+        carries the same new-level branch inline."""
+        code = self._index.get(value)
+        if code is None:
+            if not -inf < value < inf:
+                raise ValueError(f"non-finite value for a log: {value!r}")
+            levels = self.levels
+            code = self._index[value] = len(levels)
+            levels.append(float(value))
+            if code == 256 or code == 65536:
+                self.codes = array("H" if code == 256 else "I", self.codes)
+        return code
 
     def record(self, t: float, value: float) -> None:
         """Append a change point at ``t`` (must be non-decreasing)."""
-        values = self.values
-        if value == values[-1]:
+        try:
+            code = self._index[value]
+        except KeyError:  # a new level: refuse a bad time or value first
+            last = self.times[-1]
+            if not last <= t < inf:
+                raise ValueError(
+                    f"time went backwards or is not finite: {t} < {last}"
+                ) from None
+            if not -inf < value < inf:
+                raise ValueError(f"non-finite value for a log: {value!r}") from None
+            levels = self.levels
+            code = self._index[value] = len(levels)
+            levels.append(float(value))
+            if code == 256 or code == 65536:
+                self.codes = array("H" if code == 256 else "I", self.codes)
+        codes = self.codes
+        if code == codes[-1]:
             return
         times = self.times
         last = times[-1]
-        if t == last:
+        if last < t < inf:
+            times.append(t)
+            codes.append(code)
+        elif t == last:
             # Same-instant update: overwrite instead of storing a
             # zero-length segment.
-            values[-1] = value
-            if len(times) >= 2 and values[-2] == value:
+            codes[-1] = code
+            if len(times) >= 2 and codes[-2] == code:
                 times.pop()
-                values.pop()
-            return
-        if t < last:
-            raise ValueError(f"time went backwards: {t} < {last}")
-        times.append(t)
-        values.append(value)
+                codes.pop()
+        else:
+            raise ValueError(f"time went backwards or is not finite: {t} < {last}")
+
+    @property
+    def values(self) -> array:
+        """The value column, decoded: a fresh ``array('d')`` for tests
+        and post-run readers, never read per event."""
+        return array("d", map(self.levels.__getitem__, self.codes))
 
     @property
     def current(self) -> float:
-        return self.values[-1]
+        return self.levels[self.codes[-1]]
 
     def integrate(self, t_end: float) -> float:
         """Integral of the step function from its start to ``t_end``.
 
-        A left-to-right sum over the two columns, segment by segment —
-        the same double arithmetic as the sequential ``cumsum`` in
-        :meth:`sample`, so both give the same bits at a change point.
+        A left-to-right sum over the segments, each value decoded
+        through ``levels`` — the same double arithmetic as the
+        sequential ``cumsum`` in :meth:`sample`, so both give the same
+        bits at a change point.
         """
         times = self.times
-        values = self.values
+        codes = self.codes
+        levels = self.levels
         k = max(bisect_right(times, t_end) - 1, 0)
         acc = 0.0
         for i in range(k):
-            acc += (times[i + 1] - times[i]) * values[i]
-        return acc + max(t_end - times[k], 0.0) * values[k]
+            acc += (times[i + 1] - times[i]) * levels[codes[i]]
+        return acc + max(t_end - times[k], 0.0) * levels[codes[k]]
 
     def sample(
         self, t_end: float, dt: float, t_start: float = 0.0
@@ -125,9 +172,10 @@ class SegmentLog:
         query, so the only one that imports numpy.
 
         The prefix integral at every bucket edge is one sequential
-        ``cumsum`` over zero-copy views of the two columns.  The views
-        are locals: an ``array`` cannot grow while a buffer export is
-        alive, so they must not outlive the query.
+        ``cumsum`` over a zero-copy view of ``times`` and the values
+        decoded from a view of ``codes``.  The views are locals: an
+        ``array`` cannot grow while a buffer export is alive, so they
+        must not outlive the query.
         """
         import numpy as np
 
@@ -138,7 +186,8 @@ class SegmentLog:
         edges = np.arange(t_start, t_end, dt)
         edges = np.append(edges, t_end)  # final bucket may be partial
         times = np.frombuffer(self.times)
-        values = np.frombuffer(self.values)
+        codes = self.codes
+        values = np.asarray(self.levels)[np.frombuffer(codes, codes.typecode)]
         cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * values[:-1])))
         idx = np.searchsorted(times, edges, side="right") - 1
         idx = np.clip(idx, 0, len(times) - 1)
@@ -154,8 +203,7 @@ class CorePool:
     """Counting resource with FIFO queueing (vCPU slots on a node)."""
 
     __slots__ = (
-        "sim", "capacity", "busy", "name", "log", "_queue", "_cancelled",
-        "_granted",
+        "sim", "capacity", "busy", "name", "log", "_queue", "_granted",
     )
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "cores"):
@@ -167,7 +215,6 @@ class CorePool:
         self.name = name
         self.log = SegmentLog(sim.now, 0.0)
         self._queue: Deque[Event] = deque()
-        self._cancelled: set = set()
         # Shared already-triggered grant for the uncontended fast path:
         # callers only inspect ``triggered`` (and may yield, which
         # re-enters immediately), so one processed event serves every
@@ -180,7 +227,7 @@ class CorePool:
 
     @property
     def queued(self) -> int:
-        return len(self._queue) - len(self._cancelled)
+        return len(self._queue)
 
     def acquire(self) -> Event:
         """Request one core; the returned event fires when it is granted."""
@@ -197,14 +244,15 @@ class CorePool:
         return event
 
     def cancel(self, event: Event) -> bool:
-        """Withdraw a queued acquire (worker daemon shut down while waiting)."""
-        if event.triggered:
+        """Withdraw a queued acquire; ``False`` if it is not queued here."""
+        try:
+            self._queue.remove(event)
+        except ValueError:
             return False
-        self._cancelled.add(id(event))
         return True
 
     def release(self) -> None:
-        """Return one core, handing it to the oldest live waiter if any.
+        """Return one core, handing it to the oldest waiter if any.
 
         Over-releasing (a release with no matching acquire) raises
         immediately — *before* any state changes — instead of silently
@@ -218,13 +266,8 @@ class CorePool:
                 f"(busy={self.busy}, capacity={self.capacity}); every "
                 f"release must pair with exactly one granted acquire"
             )
-        queue = self._queue
-        while queue:
-            waiter = queue.popleft()
-            if id(waiter) in self._cancelled:
-                self._cancelled.discard(id(waiter))
-                continue
-            waiter.succeed()  # core stays busy, ownership transfers
+        if self._queue:
+            self._queue.popleft().succeed()  # core stays busy, ownership moves
             return
         self.busy -= 1
         self.log.record(self.sim.now, self.busy)
@@ -262,6 +305,7 @@ class FairShareLink:
         "_wake_ev",
         "_wake_time",
         "_wake_cb",
+        "_busy",
         "bytes_total",
     )
 
@@ -271,7 +315,10 @@ class FairShareLink:
         self.sim = sim
         self.capacity = float(capacity)
         self.name = name
-        self.log = SegmentLog(sim.now, 0.0)  # aggregate throughput (B/s)
+        # Aggregate throughput (B/s): idle is level 0, the capacity level 1.
+        self.log = log = SegmentLog(sim.now, 0.0)
+        log.levels.append(self.capacity)
+        log._index[self.capacity] = self._busy = 1  # the busy edge's code
         self._v = 0.0  # virtual per-stream service (bytes)
         self._last = sim.now
         self._n = 0
@@ -342,19 +389,19 @@ class FairShareLink:
             sim._imm.append((sim._seq, event))
         self._n = n
         if n == 0:
-            values = self.log.values
-            if values[-1] != 0.0:
+            codes = self.log.codes
+            if codes[-1]:  # not idle: the idle level is 0.0, code 0
                 times = self.log.times
                 if now > times[-1]:
                     times.append(now)
-                    values.append(0.0)
+                    codes.append(0)
                 elif now < times[-1]:
                     raise ValueError(f"time went backwards: {now} < {times[-1]}")
-                elif len(times) >= 2 and values[-2] == 0.0:
+                elif len(times) >= 2 and codes[-2] == 0:
                     times.pop()  # same instant, back to the value before
-                    values.pop()
+                    codes.pop()
                 else:
-                    values[-1] = 0.0  # same instant: overwrite
+                    codes[-1] = 0  # same instant: overwrite
             self._v = 0.0  # rebase the virtual clock between busy periods
         san = _sanitizer._ACTIVE
         if san is not None:
@@ -426,6 +473,7 @@ class FairShareLink:
             self.bytes_total += delta * n
         self._last = now
         self.capacity = float(capacity)
+        self._busy = self.log.code(self.capacity)
         if n > 0:
             self.log.record(now, self.capacity)
         san = _sanitizer._ACTIVE
@@ -461,19 +509,20 @@ class FairShareLink:
         n = self._n
         capacity = self.capacity
         if n == 0:
-            values = self.log.values
-            if values[-1] != capacity:
+            codes = self.log.codes
+            busy = self._busy
+            if codes[-1] != busy:
                 times = self.log.times
                 if now > times[-1]:
                     times.append(now)
-                    values.append(capacity)
+                    codes.append(busy)
                 elif now < times[-1]:
                     raise ValueError(f"time went backwards: {now} < {times[-1]}")
-                elif len(times) >= 2 and values[-2] == capacity:
+                elif len(times) >= 2 and codes[-2] == busy:
                     times.pop()  # same instant, back to the value before
-                    values.pop()
+                    codes.pop()
                 else:
-                    values[-1] = capacity  # same instant: overwrite
+                    codes[-1] = busy  # same instant: overwrite
         elif now > self._last:
             delta = (now - self._last) * capacity / n
             self._v += delta

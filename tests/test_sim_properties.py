@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) for the DES kernel invariants."""
 
+from array import array
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -477,10 +480,11 @@ def test_link_log_same_instant_edges_match_record():
     assert list(replayed.values) == [1e3, 0.0, 1e3, 0.0]
 
     # What the link's own invariants keep it from reaching, by hand: a
-    # point that already holds the value is left alone, on both edges...
-    link.log.values[-1] = link.capacity
+    # point that already holds the value's code is left alone, on both
+    # edges...
+    link.log.codes[-1] = link._busy
     link.transfer(1.0)
-    link.log.values[-1] = 0.0
+    link.log.codes[-1] = 0
     sim.run()
     assert list(link.log.times) == [0.0, 0.75, 2.0, 3.0] and link.active == 0
     # ... and a clock behind the log's last point is refused, on both.
@@ -804,3 +808,97 @@ def test_segment_log_integrate_is_bitwise_the_numpy_formula(t0, v0, points):
     mids = [(a + b) / 2.0 for a, b in zip(times, times[1:])]
     for at in [t0 - 1.0, *times, *mids, times[-1] + 0.5, times[-1] * 2.0 + 7.0]:
         assert log.integrate(at) == _numpy_integral(log, at)
+
+
+# ---------------------------------------------------------------------------
+# The coded log against the two-column log it replaced
+# ---------------------------------------------------------------------------
+
+
+class _TwoColumnLog:
+    """``SegmentLog`` before its values were coded: two double columns."""
+
+    def __init__(self, t0, v0):
+        self.times, self.values = array("d", (t0,)), array("d", (v0,))
+
+    def record(self, t, value):
+        times, values = self.times, self.values
+        if value == values[-1]:
+            return
+        if t != times[-1]:
+            times.append(t)
+            values.append(value)
+        elif len(times) >= 2 and values[-2] == value:
+            times.pop()
+            values.pop()
+        else:
+            values[-1] = value
+
+    def integrate(self, t_end):
+        times, values = self.times, self.values
+        k, acc = max(bisect_right(times, t_end) - 1, 0), 0.0
+        for i in range(k):
+            acc += (times[i + 1] - times[i]) * values[i]
+        return acc + max(t_end - times[k], 0.0) * values[k]
+
+    def sample(self, t_end, dt, t_start):
+        edges = np.append(np.arange(t_start, t_end, dt), t_end)
+        times, values = np.frombuffer(self.times), np.frombuffer(self.values)
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * values[:-1])))
+        idx = np.clip(np.searchsorted(times, edges, "right") - 1, 0, len(times) - 1)
+        area = np.diff(cum[idx] + np.clip(edges - times[idx], 0.0, None) * values[idx])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return edges[:-1], np.where(np.diff(edges) > 0, area / np.diff(edges), 0.0)
+
+
+# Values are >= 0.0, so never -0.0: levels are distinct under ``==`` and
+# -0.0 would decode as whichever zero the log saw first (SegmentLog says so).
+_LEVEL = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 32.0, 4.0e8]),
+    st.integers(0, 40).map(float),
+    st.floats(min_value=0.0, max_value=4.0e8),
+)
+
+
+@given(
+    t0=st.floats(min_value=0.0, max_value=1e4),
+    v0=_LEVEL,
+    points=st.lists(
+        st.tuples(
+            # Half the gaps are zero: same-instant overwrite and collapse.
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)),
+            _LEVEL,
+        ),
+        max_size=40,
+    ),
+    # A run of fresh levels spliced in: past 256 the codes widen.
+    ramp=st.sampled_from([0, 255, 256, 257, 300]) | st.integers(0, 300),
+    at=st.integers(0, 40),
+    ends=st.lists(st.floats(min_value=-10.0, max_value=6e4), max_size=4),
+    buckets=st.integers(1, 40),
+    lead=st.floats(min_value=0.0, max_value=50.0),
+)
+@settings(max_examples=120, deadline=None)
+def test_coded_log_matches_the_two_column_log(
+    t0, v0, points, ramp, at, ends, buckets, lead
+):
+    at = min(at, len(points))
+    fresh = [(0.0 if i % 3 == 0 else 0.25, 1000.0 + i) for i in range(ramp)]
+    log, ref = SegmentLog(t0, v0), _TwoColumnLog(t0, v0)
+    t = t0
+    for gap, value in points[:at] + fresh + points[at:]:
+        t += gap
+        log.record(t, value)
+        ref.record(t, value)
+        assert log.current == ref.values[-1]
+    assert log.times.tobytes() == ref.times.tobytes()
+    assert log.values.tobytes() == ref.values.tobytes()
+    assert log.codes.typecode == ("B" if len(log.levels) <= 256 else "H")
+    times = list(ref.times)
+    mids = [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+    for at_t in [t0 - 1.0, *times, *mids, *ends, t + 0.5]:
+        assert log.integrate(at_t) == ref.integrate(at_t)
+    t_start, t_end = t0 - lead, t + 1.0
+    dt = (t_end - t_start) / buckets
+    got, want = log.sample(t_end, dt, t_start), ref.sample(t_end, dt, t_start)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

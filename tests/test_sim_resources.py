@@ -1,17 +1,22 @@
 """Unit tests for CorePool, FairShareLink, FifoStore and SegmentLog."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.engines.base import execute_job
 from repro.sim import (
     CorePool,
     FairShareLink,
     FifoStore,
+    Interrupt,
     JoinEvent,
     SegmentLog,
     Simulator,
 )
 from repro.sim.engine import Event, SimulationError
+from repro.workflow.dag import Job
 
 # ---------------------------------------------------------------------------
 # SegmentLog
@@ -65,6 +70,51 @@ def test_segment_log_time_backwards_raises():
     log.record(5.0, 1.0)
     with pytest.raises(ValueError):
         log.record(4.0, 2.0)
+
+
+def test_segment_log_refuses_non_finite_times_and_values():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="t0=nan"):
+        SegmentLog(nan, 0.0)
+    with pytest.raises(ValueError, match="v0=inf"):
+        SegmentLog(0.0, inf)
+    log = SegmentLog(0.0, 0.0)
+    log.record(1.0, 2.0)
+    refused = [
+        (nan, 1.0, "not finite: nan"),  # a new level at a bad time
+        (nan, 0.0, "not finite: nan"),  # a known level at a bad time
+        (inf, 3.0, "not finite: inf"),
+        (0.5, 3.0, "backwards"),
+        (2.0, nan, "value for a log: nan"),
+        (2.0, -inf, "value for a log: -inf"),
+    ]
+    for t, value, match in refused:
+        with pytest.raises(ValueError, match=match):
+            log.record(t, value)
+    # Nothing was mutated: no point, no level, and a later time records.
+    assert list(log.times) == [0.0, 1.0] and list(log.values) == [0.0, 2.0]
+    assert log.levels == [0.0, 2.0]
+    log.record(2.0, 0.0)
+    assert log.integrate(3.0) == 2.0
+
+
+def test_segment_log_widens_its_codes_past_256_levels():
+    """A straggler run that calls ``set_capacity`` with many factors gives
+    a link log one level per factor: the codes widen, values stay exact."""
+    log = SegmentLog(0.0, 0.0)
+    for i in range(1, 70_001):
+        log.record(float(i), i * 0.5)
+        if i == 255:
+            assert log.codes.typecode == "B"
+        elif i == 256:
+            assert log.codes.typecode == "H"
+        elif i == 65_536:
+            assert log.codes.typecode == "I"
+    log.record(70_001.0, 0.5)  # an old level again: no new one
+    assert len(log.levels) == 70_001
+    assert log.values[:3].tolist() == [0.0, 0.5, 1.0]
+    assert log.values[-2:].tolist() == [35_000.0, 0.5]
+    assert log.integrate(70_001.0) == sum(i * 0.5 for i in range(70_001))
 
 
 def test_segment_log_sample_bucket_means():
@@ -178,6 +228,57 @@ def test_core_pool_cancel_queued_acquire():
     sim.run()
     # The cancelled request must be skipped; `late` gets the core at t=10.
     assert granted == [10.0]
+
+
+def test_core_pool_cancel_refuses_an_event_it_does_not_queue():
+    sim = Simulator()
+    pool = CorePool(sim, 1)
+    granted = pool.acquire()
+    assert not pool.cancel(granted)  # already granted
+    assert not pool.cancel(Event(sim))  # never this pool's
+    queued = pool.acquire()
+    assert pool.queued == 1
+    assert pool.cancel(queued) and not pool.cancel(queued)
+    assert pool.queued == 0 and pool.busy == 1
+
+
+@pytest.mark.parametrize("handed_over", [False, True])
+def test_core_waiter_killed_in_the_queue_leaks_no_core(handed_over):
+    """A holds the only core to t=5; B queues behind it and is killed,
+    either at t=2 or at t=5 just after A's release handed it the core;
+    C asks for the core at t=10 and must get it."""
+    sim = Simulator()
+    node = SimpleNamespace(cores=CorePool(sim, 1))
+    log = []
+
+    def a():
+        yield from execute_job(sim, node, None, Job("a", "t", 5.0))
+        log.append(("a done", sim.now))
+        if handed_over:
+            b.interrupt()
+
+    def b_():
+        try:
+            yield from execute_job(sim, node, None, Job("b", "t", 1.0))
+        except Interrupt:
+            log.append(("b killed", sim.now))
+
+    def c():
+        yield sim.timeout(10.0)
+        yield from execute_job(sim, node, None, Job("c", "t", 1.0))
+        log.append(("c done", sim.now))
+
+    sim.process(a())
+    b = sim.process(b_())
+    sim.process(c())
+    if not handed_over:
+        sim.schedule_call(2.0, b.interrupt)
+    sim.run()
+    killed = ("b killed", 5.0 if handed_over else 2.0)
+    assert sorted(log, key=lambda e: e[1]) == sorted(
+        [("a done", 5.0), killed, ("c done", 11.0)], key=lambda e: e[1]
+    )
+    assert (node.cores.busy, node.cores.queued) == (0, 0)
 
 
 def test_core_pool_capacity_validation():
