@@ -20,7 +20,7 @@ only need :mod:`.recorder` and :mod:`.shims`.
 from repro import lazy_exports
 
 __getattr__, __all__ = lazy_exports(__name__, {
-    "repro.analysis.concurrency.detector": "Race detect_races race_report",
+    "repro.analysis.concurrency.detector": "Race detect_races",
     "repro.analysis.concurrency.events": "ConcEvent",
     "repro.analysis.concurrency.recorder": "Recorder",
 })

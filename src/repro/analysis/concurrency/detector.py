@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.concurrency.events import ConcEvent
-from repro.analysis.report import AnalysisReport, Finding, Severity
 
-__all__ = ["Access", "Race", "detect_races", "race_fingerprint", "race_report"]
+__all__ = ["Access", "Race", "detect_races", "race_fingerprint"]
 
 VC = Dict[int, int]
 
@@ -221,20 +220,3 @@ def detect_races(
     races.sort(key=lambda r: (r.var, r.fingerprint))
     return races
 
-
-def race_report(races: Sequence[Race]) -> AnalysisReport:
-    """Render races through the standard analysis report machinery."""
-    report = AnalysisReport()
-    for race in races:
-        report.add(
-            Finding(
-                rule="RC001",
-                severity=Severity.ERROR,
-                workflow=race.var,
-                message=(
-                    f"data race [{race.fingerprint}]: {race.a} "
-                    f"is unordered with {race.b}"
-                ),
-            )
-        )
-    return report

@@ -4,13 +4,12 @@ Six commands mirror the system's main user journeys:
 
 * ``repro-run`` — execute a workflow ensemble on a simulated cluster with
   a chosen engine and print the run summary (the DAG is validated at
-  submission time, paper §III.C; ``--lint`` adds the full static
-  analyzer as a pre-flight);
+  submission time, paper §III.C);
 * ``repro-plan`` — size clusters for a workload/deadline (Table III);
 * ``repro-profile`` — run the Fig 5 profiling campaign for an instance
   type and print the derived node performance index;
-* ``repro-lint`` — static analysis: workflow/ensemble data-flow lint, or
-  the repo code lint (``--code``).  See docs/STATIC_ANALYSIS.md.
+* ``repro-lint`` — the repo code lint (``__slots__`` and lock-discipline
+  rules).  See docs/STATIC_ANALYSIS.md.
 * ``repro-chaos`` — run an ensemble under a named fault scenario and
   verify the recovery invariants.  See docs/FAULTS.md.
 * ``repro-service`` — multi-tenant open-loop soak: seeded arrival
@@ -27,19 +26,11 @@ import sys
 from typing import List, Optional
 
 from repro.cloud.cluster import FS_KINDS
-from repro.generators import WORKFLOW_KINDS, make_workflow, montage_workflow
+from repro.generators import WORKFLOW_KINDS, montage_workflow
 from repro.monitor import run_summary, summary_table
 from repro.parallel.runner import ENGINES, RunSpec, build_engine, build_ensemble
 from repro.provision import ProfilingCampaign, plan_cluster
-from repro.workflow import Ensemble, ValidationError, validate_workflow
-
-
-def _load_workflow_file(path: str):
-    from repro.workflow.serialize import load_dax, load_json
-
-    if path.endswith((".xml", ".dax")):
-        return load_dax(path)
-    return load_json(path)
+from repro.workflow import ValidationError, validate_workflow
 
 
 def main_run(argv: Optional[List[str]] = None) -> int:
@@ -62,12 +53,9 @@ def main_run(argv: Optional[List[str]] = None) -> int:
                         help="job timeout for the master daemon")
     parser.add_argument("--export-dir", default=None,
                         help="write trace.json / timeline.svg / metrics.csv here")
-    parser.add_argument("--lint", action="store_true",
-                        help="run the full static analyzer as a pre-flight "
-                             "and refuse to simulate on errors")
     parser.add_argument("--verbose", action="store_true",
-                        help="report every validation/lint problem, not "
-                             "just the first few")
+                        help="report every validation problem, not just "
+                             "the first few")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top-20 "
                              "hot spots by cumulative time")
@@ -93,16 +81,6 @@ def main_run(argv: Optional[List[str]] = None) -> int:
     except ValidationError as exc:
         print(exc.render(verbose=args.verbose), file=sys.stderr)
         return 2
-    if args.lint:
-        from repro.analysis.dataflow import analyze_ensemble
-
-        report = analyze_ensemble(ensemble)
-        if report.findings:
-            print(report.render(verbose=args.verbose), file=sys.stderr)
-        if report.errors:
-            print("lint pre-flight failed: refusing to simulate",
-                  file=sys.stderr)
-            return 2
     if args.profile:
         import cProfile
         import pstats
@@ -293,88 +271,30 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
 
 
 def main_lint(argv: Optional[List[str]] = None) -> int:
-    """Static analysis CLI.
+    """Repo code lint over PATH(s), the installed package by default.
 
-    Default mode analyzes a generated (or loaded) workflow ensemble with
-    the data-flow rules; ``--code`` runs the repo AST lints instead.
-    Exit codes: 0 clean (INFO notes allowed), 1 warnings, 2 errors.
+    Exit codes: 0 clean, 1 findings.
     """
-    from repro.analysis.dataflow import RULES, AnalyzerConfig, analyze_ensemble
+    from pathlib import Path
+
+    import repro
+    from repro.analysis.codelint import lint_paths
 
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Static analysis for workflows, ensembles and the repo "
-                    "itself (rule catalogue: docs/STATIC_ANALYSIS.md).",
+        description="Lint the repo's own code (rule catalogue: "
+                    "docs/STATIC_ANALYSIS.md).",
     )
-    parser.add_argument("--code", nargs="*", metavar="PATH", default=None,
-                        help="run the repo code lint over PATH(s) "
+    parser.add_argument("paths", nargs="*", metavar="PATH",
+                        help="files or directories to lint "
                              "(default: the installed repro package)")
-    parser.add_argument("--workflow", default="montage", choices=WORKFLOW_KINDS)
-    parser.add_argument("--size", type=float, default=1.0,
-                        help="Montage degree / LIGO blocks / CyberShake ruptures")
-    parser.add_argument("--workflows", type=int, default=1,
-                        help="ensemble size (copies of the workflow)")
-    parser.add_argument("--interval", type=float, default=0.0,
-                        help="incremental submission interval in seconds")
-    parser.add_argument("--file", default=None,
-                        help="analyze a serialized workflow (.json or "
-                             ".xml/.dax) instead of generating one")
-    parser.add_argument("--hotspot-fanout", type=int, default=None,
-                        help="FS001 threshold: files consumed by more jobs "
-                             "than this are flagged (default 256)")
-    parser.add_argument("--ignore", action="append", default=None,
-                        metavar="RULE", help="suppress a rule id (repeatable)")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--verbose", action="store_true",
-                        help="list every finding, not just the first 25")
     args = parser.parse_args(argv)
 
-    if args.code is not None:
-        from pathlib import Path
-
-        import repro
-        from repro.analysis.codelint import lint_paths
-
-        paths = args.code or [Path(repro.__file__).parent]
-        findings = lint_paths(paths)
-        for finding in findings:
-            print(finding)
-        print(f"code lint: {len(findings)} finding(s)")
-        return 1 if findings else 0
-
-    ignore = frozenset(args.ignore or ())
-    unknown = ignore - set(RULES)
-    if unknown:
-        print(f"unknown rule id(s) in --ignore: {', '.join(sorted(unknown))}; "
-              f"known rules: {', '.join(sorted(RULES))}", file=sys.stderr)
-        return 2
-    if args.file is not None:
-        try:
-            template = _load_workflow_file(args.file)
-        except OSError as exc:
-            print(f"cannot read workflow file: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            template = make_workflow(args.workflow, args.size)
-        except ValueError as exc:
-            parser.error(str(exc))
-    ensemble = Ensemble.replicated(
-        template, max(1, args.workflows), interval=args.interval
-    )
-    config_kwargs = {"ignore": ignore}
-    if args.hotspot_fanout is not None:
-        config_kwargs["hotspot_fanout"] = args.hotspot_fanout
-    report = analyze_ensemble(ensemble, AnalyzerConfig(**config_kwargs))
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render(verbose=args.verbose))
-    if report.errors:
-        return 2
-    if report.warnings:
-        return 1
-    return 0
+    findings = lint_paths(args.paths or [Path(repro.__file__).parent])
+    for finding in findings:
+        print(finding)
+    print(f"code lint: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 def main_service(argv: Optional[List[str]] = None) -> int:

@@ -20,7 +20,7 @@ rates live in three frozen samplers — :class:`SpotHazard`,
 :class:`StragglerHazard`, :class:`PartitionHazard` — whose
 ``sample(seed, n_nodes, horizon)`` draws the event list once, up front,
 from an explicit ``random.Random(seed)``, so the whole fault trace is a
-pure function of the seed (codelint CL002 discipline).
+pure function of the seed (the chaos goldens pin it).
 """
 
 from __future__ import annotations

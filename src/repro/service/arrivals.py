@@ -5,7 +5,7 @@ relative to the system's own progress; an *open-loop* source submits on
 its own schedule regardless of backlog, which is what makes overload a
 sustained regime instead of a transient.  Both processes here are pure
 functions of ``(seed, horizon)`` — an explicit ``random.Random(seed)``,
-never the global RNG (code lint CL002) — so a tenant's arrival trace is
+never the global RNG — so a tenant's arrival trace is
 byte-reproducible.
 """
 

@@ -6,8 +6,9 @@ real DEWE v2 engine (:mod:`repro.dewe`) and the cluster-simulation engines
 
 * :mod:`~repro.workflow.dag` — :class:`Workflow`, :class:`Job`,
   :class:`DataFile`;
-* :mod:`~repro.workflow.validation` — structural validation (acyclicity,
-  dangling references, duplicate ids);
+* :mod:`~repro.workflow.validation` — submission-time validation
+  (acyclicity, dangling references, duplicate entries, producer/consumer
+  data flow);
 * :mod:`~repro.workflow.analysis` — topological levels, critical path,
   stage decomposition, summary statistics;
 * :mod:`~repro.workflow.serialize` — JSON and DAX-like XML round-trips;

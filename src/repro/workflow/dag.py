@@ -17,6 +17,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 __all__ = ["DataFile", "Job", "SkeletonArena", "Workflow", "WorkflowSkeleton"]
 
+_INF = float("inf")
+
 
 class DataFile:
     """A logical file flowing between jobs via the shared file system.
@@ -29,8 +31,8 @@ class DataFile:
     __slots__ = ("name", "size", "kind")
 
     def __init__(self, name: str, size: float, kind: str = "intermediate"):
-        if size < 0:
-            raise ValueError(f"file size must be >= 0, got {size}")
+        if not 0.0 <= size < _INF:
+            raise ValueError(f"file size must be finite and >= 0, got {size}")
         if kind not in ("input", "intermediate", "output"):
             raise ValueError(f"unknown file kind: {kind!r}")
         self.name = name
@@ -96,10 +98,12 @@ class Job:
         max_attempts: Optional[int] = None,
         action: Optional[Callable[..., Any]] = None,
     ):
-        if runtime < 0:
-            raise ValueError(f"job runtime must be >= 0, got {runtime}")
+        if not 0.0 <= runtime < _INF:
+            raise ValueError(f"job runtime must be finite and >= 0, got {runtime}")
         if threads < 1:
             raise ValueError(f"job threads must be >= 1, got {threads}")
+        if timeout is not None and not 0.0 < timeout < _INF:
+            raise ValueError(f"job timeout must be finite and > 0, got {timeout}")
         if max_attempts is not None and max_attempts < 0:
             raise ValueError(f"job max_attempts must be >= 0, got {max_attempts}")
         self.id = id

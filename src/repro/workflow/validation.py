@@ -1,37 +1,30 @@
-"""Structural validation for workflows.
+"""Submission-time validation for workflows.
 
 The master daemon validates a workflow at submission time (the DAG file is
 parsed and stored in a data structure, paper §III.C); malformed DAGs are
 rejected with a :class:`ValidationError` listing every problem found.
+:func:`find_problems` is the one workflow checker: ``repro-run``, the
+threaded :class:`~repro.dewe.master.MasterDaemon` and the submission
+folder all refuse a workflow on what it reports:
 
-The checks are split in two layers so the static analyzer
-(:mod:`repro.analysis.dataflow`) can reuse the structural pass without
-duplicating the data-flow findings it supersedes:
-
-* :func:`find_structural_problems` — edge-list integrity, duplicates,
-  acyclicity, non-emptiness;
-* :func:`find_dataflow_problems` — the legacy producer/consumer checks
-  kept for submission-time validation (the analyzer's DF rules are a
-  strict superset).
+* structure — an empty DAG, an edge to an unknown job, an edge listed on
+  one side only, a duplicate edge entry, a cycle;
+* data flow — a file two jobs produce, a non-input file no job produces,
+  and a consumer that does not descend from its file's producer (its
+  read may race the write), a job reading its own output included.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Set
 
-from repro.workflow.dag import Workflow
+from repro.workflow.dag import Job, Workflow
 
-__all__ = [
-    "ValidationError",
-    "find_dataflow_problems",
-    "find_problems",
-    "find_structural_problems",
-    "validate_workflow",
-]
+__all__ = ["ValidationError", "find_problems", "validate_workflow"]
 
 
 class ValidationError(ValueError):
-    """Raised when a workflow is structurally invalid.
+    """Raised when a workflow is invalid.
 
     ``problems`` holds one message per independent defect.  The exception
     text summarises the first few; :meth:`render` lists as many as asked.
@@ -59,30 +52,44 @@ class ValidationError(ValueError):
         return "\n".join(lines)
 
 
-def find_structural_problems(workflow: Workflow) -> List[str]:
-    """Structural defects only: integrity, duplicates, cycles, emptiness."""
-    problems: List[str] = []
+def _ancestors(jobs: Dict[str, Job], job: Job) -> Set[str]:
+    """Ids of every job ``job`` transitively depends on (one upward walk)."""
+    seen: Set[str] = set()
+    stack = list(job.parents)
+    while stack:
+        job_id = stack.pop()
+        if job_id not in seen:
+            seen.add(job_id)
+            parent = jobs.get(job_id)
+            if parent is not None:
+                stack.extend(parent.parents)
+    return seen
+
+
+def find_problems(workflow: Workflow) -> List[str]:
+    """Return every defect that makes the master refuse ``workflow``
+    (empty when valid)."""
     jobs = workflow.jobs
-
     if not jobs:
-        problems.append("workflow has no jobs")
-        return problems
+        return ["workflow has no jobs"]
+    problems: List[str] = []
 
-    # Referential integrity and symmetry of the edge lists.
+    # Referential integrity and symmetry of the edge lists, each edge
+    # looked up in a set of the other side's edges.
+    parent_links = {(p, job.id) for job in jobs.values() for p in job.parents}
+    child_links = {(job.id, c) for job in jobs.values() for c in job.children}
     for job in jobs.values():
         for parent_id in job.parents:
-            parent = jobs.get(parent_id)
-            if parent is None:
+            if parent_id not in jobs:
                 problems.append(f"{job.id}: unknown parent {parent_id!r}")
-            elif job.id not in parent.children:
+            elif (parent_id, job.id) not in child_links:
                 problems.append(
                     f"{job.id}: parent link to {parent_id!r} is not mirrored"
                 )
         for child_id in job.children:
-            child = jobs.get(child_id)
-            if child is None:
+            if child_id not in jobs:
                 problems.append(f"{job.id}: unknown child {child_id!r}")
-            elif job.id not in child.parents:
+            elif (job.id, child_id) not in parent_links:
                 problems.append(
                     f"{job.id}: child link to {child_id!r} is not mirrored"
                 )
@@ -91,21 +98,14 @@ def find_structural_problems(workflow: Workflow) -> List[str]:
         if len(set(job.children)) != len(job.children):
             problems.append(f"{job.id}: duplicate child entries")
 
-    # Acyclicity.
     try:
         workflow.topological_order()
     except ValueError:
         problems.append("dependency graph contains a cycle")
 
-    return problems
-
-
-def find_dataflow_problems(workflow: Workflow) -> List[str]:
-    """Data-flow sanity: a file must not have two distinct producers, and a
-    file consumed before the workflow starts must be an input."""
-    problems: List[str] = []
-    producers: dict = {}
-    jobs = workflow.jobs
+    # Data flow: one producer per file, and every non-input file consumed
+    # is produced by a job the consumer descends from.
+    producers: Dict[str, Job] = {}
     for job in jobs.values():
         for f in job.outputs:
             prior = producers.get(f.name)
@@ -115,32 +115,34 @@ def find_dataflow_problems(workflow: Workflow) -> List[str]:
                 )
             producers[f.name] = job
     for job in jobs.values():
+        parents = set(job.parents)
+        ancestors: Optional[Set[str]] = None
         for f in job.inputs:
-            if f.kind != "input" and f.name not in producers:
+            producer = producers.get(f.name)
+            if producer is None:
+                if f.kind != "input":
+                    problems.append(
+                        f"{job.id}: consumes {f.name!r} ({f.kind}) with no producer"
+                    )
+                continue
+            if producer is job:
+                problems.append(f"{job.id}: consumes its own output {f.name!r}")
+                continue
+            if producer.id in parents:
+                continue
+            if ancestors is None:
+                ancestors = _ancestors(jobs, job)
+            if producer.id not in ancestors:
                 problems.append(
-                    f"{job.id}: consumes {f.name!r} ({f.kind}) with no producer"
+                    f"{job.id}: reads {f.name!r} produced by {producer.id} "
+                    "without depending on it (the read may race the write)"
                 )
     return problems
 
 
-def find_problems(workflow: Workflow) -> List[str]:
-    """Return a list of structural defects (empty when valid)."""
-    problems = find_structural_problems(workflow)
-    if problems and not workflow.jobs:
-        return problems
-    return problems + find_dataflow_problems(workflow)
-
-
-def validate_workflow(
-    workflow: Workflow, problems: Optional[List[str]] = None
-) -> Workflow:
-    """Validate ``workflow``; returns it unchanged or raises ValidationError.
-
-    ``problems`` allows a caller that already ran :func:`find_problems`
-    to raise without re-checking.
-    """
-    if problems is None:
-        problems = find_problems(workflow)
+def validate_workflow(workflow: Workflow) -> Workflow:
+    """Validate ``workflow``; returns it unchanged or raises ValidationError."""
+    problems = find_problems(workflow)
     if problems:
         raise ValidationError(workflow.name, problems)
     return workflow

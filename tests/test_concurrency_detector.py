@@ -15,16 +15,9 @@ Three layers:
 
 import time
 
-import pytest
-
 import repro.analysis.concurrency.recorder as rec_mod
-from repro.analysis.concurrency.detector import (
-    detect_races,
-    race_fingerprint,
-    race_report,
-)
+from repro.analysis.concurrency.detector import detect_races, race_fingerprint
 from repro.analysis.concurrency.events import ConcEvent
-from repro.analysis.report import Severity
 from repro.dewe import DeweConfig, MasterDaemon, WorkerDaemon, submit_workflow
 from repro.mq import Broker
 from repro.recovery.checkpoint import MasterCrashModel
@@ -213,17 +206,6 @@ def test_fingerprint_is_order_and_thread_insensitive():
     assert a == b
     assert len(a) == 12
     assert a != race_fingerprint("y", ("write", "s1"), ("read", "s2"))
-
-
-def test_race_report_renders_rc001():
-    races = detect_races(log((1, "write", VAR, "a"), (2, "write", VAR, "b")))
-    report = race_report(races)
-    assert len(report.errors) == 1
-    finding = report.errors[0]
-    assert finding.rule == "RC001"
-    assert finding.severity is Severity.ERROR
-    assert races[0].fingerprint in finding.message
-    assert "RC001" in report.render()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Determinism regression: same seed, same simulation, bit-identical run.
 
 The simulator documents bit-identical replay (tie-broken agenda, seeded
-generators, no wall clock — enforced statically by CL001/CL002).  This
-pins the end-to-end property the analysis stack exists to protect: two
-runs of the same seeded ensemble agree exactly on makespan, executed-job
+generators, no wall clock).  This pins the end-to-end property: two runs
+of the same seeded ensemble agree exactly on makespan, executed-job
 count, per-job records and the number of events processed.
 """
 

@@ -1,9 +1,16 @@
 """Unit tests for the workflow DAG model and validation."""
 
+import json
+
 import pytest
 
+from repro.generators import make_workflow
 from repro.workflow import DataFile, Job, ValidationError, Workflow, validate_workflow
+from repro.workflow.serialize import load_json, workflow_to_dict
 from repro.workflow.validation import find_problems
+
+NAN = float("nan")
+INF = float("inf")
 
 
 def diamond() -> Workflow:
@@ -107,14 +114,32 @@ def test_relabel_shares_structure():
 
 
 def test_job_validation():
-    with pytest.raises(ValueError):
-        Job("j", "t", runtime=-1.0)
+    for runtime in (-1.0, NAN, INF):
+        with pytest.raises(ValueError, match="runtime"):
+            Job("j", "t", runtime=runtime)
+    for timeout in (0.0, -5.0, NAN, INF):
+        with pytest.raises(ValueError, match="timeout"):
+            Job("j", "t", timeout=timeout)
     with pytest.raises(ValueError):
         Job("j", "t", threads=0)
-    with pytest.raises(ValueError):
-        DataFile("f", -5.0)
+    for size in (-5.0, NAN, INF):
+        with pytest.raises(ValueError, match="size"):
+            DataFile("f", size)
     with pytest.raises(ValueError):
         DataFile("f", 5.0, kind="bogus")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("runtime", NAN), ("timeout", -1.0), ("size", NAN),
+])
+def test_load_json_refuses_a_bad_number(tmp_path, field, value):
+    data = workflow_to_dict(diamond())
+    job = data["jobs"][0]
+    (job["inputs"][0] if field == "size" else job)[field] = value
+    path = tmp_path / "wf.json"
+    path.write_text(json.dumps(data))  # writes NaN, which json.loads reads
+    with pytest.raises(ValueError, match=field):
+        load_json(path)
 
 
 def test_job_byte_properties():
@@ -135,6 +160,11 @@ def test_job_byte_properties():
 
 def test_validate_accepts_diamond():
     assert validate_workflow(diamond()) is not None
+    # Reading a grandparent's output is legal (Montage's mAdd reads the
+    # mBackground images through mImgTbl).
+    wf = diamond()
+    wf.job("d").inputs.append(wf.job("a").outputs[0])
+    assert find_problems(wf) == []
 
 
 def test_validate_rejects_empty():
@@ -147,6 +177,11 @@ def test_validate_detects_cycle():
     wf.add_dependency("d", "a")
     problems = find_problems(wf)
     assert any("cycle" in p for p in problems)
+    wf = diamond()
+    wf.add_dependency("b", "c")
+    wf.add_dependency("c", "b")  # a two-job cycle off the root
+    with pytest.raises(ValidationError, match="cycle"):
+        validate_workflow(wf)
 
 
 def test_validate_detects_asymmetric_links():
@@ -173,6 +208,10 @@ def test_validate_detects_double_producer():
     wf.new_job("b", "t", outputs=[shared])
     problems = find_problems(wf)
     assert any("produced by both" in p for p in problems)
+    wf = diamond()
+    wf.new_job("rogue", "mid", outputs=[DataFile("b.out", 100.0)])
+    with pytest.raises(ValidationError, match="'b.out' produced by both b and rogue"):
+        validate_workflow(wf)
 
 
 def test_validate_detects_orphan_intermediate_input():
@@ -180,6 +219,44 @@ def test_validate_detects_orphan_intermediate_input():
     wf.new_job("a", "t", inputs=[DataFile("nowhere.dat", 1.0, "intermediate")])
     problems = find_problems(wf)
     assert any("no producer" in p for p in problems)
+    wf = diamond()
+    wf.job("d").inputs.append(DataFile("ghost.dat", 5.0))
+    with pytest.raises(ValidationError, match="d: consumes 'ghost.dat'"):
+        validate_workflow(wf)
+
+
+def test_validate_detects_racing_consumer():
+    """A job reading a file from a producer it does not descend from would
+    read before the write; the master refuses it at submission."""
+    wf = Workflow("race")
+    big = DataFile("big.dat", 5e9)
+    wf.new_job("writer", "t", runtime=100.0, outputs=[big])
+    wf.new_job("racer", "t", runtime=1.0, inputs=[big])
+    with pytest.raises(ValidationError) as err:
+        validate_workflow(wf)
+    assert err.value.problems == [
+        "racer: reads 'big.dat' produced by writer without depending on it "
+        "(the read may race the write)"
+    ]
+    wf = diamond()
+    wf.job("c").inputs.append(wf.job("b").outputs[0])  # siblings: no path
+    assert find_problems(wf) == [
+        "c: reads 'b.out' produced by b without depending on it "
+        "(the read may race the write)"
+    ]
+    wf = diamond()
+    loop = DataFile("loop.dat", 1.0)
+    wf.job("b").inputs.append(loop)
+    wf.job("b").outputs.append(loop)
+    assert find_problems(wf) == ["b: consumes its own output 'loop.dat'"]
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("montage", 6.0), ("ligo", 4), ("cybershake", 8)],
+    ids=["montage", "ligo", "cybershake"],
+)
+def test_paper_generators_are_clean(kind, size):
+    assert find_problems(make_workflow(kind, size)) == []
 
 
 def test_validation_error_reports_workflow_name():
