@@ -277,9 +277,9 @@ class MasterCore:
         """Data-aware recovery: map damaged files to their producer
         jobs and re-execute the minimal ancestor set; producerless raw
         inputs are re-staged from the submit host."""
-        # file name -> producer job id; interned on the skeleton, shared
-        # by all relabelled ensemble members.
-        producer_of = state.workflow.skeleton().producer_of
+        # file name -> producer job id; built on first use and cached on
+        # the skeleton, shared by all relabelled ensemble members.
+        producer_of = state.workflow.skeleton().producer_of()
         producers: List[str] = []
         raw: List[str] = []
         for file_name in bad_files:

@@ -63,7 +63,7 @@ def outputs_digest(
     """
     root = Path(workdir)
     digests: Dict[str, Tuple[int, str]] = {}
-    for f in workflow.files().values():
+    for f in workflow.skeleton().files:
         if f.kind != kind:
             continue
         path = root / f.name

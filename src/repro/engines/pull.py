@@ -308,7 +308,7 @@ class PullRun:
                 trace=self.trace, models=engine.integrity_models
             )
             for wf in ensemble.workflows:
-                for f in wf.files().values():
+                for f in wf.skeleton().files:
                     if f.kind == "input":
                         self.integrity.record_stage(wf.name, f)
 

@@ -22,6 +22,8 @@ from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["cybershake_workflow"]
 
+_INF = float("inf")
+
 SGT_BYTES = 400e6          # strain Green tensor slab per rupture
 SEISMOGRAM_BYTES = 0.5e6
 PSA_BYTES = 0.1e6
@@ -52,10 +54,12 @@ def cybershake_workflow(
     variations:
         Seismogram variations per rupture (fan-out width).
     """
-    if ruptures < 1 or variations < 1:
-        raise ValueError("ruptures and variations must be >= 1")
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+    if not 1 <= ruptures < _INF:
+        raise ValueError(f"ruptures must be finite and >= 1, got {ruptures!r}")
+    if variations < 1:
+        raise ValueError(f"variations must be >= 1, got {variations!r}")
+    if not 0.0 <= jitter < _INF:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     if name is None:
         name = f"cybershake-{ruptures}x{variations}"
     wf = Workflow(name)

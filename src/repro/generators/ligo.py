@@ -21,6 +21,8 @@ from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["ligo_workflow"]
 
+_INF = float("inf")
+
 STRAIN_SEGMENT_BYTES = 200e6   # raw strain data per analysis block
 TEMPLATE_BANK_BYTES = 5e6
 TRIGGER_BYTES = 2e6
@@ -52,12 +54,12 @@ def ligo_workflow(
     group:
         Blocks per coincidence (Thinca) job.
     """
-    if blocks < 1:
-        raise ValueError(f"blocks must be >= 1, got {blocks}")
+    if not 1 <= blocks < _INF:
+        raise ValueError(f"blocks must be finite and >= 1, got {blocks!r}")
     if group < 1:
         raise ValueError(f"group must be >= 1, got {group}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+    if not 0.0 <= jitter < _INF:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     if name is None:
         name = f"ligo-{blocks}x{group}"
     wf = Workflow(name)

@@ -47,6 +47,7 @@ __all__ = [
 _REF_DEGREE = 6.0
 _REF_GRID = 38
 _REF_TILES = _REF_GRID * _REF_GRID
+_INF = float("inf")
 
 # Diff jobs per tile calibrated so a 6.0-degree workflow has 8,586 jobs:
 # 8,586 = 2 * 1,444 (mProjectPP + mBackground) + 6 tail jobs + 5,692 diffs.
@@ -96,8 +97,8 @@ MONTAGE_BLOCKING_TYPES = ("mConcatFit", "mBgModel")
 
 def montage_grid_size(degree: float) -> int:
     """Tiles per side for a mosaic of ``degree`` (area scales as degree^2)."""
-    if degree <= 0:
-        raise ValueError(f"degree must be positive, got {degree}")
+    if not 0 < degree < _INF:
+        raise ValueError(f"degree must be finite and > 0, got {degree!r}")
     return max(2, round(_REF_GRID * degree / _REF_DEGREE))
 
 
@@ -157,8 +158,8 @@ def montage_workflow(
         multiple cores (OpenMP-style), the speed-up opportunity noted in
         paper §III.D.
     """
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+    if not 0.0 <= jitter < _INF:
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     grid = montage_grid_size(degree)
     n_tiles = grid * grid
     n_diffs = round(_DIFFS_PER_TILE * n_tiles)
@@ -182,17 +183,21 @@ def montage_workflow(
 
     blocking_threads = 8 if parallel_blocking_jobs else 1
 
+    # Each stage's job ids are formatted once, into one list per stage,
+    # not again for every dependency edge that names them.
+
     # Stage 1a: one mProjectPP per tile.
+    project_ids = [f"mProjectPP_{i:06d}" for i in range(n_tiles)]
     projected: List[DataFile] = []
     proj_areas: List[DataFile] = []
-    for i in range(n_tiles):
+    for i, job_id in enumerate(project_ids):
         raw = DataFile(f"{name}/raw_{i:06d}.fits", RAW_IMAGE_BYTES, "input")
         proj = DataFile(f"{name}/p_{i:06d}.fits", PROJECTED_BYTES)
         area = DataFile(f"{name}/p_area_{i:06d}.fits", PROJECTED_AREA_BYTES)
         projected.append(proj)
         proj_areas.append(area)
         wf.new_job(
-            f"mProjectPP_{i:06d}",
+            job_id,
             "mProjectPP",
             runtime=runtime_of("mProjectPP"),
             inputs=[raw],
@@ -203,22 +208,23 @@ def montage_workflow(
     # have enough overlaps to reach the nominal diff count, so the real
     # pair list is authoritative from here on.
     overlaps = _tile_overlaps(grid, n_diffs)
-    n_diffs = len(overlaps)
+    diff_ids = [f"mDiffFit_{k:06d}" for k in range(len(overlaps))]
     fit_records: List[DataFile] = []
     for k, (a, b) in enumerate(overlaps):
+        job_id = diff_ids[k]
         fit = DataFile(f"{name}/fit_{k:06d}.txt", FIT_RECORD_BYTES)
         diff = DataFile(f"{name}/diff_{k:06d}.fits", DIFF_IMAGE_BYTES)
         darea = DataFile(f"{name}/diff_area_{k:06d}.fits", DIFF_AREA_BYTES)
         fit_records.append(fit)
         wf.new_job(
-            f"mDiffFit_{k:06d}",
+            job_id,
             "mDiffFit",
             runtime=runtime_of("mDiffFit"),
             inputs=[projected[a], proj_areas[a], projected[b], proj_areas[b]],
             outputs=[diff, darea, fit],
         )
-        wf.add_dependency(f"mProjectPP_{a:06d}", f"mDiffFit_{k:06d}")
-        wf.add_dependency(f"mProjectPP_{b:06d}", f"mDiffFit_{k:06d}")
+        wf.add_dependency(project_ids[a], job_id)
+        wf.add_dependency(project_ids[b], job_id)
 
     # Stage 2: the two blocking jobs.
     fits_table = DataFile(f"{name}/fits.tbl", FITS_TABLE_BYTES)
@@ -230,8 +236,8 @@ def montage_workflow(
         inputs=list(fit_records),
         outputs=[fits_table],
     )
-    for k in range(n_diffs):
-        wf.add_dependency(f"mDiffFit_{k:06d}", "mConcatFit")
+    for job_id in diff_ids:
+        wf.add_dependency(job_id, "mConcatFit")
 
     corrections = DataFile(f"{name}/corrections.tbl", CORRECTIONS_BYTES)
     wf.new_job(
@@ -245,22 +251,23 @@ def montage_workflow(
     wf.add_dependency("mConcatFit", "mBgModel")
 
     # Stage 3a: one mBackground per tile.
+    background_ids = [f"mBackground_{i:06d}" for i in range(n_tiles)]
     corrected: List[DataFile] = []
     corrected_areas: List[DataFile] = []
-    for i in range(n_tiles):
+    for i, job_id in enumerate(background_ids):
         cimg = DataFile(f"{name}/c_{i:06d}.fits", CORRECTED_BYTES)
         carea = DataFile(f"{name}/c_area_{i:06d}.fits", CORRECTED_AREA_BYTES)
         corrected.append(cimg)
         corrected_areas.append(carea)
         wf.new_job(
-            f"mBackground_{i:06d}",
+            job_id,
             "mBackground",
             runtime=runtime_of("mBackground"),
             inputs=[projected[i], proj_areas[i], corrections],
             outputs=[cimg, carea],
         )
-        wf.add_dependency("mBgModel", f"mBackground_{i:06d}")
-        wf.add_dependency(f"mProjectPP_{i:06d}", f"mBackground_{i:06d}")
+        wf.add_dependency("mBgModel", job_id)
+        wf.add_dependency(project_ids[i], job_id)
 
     # Stage 3b: assemble the mosaic.
     image_table = DataFile(f"{name}/images.tbl", IMAGE_TABLE_BYTES)
@@ -273,8 +280,8 @@ def montage_workflow(
         inputs=[],
         outputs=[image_table],
     )
-    for i in range(n_tiles):
-        wf.add_dependency(f"mBackground_{i:06d}", "mImgTbl")
+    for job_id in background_ids:
+        wf.add_dependency(job_id, "mImgTbl")
 
     mosaic = DataFile(f"{name}/mosaic.fits", MOSAIC_BYTES_REF * scale)
     mosaic_area = DataFile(f"{name}/mosaic_area.fits", MOSAIC_AREA_BYTES_REF * scale)

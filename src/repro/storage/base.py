@@ -112,7 +112,7 @@ class SharedFileSystem:
             skeleton = wf.skeleton()
             owner = wf.name
             index, row = self._touch_of(owner, skeleton.file_index())
-            for f in skeleton.files.values():
+            for f in skeleton.files:
                 if f.kind == "input":
                     self.active_bytes += f.size
                     self.write_clock += f.size

@@ -158,7 +158,7 @@ def summarize(workflow: Workflow) -> WorkflowStats:
     for level in levels.values():
         width[level] = width.get(level, 0) + 1
     cp_length, _ = critical_path(workflow)
-    files = workflow.files().values()
+    files = workflow.skeleton().files
     by_kind = {"input": [0, 0.0], "intermediate": [0, 0.0], "output": [0, 0.0]}
     for f in files:
         by_kind[f.kind][0] += 1

@@ -184,8 +184,9 @@ class WorkflowSkeleton:
     """Derived views of a workflow's immutable structure, built once.
 
     Everything here is a pure function of the (append-only) jobs table:
-    initial dependency counts, root job ids, the file namespace and the
-    file→producer map.  Ensemble members created with
+    initial dependency counts, root job ids and the file namespace — one
+    map from file name to a dense slot, beside the :class:`DataFile`
+    objects in slot order.  Ensemble members created with
     :meth:`Workflow.relabel` share the jobs table — and therefore share
     one skeleton — so a 200-member ensemble pays for these scans once
     instead of 200 times.  Per-member *mutable* run state (pending
@@ -196,52 +197,63 @@ class WorkflowSkeleton:
     """
 
     __slots__ = (
-        "jobs", "initial_pending", "roots", "files", "producer_of", "_cp",
-        "_arena", "_file_index",
+        "jobs", "initial_pending", "roots", "files", "_file_index",
+        "_producer_of", "_cp", "_arena",
     )
 
     def __init__(self, jobs: Dict[str, Job]):
         self.jobs = jobs
         initial_pending: Dict[str, int] = {}
         roots: List[str] = []
-        files: Dict[str, DataFile] = {}
-        producer_of: Dict[str, str] = {}
+        file_index: Dict[str, int] = {}
+        files: List[DataFile] = []
         for job in jobs.values():
             n = len(job.parents)
             initial_pending[job.id] = n
             if n == 0:
                 roots.append(job.id)
             for f in job.inputs:
-                files.setdefault(f.name, f)
+                if f.name not in file_index:
+                    file_index[f.name] = len(files)
+                    files.append(f)
             for f in job.outputs:
-                files.setdefault(f.name, f)
-                producer_of[f.name] = job.id
+                if f.name not in file_index:
+                    file_index[f.name] = len(files)
+                    files.append(f)
         self.initial_pending = initial_pending
         self.roots: Tuple[str, ...] = tuple(roots)
-        self.files = files
-        self.producer_of = producer_of
+        #: Every distinct file, first-seen (jobs-table) order: slot ``i``
+        #: of ``file_index()`` names ``files[i]``.
+        self.files: Tuple[DataFile, ...] = tuple(files)
+        self._file_index = file_index
+        #: Lazy file→producer map; only data-corruption recovery reads
+        #: it, so a run without corruption never builds it.
+        self._producer_of: Optional[Dict[str, str]] = None
         #: Lazy critical-path cache (a pure function of the structure,
         #: like everything else here — shared by every ensemble member).
         self._cp: Optional[Dict[str, float]] = None
         #: Lazy arena index (int job indices + flat structural arrays),
         #: likewise shared by every ensemble member.
         self._arena: Optional[SkeletonArena] = None
-        #: Lazy dense file index, shared the same way.
-        self._file_index: Optional[Dict[str, int]] = None
 
     def file_index(self) -> Dict[str, int]:
-        """``file name -> dense index`` in ``files`` insertion order.
+        """``file name -> dense index``, the slot of that file in ``files``.
 
-        Cached and shared by every relabelled member; each member's
-        per-file run state (the shared file system's page-cache touch
-        row) is a flat array indexed by it.  Never mutated once built.
+        Shared by every relabelled member; each member's per-file run
+        state (the shared file system's page-cache touch row) is a flat
+        array indexed by it.  Never mutated.
         """
-        index = self._file_index
-        if index is None:
-            index = self._file_index = {
-                name: i for i, name in enumerate(self.files)
+        return self._file_index
+
+    def producer_of(self) -> Dict[str, str]:
+        """``file name -> id of the job that writes it`` (cached; shared
+        by relabels).  Raw inputs have no entry."""
+        producers = self._producer_of
+        if producers is None:
+            producers = self._producer_of = {
+                f.name: job.id for job in self.jobs.values() for f in job.outputs
             }
-        return index
+        return producers
 
     def arena(self) -> SkeletonArena:
         """The interned integer-index arena (cached; shared by relabels)."""
@@ -337,8 +349,10 @@ class Workflow:
                 return
         elif parent_id in child.parents:
             return
-        parent.children.append(child_id)
-        child.parents.append(parent_id)
+        # Store the ids that key ``jobs``, not the (often freshly
+        # formatted) argument strings: one object per name.
+        parent.children.append(child.id)
+        child.parents.append(parent.id)
         self._skeleton_cell[0] = None
 
     def skeleton(self) -> WorkflowSkeleton:
@@ -405,15 +419,15 @@ class Workflow:
     def files(self) -> Dict[str, DataFile]:
         """All distinct files referenced by the workflow, keyed by name.
 
-        Served from the interned skeleton; the returned dict is a copy,
-        so callers may mutate it freely.
+        Built fresh from the interned skeleton's ``files`` tuple, so
+        callers may mutate it freely.
         """
-        return dict(self.skeleton().files)
+        return {f.name: f for f in self.skeleton().files}
 
     def bytes_by_kind(self) -> Dict[str, float]:
         """Total bytes of distinct files per kind (input/intermediate/output)."""
         totals = {"input": 0.0, "intermediate": 0.0, "output": 0.0}
-        for f in self.files().values():
+        for f in self.skeleton().files:
             totals[f.kind] += f.size
         return totals
 

@@ -43,13 +43,13 @@ pytestmark = pytest.mark.skipif(
 #: jobs, bytecodes under ``repro/``).
 CASES = {
     "pull, 4 x 1.0 deg on 2 x r3.8xlarge MooseFS": (
-        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_657_248,
+        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_653_092,
     ),
     "pull, 2 x 2.0 deg on 1 x c3.8xlarge local": (
-        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_028_383,
+        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_008_281,
     ),
     "central dispatch, 2 x 2.0 deg on 1 x c3.8xlarge local": (
-        SchedulingEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_827_994,
+        SchedulingEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_807_892,
     ),
 }
 

@@ -13,6 +13,9 @@ from repro.generators.montage import montage_grid_size
 from repro.workflow import validate_workflow
 from repro.workflow.analysis import summarize
 
+NAN = float("nan")
+INF = float("inf")
+
 # ---------------------------------------------------------------------------
 # Montage
 # ---------------------------------------------------------------------------
@@ -96,10 +99,12 @@ def test_montage_parallel_blocking_jobs_flag():
 
 
 def test_montage_rejects_bad_args():
-    with pytest.raises(ValueError):
-        montage_workflow(degree=-1.0)
-    with pytest.raises(ValueError):
-        montage_workflow(degree=1.0, jitter=-0.5)
+    for degree in (-1.0, 0.0, NAN, INF):
+        with pytest.raises(ValueError, match="degree"):
+            montage_workflow(degree=degree)
+    for jitter in (-0.5, NAN, INF):
+        with pytest.raises(ValueError, match="jitter"):
+            montage_workflow(degree=1.0, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +139,14 @@ def test_ligo_no_blocking_stage():
 
 
 def test_ligo_rejects_bad_args():
-    with pytest.raises(ValueError):
-        ligo_workflow(blocks=0)
+    for blocks in (0, NAN, INF):
+        with pytest.raises(ValueError, match="blocks"):
+            ligo_workflow(blocks=blocks)
     with pytest.raises(ValueError):
         ligo_workflow(blocks=5, group=0)
+    for jitter in (-0.5, NAN, INF):
+        with pytest.raises(ValueError, match="jitter"):
+            ligo_workflow(blocks=5, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +172,14 @@ def test_cybershake_aggregators_depend_on_all_variations():
 
 
 def test_cybershake_rejects_bad_args():
-    with pytest.raises(ValueError):
-        cybershake_workflow(ruptures=0)
+    for ruptures in (0, NAN, INF):
+        with pytest.raises(ValueError, match="ruptures"):
+            cybershake_workflow(ruptures=ruptures)
+    with pytest.raises(ValueError, match="variations"):
+        cybershake_workflow(ruptures=2, variations=0)
+    for jitter in (-0.5, NAN, INF):
+        with pytest.raises(ValueError, match="jitter"):
+            cybershake_workflow(ruptures=2, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_staged_and_never_staged_owners_read_the_same_bytes(ops):
         assert staged.fs.write_clock == adhoc.fs.write_clock
         assert staged.fs.active_bytes == adhoc.fs.active_bytes
     assert wf.skeleton().file_index() == index_before
-    assert list(wf.skeleton().file_index()) == list(wf.skeleton().files)
+    assert list(wf.skeleton().file_index()) == [f.name for f in wf.skeleton().files]
 
 
 def test_relabelled_members_never_share_a_touch_row():
