@@ -284,6 +284,16 @@ def _reraise(proc: Process) -> None:
         raise proc.value
 
 
+def release(sim: Simulator, cluster: SimCluster) -> None:
+    """End a run whose result is built: break the cycles its links hold
+    and close the simulator (:meth:`Simulator.close`), so dropping the
+    result frees the run by reference counting."""
+    for node in cluster.nodes:
+        for link in (node.disk.read, node.disk.write, node.nic_in, node.nic_out):
+            link.close()
+    sim.close()
+
+
 class EngineBase:
     """Common construction and bookkeeping for concrete engines."""
 

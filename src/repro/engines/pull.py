@@ -51,6 +51,7 @@ from repro.cloud.cluster import ClusterSpec
 from repro.dewe.core import COMPLETED, CORRUPT, FAILED, RUNNING, MasterCore
 from repro.engines.base import (
     EngineBase, EngineResult, JobRecord, RunConfig, _reraise, execute_job,
+    release,
 )
 from repro.faults.models import FaultTrace, TransientFaultModel
 from repro.faults.retry import RetryPolicy
@@ -361,9 +362,9 @@ class PullRun:
              attempt: int = 0, detail: str = "") -> None:
         """Append one record under the current incarnation's epoch."""
         journal = self.journal
-        # Stale writers (a finished run's generators, finalized by GC
-        # at some later point) must not touch the log: execute()
-        # revokes ownership when the run ends.
+        # Stale writers (a finished run's generators, whose ``finally``
+        # blocks run when execute() closes the simulator) must not touch
+        # the log: execute() revokes ownership when the run ends.
         if journal is None or journal.owner is not self:
             return
         journal.append(
@@ -966,14 +967,23 @@ class PullRun:
             sim.run_until(self.done)
         finally:
             # The run is over: revoke write access so this run's worker
-            # generators — finalized by GC at some arbitrary later point
-            # — cannot append trailing records to a journal that another
-            # run (or nobody) now owns.
+            # generators — finalised by ``Simulator.close`` (``release``
+            # below) once the result is built — cannot append trailing records to a
+            # journal that another run (or nobody) now owns, and detach
+            # the journal so a caller keeping it does not keep the run.
             if journal is not None:
                 journal.owner = None
+                journal.snapshot_provider = journal.on_crash = None
         if self.engine.config.drain_caches:
             sim.run_until(self.cluster.fs.drained())
-        return self._result()
+        result = self._result()
+        # The core's ports are this run's bound methods; ``run.core``
+        # stays readable after the run.
+        core = self.core
+        core.publish = core.reprioritize = core.call_later = None
+        core.on_settled = core.log = core.trace = None
+        release(sim, self.cluster)
+        return result
 
     def _result(self) -> EngineResult:
         engine = self.engine

@@ -34,6 +34,7 @@ from repro.cloud.cluster import ClusterSpec
 from repro.dewe.state import WorkflowState
 from repro.engines.base import (
     EngineBase, EngineResult, JobRecord, RunConfig, _reraise, execute_job,
+    release,
 )
 from repro.sim import FifoStore
 from repro.workflow.ensemble import Ensemble
@@ -208,7 +209,7 @@ class CentralDispatchEngine(EngineBase):
             sim.run_until(fs.drained())
 
         makespan = max(end for _start, end in spans.values())
-        return EngineResult(
+        result = EngineResult(
             engine=self.name,
             spec=self.spec,
             n_workflows=len(ensemble),
@@ -220,6 +221,8 @@ class CentralDispatchEngine(EngineBase):
             extra_write_bytes=extra_writes[0],
             thread_logs=thread_logs,
         )
+        release(sim, cluster)
+        return result
 
 
 class SchedulingEngine(CentralDispatchEngine):

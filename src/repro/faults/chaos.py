@@ -450,13 +450,15 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     of the uninterrupted run.
     """
     seed = scenario.seed if seed is None else seed
-    baseline = PullEngine(scenario.spec(), config=scenario.run_config()).run(
-        scenario.ensemble()
-    )
+    # Of each earlier run only what the report needs is kept, so neither
+    # is still reachable while the crash run executes.
+    baseline_makespan = PullEngine(
+        scenario.spec(), config=scenario.run_config()
+    ).run(scenario.ensemble()).makespan
     # Fault sampling horizon: the baseline tells us how long the run
     # plausibly is; stretch it so late-run faults still occur under the
     # slowdown the faults themselves cause.
-    horizon = baseline.makespan * (scenario.max_slowdown or 2.0)
+    horizon = baseline_makespan * (scenario.max_slowdown or 2.0)
     journal = (
         Journal(checkpoint_every=scenario.checkpoint_every)
         if scenario.crash_after is not None or scenario.failover is not None
@@ -464,25 +466,12 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     )
     engine = scenario.build_engine(seed, horizon, journal=journal)
     result = engine.run(scenario.ensemble())
-    problems = _check_invariants(scenario, result, baseline.makespan)
-    crashes = 0
-    if scenario.crash_after is not None:
-        restored, crash_journal = resume_until_complete(scenario, seed, horizon)
-        crashes = crash_journal.crashes
-        if not crashes:
-            problems.append(
-                f"crash_after={scenario.crash_after} never fired "
-                f"(journal only has {len(crash_journal)} record(s))"
-            )
-        problems.extend(
-            f"crash/restore: {problem}"
-            for problem in _check_invariants(scenario, restored, baseline.makespan)
-        )
-    return ChaosReport(
+    problems = _check_invariants(scenario, result, baseline_makespan)
+    report = ChaosReport(
         scenario=scenario.name,
         seed=seed,
         makespan=result.makespan,
-        baseline_makespan=baseline.makespan,
+        baseline_makespan=baseline_makespan,
         trace_text="\n".join(e.line() for e in result.fault_events),
         fault_counts={
             kind: sum(1 for e in result.fault_events if e.kind == kind)
@@ -495,7 +484,6 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
         cost=result.cost(),
         elastic_cost=result.elastic_cost(),
         problems=problems,
-        crashes=crashes,
         journal_records=len(journal) if journal is not None else 0,
         checkpoints=len(journal.checkpoint_history) if journal is not None else 0,
         data_recoveries=result.data_recoveries,
@@ -503,6 +491,20 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
         liveness_stats=dict(result.liveness_stats),
         journal=journal,
     )
+    del result
+    if scenario.crash_after is not None:
+        restored, crash_journal = resume_until_complete(scenario, seed, horizon)
+        report.crashes = crash_journal.crashes
+        if not report.crashes:
+            problems.append(
+                f"crash_after={scenario.crash_after} never fired "
+                f"(journal only has {len(crash_journal)} record(s))"
+            )
+        problems.extend(
+            f"crash/restore: {problem}"
+            for problem in _check_invariants(scenario, restored, baseline_makespan)
+        )
+    return report
 
 
 #: The two service scenarios' tenants, one per SLA class, each with

@@ -149,6 +149,11 @@ class Journal:
         Fault injection: the append that would create record
         ``crash_after + 1`` is refused and the master is down until the
         next :meth:`fence`.  It fires once.  ``None`` disables crashing.
+
+    A run attaches itself through ``owner``, ``snapshot_provider`` and
+    ``on_crash`` and detaches all three when it ends, so a journal kept
+    after the run (a result's or a chaos report's) holds its records and
+    checkpoint, not the run that wrote them.
     """
 
     def __init__(
@@ -184,9 +189,9 @@ class Journal:
         self.on_crash: Optional[Callable[[], None]] = None
         #: Token of the run currently writing to this journal.  Engines
         #: set a fresh token per run and check it before appending, so a
-        #: finished run's abandoned coroutines (finalized by GC at an
-        #: arbitrary later point) cannot append to a journal another run
-        #: now owns.
+        #: finished run's coroutines (whose ``finally`` blocks run when
+        #: the engine closes its simulator) cannot append to a journal
+        #: another run now owns.
         self.owner: Optional[object] = None
         #: Fencing epoch: the owner-token guard extended across master
         #: *incarnations within one run*.  A standby taking over bumps

@@ -259,6 +259,7 @@ class Process(Event):
         self._state = _PENDING
         self._value = None
         self._generator = generator
+        sim._procs[self] = None  # until it finishes: see Simulator.close
         # One bound method reused for every wait (a fresh bound method per
         # yield is a measurable allocation cost at millions of events).
         resume = self._bound_resume = self._resume
@@ -312,6 +313,7 @@ class Process(Event):
                     self._state = _SUCCEEDED
                     self._value = stop.value
                     sim = self.sim
+                    del sim._procs[self]
                     sim._seq += 1
                     sim._imm.append((sim._seq, self))
                 return
@@ -321,6 +323,7 @@ class Process(Event):
                     self._state = _SUCCEEDED
                     self._value = None
                     sim = self.sim
+                    del sim._procs[self]
                     sim._seq += 1
                     sim._imm.append((sim._seq, self))
                 return
@@ -329,6 +332,7 @@ class Process(Event):
                     self._state = _FAILED
                     self._value = exc
                     sim = self.sim
+                    del sim._procs[self]
                     sim._seq += 1
                     sim._imm.append((sim._seq, self))
                     return
@@ -473,6 +477,9 @@ class Simulator:
         self._imm: deque = deque()
         self._seq: int = 0
         self._san = _sanitizer._ACTIVE
+        #: Every process whose generator has not finished, in creation
+        #: order (a dict, so :meth:`close` finalises them in that order).
+        self._procs: dict = {}
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, delay: float, event: Event) -> None:
@@ -583,6 +590,29 @@ class Simulator:
                 "agenda exhausted before the awaited event triggered"
             )
         return self.now
+
+    def close(self) -> None:
+        """Release a finished run: close every suspended generator, then
+        empty the agenda.
+
+        A suspended process holds its generator's frame, and the frame
+        the objects the run was built from; the agenda holds the
+        callbacks that resume it.  Together they keep a run alive in
+        reference cycles only the cyclic collector frees.  Engines call
+        this once their result is built, so each generator's ``finally``
+        runs once, after every simulated value is fixed, and dropping the
+        result frees the run by reference counting.  A second call does
+        nothing.
+        """
+        procs = self._procs
+        while procs:
+            # A ``finally`` may start another process: take the batch.
+            batch = list(procs)
+            procs.clear()
+            for proc in batch:
+                proc._generator.close()
+        self._heap.clear()
+        self._imm.clear()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -207,8 +207,16 @@ class CorePool:
     )
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "cores"):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        # Checked before ``int()``, which would truncate 2.5 to 2 cores,
+        # build one from ``True`` and fail on NaN without naming it.
+        if (
+            isinstance(capacity, bool)
+            or not 1 <= capacity < inf
+            or capacity != int(capacity)
+        ):
+            raise ValueError(
+                f"capacity must be a whole finite number >= 1, got {capacity!r}"
+            )
         self.sim = sim
         self.capacity = int(capacity)
         self.busy = 0
@@ -333,6 +341,12 @@ class FairShareLink:
     @property
     def active(self) -> int:
         return self._n
+
+    def close(self) -> None:
+        """Drop the wake-up and its callback tuple once the run is over:
+        both lead back to the link, a cycle the link would otherwise
+        need the cyclic collector to leave."""
+        self._wake_cb = self._wake_ev = None
 
     # The link's life is one cycle — settle the virtual clock up to now,
     # change the active set, arm the wake-up for the next completion — and

@@ -16,6 +16,7 @@ in :meth:`repro.storage.base.SharedFileSystem.read`.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Deque, List, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
@@ -43,12 +44,18 @@ class WriteBackCache:
         flush_interval: float = 5.0,
         name: str = "wbcache",
     ):
-        if capacity_bytes <= 0:
-            raise ValueError(f"cache capacity must be positive, got {capacity_bytes}")
-        if chunk_bytes <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_bytes}")
-        if flush_interval < 0:
-            raise ValueError(f"flush interval must be >= 0, got {flush_interval}")
+        # Chained comparisons also refuse NaN: a NaN chunk never flushes
+        # and a NaN or infinite capacity never throttles a writer.
+        if not 0.0 < capacity_bytes < inf:
+            raise ValueError(
+                f"capacity_bytes must be finite and > 0, got {capacity_bytes!r}"
+            )
+        if not 0.0 < chunk_bytes < inf:
+            raise ValueError(f"chunk_bytes must be finite and > 0, got {chunk_bytes!r}")
+        if not 0.0 <= flush_interval < inf:
+            raise ValueError(
+                f"flush_interval must be finite and >= 0, got {flush_interval!r}"
+            )
         self.sim = sim
         self.capacity = float(capacity_bytes)
         self.chunk = float(chunk_bytes)

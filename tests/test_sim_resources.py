@@ -287,6 +287,19 @@ def test_core_pool_capacity_validation():
         CorePool(sim, 0)
 
 
+@pytest.mark.parametrize(
+    "capacity", [2.5, True, False, float("nan"), float("inf"), 0.5, -3]
+)
+def test_core_pool_refuses_a_capacity_that_is_not_a_whole_number(capacity):
+    # int() would build 2 cores from 2.5 and 1 from True.
+    with pytest.raises(ValueError, match="capacity"):
+        CorePool(Simulator(), capacity)
+
+
+def test_core_pool_accepts_a_whole_float_capacity():
+    assert CorePool(Simulator(), 4.0).capacity == 4
+
+
 # ---------------------------------------------------------------------------
 # FairShareLink
 # ---------------------------------------------------------------------------

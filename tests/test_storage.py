@@ -131,6 +131,39 @@ def test_writeback_validation():
         cache.write(-1.0, ())
 
 
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        ("capacity_bytes", float("nan")),
+        ("capacity_bytes", float("inf")),
+        ("capacity_bytes", -1.0),
+        ("chunk_bytes", float("nan")),
+        ("chunk_bytes", float("inf")),
+        ("chunk_bytes", 0.0),
+        ("flush_interval", float("nan")),
+        ("flush_interval", float("inf")),
+        ("flush_interval", -0.5),
+    ],
+)
+def test_writeback_refuses_a_size_that_is_not_finite(argument, value):
+    # A NaN chunk never flushes (``drained()`` never fires) and a NaN or
+    # infinite capacity never throttles a writer: refused at construction.
+    sizes = {"capacity_bytes": 1e9, "chunk_bytes": 64e6, "flush_interval": 5.0}
+    sizes[argument] = value
+    with pytest.raises(ValueError, match=argument):
+        WriteBackCache(Simulator(), **sizes)
+
+
+def test_writeback_accepts_the_edges_of_its_ranges():
+    sim = Simulator()
+    link = FairShareLink(sim, capacity=1e6)
+    cache = WriteBackCache(sim, capacity_bytes=1e9, chunk_bytes=1e-3, flush_interval=0.0)
+    cache.write(1e-2, (link,))
+    done = cache.drained()
+    sim.run(until=100.0)
+    assert done.triggered and cache.dirty == pytest.approx(0.0)
+
+
 # ---------------------------------------------------------------------------
 # Placement policies
 # ---------------------------------------------------------------------------
