@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Optional
+
+from repro.liveness import AdmissionControl, LeaseConfig
 
 __all__ = ["DeweConfig"]
 
@@ -25,30 +28,27 @@ class DeweConfig:
         Worker thread cap; ``0`` means one per CPU (paper §III.D: "the
         worker daemon stops pulling ... when the number of concurrent job
         execution threads equals the number of CPUs").
-    heartbeat_interval:
-        Liveness protocol (docs/FAULTS.md): workers beat this often and
-        the master fences a worker's lease after ``lease_miss_threshold``
-        consecutive missed beats, requeueing its in-flight jobs.  ``0``
-        disables the protocol (the paper's behaviour: only the job
-        timeout recovers lost workers).
-    lease_miss_threshold:
-        Missed beats before a lease is fenced.
-    admission_max_pending:
+    liveness:
+        Heartbeat leases (docs/FAULTS.md): workers beat every
+        ``heartbeat_interval`` and the master fences a worker's lease
+        after ``miss_threshold`` consecutive missed beats, requeueing its
+        in-flight jobs.  ``None`` disables the protocol (the paper's
+        behaviour: only the job timeout recovers lost workers).  The
+        same :class:`~repro.liveness.LeaseConfig` the DES engine takes.
+    admission:
         Admission control: reject new workflow submissions while the
-        dispatch backlog is at or above this many queued jobs
-        (reject-new before degrade-running).  ``0`` disables the gate.
-    admission_retry_after:
-        Retry-after hint (seconds) recorded with a shed submission.
+        dispatch backlog is at or above ``max_pending_jobs`` queued jobs
+        (reject-new before degrade-running), recording a retry-after
+        hint with each.  ``None`` disables the gate.  The same
+        :class:`~repro.liveness.AdmissionControl` the DES engine takes.
     """
 
     default_timeout: float = 600.0
     master_poll_interval: float = 0.01
     worker_poll_interval: float = 0.02
     max_concurrent_jobs: int = 0
-    heartbeat_interval: float = 0.0
-    lease_miss_threshold: int = 3
-    admission_max_pending: int = 0
-    admission_retry_after: float = 1.0
+    liveness: Optional[LeaseConfig] = None
+    admission: Optional[AdmissionControl] = None
 
     def __post_init__(self) -> None:
         if self.default_timeout <= 0:
@@ -57,14 +57,6 @@ class DeweConfig:
             raise ValueError("poll intervals must be positive")
         if self.max_concurrent_jobs < 0:
             raise ValueError("max_concurrent_jobs must be >= 0")
-        if self.heartbeat_interval < 0:
-            raise ValueError("heartbeat_interval must be >= 0")
-        if self.lease_miss_threshold < 1:
-            raise ValueError("lease_miss_threshold must be at least 1")
-        if self.admission_max_pending < 0:
-            raise ValueError("admission_max_pending must be >= 0")
-        if self.admission_retry_after <= 0:
-            raise ValueError("admission_retry_after must be positive")
 
     @property
     def worker_slots(self) -> int:

@@ -42,12 +42,7 @@ from repro.dewe.config import DeweConfig
 from repro.dewe.core import COMPLETED, FAILED, RUNNING, Admission, MasterCore
 from repro.dewe.state import WorkflowState
 from repro.faults.retry import DeadLetterEntry, RetryPolicy
-from repro.liveness import (
-    AdmissionControl,
-    LeaseConfig,
-    LeaseTable,
-    new_liveness_stats,
-)
+from repro.liveness import LeaseTable, new_liveness_stats
 from repro.mq.broker import Broker
 from repro.mq.priority import RepriorityPolicy
 from repro.mq.tcpbroker import RemoteBroker
@@ -125,25 +120,14 @@ class MasterDaemon:
         #: Liveness counters (docs/FAULTS.md), shared with the lease table.
         self.liveness: Dict[str, int] = new_liveness_stats()
         #: Heartbeat/lease failure detector, or ``None`` when the
-        #: protocol is off (heartbeat_interval == 0).  The *reference*
-        #: is set once here and never rebound; the table's contents are
-        #: only touched under ``_state_lock``.
-        self._lease: Optional[LeaseTable] = None
-        lease_config: Optional[LeaseConfig] = None
-        if self.config.heartbeat_interval > 0:
-            lease_config = LeaseConfig(
-                heartbeat_interval=self.config.heartbeat_interval,
-                miss_threshold=self.config.lease_miss_threshold,
-            )
-            self._lease = LeaseTable(lease_config, stats=self.liveness)
-        #: The shared backlog gate (repro.liveness), or ``None`` when
-        #: admission control is off.  Set once here, never rebound.
-        self._admission: Optional[AdmissionControl] = None
-        if self.config.admission_max_pending > 0:
-            self._admission = AdmissionControl(
-                max_pending_jobs=self.config.admission_max_pending,
-                retry_after=self.config.admission_retry_after,
-            )
+        #: protocol is off (``config.liveness is None``).  The
+        #: *reference* is set once here and never rebound; the table's
+        #: contents are only touched under ``_state_lock``.
+        self._lease: Optional[LeaseTable] = (
+            LeaseTable(self.config.liveness, stats=self.liveness)
+            if self.config.liveness is not None
+            else None
+        )
         #: Admission-shed submissions: name -> retry-after hint (seconds,
         #: scaled with backlog overshoot — see AdmissionControl.retry_hint).
         self.shed_submissions: Dict[str, float] = {}
@@ -163,7 +147,7 @@ class MasterDaemon:
             call_later=self._call_later,
             on_settled=self._settled,
             repriority=repriority,
-            liveness=lease_config,
+            liveness=self.config.liveness,
         )
         #: The core's state table (same dict object, same lock).
         self.states: Dict[str, WorkflowState] = self._core.states
@@ -368,9 +352,10 @@ class MasterDaemon:
         name = msg.workflow.name
         if name in self.states:
             raise ValueError(f"workflow {name!r} already submitted")
-        if self._admission is not None:
+        admission = self.config.admission
+        if admission is not None:
             backlog = self.broker.depth(TOPIC_DISPATCH)
-            if not self._admission.admits(backlog):
+            if not admission.admits(backlog):
                 # Reject-new before degrade-running: shed the submission
                 # with a retry-after hint scaled by the backlog overshoot
                 # rather than letting the backlog grow and slow every
@@ -379,11 +364,11 @@ class MasterDaemon:
                 if msg.sla:
                     key = f"shed_{msg.sla}"
                     self.liveness[key] = self.liveness.get(key, 0) + 1
-                retry_after = self._admission.retry_hint(backlog)
+                retry_after = admission.retry_hint(backlog)
                 self.shed_submissions[name] = retry_after
                 raise RuntimeError(
                     f"admission: dispatch backlog {backlog} >= "
-                    f"{self._admission.max_pending_jobs}; "
+                    f"{admission.max_pending_jobs}; "
                     f"retry after {retry_after:g}s"
                 )
         validate_workflow(msg.workflow)
@@ -437,7 +422,7 @@ class MasterDaemon:
         if self._lease is not None:
             for worker in self._lease.expire(now):
                 # The liveness recovery path (docs/FAULTS.md): the worker
-                # missed ``lease_miss_threshold`` beats — hung,
+                # missed ``liveness.miss_threshold`` beats — hung,
                 # partitioned, or dead — so every delivery it holds is
                 # presumed lost and requeued by the core.  The worker
                 # rejoins on its next contact under a fresh epoch.

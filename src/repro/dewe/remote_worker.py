@@ -22,6 +22,7 @@ from typing import List, Optional
 from repro.dewe.config import DeweConfig
 from repro.dewe.executors import CallableExecutor, NullExecutor, SubprocessExecutor
 from repro.dewe.worker import WorkerDaemon
+from repro.liveness import LeaseConfig
 from repro.mq.tcpbroker import RemoteBroker
 
 EXECUTORS = {
@@ -48,9 +49,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(0 = no heartbeats; docs/FAULTS.md)")
     args = parser.parse_args(argv)
 
-    config = DeweConfig(
-        max_concurrent_jobs=args.slots, heartbeat_interval=args.heartbeat
-    )
+    lease = LeaseConfig(heartbeat_interval=args.heartbeat) if args.heartbeat else None
+    config = DeweConfig(max_concurrent_jobs=args.slots, liveness=lease)
     broker = RemoteBroker(args.host, args.port)
     worker = WorkerDaemon(
         broker, EXECUTORS[args.executor](), config, name=args.name

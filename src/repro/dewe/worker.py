@@ -91,7 +91,7 @@ class WorkerDaemon:
             raise RuntimeError(f"worker {self.name} already started")
         self._thread = _shims.new_thread(self._loop, f"dewe-{self.name}")
         self._thread.start()
-        if self.config.heartbeat_interval > 0:
+        if self.config.liveness is not None:
             self._hb_thread = _shims.new_thread(
                 self._heartbeat_loop, f"dewe-{self.name}-hb"
             )
@@ -201,7 +201,7 @@ class WorkerDaemon:
                 self._active -= 1
 
     def _heartbeat_loop(self) -> None:
-        """Renew the liveness lease every ``heartbeat_interval`` seconds.
+        """Renew the lease every ``config.liveness.heartbeat_interval`` s.
 
         The first beat announces the worker (the master grants a lease on
         first contact); a killed worker stops beating immediately, which
@@ -210,7 +210,7 @@ class WorkerDaemon:
         seq = 0
         self.broker.publish(TOPIC_HEARTBEAT, WorkerHeartbeat(worker=self.name))
         # Event-wait between beats (lint CL008): wakes early on stop/kill.
-        while not self._stop.wait(self.config.heartbeat_interval):
+        while not self._stop.wait(self.config.liveness.heartbeat_interval):
             if self._killed.is_set():
                 return
             seq += 1

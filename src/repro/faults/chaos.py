@@ -80,6 +80,12 @@ _SALT = {
 }
 
 
+#: The master's timeout-sweep cadence (sim seconds).
+_CHECK_INTERVAL = 0.5
+#: A service-mode scenario's embedded backlog gate (jobs).
+_SERVICE_MAX_PENDING = 24
+
+
 def _reseed(model, seed: int):
     """``model`` drawing from ``seed`` plus its type's salt."""
     return None if model is None else replace(model, seed=seed + _SALT[type(model)])
@@ -99,18 +105,15 @@ class ChaosScenario:
 
     name: str
     description: str = ""
-    # -- workload ---------------------------------------------------------
-    workflow: str = "montage"
+    # -- workload: Montage members of ``size`` degrees ---------------------
     size: float = 0.3
     n_workflows: int = 2
     submit_interval: float = 0.0
     # -- cluster ----------------------------------------------------------
     instance_type: str = "c3.8xlarge"
     n_nodes: int = 2
-    filesystem: Optional[str] = None
     # -- master daemon and its policies -----------------------------------
     timeout: float = 10.0
-    check_interval: float = 0.5
     retry: RetryPolicy = RetryPolicy(max_attempts=4)
     #: Heartbeat leases; ``None`` leaves partitioned workers to the job
     #: timeout alone.
@@ -139,8 +142,6 @@ class ChaosScenario:
     #: closed-loop admission gate.
     service_horizon: float = 0.0
     tenants: Tuple[TenantSpec, ...] = ()
-    #: The service policy's embedded backlog gate (jobs).
-    service_max_pending: int = 24
     # -- master crash (repro.recovery) ------------------------------------
     #: Crash the master after this many journal records; it restarts one
     #: second later from the last checkpoint, and that run is held to
@@ -189,7 +190,7 @@ class ChaosScenario:
             raise ValueError("service mode needs both tenants and service_horizon > 0")
 
     def spec(self) -> ClusterSpec:
-        fs = self.filesystem or default_filesystem(self.n_nodes)
+        fs = default_filesystem(self.n_nodes)
         return ClusterSpec(self.instance_type, self.n_nodes, filesystem=fs)
 
     @property
@@ -204,7 +205,7 @@ class ChaosScenario:
         see identical member names and submission times.
         """
         return build_workload(
-            self.tenants, make_workflow(self.workflow, self.size),
+            self.tenants, make_workflow("montage", self.size),
             self.service_horizon, self.seed,
             name=f"{self.name}-service",
         )
@@ -213,14 +214,14 @@ class ChaosScenario:
         if self.is_service:
             return self.service_workload().ensemble
         return Ensemble.replicated(
-            make_workflow(self.workflow, self.size), self.n_workflows,
+            make_workflow("montage", self.size), self.n_workflows,
             interval=self.submit_interval,
         )
 
     def run_config(self) -> RunConfig:
         return RunConfig(
             default_timeout=self.timeout,
-            timeout_check_interval=self.check_interval,
+            timeout_check_interval=_CHECK_INTERVAL,
             record_jobs=False,
         )
 
@@ -236,16 +237,14 @@ class ChaosScenario:
         service = None
         if self.is_service:
             service = ServiceAdmissionPolicy(
-                admission=AdmissionControl(
-                    max_pending_jobs=self.service_max_pending, retry_after=1.0
-                ),
+                admission=AdmissionControl(max_pending_jobs=_SERVICE_MAX_PENDING),
                 brownout=BrownoutController(thresholds=(0.5, 1.0, 1.5), sustain=2.0),
                 # Members are ~20 jobs, so the policy's default floor of
                 # 8 would make fair-share bind on the very first member
                 # and clamp the backlog before it can overshoot — the
                 # brownout ladder would never engage.  Keep fair-share
                 # as the tail guard behind brownout and the gate.
-                fair_share_floor=6 * self.service_max_pending,
+                fair_share_floor=6 * _SERVICE_MAX_PENDING,
             )
             self.service_workload().wire(service)
         sampled = [

@@ -29,6 +29,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from math import inf
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -234,8 +235,10 @@ class SpotHazard:
     price_hazard: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rate_per_hour < 0:
-            raise ValueError(f"rate_per_hour must be >= 0, got {self.rate_per_hour}")
+        for name in ("rate_per_hour", "notice"):
+            value = getattr(self, name)
+            if not 0.0 <= value < inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def sample(self, seed: int, n_nodes: int, horizon: float) -> SpotTerminationModel:
         if horizon <= 0:
@@ -484,6 +487,8 @@ class PartitionHazard:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+        if self.until is not None and not 0.0 < self.until < inf:
+            raise ValueError(f"until must be finite and > 0, got {self.until}")
 
     def sample(self, seed: int, n_nodes: int, horizon: float) -> NetworkPartitionModel:
         horizon = min(self.until or horizon, horizon)

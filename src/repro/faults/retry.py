@@ -73,13 +73,16 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 0:
             raise ValueError(f"max_attempts must be >= 0, got {self.max_attempts}")
-        if self.base_delay < 0:
+        # ``not x >= 0`` refuses NaN as well, in the bytecodes of ``x < 0``:
+        # every WorkflowState built without a policy builds the default
+        # one, and tests/test_bytecode_budget.py counts those exactly.
+        if not self.base_delay >= 0:
             raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
         if self.backoff_factor < 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
-        if self.max_delay < 0:
+        if not self.max_delay >= 0:
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")

@@ -12,6 +12,7 @@ front door, topic capacity the hard backstop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 __all__ = ["AdmissionControl"]
 
@@ -34,8 +35,8 @@ class AdmissionControl:
     def __post_init__(self) -> None:
         if self.max_pending_jobs < 1:
             raise ValueError("max_pending_jobs must be at least 1")
-        if self.retry_after <= 0:
-            raise ValueError("retry_after must be positive")
+        if not 0 < self.retry_after < inf:
+            raise ValueError("retry_after must be finite and positive")
 
     def admits(self, backlog: int) -> bool:
         """True iff a submission may enter given the current backlog."""

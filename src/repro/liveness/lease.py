@@ -20,6 +20,7 @@ continues the same run-level counters after failover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, Hashable, List, Optional
 
 __all__ = ["LeaseConfig", "LeaseTable", "new_liveness_stats"]
@@ -67,8 +68,8 @@ class LeaseConfig:
     miss_threshold: int = 3
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
+        if not 0 < self.heartbeat_interval < inf:
+            raise ValueError("heartbeat_interval must be finite and positive")
         if self.miss_threshold < 1:
             raise ValueError("miss_threshold must be at least 1")
 

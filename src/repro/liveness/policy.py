@@ -29,6 +29,7 @@ which is how quota and fair-share state survive a takeover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.liveness.admission import AdmissionControl
@@ -61,8 +62,8 @@ class SlaClass:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError("rank must be >= 0")
-        if self.deadline_factor <= 0:
-            raise ValueError("deadline_factor must be positive")
+        if not 0 < self.deadline_factor < inf:
+            raise ValueError("deadline_factor must be finite and positive")
 
 
 #: The standard three-tier ladder used by the soak harness and tests.
@@ -84,10 +85,10 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "tokens", "updated")
 
     def __init__(self, rate: float, burst: float):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if burst < 1:
-            raise ValueError("burst must be >= 1")
+        if not 0 < rate < inf:
+            raise ValueError("rate must be finite and positive")
+        if not 1 <= burst < inf:
+            raise ValueError("burst must be finite and >= 1")
         self.rate = rate
         self.burst = burst
         self.tokens = burst
@@ -146,14 +147,18 @@ class BrownoutController:
         release: float = 0.75,
         stretch: float = 2.0,
     ):
-        if list(thresholds) != sorted(thresholds) or not thresholds:
-            raise ValueError("thresholds must be non-empty and sorted")
-        if sustain < 0:
-            raise ValueError("sustain must be >= 0")
+        if (
+            not thresholds
+            or list(thresholds) != sorted(thresholds)
+            or not all(-inf < bound < inf for bound in thresholds)
+        ):
+            raise ValueError("thresholds must be non-empty, finite and sorted")
+        if not 0 <= sustain < inf:
+            raise ValueError("sustain must be finite and >= 0")
         if not 0 < release <= 1:
             raise ValueError("release must be in (0, 1]")
-        if stretch < 1:
-            raise ValueError("stretch must be >= 1")
+        if not 1 <= stretch < inf:
+            raise ValueError("stretch must be finite and >= 1")
         self.thresholds = tuple(thresholds)
         self.sustain = sustain
         self.release = release

@@ -25,6 +25,7 @@ workflow structure, so runs stay byte-deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 __all__ = [
@@ -98,9 +99,12 @@ class RepriorityPolicy:
     interval: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so ``not`` refuses it too (a NaN
+        # interval would fail ``interval > 0`` and silently disable the
+        # sweep).
         for name in ("cp_weight", "slack_weight", "aging_rate", "interval"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def score(self, cp_remaining: float, slack: float, age: float) -> float:
         """Bounded within-band score for one queued job."""

@@ -52,8 +52,7 @@ class RunSpec:
     """One independent simulated run of a workflow ensemble.
 
     Everything needed to reproduce the run bit-for-bit in a fresh
-    process.  ``seed`` feeds the engine's fault models when a chaos
-    scenario is attached; for fault-free runs it only labels the spec.
+    process: a spec's run is fault-free, so nothing in it is seeded.
     """
 
     engine: str = "dewe-v2"
@@ -66,7 +65,6 @@ class RunSpec:
     filesystem: Optional[str] = None
     timeout: float = 600.0
     record_jobs: bool = False
-    seed: int = 0
     label: str = ""
 
     def title(self) -> str:

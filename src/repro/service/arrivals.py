@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import List
 
 __all__ = ["PoissonArrivals", "OnOffArrivals"]
@@ -25,8 +26,10 @@ class PoissonArrivals:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        # NaN fails every comparison, so ``not`` refuses it too: a NaN or
+        # infinite rate would make ``times`` append for ever.
+        if not 0 < self.rate < inf:
+            raise ValueError(f"rate must be finite and positive, got {self.rate!r}")
 
     def times(self, horizon: float, seed: int) -> List[float]:
         """Arrival instants in ``[0, horizon)``, strictly increasing."""
@@ -57,14 +60,14 @@ class OnOffArrivals:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.on_rate <= 0:
-            raise ValueError("on_rate must be positive")
-        if self.on_duration <= 0:
-            raise ValueError("on_duration must be positive")
-        if self.off_duration < 0:
-            raise ValueError("off_duration must be >= 0")
-        if self.phase < 0:
-            raise ValueError("phase must be >= 0")
+        for name in ("on_rate", "on_duration"):
+            value = getattr(self, name)
+            if not 0 < value < inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("off_duration", "phase"):
+            value = getattr(self, name)
+            if not 0 <= value < inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def times(self, horizon: float, seed: int) -> List[float]:
         """Arrival instants in ``[0, horizon)``, strictly increasing."""

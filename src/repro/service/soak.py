@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cloud import ClusterSpec
 from repro.cloud.cluster import default_filesystem
@@ -41,75 +41,83 @@ from repro.workflow import Ensemble
 __all__ = ["SoakConfig", "SoakSetup", "SoakReport", "build_soak", "run_soak"]
 
 
+# -- the soak's fixed shape: what no caller varies ---------------------------
+INSTANCE_TYPE = "c3.8xlarge"
+#: Montage degree of each ensemble member.
+DEGREE = 0.3
+RUN_CONFIG = RunConfig(
+    default_timeout=60.0, timeout_check_interval=1.0, record_jobs=False
+)
+#: Offered load of the reserved classes, as fractions of probed
+#: capacity; best_effort offers the remainder of ``load_factor``.
+GOLD_FRACTION = 0.3
+SILVER_FRACTION = 0.5
+TENANTS_PER_CLASS = 2
+#: Members in the capacity-probe batch.  Must be large enough to
+#: saturate the cluster (well past its slot count / member width),
+#: else the probe reports parallel absorption, not capacity, and the
+#: "2x capacity" soak never actually overloads anything.
+PROBE_MEMBERS = 64
+ADMISSION_MAX_PENDING = 64
+ADMISSION_RETRY_AFTER = 5.0
+#: Brownout trips *below* the admission gate (overshoot 1.0): the
+#: gate is the backstop, so the graceful ladder must engage first.
+BROWNOUT_THRESHOLDS = (0.5, 1.0, 1.5)
+#: Fair-share is the *tail* guard: the floor sits well above the
+#: admission gate so quota -> brownout -> gate engage first and
+#: fair-share only binds if a tenant still dominates a deep backlog.
+FAIR_SHARE_FLOOR = 256
+#: Quota headroom per class, as a multiple of the tenant's own mean
+#: offered rate.  Gold gets generous headroom (its sheds must be 0);
+#: best_effort's tight budget makes the quota stage do real work.
+QUOTA_HEADROOM = {"gold": 3.0, "silver": 2.0, "best_effort": 1.25}
+QUOTA_BURST = {"gold": 20.0, "silver": 10.0, "best_effort": 5.0}
+#: Fair-share weights per class.  Gold's weight is provisioned so its
+#: share bound saturates at 1.0 (the policy's default max_share 0.5 x
+#: weight 3 x 6 tenants / weight sum 9): a share can never exceed 1, so
+#: gold is structurally exempt from fair-share shedding even when it is
+#: the only class with outstanding work, and its only bound is the quota.
+WEIGHTS = {"gold": 3.0, "silver": 1.0, "best_effort": 0.5}
+
+
 @dataclass(frozen=True)
 class SoakConfig:
-    """One seeded soak experiment; every field feeds the determinism
-    contract (no wall-clock anywhere downstream)."""
+    """One seeded soak experiment: the values a caller varies.  Every
+    field feeds the determinism contract (no wall-clock anywhere
+    downstream); the module constants above fix the rest."""
 
     seed: int = 0
     #: Simulated arrival window in seconds (the run itself continues
     #: until the last admitted workflow settles).
     horizon: float = 7200.0
-    # -- cluster / member workflow ----------------------------------------
-    instance_type: str = "c3.8xlarge"
     n_nodes: int = 2
-    #: Montage degree of each ensemble member.
-    degree: float = 0.3
-    timeout: float = 60.0
-    check_interval: float = 1.0
-    # -- offered load (fractions of probed capacity) -----------------------
-    #: Total offered load as a multiple of probed capacity; the class
-    #: fractions below must sum to it.
+    #: Total offered load as a multiple of probed capacity; it must
+    #: exceed the gold and silver fractions.
     load_factor: float = 2.0
-    gold_fraction: float = 0.3
-    silver_fraction: float = 0.5
-    #: best_effort offers the remainder: load_factor - gold - silver.
-    tenants_per_class: int = 2
-    #: Members in the capacity-probe batch.  Must be large enough to
-    #: saturate the cluster (well past its slot count / member width),
-    #: else the probe reports parallel absorption, not capacity, and the
-    #: "2x capacity" soak never actually overloads anything.
-    probe_members: int = 64
     # -- best-effort burst shape -------------------------------------------
     burst_on: float = 60.0
     burst_off: float = 60.0
-    # -- policy ladder ------------------------------------------------------
-    admission_max_pending: int = 64
-    admission_retry_after: float = 5.0
-    #: Brownout trips *below* the admission gate (overshoot 1.0): the
-    #: gate is the backstop, so the graceful ladder must engage first.
-    brownout_thresholds: Tuple[float, ...] = (0.5, 1.0, 1.5)
     brownout_sustain: float = 10.0
-    brownout_release: float = 0.75
-    brownout_stretch: float = 2.0
-    max_share: float = 0.5
-    #: Fair-share is the *tail* guard: the floor sits well above the
-    #: admission gate so quota -> brownout -> gate engage first and
-    #: fair-share only binds if a tenant still dominates a deep backlog.
-    fair_share_floor: int = 256
-    #: Quota headroom per class, as a multiple of the tenant's own mean
-    #: offered rate.  Gold gets generous headroom (its sheds must be 0);
-    #: best_effort's tight budget makes the quota stage do real work.
-    quota_headroom: Tuple[float, float, float] = (3.0, 2.0, 1.25)
-    quota_burst: Tuple[float, float, float] = (20.0, 10.0, 5.0)
-    #: Fair-share weights per class.  Gold's weight is provisioned so
-    #: its share bound saturates at 1.0 (max_share 0.5 x weight 3 x
-    #: 6 tenants / weight sum 9): a share can never exceed 1, so gold is
-    #: structurally exempt from fair-share shedding even when it is the
-    #: only class with outstanding work, and its only bound is the quota.
-    weights: Tuple[float, float, float] = (3.0, 1.0, 0.5)
 
     def __post_init__(self) -> None:
         # Refused here, before build_soak spends two capacity probes.
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
-        if not self.best_effort_fraction() > 0:
+        # NaN fails every comparison, so each ``not`` refuses it too.
+        if not 0.0 < self.best_effort_fraction() < math.inf:
             raise ValueError(
-                "load_factor must exceed gold_fraction + silver_fraction"
+                "load_factor must be finite and exceed the gold and silver "
+                f"fractions ({GOLD_FRACTION + SILVER_FRACTION:g}), "
+                f"got {self.load_factor!r}"
             )
-        for name in ("tenants_per_class", "probe_members"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        for name in ("horizon", "burst_on"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("burst_off", "brownout_sustain"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @classmethod
     def quick(cls, seed: int = 0) -> "SoakConfig":
@@ -123,36 +131,30 @@ class SoakConfig:
         )
 
     def best_effort_fraction(self) -> float:
-        return self.load_factor - self.gold_fraction - self.silver_fraction
+        return self.load_factor - GOLD_FRACTION - SILVER_FRACTION
 
     def spec(self) -> ClusterSpec:
         fs = default_filesystem(self.n_nodes)
-        return ClusterSpec(self.instance_type, self.n_nodes, filesystem=fs)
+        return ClusterSpec(INSTANCE_TYPE, self.n_nodes, filesystem=fs)
 
-    def run_config(self) -> RunConfig:
-        return RunConfig(
-            default_timeout=self.timeout,
-            timeout_check_interval=self.check_interval,
-            record_jobs=False,
-        )
 
-    def template(self):
-        from repro.generators import montage_workflow
+def _template():
+    from repro.generators import montage_workflow
 
-        return montage_workflow(degree=self.degree)
+    return montage_workflow(degree=DEGREE)
 
 
 def _probe(cfg: SoakConfig) -> Tuple[float, float]:
     """Measure ``(capacity_wf_per_s, ideal_makespan_s)`` with fault-free
     closed-loop runs on the soak's own cluster shape."""
-    template = cfg.template()
-    single = PullEngine(cfg.spec(), cfg.run_config()).run(
+    template = _template()
+    single = PullEngine(cfg.spec(), RUN_CONFIG).run(
         Ensemble.replicated(template, 1)
     )
-    batch = PullEngine(cfg.spec(), cfg.run_config()).run(
-        Ensemble.replicated(template, cfg.probe_members)
+    batch = PullEngine(cfg.spec(), RUN_CONFIG).run(
+        Ensemble.replicated(template, PROBE_MEMBERS)
     )
-    capacity = cfg.probe_members / batch.makespan
+    capacity = PROBE_MEMBERS / batch.makespan
     return capacity, single.makespan
 
 
@@ -173,17 +175,14 @@ def build_soak(cfg: SoakConfig) -> SoakSetup:
     """Probe capacity, lay out the tenants, build the wired engine."""
     capacity, ideal = _probe(cfg)
     fractions = {
-        "gold": cfg.gold_fraction,
-        "silver": cfg.silver_fraction,
+        "gold": GOLD_FRACTION,
+        "silver": SILVER_FRACTION,
         "best_effort": cfg.best_effort_fraction(),
     }
-    headroom = dict(zip(fractions, cfg.quota_headroom))
-    bursts = dict(zip(fractions, cfg.quota_burst))
-    weights = dict(zip(fractions, cfg.weights))
     tenants: List[TenantSpec] = []
     for sla, fraction in fractions.items():
-        rate = fraction * capacity / cfg.tenants_per_class
-        for i in range(cfg.tenants_per_class):
+        rate = fraction * capacity / TENANTS_PER_CLASS
+        for i in range(TENANTS_PER_CLASS):
             if sla == "best_effort":
                 # Bursty: the mean rate is preserved, but arrivals pack
                 # into ON windows at on/(on+off) duty cycle.
@@ -202,30 +201,26 @@ def build_soak(cfg: SoakConfig) -> SoakSetup:
                     tenant=f"{sla}-{i}",
                     sla=sla,
                     arrivals=arrivals,
-                    quota_rate=rate * headroom[sla],
-                    quota_burst=bursts[sla],
-                    weight=weights[sla],
+                    quota_rate=rate * QUOTA_HEADROOM[sla],
+                    quota_burst=QUOTA_BURST[sla],
+                    weight=WEIGHTS[sla],
                 )
             )
     workload = build_workload(
-        tenants, cfg.template(), cfg.horizon, cfg.seed, name="service-soak"
+        tenants, _template(), cfg.horizon, cfg.seed, name="service-soak"
     )
     policy = ServiceAdmissionPolicy(
         admission=AdmissionControl(
-            max_pending_jobs=cfg.admission_max_pending,
-            retry_after=cfg.admission_retry_after,
+            max_pending_jobs=ADMISSION_MAX_PENDING,
+            retry_after=ADMISSION_RETRY_AFTER,
         ),
         brownout=BrownoutController(
-            thresholds=cfg.brownout_thresholds,
-            sustain=cfg.brownout_sustain,
-            release=cfg.brownout_release,
-            stretch=cfg.brownout_stretch,
+            thresholds=BROWNOUT_THRESHOLDS, sustain=cfg.brownout_sustain
         ),
-        max_share=cfg.max_share,
-        fair_share_floor=cfg.fair_share_floor,
+        fair_share_floor=FAIR_SHARE_FLOOR,
     )
     workload.wire(policy)
-    engine = PullEngine(cfg.spec(), cfg.run_config(), service=policy)
+    engine = PullEngine(cfg.spec(), RUN_CONFIG, service=policy)
     return SoakSetup(
         config=cfg,
         workload=workload,
@@ -357,7 +352,7 @@ def _check_soak(
             )
     # Bounded backlog: the gate caps non-gold admissions, so the
     # dispatch queue may overshoot only by gold's (quota-bounded) burst.
-    bound = 4 * cfg.admission_max_pending
+    bound = 4 * ADMISSION_MAX_PENDING
     if report.peak_backlog > bound:
         problems.append(
             f"peak backlog {report.peak_backlog} exceeds {bound} "

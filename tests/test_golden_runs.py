@@ -173,7 +173,7 @@ def _controller_run(kind: str):
 
 def _engine_spec(engine: str) -> RunSpec:
     return RunSpec(
-        engine=engine, size=0.5, workflows=3, interval=5.0, nodes=2, seed=0,
+        engine=engine, size=0.5, workflows=3, interval=5.0, nodes=2,
     )
 
 

@@ -5,11 +5,13 @@ import pytest
 
 import repro.analysis.sanitizer as sanitizer
 from repro.cloud import ClusterSpec
+from repro.dewe.core import MasterCore
 from repro.engines.base import RunConfig
 from repro.engines.pull import PullEngine
 from repro.faults.models import FaultTrace, FileCorruptionModel, FileLossModel
 from repro.faults.retry import RetryPolicy
 from repro.generators import montage_workflow
+from repro.liveness import LeaseConfig
 from repro.storage.integrity import FileIntegrity, file_digest
 from repro.workflow import DataFile, Ensemble
 
@@ -114,6 +116,41 @@ def test_corruption_triggers_minimal_ancestor_rerun():
     assert result.integrity_stats["regenerated"] == 1
     assert result.integrity_stats["detected"] >= 1
     assert result.data_recoveries >= 1
+
+
+def test_corruption_under_leases_reaches_the_core_with_its_file_list(
+    monkeypatch,
+):
+    """With leases on, a CORRUPT ack carries the worker's epoch and goes
+    through the lease gate; the damaged-file list must still reach the
+    core, or nothing maps the bad file to its producer and nothing is
+    regenerated."""
+    reports = []
+    on_corrupt = MasterCore._on_corrupt
+
+    def spy(core, state, job_id, attempt, bad_files, now):
+        # Fail at the first empty report: without its file list the
+        # consumer would be requeued onto the same bad input for ever.
+        assert bad_files, f"{job_id}: a CORRUPT ack reached the core without files"
+        reports.append(tuple(bad_files))
+        return on_corrupt(core, state, job_id, attempt, bad_files, now)
+
+    monkeypatch.setattr(MasterCore, "_on_corrupt", spy)
+    engine = PullEngine(
+        SPEC,
+        config=CONFIG,
+        retry=RetryPolicy(max_attempts=4),
+        integrity_models=(FileCorruptionModel(targets=("*/p_000000.fits",)),),
+        liveness=LeaseConfig(heartbeat_interval=1.0, miss_threshold=3),
+    )
+    result = engine.run(Ensemble.replicated(montage_workflow(degree=0.3), 1))
+    assert result.integrity_stats["corrupted"] == 1
+    assert result.integrity_stats["detected"] >= 1
+    assert result.integrity_stats["regenerated"] == 1
+    assert result.data_recoveries >= 1
+    assert not result.dead_letters
+    assert result.jobs_executed == 20 + 1  # montage 0.3deg, one producer rerun
+    assert reports and set(reports) == {("montage-0.3deg/p_000000.fits",)}
 
 
 def test_lost_input_is_restaged_without_rerun():

@@ -22,12 +22,16 @@ from repro.faults.models import (
 from repro.generators import montage_workflow
 from repro.liveness import (
     AdmissionControl,
+    BrownoutController,
     LeaseConfig,
     LeaseTable,
     MasterFailoverModel,
+    SlaClass,
+    TokenBucket,
     new_liveness_stats,
 )
 from repro.monitor import robustness_metrics, to_chrome_trace
+from repro.mq import RepriorityPolicy
 from repro.recovery.journal import Journal
 from repro.workflow import Ensemble
 
@@ -54,6 +58,57 @@ def test_lease_config_validation():
     with pytest.raises(ValueError):
         LeaseConfig(miss_threshold=0)
     assert LeaseConfig(heartbeat_interval=0.5, miss_threshold=4).lease_timeout == 2.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: TokenBucket(rate=NAN, burst=2.0), "rate"),
+        (lambda: TokenBucket(rate=INF, burst=2.0), "rate"),
+        (lambda: TokenBucket(rate=1.0, burst=NAN), "burst"),
+        (lambda: TokenBucket(rate=1.0, burst=INF), "burst"),
+        (lambda: BrownoutController(sustain=NAN), "sustain"),
+        (lambda: BrownoutController(sustain=INF), "sustain"),
+        (lambda: BrownoutController(thresholds=(1.0, NAN)), "thresholds"),
+        (lambda: BrownoutController(thresholds=(1.0, INF)), "thresholds"),
+        (lambda: BrownoutController(stretch=NAN), "stretch"),
+        (lambda: AdmissionControl(retry_after=NAN), "retry_after"),
+        (lambda: AdmissionControl(retry_after=INF), "retry_after"),
+        (lambda: SlaClass("gold", 0, deadline_factor=NAN), "deadline_factor"),
+        (lambda: SlaClass("gold", 0, deadline_factor=INF), "deadline_factor"),
+        (lambda: RepriorityPolicy(interval=NAN), "interval"),
+        (lambda: RepriorityPolicy(interval=INF), "interval"),
+        (lambda: RetryPolicy(base_delay=NAN), "base_delay"),
+        (lambda: RetryPolicy(max_delay=NAN), "max_delay"),
+        (lambda: LeaseConfig(heartbeat_interval=NAN), "heartbeat_interval"),
+        (lambda: LeaseConfig(heartbeat_interval=INF), "heartbeat_interval"),
+        (lambda: SpotHazard(NAN), "rate_per_hour"),
+        (lambda: SpotHazard(INF), "rate_per_hour"),
+        (lambda: SpotHazard(1.0, notice=NAN), "notice"),
+        (lambda: SpotHazard(1.0, notice=INF), "notice"),
+        (lambda: PartitionHazard(0.5, until=NAN), "until"),
+        (lambda: PartitionHazard(0.5, until=INF), "until"),
+    ],
+    ids=[
+        "bucket-rate-nan", "bucket-rate-inf", "bucket-burst-nan",
+        "bucket-burst-inf", "sustain-nan", "sustain-inf", "threshold-nan",
+        "threshold-inf", "stretch-nan", "retry-after-nan", "retry-after-inf",
+        "deadline-factor-nan", "deadline-factor-inf", "repriority-interval-nan",
+        "repriority-interval-inf", "base-delay-nan", "max-delay-nan",
+        "heartbeat-nan", "heartbeat-inf",
+        "spot-rate-nan", "spot-rate-inf", "spot-notice-nan", "spot-notice-inf",
+        "partition-until-nan", "partition-until-inf",
+    ],
+)
+def test_policy_objects_refuse_nan_and_inf(build, name):
+    """Each reached the run before: a NaN retry-after reached
+    ``sim.timeout`` mid-run, a NaN repriority interval silently turned
+    the sweep off."""
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_lease_grant_beat_fence_cycle():

@@ -20,6 +20,7 @@ from repro.dewe import (
     submit_workflow,
 )
 from repro.faults import RetryPolicy
+from repro.liveness import AdmissionControl, LeaseConfig
 from repro.mq import Broker, ChaosBroker, MessageChaos
 from repro.mq.messages import (
     TOPIC_ACK,
@@ -102,8 +103,7 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
         master_poll_interval=0.002,
         worker_poll_interval=0.005,
         max_concurrent_jobs=8,
-        heartbeat_interval=0.05,
-        lease_miss_threshold=2,
+        liveness=LeaseConfig(heartbeat_interval=0.05, miss_threshold=2),
     )
     broker = ChaosBroker(MessageChaos())
     gate = threading.Event()
@@ -135,7 +135,7 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
         stats = master.liveness_stats()
 
     assert stats["lease_fencings"] >= 1
-    assert stats["heartbeat_misses"] >= cfg.lease_miss_threshold
+    assert stats["heartbeat_misses"] >= cfg.liveness.miss_threshold
     assert master.dead_letters == []
     # Every job ran (the fenced worker's deliveries were requeued; reruns
     # are allowed, lost jobs are not).
@@ -191,8 +191,7 @@ def test_threaded_admission_gate_sheds_then_admits():
         master_poll_interval=0.002,
         worker_poll_interval=0.005,
         max_concurrent_jobs=8,
-        admission_max_pending=1,
-        admission_retry_after=0.25,
+        admission=AdmissionControl(max_pending_jobs=1, retry_after=0.25),
     )
     broker = Broker()
     runs = []
@@ -212,7 +211,7 @@ def test_threaded_admission_gate_sheds_then_admits():
         # 4 queued dispatches against a gate of 1 means 4x the base hint.
         assert (
             master.shed_submissions["wf2"]
-            == cfg.admission_retry_after * 4 / cfg.admission_max_pending
+            == cfg.admission.retry_after * 4 / cfg.admission.max_pending_jobs
         )
         assert "wf2" in master.rejected
         assert master.liveness_stats()["shed_submissions"] == 1

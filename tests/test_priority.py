@@ -11,7 +11,7 @@ import pytest
 
 from repro.cloud import ClusterSpec
 from repro.dewe.state import JobStatus, WorkflowState
-from repro.engines import PullEngine
+from repro.engines import PullEngine, pull
 from repro.mq import Broker, ChaosBroker, ChaosSimBroker, MessageChaos, SimBroker
 from repro.mq.messages import JobDispatch, PriorityUpdate
 from repro.mq.priority import (
@@ -460,6 +460,29 @@ def test_state_job_priority_aging_from_first_dispatch():
     state.initial_ready()
     state.mark_dispatched("link0", 5.0)
     assert state.job_priority("link0", 9.0, policy) == pytest.approx(8.0)
+
+
+def test_pull_run_reprioritize_moves_only_the_named_job():
+    """The DES master's reprioritize port retags one queued dispatch:
+    the job it names, of the member it names — not that member's other
+    queued jobs, and not the same job id of another member."""
+    members = Ensemble([_wide("a", leaves=3), _wide("b", leaves=3)])
+    run = pull.PullRun(
+        PullEngine(ClusterSpec("m3.2xlarge", 1, filesystem="local")), members
+    )
+    for priority, (name, job_id) in enumerate(
+        [("a", "leaf00"), ("a", "leaf01"), ("a", "leaf02"), ("b", "leaf01")],
+        start=1,
+    ):
+        run._publish(run.workflows[name], job_id, 1, float(priority))
+    run.sim.run()  # the broker's latency batch lands in the topic
+    run._reprioritize("a", "leaf01", 10.0)
+    order = []
+    while (msg := run.broker.consume_nowait(pull._DISPATCH)) is not None:
+        order.append(msg[:2])
+    assert order == [
+        ("a", "leaf01"), ("b", "leaf01"), ("a", "leaf02"), ("a", "leaf00"),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.service import (
     build_workload,
     run_soak,
 )
+from repro.service.soak import ADMISSION_MAX_PENDING
 
 # -- arrival processes -------------------------------------------------------
 
@@ -71,6 +72,42 @@ def test_arrival_process_validation():
         OnOffArrivals(on_rate=1.0, on_duration=0.0, off_duration=1.0)
     with pytest.raises(ValueError):
         OnOffArrivals(on_rate=1.0, on_duration=1.0, off_duration=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: PoissonArrivals(rate=NAN), "rate"),
+        (lambda: PoissonArrivals(rate=INF), "rate"),
+        (lambda: OnOffArrivals(on_rate=NAN, on_duration=1.0, off_duration=1.0),
+         "on_rate"),
+        (lambda: OnOffArrivals(on_rate=INF, on_duration=1.0, off_duration=1.0),
+         "on_rate"),
+        (lambda: OnOffArrivals(on_rate=1.0, on_duration=NAN, off_duration=1.0),
+         "on_duration"),
+        (lambda: OnOffArrivals(on_rate=1.0, on_duration=INF, off_duration=1.0),
+         "on_duration"),
+        (lambda: OnOffArrivals(on_rate=1.0, on_duration=1.0, off_duration=NAN),
+         "off_duration"),
+        (lambda: OnOffArrivals(on_rate=1.0, on_duration=1.0, off_duration=INF),
+         "off_duration"),
+        (lambda: OnOffArrivals(1.0, 1.0, 1.0, phase=NAN), "phase"),
+        (lambda: OnOffArrivals(1.0, 1.0, 1.0, phase=INF), "phase"),
+    ],
+    ids=[
+        "poisson-rate-nan", "poisson-rate-inf", "on-rate-nan", "on-rate-inf",
+        "on-duration-nan", "on-duration-inf", "off-duration-nan",
+        "off-duration-inf", "phase-nan", "phase-inf",
+    ],
+)
+def test_arrival_processes_refuse_non_finite_parameters(build, name):
+    """A NaN or infinite rate or ON window made ``times`` append for
+    ever; a NaN OFF window or phase made it return an empty trace."""
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 # -- token bucket ------------------------------------------------------------
@@ -358,7 +395,7 @@ def test_soak_protects_gold_and_sheds_best_effort():
         if row["completed"]:
             assert row["p99_slowdown"] >= row["p50_slowdown"] >= 1.0
     # Backlog stayed bounded (also enforced inside report.problems).
-    assert report.peak_backlog <= 4 * _mini_soak().admission_max_pending
+    assert report.peak_backlog <= 4 * ADMISSION_MAX_PENDING
     # The report is machine-readable and carries the ladder counters.
     payload = json.loads(report.to_json())
     assert payload["liveness"]["shed_submissions"] > 0
@@ -377,15 +414,26 @@ def test_soak_is_byte_identical_per_seed():
         ({"load_factor": 0.5}, "load_factor"),
         ({"load_factor": 0.8}, "load_factor"),
         ({"load_factor": float("nan")}, "load_factor"),
-        ({"tenants_per_class": 0}, "tenants_per_class"),
-        ({"probe_members": 0}, "probe_members"),
+        ({"load_factor": float("inf")}, "load_factor"),
         ({"horizon": 0.0}, "horizon"),
         ({"horizon": float("inf")}, "horizon"),
         ({"horizon": float("nan")}, "horizon"),
+        ({"n_nodes": 0}, "n_nodes"),
+        ({"burst_on": 0.0}, "burst_on"),
+        ({"burst_on": -1.0}, "burst_on"),
+        ({"burst_on": float("nan")}, "burst_on"),
+        ({"burst_off": -1.0}, "burst_off"),
+        ({"burst_off": float("nan")}, "burst_off"),
+        ({"burst_off": float("inf")}, "burst_off"),
+        ({"brownout_sustain": -1.0}, "brownout_sustain"),
+        ({"brownout_sustain": float("nan")}, "brownout_sustain"),
     ],
     ids=[
-        "load-below", "load-equal", "load-nan", "no-tenants", "no-probe",
-        "horizon-zero", "horizon-inf", "horizon-nan",
+        "load-below", "load-equal", "load-nan", "load-inf",
+        "horizon-zero", "horizon-inf", "horizon-nan", "no-nodes",
+        "burst-on-zero", "burst-on-negative", "burst-on-nan",
+        "burst-off-negative", "burst-off-nan", "burst-off-inf",
+        "sustain-negative", "sustain-nan",
     ],
 )
 def test_soak_config_refuses_an_unrunnable_soak_at_construction(changes, match):
@@ -393,11 +441,7 @@ def test_soak_config_refuses_an_unrunnable_soak_at_construction(changes, match):
         dataclasses.replace(SoakConfig.quick(), **changes)
 
 
-def test_service_cli_refuses_a_load_below_the_reserved_classes(
-    monkeypatch, capsys
-):
-    """``--load 0.5`` leaves best_effort nothing: exit 2 before either
-    capacity probe runs."""
+def _cli_refuses_before_probing(monkeypatch, capsys, flags, match):
     import repro.service as service
     from repro.cli import main_service
 
@@ -406,9 +450,21 @@ def test_service_cli_refuses_a_load_below_the_reserved_classes(
 
     monkeypatch.setattr(service, "run_soak", no_soak)
     with pytest.raises(SystemExit) as exit_info:
-        main_service(["--quick", "--load", "0.5"])
+        main_service(["--quick", *flags])
     assert exit_info.value.code == 2
-    assert "load_factor" in capsys.readouterr().err
+    assert match in capsys.readouterr().err
+
+
+def test_service_cli_refuses_a_load_below_the_reserved_classes(
+    monkeypatch, capsys
+):
+    """``--load 0.5`` leaves best_effort nothing: exit 2 before either
+    capacity probe runs."""
+    _cli_refuses_before_probing(monkeypatch, capsys, ["--load", "0.5"], "load_factor")
+
+
+def test_service_cli_refuses_an_empty_cluster_before_probing(monkeypatch, capsys):
+    _cli_refuses_before_probing(monkeypatch, capsys, ["--nodes", "0"], "n_nodes")
 
 
 @pytest.mark.parametrize(
