@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -51,10 +52,13 @@ class DeweConfig:
     admission: Optional[AdmissionControl] = None
 
     def __post_init__(self) -> None:
-        if self.default_timeout <= 0:
-            raise ValueError("default_timeout must be positive")
-        if self.master_poll_interval <= 0 or self.worker_poll_interval <= 0:
-            raise ValueError("poll intervals must be positive")
+        # As RunConfig: a nan timeout never expires a job.
+        for name in (
+            "default_timeout", "master_poll_interval", "worker_poll_interval"
+        ):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.max_concurrent_jobs < 0:
             raise ValueError("max_concurrent_jobs must be >= 0")
 

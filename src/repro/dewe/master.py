@@ -45,7 +45,6 @@ from repro.faults.retry import DeadLetterEntry, RetryPolicy
 from repro.liveness import LeaseTable, new_liveness_stats
 from repro.mq.broker import Broker
 from repro.mq.priority import RepriorityPolicy
-from repro.mq.tcpbroker import RemoteBroker
 from repro.mq.messages import (
     TOPIC_ACK,
     TOPIC_DISPATCH,
@@ -307,18 +306,7 @@ class MasterDaemon:
 
         Requires: ``_state_lock``
         """
-        if isinstance(self.broker, RemoteBroker):
-            # Selectors cannot cross the wire: the TCP broker retags
-            # by (workflow, job) fields via a PriorityUpdate message.
-            self.broker.reprioritize(
-                TOPIC_DISPATCH, priority, workflow_name=name, job_id=job_id
-            )
-        else:
-            self.broker.reprioritize(
-                TOPIC_DISPATCH,
-                lambda m: m.workflow_name == name and m.job_id == job_id,
-                priority,
-            )
+        self.broker.reprioritize(TOPIC_DISPATCH, name, job_id, priority)
 
     def _call_later(self, delay: float, fn) -> None:
         """Queue a backed-off redispatch; :meth:`_check_timeouts` fires it.

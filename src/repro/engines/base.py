@@ -114,8 +114,8 @@ class EngineResult:
     #: Final per-workflow job status counts (pull engine only): each
     #: value maps :class:`~repro.dewe.state.JobStatus` values to counts.
     job_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Broker chaos tallies (dropped/duplicated/delayed), when a
-    #: :class:`~repro.mq.chaosbroker.ChaosSimBroker` served the run.
+    #: Broker chaos tallies (``ChaosBroker.chaos_stats()``) when the run
+    #: had ``message_chaos``.
     mq_chaos_stats: Dict[str, int] = field(default_factory=dict)
     #: Data-integrity tallies (verified/corrupted/lost/detected/
     #: regenerated/restaged) when integrity models ran

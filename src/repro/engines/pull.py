@@ -62,7 +62,7 @@ from repro.liveness import (
     ServiceAdmissionPolicy,
     new_liveness_stats,
 )
-from repro.mq.chaosbroker import ChaosSimBroker, MessageChaos
+from repro.mq.chaosbroker import ChaosBroker, MessageChaos
 from repro.mq.priority import RepriorityPolicy
 from repro.mq.simbroker import SimBroker
 from repro.recovery.journal import Journal
@@ -246,13 +246,11 @@ class PullRun:
         self.cluster = cluster
         self.thread_logs = thread_logs
         self.trace = FaultTrace()
+        self.broker = SimBroker(sim, engine.broker_latency)
         if engine.message_chaos is not None:
-            self.broker = ChaosSimBroker(
-                sim, engine.message_chaos,
-                latency=engine.broker_latency, trace=self.trace,
+            self.broker = ChaosBroker(
+                self.broker, engine.message_chaos, trace=self.trace
             )
-        else:
-            self.broker = SimBroker(sim, engine.broker_latency)
         self.members = list(ensemble)
         #: What a dispatch message resolves against worker-side (the
         #: real message carries the job; workers never read master state).
@@ -395,9 +393,7 @@ class PullRun:
         )
 
     def _reprioritize(self, name: str, job_id: str, priority: float) -> None:
-        self.broker.reprioritize(
-            _DISPATCH, lambda m: m[0] == name and m[1] == job_id, priority
-        )
+        self.broker.reprioritize(_DISPATCH, name, job_id, priority)
 
     def _call_later(self, delay: float, fn) -> None:
         self.sim.schedule_call(delay, lambda: fn(self.sim.now))
@@ -1042,8 +1038,8 @@ class PullRun:
             dead_letters=self.core.dead_letters,
             job_counts={name: state.counts() for name, state in states.items()},
             mq_chaos_stats=(
-                self.broker.stats()
-                if isinstance(self.broker, ChaosSimBroker) else {}
+                self.broker.chaos_stats()
+                if engine.message_chaos is not None else {}
             ),
             integrity_stats=dict(integrity.stats) if integrity is not None else {},
             data_recoveries=sum(s.data_recoveries for s in states.values()),

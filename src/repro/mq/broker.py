@@ -29,6 +29,7 @@ import threading
 from typing import Any, Dict, List, Optional
 
 import repro.analysis.concurrency.recorder as _conc
+from repro.mq.messages import JobDispatch
 
 __all__ = ["Topic", "Broker"]
 
@@ -160,9 +161,27 @@ class Broker:
     def consume(self, topic_name: str, timeout: Optional[float] = None) -> Optional[Any]:
         return self.topic(topic_name).consume(timeout)
 
-    def reprioritize(self, topic_name: str, selector, priority: float) -> int:
-        """Retag queued messages of a topic (see :meth:`Topic.reprioritize`)."""
-        return self.topic(topic_name).reprioritize(selector, priority)
+    def publish_after(
+        self, delay: float, topic_name: str, message: Any, priority: float = 0.0
+    ) -> None:
+        """:meth:`publish` from a daemon timer ``delay`` seconds from now
+        (the chaos decorator's delay band, which refuses ``None`` first)."""
+        timer = threading.Timer(
+            delay, self.publish, args=(topic_name, message, priority)
+        )
+        timer.daemon = True
+        timer.start()
+
+    def reprioritize(
+        self, topic_name: str, workflow: str, job_id: str, priority: float
+    ) -> int:
+        """Retag the queued :class:`JobDispatch` of ``job_id`` of
+        ``workflow`` (see :meth:`Topic.reprioritize`)."""
+        return self.topic(topic_name).reprioritize(
+            lambda m: isinstance(m, JobDispatch)
+            and m.workflow_name == workflow and m.job_id == job_id,
+            priority,
+        )
 
     def depth(self, topic_name: str) -> int:
         return self.topic(topic_name).depth

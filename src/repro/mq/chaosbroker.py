@@ -1,8 +1,10 @@
-"""Lossy/duplicating/delaying broker shims (message-level chaos).
+"""Lossy/duplicating/delaying broker decorator (message-level chaos).
 
 The paper assumes a reliable RabbitMQ; real brokers under partition or
-failover lose messages, redeliver them, and reorder them.  These shims
-wrap the two broker implementations with a seeded fault band: each
+failover lose messages, redeliver them, and reorder them.
+:class:`ChaosBroker` wraps either transport — the simulated
+:class:`~repro.mq.simbroker.SimBroker` or the threaded
+:class:`~repro.mq.broker.Broker` — with a seeded fault band: each
 published message draws one uniform variate and is *dropped*,
 *duplicated*, *delayed*, or delivered normally.  The draw sequence comes
 from an explicit ``random.Random(seed)``, so a simulated run's message
@@ -23,11 +25,9 @@ from dataclasses import dataclass
 from math import inf
 from typing import Any, Optional, Tuple
 
-from repro.mq.broker import Broker
 from repro.mq.messages import TOPIC_ACK, TOPIC_HEARTBEAT
-from repro.mq.simbroker import SimBroker
 
-__all__ = ["MessageChaos", "ChaosSimBroker", "ChaosBroker"]
+__all__ = ["MessageChaos", "ChaosBroker"]
 
 
 @dataclass(frozen=True)
@@ -73,84 +73,21 @@ def _describe(topic_name: str, message: Any) -> str:
     return f"{topic_name}:{type(message).__name__}"
 
 
-class ChaosSimBroker(SimBroker):
-    """:class:`SimBroker` with a seeded drop/duplicate/delay band."""
+class ChaosBroker:
+    """A transport behind a seeded drop/duplicate/delay band.
 
-    def __init__(
-        self,
-        sim,
-        chaos: MessageChaos,
-        latency: float = 0.002,
-        trace=None,
-    ):
-        super().__init__(sim, latency)
-        self.chaos = chaos
-        self.trace = trace
-        self._rng = random.Random(chaos.seed)
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
+    ``broker`` is a :class:`~repro.mq.simbroker.SimBroker` or a threaded
+    :class:`~repro.mq.broker.Broker`; a delayed message goes through its
+    ``publish_after``.  One lock serializes the draw, so a single
+    publisher thread gets a reproducible outcome sequence.  ``trace``
+    (simulated transports only) records each fault at ``sim.now``.  Only
+    ``publish`` is this class's own: the other broker methods are the
+    transport's bound methods, so a consume crosses no frame here.
 
-    def stats(self) -> dict:
-        return {
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-            "delayed": self.delayed,
-        }
-
-    def _record(self, kind: str, topic_name: str, message: Any) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now, kind, detail=_describe(topic_name, message)
-            )
-
-    def publish(
-        self, topic_name: str, message: Any, priority: float = 0.0
-    ) -> bool:
-        # True on every path, for the reason SimBroker.publish gives.
-        chaos = self.chaos
-        if message is None:
-            # Refused like SimBroker.publish does, before the draw: the
-            # delayed band below bypasses it.
-            raise ValueError(f"cannot publish None to {topic_name!r}")
-        if not chaos.applies_to(topic_name):
-            return super().publish(topic_name, message, priority=priority)
-        u = self._rng.random()
-        if u < chaos.p_drop:
-            self.dropped += 1
-            self._record("mq-drop", topic_name, message)
-            return True  # accepted by the broker, then lost — not backpressure
-        if u < chaos.p_drop + chaos.p_duplicate:
-            self.duplicated += 1
-            self._record("mq-duplicate", topic_name, message)
-            super().publish(topic_name, message, priority=priority)
-            return super().publish(topic_name, message, priority=priority)
-        if u < chaos.p_drop + chaos.p_duplicate + chaos.p_delay:
-            self.delayed += 1
-            self._record("mq-delay", topic_name, message)
-            self.published += 1
-            # Its own one-entry batch, so a delayed message keeps its
-            # priority.
-            self.sim.schedule_call(
-                self.latency + chaos.delay, self._deliver, topic_name,
-                (self.sim.now, [[message, priority]]),
-            )
-            return True
-        return super().publish(topic_name, message, priority=priority)
-
-
-class ChaosBroker(Broker):
-    """Thread-safe :class:`Broker` with the same seeded fault band.
-
-    Delayed messages are re-published from a ``threading.Timer``; the
-    draw order is serialized under a lock, so with a single publisher
-    thread (the usual master + one worker topology of the tests) the
-    outcome sequence is reproducible.
-
-    Partition shim: :meth:`begin_partition` cuts named workers off the
+    Partition hold: :meth:`begin_partition` cuts named workers off the
     control plane — their publishes to the partitioned topics (by
-    default the uplink: acks and heartbeats, i.e. the threaded shim
-    realizes the ``to-master`` direction of
+    default the uplink: acks and heartbeats, i.e. the threaded daemons
+    realize the ``to-master`` direction of
     :class:`~repro.faults.models.NetworkPartitionModel`; cutting the
     dispatch downlink would need per-worker queues the shared
     work-queue topic model doesn't have) are *held* in publish order
@@ -161,49 +98,50 @@ class ChaosBroker(Broker):
     """
 
     _guarded_by_ = {
-        "dropped": "_rng_lock",
-        "duplicated": "_rng_lock",
-        "delayed": "_rng_lock",
-        "_rng": "_rng_lock",
-        "_partitioned": "_partition_lock",
-        "_held": "_partition_lock",
-        "held": "_partition_lock",
-        "flushed": "_partition_lock",
+        "dropped": "_lock",
+        "duplicated": "_lock",
+        "delayed": "_lock",
+        "_rng": "_lock",
+        "_partitioned": "_lock",
+        "_held": "_lock",
+        "held": "_lock",
+        "flushed": "_lock",
     }
 
     #: Topics cut by a partition unless the caller names others: the
     #: worker uplink (job acks and heartbeat renewals).
     PARTITION_TOPICS: Tuple[str, ...] = (TOPIC_ACK, TOPIC_HEARTBEAT)
 
-    def __init__(self, chaos: MessageChaos):
-        super().__init__()
+    def __init__(self, broker, chaos: MessageChaos, trace=None):
+        self.broker = broker
         self.chaos = chaos
+        self.trace = trace
+        self._lock = threading.Lock()
         self._rng = random.Random(chaos.seed)
-        self._rng_lock = threading.Lock()
         self.dropped = 0
         self.duplicated = 0
         self.delayed = 0
-        self._partition_lock = threading.Lock()
         #: worker name -> tuple of topics cut for it.
         self._partitioned: dict = {}
         #: Held (topic, message, priority) triples in publish order.
         self._held: list = []
         self.held = 0
         self.flushed = 0
+        for name in ("consume", "consume_nowait", "cancel", "depth",
+                     "reprioritize", "stats"):
+            if hasattr(broker, name):
+                setattr(self, name, getattr(broker, name))
 
     def chaos_stats(self) -> dict:
-        with self._rng_lock:
-            stats = {
+        with self._lock:
+            return {
                 "dropped": self.dropped,
                 "duplicated": self.duplicated,
                 "delayed": self.delayed,
+                "held": self.held,
+                "flushed": self.flushed,
             }
-        with self._partition_lock:
-            stats["held"] = self.held
-            stats["flushed"] = self.flushed
-        return stats
 
-    # -- partition shim --------------------------------------------------
     def begin_partition(
         self, workers, topics: Optional[Tuple[str, ...]] = None
     ) -> None:
@@ -211,7 +149,7 @@ class ChaosBroker(Broker):
         if isinstance(workers, str):
             workers = (workers,)
         cut = tuple(topics) if topics is not None else self.PARTITION_TOPICS
-        with self._partition_lock:
+        with self._lock:
             for worker in workers:
                 self._partitioned[worker] = cut
 
@@ -226,81 +164,62 @@ class ChaosBroker(Broker):
         """
         if isinstance(workers, str):
             workers = (workers,)
-        with self._partition_lock:
+        with self._lock:
             if workers is None:
                 healed = set(self._partitioned)
                 self._partitioned.clear()
             else:
-                healed = set()
-                for worker in workers:
-                    if self._partitioned.pop(worker, None) is not None:
-                        healed.add(worker)
-            flush = []
-            kept = []
-            for topic_name, message, priority in self._held:
-                if getattr(message, "worker", None) in healed:
-                    flush.append((topic_name, message, priority))
-                else:
-                    kept.append((topic_name, message, priority))
-            self._held = kept
+                healed = {
+                    worker for worker in workers
+                    if self._partitioned.pop(worker, None) is not None
+                }
+            flush = [h for h in self._held if h[1].worker in healed]
+            self._held = [h for h in self._held if h[1].worker not in healed]
             self.flushed += len(flush)
-        # Re-publish outside the lock (the chaos band takes its own).
+        # Re-publish outside the lock (the chaos band takes it again).
         for topic_name, message, priority in flush:
-            self.publish(topic_name, message, priority=priority)
+            self.publish(topic_name, message, priority)
         return len(flush)
-
-    def _hold_if_partitioned(
-        self, topic_name: str, message: Any, priority: float
-    ) -> bool:
-        worker = getattr(message, "worker", None)
-        if worker is None:
-            return False
-        with self._partition_lock:
-            cut = self._partitioned.get(worker)
-            if cut is None or topic_name not in cut:
-                return False
-            self._held.append((topic_name, message, priority))
-            self.held += 1
-            return True
 
     def publish(
         self, topic_name: str, message: Any, priority: float = 0.0
     ) -> None:
-        chaos = self.chaos
         if message is None:
-            # Refused like Topic.publish does, before a hold or a draw:
-            # the drop band below never reaches the topic.
+            # ``consume`` reads ``None`` as "empty".  Refused before a
+            # hold or a draw: the drop and delay bands never reach the
+            # transport's own refusal.
             raise ValueError(f"cannot publish None to {topic_name!r}")
-        if self._hold_if_partitioned(topic_name, message, priority):
-            return  # in flight until the partition heals
-        if not chaos.applies_to(topic_name):
-            super().publish(topic_name, message, priority=priority)
+        chaos = self.chaos
+        fault = None
+        with self._lock:
+            if self._partitioned and topic_name in self._partitioned.get(
+                getattr(message, "worker", None), ()
+            ):
+                self._held.append((topic_name, message, priority))
+                self.held += 1
+                return  # in flight until the partition heals
+            if chaos.applies_to(topic_name):
+                u = self._rng.random()
+                if u < chaos.p_drop:
+                    self.dropped += 1
+                    fault = "mq-drop"
+                elif u < chaos.p_drop + chaos.p_duplicate:
+                    self.duplicated += 1
+                    fault = "mq-duplicate"
+                elif u < chaos.p_drop + chaos.p_duplicate + chaos.p_delay:
+                    self.delayed += 1
+                    fault = "mq-delay"
+        broker = self.broker
+        if fault is None:
+            broker.publish(topic_name, message, priority)
             return
-        with self._rng_lock:
-            u = self._rng.random()
-            if u < chaos.p_drop:
-                self.dropped += 1
-                outcome = "drop"
-            elif u < chaos.p_drop + chaos.p_duplicate:
-                self.duplicated += 1
-                outcome = "duplicate"
-            elif u < chaos.p_drop + chaos.p_duplicate + chaos.p_delay:
-                self.delayed += 1
-                outcome = "delay"
-            else:
-                outcome = "deliver"
-        if outcome == "drop":
-            return  # accepted, then lost
-        if outcome == "duplicate":
-            super().publish(topic_name, message, priority=priority)  # + below
-        if outcome == "delay":
-            timer = threading.Timer(
-                chaos.delay,
-                super().publish,
-                args=(topic_name, message),
-                kwargs={"priority": priority},
+        if self.trace is not None:
+            self.trace.record(
+                broker.sim.now, fault, detail=_describe(topic_name, message)
             )
-            timer.daemon = True
-            timer.start()
-            return
-        super().publish(topic_name, message, priority=priority)
+        if fault == "mq-duplicate":
+            broker.publish(topic_name, message, priority)
+            broker.publish(topic_name, message, priority)
+        elif fault == "mq-delay":
+            broker.publish_after(chaos.delay, topic_name, message, priority)
+        # A drop was accepted by the broker, then lost: not backpressure.

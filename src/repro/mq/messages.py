@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -18,7 +18,6 @@ __all__ = [
     "JobDispatch",
     "JobAck",
     "WorkerHeartbeat",
-    "PriorityUpdate",
 ]
 
 TOPIC_SUBMIT = "workflow-submission"
@@ -83,23 +82,6 @@ class JobAck:
     worker: str = ""
     attempt: int = 1
     error: Optional[str] = None
-
-
-@dataclass(frozen=True, slots=True)
-class PriorityUpdate:
-    """Master -> broker: retag queued dispatches of a topic.
-
-    The live-reprioritization plane (ROADMAP item 2): as completions
-    land, the master re-scores still-queued jobs and pushes the new
-    priorities broker-side without republishing.  ``workflow_name`` and
-    ``job_id`` select the affected messages (empty string = wildcard),
-    so one update can bump a single job or a whole ensemble member.
-    """
-
-    topic: str
-    workflow_name: str = ""
-    job_id: str = ""
-    priority: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,8 +17,8 @@ structured as **SLA bands plus a bounded heuristic score**:
 
 Scores are recomputed as completions land (the OSPREY
 ``asynch_repriority`` pattern: finish tasks, re-score the still-queued
-ones, push :class:`~repro.mq.messages.PriorityUpdate`-style retags
-broker-side) — everything is a pure function of simulated time and the
+ones, retag them broker-side with ``reprioritize(topic, workflow,
+job_id, priority)``) — everything is a pure function of simulated time and the
 workflow structure, so runs stay byte-deterministic per seed.
 """
 

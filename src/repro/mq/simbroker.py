@@ -90,11 +90,22 @@ class SimBroker:
         self.sim.schedule_call(self.latency, self._deliver, topic_name, batch)
         return True
 
+    def publish_after(
+        self, delay: float, topic_name: str, message: Any, priority: float = 0.0
+    ) -> None:
+        """:meth:`publish`, ``delay`` seconds late (the chaos decorator's
+        delay band, which refuses ``None``): a one-entry batch, never
+        ``_pending``, so no reprioritize reaches it in flight."""
+        self.published += 1
+        self.sim.schedule_call(
+            self.latency + delay, self._deliver, topic_name,
+            (self.sim.now, [[message, priority]]),
+        )
+
     def _deliver(self, topic_name: str, batch) -> None:
         """A batch arrives: each message into the store in publish order.
         The one place a message enters a topic — a latency batch, a
-        zero-latency publish and the chaos shim's delayed message
-        (one-entry batches that never were ``_pending``)."""
+        zero-latency publish and a :meth:`publish_after`."""
         if self._pending.get(topic_name) is batch:
             del self._pending[topic_name]
         store = self._topics.get(topic_name)
@@ -125,15 +136,21 @@ class SimBroker:
             self.consumed += 1
         return message
 
-    def reprioritize(self, topic_name: str, selector, priority: float) -> int:
-        """Retag queued messages for which ``selector(message)`` is true
-        with ``priority``; messages still in the in-flight latency batch
-        are retagged too.  Returns the number of messages retagged."""
-        count = self.topic(topic_name).reprioritize(selector, priority)
+    def reprioritize(
+        self, topic_name: str, workflow: str, job_id: str, priority: float
+    ) -> int:
+        """Retag the queued dispatch ``(workflow, job_id, attempt)`` with
+        ``priority``; one still in the in-flight latency batch is retagged
+        too.  Returns the number of messages retagged."""
+
+        def match(message) -> bool:
+            return message[0] == workflow and message[1] == job_id
+
+        count = self.topic(topic_name).reprioritize(match, priority)
         pending = self._pending.get(topic_name)
         if pending is not None:
             for entry in pending[1]:
-                if entry[1] != priority and selector(entry[0]):
+                if entry[1] != priority and match(entry[0]):
                     entry[1] = priority
                     count += 1
         return count

@@ -12,25 +12,34 @@ message queue" (paper §III.D).
 
 Protocol (one JSON object per line)::
 
-    -> {"op": "publish", "topic": "...", "message": {...}}
+    -> {"op": "publish", "topic": "...", "message": {...}, "priority": 0.0}
     <- {"ok": true}
     -> {"op": "consume", "topic": "...", "timeout": 0.05}
     <- {"ok": true, "message": {...} | null}
+    -> {"op": "reprioritize", "topic": "...", "workflow": "...",
+        "job_id": "...", "priority": 5.0}
+    <- {"ok": true, "count": 1}
     -> {"op": "depth", "topic": "..."}
     <- {"ok": true, "depth": 3}
 
-Messages are the codecs' JSON forms of the three DEWE message types.
-Job actions survive the wire only as argv lists (subprocess jobs) —
-Python callables cannot cross processes, matching reality: remote
-workers run binaries from the shared file system, not closures.
+Messages are the codec's JSON forms of the four DEWE message types.
+The server decodes on publish and encodes on consume, so its Broker
+holds what an in-process one holds; a request that does not decode, or
+whose priority is not a finite number, gets ``ok: false`` before
+anything is enqueued.  Job actions survive the wire only as argv lists
+(subprocess jobs) — Python callables cannot cross processes, matching
+reality: remote workers run binaries from the shared file system.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
+from dataclasses import fields
+from operator import attrgetter
 from typing import Any, Optional, Tuple
 
 from repro.mq.broker import Broker
@@ -38,7 +47,6 @@ from repro.mq.messages import (
     AckKind,
     JobAck,
     JobDispatch,
-    PriorityUpdate,
     WorkerHeartbeat,
     WorkflowSubmission,
 )
@@ -49,141 +57,85 @@ __all__ = ["encode_message", "decode_message", "BrokerServer", "RemoteBroker"]
 
 
 # ---------------------------------------------------------------------------
-# Message codecs
+# Message codec
 # ---------------------------------------------------------------------------
 
 
-def _encode_job(job: Job) -> dict:
+#: The :class:`Job` arguments a dispatch carries: all a stateless worker
+#: needs to run the job.
+_JOB_FIELDS = ("id", "task_type", "runtime", "threads", "timeout", "action")
+
+
+def _encode_job(job: Optional[Job]) -> Optional[dict]:
+    if job is None:
+        return None
     action = job.action
     if action is not None and not isinstance(action, (list, tuple)):
         raise TypeError(
             f"job {job.id}: only argv-list actions can cross the TCP broker, "
             f"got {type(action).__name__}"
         )
-    return {
-        "id": job.id,
-        "task_type": job.task_type,
-        "runtime": job.runtime,
-        "threads": job.threads,
-        "timeout": job.timeout,
-        "action": list(action) if action is not None else None,
-    }
+    return {name: getattr(job, name) for name in _JOB_FIELDS}
 
 
-def _decode_job(data: dict) -> Job:
-    return Job(
-        data["id"],
-        data["task_type"],
-        runtime=data.get("runtime", 0.0),
-        threads=data.get("threads", 1),
-        timeout=data.get("timeout"),
-        action=data.get("action"),
-    )
+def _decode_job(data: Optional[dict]) -> Optional[Job]:
+    if data is None:
+        return None
+    return Job(**{name: data[name] for name in _JOB_FIELDS if name in data})
+
+
+#: Wire tag of each message type.
+_TAGS = {
+    WorkflowSubmission: "submission",
+    JobDispatch: "dispatch",
+    JobAck: "ack",
+    WorkerHeartbeat: "heartbeat",
+}
+_TYPES = {tag: cls for cls, tag in _TAGS.items()}
+#: Field name -> (to the wire, from the wire); other fields are JSON
+#: values as they stand.
+_CONVERT = {
+    "workflow": (workflow_to_dict, workflow_from_dict),
+    "job": (_encode_job, _decode_job),
+    "kind": (attrgetter("value"), AckKind),
+}
 
 
 def encode_message(message: Any) -> dict:
     """Dataclass message -> JSON-able dict with a type tag."""
-    if isinstance(message, WorkflowSubmission):
-        return {
-            "type": "submission",
-            "workflow": workflow_to_dict(message.workflow),
-            "folder": message.folder,
-        }
-    if isinstance(message, JobDispatch):
-        return {
-            "type": "dispatch",
-            "workflow_name": message.workflow_name,
-            "job_id": message.job_id,
-            "attempt": message.attempt,
-            "job": _encode_job(message.job) if message.job is not None else None,
-        }
-    if isinstance(message, JobAck):
-        return {
-            "type": "ack",
-            "workflow_name": message.workflow_name,
-            "job_id": message.job_id,
-            "kind": message.kind.value,
-            "worker": message.worker,
-            "attempt": message.attempt,
-            "error": message.error,
-        }
-    if isinstance(message, WorkerHeartbeat):
-        return {
-            "type": "heartbeat",
-            "worker": message.worker,
-            "epoch": message.epoch,
-            "seq": message.seq,
-        }
-    if isinstance(message, PriorityUpdate):
-        return {
-            "type": "priority",
-            "topic": message.topic,
-            "workflow_name": message.workflow_name,
-            "job_id": message.job_id,
-            "priority": message.priority,
-        }
-    raise TypeError(f"cannot encode message of type {type(message).__name__}")
+    tag = _TAGS.get(type(message))
+    if tag is None:
+        raise TypeError(f"cannot encode message of type {type(message).__name__}")
+    data = {"type": tag}
+    for f in fields(message):
+        value = getattr(message, f.name)
+        convert = _CONVERT.get(f.name)
+        data[f.name] = value if convert is None else convert[0](value)
+    return data
 
 
 def decode_message(data: dict) -> Any:
-    """Inverse of :func:`encode_message`."""
-    kind = data.get("type")
-    if kind == "submission":
-        return WorkflowSubmission(
-            workflow=workflow_from_dict(data["workflow"]), folder=data.get("folder", "")
-        )
-    if kind == "dispatch":
-        job = data.get("job")
-        return JobDispatch(
-            workflow_name=data["workflow_name"],
-            job_id=data["job_id"],
-            attempt=data.get("attempt", 1),
-            job=_decode_job(job) if job is not None else None,
-        )
-    if kind == "ack":
-        return JobAck(
-            workflow_name=data["workflow_name"],
-            job_id=data["job_id"],
-            kind=AckKind(data["kind"]),
-            worker=data.get("worker", ""),
-            attempt=data.get("attempt", 1),
-            error=data.get("error"),
-        )
-    if kind == "heartbeat":
-        return WorkerHeartbeat(
-            worker=data["worker"],
-            epoch=data.get("epoch", 0),
-            seq=data.get("seq", 0),
-        )
-    if kind == "priority":
-        return PriorityUpdate(
-            topic=data["topic"],
-            workflow_name=data.get("workflow_name", ""),
-            job_id=data.get("job_id", ""),
-            priority=data.get("priority", 0.0),
-        )
-    raise ValueError(f"unknown message type: {kind!r}")
+    """Inverse of :func:`encode_message`; an absent field takes its
+    default, and a missing required one raises."""
+    cls = _TYPES.get(data.get("type"))
+    if cls is None:
+        raise ValueError(f"unknown message type: {data.get('type')!r}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            convert = _CONVERT.get(f.name)
+            value = data[f.name]
+            kwargs[f.name] = value if convert is None else convert[1](value)
+    return cls(**kwargs)
 
 
-def _selector_for(update: PriorityUpdate):
-    """Message predicate for a server-side reprioritize.
-
-    Queued messages live server-side in their encoded (dict) form; empty
-    ``workflow_name``/``job_id`` fields are wildcards.
-    """
-
-    def selector(message: Any) -> bool:
-        if not isinstance(message, dict):
-            return False
-        if update.workflow_name and (
-            message.get("workflow_name") != update.workflow_name
-        ):
-            return False
-        if update.job_id and message.get("job_id") != update.job_id:
-            return False
-        return True
-
-    return selector
+def _priority(request: dict) -> float:
+    """The request's priority, refused unless a finite number: NaN
+    compares false both ways and would jump the queue."""
+    priority = request.get("priority", 0.0)
+    if type(priority) not in (int, float) or not math.isfinite(priority):
+        raise ValueError(f"priority must be a finite number, got {priority!r}")
+    return priority
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +164,19 @@ class _Handler(socketserver.StreamRequestHandler):
     def _execute(broker: Broker, request: dict) -> dict:
         op = request.get("op")
         if op == "publish":
-            broker.publish(
-                request["topic"],
-                request["message"],
-                priority=request.get("priority", 0.0),
-            )
+            message = decode_message(request["message"])
+            broker.publish(request["topic"], message, _priority(request))
             return {"ok": True}
         if op == "consume":
-            timeout = request.get("timeout")
-            message = broker.consume(request["topic"], timeout=timeout)
-            return {"ok": True, "message": message}
+            message = broker.consume(request["topic"], request.get("timeout"))
+            return {
+                "ok": True,
+                "message": None if message is None else encode_message(message),
+            }
         if op == "reprioritize":
-            update = decode_message(request["update"])
             count = broker.reprioritize(
-                update.topic, _selector_for(update), update.priority
+                request["topic"], request["workflow"], request["job_id"],
+                _priority(request),
             )
             return {"ok": True, "count": count}
         if op == "depth":
@@ -342,22 +293,13 @@ class RemoteBroker:
         )
 
     def reprioritize(
-        self,
-        topic_name: str,
-        priority: float,
-        workflow_name: str = "",
-        job_id: str = "",
+        self, topic_name: str, workflow: str, job_id: str, priority: float
     ) -> int:
-        """Retag queued dispatches server-side; returns the count retagged."""
-        update = PriorityUpdate(
-            topic=topic_name,
-            workflow_name=workflow_name,
-            job_id=job_id,
-            priority=priority,
-        )
-        return self._call(
-            {"op": "reprioritize", "update": encode_message(update)}
-        )["count"]
+        """Retag a queued dispatch server-side; returns the count retagged."""
+        return self._call({
+            "op": "reprioritize", "topic": topic_name, "workflow": workflow,
+            "job_id": job_id, "priority": priority,
+        })["count"]
 
     def consume(self, topic_name: str, timeout: Optional[float] = None) -> Optional[Any]:
         response = self._call(

@@ -49,10 +49,10 @@ pytestmark = pytest.mark.skipif(
 #: jobs, bytecodes under ``repro/``).
 CASES = {
     "pull, 4 x 1.0 deg on 2 x r3.8xlarge MooseFS": (
-        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_657_630,
+        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_657_626,
     ),
     "pull, 2 x 2.0 deg on 1 x c3.8xlarge local": (
-        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_010_609,
+        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_010_605,
     ),
     "central dispatch, 2 x 2.0 deg on 1 x c3.8xlarge local": (
         SchedulingEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_808_379,

@@ -135,7 +135,7 @@ def test_threaded_poison_job_dead_letters_and_rest_completes():
 
 def test_threaded_duplicated_acks_complete_exactly_once():
     chaos = MessageChaos(p_duplicate=1.0, seed=5, topics=(TOPIC_ACK,))
-    broker = ChaosBroker(chaos)
+    broker = ChaosBroker(Broker(), chaos)
     config = DeweConfig(default_timeout=5.0)
 
     wf = Workflow("dup-wf")

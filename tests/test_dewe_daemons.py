@@ -314,3 +314,14 @@ def test_master_survives_bad_submissions():
         # earlier (rejected) submissions were already processed.
         assert "good-1" in master.rejected
         assert "cyclic" in master.rejected
+
+
+@pytest.mark.parametrize(
+    "name", ["default_timeout", "master_poll_interval", "worker_poll_interval"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_refuses_a_non_finite_or_non_positive_time(name, value):
+    """Refused like ``RunConfig`` refuses them: a nan timeout never
+    expires a job, and a nan poll interval never wakes a daemon loop."""
+    with pytest.raises(ValueError, match=name):
+        DeweConfig(**{name: value})

@@ -188,8 +188,9 @@ def test_worker_slot_reads_the_partition_state_per_message():
 
 
 def test_one_function_puts_messages_into_a_topic():
-    """Latency batches, zero-latency publishes and the chaos shim's
-    delayed messages all arrive through ``SimBroker._deliver``; a second
+    """Latency batches, zero-latency publishes and the chaos decorator's
+    delayed messages (``publish_after``) all arrive through
+    ``SimBroker._deliver``; a second
     ``store.put`` caller is a second delivery path (and, per message, the
     frame ``_put_direct`` used to be)."""
     putters = []
@@ -197,7 +198,7 @@ def test_one_function_puts_messages_into_a_topic():
         tree = ast.parse((SRC / relative).read_text())
         sim_classes = [
             node for node in tree.body
-            if isinstance(node, ast.ClassDef) and "SimBroker" in node.name
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Broker")
         ]
         putters += [
             f"{cls.name}.{fn.name}"
@@ -222,8 +223,8 @@ def _params(fn):
     return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
 
 
-def test_all_five_brokers_publish_with_one_parameter_list():
-    signatures = {
+def _broker_signatures(name):
+    return {
         cls.name: ast.unparse(fn.args)
         for relative in (
             "mq/broker.py", "mq/simbroker.py", "mq/chaosbroker.py",
@@ -232,14 +233,41 @@ def test_all_five_brokers_publish_with_one_parameter_list():
         for cls in _classes(relative)
         if cls.name.endswith("Broker")
         for fn, depth in _functions(cls)
-        if depth == 0 and fn.name == "publish"
+        if depth == 0 and fn.name == name
     }
-    assert sorted(signatures) == [
-        "Broker", "ChaosBroker", "ChaosSimBroker", "RemoteBroker", "SimBroker",
+
+
+def test_all_four_brokers_publish_and_reprioritize_with_one_parameter_list():
+    """One broker surface: the master's ports call every broker the same
+    way, so no caller branches on the broker's type.  The chaos
+    decorator defines only ``publish``; its ``reprioritize`` is the
+    transport's own bound method."""
+    publish = _broker_signatures("publish")
+    assert sorted(publish) == [
+        "Broker", "ChaosBroker", "RemoteBroker", "SimBroker",
     ]
-    assert set(signatures.values()) == {
+    assert set(publish.values()) == {
         "self, topic_name: str, message: Any, priority: float=0.0"
-    }, signatures
+    }, publish
+    reprioritize = _broker_signatures("reprioritize")
+    assert sorted(reprioritize) == ["Broker", "RemoteBroker", "SimBroker"]
+    assert set(reprioritize.values()) == {
+        "self, topic_name: str, workflow: str, job_id: str, priority: float"
+    }, reprioritize
+    from repro.mq import Broker, ChaosBroker, MessageChaos
+
+    transport = Broker()
+    chaos = ChaosBroker(transport, MessageChaos())
+    assert chaos.reprioritize == transport.reprioritize
+    isinstance_forks = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") == "isinstance"
+        and "self.broker" in ast.unparse(node.args[0])
+    ]
+    assert isinstance_forks == []
 
 
 def test_no_broker_topic_or_store_takes_a_bound_or_eviction_parameter():

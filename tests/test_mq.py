@@ -1,12 +1,13 @@
 """Tests for the threaded broker and the simulated broker."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.mq import Broker, SimBroker
-from repro.mq.chaosbroker import ChaosBroker, ChaosSimBroker, MessageChaos
-from repro.mq.messages import TOPIC_ACK, AckKind, JobAck
+from repro.mq.chaosbroker import ChaosBroker, MessageChaos
+from repro.mq.messages import TOPIC_ACK, AckKind, JobAck, JobDispatch
 from repro.sim import Simulator
 
 
@@ -57,8 +58,8 @@ def _threaded_broker_state(broker):
     "make",
     [
         Broker,
-        lambda: ChaosBroker(MessageChaos(p_drop=1.0)),
-        lambda: _partitioned(ChaosBroker(MessageChaos())),
+        lambda: ChaosBroker(Broker(), MessageChaos(p_drop=1.0)),
+        lambda: _partitioned(ChaosBroker(Broker(), MessageChaos())),
     ],
     ids=["plain", "chaos-drop", "chaos-partitioned"],
 )
@@ -120,7 +121,7 @@ def test_reprioritize_races_consumers_without_loss_or_duplication():
     broker = Broker()
     n = 400
     for i in range(n):
-        broker.publish("jobs", i)
+        broker.publish("jobs", JobDispatch("wf", str(i)))
     got = []
     lock = threading.Lock()
     stop = threading.Event()
@@ -133,16 +134,14 @@ def test_reprioritize_races_consumers_without_loss_or_duplication():
                     return
                 continue
             with lock:
-                got.append(msg)
+                got.append(int(msg.job_id))
 
     def repriority_caller():
         # Deterministic retag pattern cycling over residue classes so
         # retags keep landing while the queue drains.
         for round_ in range(1, 40):
-            residue = round_ % 5
-            broker.reprioritize(
-                "jobs", lambda m, r=residue: m % 5 == r, float(round_)
-            )
+            for i in range(round_ % 5, n, 40):
+                broker.reprioritize("jobs", "wf", str(i), float(round_))
         stop.set()
 
     threads = [threading.Thread(target=consumer) for _ in range(6)]
@@ -156,6 +155,39 @@ def test_reprioritize_races_consumers_without_loss_or_duplication():
     assert stats["published"] == n
     assert stats["consumed"] == n
     assert stats["depth"] == 0
+
+
+def test_chaos_counters_survive_concurrent_publishers():
+    """One lock covers the draw and the counters: with more publisher
+    threads than cores and a short switch interval, every message is
+    dropped, duplicated or delivered once, and the counters say which."""
+    broker = ChaosBroker(
+        Broker(), MessageChaos(p_drop=0.3, p_duplicate=0.3, seed=3)
+    )
+    threads, per_thread = 8, 250
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(
+                target=lambda t=t: [
+                    broker.publish("t", (t, i)) for i in range(per_thread)
+                ]
+            )
+            for t in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    stats = broker.chaos_stats()
+    sent = threads * per_thread
+    assert stats["dropped"] > 0 and stats["duplicated"] > 0
+    assert broker.depth("t") == sent - stats["dropped"] + stats["duplicated"]
+    assert broker.stats()["t"]["published"] == broker.depth("t")
 
 
 def test_blocking_consume_wakes_on_publish():
@@ -256,17 +288,19 @@ def _broker_state(broker, sim):
     )
 
 
+def _chaos(chaos, latency=0.002):
+    return lambda sim: ChaosBroker(SimBroker(sim, latency), chaos)
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda sim: SimBroker(sim, latency=0.5),
         lambda sim: SimBroker(sim, latency=0.0),
-        lambda sim: ChaosSimBroker(sim, MessageChaos(), latency=0.5),
-        lambda sim: ChaosSimBroker(
-            sim, MessageChaos(p_delay=1.0, delay=0.2), latency=0.5
-        ),
-        lambda sim: ChaosSimBroker(sim, MessageChaos(p_duplicate=1.0)),
-        lambda sim: ChaosSimBroker(sim, MessageChaos(p_drop=1.0)),
+        _chaos(MessageChaos(), latency=0.5),
+        _chaos(MessageChaos(p_delay=1.0, delay=0.2), latency=0.5),
+        _chaos(MessageChaos(p_duplicate=1.0)),
+        _chaos(MessageChaos(p_drop=1.0)),
     ],
     ids=["latency", "direct", "chaos-pass", "chaos-delay",
          "chaos-duplicate", "chaos-drop"],
@@ -278,16 +312,17 @@ def test_simbroker_refuses_a_none_payload_before_counting(make):
     counter, batch, store entry, agenda entry or chaos draw spent."""
     sim = Simulator()
     broker = make(sim)
-    before = _broker_state(broker, sim)
+    transport = getattr(broker, "broker", broker)
+    before = _broker_state(transport, sim)
     draw = getattr(broker, "_rng", None) and broker._rng.getstate()
     with pytest.raises(ValueError, match="None"):
         broker.publish("t", None)
-    assert _broker_state(broker, sim) == before
+    assert _broker_state(transport, sim) == before
     if draw:
         assert broker._rng.getstate() == draw
-        assert broker.stats() == {"dropped": 0, "duplicated": 0, "delayed": 0}
+        assert set(broker.chaos_stats().values()) == {0}
     sim.run()
-    assert broker.consume_nowait("t") is None and broker.consumed == 0
+    assert broker.consume_nowait("t") is None and transport.consumed == 0
 
 
 def test_chaos_simbroker_priority_survives_the_delay_band_and_the_latency_batch():
@@ -297,25 +332,30 @@ def test_chaos_simbroker_priority_survives_the_delay_band_and_the_latency_batch(
     it), a pass-through publish joins the latency batch, which a
     reprioritize retags in flight."""
     sim = Simulator()
-    broker = ChaosSimBroker(
-        sim, MessageChaos(p_delay=1.0, delay=0.2, topics=("slow",)), latency=0.5
+    transport = SimBroker(sim, latency=0.5)
+    broker = ChaosBroker(
+        transport, MessageChaos(p_delay=1.0, delay=0.2, topics=("slow",))
     )
-    broker.publish("slow", "bulk")
-    broker.publish("slow", "urgent", priority=10.0)
-    assert broker.stats()["delayed"] == 2 and not broker._pending
-    assert broker.reprioritize("slow", lambda m: True, 3.0) == 0  # out of reach
-    broker.publish("fast", "a")
-    broker.publish("fast", "b")
-    assert broker.reprioritize("fast", lambda m: m == "b", 7.0) == 1
+    broker.publish("slow", ("wf", "bulk", 1))
+    broker.publish("slow", ("wf", "urgent", 1), priority=10.0)
+    assert broker.chaos_stats()["delayed"] == 2 and not transport._pending
+    assert broker.reprioritize("slow", "wf", "bulk", 3.0) == 0  # out of reach
+    broker.publish("fast", ("wf", "a", 1))
+    broker.publish("fast", ("wf", "b", 1))
+    assert broker.reprioritize("fast", "wf", "b", 7.0) == 1
     sim.run()
-    assert sim.now == 0.7 and broker.published == 4
+    assert sim.now == 0.7 and transport.published == 4
 
     def drain(topic):
-        return [broker.consume_nowait(topic) for _ in range(broker.depth(topic))]
+        return [
+            broker.consume_nowait(topic)[1] for _ in range(broker.depth(topic))
+        ]
 
     assert drain("fast") == ["b", "a"]
-    assert broker.topic("slow").peek_all() == ["urgent", "bulk"]
-    assert broker.reprioritize("slow", lambda m: m == "bulk", 20.0) == 1
+    assert [m[1] for m in transport.topic("slow").peek_all()] == [
+        "urgent", "bulk",
+    ]
+    assert broker.reprioritize("slow", "wf", "bulk", 20.0) == 1
     assert drain("slow") == ["bulk", "urgent"]
 
 

@@ -61,7 +61,7 @@ def make_parallel(name: str, n: int, action) -> Workflow:
 
 # -- ChaosBroker partition shim (unit) ----------------------------------------
 def test_chaosbroker_holds_partitioned_uplink_and_heals_in_order():
-    broker = ChaosBroker(MessageChaos())
+    broker = ChaosBroker(Broker(), MessageChaos())
     broker.begin_partition("w1")
     for i in range(3):
         broker.publish(TOPIC_ACK, _ack("w1", f"j{i}"))
@@ -84,7 +84,7 @@ def test_chaosbroker_holds_partitioned_uplink_and_heals_in_order():
 
 
 def test_chaosbroker_partition_scopes_to_named_topics():
-    broker = ChaosBroker(MessageChaos())
+    broker = ChaosBroker(Broker(), MessageChaos())
     broker.begin_partition(("w1",), topics=(TOPIC_ACK,))
     broker.publish(TOPIC_HEARTBEAT, WorkerHeartbeat(worker="w1"))
     assert broker.depth(TOPIC_HEARTBEAT) == 1  # heartbeats still flow
@@ -105,7 +105,7 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
         max_concurrent_jobs=8,
         liveness=LeaseConfig(heartbeat_interval=0.05, miss_threshold=2),
     )
-    broker = ChaosBroker(MessageChaos())
+    broker = ChaosBroker(Broker(), MessageChaos())
     gate = threading.Event()
     started = []
     started_lock = threading.Lock()
@@ -152,7 +152,7 @@ def test_acks_flushed_after_heal_are_idempotent():
         worker_poll_interval=0.005,
         max_concurrent_jobs=8,
     )
-    broker = ChaosBroker(MessageChaos())
+    broker = ChaosBroker(Broker(), MessageChaos())
     runs = []
     lock = threading.Lock()
 

@@ -1,8 +1,8 @@
 """Priority topics and live reprioritization (ROADMAP item 2).
 
 Covers the whole stack: the scoring model, the :class:`PriorityStore`
-kernel primitive, priority-inversion regressions in all four brokers
-(simulated, threaded, both chaos bands, TCP), the master-side rerank
+kernel primitive, priority-inversion regressions in every broker
+(simulated, threaded, the chaos decorator over both, TCP), the master-side rerank
 machinery, and FIFO-vs-priority end-to-end runs on a deadline-skewed
 ensemble.
 """
@@ -12,15 +12,15 @@ import pytest
 from repro.cloud import ClusterSpec
 from repro.dewe.state import JobStatus, WorkflowState
 from repro.engines import PullEngine, pull
-from repro.mq import Broker, ChaosBroker, ChaosSimBroker, MessageChaos, SimBroker
-from repro.mq.messages import JobDispatch, PriorityUpdate
+from repro.mq import Broker, ChaosBroker, MessageChaos, SimBroker
+from repro.mq.messages import JobDispatch
 from repro.mq.priority import (
     PRIORITY_BAND,
     RepriorityPolicy,
     base_band,
     rank_for_sla,
 )
-from repro.mq.tcpbroker import BrokerServer, RemoteBroker, decode_message, encode_message
+from repro.mq.tcpbroker import BrokerServer, RemoteBroker
 from repro.sim import FifoStore, PriorityStore, Simulator
 from repro.workflow import Ensemble, Workflow
 from tests.callcount import count_calls
@@ -270,9 +270,9 @@ def test_simbroker_reprioritize_reaches_in_flight_batch():
     window are retagged too, not just already-queued ones."""
     sim = Simulator()
     broker = SimBroker(sim, latency=0.5)
-    broker.publish("t", "a")
-    broker.publish("t", "b")
-    assert broker.reprioritize("t", lambda m: m == "b", 7.0) == 1
+    broker.publish("t", ("wf", "a", 1))
+    broker.publish("t", ("wf", "b", 1))
+    assert broker.reprioritize("t", "wf", "b", 7.0) == 1
     got = []
 
     def consumer():
@@ -282,7 +282,7 @@ def test_simbroker_reprioritize_reaches_in_flight_batch():
         yield sim.timeout(1.0)
         for _ in range(2):
             msg = yield broker.consume("t")
-            got.append(msg)
+            got.append(msg[1])
 
     sim.process(consumer())
     sim.run()
@@ -302,14 +302,14 @@ def test_threaded_broker_no_priority_inversion():
 def test_threaded_broker_reprioritize():
     broker = Broker()
     for name in ("a", "b", "c"):
-        broker.publish("t", name)
-    assert broker.reprioritize("t", lambda m: m == "c", 5.0) == 1
-    assert [broker.consume("t") for _ in range(3)] == ["c", "a", "b"]
+        broker.publish("t", JobDispatch("wf", name))
+    assert broker.reprioritize("t", "wf", "c", 5.0) == 1
+    assert [broker.consume("t").job_id for _ in range(3)] == ["c", "a", "b"]
 
 
 def test_chaos_simbroker_zero_band_no_priority_inversion():
     sim = Simulator()
-    broker = ChaosSimBroker(sim, MessageChaos(), latency=0.0)
+    broker = ChaosBroker(SimBroker(sim, latency=0.0), MessageChaos())
     broker.publish("t", "bulk")
     broker.publish("t", "urgent", priority=10.0)
     got = []
@@ -326,8 +326,8 @@ def test_chaos_simbroker_zero_band_no_priority_inversion():
 
 def test_chaos_simbroker_delayed_message_keeps_priority():
     sim = Simulator()
-    broker = ChaosSimBroker(
-        sim, MessageChaos(p_delay=1.0, delay=0.2), latency=0.0
+    broker = ChaosBroker(
+        SimBroker(sim, latency=0.0), MessageChaos(p_delay=1.0, delay=0.2)
     )
     broker.publish("t", "urgent", priority=10.0)  # delayed by the band
     broker.publish("t", "bulk")
@@ -341,12 +341,12 @@ def test_chaos_simbroker_delayed_message_keeps_priority():
 
     sim.process(consumer())
     sim.run()
-    assert broker.stats()["delayed"] == 2
+    assert broker.chaos_stats()["delayed"] == 2
     assert got == ["urgent", "bulk"]
 
 
 def test_chaos_threaded_broker_no_priority_inversion():
-    broker = ChaosBroker(MessageChaos())
+    broker = ChaosBroker(Broker(), MessageChaos())
     broker.publish("t", "bulk")
     broker.publish("t", "urgent", priority=10.0)
     assert [broker.consume("t") for _ in range(2)] == ["urgent", "bulk"]
@@ -370,32 +370,34 @@ def test_remote_reprioritize_by_fields():
         with RemoteBroker(host, port) as client:
             for job_id in ("a", "b", "c"):
                 client.publish("t", JobDispatch("wf", job_id))
-            assert client.reprioritize("t", 5.0, workflow_name="wf", job_id="c") == 1
+            assert client.reprioritize("t", "wf", "c", 5.0) == 1
             assert [client.consume("t").job_id for _ in range(3)] == [
                 "c", "a", "b",
             ]
 
 
-def test_remote_reprioritize_wildcard_selects_whole_member():
+@pytest.mark.parametrize("transport", ["threaded", "tcp"])
+def test_broker_reprioritize_moves_only_the_named_job(transport):
+    """The threaded and TCP twin of the DES port test below: the
+    :class:`JobDispatch` predicate retags the job it names, of the member
+    it names — not that member's other queued jobs, and not the same job
+    id of another member."""
     with BrokerServer() as server:
-        host, port = server.address
-        with RemoteBroker(host, port) as client:
-            client.publish("t", JobDispatch("wf-a", "j1"))
-            client.publish("t", JobDispatch("wf-b", "j1"))
-            client.publish("t", JobDispatch("wf-b", "j2"))
-            # Empty job_id = every queued dispatch of the member.
-            assert client.reprioritize("t", 3.0, workflow_name="wf-b") == 2
-            order = [client.consume("t").workflow_name for _ in range(3)]
-            assert order == ["wf-b", "wf-b", "wf-a"]
-
-
-def test_priority_update_codec_round_trip():
-    msg = PriorityUpdate(
-        topic="job-dispatching", workflow_name="wf", job_id="j", priority=2.5
-    )
-    restored = decode_message(encode_message(msg))
-    assert isinstance(restored, PriorityUpdate)
-    assert restored == msg
+        broker = (
+            Broker() if transport == "threaded" else RemoteBroker(*server.address)
+        )
+        for priority, (name, job_id) in enumerate(
+            [("a", "leaf00"), ("a", "leaf01"), ("a", "leaf02"), ("b", "leaf01")],
+            start=1,
+        ):
+            broker.publish("t", JobDispatch(name, job_id), float(priority))
+        assert broker.reprioritize("t", "a", "leaf01", 10.0) == 1
+        order = [broker.consume("t") for _ in range(4)]
+        if transport == "tcp":
+            broker.close()
+    assert [(m.workflow_name, m.job_id) for m in order] == [
+        ("a", "leaf01"), ("b", "leaf01"), ("a", "leaf02"), ("a", "leaf00"),
+    ]
 
 
 # ---------------------------------------------------------------------------

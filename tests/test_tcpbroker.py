@@ -1,12 +1,21 @@
 """Tests for the TCP broker and multi-process DEWE v2 deployment."""
 
+import dataclasses
+import json
+import socket
 import subprocess
 import sys
 
 import pytest
 
 from repro.dewe import DeweConfig, MasterDaemon, WorkerDaemon, submit_workflow
-from repro.mq.messages import AckKind, JobAck, JobDispatch, WorkflowSubmission
+from repro.mq.messages import (
+    AckKind,
+    JobAck,
+    JobDispatch,
+    WorkerHeartbeat,
+    WorkflowSubmission,
+)
 from repro.mq.tcpbroker import (
     BrokerServer,
     RemoteBroker,
@@ -14,6 +23,7 @@ from repro.mq.tcpbroker import (
     encode_message,
 )
 from repro.workflow import Job, Workflow
+from repro.workflow.serialize import workflow_to_dict
 
 CFG = DeweConfig(
     default_timeout=5.0,
@@ -63,6 +73,47 @@ def test_codec_round_trip_ack():
     assert restored.error == "boom"
 
 
+def _compared(value):
+    """A field value as the wire carries it: a workflow as its dict, a
+    job as the fields of the codec's job payload."""
+    if isinstance(value, Workflow):
+        return workflow_to_dict(value)
+    if isinstance(value, Job):
+        return (value.id, value.task_type, value.runtime, value.threads,
+                value.timeout, value.action)
+    return value
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        WorkflowSubmission(
+            small_workflow(), folder="/data/wf", tenant="acme", sla="gold"
+        ),
+        JobDispatch(
+            "wf", "j", attempt=3,
+            job=Job("j", "t", runtime=2.5, threads=2, timeout=60.0,
+                    action=["true", "-x"]),
+        ),
+        JobAck("wf", "j", AckKind.FAILED, worker="w1", attempt=2, error="boom"),
+        WorkerHeartbeat("w1", epoch=4, seq=9),
+    ],
+    ids=["submission", "dispatch", "ack", "heartbeat"],
+)
+def test_codec_round_trip_keeps_every_field(message):
+    """Every field, each set to a value other than its default, comes
+    back through JSON text as it went in."""
+    wire = json.loads(json.dumps(encode_message(message)))
+    restored = decode_message(wire)
+    assert type(restored) is type(message)
+    for field in dataclasses.fields(message):
+        sent = getattr(message, field.name)
+        assert sent != field.default, field.name
+        assert _compared(getattr(restored, field.name)) == _compared(sent), (
+            field.name
+        )
+
+
 def test_codec_rejects_callable_actions():
     job = Job("j", "t", action=lambda: None)
     with pytest.raises(TypeError, match="argv-list"):
@@ -108,6 +159,67 @@ def test_stats_over_the_wire():
             client.publish("t", JobAck("wf", "j", AckKind.RUNNING))
             stats = client.stats()
             assert stats["t"]["published"] == 1
+
+
+_ACK = encode_message(JobAck("wf", "j", AckKind.RUNNING))
+_NAN = float("nan")
+
+
+def _retag(priority):
+    return {"op": "reprioritize", "topic": "t", "workflow": "wf",
+            "job_id": "j", "priority": priority}
+
+
+@pytest.mark.parametrize(
+    "request_line",
+    [
+        json.dumps({"op": "publish", "topic": "t", "message": _ACK,
+                    "priority": _NAN}),
+        json.dumps({"op": "publish", "topic": "t", "message": _ACK,
+                    "priority": float("inf")}),
+        json.dumps({"op": "publish", "topic": "t", "message": _ACK,
+                    "priority": "5"}),
+        json.dumps(_retag(_NAN)),
+        json.dumps(_retag("5")),
+        json.dumps({"op": "publish", "topic": "t", "message": {"type": "ack"}}),
+        json.dumps({"op": "publish", "topic": "t",
+                    "message": {**_ACK, "type": "mystery"}}),
+        json.dumps(["publish", "t", _ACK]),
+        "publish t",
+    ],
+    ids=["nan", "inf", "string-priority", "reprioritize-nan",
+         "reprioritize-string-priority", "missing-field", "unknown-type",
+         "json-non-object", "non-json"],
+)
+def test_server_refuses_a_hostile_frame_and_keeps_serving(request_line):
+    """A frame that does not decode, or a priority that is not a finite
+    number, is refused before anything is enqueued: a NaN priority would
+    jump the queue, and an undecodable message would kill the consumer
+    that dequeues it."""
+    with BrokerServer() as server, socket.create_connection(
+        server.address, timeout=5.0
+    ) as sock:
+        stream = sock.makefile("rwb")
+
+        def call(line):
+            stream.write(line.encode() + b"\n")
+            stream.flush()
+            return json.loads(stream.readline())
+
+        queued = encode_message(JobDispatch("wf", "j"))
+        publish = {"op": "publish", "topic": "t", "message": queued}
+        assert call(json.dumps(publish)) == {"ok": True}
+        response = call(request_line)
+        assert response["ok"] is False and response["error"]
+        assert server.broker.depth("t") == 1
+        assert server.broker.topic("t").snapshot()["published"] == 1
+        # The connection still serves, and the queued dispatch is intact:
+        # still at priority 0.0, so retagging it to 0.0 moves nothing.
+        assert call(json.dumps(_retag(0.0))) == {"ok": True, "count": 0}
+        assert call(json.dumps({"op": "consume", "topic": "t"})) == {
+            "ok": True, "message": queued,
+        }
+        stream.close()
 
 
 # ---------------------------------------------------------------------------
