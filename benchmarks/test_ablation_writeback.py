@@ -29,9 +29,8 @@ class TinyCachePullEngine(PullEngine):
     def _setup(self, ensemble):
         sim, cluster, thread_logs = super()._setup(ensemble)
         for node in cluster.nodes:
-            # One page of buffer and no batching: effectively synchronous.
+            # One page of buffer: effectively synchronous.
             node.write_cache.capacity = 4096.0
-            node.write_cache.flush_interval = 0.0
         return sim, cluster, thread_logs
 
 

@@ -125,7 +125,10 @@ def main_plan(argv: Optional[List[str]] = None) -> int:
 
     rows = []
     for itype in args.instance_types:
-        plan = plan_cluster(itype, args.workflows, args.deadline, index=args.index)
+        try:
+            plan = plan_cluster(itype, args.workflows, args.deadline, index=args.index)
+        except ValueError as exc:  # e.g. a NaN or infinite --index or --deadline
+            parser.error(str(exc))
         rows.append(
             {
                 "instance_type": itype,
@@ -155,7 +158,16 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-nodes", type=int, default=6)
     args = parser.parse_args(argv)
 
-    campaign = ProfilingCampaign(montage_workflow(degree=args.degree))
+    # Refused before the single-node sweep runs, not after it.
+    if args.max_nodes < 2:
+        parser.error(f"--max-nodes must be >= 2, got {args.max_nodes}")
+    if args.workflows < 1:
+        parser.error(f"--workflows must be >= 1, got {args.workflows}")
+    try:
+        template = montage_workflow(degree=args.degree)
+    except ValueError as exc:  # a NaN, infinite or non-positive --degree
+        parser.error(str(exc))
+    campaign = ProfilingCampaign(template)
     single = campaign.single_node(args.instance_type)
     print("single-node (Fig 5a):")
     for w, t in zip(single.workflow_counts, single.execution_times):
@@ -194,7 +206,8 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
                              "+ spot kill + straggler + master failover in "
                              "one seeded run (docs/FAULTS.md)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's fault seed")
+                        help="override the scenario's fault seed (service "
+                             "scenarios keep their own arrival seed)")
     parser.add_argument("--list", action="store_true",
                         help="list the built-in scenarios and exit")
     parser.add_argument("--check-determinism", action="store_true",

@@ -32,7 +32,7 @@ class DeweConfig:
     liveness:
         Heartbeat leases (docs/FAULTS.md): workers beat every
         ``heartbeat_interval`` and the master fences a worker's lease
-        after ``miss_threshold`` consecutive missed beats, requeueing its
+        after ``MISS_THRESHOLD`` (3) consecutive missed beats, requeueing its
         in-flight jobs.  ``None`` disables the protocol (the paper's
         behaviour: only the job timeout recovers lost workers).  The
         same :class:`~repro.liveness.LeaseConfig` the DES engine takes.

@@ -410,7 +410,7 @@ class MasterDaemon:
         if self._lease is not None:
             for worker in self._lease.expire(now):
                 # The liveness recovery path (docs/FAULTS.md): the worker
-                # missed ``liveness.miss_threshold`` beats — hung,
+                # missed ``MISS_THRESHOLD`` beats — hung,
                 # partitioned, or dead — so every delivery it holds is
                 # presumed lost and requeued by the core.  The worker
                 # rejoins on its next contact under a fresh epoch.

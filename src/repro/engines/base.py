@@ -36,16 +36,14 @@ class RunConfig:
         Keep a :class:`JobRecord` per executed job.  Needed for the
         timeline figures; turn off for the 1.7M-job full-scale runs to
         save memory.
-    drain_caches:
-        If True, the run ends when write-back caches are flushed, not at
-        the last job ack (the paper measures to the last ack; flushing
-        continues in the background).
+
+    A run ends at the last job ack, as the paper measures; write-back
+    flushing continues in the background.
     """
 
     default_timeout: float = 600.0
     timeout_check_interval: float = 5.0
     record_jobs: bool = True
-    drain_caches: bool = False
 
     def __post_init__(self) -> None:
         # A zero sweep interval spins at one simulated instant forever; a

@@ -56,6 +56,7 @@ from repro.engines.base import (
 from repro.faults.models import FaultTrace, TransientFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.liveness import (
+    MISS_THRESHOLD,
     AdmissionControl,
     LeaseConfig,
     LeaseTable,
@@ -226,8 +227,8 @@ class PullRun:
       at t=0 (provisioned, not leased); controllers add to it;
     * :meth:`start_worker`, :meth:`stop_worker` (graceful drain),
       :meth:`kill_worker` (abrupt death) — the worker daemons;
-    * :meth:`set_disk_factor`, :meth:`set_cpu_factor`,
-      :meth:`mark_spot_terminated` — a node's speed and its billing;
+    * :meth:`set_disk_factor`, :meth:`mark_spot_terminated` — a node's
+      disk speed and its billing;
     * :meth:`begin_partition`, :meth:`end_partition` — a node's
       connectivity to the control plane;
     * :meth:`queue_depth`, :meth:`active_nodes`, :attr:`finished` — what
@@ -330,7 +331,6 @@ class PullRun:
         self.slot_alive = [0] * n_nodes
         self.draining: set = set()
         self.idle_waits: List[set] = [set() for _ in range(n_nodes)]
-        self.cpu_factor = [1.0] * n_nodes
         self.spot_interrupted: Dict[int, List[int]] = {}
         self.disk_base = [
             (node.disk.read.capacity, node.disk.write.capacity)
@@ -601,8 +601,7 @@ class PullRun:
             fenced = self.lease.fence(node_index, now)
             self.trace.record(
                 now, "lease-fence", node_index,
-                f"epoch={fenced} after "
-                f"{self.engine.liveness.miss_threshold} missed beats",
+                f"epoch={fenced} after {MISS_THRESHOLD} missed beats",
             )
             self.jlog("lease-fence", detail=f"node={node_index} epoch={fenced}")
             self.core.fence(node_index, now)
@@ -663,7 +662,6 @@ class PullRun:
         workflows = self.workflows
         idle_waits = self.idle_waits[node_index]
         thread_counts = self.thread_counts
-        cpu_factor = self.cpu_factor
         draining = self.draining
         send_ack = self.send_ack
         # No lease table (run-constant: a takeover swaps tables, never
@@ -724,7 +722,7 @@ class PullRun:
                 try:
                     phases = yield from execute_job(
                         sim, node, fs, job,
-                        speed=node.itype.cpu_speed * cpu_factor[node_index],
+                        speed=node.itype.cpu_speed,
                         owner=name,
                     )
                 except Interrupt:
@@ -843,11 +841,6 @@ class PullRun:
         base_read, base_write = self.disk_base[node_index]
         node.disk.read.set_capacity(base_read * factor)
         node.disk.write.set_capacity(base_write * factor)
-
-    def set_cpu_factor(self, node_index: int, factor: float) -> None:
-        if factor <= 0:
-            raise ValueError(f"cpu factor must be positive, got {factor}")
-        self.cpu_factor[node_index] = factor
 
     def mark_spot_terminated(self, node_index: int) -> None:
         # The kill has already closed the node's current lease; flag
@@ -970,8 +963,6 @@ class PullRun:
             if journal is not None:
                 journal.owner = None
                 journal.snapshot_provider = journal.on_crash = None
-        if self.engine.config.drain_caches:
-            sim.run_until(self.cluster.fs.drained())
         result = self._result()
         # The core's ports are this run's bound methods; ``run.core``
         # stays readable after the run.

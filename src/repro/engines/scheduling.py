@@ -205,8 +205,6 @@ class CentralDispatchEngine(EngineBase):
         sim.process(submitter()).callbacks.append(_reraise)
         sim.process(dispatcher()).callbacks.append(_reraise)
         sim.run_until(done)
-        if cfg.drain_caches:
-            sim.run_until(fs.drained())
 
         makespan = max(end for _start, end in spans.values())
         result = EngineResult(

@@ -96,11 +96,13 @@ class ChaosScenario:
     """One named, seeded fault-injection experiment.
 
     The scenario holds the objects :class:`PullEngine` takes, not copies
-    of their parameters.  Its ``seed`` decides every draw:
-    :meth:`build_engine` re-seeds each seeded model from the run's seed
-    plus the model's salt, so a model's own ``seed`` must stay at its
-    default, and the scenario object is reusable across seeds via
-    :func:`run_chaos`'s ``seed`` override.
+    of their parameters.  The run's seed decides every fault draw:
+    :meth:`build_engine` re-seeds each seeded model from it plus the
+    model's salt, so a model's own ``seed`` must stay at its default,
+    and the scenario object is reusable across seeds via
+    :func:`run_chaos`'s ``seed`` override.  Service-mode arrivals are
+    the exception: :meth:`service_workload` draws them from the
+    scenario's own ``seed`` field, which that override does not change.
     """
 
     name: str
@@ -200,7 +202,8 @@ class ChaosScenario:
     def service_workload(self):
         """The open-loop multi-tenant workload (service mode only).
 
-        A pure function of the scenario fields and its seed, so the two
+        A pure function of the scenario fields, ``seed`` included (not
+        :func:`run_chaos`'s ``seed`` override), so the two
         :func:`run_chaos` calls to :meth:`ensemble` (baseline and chaos)
         see identical member names and submission times.
         """
@@ -510,7 +513,7 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
 #: quota headroom over its own offered rate (gold 3x, silver 2x,
 #: best_effort 1x its ON-window rate).
 _SERVICE_TENANTS = (
-    # Weight chosen so gold's fair-share bound saturates at 1.0 (max_share
+    # Weight chosen so gold's fair-share bound saturates at 1.0 (MAX_SHARE
     # 0.5 x weight 3 x 3 tenants / weight sum 4.5): a share can never
     # exceed 1, so gold is structurally exempt from fair-share shedding
     # and its only bound is the quota — "zero gold sheds" holds even when

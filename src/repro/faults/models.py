@@ -297,17 +297,13 @@ class TransientFaultModel:
 class Degradation:
     """One degraded interval of one node.
 
-    ``disk_factor`` scales both disk channels' bandwidth,
-    ``cpu_factor`` scales the compute speed of jobs *started* during the
-    interval (in-flight compute keeps its admission-time speed — the DES
-    prices compute at job start).
+    ``disk_factor`` scales both disk channels' bandwidth.
     """
 
     node: int
     start: float
     duration: float
     disk_factor: float = 1.0
-    cpu_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.node < 0:
@@ -316,12 +312,12 @@ class Degradation:
             raise ValueError(
                 f"bad degradation window ({self.start}, {self.duration})"
             )
-        if self.disk_factor <= 0 or self.cpu_factor <= 0:
-            raise ValueError("degradation factors must be positive")
+        if self.disk_factor <= 0:
+            raise ValueError(f"disk_factor must be positive, got {self.disk_factor}")
 
 
 class StragglerModel:
-    """Degraded-disk / slow-CPU straggler nodes over explicit intervals."""
+    """Degraded-disk straggler nodes over explicit intervals."""
 
     def __init__(self, degradations: Sequence[Degradation]):
         ordered = sorted(degradations, key=lambda d: (d.node, d.start))
@@ -343,16 +339,15 @@ class StragglerModel:
             run.sim.now,
             "degrade-start",
             d.node,
-            f"disk*{d.disk_factor:g} cpu*{d.cpu_factor:g} for {d.duration:g}s",
+            # ``cpu*1`` is hashed by the stragglers and game-day goldens.
+            f"disk*{d.disk_factor:g} cpu*1 for {d.duration:g}s",
         )
         run.set_disk_factor(d.node, d.disk_factor)
-        run.set_cpu_factor(d.node, d.cpu_factor)
         run.sim.schedule_call(d.duration, self._end, run, d)
 
     def _end(self, run, d: Degradation) -> None:
         run.trace.record(run.sim.now, "degrade-end", d.node)
         run.set_disk_factor(d.node, 1.0)
-        run.set_cpu_factor(d.node, 1.0)
 
 
 @dataclass(frozen=True)
@@ -361,13 +356,13 @@ class StragglerHazard:
     :class:`StragglerModel` for one seeded run.
 
     Each node independently becomes a straggler with ``p_straggler``,
-    for one interval with start, duration and both factors drawn
-    uniformly (``duration`` and the factors are ``(low, high)`` ranges).
+    for one interval with start, duration and disk factor drawn
+    uniformly (``duration`` and ``disk_factor`` are ``(low, high)``
+    ranges).
     """
 
     p_straggler: float
     disk_factor: Tuple[float, float] = (0.2, 0.6)
-    cpu_factor: Tuple[float, float] = (1.0, 1.0)
     duration: Tuple[float, float] = (30.0, 120.0)
 
     def __post_init__(self) -> None:
@@ -390,9 +385,10 @@ class StragglerHazard:
                     start=start,
                     duration=dur,
                     disk_factor=rng.uniform(*self.disk_factor),
-                    cpu_factor=rng.uniform(*self.cpu_factor),
                 )
             )
+            # One more draw per straggler: the chaos goldens pin the stream.
+            rng.random()
         return StragglerModel(degradations)
 
 
@@ -428,7 +424,7 @@ class NetworkPartitionModel:
     still burning its lease, maybe still computing — but the control
     plane can't see it.  Without a liveness protocol its in-flight jobs
     hang until the job timeout; with heartbeat leases the master fences
-    it after ``miss_threshold`` beats and redispatches.  On healing,
+    it after ``MISS_THRESHOLD`` beats and redispatches.  On healing,
     buffered uplink traffic is redelivered in order, exercising the
     duplicate-ack and stale-epoch rejection paths.
     """

@@ -16,8 +16,6 @@ an I/O-heavy contrast to Montage (the SGT files are big).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["cybershake_workflow"]
@@ -38,13 +36,7 @@ RUNTIME = {
 }
 
 
-def cybershake_workflow(
-    ruptures: int = 20,
-    variations: int = 15,
-    name: Optional[str] = None,
-    jitter: float = 0.0,
-    seed: int = 0,
-) -> Workflow:
+def cybershake_workflow(ruptures: int = 20, variations: int = 15) -> Workflow:
     """Generate a CyberShake-post-processing-shaped workflow.
 
     Parameters
@@ -58,23 +50,8 @@ def cybershake_workflow(
         raise ValueError(f"ruptures must be finite and >= 1, got {ruptures!r}")
     if variations < 1:
         raise ValueError(f"variations must be >= 1, got {variations!r}")
-    if not 0.0 <= jitter < _INF:
-        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
-    if name is None:
-        name = f"cybershake-{ruptures}x{variations}"
+    name = f"cybershake-{ruptures}x{variations}"
     wf = Workflow(name)
-    rng = None
-    if jitter > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-
-    def runtime_of(task_type: str) -> float:
-        base = RUNTIME[task_type]
-        if rng is not None:
-            base *= float(rng.lognormal(0.0, jitter))
-        return base
-
     seismograms = []
     psa_files = []
     for r in range(ruptures):
@@ -83,7 +60,7 @@ def cybershake_workflow(
         wf.new_job(
             f"ExtractSGT_{r:04d}",
             "ExtractSGT",
-            runtime=runtime_of("ExtractSGT"),
+            runtime=RUNTIME["ExtractSGT"],
             inputs=[master_sgt],
             outputs=[sgt],
         )
@@ -93,7 +70,7 @@ def cybershake_workflow(
             wf.new_job(
                 f"SeismogramSynthesis_{r:04d}_{v:04d}",
                 "SeismogramSynthesis",
-                runtime=runtime_of("SeismogramSynthesis"),
+                runtime=RUNTIME["SeismogramSynthesis"],
                 inputs=[sgt],
                 outputs=[seis],
             )
@@ -105,7 +82,7 @@ def cybershake_workflow(
             wf.new_job(
                 f"PeakValCalc_{r:04d}_{v:04d}",
                 "PeakValCalc",
-                runtime=runtime_of("PeakValCalc"),
+                runtime=RUNTIME["PeakValCalc"],
                 inputs=[seis],
                 outputs=[psa],
             )
@@ -117,7 +94,7 @@ def cybershake_workflow(
     wf.new_job(
         "ZipSeis",
         "ZipSeis",
-        runtime=runtime_of("ZipSeis"),
+        runtime=RUNTIME["ZipSeis"],
         inputs=list(seismograms),
         outputs=[zip_seis],
     )
@@ -125,7 +102,7 @@ def cybershake_workflow(
     wf.new_job(
         "ZipPSA",
         "ZipPSA",
-        runtime=runtime_of("ZipPSA"),
+        runtime=RUNTIME["ZipPSA"],
         inputs=list(psa_files),
         outputs=[zip_psa],
     )

@@ -15,8 +15,6 @@ a useful contrast workload for the submission-interval experiments.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["ligo_workflow"]
@@ -38,13 +36,7 @@ RUNTIME = {
 }
 
 
-def ligo_workflow(
-    blocks: int = 40,
-    group: int = 5,
-    name: Optional[str] = None,
-    jitter: float = 0.0,
-    seed: int = 0,
-) -> Workflow:
+def ligo_workflow(blocks: int = 40, group: int = 5) -> Workflow:
     """Generate a LIGO-inspiral-shaped workflow.
 
     Parameters
@@ -58,23 +50,8 @@ def ligo_workflow(
         raise ValueError(f"blocks must be finite and >= 1, got {blocks!r}")
     if group < 1:
         raise ValueError(f"group must be >= 1, got {group}")
-    if not 0.0 <= jitter < _INF:
-        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
-    if name is None:
-        name = f"ligo-{blocks}x{group}"
+    name = f"ligo-{blocks}x{group}"
     wf = Workflow(name)
-    rng = None
-    if jitter > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-
-    def runtime_of(task_type: str) -> float:
-        base = RUNTIME[task_type]
-        if rng is not None:
-            base *= float(rng.lognormal(0.0, jitter))
-        return base
-
     triggers1 = []
     for b in range(blocks):
         strain = DataFile(f"{name}/strain_{b:04d}.gwf", STRAIN_SEGMENT_BYTES, "input")
@@ -82,7 +59,7 @@ def ligo_workflow(
         wf.new_job(
             f"TmpltBank_{b:04d}",
             "TmpltBank",
-            runtime=runtime_of("TmpltBank"),
+            runtime=RUNTIME["TmpltBank"],
             inputs=[strain],
             outputs=[bank],
         )
@@ -91,7 +68,7 @@ def ligo_workflow(
         wf.new_job(
             f"Inspiral_{b:04d}",
             "Inspiral",
-            runtime=runtime_of("Inspiral"),
+            runtime=RUNTIME["Inspiral"],
             inputs=[strain, bank],
             outputs=[trig],
         )
@@ -107,7 +84,7 @@ def ligo_workflow(
         wf.new_job(
             f"Thinca_{g:04d}",
             "Thinca",
-            runtime=runtime_of("Thinca"),
+            runtime=RUNTIME["Thinca"],
             inputs=[triggers1[b] for b in members],
             outputs=[coinc],
         )
@@ -122,7 +99,7 @@ def ligo_workflow(
             wf.new_job(
                 f"TrigBank_{b:04d}",
                 "TrigBank",
-                runtime=runtime_of("TrigBank"),
+                runtime=RUNTIME["TrigBank"],
                 inputs=[coinc],
                 outputs=[tbank],
             )
@@ -132,7 +109,7 @@ def ligo_workflow(
             wf.new_job(
                 f"Inspiral2_{b:04d}",
                 "Inspiral2",
-                runtime=runtime_of("Inspiral2"),
+                runtime=RUNTIME["Inspiral2"],
                 inputs=[tbank],
                 outputs=[trig2],
             )
@@ -143,7 +120,7 @@ def ligo_workflow(
         wf.new_job(
             f"Thinca2_{g:04d}",
             "Thinca2",
-            runtime=runtime_of("Thinca2"),
+            runtime=RUNTIME["Thinca2"],
             inputs=[triggers2[b] for b in members],
             outputs=[out],
         )

@@ -32,7 +32,7 @@ can override them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.workflow.dag import DataFile, Job, Workflow
 
@@ -138,49 +138,26 @@ def _tile_overlaps(grid: int, n_diffs: int) -> List[Tuple[int, int]]:
 
 def montage_workflow(
     degree: float = 6.0,
-    name: Optional[str] = None,
-    jitter: float = 0.0,
-    seed: int = 0,
     parallel_blocking_jobs: bool = False,
 ) -> Workflow:
-    """Generate a Montage workflow for a ``degree``-degree square mosaic.
+    """Generate the ``montage-{degree:g}deg`` workflow for a
+    ``degree``-degree square mosaic.
 
     Parameters
     ----------
     degree:
         Mosaic size; 6.0 reproduces the paper's reference workload.
-    jitter:
-        Relative sigma of lognormal runtime noise (0 = deterministic).
-    seed:
-        Seed for the jitter RNG (ignored when ``jitter`` is 0).
     parallel_blocking_jobs:
         If True, mConcatFit/mBgModel are marked as able to exploit
         multiple cores (OpenMP-style), the speed-up opportunity noted in
         paper §III.D.
     """
-    if not 0.0 <= jitter < _INF:
-        raise ValueError(f"jitter must be finite and >= 0, got {jitter!r}")
     grid = montage_grid_size(degree)
     n_tiles = grid * grid
     n_diffs = round(_DIFFS_PER_TILE * n_tiles)
     scale = n_tiles / _REF_TILES  # aggregation-cost scaling
-    if name is None:
-        name = f"montage-{degree:g}deg"
+    name = f"montage-{degree:g}deg"
     wf = Workflow(name)
-    rng = None
-    if jitter > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-
-    def runtime_of(task_type: str) -> float:
-        base = RUNTIME.get(task_type)
-        if base is None:
-            base = RUNTIME_REF[task_type] * scale
-        if rng is not None:
-            base *= float(rng.lognormal(mean=0.0, sigma=jitter))
-        return base
-
     blocking_threads = 8 if parallel_blocking_jobs else 1
 
     # Each stage's job ids are formatted once, into one list per stage,
@@ -199,7 +176,7 @@ def montage_workflow(
         wf.new_job(
             job_id,
             "mProjectPP",
-            runtime=runtime_of("mProjectPP"),
+            runtime=RUNTIME["mProjectPP"],
             inputs=[raw],
             outputs=[proj, area],
         )
@@ -219,7 +196,7 @@ def montage_workflow(
         wf.new_job(
             job_id,
             "mDiffFit",
-            runtime=runtime_of("mDiffFit"),
+            runtime=RUNTIME["mDiffFit"],
             inputs=[projected[a], proj_areas[a], projected[b], proj_areas[b]],
             outputs=[diff, darea, fit],
         )
@@ -231,7 +208,7 @@ def montage_workflow(
     wf.new_job(
         "mConcatFit",
         "mConcatFit",
-        runtime=runtime_of("mConcatFit"),
+        runtime=RUNTIME_REF["mConcatFit"] * scale,
         threads=blocking_threads,
         inputs=list(fit_records),
         outputs=[fits_table],
@@ -243,7 +220,7 @@ def montage_workflow(
     wf.new_job(
         "mBgModel",
         "mBgModel",
-        runtime=runtime_of("mBgModel"),
+        runtime=RUNTIME_REF["mBgModel"] * scale,
         threads=blocking_threads,
         inputs=[fits_table],
         outputs=[corrections],
@@ -262,7 +239,7 @@ def montage_workflow(
         wf.new_job(
             job_id,
             "mBackground",
-            runtime=runtime_of("mBackground"),
+            runtime=RUNTIME["mBackground"],
             inputs=[projected[i], proj_areas[i], corrections],
             outputs=[cimg, carea],
         )
@@ -274,7 +251,7 @@ def montage_workflow(
     wf.new_job(
         "mImgTbl",
         "mImgTbl",
-        runtime=runtime_of("mImgTbl"),
+        runtime=RUNTIME_REF["mImgTbl"] * scale,
         # mImgTbl only scans image headers; that metadata traffic is
         # negligible and folded into the job's runtime.
         inputs=[],
@@ -288,7 +265,7 @@ def montage_workflow(
     wf.new_job(
         "mAdd",
         "mAdd",
-        runtime=runtime_of("mAdd"),
+        runtime=RUNTIME_REF["mAdd"] * scale,
         inputs=[image_table] + corrected + corrected_areas,
         outputs=[mosaic, mosaic_area],
     )
@@ -298,7 +275,7 @@ def montage_workflow(
     wf.new_job(
         "mShrink",
         "mShrink",
-        runtime=runtime_of("mShrink"),
+        runtime=RUNTIME_REF["mShrink"] * scale,
         inputs=[mosaic],
         outputs=[shrunk],
     )
@@ -308,7 +285,7 @@ def montage_workflow(
     wf.new_job(
         "mJpeg",
         "mJpeg",
-        runtime=runtime_of("mJpeg"),
+        runtime=RUNTIME_REF["mJpeg"] * scale,
         inputs=[shrunk],
         outputs=[jpeg],
     )

@@ -29,7 +29,12 @@ serialize access — so one implementation serves both worlds.
 
 from repro.liveness.admission import AdmissionControl
 from repro.liveness.failover import MasterFailoverModel
-from repro.liveness.lease import LeaseConfig, LeaseTable, new_liveness_stats
+from repro.liveness.lease import (
+    MISS_THRESHOLD,
+    LeaseConfig,
+    LeaseTable,
+    new_liveness_stats,
+)
 from repro.liveness.policy import (
     DEFAULT_CLASSES,
     AdmissionDecision,
@@ -47,6 +52,7 @@ __all__ = [
     "DEFAULT_CLASSES",
     "LeaseConfig",
     "LeaseTable",
+    "MISS_THRESHOLD",
     "MasterFailoverModel",
     "ServiceAdmissionPolicy",
     "ShedRecord",

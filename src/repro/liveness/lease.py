@@ -3,7 +3,7 @@
 The failure detector at the heart of the partition-tolerant control
 plane.  Every worker holds a time-bounded *lease* identified by a
 monotonically increasing *epoch*; it renews the lease by heartbeating
-every ``heartbeat_interval``.  When ``miss_threshold`` consecutive
+every ``heartbeat_interval``.  When :data:`MISS_THRESHOLD` consecutive
 beats are missing the master declares the worker suspect, *fences* the
 epoch, and requeues its in-flight jobs.  Any settlement stamped with a
 fenced (stale) epoch is rejected, which is what makes redispatch safe:
@@ -23,7 +23,10 @@ from dataclasses import dataclass
 from math import inf
 from typing import Dict, Hashable, List, Optional
 
-__all__ = ["LeaseConfig", "LeaseTable", "new_liveness_stats"]
+__all__ = ["MISS_THRESHOLD", "LeaseConfig", "LeaseTable", "new_liveness_stats"]
+
+#: Consecutive missed beats before a lease is fenced.
+MISS_THRESHOLD = 3
 
 
 def new_liveness_stats() -> Dict[str, int]:
@@ -55,27 +58,22 @@ def new_liveness_stats() -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class LeaseConfig:
-    """Tuning knobs of the heartbeat/lease protocol.
+    """Tuning knob of the heartbeat/lease protocol.
 
     ``heartbeat_interval``
-        Seconds between worker beats (and between master sweeps).
-    ``miss_threshold``
-        Consecutive missed beats before a lease is fenced; the lease
-        timeout is ``heartbeat_interval * miss_threshold``.
+        Seconds between worker beats (and between master sweeps).  The
+        lease timeout is ``heartbeat_interval * MISS_THRESHOLD``.
     """
 
     heartbeat_interval: float = 1.0
-    miss_threshold: int = 3
 
     def __post_init__(self) -> None:
         if not 0 < self.heartbeat_interval < inf:
             raise ValueError("heartbeat_interval must be finite and positive")
-        if self.miss_threshold < 1:
-            raise ValueError("miss_threshold must be at least 1")
 
     @property
     def lease_timeout(self) -> float:
-        return self.heartbeat_interval * self.miss_threshold
+        return self.heartbeat_interval * MISS_THRESHOLD
 
 
 class LeaseTable:
@@ -181,7 +179,7 @@ class LeaseTable:
             if self._fenced[worker]:
                 continue
             age = now - self._last_beat[worker]
-            missed = min(int(age / interval), self.config.miss_threshold)
+            missed = min(int(age / interval), MISS_THRESHOLD)
             if missed > self._missed[worker]:
                 self.stats["heartbeat_misses"] += missed - self._missed[worker]
                 self._missed[worker] = missed

@@ -37,6 +37,9 @@ from repro.liveness.admission import AdmissionControl
 __all__ = [
     "SlaClass",
     "DEFAULT_CLASSES",
+    "BROWNOUT_RELEASE",
+    "BROWNOUT_STRETCH",
+    "MAX_SHARE",
     "TokenBucket",
     "BrownoutController",
     "AdmissionDecision",
@@ -66,12 +69,22 @@ class SlaClass:
             raise ValueError("deadline_factor must be finite and positive")
 
 
-#: The standard three-tier ladder used by the soak harness and tests.
+#: The service's three-tier ladder.
 DEFAULT_CLASSES: Tuple[SlaClass, ...] = (
     SlaClass("gold", rank=0, deadline_factor=1.0),
     SlaClass("silver", rank=1, deadline_factor=1.5),
     SlaClass("best_effort", rank=2, deadline_factor=3.0),
 )
+_CLASSES: Dict[str, SlaClass] = {c.name: c for c in DEFAULT_CLASSES}
+
+#: A brownout level releases once the overshoot falls below this share
+#: of its threshold (hysteresis).
+BROWNOUT_RELEASE = 0.75
+#: Factor on silver's deadline at brownout level 2 and above.
+BROWNOUT_STRETCH = 2.0
+#: The largest share of the outstanding backlog an average-weight
+#: tenant may hold (scaled by its weight).
+MAX_SHARE = 0.5
 
 
 class TokenBucket:
@@ -123,29 +136,25 @@ class BrownoutController:
     bound).  Escalation to a higher level requires the overshoot to sit
     at or above that level's threshold for ``sustain`` seconds — a burst
     shorter than the hold window never browns out.  De-escalation is
-    hysteretic: the overshoot must fall below ``release`` times the
-    level's threshold (again sustained) before the level drops, so the
-    controller does not flap around a threshold.
+    hysteretic: the overshoot must fall below :data:`BROWNOUT_RELEASE`
+    times the level's threshold (again sustained) before the level
+    drops, so the controller does not flap around a threshold.
 
     Levels (with :data:`DEFAULT_CLASSES` semantics):
 
     * 0 — normal operation;
     * 1 — shed rank >= 2 (``best_effort``);
-    * 2 — also stretch rank-1 (``silver``) deadlines by ``stretch``;
+    * 2 — also stretch rank-1 (``silver``) deadlines by
+      :data:`BROWNOUT_STRETCH`;
     * 3 — shed every rank >= 1; only rank 0 (``gold``) is admitted.
     """
 
-    __slots__ = (
-        "thresholds", "sustain", "release", "stretch",
-        "level", "transitions", "_pending", "_since",
-    )
+    __slots__ = ("thresholds", "sustain", "level", "transitions", "_pending", "_since")
 
     def __init__(
         self,
         thresholds: Sequence[float] = (1.0, 1.5, 2.0),
         sustain: float = 5.0,
-        release: float = 0.75,
-        stretch: float = 2.0,
     ):
         if (
             not thresholds
@@ -155,14 +164,8 @@ class BrownoutController:
             raise ValueError("thresholds must be non-empty, finite and sorted")
         if not 0 <= sustain < inf:
             raise ValueError("sustain must be finite and >= 0")
-        if not 0 < release <= 1:
-            raise ValueError("release must be in (0, 1]")
-        if not 1 <= stretch < inf:
-            raise ValueError("stretch must be finite and >= 1")
         self.thresholds = tuple(thresholds)
         self.sustain = sustain
-        self.release = release
-        self.stretch = stretch
         self.level = 0
         #: ``(time, level)`` history of every level change (diagnostics).
         self.transitions: List[Tuple[float, int]] = []
@@ -172,11 +175,11 @@ class BrownoutController:
     def _target(self, overshoot: float) -> int:
         """Instantaneous level the overshoot asks for, with hysteresis:
         levels at or below the current one only release below
-        ``release * threshold``."""
+        ``BROWNOUT_RELEASE * threshold``."""
         target = 0
         for i, bound in enumerate(self.thresholds):
             level = i + 1
-            keep = bound * (self.release if level <= self.level else 1.0)
+            keep = bound * (BROWNOUT_RELEASE if level <= self.level else 1.0)
             if overshoot >= keep:
                 target = level
         return target
@@ -251,21 +254,13 @@ class ServiceAdmissionPolicy:
     def __init__(
         self,
         admission: Optional[AdmissionControl] = None,
-        classes: Sequence[SlaClass] = DEFAULT_CLASSES,
         brownout: Optional[BrownoutController] = None,
-        max_share: float = 0.5,
         fair_share_floor: int = 8,
     ):
-        if not 0 < max_share <= 1:
-            raise ValueError("max_share must be in (0, 1]")
         if fair_share_floor < 0:
             raise ValueError("fair_share_floor must be >= 0")
         self.admission = admission or AdmissionControl()
-        self.classes: Dict[str, SlaClass] = {c.name: c for c in classes}
-        if len(self.classes) != len(classes):
-            raise ValueError("duplicate SLA class names")
         self.brownout = brownout or BrownoutController()
-        self.max_share = max_share
         #: Fair share only binds once this many jobs are outstanding in
         #: total — with an empty service any share is 100%.
         self.fair_share_floor = fair_share_floor
@@ -294,7 +289,7 @@ class ServiceAdmissionPolicy:
 
     def register(self, workflow_name: str, tenant: str, sla: str) -> None:
         """Tag one workflow-to-be-submitted with its tenant and class."""
-        if sla not in self.classes:
+        if sla not in _CLASSES:
             raise ValueError(f"unknown SLA class {sla!r}")
         if tenant not in self._tenants:
             self._tenants[tenant] = _TenantAccount()
@@ -309,7 +304,7 @@ class ServiceAdmissionPolicy:
         tag = self._tags.get(workflow_name)
         if tag is None:
             return None
-        return self.classes[tag[1]].rank
+        return _CLASSES[tag[1]].rank
 
     # -- the ladder ---------------------------------------------------------
     def _bump(self, key: str) -> None:
@@ -339,7 +334,7 @@ class ServiceAdmissionPolicy:
         if backlog > self.peak_backlog:
             self.peak_backlog = backlog
         tenant, sla = self.tag_of(workflow_name)
-        cls = self.classes.get(sla)
+        cls = _CLASSES.get(sla)
         if cls is None:
             raise ValueError(f"workflow {workflow_name!r} is not registered")
         account = self._tenants[tenant]
@@ -356,7 +351,7 @@ class ServiceAdmissionPolicy:
         total = self.total_outstanding
         if total + n_jobs > self.fair_share_floor:
             weight_sum = sum(a.weight for a in self._tenants.values())
-            share_bound = self.max_share * account.weight * len(self._tenants) / weight_sum
+            share_bound = MAX_SHARE * account.weight * len(self._tenants) / weight_sum
             share = (account.outstanding + n_jobs) / (total + n_jobs)
             if share > min(1.0, share_bound):
                 if bucket is not None:
@@ -391,7 +386,7 @@ class ServiceAdmissionPolicy:
         self._charged[workflow_name] = n_jobs
         factor = cls.deadline_factor
         if level >= 2 and cls.rank == 1:
-            factor *= self.brownout.stretch
+            factor *= BROWNOUT_STRETCH
             self._bump("deadline_stretches")
         return AdmissionDecision(admit=True, timeout_factor=factor)
 

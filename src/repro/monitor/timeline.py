@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.engines.base import EngineResult, JobRecord
+from repro.generators.montage import MONTAGE_BLOCKING_TYPES
 
 __all__ = ["SlotSegment", "slot_timeline", "stage_windows"]
 
@@ -73,8 +74,10 @@ def slot_timeline(result: EngineResult) -> List[SlotSegment]:
     return segments
 
 
-def stage_windows(result: EngineResult, blocking_types=("mConcatFit", "mBgModel")):
-    """Start/end of the blocking window (Montage stage 2) per workflow.
+def stage_windows(result: EngineResult):
+    """Start/end of the blocking window (Montage stage 2: the
+    :data:`~repro.generators.montage.MONTAGE_BLOCKING_TYPES` jobs) per
+    workflow.
 
     Returns ``{workflow: (stage2_start, stage2_end)}`` from the job
     records; used to verify the paper's "stage 2 is ~40% of the makespan"
@@ -82,7 +85,7 @@ def stage_windows(result: EngineResult, blocking_types=("mConcatFit", "mBgModel"
     """
     windows: Dict[str, List[float]] = {}
     for rec in result.records:
-        if rec.task_type in blocking_types:
+        if rec.task_type in MONTAGE_BLOCKING_TYPES:
             window = windows.setdefault(rec.workflow, [float("inf"), 0.0])
             window[0] = min(window[0], rec.start)
             window[1] = max(window[1], rec.end)

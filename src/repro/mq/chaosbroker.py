@@ -37,9 +37,7 @@ class MessageChaos:
     One uniform draw per publish selects the outcome:
     ``[0, p_drop)`` drop, ``[p_drop, p_drop + p_duplicate)`` duplicate,
     next ``p_delay`` band delay by ``delay`` seconds, rest deliver
-    normally.  ``topics`` restricts the chaos to the named topics
-    (``None`` = all; submission topics are usually worth excluding so
-    the scenario exercises recovery, not workflow loss).
+    normally.
     """
 
     p_drop: float = 0.0
@@ -47,7 +45,6 @@ class MessageChaos:
     p_delay: float = 0.0
     delay: float = 1.0
     seed: int = 0
-    topics: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         for name in ("p_drop", "p_duplicate", "p_delay"):
@@ -58,9 +55,6 @@ class MessageChaos:
             raise ValueError("p_drop + p_duplicate + p_delay must be <= 1")
         if not 0.0 <= self.delay < inf:
             raise ValueError(f"delay must be finite and >= 0, got {self.delay!r}")
-
-    def applies_to(self, topic_name: str) -> bool:
-        return self.topics is None or topic_name in self.topics
 
 
 def _describe(topic_name: str, message: Any) -> str:
@@ -198,17 +192,16 @@ class ChaosBroker:
                 self._held.append((topic_name, message, priority))
                 self.held += 1
                 return  # in flight until the partition heals
-            if chaos.applies_to(topic_name):
-                u = self._rng.random()
-                if u < chaos.p_drop:
-                    self.dropped += 1
-                    fault = "mq-drop"
-                elif u < chaos.p_drop + chaos.p_duplicate:
-                    self.duplicated += 1
-                    fault = "mq-duplicate"
-                elif u < chaos.p_drop + chaos.p_duplicate + chaos.p_delay:
-                    self.delayed += 1
-                    fault = "mq-delay"
+            u = self._rng.random()
+            if u < chaos.p_drop:
+                self.dropped += 1
+                fault = "mq-drop"
+            elif u < chaos.p_drop + chaos.p_duplicate:
+                self.duplicated += 1
+                fault = "mq-duplicate"
+            elif u < chaos.p_drop + chaos.p_duplicate + chaos.p_delay:
+                self.delayed += 1
+                fault = "mq-delay"
         broker = self.broker
         if fault is None:
             broker.publish(topic_name, message, priority)

@@ -74,12 +74,13 @@ class RepriorityPolicy:
     ``score`` combines critical-path urgency, deadline slack and queue
     age into a bounded within-band offset:
 
-    ``cp_weight * cp_remaining - slack_weight * slack + aging_rate * age``
+    ``cp_remaining - slack + aging_rate * age``
 
     clamped to ``±(PRIORITY_BAND / 2 - 1)``.  All three inputs are in
-    simulated seconds; with the default weights a job one minute deeper
-    on the critical path outranks a sibling by 60 points, and a member
-    whose deadline slack has evaporated gains priority symmetrically.
+    simulated seconds: a job one minute deeper on the critical path
+    outranks a sibling by 60 points, and a member whose deadline slack
+    has evaporated (positive slack lowers priority, negative slack —
+    already late — raises it) gains priority symmetrically.
 
     ``interval > 0`` additionally runs a periodic master sweep that
     re-scores *every* queued job (this is where aging takes effect —
@@ -87,11 +88,6 @@ class RepriorityPolicy:
     triggers a re-score).
     """
 
-    #: Weight on critical-path seconds remaining below the job.
-    cp_weight: float = 1.0
-    #: Weight on the member's deadline slack (positive slack lowers
-    #: priority, negative slack — already late — raises it).
-    slack_weight: float = 1.0
     #: Priority points per second a job has been waiting in the queue.
     aging_rate: float = 0.0
     #: Period of the re-score/aging sweep (simulated seconds); 0
@@ -102,17 +98,13 @@ class RepriorityPolicy:
         # NaN fails every comparison, so ``not`` refuses it too (a NaN
         # interval would fail ``interval > 0`` and silently disable the
         # sweep).
-        for name in ("cp_weight", "slack_weight", "aging_rate", "interval"):
+        for name in ("aging_rate", "interval"):
             if not 0 <= getattr(self, name) < inf:
                 raise ValueError(f"{name} must be finite and >= 0")
 
     def score(self, cp_remaining: float, slack: float, age: float) -> float:
         """Bounded within-band score for one queued job."""
-        raw = (
-            self.cp_weight * cp_remaining
-            - self.slack_weight * slack
-            + self.aging_rate * age
-        )
+        raw = cp_remaining - slack + self.aging_rate * age
         clamp = PRIORITY_BAND / 2.0 - 1.0
         if raw > clamp:
             return clamp

@@ -179,11 +179,7 @@ def run_serial(specs: Sequence[RunSpec]) -> List[RunDigest]:
     return [execute_spec(spec) for spec in specs]
 
 
-def run_many(
-    specs: Sequence[RunSpec],
-    workers: int = 0,
-    chunksize: int = 1,
-) -> List[RunDigest]:
+def run_many(specs: Sequence[RunSpec], workers: int = 0) -> List[RunDigest]:
     """Shard ``specs`` across a process pool; merge in submission order.
 
     ``workers <= 1`` (or a single spec) falls back to the serial path —
@@ -201,7 +197,7 @@ def run_many(
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         # Executor.map preserves input order while letting runs complete
         # out of order — the canonical-order merge is the iteration.
-        return list(pool.map(execute_spec, specs, chunksize=chunksize))
+        return list(pool.map(execute_spec, specs))
 
 
 # -- single-ensemble sharding ------------------------------------------------

@@ -17,14 +17,19 @@ from typing import Sequence
 __all__ = ["node_performance_index", "required_nodes", "converged_index"]
 
 
+def _refuse_non_positive(**values: float) -> None:
+    # A NaN fails every comparison and an infinite index plans a 0 s run
+    # on one node: both are refused with the positive-value check.
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def node_performance_index(workflows: float, nodes: int, seconds: float) -> float:
     """Eq. 1: workflows per node-second."""
-    if workflows <= 0:
-        raise ValueError(f"workflows must be positive, got {workflows}")
+    _refuse_non_positive(workflows=workflows, seconds=seconds)
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
-    if seconds <= 0:
-        raise ValueError(f"seconds must be positive, got {seconds}")
     return workflows / (nodes * seconds)
 
 
@@ -34,12 +39,7 @@ def required_nodes(workflows: float, index: float, deadline: float) -> int:
     Rounded up — renting a fraction of a node is impossible and rounding
     down would miss the deadline.
     """
-    if workflows <= 0:
-        raise ValueError(f"workflows must be positive, got {workflows}")
-    if index <= 0:
-        raise ValueError(f"index must be positive, got {index}")
-    if deadline <= 0:
-        raise ValueError(f"deadline must be positive, got {deadline}")
+    _refuse_non_positive(workflows=workflows, index=index, deadline=deadline)
     return max(1, math.ceil(workflows / (index * deadline)))
 
 

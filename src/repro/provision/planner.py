@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.cloud.cluster import ClusterSpec
 from repro.cloud.instances import get_instance_type
-from repro.cloud.pricing import BillingModel, cluster_cost
+from repro.cloud.pricing import cluster_cost
 from repro.provision.index import required_nodes
 
 __all__ = ["ClusterPlan", "plan_cluster", "plan_table", "PAPER_INDICES"]
@@ -54,10 +54,9 @@ def plan_cluster(
     workflows: int,
     deadline: float,
     index: Optional[float] = None,
-    filesystem: str = "moosefs",
-    billing: BillingModel = BillingModel.PER_HOUR,
 ) -> ClusterPlan:
-    """Size a cluster of ``instance_type`` for the workload (Eq. 2)."""
+    """Size a cluster of ``instance_type`` for the workload (Eq. 2): on
+    MooseFS, billed per started hour, as the paper's Table III."""
     if workflows < 1:
         raise ValueError(f"workflows must be >= 1, got {workflows}")
     itype = get_instance_type(instance_type)
@@ -71,28 +70,22 @@ def plan_cluster(
     n_nodes = required_nodes(workflows, index, deadline)
     predicted_time = workflows / (index * n_nodes)
     return ClusterPlan(
-        spec=ClusterSpec(instance_type, n_nodes, filesystem=filesystem),
+        spec=ClusterSpec(instance_type, n_nodes, filesystem="moosefs"),
         workflows=workflows,
         deadline=deadline,
         performance_index=index,
         predicted_time=predicted_time,
-        predicted_cost=cluster_cost(itype, n_nodes, predicted_time, billing),
+        predicted_cost=cluster_cost(itype, n_nodes, predicted_time),
     )
 
 
-def plan_table(
-    workflows: int = 200,
-    deadline: float = 3300.0,
-    indices: Optional[Dict[str, float]] = None,
-    filesystem: str = "moosefs",
-) -> List[ClusterPlan]:
-    """Regenerate Table III: one plan per candidate instance type.
+def plan_table(workflows: int = 200, deadline: float = 3300.0) -> List[ClusterPlan]:
+    """Regenerate Table III: one plan per instance type of
+    :data:`PAPER_INDICES`, at its index.
 
-    With the paper's indices, W=200 and T=3300 s this yields 40 c3, 25 r3
-    and 23 i2 nodes.
+    With W=200 and T=3300 s this yields 40 c3, 25 r3 and 23 i2 nodes.
     """
-    indices = indices or PAPER_INDICES
     return [
-        plan_cluster(name, workflows, deadline, index, filesystem)
-        for name, index in indices.items()
+        plan_cluster(name, workflows, deadline, index)
+        for name, index in PAPER_INDICES.items()
     ]

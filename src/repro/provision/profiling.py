@@ -18,7 +18,7 @@ Two experiment families, mirroring the paper exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cloud.cluster import ClusterSpec
 from repro.engines.base import RunConfig
@@ -28,6 +28,11 @@ from repro.workflow.dag import Workflow
 from repro.workflow.ensemble import Ensemble
 
 __all__ = ["SingleNodeProfile", "MultiNodeProfile", "ProfilingCampaign"]
+
+#: Shared FS of the multi-node tests (the paper profiled on NFS).
+FILESYSTEM = "nfs-nton"
+#: Only makespans are read, so no per-job record is kept.
+RUN_CONFIG = RunConfig(record_jobs=False)
 
 
 @dataclass
@@ -68,35 +73,23 @@ class MultiNodeProfile:
 
 
 class ProfilingCampaign:
-    """Runs the paper's profiling experiments in the simulator.
+    """Runs the paper's profiling experiments in the simulator with
+    :class:`~repro.engines.pull.PullEngine`: one node on its local disk,
+    several on :data:`FILESYSTEM`.
 
     Parameters
     ----------
     template:
         The workflow to profile (e.g. a 6.0-degree Montage).
-    filesystem:
-        Shared FS used in multi-node profiling (the paper used NFS here).
-    engine_factory:
-        Alternative engine constructor for ablations; defaults to
-        :class:`~repro.engines.pull.PullEngine`.
     """
 
-    def __init__(
-        self,
-        template: Workflow,
-        filesystem: str = "nfs-nton",
-        run_config: Optional[RunConfig] = None,
-        engine_factory: Optional[Callable[..., object]] = None,
-    ):
+    def __init__(self, template: Workflow):
         self.template = template
-        self.filesystem = filesystem
-        self.run_config = run_config or RunConfig(record_jobs=False)
-        self.engine_factory = engine_factory or PullEngine
 
     def _run(self, instance_type: str, n_nodes: int, n_workflows: int) -> float:
-        fs = "local" if n_nodes == 1 else self.filesystem
+        fs = "local" if n_nodes == 1 else FILESYSTEM
         spec = ClusterSpec(instance_type, n_nodes, filesystem=fs)
-        engine = self.engine_factory(spec, self.run_config)
+        engine = PullEngine(spec, RUN_CONFIG)
         ensemble = Ensemble.replicated(self.template, n_workflows)
         return engine.run(ensemble).makespan
 

@@ -73,7 +73,7 @@ FAIR_SHARE_FLOOR = 256
 QUOTA_HEADROOM = {"gold": 3.0, "silver": 2.0, "best_effort": 1.25}
 QUOTA_BURST = {"gold": 20.0, "silver": 10.0, "best_effort": 5.0}
 #: Fair-share weights per class.  Gold's weight is provisioned so its
-#: share bound saturates at 1.0 (the policy's default max_share 0.5 x
+#: share bound saturates at 1.0 (the policy's MAX_SHARE 0.5 x
 #: weight 3 x 6 tenants / weight sum 9): a share can never exceed 1, so
 #: gold is structurally exempt from fair-share shedding even when it is
 #: the only class with outstanding work, and its only bound is the quota.

@@ -18,7 +18,7 @@ from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
-from repro.sim import AllOf, Event, JoinEvent, Simulator
+from repro.sim import Event, JoinEvent, Simulator
 from repro.workflow.dag import DataFile, Workflow
 
 __all__ = ["SharedFileSystem", "local_placement"]
@@ -304,7 +304,3 @@ class SharedFileSystem:
         for links, nbytes in routes.items():
             write_into(nbytes, links, join)
         return join
-
-    def drained(self) -> Event:
-        """Fires when every node's write-back cache is empty."""
-        return AllOf(self.sim, [n.write_cache.drained() for n in self.nodes])

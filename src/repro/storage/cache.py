@@ -17,13 +17,22 @@ from __future__ import annotations
 
 from collections import deque
 from math import inf
-from typing import Deque, List, Tuple
+from typing import Deque, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.sim import Event, FairShareLink, JoinEvent, Simulator
 from repro.sim.engine import _SUCCEEDED
 
-__all__ = ["WriteBackCache"]
+__all__ = ["CHUNK_BYTES", "FLUSH_INTERVAL", "WriteBackCache"]
+
+#: Largest burst one flush pushes through a route's links.
+CHUNK_BYTES = 64e6
+#: Pause between flush batches, mirroring the kernel's periodic
+#: write-back (dirty_writeback_centisecs).  This is what produces the
+#: paper's "intermittent disk writes at full capacity" (§IV.A): dirty
+#: pages accumulate during the pause and then drain in one burst at
+#: device speed.
+FLUSH_INTERVAL = 5.0
 
 
 class WriteBackCache:
@@ -40,31 +49,16 @@ class WriteBackCache:
         self,
         sim: Simulator,
         capacity_bytes: float,
-        chunk_bytes: float = 64e6,
-        flush_interval: float = 5.0,
         name: str = "wbcache",
     ):
-        # Chained comparisons also refuse NaN: a NaN chunk never flushes
-        # and a NaN or infinite capacity never throttles a writer.
+        # A chained comparison also refuses NaN: a NaN or infinite
+        # capacity never throttles a writer.
         if not 0.0 < capacity_bytes < inf:
             raise ValueError(
                 f"capacity_bytes must be finite and > 0, got {capacity_bytes!r}"
             )
-        if not 0.0 < chunk_bytes < inf:
-            raise ValueError(f"chunk_bytes must be finite and > 0, got {chunk_bytes!r}")
-        if not 0.0 <= flush_interval < inf:
-            raise ValueError(
-                f"flush_interval must be finite and >= 0, got {flush_interval!r}"
-            )
         self.sim = sim
         self.capacity = float(capacity_bytes)
-        self.chunk = float(chunk_bytes)
-        #: Pause between flush batches, mirroring the kernel's periodic
-        #: write-back (dirty_writeback_centisecs).  This is what produces
-        #: the paper's "intermittent disk writes at full capacity" (§IV.A):
-        #: dirty pages accumulate during the pause and then drain in one
-        #: burst at device speed.
-        self.flush_interval = float(flush_interval)
         self.name = name
         self.dirty = 0.0
         self.bytes_written = 0.0
@@ -73,7 +67,6 @@ class WriteBackCache:
         self._stalled: Deque[Tuple[Event, float, Tuple[FairShareLink, ...]]] = deque()
         self._flusher_started = False
         self._work: Event | None = None
-        self._drained: List[Event] = []
 
     def write(self, nbytes: float, links: Tuple[FairShareLink, ...]) -> Event:
         """Buffer ``nbytes`` destined for ``links``; event fires on buffer."""
@@ -138,14 +131,6 @@ class WriteBackCache:
         elif not self._flusher_started:
             self._ensure_flusher()
 
-    def drained(self) -> Event:
-        """Event that fires when every buffered byte has hit the device."""
-        event = Event(self.sim)
-        if self.dirty == 0 and not self._stalled:
-            return event.succeed()
-        self._drained.append(event)
-        return event
-
     # -- internals ---------------------------------------------------------
     def _ensure_flusher(self) -> None:
         # One persistent flusher process per cache: it parks on a signal
@@ -169,7 +154,7 @@ class WriteBackCache:
         generator, so a resume after a chunk re-enters one frame."""
         sim = self.sim
         queue = self._queue
-        chunk = self.chunk
+        chunk = CHUNK_BYTES
         while True:
             while not (queue or self._stalled):
                 # Idle: park until the next write signals new work.
@@ -178,9 +163,9 @@ class WriteBackCache:
                 self._work = None
             first_batch = True
             while queue or self._stalled:
-                if not first_batch and self.flush_interval > 0:
+                if not first_batch:
                     # Let dirty pages accumulate, then drain in one burst.
-                    yield sim.timeout(self.flush_interval)
+                    yield sim.timeout(FLUSH_INTERVAL)
                 first_batch = False
                 if self._stalled:
                     self._admit_stalled()
@@ -218,6 +203,3 @@ class WriteBackCache:
                 san = _sanitizer._ACTIVE
                 if san is not None:
                     san.check_cache_drained(self)
-                drained, self._drained = self._drained, []
-                for event in drained:
-                    event.succeed()

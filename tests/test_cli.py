@@ -113,3 +113,33 @@ def test_a_size_that_cannot_be_built_exits_2_before_simulating(main, argv, capsy
     captured = capsys.readouterr()
     assert "size must be a finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "main, argv, message",
+    [
+        (main_plan, ["--index", "nan"], "index must be finite and positive"),
+        (main_plan, ["--index", "inf"], "index must be finite and positive"),
+        (main_plan, ["--deadline", "nan"], "deadline must be finite and positive"),
+        (main_profile, ["--max-nodes", "1"], "--max-nodes must be >= 2"),
+        (main_profile, ["--workflows", "0"], "--workflows must be >= 1"),
+    ],
+    ids=["plan-index-nan", "plan-index-inf", "plan-deadline-nan",
+         "profile-max-nodes-1", "profile-workflows-0"],
+)
+def test_an_unrunnable_plan_or_profile_exits_2_before_simulating(
+    main, argv, message, capsys, monkeypatch
+):
+    import repro.provision.profiling as profiling
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before refusing the input")
+
+    monkeypatch.setattr(profiling, "PullEngine", no_simulation)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and message in errors[0]

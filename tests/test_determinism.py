@@ -9,12 +9,12 @@ count, per-job records and the number of events processed.
 from repro.cloud import ClusterSpec
 from repro.engines import PullEngine, SchedulingEngine
 from repro.engines.base import RunConfig
-from repro.generators import montage_workflow
+from repro.generators import random_layered_workflow
 from repro.workflow import Ensemble
 
 
 def _run(engine_cls, seed):
-    template = montage_workflow(degree=0.25, jitter=0.2, seed=seed)
+    template = random_layered_workflow(n_jobs=60, n_levels=6, seed=seed)
     ensemble = Ensemble.replicated(template, 3, interval=10.0)
     spec = ClusterSpec("c3.8xlarge", 2, filesystem="moosefs")
     engine = engine_cls(spec, RunConfig(record_jobs=True))
@@ -50,4 +50,4 @@ def test_scheduling_engine_bit_identical_across_runs():
 def test_different_seeds_change_the_run():
     a = _fingerprint(_run(PullEngine, seed=7))
     b = _fingerprint(_run(PullEngine, seed=8))
-    assert a[0] != b[0]  # jittered runtimes must actually differ
+    assert a[0] != b[0]  # seeded runtimes must actually differ

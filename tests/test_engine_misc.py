@@ -1,5 +1,5 @@
-"""Miscellaneous engine coverage: cache draining, result accessors,
-hypothesis round-trips of serialization under random workflows."""
+"""Miscellaneous engine coverage: result accessors, hypothesis
+round-trips of serialization under random workflows."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,22 +10,6 @@ from repro.engines import PullEngine, RunConfig
 from repro.generators import montage_workflow, random_layered_workflow
 from repro.workflow import Ensemble
 from repro.workflow.serialize import workflow_from_dict, workflow_to_dict
-
-
-def test_drain_caches_extends_run_to_flush():
-    template = montage_workflow(degree=0.5)
-    spec = ClusterSpec("c3.8xlarge", 1, filesystem="local")
-    fast_end = PullEngine(spec, RunConfig(drain_caches=False)).run(
-        Ensemble([template])
-    )
-    drained = PullEngine(spec, RunConfig(drain_caches=True)).run(
-        Ensemble([template])
-    )
-    # Makespan (to last ack) is identical; only the run's internal clock
-    # continues while the write-back cache flushes.
-    assert drained.makespan == pytest.approx(fast_end.makespan)
-    for node in drained.cluster.nodes:
-        assert node.write_cache.dirty == pytest.approx(0.0)
 
 
 def test_result_accessors():

@@ -82,14 +82,6 @@ def test_montage_deterministic_without_jitter():
     assert [j.runtime for j in a] == [j.runtime for j in b]
 
 
-def test_montage_jitter_changes_runtimes_reproducibly():
-    a = montage_workflow(degree=0.5, jitter=0.1, seed=1)
-    b = montage_workflow(degree=0.5, jitter=0.1, seed=1)
-    c = montage_workflow(degree=0.5, jitter=0.1, seed=2)
-    assert [j.runtime for j in a] == [j.runtime for j in b]
-    assert [j.runtime for j in a] != [j.runtime for j in c]
-
-
 def test_montage_parallel_blocking_jobs_flag():
     wf = montage_workflow(degree=0.5, parallel_blocking_jobs=True)
     assert wf.job("mConcatFit").threads > 1
@@ -102,9 +94,6 @@ def test_montage_rejects_bad_args():
     for degree in (-1.0, 0.0, NAN, INF):
         with pytest.raises(ValueError, match="degree"):
             montage_workflow(degree=degree)
-    for jitter in (-0.5, NAN, INF):
-        with pytest.raises(ValueError, match="jitter"):
-            montage_workflow(degree=1.0, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +133,6 @@ def test_ligo_rejects_bad_args():
             ligo_workflow(blocks=blocks)
     with pytest.raises(ValueError):
         ligo_workflow(blocks=5, group=0)
-    for jitter in (-0.5, NAN, INF):
-        with pytest.raises(ValueError, match="jitter"):
-            ligo_workflow(blocks=5, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +163,6 @@ def test_cybershake_rejects_bad_args():
             cybershake_workflow(ruptures=ruptures)
     with pytest.raises(ValueError, match="variations"):
         cybershake_workflow(ruptures=2, variations=0)
-    for jitter in (-0.5, NAN, INF):
-        with pytest.raises(ValueError, match="jitter"):
-            cybershake_workflow(ruptures=2, jitter=jitter)
 
 
 # ---------------------------------------------------------------------------

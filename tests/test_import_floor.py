@@ -1,7 +1,7 @@
 """A simulated run imports only the simulator.
 
 numpy serves the functions that return arrays (monitoring series,
-jittered generators, ``montage_lite``); no simulated event touches it,
+``random_layered_workflow``, ``montage_lite``); no simulated event touches it,
 and loading it adds about 12 MB to every process's resident floor.  The
 threaded daemons, the TCP broker, the subprocess executors, the DAX
 serializer, the planner, the exporters and the process pool are not on

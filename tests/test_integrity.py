@@ -141,7 +141,7 @@ def test_corruption_under_leases_reaches_the_core_with_its_file_list(
         config=CONFIG,
         retry=RetryPolicy(max_attempts=4),
         integrity_models=(FileCorruptionModel(targets=("*/p_000000.fits",)),),
-        liveness=LeaseConfig(heartbeat_interval=1.0, miss_threshold=3),
+        liveness=LeaseConfig(heartbeat_interval=1.0),
     )
     result = engine.run(Ensemble.replicated(montage_workflow(degree=0.3), 1))
     assert result.integrity_stats["corrupted"] == 1

@@ -21,6 +21,7 @@ from repro.faults.models import (
 )
 from repro.generators import montage_workflow
 from repro.liveness import (
+    MISS_THRESHOLD,
     AdmissionControl,
     BrownoutController,
     LeaseConfig,
@@ -55,9 +56,7 @@ def trace_lines(result) -> str:
 def test_lease_config_validation():
     with pytest.raises(ValueError):
         LeaseConfig(heartbeat_interval=0.0)
-    with pytest.raises(ValueError):
-        LeaseConfig(miss_threshold=0)
-    assert LeaseConfig(heartbeat_interval=0.5, miss_threshold=4).lease_timeout == 2.0
+    assert LeaseConfig(heartbeat_interval=0.5).lease_timeout == 1.5  # 3 beats
 
 
 NAN, INF = float("nan"), float("inf")
@@ -74,7 +73,6 @@ NAN, INF = float("nan"), float("inf")
         (lambda: BrownoutController(sustain=INF), "sustain"),
         (lambda: BrownoutController(thresholds=(1.0, NAN)), "thresholds"),
         (lambda: BrownoutController(thresholds=(1.0, INF)), "thresholds"),
-        (lambda: BrownoutController(stretch=NAN), "stretch"),
         (lambda: AdmissionControl(retry_after=NAN), "retry_after"),
         (lambda: AdmissionControl(retry_after=INF), "retry_after"),
         (lambda: SlaClass("gold", 0, deadline_factor=NAN), "deadline_factor"),
@@ -95,7 +93,7 @@ NAN, INF = float("nan"), float("inf")
     ids=[
         "bucket-rate-nan", "bucket-rate-inf", "bucket-burst-nan",
         "bucket-burst-inf", "sustain-nan", "sustain-inf", "threshold-nan",
-        "threshold-inf", "stretch-nan", "retry-after-nan", "retry-after-inf",
+        "threshold-inf", "retry-after-nan", "retry-after-inf",
         "deadline-factor-nan", "deadline-factor-inf", "repriority-interval-nan",
         "repriority-interval-inf", "base-delay-nan", "max-delay-nan",
         "heartbeat-nan", "heartbeat-inf",
@@ -112,18 +110,19 @@ def test_policy_objects_refuse_nan_and_inf(build, name):
 
 
 def test_lease_grant_beat_fence_cycle():
-    table = LeaseTable(LeaseConfig(heartbeat_interval=1.0, miss_threshold=2))
+    table = LeaseTable(LeaseConfig(heartbeat_interval=1.0))
     epoch = table.grant("w0", 0.0)
     assert epoch == 1 and table.valid("w0", epoch)
     assert table.beat("w0", epoch, 1.0)
     # Silent past the miss threshold: expire names it, fence stales it.
     assert table.expire(1.5) == []
-    assert table.expire(3.5) == ["w0"]
-    assert table.stats["heartbeat_misses"] == 2
-    assert table.fence("w0", 3.5) == epoch
+    assert table.expire(3.5) == []  # 2 beats missed, 3 allowed
+    assert table.expire(4.5) == ["w0"]
+    assert table.stats["heartbeat_misses"] == MISS_THRESHOLD
+    assert table.fence("w0", 4.5) == epoch
     assert table.is_fenced("w0")
     assert not table.valid("w0", epoch)
-    assert not table.beat("w0", epoch, 4.0)
+    assert not table.beat("w0", epoch, 4.75)
     # Fencing is idempotent and a regrant re-admits under a newer epoch.
     table.fence("w0", 5.0)
     assert table.stats["lease_fencings"] == 1
@@ -269,7 +268,7 @@ def _partition_engine(windows, liveness=True, timeout=6.0):
         retry=RetryPolicy(max_attempts=6),
         controllers=[NetworkPartitionModel(windows)],
         liveness=(
-            LeaseConfig(heartbeat_interval=0.25, miss_threshold=3)
+            LeaseConfig(heartbeat_interval=0.25)
             if liveness
             else None
         ),
@@ -338,7 +337,7 @@ def _failover_engine(liveness: bool):
         journal=Journal(checkpoint_every=10),
         controllers=[MasterFailoverModel(at=1.5, detection=0.5)],
         liveness=(
-            LeaseConfig(heartbeat_interval=0.25, miss_threshold=3)
+            LeaseConfig(heartbeat_interval=0.25)
             if liveness
             else None
         ),
@@ -393,7 +392,7 @@ def test_every_controller_kind_composes_in_one_run():
             config=fast_cfg(),
             retry=RetryPolicy(max_attempts=8),
             journal=Journal(checkpoint_every=10),
-            liveness=LeaseConfig(heartbeat_interval=0.25, miss_threshold=3),
+            liveness=LeaseConfig(heartbeat_interval=0.25),
             controllers=controllers,
         ).run(Ensemble.replicated(montage_workflow(degree=0.5), 4, interval=0.5))
 
@@ -510,7 +509,7 @@ def test_chrome_trace_carries_liveness_counters():
         config=fast_cfg(record=True),
         retry=RetryPolicy(max_attempts=6),
         controllers=[NetworkPartitionModel(windows)],
-        liveness=LeaseConfig(heartbeat_interval=0.25, miss_threshold=3),
+        liveness=LeaseConfig(heartbeat_interval=0.25),
     )
     result = engine.run(_montage_ensemble())
     document = to_chrome_trace(result)

@@ -83,7 +83,7 @@ def make_core(ports, **policies) -> MasterCore:
 def test_core_issues_the_exact_command_sequence():
     ports = RecordingPorts()
     core = make_core(
-        ports, liveness=LeaseConfig(heartbeat_interval=1.0, miss_threshold=3)
+        ports, liveness=LeaseConfig(heartbeat_interval=1.0)
     )
     wf = diamond("wf")
 

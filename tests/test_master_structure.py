@@ -8,6 +8,7 @@ nested ``def`` (a callback may be local; a callback's callback may not).
 
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
@@ -304,7 +305,7 @@ def test_pull_run_publishes_a_dispatch_with_one_call():
 CONTROL_SURFACE = {
     "sim", "n_nodes", "trace", "journal", "initially_down", "report_liveness",
     "start_worker", "stop_worker", "kill_worker",
-    "set_disk_factor", "set_cpu_factor", "mark_spot_terminated",
+    "set_disk_factor", "mark_spot_terminated",
     "begin_partition", "end_partition",
     "queue_depth", "active_nodes", "finished",
     "primary_die", "standby_takeover", "spawn",
@@ -374,6 +375,56 @@ def test_controllers_install_against_the_runs_public_names_only():
         )
         assert not off_surface, off_surface
     assert installs == 6  # schedule, spot, straggler, partition, autoscaler, failover
+
+
+# -- a knob needs a caller ---------------------------------------------------------
+#: Parameter lists of the objects whose values no caller outside the tests
+#: set; each such value is a module constant now.  A knob that comes back
+#: must come with a caller, and CI prints the sum (``-rA``).
+PRUNED_SIGNATURES = {
+    "repro.engines.base:RunConfig": (
+        "default_timeout", "timeout_check_interval", "record_jobs",
+    ),
+    "repro.storage.cache:WriteBackCache": ("sim", "capacity_bytes", "name"),
+    "repro.liveness.lease:LeaseConfig": ("heartbeat_interval",),
+    "repro.liveness.policy:BrownoutController": ("thresholds", "sustain"),
+    "repro.liveness.policy:ServiceAdmissionPolicy": (
+        "admission", "brownout", "fair_share_floor",
+    ),
+    "repro.mq.priority:RepriorityPolicy": ("aging_rate", "interval"),
+    "repro.mq.chaosbroker:MessageChaos": (
+        "p_drop", "p_duplicate", "p_delay", "delay", "seed",
+    ),
+    "repro.faults.models:StragglerHazard": (
+        "p_straggler", "disk_factor", "duration",
+    ),
+    "repro.faults.models:Degradation": (
+        "node", "start", "duration", "disk_factor",
+    ),
+    "repro.generators.montage:montage_workflow": (
+        "degree", "parallel_blocking_jobs",
+    ),
+    "repro.generators.ligo:ligo_workflow": ("blocks", "group"),
+    "repro.generators.cybershake:cybershake_workflow": ("ruptures", "variations"),
+    "repro.provision.profiling:ProfilingCampaign": ("template",),
+    "repro.provision.planner:plan_cluster": (
+        "instance_type", "workflows", "deadline", "index",
+    ),
+    "repro.provision.planner:plan_table": ("workflows", "deadline"),
+    "repro.monitor.timeline:stage_windows": ("result",),
+    "repro.parallel.runner:run_many": ("specs", "workers"),
+}
+
+
+def test_pruned_objects_take_only_the_parameters_a_caller_sets():
+    actual = {}
+    for target in PRUNED_SIGNATURES:
+        module, name = target.split(":")
+        obj = getattr(importlib.import_module(module), name)
+        actual[target] = tuple(inspect.signature(obj).parameters)
+    total = sum(len(params) for params in actual.values())
+    print(f"knob parameters, {len(actual)} pruned objects: {total}")
+    assert actual == PRUNED_SIGNATURES
 
 
 # -- a chaos scenario holds the models it runs -----------------------------------

@@ -329,19 +329,18 @@ def test_chaos_simbroker_priority_survives_the_delay_band_and_the_latency_batch(
     """Both ways a message reaches ``_deliver`` carry ``[message,
     priority]``: a delayed message travels as its own one-entry batch
     (never ``_pending``, so only a reprioritize after it lands retags
-    it), a pass-through publish joins the latency batch, which a
+    it), a pass-through publish (the transport's own, which the
+    decorator calls outside the band) joins the latency batch, which a
     reprioritize retags in flight."""
     sim = Simulator()
     transport = SimBroker(sim, latency=0.5)
-    broker = ChaosBroker(
-        transport, MessageChaos(p_delay=1.0, delay=0.2, topics=("slow",))
-    )
+    broker = ChaosBroker(transport, MessageChaos(p_delay=1.0, delay=0.2))
     broker.publish("slow", ("wf", "bulk", 1))
     broker.publish("slow", ("wf", "urgent", 1), priority=10.0)
     assert broker.chaos_stats()["delayed"] == 2 and not transport._pending
     assert broker.reprioritize("slow", "wf", "bulk", 3.0) == 0  # out of reach
-    broker.publish("fast", ("wf", "a", 1))
-    broker.publish("fast", ("wf", "b", 1))
+    transport.publish("fast", ("wf", "a", 1))
+    transport.publish("fast", ("wf", "b", 1))
     assert broker.reprioritize("fast", "wf", "b", 7.0) == 1
     sim.run()
     assert sim.now == 0.7 and transport.published == 4

@@ -20,7 +20,7 @@ from repro.dewe import (
     submit_workflow,
 )
 from repro.faults import RetryPolicy
-from repro.liveness import AdmissionControl, LeaseConfig
+from repro.liveness import MISS_THRESHOLD, AdmissionControl, LeaseConfig
 from repro.mq import Broker, ChaosBroker, MessageChaos
 from repro.mq.messages import (
     TOPIC_ACK,
@@ -103,7 +103,7 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
         master_poll_interval=0.002,
         worker_poll_interval=0.005,
         max_concurrent_jobs=8,
-        liveness=LeaseConfig(heartbeat_interval=0.05, miss_threshold=2),
+        liveness=LeaseConfig(heartbeat_interval=0.05),
     )
     broker = ChaosBroker(Broker(), MessageChaos())
     gate = threading.Event()
@@ -135,7 +135,7 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
         stats = master.liveness_stats()
 
     assert stats["lease_fencings"] >= 1
-    assert stats["heartbeat_misses"] >= cfg.liveness.miss_threshold
+    assert stats["heartbeat_misses"] >= MISS_THRESHOLD
     assert master.dead_letters == []
     # Every job ran (the fenced worker's deliveries were requeued; reruns
     # are allowed, lost jobs are not).

@@ -50,8 +50,8 @@ def test_rank_for_sla_maps_default_classes():
 
 
 def test_policy_score_combines_cp_slack_and_age():
-    policy = RepriorityPolicy(cp_weight=2.0, slack_weight=1.0, aging_rate=0.5)
-    assert policy.score(10.0, 4.0, 2.0) == pytest.approx(2 * 10 - 4 + 0.5 * 2)
+    policy = RepriorityPolicy(aging_rate=0.5)
+    assert policy.score(10.0, 4.0, 2.0) == 10 - 4 + 0.5 * 2
 
 
 def test_policy_score_clamped_within_half_band():
@@ -71,8 +71,6 @@ def test_policy_clamp_means_bands_never_invert():
 
 
 def test_policy_rejects_negative_knobs():
-    with pytest.raises(ValueError):
-        RepriorityPolicy(cp_weight=-1.0)
     with pytest.raises(ValueError):
         RepriorityPolicy(aging_rate=-0.1)
     with pytest.raises(ValueError):
@@ -457,11 +455,12 @@ def test_state_job_priority_scores_cp_slack_and_band():
 
 
 def test_state_job_priority_aging_from_first_dispatch():
-    policy = RepriorityPolicy(cp_weight=0.0, slack_weight=0.0, aging_rate=2.0)
     state = WorkflowState(_chain(), 60.0)
     state.initial_ready()
     state.mark_dispatched("link0", 5.0)
-    assert state.job_priority("link0", 9.0, policy) == pytest.approx(8.0)
+    aged = state.job_priority("link0", 9.0, RepriorityPolicy(aging_rate=2.0))
+    plain = state.job_priority("link0", 9.0, RepriorityPolicy())
+    assert aged - plain == pytest.approx(8.0)  # 2.0 points/s x 4 s queued
 
 
 def test_pull_run_reprioritize_moves_only_the_named_job():

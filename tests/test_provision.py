@@ -52,6 +52,11 @@ def test_eq_validation():
         required_nodes(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         required_nodes(1, 1.0, -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="seconds must be finite"):
+            node_performance_index(1, 1, bad)
+        with pytest.raises(ValueError, match="index must be finite"):
+            required_nodes(1, bad, 1.0)
 
 
 def test_converged_index_uses_tail():

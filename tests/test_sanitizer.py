@@ -167,12 +167,11 @@ def test_cache_clean_run_has_no_violations():
     with sanitizer.enabled(strict=True) as san:
         sim = Simulator()
         link = FairShareLink(sim, 1e6)
-        cache = WriteBackCache(sim, capacity_bytes=1e9, flush_interval=1.0)
-        done = cache.drained()
+        cache = WriteBackCache(sim, capacity_bytes=1e9)
         cache.write(5e5, (link,))
         cache.write(5e5, (link,))
         sim.run()
-        assert done.triggered
+        assert cache.dirty == 0.0
         assert cache.bytes_flushed == pytest.approx(1e6)
     assert san.violations == []
 

@@ -149,16 +149,15 @@ def test_brownout_requires_sustained_overshoot():
 
 
 def test_brownout_release_is_hysteretic():
-    ctl = BrownoutController(
-        thresholds=(1.0,), sustain=1.0, release=0.75
-    )
+    ctl = BrownoutController(thresholds=(1.0,), sustain=1.0)
     ctl.observe(1.5, 0.0)
     assert ctl.observe(1.5, 1.0) == 1
     # Dropping below the threshold but above release * threshold holds
     # the level — no flapping around the trip point.
     assert ctl.observe(0.9, 2.0) == 1
     assert ctl.observe(0.9, 10.0) == 1
-    # Below the release bound (sustained) the level drops.
+    # Below the release bound (BROWNOUT_RELEASE 0.75, sustained) the
+    # level drops.
     ctl.observe(0.5, 11.0)
     assert ctl.observe(0.5, 12.5) == 0
 
@@ -241,7 +240,6 @@ def test_fair_share_bounds_dominant_tenant_and_refunds_quota():
     policy = ServiceAdmissionPolicy(
         admission=AdmissionControl(max_pending_jobs=1000),
         brownout=BrownoutController(sustain=1e9),
-        max_share=0.6,
         fair_share_floor=10,
     )
     policy.add_tenant("hog", quota=TokenBucket(rate=100.0, burst=100.0))
@@ -252,13 +250,13 @@ def test_fair_share_bounds_dominant_tenant_and_refunds_quota():
     # Under the floor any share goes: the hog takes the empty service.
     assert policy.decide("h0", 8, backlog=0, now=0.0).admit
     tokens_before = policy._tenants["hog"].bucket.tokens
-    # 16/16 = 100% > the 60% bound: fair-share shed, and the quota token
+    # 16/16 = 100% > the 50% bound: fair-share shed, and the quota token
     # the attempt consumed is refunded — a shed costs no budget.
     verdict = policy.decide("h1", 8, backlog=0, now=0.0)
     assert not verdict.admit
     assert verdict.reason == "fair-share"
     assert policy._tenants["hog"].bucket.tokens == tokens_before
-    # The other tenant still gets in: 8/16 = 50% < 60%.
+    # The other tenant still gets in: 8/16 = 50%, not above the bound.
     assert policy.decide("m0", 8, backlog=0, now=0.0).admit
     # Settlement releases the hog's charge, so it may submit again.
     policy.settle("h0")

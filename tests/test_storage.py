@@ -12,6 +12,7 @@ from repro.storage import (
     make_moosefs,
     make_nton_nfs,
 )
+from repro.storage.cache import CHUNK_BYTES
 from repro.storage.moosefs import moosefs_placement
 from repro.storage.nfs import nton_placement
 from repro.workflow.dag import DataFile, Workflow
@@ -66,47 +67,42 @@ def test_buffered_write_returns_the_event_succeed_builds():
 
 def test_writeback_throttles_beyond_capacity():
     sim = Simulator()
-    link = FairShareLink(sim, capacity=100.0)
-    cache = WriteBackCache(sim, capacity_bytes=100.0, chunk_bytes=50.0)
+    link = FairShareLink(sim, capacity=CHUNK_BYTES)  # one chunk per second
+    cache = WriteBackCache(sim, capacity_bytes=2 * CHUNK_BYTES)
     times = []
 
     def writer(n):
         yield cache.write(n, (link,))
         times.append(sim.now)
 
-    sim.process(writer(100.0))
-    sim.process(writer(100.0))  # must wait for flusher to free space
+    sim.process(writer(2 * CHUNK_BYTES))
+    sim.process(writer(2 * CHUNK_BYTES))  # must wait for flusher to free space
     sim.run()
     assert times[0] == 0.0
     assert times[1] > 0.0
 
 
 def test_writeback_drained_event():
+    # The write is buffered at once; the cache drains at device speed,
+    # and the run ends there (the strict sanitizer checks the drain).
     sim = Simulator()
     link = FairShareLink(sim, capacity=100.0)
     cache = WriteBackCache(sim, capacity_bytes=1e6)
-    done = []
-
-    def writer():
-        yield cache.write(200.0, (link,))
-        drained = cache.drained()
-        yield drained
-        done.append(sim.now)
-
-    sim.process(writer())
+    assert cache.write(200.0, (link,)).triggered
     sim.run()
-    assert done == [pytest.approx(2.0)]
+    assert sim.now == pytest.approx(2.0)
     assert cache.dirty == pytest.approx(0.0)
+    assert cache.bytes_flushed == 200.0
 
 
 def test_writeback_oversized_entry_does_not_deadlock():
     sim = Simulator()
-    link = FairShareLink(sim, capacity=100.0)
-    cache = WriteBackCache(sim, capacity_bytes=50.0, chunk_bytes=25.0)
+    link = FairShareLink(sim, capacity=CHUNK_BYTES)
+    cache = WriteBackCache(sim, capacity_bytes=2 * CHUNK_BYTES)
     times = []
 
     def writer():
-        yield cache.write(200.0, (link,))  # 4x the cache size
+        yield cache.write(8 * CHUNK_BYTES, (link,))  # 4x the cache size
         times.append(sim.now)
 
     sim.process(writer())
@@ -137,31 +133,39 @@ def test_writeback_validation():
         ("capacity_bytes", float("nan")),
         ("capacity_bytes", float("inf")),
         ("capacity_bytes", -1.0),
-        ("chunk_bytes", float("nan")),
-        ("chunk_bytes", float("inf")),
-        ("chunk_bytes", 0.0),
-        ("flush_interval", float("nan")),
-        ("flush_interval", float("inf")),
-        ("flush_interval", -0.5),
     ],
 )
 def test_writeback_refuses_a_size_that_is_not_finite(argument, value):
-    # A NaN chunk never flushes (``drained()`` never fires) and a NaN or
-    # infinite capacity never throttles a writer: refused at construction.
-    sizes = {"capacity_bytes": 1e9, "chunk_bytes": 64e6, "flush_interval": 5.0}
-    sizes[argument] = value
+    # A NaN or infinite capacity never throttles a writer: refused at
+    # construction.
     with pytest.raises(ValueError, match=argument):
-        WriteBackCache(Simulator(), **sizes)
+        WriteBackCache(Simulator(), **{argument: value})
 
 
 def test_writeback_accepts_the_edges_of_its_ranges():
+    # The smallest and largest finite capacities are accepted; a write
+    # over the smaller one is admitted alone and flushed.
+    for capacity in (5e-324, 1.7e308):
+        sim = Simulator()
+        link = FairShareLink(sim, capacity=1e6)
+        cache = WriteBackCache(sim, capacity_bytes=capacity)
+        cache.write(1e-2, (link,))
+        sim.run(until=100.0)
+        assert cache.dirty == 0.0 and cache.bytes_flushed == 1e-2
+
+
+def test_writeback_flushes_in_chunk_sized_bursts():
     sim = Simulator()
-    link = FairShareLink(sim, capacity=1e6)
-    cache = WriteBackCache(sim, capacity_bytes=1e9, chunk_bytes=1e-3, flush_interval=0.0)
-    cache.write(1e-2, (link,))
-    done = cache.drained()
-    sim.run(until=100.0)
-    assert done.triggered and cache.dirty == pytest.approx(0.0)
+    link = FairShareLink(sim, capacity=CHUNK_BYTES)  # one chunk per second
+    cache = WriteBackCache(sim, capacity_bytes=4 * CHUNK_BYTES)
+    cache.write(2.5 * CHUNK_BYTES, (link,))
+    # Dirty bytes are released a whole chunk at a time, the tail last.
+    sim.run(until=1.5)
+    assert cache.dirty == 1.5 * CHUNK_BYTES
+    sim.run(until=2.25)
+    assert cache.dirty == 0.5 * CHUNK_BYTES
+    sim.run()
+    assert sim.now == pytest.approx(2.5) and cache.dirty == 0.0
 
 
 # ---------------------------------------------------------------------------

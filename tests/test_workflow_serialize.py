@@ -35,7 +35,7 @@ def assert_same_structure(a: Workflow, b: Workflow) -> None:
 
 
 def test_dict_round_trip_montage():
-    wf = montage_workflow(degree=0.5, jitter=0.05, seed=9)
+    wf = montage_workflow(degree=0.5)
     assert_same_structure(wf, workflow_from_dict(workflow_to_dict(wf)))
 
 
