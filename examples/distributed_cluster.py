@@ -51,10 +51,10 @@ def main() -> None:
         print(f"started {N_WORKERS} worker processes: "
               f"{[w.pid for w in workers]}")
 
-        master_conn = RemoteBroker(host, port)
-        submit_conn = RemoteBroker(host, port)
         try:
-            with MasterDaemon(master_conn, config) as master:
+            with RemoteBroker(host, port) as master_conn, RemoteBroker(
+                host, port
+            ) as submit_conn, MasterDaemon(master_conn, config) as master:
                 wf = build_workflow()
                 submit_workflow(submit_conn, wf)
                 ok = master.wait(wf.name, timeout=60.0)
@@ -64,8 +64,6 @@ def main() -> None:
                       f"{master.makespan(wf.name):.2f} s)")
                 print("broker stats:", master_conn.stats())
         finally:
-            master_conn.close()
-            submit_conn.close()
             for w in workers:
                 w.terminate()
                 w.wait(timeout=10)

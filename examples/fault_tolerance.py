@@ -23,12 +23,11 @@ from repro import (
     ClusterSpec,
     DeweConfig,
     Ensemble,
-    FaultAction,
-    FaultSchedule,
     MasterDaemon,
     PullEngine,
     WorkerDaemon,
     Workflow,
+    kill_restart_cycle,
     montage_workflow,
     submit_workflow,
 )
@@ -88,9 +87,7 @@ def simulated_interruptions() -> None:
         ("fan stage (non-blocking jobs)", s2_start * 0.5),
         ("blocking stage (mConcatFit/mBgModel)", (s2_start + s2_end) / 2),
     ):
-        schedule = FaultSchedule(
-            [FaultAction(t_kill, 0, "kill"), FaultAction(t_kill + 5.0, 0, "restart")]
-        )
+        schedule = kill_restart_cycle([t_kill], downtime=5.0)
         result = PullEngine(spec, config=cfg, controllers=[schedule]).run(
             Ensemble([template])
         )

@@ -66,11 +66,11 @@ def lazy_exports(
 
 __getattr__, __all__ = lazy_exports(__name__, {
     "repro.cloud": "INSTANCE_TYPES BillingModel ClusterSpec InstanceType "
-                   "get_instance_type price_per_workflow",
+                   "get_instance_type",
     "repro.dewe": "DeweConfig MasterDaemon WorkerDaemon submit_workflow",
     "repro.engines": "DeweV1Engine EngineResult PullEngine RunConfig "
                      "SchedulingEngine",
-    "repro.faults": "ChaosScenario DeadLetterEntry DeadLetterQueue Degradation "
+    "repro.faults": "ChaosScenario DeadLetterEntry Degradation "
                     "FaultAction FaultSchedule FaultTrace RetryPolicy SCENARIOS "
                     "SpotTerminationModel StragglerModel TransientFaultModel "
                     "get_scenario kill_restart_cycle run_chaos",

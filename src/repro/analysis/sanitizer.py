@@ -14,9 +14,8 @@ Usage::
 
     import repro.analysis.sanitizer as sanitizer
 
-    san = sanitizer.enable(strict=False)   # collect mode
-    ... run simulations ...
-    sanitizer.disable()
+    with sanitizer.enabled(strict=False) as san:   # collect mode
+        ... run simulations ...
     for violation in san.violations:
         print(violation)
 
@@ -434,13 +433,6 @@ def enable(strict: bool = False) -> Sanitizer:
     global _ACTIVE
     _ACTIVE = Sanitizer(strict=strict)
     return _ACTIVE
-
-
-def disable() -> Optional[Sanitizer]:
-    """Uninstall the sanitizer; returns it (with collected violations)."""
-    global _ACTIVE
-    previous, _ACTIVE = _ACTIVE, None
-    return previous
 
 
 @contextmanager

@@ -26,6 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.cloud.cluster import FS_KINDS
+from repro.cloud.instances import get_instance_type
 from repro.generators import WORKFLOW_KINDS, montage_workflow
 from repro.monitor import run_summary, summary_table
 from repro.parallel.runner import ENGINES, RunSpec, build_engine, build_ensemble
@@ -71,7 +72,9 @@ def main_run(argv: Optional[List[str]] = None) -> int:
     try:
         engine = build_engine(spec)
         ensemble = build_ensemble(spec)
-    except ValueError as exc:  # e.g. a non-finite or non-positive --timeout or --size
+    except KeyError as exc:  # an unknown --instance-type
+        parser.error(exc.args[0])
+    except ValueError as exc:  # e.g. a non-finite --size, a multi-node local FS
         parser.error(str(exc))
     # Submission-time validation (paper §III.C): reject malformed DAGs
     # before burning simulated cluster time on them.  (Members share the
@@ -127,6 +130,8 @@ def main_plan(argv: Optional[List[str]] = None) -> int:
     for itype in args.instance_types:
         try:
             plan = plan_cluster(itype, args.workflows, args.deadline, index=args.index)
+        except KeyError as exc:  # an unknown --instance-types entry
+            parser.error(exc.args[0])
         except ValueError as exc:  # e.g. a NaN or infinite --index or --deadline
             parser.error(str(exc))
         rows.append(
@@ -164,7 +169,10 @@ def main_profile(argv: Optional[List[str]] = None) -> int:
     if args.workflows < 1:
         parser.error(f"--workflows must be >= 1, got {args.workflows}")
     try:
+        get_instance_type(args.instance_type)
         template = montage_workflow(degree=args.degree)
+    except KeyError as exc:  # an unknown --instance-type
+        parser.error(exc.args[0])
     except ValueError as exc:  # a NaN, infinite or non-positive --degree
         parser.error(str(exc))
     campaign = ProfilingCampaign(template)

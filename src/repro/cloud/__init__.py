@@ -17,5 +17,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "repro.cloud.instances": "INSTANCE_TYPES DiskProfile InstanceType "
                              "get_instance_type",
     "repro.cloud.node": "SimNode",
-    "repro.cloud.pricing": "BillingModel cluster_cost price_per_workflow",
+    "repro.cloud.pricing": "BillingModel cluster_cost",
 })

@@ -66,13 +66,13 @@ class ClusterSpec:
             raise ValueError(
                 f"unknown filesystem {self.filesystem!r}; choose from {FS_KINDS}"
             )
+        if self.filesystem == "local" and self.n_nodes != 1:
+            raise ValueError(
+                f"'local' filesystem requires a single node, got {self.n_nodes}"
+            )
         if not self.name:
             label = "mixed" if self.node_types else self.instance_type
             object.__setattr__(self, "name", f"{label} x{self.n_nodes}")
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return not self.node_types or len(set(self.node_types)) == 1
 
     @property
     def itype(self) -> InstanceType:
@@ -114,8 +114,6 @@ class SimCluster:
             SimNode(sim, i, itype) for i, itype in enumerate(spec.node_itypes())
         ]
         if spec.filesystem == "local":
-            if spec.n_nodes != 1:
-                raise ValueError("'local' filesystem requires a single node")
             self.fs = SharedFileSystem(sim, self.nodes, name="local")
         elif spec.filesystem == "nfs-central":
             self.fs = make_central_nfs(sim, self.nodes)
@@ -123,10 +121,6 @@ class SimCluster:
             self.fs = make_nton_nfs(sim, self.nodes)
         else:
             self.fs = make_moosefs(sim, self.nodes)
-
-    @property
-    def total_cores(self) -> int:
-        return sum(node.cores.capacity for node in self.nodes)
 
     def __repr__(self) -> str:
         return f"SimCluster({self.spec.name}, fs={self.fs.name})"

@@ -22,7 +22,6 @@ __all__ = [
     "billed_hours",
     "spot_billed_hours",
     "cluster_cost",
-    "price_per_workflow",
 ]
 
 
@@ -87,16 +86,3 @@ def cluster_cost(
     if n_nodes < 0:
         raise ValueError(f"n_nodes must be >= 0, got {n_nodes}")
     return n_nodes * instance_type.price_per_hour * billed_hours(seconds, model)
-
-
-def price_per_workflow(
-    instance_type: InstanceType,
-    n_nodes: int,
-    seconds: float,
-    n_workflows: int,
-    model: BillingModel = BillingModel.PER_HOUR,
-) -> float:
-    """Average USD cost of one workflow in an ensemble run (Fig 11c)."""
-    if n_workflows < 1:
-        raise ValueError(f"n_workflows must be >= 1, got {n_workflows}")
-    return cluster_cost(instance_type, n_nodes, seconds, model) / n_workflows

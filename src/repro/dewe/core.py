@@ -39,7 +39,7 @@ import repro.analysis.sanitizer as _sanitizer
 from repro.dewe.state import JobStatus, StateSnapshot, WorkflowState
 from repro.faults.retry import DeadLetterEntry, RetryPolicy
 from repro.liveness import LeaseConfig, ServiceAdmissionPolicy
-from repro.mq.priority import RepriorityPolicy, base_band, rank_for_sla
+from repro.mq.priority import RepriorityPolicy, base_band
 from repro.storage.integrity import FileIntegrity
 from repro.workflow.dag import Workflow
 
@@ -162,10 +162,11 @@ class MasterCore:
         self.publish(state, job_id, attempt, priority)
 
     def _band(self, state: WorkflowState) -> float:
-        """The member's SLA priority band (0.0 for untagged work)."""
+        """The member's SLA priority band (0.0 for untagged work: only
+        the service front end tags members)."""
         if self.service is not None:
             return base_band(self.service.rank_of(state.name))
-        return base_band(rank_for_sla(state.sla))
+        return 0.0
 
     def rerank(self, state: WorkflowState, now: float) -> None:
         """Re-score the member's still-queued dispatches broker-side.

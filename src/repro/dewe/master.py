@@ -36,7 +36,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 import repro.analysis.concurrency.recorder as _conc
-import repro.analysis.sanitizer as _sanitizer
 from repro.analysis.concurrency import shims as _shims
 from repro.dewe.config import DeweConfig
 from repro.dewe.core import COMPLETED, FAILED, RUNNING, Admission, MasterCore
@@ -44,7 +43,6 @@ from repro.dewe.state import WorkflowState
 from repro.faults.retry import DeadLetterEntry, RetryPolicy
 from repro.liveness import LeaseTable, new_liveness_stats
 from repro.mq.broker import Broker
-from repro.mq.priority import RepriorityPolicy
 from repro.mq.messages import (
     TOPIC_ACK,
     TOPIC_DISPATCH,
@@ -87,7 +85,6 @@ class MasterDaemon:
         "_delayed": "_state_lock",
         "_delayed_seq": "_state_lock",
         "_core": "_state_lock",
-        "_last_sweep": "_state_lock",
         "liveness": "_state_lock",
         "shed_submissions": "_state_lock",
         "_events": "_events_lock",
@@ -98,13 +95,10 @@ class MasterDaemon:
         broker: Broker,
         config: Optional[DeweConfig] = None,
         retry: Optional[RetryPolicy] = None,
-        repriority: Optional[RepriorityPolicy] = None,
     ):
         self.broker = broker
         self.config = config or DeweConfig()
         self.retry = retry or RetryPolicy()
-        #: Wall-clock time of the last aging sweep (``_check_timeouts``).
-        self._last_sweep = time.monotonic()
         #: Rejected submissions: name -> reason (duplicate, invalid DAG...).
         self.rejected: Dict[str, str] = {}
         self.makespans: Dict[str, float] = {}
@@ -142,10 +136,10 @@ class MasterDaemon:
             self.config.default_timeout,
             self.retry,
             publish=self._publish,
-            reprioritize=self._reprioritize,
+            # No repriority policy here, so the core never reranks.
+            reprioritize=None,
             call_later=self._call_later,
             on_settled=self._settled,
-            repriority=repriority,
             liveness=self.config.liveness,
         )
         #: The core's state table (same dict object, same lock).
@@ -241,7 +235,6 @@ class MasterDaemon:
                 },
                 makespans=dict(self.makespans),
                 rejected=dict(self.rejected),
-                repriority=self._core.repriority,
             )
 
     @classmethod
@@ -259,13 +252,10 @@ class MasterDaemon:
         checkpoint is re-dispatched through the retry policy with a
         fresh attempt number (:meth:`MasterCore.restore`): the old
         delivery may still be held by a worker, and at-least-once
-        idempotency absorbs whichever ack loses the race.  The master
-        keeps the checkpointed ``repriority`` policy.  The caller still
-        has to :meth:`start` the daemon.
+        idempotency absorbs whichever ack loses the race.  The caller
+        still has to :meth:`start` the daemon.
         """
-        master = cls(
-            broker, config=config, retry=retry, repriority=checkpoint.repriority
-        )
+        master = cls(broker, config=config, retry=retry)
         now = time.monotonic()
         for name in checkpoint.states:
             master._submit_times[name] = now - checkpoint.elapsed.get(name, 0.0)
@@ -300,13 +290,6 @@ class MasterDaemon:
             ),
             priority=priority,
         )
-
-    def _reprioritize(self, name: str, job_id: str, priority: float) -> None:
-        """Retag one still-queued dispatch broker-side.
-
-        Requires: ``_state_lock``
-        """
-        self.broker.reprioritize(TOPIC_DISPATCH, name, job_id, priority)
 
     def _call_later(self, delay: float, fn) -> None:
         """Queue a backed-off redispatch; :meth:`_check_timeouts` fires it.
@@ -376,28 +359,21 @@ class MasterDaemon:
             # Renew-on-contact: any ack from a live worker renews its
             # lease, and contact from a fenced or unknown worker
             # re-admits it under a fresh epoch *before* the ack is
-            # applied.  Exactly-once settlement is carried by attempt
-            # staleness — fencing bumped the attempt of everything the
-            # worker held — so no settlement is ever applied from a
-            # still-fenced lease (the sanitizer hook below verifies it).
+            # applied, so no settlement is ever applied from a
+            # still-fenced lease.  Exactly-once settlement is carried by
+            # attempt staleness — fencing bumped the attempt of
+            # everything the worker held.
             self._lease.observe(worker, now)
         if ack.workflow_name not in self.states:
             self.dropped_acks += 1
             return  # ack for an unknown workflow: drop (but count)
-        if worker is not None and ack.kind is AckKind.COMPLETED:
-            san = _sanitizer._ACTIVE
-            if san is not None:
-                san.check_lease_fencing(
-                    ack.workflow_name, ack.job_id, worker,
-                    stale=self._lease.is_fenced(worker),
-                )
         self._core.on_ack(
             _ACK_KINDS[ack.kind], ack.workflow_name, ack.job_id,
             ack.attempt, worker, now,
         )
 
     def _check_timeouts(self) -> None:
-        """Sweep deadlines, the backoff queue, leases and queue ages.
+        """Sweep deadlines, the backoff queue and leases.
 
         Requires: ``_state_lock``
         """
@@ -417,14 +393,6 @@ class MasterDaemon:
                 self._trace("write", "master.fence_worker")
                 self._lease.fence(worker, now)
                 core.fence(worker, now)
-        policy = core.repriority
-        if (
-            policy is not None
-            and policy.interval > 0
-            and now - self._last_sweep >= policy.interval
-        ):
-            self._last_sweep = now
-            core.sweep_priorities(now)
 
     def _reject(self, workflow_name: str, exc: Exception) -> None:
         """Record a rejected submission.

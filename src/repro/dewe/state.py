@@ -80,16 +80,13 @@ _STATUS_BY_CODE: Tuple[JobStatus, ...] = (
     JobStatus.COMPLETED,
     JobStatus.DEAD,
 )
-_CODE_BY_STATUS: Dict[JobStatus, int] = {
-    status: code for code, status in enumerate(_STATUS_BY_CODE)
-}
 _VALUE_BY_CODE: Tuple[str, ...] = tuple(s.value for s in _STATUS_BY_CODE)
 
 
 class _ArenaView(Mapping):
     """Mapping-shaped view of one per-member arena array (job id -> cell).
 
-    Only the four primitives live here; ``get`` / ``keys`` / ``values`` /
+    Only the three primitives live here; ``get`` / ``keys`` / ``values`` /
     ``items`` / ``__contains__`` / ``__eq__`` are the
     :class:`collections.abc.Mapping` mixins.  No view call is on a
     per-job path — the state machine itself indexes the arrays directly.
@@ -104,9 +101,6 @@ class _ArenaView(Mapping):
 
     def __getitem__(self, job_id: str):
         return self._arr[self._index_of[job_id]]
-
-    def __setitem__(self, job_id: str, value) -> None:
-        self._arr[self._index_of[job_id]] = value
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._job_ids)
@@ -125,33 +119,6 @@ class _StatusView(_ArenaView):
 
     def __getitem__(self, job_id: str) -> JobStatus:
         return _STATUS_BY_CODE[self._arr[self._index_of[job_id]]]
-
-    def __setitem__(self, job_id: str, status: JobStatus) -> None:
-        self._arr[self._index_of[job_id]] = _CODE_BY_STATUS[status]
-
-
-class _AttemptView(_ArenaView):
-    """The attempt array, sparse: a cell per job, 0 meaning "never queued".
-
-    The dict era only held entries for jobs that had been queued at least
-    once.  Iteration, ``len`` and ``in`` therefore skip zeros, so
-    ``dict(state.attempt)`` and the snapshot/journal digests keep their
-    historical shape, while ``attempt[job_id]`` returns 0 instead of
-    raising for untouched jobs (every call site already used
-    ``.get(job_id, 0)`` for that case).
-    """
-
-    __slots__ = ()
-
-    def __contains__(self, job_id: object) -> bool:
-        i = self._index_of.get(job_id)
-        return i is not None and self._arr[i] != 0
-
-    def __iter__(self) -> Iterator[str]:
-        return (job_id for job_id, a in zip(self._job_ids, self._arr) if a)
-
-    def __len__(self) -> int:
-        return len(self._arr) - self._arr.count(0)
 
 
 class WorkflowState:
@@ -220,7 +187,7 @@ class WorkflowState:
         self._attempt_arr = array("I", bytes(4 * arena.n))
         self.status = _StatusView(self._status_arr, arena)
         self.pending = _ArenaView(self._pending_arr, arena)
-        self.attempt = _AttemptView(self._attempt_arr, arena)
+        self.attempt = _ArenaView(self._attempt_arr, arena)
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_cow_isolation(self, skeleton)
@@ -253,11 +220,6 @@ class WorkflowState:
                 attempt_arr[i] = 1
                 ready.append(job_ids[i])
         return ready
-
-    def exhausted(self, job_id: str) -> bool:
-        """Attempt budget check: the job's own ``max_attempts`` override
-        when set (0 = unlimited), else the shared retry policy."""
-        return self._exhausted_at(self._arena.index_of[job_id])
 
     def _exhausted_at(self, i: int) -> bool:
         limit = self._arena.max_attempts[i]
@@ -652,10 +614,6 @@ class WorkflowState:
         return self._n_completed
 
     @property
-    def n_dead(self) -> int:
-        return self._n_dead
-
-    @property
     def is_complete(self) -> bool:
         """Every job completed (no dead letters)."""
         return self._n_completed == self._arena.n
@@ -669,9 +627,6 @@ class WorkflowState:
         *settle* so the rest of the ensemble can be accounted for.
         """
         return self._n_completed + self._n_dead == self._arena.n
-
-    def dead_jobs(self) -> List[str]:
-        return [e.job_id for e in self.dead_letters]
 
     def current_attempt(self, job_id: str) -> int:
         return self._attempt_arr[self._arena.index_of[job_id]]

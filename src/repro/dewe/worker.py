@@ -24,7 +24,7 @@ observers :meth:`wait_progress` instead of polling the counters.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from typing import Optional
 
 import repro.analysis.concurrency.recorder as _conc
 from repro.analysis.concurrency import shims as _shims
@@ -134,19 +134,7 @@ class WorkerDaemon:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    @property
-    def active_jobs(self) -> int:
-        with self._active_lock:
-            return self._active
-
     # -- progress observation ----------------------------------------------
-    @property
-    def progress(self) -> Tuple[int, int, int]:
-        """(started, completed, failed) under the progress condition."""
-        with self._progress:
-            self._trace("read", "worker.progress_read")
-            return (self.jobs_started, self.jobs_completed, self.jobs_failed)
-
     def wait_progress(
         self, seen: int, timeout: Optional[float] = None
     ) -> int:

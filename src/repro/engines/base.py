@@ -72,10 +72,6 @@ class JobRecord:
     #: (scheduling-cycle wait, dispatch overhead...).
     overhead_time: float = 0.0
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class EngineResult:
@@ -279,7 +275,7 @@ def _read_with_miss(node, fs, job, miss: float):
 def _reraise(proc: Process) -> None:
     # Exit callback of a process nothing waits on (``PullRun.spawn``).
     if not proc.ok:
-        raise proc.value
+        raise proc._value
 
 
 def release(sim: Simulator, cluster: SimCluster) -> None:

@@ -457,7 +457,7 @@ class PullRun:
             # What the failed-over primary admitted or shed stays decided.
             decided.update(self.core.states)
             if service is not None:
-                decided |= service.shed_names
+                decided.update(record.workflow for record in service.sheds)
         try:
             for submit_time, wf in self.members:
                 if wf.name in decided:
@@ -912,7 +912,10 @@ class PullRun:
         snaps = (
             journal.checkpoint.snapshots if journal.checkpoint is not None else {}
         )
-        shed = service.shed_names if service is not None else ()
+        shed = (
+            {record.workflow for record in service.sheds}
+            if service is not None else ()
+        )
         readmit = []
         for submit_time, wf in self.members:
             if submit_time <= now and wf.name not in snaps and wf.name not in shed:

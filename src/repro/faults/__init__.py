@@ -34,5 +34,5 @@ __getattr__, __all__ = lazy_exports(__name__, {
                            "PartitionHazard PartitionWindow SpotHazard "
                            "SpotTerminationModel StragglerHazard StragglerModel "
                            "TransientFaultModel",
-    "repro.faults.retry": "DeadLetterEntry DeadLetterQueue RetryPolicy",
+    "repro.faults.retry": "DeadLetterEntry RetryPolicy",
 })

@@ -75,8 +75,6 @@ class FaultSchedule:
         else:
             run.start_worker(action.node)
 
-    def __len__(self) -> int:
-        return len(self.actions)
 
 
 def kill_restart_cycle(

@@ -67,8 +67,9 @@ class FaultEvent:
 class FaultTrace:
     """Ordered record of every injected fault and recovery action.
 
-    The rendered form (:meth:`text`) is the determinism contract: two
-    runs of the same seeded scenario must produce byte-identical traces.
+    The rendered form (each event's :meth:`FaultEvent.line`) is the
+    determinism contract: two runs of the same seeded scenario must
+    produce byte-identical traces.
     """
 
     def __init__(self) -> None:
@@ -86,12 +87,6 @@ class FaultTrace:
 
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self.events)
-
-    def lines(self) -> List[str]:
-        return [event.line() for event in self.events]
-
-    def text(self) -> str:
-        return "\n".join(self.lines())
 
 
 def check_node(run, node: int, what: str) -> None:

@@ -28,10 +28,9 @@ running acks only.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "DeadLetterEntry", "DeadLetterQueue"]
+__all__ = ["RetryPolicy", "DeadLetterEntry"]
 
 
 @dataclass(frozen=True)
@@ -131,43 +130,3 @@ class DeadLetterEntry:
     time: float
     tenant: str = ""
     sla: str = ""
-
-    def __str__(self) -> str:
-        who = f" [{self.tenant}/{self.sla}]" if self.tenant else ""
-        return (
-            f"{self.workflow}/{self.job_id}{who}: {self.reason} after "
-            f"{self.attempts} attempt(s) at t={self.time:g}"
-        )
-
-
-@dataclass
-class DeadLetterQueue:
-    """Run-level aggregation of dead-lettered jobs across workflows."""
-
-    entries: List[DeadLetterEntry] = field(default_factory=list)
-
-    def add(self, entry: DeadLetterEntry) -> None:
-        self.entries.append(entry)
-
-    def extend(self, entries) -> None:
-        self.entries.extend(entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[DeadLetterEntry]:
-        return iter(self.entries)
-
-    def jobs(self) -> List[Tuple[str, str]]:
-        """``(workflow, job_id)`` pairs, in dead-letter order."""
-        return [(e.workflow, e.job_id) for e in self.entries]
-
-    def by_workflow(self) -> Dict[str, List[DeadLetterEntry]]:
-        out: Dict[str, List[DeadLetterEntry]] = {}
-        for entry in self.entries:
-            out.setdefault(entry.workflow, []).append(entry)
-        return out
-
-    def poisoned(self) -> List[DeadLetterEntry]:
-        """Entries that exhausted a budget themselves (not cascade)."""
-        return [e for e in self.entries if e.reason != "upstream-dead"]

@@ -33,9 +33,8 @@ def new_liveness_stats() -> Dict[str, int]:
     """A zeroed counter dict shared by a run's successive lease tables.
 
     The service-plane counters (``quota_sheds`` … ``shed_best_effort``)
-    are part of the same stable schema so
-    :func:`repro.monitor.metrics.robustness_metrics` reports zeros —
-    not missing keys — for runs without the multi-tenant front end.
+    are part of the same stable schema, so a run without the
+    multi-tenant front end reports zeros, not missing keys.
     """
     return {
         "heartbeat_misses": 0,
@@ -148,20 +147,10 @@ class LeaseTable:
         """True iff ``epoch`` is ``worker``'s current, unfenced lease."""
         return self._epoch.get(worker) == epoch and not self._fenced[worker]
 
-    def is_fenced(self, worker: Hashable) -> bool:
-        return self._fenced.get(worker, False)
-
-    def current_epoch(self, worker: Hashable) -> int:
-        """The worker's current epoch, or 0 if it never held a lease."""
-        return self._epoch.get(worker, 0)
-
     @property
     def max_epoch(self) -> int:
         """Highest epoch ever issued (the fencing floor for a successor)."""
         return self._max_epoch
-
-    def workers(self) -> List[Hashable]:
-        return sorted(self._epoch)
 
     # -- expiry ----------------------------------------------------------
     def expire(self, now: float) -> List[Hashable]:

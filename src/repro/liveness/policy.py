@@ -120,13 +120,6 @@ class TokenBucket:
             return True
         return False
 
-    def time_until(self, n: float = 1.0) -> float:
-        """Seconds (from the last refill) until ``n`` tokens exist —
-        the deterministic retry-after hint for a quota shed."""
-        if self.tokens >= n:
-            return 0.0
-        return (n - self.tokens) / self.rate
-
 
 class BrownoutController:
     """Level ladder driven by *sustained* backlog overshoot.
@@ -343,9 +336,10 @@ class ServiceAdmissionPolicy:
         # 1. quota: the tenant's own submission budget.
         bucket = account.bucket
         if bucket is not None and not bucket.try_take(now):
+            # Retry after: seconds until the empty bucket holds a token.
             return self._shed(
                 now, workflow_name, tenant, sla, "quota",
-                bucket.time_until(), "quota_sheds",
+                (1.0 - bucket.tokens) / bucket.rate, "quota_sheds",
             )
         # 2. fair share: bound the tenant's slice of outstanding work.
         total = self.total_outstanding
@@ -406,11 +400,6 @@ class ServiceAdmissionPolicy:
         self.total_outstanding = max(0, self.total_outstanding - n_jobs)
 
     # -- inspection ---------------------------------------------------------
-    @property
-    def shed_names(self) -> set:
-        """Names of every workflow the ladder shed (never admitted)."""
-        return {record.workflow for record in self.sheds}
-
     def tenant_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tenant admitted/shed/outstanding counters, sorted."""
         return {

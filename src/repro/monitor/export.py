@@ -5,8 +5,7 @@
   can be inspected in ``chrome://tracing`` exactly like the paper's Fig 2
   visualisation;
 * :func:`metrics_to_csv` — mpstat/iostat-style series as CSV for
-  spreadsheet or matplotlib post-processing;
-* :func:`ascii_gantt` — a quick terminal rendering of the slot timeline.
+  spreadsheet or matplotlib post-processing.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.engines.base import EngineResult
 from repro.monitor.metrics import NodeMetrics
 from repro.monitor.timeline import slot_timeline
 
-__all__ = ["to_chrome_trace", "metrics_to_csv", "ascii_gantt"]
+__all__ = ["to_chrome_trace", "metrics_to_csv"]
 
 _PathLike = Union[str, Path]
 
@@ -131,31 +130,3 @@ def metrics_to_csv(metrics: NodeMetrics, path: Optional[_PathLike] = None) -> st
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-def ascii_gantt(result: EngineResult, width: int = 78, max_slots: int = 16) -> str:
-    """Terminal rendering of the per-slot timeline (Fig 2 at a glance).
-
-    Each row is one vCPU slot; ``#`` marks busy time.  Rows beyond
-    ``max_slots`` per node are elided.
-    """
-    segments = slot_timeline(result)
-    if not segments:
-        return "(empty timeline)"
-    t_end = max(seg.end for seg in segments)
-    scale = (width - 20) / t_end if t_end > 0 else 1.0
-    lines = [f"0{' ' * (width - 22)}{t_end:,.0f}s"]
-    by_lane: dict = {}
-    for seg in segments:
-        by_lane.setdefault((seg.node, seg.slot), []).append(seg)
-    for (node, slot), segs in sorted(by_lane.items()):
-        if slot >= max_slots:
-            continue
-        row = [" "] * (width - 20)
-        for seg in segs:
-            lo = int(seg.start * scale)
-            hi = max(lo + 1, int(seg.end * scale))
-            for i in range(lo, min(hi, len(row))):
-                row[i] = "#"
-        lines.append(f"n{node:02d}.s{slot:02d} |" + "".join(row))
-    return "\n".join(lines)

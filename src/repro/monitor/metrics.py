@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
 from repro.engines.base import EngineResult
-from repro.liveness import new_liveness_stats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -20,8 +19,6 @@ if TYPE_CHECKING:
 __all__ = [
     "NodeMetrics",
     "node_metrics",
-    "cluster_metrics",
-    "robustness_metrics",
     "percentile",
 ]
 
@@ -102,38 +99,3 @@ def percentile(values, q: float) -> float:
     ordered.sort()
     rank = math.ceil(q * len(ordered))
     return float(ordered[max(0, min(len(ordered) - 1, rank - 1))])
-
-
-def robustness_metrics(result: EngineResult) -> Dict[str, int]:
-    """Control-plane robustness counters of one run.
-
-    Always returns the full counter set (zeros when the liveness plane
-    was off) so dashboards get a stable schema: heartbeat misses, lease
-    fencings/regrants, stale-epoch acks, shed submissions, failovers,
-    partitions, and the final dead-letter queue depth.
-    """
-    stats = new_liveness_stats()
-    stats["dead_letter_depth"] = len(result.dead_letters)
-    # Constant, kept for the quick-soak digest (see PullRun._result).
-    stats["shed_record_drops"] = 0
-    stats.update(getattr(result, "liveness_stats", None) or {})
-    return stats
-
-
-def cluster_metrics(
-    result: EngineResult,
-    dt: float = SAMPLE_INTERVAL,
-    t_end: float | None = None,
-) -> NodeMetrics:
-    """Cluster aggregate: mean CPU utilisation, summed disk throughput."""
-    per_node = [
-        node_metrics(result, i, dt, t_end) for i in range(len(result.cluster.nodes))
-    ]
-    n = len(per_node)
-    return NodeMetrics(
-        times=per_node[0].times,
-        cpu_util=sum(m.cpu_util for m in per_node) / n,
-        disk_write=sum(m.disk_write for m in per_node),
-        disk_read=sum(m.disk_read for m in per_node),
-        threads=sum(m.threads for m in per_node),
-    )

@@ -32,6 +32,6 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "repro.mq.messages": "TOPIC_ACK TOPIC_DISPATCH TOPIC_HEARTBEAT TOPIC_SUBMIT "
                          "AckKind JobAck JobDispatch WorkerHeartbeat "
                          "WorkflowSubmission",
-    "repro.mq.priority": "PRIORITY_BAND RepriorityPolicy base_band rank_for_sla",
+    "repro.mq.priority": "PRIORITY_BAND RepriorityPolicy base_band",
     "repro.mq.simbroker": "SimBroker",
 })

@@ -31,7 +31,6 @@ from typing import Optional
 __all__ = [
     "PRIORITY_BAND",
     "base_band",
-    "rank_for_sla",
     "RepriorityPolicy",
 ]
 
@@ -53,18 +52,6 @@ def base_band(rank: Optional[int]) -> float:
     if rank is None:
         return 0.0
     return (_MAX_RANK - min(rank, _MAX_RANK)) * PRIORITY_BAND
-
-
-def rank_for_sla(sla: str) -> Optional[int]:
-    """Sheddability rank of an SLA class name, ``None`` when unknown."""
-    if not sla:
-        return None
-    from repro.liveness.policy import DEFAULT_CLASSES
-
-    for cls in DEFAULT_CLASSES:
-        if cls.name == sla:
-            return cls.rank
-    return None
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ def workflow_bounds(workflow: Workflow, spec: ClusterSpec) -> MakespanBounds:
     cp, _path = critical_path(workflow)
     return MakespanBounds(
         critical_path=cp / best_speed,
-        work_bound=workflow.total_runtime() / effective_cores,
+        work_bound=sum(job.runtime for job in workflow) / effective_cores,
     )
 
 
@@ -60,7 +60,7 @@ def ensemble_lower_bound(ensemble: Ensemble, spec: ClusterSpec) -> float:
     total_work = 0.0
     cp_bound = 0.0
     for submit_time, wf in ensemble:
-        total_work += wf.total_runtime()
+        total_work += sum(job.runtime for job in wf)
         cp, _ = critical_path(wf)
         cp_bound = max(cp_bound, submit_time + cp / best_speed)
     return max(cp_bound, total_work / effective_cores)
@@ -80,7 +80,7 @@ def check_plan_feasible(
     if deadline <= 0:
         raise ValueError(f"deadline must be positive, got {deadline}")
     bounds = workflow_bounds(workflow, spec)
-    total_work_time = workflows * workflow.total_runtime() / sum(
+    total_work_time = workflows * sum(job.runtime for job in workflow) / sum(
         t.vcpus * t.cpu_speed for t in spec.node_itypes()
     )
     return max(bounds.critical_path, total_work_time) <= deadline

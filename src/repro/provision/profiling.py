@@ -43,11 +43,6 @@ class SingleNodeProfile:
     workflow_counts: List[int]
     execution_times: List[float]
 
-    def index_at(self, i: int) -> float:
-        return node_performance_index(
-            self.workflow_counts[i], 1, self.execution_times[i]
-        )
-
 
 @dataclass
 class MultiNodeProfile:

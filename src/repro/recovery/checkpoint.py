@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.concurrency import shims as _shims
-from repro.dewe.state import _COMPLETED, StateSnapshot
+from repro.dewe.state import StateSnapshot
 from repro.workflow.dag import Workflow
 
 __all__ = ["MasterCheckpoint", "MasterCrashModel"]
@@ -35,9 +35,7 @@ class MasterCheckpoint:
     ``states`` maps workflow name to ``(workflow, snapshot)`` — the DAG
     itself plus the immutable :class:`~repro.dewe.state.StateSnapshot`;
     ``elapsed`` is each workflow's age (seconds since submission) at the
-    checkpoint, so the restored master's makespans stay meaningful;
-    ``repriority`` is the checkpointed master's live-reprioritization
-    policy, so a restart keeps publishing banded priorities.
+    checkpoint, so the restored master's makespans stay meaningful.
     """
 
     states: Dict[str, Tuple[Workflow, StateSnapshot]] = field(
@@ -46,23 +44,6 @@ class MasterCheckpoint:
     elapsed: Dict[str, float] = field(default_factory=dict)
     makespans: Dict[str, float] = field(default_factory=dict)
     rejected: Dict[str, str] = field(default_factory=dict)
-    repriority: Optional[Any] = None
-
-    @property
-    def n_workflows(self) -> int:
-        return len(self.states)
-
-    def completed_jobs(self) -> Dict[str, List[str]]:
-        """Per workflow, the jobs already completed at the checkpoint —
-        the work a restart must *not* redo."""
-        return {
-            name: sorted(
-                job_id
-                for job_id, code in zip(snapshot.job_ids, snapshot.status)
-                if code == _COMPLETED
-            )
-            for name, (_wf, snapshot) in self.states.items()
-        }
 
 
 class MasterCrashModel:

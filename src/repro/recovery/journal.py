@@ -71,8 +71,6 @@ class JournalRecord(NamedTuple):
     retry-after hint, so a post-mortem can reconstruct who lost what,
     why, and what backoff the client was told);
     ``time`` is the master's clock (simulated seconds in the DES).
-    :meth:`line` is the canonical byte representation the golden digests
-    hash.
     """
 
     seq: int
@@ -83,18 +81,8 @@ class JournalRecord(NamedTuple):
     attempt: int = 0
     detail: str = ""
 
-    def line(self) -> str:
-        return (
-            f"{self.seq:08d} t={self.time:.9f} {self.kind} "
-            f"{self.workflow}/{self.job_id}#{self.attempt} {self.detail}"
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         return self._asdict()
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JournalRecord":
-        return cls(**data)
 
 
 def _as_dict(snapshot) -> Dict[str, Any]:
@@ -200,18 +188,6 @@ class Journal:
         #: nowhere), counted in ``fenced_appends``.
         self.epoch = 0
         self.fenced_appends = 0
-
-    # -- inspection --------------------------------------------------------
-    @property
-    def n_records(self) -> int:
-        """Records currently held (the tail since the last checkpoint)."""
-        return len(self.records)
-
-    def lines(self) -> List[str]:
-        return [record.line() for record in self.records]
-
-    def text(self) -> str:
-        return "\n".join(self.lines())
 
     # -- appending ---------------------------------------------------------
     def append(

@@ -11,7 +11,6 @@ paper's Amazon EC2 testbed (see DESIGN.md §1).
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     JoinEvent,
@@ -30,7 +29,6 @@ from repro.sim.resources import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CorePool",
     "Event",
     "FairShareLink",

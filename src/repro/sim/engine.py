@@ -23,7 +23,8 @@ Hot-path design (docs/PERFORMANCE.md):
 * :class:`Call` is a closure-free deferred function call: ``(func, args)``
   are stored on the event itself and dispatched without allocating a
   lambda (one object per call instead of three).
-* Abandoned timeouts are cancelled *lazily* (:meth:`Event.cancel`): the
+* A withdrawn wake-up is cancelled *lazily*: a link's ``_Wake``
+  (``sim/resources.py``) is cleared with ``callbacks = None``, so its
   agenda entry stays where it is and is skipped for free when popped,
   instead of paying an O(n) heap removal.
 * The sanitizer-active check is cached on the simulator (``_san``) and
@@ -52,7 +53,6 @@ __all__ = [
     "Call",
     "Process",
     "AllOf",
-    "AnyOf",
     "Simulator",
 ]
 
@@ -106,12 +106,6 @@ class Event:
         """True if the event succeeded (only meaningful once processed)."""
         return self._state == _SUCCEEDED
 
-    @property
-    def value(self) -> Any:
-        if self._state == _PENDING:
-            raise SimulationError("event value is not yet available")
-        return self._value
-
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully; callbacks run at the current time."""
@@ -136,21 +130,6 @@ class Event:
         sim._seq += 1
         sim._imm.append((sim._seq, self))
         return self
-
-    def cancel(self) -> bool:
-        """Lazily cancel a triggered-but-unprocessed event.
-
-        The agenda entry is *not* removed (that would be O(n) on a heap);
-        the callback list is emptied instead, so the dispatch loop skips
-        the event for free when it surfaces.  Returns False if the event
-        was already processed.  Only sensible for events nothing waits on
-        (abandoned timeouts, withdrawn deferred calls).
-        """
-        callbacks = self.callbacks
-        if callbacks is None:
-            return False
-        del callbacks[:]
-        return True
 
     #: Completion protocol of resources that finish many streams into one
     #: waiter: a plain event succeeds, a :class:`JoinEvent` counts down,
@@ -221,7 +200,7 @@ class Call(Timeout):
 
     The event dispatches itself: it sits in its own callback list, and
     calling it invokes the stored function.  ``Simulator.schedule_call``
-    returns these; cancelling one (:meth:`Event.cancel`) drops the call.
+    returns these.
     """
 
     __slots__ = ("func", "args")
@@ -352,8 +331,8 @@ class Process(Event):
             return
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every component event has fired; value is their values."""
 
     __slots__ = ("_events", "_pending")
 
@@ -367,47 +346,7 @@ class _Condition(Event):
             else:
                 self._pending += 1
                 ev.callbacks.append(self._check)
-        if self._state == _PENDING:
-            self._finalize_empty()
-        if self._state != _PENDING:
-            # Triggered during registration (a component was already
-            # processed): drop the remaining registrations right away so
-            # losers don't keep dead callbacks alive.
-            self._detach_losers(None)
-
-    def _finalize_empty(self) -> None:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _detach_losers(self, winner: Optional[Event]) -> None:
-        """Remove our callback from every still-pending component.
-
-        Without this, a long-lived loser (an idle pull-loop consume, a
-        never-firing fault event) accumulates one dead callback per
-        composite it ever appeared in — memory growth plus dead dispatch
-        work in long chaos runs.
-        """
-        check = self._check
-        for ev in self._events:
-            if ev is winner:
-                continue
-            callbacks = ev.callbacks
-            if callbacks:
-                try:
-                    callbacks.remove(check)
-                except ValueError:
-                    pass
-
-
-class AllOf(_Condition):
-    """Fires when every component event has fired; value is their values."""
-
-    __slots__ = ()
-
-    def _finalize_empty(self) -> None:
-        if self._pending == 0:
+        if self._state == _PENDING and self._pending == 0:
             self.succeed([ev._value for ev in self._events])
 
     def _check(self, event: Event) -> None:
@@ -415,38 +354,10 @@ class AllOf(_Condition):
             return
         if event._state == _FAILED:
             self.fail(event._value)
-            self._detach_losers(event)
             return
         self._pending -= 1
         if self._pending <= 0:
             self.succeed([ev._value for ev in self._events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first component event fires; value is that value."""
-
-    __slots__ = ()
-
-    def _finalize_empty(self) -> None:
-        if not self._events:
-            self.succeed([])
-        elif any(ev.callbacks is None for ev in self._events):
-            first = next(ev for ev in self._events if ev.callbacks is None)
-            if first._state == _FAILED:
-                self.fail(first._value)
-            else:
-                self.succeed(first._value)
-
-    def _check(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if event._state == _FAILED:
-            self.fail(event._value)
-        else:
-            self.succeed(event._value)
-        # First event wins: unsubscribe from the losers so they don't
-        # dispatch into (or keep alive) an already-decided condition.
-        self._detach_losers(event)
 
 
 class Simulator:
@@ -498,8 +409,9 @@ class Simulator:
         """Run ``func(*args)`` after ``delay``; returns the trigger event.
 
         ``func`` and ``args`` are stored on the returned :class:`Call`
-        directly — no closure is allocated, and the call can be withdrawn
-        with :meth:`Event.cancel`.
+        directly — no closure is allocated.  Nothing withdraws a call
+        once scheduled; the one cancelled agenda entry is a link's
+        ``_Wake``, cleared with ``callbacks = None``.
         """
         return Call(self, delay, func, args)
 
@@ -515,9 +427,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- execution -------------------------------------------------------
     def _drain(

@@ -136,12 +136,6 @@ class SegmentLog:
             raise ValueError(f"time went backwards or is not finite: {t} < {last}")
 
     @property
-    def values(self) -> array:
-        """The value column, decoded: a fresh ``array('d')`` for tests
-        and post-run readers, never read per event."""
-        return array("d", map(self.levels.__getitem__, self.codes))
-
-    @property
     def current(self) -> float:
         return self.levels[self.codes[-1]]
 
@@ -337,10 +331,6 @@ class FairShareLink:
         # Every wake-up's callbacks: one tuple of one bound method, built once.
         self._wake_cb = (self._wake,)
         self.bytes_total = 0.0
-
-    @property
-    def active(self) -> int:
-        return self._n
 
     def close(self) -> None:
         """Drop the wake-up and its callback tuple once the run is over:
@@ -698,9 +688,6 @@ class _PriorityEntry:
             return self.neg_priority < other.neg_priority
         return self.seq < other.seq
 
-    def key(self) -> Tuple[float, int]:
-        return (self.neg_priority, self.seq)
-
 
 class PriorityStore:
     """Priority hand-off queue with a deterministic FIFO tie-break.
@@ -831,15 +818,6 @@ class PriorityStore:
             return fifo.popleft() if fifo else None
         entry = self._pop_entry()
         return None if entry is None else entry.item
-
-    def peek_all(self) -> List[Any]:
-        """The queued items in consumption order, without removing them."""
-        if self._plain:
-            return list(self._fifo)
-        live = [e for e in self._fifo if e.alive]
-        live.extend(e for e in self._heap if e.alive)
-        live.sort(key=_PriorityEntry.key)
-        return [entry.item for entry in live]
 
     def reprioritize(self, selector, priority: float) -> int:
         """Retag every queued entry for which ``selector(item)`` is

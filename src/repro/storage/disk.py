@@ -25,11 +25,3 @@ class DiskArray:
     def __init__(self, sim: Simulator, profile: DiskProfile, name: str = "disk"):
         self.read = FairShareLink(sim, profile.rand_read, name=f"{name}.read")
         self.write = FairShareLink(sim, profile.seq_write, name=f"{name}.write")
-
-    @property
-    def read_bytes_total(self) -> float:
-        return self.read.bytes_total
-
-    @property
-    def write_bytes_total(self) -> float:
-        return self.write.bytes_total

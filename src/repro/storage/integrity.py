@@ -156,7 +156,3 @@ class FileIntegrity:
                     what = "loss-detected" if stored is None else "corruption-detected"
                     self.trace.record(time, what, None, f"{owner}/{f.name}")
         return bad
-
-    def is_clean(self, owner: str, name: str) -> bool:
-        key = (owner, name)
-        return self.stored.get(key) == self.expected.get(key)

@@ -9,6 +9,7 @@ they run), and the three-stage decomposition of Montage-like workflows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -166,9 +167,9 @@ def summarize(workflow: Workflow) -> WorkflowStats:
     return WorkflowStats(
         name=workflow.name,
         n_jobs=len(workflow),
-        n_edges=workflow.n_edges(),
+        n_edges=sum(len(job.children) for job in workflow),
         n_levels=(max(levels.values()) + 1) if levels else 0,
-        total_runtime=workflow.total_runtime(),
+        total_runtime=sum(job.runtime for job in workflow),
         critical_path_length=cp_length,
         max_parallelism=max(width.values()) if width else 0,
         n_input_files=by_kind["input"][0],
@@ -177,5 +178,5 @@ def summarize(workflow: Workflow) -> WorkflowStats:
         input_bytes=by_kind["input"][1],
         intermediate_bytes=by_kind["intermediate"][1],
         output_bytes=by_kind["output"][1],
-        count_by_type=workflow.count_by_type(),
+        count_by_type=dict(Counter(job.task_type for job in workflow)),
     )

@@ -118,14 +118,6 @@ class Job:
         self.max_attempts = max_attempts
         self.action = action
 
-    @property
-    def input_bytes(self) -> float:
-        return sum(f.size for f in self.inputs)
-
-    @property
-    def output_bytes(self) -> float:
-        return sum(f.size for f in self.outputs)
-
     def __repr__(self) -> str:
         return f"Job({self.id!r}, {self.task_type}, {self.runtime:.2f}s)"
 
@@ -370,26 +362,8 @@ class Workflow:
     def __iter__(self) -> Iterator[Job]:
         return iter(self.jobs.values())
 
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self.jobs
-
     def job(self, job_id: str) -> Job:
         return self.jobs[job_id]
-
-    def roots(self) -> List[Job]:
-        """Jobs with no pending precedence requirements (eligible at t=0)."""
-        return [job for job in self.jobs.values() if not job.parents]
-
-    def leaves(self) -> List[Job]:
-        return [job for job in self.jobs.values() if not job.children]
-
-    def edges(self) -> Iterator[Tuple[str, str]]:
-        for job in self.jobs.values():
-            for child in job.children:
-                yield (job.id, child)
-
-    def n_edges(self) -> int:
-        return sum(len(job.children) for job in self.jobs.values())
 
     def topological_order(self) -> List[Job]:
         """Kahn's algorithm; raises ``ValueError`` on cycles."""
@@ -410,32 +384,6 @@ class Workflow:
         if len(order) != len(jobs):
             raise ValueError(f"workflow {self.name!r} contains a cycle")
         return order
-
-    # -- aggregate statistics ---------------------------------------------
-    def total_runtime(self) -> float:
-        """Sum of job CPU seconds (the serial work in the workflow)."""
-        return sum(job.runtime for job in self.jobs.values())
-
-    def files(self) -> Dict[str, DataFile]:
-        """All distinct files referenced by the workflow, keyed by name.
-
-        Built fresh from the interned skeleton's ``files`` tuple, so
-        callers may mutate it freely.
-        """
-        return {f.name: f for f in self.skeleton().files}
-
-    def bytes_by_kind(self) -> Dict[str, float]:
-        """Total bytes of distinct files per kind (input/intermediate/output)."""
-        totals = {"input": 0.0, "intermediate": 0.0, "output": 0.0}
-        for f in self.skeleton().files:
-            totals[f.kind] += f.size
-        return totals
-
-    def count_by_type(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for job in self.jobs.values():
-            counts[job.task_type] = counts.get(job.task_type, 0) + 1
-        return counts
 
     def relabel(self, new_name: str) -> "Workflow":
         """A cheap structural copy under a new name (for ensemble members).

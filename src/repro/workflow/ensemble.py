@@ -112,10 +112,6 @@ class Ensemble:
     def total_jobs(self) -> int:
         return sum(len(wf) for wf in self.workflows)
 
-    def makespan_horizon(self) -> float:
-        """Last submission time (the earliest the ensemble can be done)."""
-        return self.plan.times[-1]
-
     def __repr__(self) -> str:
         return (
             f"Ensemble({self.name!r}, workflows={len(self.workflows)}, "

@@ -30,7 +30,7 @@ def _strict_sanitizer():
         # A test may install its own sanitizer (or disable ours); only
         # tear down if ours is still the active one.
         if sanitizer.active() is san:
-            sanitizer.disable()
+            sanitizer._ACTIVE = None
     assert not san.violations, (
         "simulation invariant violations: "
         + "; ".join(str(v) for v in san.violations)

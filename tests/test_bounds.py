@@ -20,7 +20,7 @@ def test_workflow_bounds_components():
     bounds = workflow_bounds(wf, spec)
     cp, _ = critical_path(wf)
     assert bounds.critical_path == pytest.approx(cp)
-    assert bounds.work_bound == pytest.approx(wf.total_runtime() / 32)
+    assert bounds.work_bound == pytest.approx(sum(j.runtime for j in wf) / 32)
     assert bounds.lower_bound == max(bounds.critical_path, bounds.work_bound)
 
 

@@ -123,9 +123,13 @@ def test_a_size_that_cannot_be_built_exits_2_before_simulating(main, argv, capsy
         (main_plan, ["--deadline", "nan"], "deadline must be finite and positive"),
         (main_profile, ["--max-nodes", "1"], "--max-nodes must be >= 2"),
         (main_profile, ["--workflows", "0"], "--workflows must be >= 1"),
+        (main_plan, ["--instance-types", "c3.8xlarge", "x9.huge"],
+         "unknown instance type 'x9.huge'"),
+        (main_profile, ["--instance-type", "x9.huge"], "unknown instance type 'x9.huge'"),
     ],
     ids=["plan-index-nan", "plan-index-inf", "plan-deadline-nan",
-         "profile-max-nodes-1", "profile-workflows-0"],
+         "profile-max-nodes-1", "profile-workflows-0", "plan-unknown-type",
+         "profile-unknown-type"],
 )
 def test_an_unrunnable_plan_or_profile_exits_2_before_simulating(
     main, argv, message, capsys, monkeypatch
@@ -141,5 +145,34 @@ def test_an_unrunnable_plan_or_profile_exits_2_before_simulating(
     assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--instance-type", "x9.huge"], "unknown instance type 'x9.huge'"),
+        (["--nodes", "3", "--filesystem", "local"],
+         "'local' filesystem requires a single node"),
+    ],
+    ids=["unknown-type", "local-on-3-nodes"],
+)
+def test_an_unbuildable_cluster_exits_2_before_simulating(
+    argv, message, capsys, monkeypatch
+):
+    """Refused while the cluster is described, before an engine exists:
+    one ``error:`` line, no traceback."""
+    import repro.parallel.runner as runner
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("built an engine before refusing the input")
+
+    monkeypatch.setitem(runner.ENGINES, "dewe-v2", no_simulation)
+    with pytest.raises(SystemExit) as exit_:
+        main_run(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if ": error: " in line]
     assert len(errors) == 1 and message in errors[0]

@@ -9,7 +9,6 @@ from repro.cloud import (
     SimCluster,
     cluster_cost,
     get_instance_type,
-    price_per_workflow,
 )
 from repro.cloud.pricing import billed_hours
 from repro.sim import Simulator
@@ -93,21 +92,12 @@ def test_cluster_cost_table3_prices():
     assert cluster_cost(get_instance_type("i2.8xlarge"), 10, 3600) == pytest.approx(68.2)
 
 
-def test_price_per_workflow_decreases_with_workload():
-    itype = get_instance_type("c3.8xlarge")
-    p50 = price_per_workflow(itype, 40, 3000, 50)
-    p200 = price_per_workflow(itype, 40, 3000, 200)
-    assert p200 < p50
-
-
 def test_pricing_validation():
     itype = get_instance_type("c3.8xlarge")
     with pytest.raises(ValueError):
         billed_hours(-1.0)
     with pytest.raises(ValueError):
         cluster_cost(itype, -1, 100)
-    with pytest.raises(ValueError):
-        price_per_workflow(itype, 1, 100, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +125,7 @@ def test_sim_cluster_builds_nodes_and_fs():
     sim = Simulator()
     cluster = SimCluster(sim, ClusterSpec("c3.8xlarge", 3, filesystem="moosefs"))
     assert len(cluster.nodes) == 3
-    assert cluster.total_cores == 96
+    assert sum(node.cores.capacity for node in cluster.nodes) == 96
     assert cluster.fs.name == "moosefs"
 
 

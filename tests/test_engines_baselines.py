@@ -7,6 +7,7 @@ from repro.engines import DeweV1Engine, PullEngine, SchedulingEngine
 from repro.engines.base import RunConfig
 from repro.generators import montage_workflow
 from repro.workflow import Ensemble
+from tests.test_sim_properties import log_values
 
 
 def spec1(fs="local", nodes=1):
@@ -47,7 +48,7 @@ def test_scheduling_concurrency_capped_at_20():
     template = montage_workflow(degree=1.0)
     result = SchedulingEngine(spec1()).run(Ensemble([template]))
     for log in result.thread_logs:
-        assert max(log.values) <= 20
+        assert max(log_values(log)) <= 20
 
 
 def test_scheduling_writes_more(capfd):

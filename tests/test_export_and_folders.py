@@ -14,7 +14,7 @@ from repro.dewe.folder import (
 from repro.engines import PullEngine
 from repro.generators import montage_workflow
 from repro.monitor import node_metrics
-from repro.monitor.export import ascii_gantt, metrics_to_csv, to_chrome_trace
+from repro.monitor.export import metrics_to_csv, to_chrome_trace
 from repro.mq import Broker
 from repro.workflow import Ensemble
 from repro.workflow.serialize import save_dax
@@ -70,14 +70,6 @@ def test_metrics_csv(result, tmp_path):
     assert lines[0] == "time_s,cpu_util_pct,disk_write_mb_s,disk_read_mb_s,threads"
     assert len(lines) == len(metrics.times) + 1
     assert path.exists()
-
-
-def test_ascii_gantt_renders(result):
-    art = ascii_gantt(result, width=60, max_slots=4)
-    lines = art.splitlines()
-    assert len(lines) > 1
-    assert any("#" in line for line in lines[1:])
-    assert all(len(line) <= 60 for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_schedule_sorts_actions():
         [FaultAction(10.0, 0, "kill"), FaultAction(5.0, 1, "restart")]
     )
     assert [a.time for a in schedule.actions] == [5.0, 10.0]
-    assert len(schedule) == 2
+    assert len(schedule.actions) == 2
 
 
 def test_install_fires_actions_in_order():
@@ -55,7 +55,7 @@ def test_install_fires_actions_in_order():
     assert run.initially_down == {1} and log == []
     sim.run()
     assert log == [("kill", 0, 2.0), ("start", 0, 7.0), ("kill", 1, 9.0)]
-    assert run.trace.lines() == [
+    assert [event.line() for event in run.trace] == [
         "t=2.000000 kill node=0",
         "t=7.000000 restart node=0",
         "t=9.000000 kill node=1",

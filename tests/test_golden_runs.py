@@ -32,6 +32,15 @@ def _sha(*parts: str) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
+def journal_text(journal: Journal) -> str:
+    """The journal's records, one line each: the bytes the digests hash."""
+    return "\n".join(
+        f"{r.seq:08d} t={r.time:.9f} {r.kind} "
+        f"{r.workflow}/{r.job_id}#{r.attempt} {r.detail}"
+        for r in journal.records
+    )
+
+
 #: (scenario, seed) -> (report digest, full-journal digest).
 CHAOS = {
     ("smoke", 0): (
@@ -182,9 +191,9 @@ def test_chaos_scenario_matches_recorded_execution(name, seed):
     scenario = SCENARIOS[name]
     report = run_chaos(scenario, seed)
     assert report.ok, report.summary()
-    journal_text = report.journal.text() if report.journal is not None else ""
+    report_journal = journal_text(report.journal) if report.journal is not None else ""
     report_digest = _sha(
-        report.trace_text, journal_text, repr(report.makespan)
+        report.trace_text, report_journal, repr(report.makespan)
     )
     # The report's journal is compacted at every checkpoint and absent
     # for most scenarios, so additionally journal the same seeded run
@@ -197,7 +206,7 @@ def test_chaos_scenario_matches_recorded_execution(name, seed):
         scenario.ensemble()
     )
     journal_digest = _sha(
-        journal.text(),
+        journal_text(journal),
         "\n".join(event.line() for event in result.fault_events),
         repr(result.makespan),
     )

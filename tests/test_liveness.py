@@ -29,9 +29,8 @@ from repro.liveness import (
     MasterFailoverModel,
     SlaClass,
     TokenBucket,
-    new_liveness_stats,
 )
-from repro.monitor import robustness_metrics, to_chrome_trace
+from repro.monitor import to_chrome_trace
 from repro.mq import RepriorityPolicy
 from repro.recovery.journal import Journal
 from repro.workflow import Ensemble
@@ -120,7 +119,6 @@ def test_lease_grant_beat_fence_cycle():
     assert table.expire(4.5) == ["w0"]
     assert table.stats["heartbeat_misses"] == MISS_THRESHOLD
     assert table.fence("w0", 4.5) == epoch
-    assert table.is_fenced("w0")
     assert not table.valid("w0", epoch)
     assert not table.beat("w0", epoch, 4.75)
     # Fencing is idempotent and a regrant re-admits under a newer epoch.
@@ -141,13 +139,12 @@ def test_lease_observe_renews_and_readmits():
 
 def test_lease_epoch_floor_orders_master_incarnations():
     primary = LeaseTable(LeaseConfig())
-    for worker in ("a", "b", "c"):
-        primary.grant(worker, 0.0)
+    epochs = {worker: primary.grant(worker, 0.0) for worker in ("a", "b", "c")}
     standby = LeaseTable(LeaseConfig(), epoch_floor=primary.max_epoch)
     # Every epoch the standby issues post-dates every primary-era epoch,
     # so a single comparison fences the whole previous incarnation.
     assert standby.grant("a", 1.0) > primary.max_epoch
-    assert not standby.valid("b", primary.current_epoch("b"))
+    assert not standby.valid("b", epochs["b"])
 
 
 def test_admission_control_gate():
@@ -485,21 +482,6 @@ def test_des_admission_gate_sheds_then_admits():
     for counts in result.job_counts.values():
         assert counts["completed"] == 143 and counts["dead"] == 0
     assert {e.kind for e in result.fault_events} >= {"admission-shed"}
-
-
-# -- robustness counters in monitor exports ----------------------------------
-def test_robustness_metrics_schema_is_stable():
-    plain = PullEngine(small_spec(1), config=fast_cfg()).run(_montage_ensemble())
-    stats = robustness_metrics(plain)
-    assert stats == dict(
-        new_liveness_stats(), dead_letter_depth=0, shed_record_drops=0
-    )
-
-    windows = [PartitionWindow(node=1, start=1.0, duration=3.0)]
-    chaotic = _partition_engine(windows).run(_montage_ensemble())
-    stats = robustness_metrics(chaotic)
-    assert stats["lease_fencings"] >= 1
-    assert stats["dead_letter_depth"] == 0
 
 
 def test_chrome_trace_carries_liveness_counters():

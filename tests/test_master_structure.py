@@ -515,6 +515,190 @@ KEPT_UNREACHED = {
 }
 
 
+#: Functions under ``src/repro`` that ``tests/tools/call_census.py``'s
+#: traffic never enters, outside the modules above, each with the reason
+#: it stays, keyed ``"path under src/repro:qualname"``.  Anything else
+#: the census finds uncalled is deleted, with the tests that checked only it.
+_RACE_DETECTOR = (
+    "race-detector suite hook: runs only under REPRO_RACEDETECT=1 (CI's "
+    "concurrency job)"
+)
+_BROKER_SURFACE = (
+    "the one broker surface all four brokers share (pinned above), whether "
+    "or not a run calls it"
+)
+_SHARDING_RUNNER = "the sharding runner ROADMAP items 2b and 6 need"
+_FIFO_STORE = "FifoStore, until ROADMAP item 13 removes it"
+_REPR = "a __repr__"
+_FOLDER_IO = (
+    "workflow file I/O of repro.dewe.folder, kept unreached for the "
+    "paper's folder packaging"
+)
+_THREADED_CRASH = "fault branch: the threaded master's crash-and-restart model"
+_KERNEL_DRIVER = "kernel driver API (run, step, peek)"
+_MAPPING_ABC = (
+    "abstract method of collections.abc.Mapping: without it no state view "
+    "can be built"
+)
+KEPT_UNCALLED = {
+    "analysis/codelint.py:LintFinding.__str__":
+        "error branch: renders a finding, which repro-lint prints only when "
+        "the code it lints breaks a rule",
+    "analysis/concurrency/events.py:ConcEvent.__str__": _RACE_DETECTOR,
+    "analysis/concurrency/lints.py:_cycle_findings.<locals>.reaches":
+        "error branch: CL006's lock-order cycle search, entered only when the "
+        "linted code takes one lock inside another",
+    "analysis/concurrency/recorder.py:Recorder.__init__": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.current_ltid": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.new_key": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.new_ltid": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_acquire": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_begin": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_end": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_fork": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_join": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_read": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_recv": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_release": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_send": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_set": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_wait": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.on_write": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:Recorder.record": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:disable": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:enable": _RACE_DETECTOR,
+    "analysis/concurrency/recorder.py:enabled": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.__enter__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.__exit__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.__init__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.acquire": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.notify": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.notify_all": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.release": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.wait": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedCondition.wait_for": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedEvent.__init__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedEvent.clear": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedEvent.is_set": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedEvent.set": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedEvent.wait": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedLock.__enter__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedLock.__exit__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedLock.__init__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedLock.acquire": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedLock.locked": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedLock.release": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedThread.__init__": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedThread.join": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedThread.ltid": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedThread.run": _RACE_DETECTOR,
+    "analysis/concurrency/shims.py:TracedThread.start": _RACE_DETECTOR,
+    "analysis/sanitizer.py:Sanitizer._report":
+        "error branch: records a broken simulation invariant",
+    "analysis/sanitizer.py:Violation.__str__":
+        "error branch: renders a broken simulation invariant",
+    "cloud/cluster.py:SimCluster.__repr__": _REPR,
+    "cloud/node.py:SimNode.__repr__": _REPR,
+    "dewe/core.py:MasterCore.redispatch.<locals>.fire":
+        "fault branch: a failed or timed-out job redispatched after a nonzero "
+        "retry backoff",
+    "dewe/executors.py:Executor.run":
+        "the Executor protocol's signature: a typing declaration, never called",
+    "dewe/master.py:MasterDaemon._call_later":
+        "fault branch: queues a failed or timed-out job's backed-off "
+        "redispatch",
+    "dewe/master.py:MasterDaemon._reject":
+        "error branch: a duplicate, invalid or shed submission",
+    "dewe/master.py:MasterDaemon.checkpoint":
+        "fault branch: the threaded master's crash checkpoint "
+        "(MasterCrashModel)",
+    "dewe/master.py:MasterDaemon.dead_letters":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): the "
+        "threaded master's dead letters",
+    "dewe/master.py:MasterDaemon.from_checkpoint":
+        "fault branch: the threaded master's restart after a crash",
+    "dewe/master.py:MasterDaemon.liveness_stats":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): the "
+        "threaded master's lease and shed counters",
+    "dewe/state.py:WorkflowState._trace": _RACE_DETECTOR,
+    "dewe/state.py:_ArenaView.__iter__": _MAPPING_ABC,
+    "dewe/state.py:_ArenaView.__len__": _MAPPING_ABC,
+    "dewe/state.py:_ArenaView.__repr__": _REPR,
+    "dewe/worker.py:WorkerDaemon._heartbeat_loop":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): a "
+        "worker's lease renewals (DeweConfig(liveness=...))",
+    "dewe/worker.py:WorkerDaemon.join_jobs":
+        "fault branch: winds down a killed worker's job threads",
+    "engines/base.py:EngineBase.run":
+        "error branch: an engine subclass that does not define run",
+    "engines/pull.py:PullRun._call_later":
+        "fault branch: schedules a failed or timed-out job's backed-off "
+        "redispatch",
+    "faults/models.py:StragglerModel._end":
+        "fault branch: a straggler's slowdown that ends before the run does",
+    "liveness/lease.py:LeaseTable.observe":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): the "
+        "threaded master's renew-on-contact for heartbeats and acks",
+    "mq/broker.py:Broker.depth": _BROKER_SURFACE,
+    "mq/broker.py:Broker.publish_after": _BROKER_SURFACE,
+    "mq/broker.py:Broker.reprioritize": _BROKER_SURFACE,
+    "mq/broker.py:Topic.depth": _BROKER_SURFACE,
+    "mq/broker.py:Topic.reprioritize": _BROKER_SURFACE,
+    "mq/chaosbroker.py:ChaosBroker.begin_partition":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): "
+        "cuts a threaded worker's uplink",
+    "mq/chaosbroker.py:ChaosBroker.heal_partition":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): "
+        "heals a threaded worker's uplink",
+    "mq/tcpbroker.py:RemoteBroker.depth": _BROKER_SURFACE,
+    "mq/tcpbroker.py:RemoteBroker.reprioritize": _BROKER_SURFACE,
+    "parallel/runner.py:RunDigest.to_dict": _SHARDING_RUNNER,
+    "parallel/runner.py:RunSpec.title": _SHARDING_RUNNER,
+    "parallel/runner.py:execute_spec": _SHARDING_RUNNER,
+    "parallel/runner.py:merge_digests": _SHARDING_RUNNER,
+    "parallel/runner.py:run_many": _SHARDING_RUNNER,
+    "parallel/runner.py:run_serial": _SHARDING_RUNNER,
+    "parallel/runner.py:run_sharded": _SHARDING_RUNNER,
+    "parallel/runner.py:run_sharded_serial": _SHARDING_RUNNER,
+    "parallel/runner.py:shard_ensemble": _SHARDING_RUNNER,
+    "recovery/checkpoint.py:MasterCrashModel.__init__": _THREADED_CRASH,
+    "recovery/checkpoint.py:MasterCrashModel._tick": _THREADED_CRASH,
+    "recovery/checkpoint.py:MasterCrashModel.attach": _THREADED_CRASH,
+    "recovery/checkpoint.py:MasterCrashModel.crash": _THREADED_CRASH,
+    "recovery/checkpoint.py:MasterCrashModel.detach": _THREADED_CRASH,
+    "recovery/checkpoint.py:MasterCrashModel.last_checkpoint": _THREADED_CRASH,
+    "recovery/checkpoint.py:MasterCrashModel.restart": _THREADED_CRASH,
+    "sim/engine.py:Simulator.peek": _KERNEL_DRIVER,
+    "sim/engine.py:Simulator.step": _KERNEL_DRIVER,
+    "sim/resources.py:CorePool.cancel":
+        "fault branch: a worker killed while it waits for a core withdraws its "
+        "acquire",
+    "sim/resources.py:FifoStore.__len__": _FIFO_STORE,
+    "sim/resources.py:FifoStore.cancel": _FIFO_STORE,
+    "sim/resources.py:FifoStore.peek_all": _FIFO_STORE,
+    "sim/resources.py:FifoStore.pop_nowait": _FIFO_STORE,
+    "storage/base.py:SharedFileSystem._grow":
+        "error branch: a read or write of a file outside its owner's workflow "
+        "skeleton, which no generated workflow makes",
+    "workflow/dag.py:DataFile.__repr__": _REPR,
+    "workflow/dag.py:Job.__repr__": _REPR,
+    "workflow/dag.py:Workflow.__repr__": _REPR,
+    "workflow/ensemble.py:Ensemble.__repr__": _REPR,
+    "workflow/serialize.py:load_dax": _FOLDER_IO,
+    "workflow/serialize.py:load_dax.<locals>.intern_file": _FOLDER_IO,
+    "workflow/serialize.py:load_json": _FOLDER_IO,
+    "workflow/serialize.py:save_dax":
+        "writes the DAX files repro.dewe.folder (kept unreached for the "
+        "paper's folder packaging) reads",
+    "workflow/serialize.py:save_json": _FOLDER_IO,
+    "workflow/serialize.py:workflow_from_dict.<locals>.intern_file": _FOLDER_IO,
+    "workflow/validation.py:ValidationError.__init__":
+        "error branch: a malformed workflow refused at submission",
+    "workflow/validation.py:ValidationError.render":
+        "error branch: renders a refused workflow's problems",
+}
+
+
 def _module_file(name):
     base = SRC.parent.joinpath(*name.split("."))
     for candidate in (base / "__init__.py", base.with_suffix(".py")):
@@ -604,3 +788,32 @@ def test_every_module_is_reached_or_kept_for_a_reason():
     for name in unreached:
         print(f"kept unreached: {name} - {KEPT_UNREACHED.get(name, 'NO REASON')}")
     assert unreached == sorted(KEPT_UNREACHED)
+
+
+def _defined_qualnames():
+    """``"path under src/repro:qualname"`` of every ``def``: the keys
+    ``tests/tools/call_census.py`` reports and ``KEPT_UNCALLED`` uses."""
+    names = set()
+
+    def walk(node, relative, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFS):
+                names.add(f"{relative}:{prefix}{child.name}")
+                walk(child, relative, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, relative, f"{prefix}{child.name}.")
+            else:
+                walk(child, relative, prefix)
+
+    for path in sorted(SRC.rglob("*.py")):
+        walk(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(), "")
+    return names
+
+
+def test_kept_uncalled_names_exist():
+    """Every function the call census keeps is defined under ``src/repro``
+    and carries a reason (``-rA`` prints the ledger's size)."""
+    print(f"kept uncalled: {len(KEPT_UNCALLED)}")
+    assert sorted(set(KEPT_UNCALLED) - _defined_qualnames()) == []
+    assert [key for key, reason in KEPT_UNCALLED.items()
+            if not (isinstance(reason, str) and reason.strip())] == []

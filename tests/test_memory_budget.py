@@ -120,7 +120,7 @@ def _json_round_trip(tmp_path):
 def test_dependency_lists_hold_the_jobs_own_ids(build, tmp_path):
     wf = build(tmp_path)
     jobs = wf.jobs
-    assert wf.n_edges() > 0
+    assert any(job.children for job in wf)
     for job in wf:
         for job_id in job.parents + job.children:
             assert job_id is jobs[job_id].id, (job.id, job_id)
@@ -198,7 +198,7 @@ def _run_and_drop(make_engine):
 @pytest.mark.parametrize("case", sorted(TEARDOWN_CASES))
 def test_a_finished_run_is_freed_by_reference_counting(case):
     make_engine, measured = TEARDOWN_CASES[case]
-    previous = sanitizer.disable()
+    previous, sanitizer._ACTIVE = sanitizer._ACTIVE, None
     try:
         _run_and_drop(make_engine)  # warm-up: imports and first-call caches
         gc.collect()
@@ -240,7 +240,7 @@ def _reachable(root):
 
 def test_a_chaos_report_keeps_its_journal_not_its_run():
     scenario = get_scenario("master-crash")
-    previous = sanitizer.disable()
+    previous, sanitizer._ACTIVE = sanitizer._ACTIVE, None
     try:
         run_chaos(scenario)  # warm-up: imports and first-call caches
         gc.collect()
@@ -320,5 +320,5 @@ def test_a_finished_process_leaves_the_registry():
     failed = sim.process(failing())
     assert list(sim._procs) == [done, failed]
     sim.run()
-    assert done.value == "done" and isinstance(failed.value, ValueError)
+    assert done._value == "done" and isinstance(failed._value, ValueError)
     assert sim._procs == {}

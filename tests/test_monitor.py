@@ -7,7 +7,6 @@ from repro.cloud import ClusterSpec
 from repro.engines import PullEngine, RunConfig
 from repro.generators import montage_workflow
 from repro.monitor import (
-    cluster_metrics,
     format_series,
     node_metrics,
     run_summary,
@@ -58,18 +57,6 @@ def test_stage_pattern_visible_in_cpu(result):
 def test_threads_peak_capped(result):
     m = node_metrics(result, 0)
     assert m.peak_threads <= 32
-
-
-def test_cluster_metrics_aggregates():
-    template = montage_workflow(degree=1.0)
-    res = PullEngine(ClusterSpec("c3.8xlarge", 2, filesystem="moosefs")).run(
-        Ensemble.replicated(template, 2)
-    )
-    agg = cluster_metrics(res)
-    m0 = node_metrics(res, 0)
-    m1 = node_metrics(res, 1)
-    assert agg.disk_write == pytest.approx(m0.disk_write + m1.disk_write)
-    assert agg.cpu_util == pytest.approx((m0.cpu_util + m1.cpu_util) / 2)
 
 
 def test_slot_timeline_no_overlap(result):

@@ -17,6 +17,7 @@ from repro.montage_lite import build_montage_lite_workflow, make_sky
 from repro.montage_lite.tools import m_bg_model, m_diff_fit
 from repro.mq import Broker
 from repro.workflow import validate_workflow
+from repro.workflow.analysis import summarize
 
 GRID, TILE, SEED = 3, 16, 7
 
@@ -31,7 +32,7 @@ CFG = DeweConfig(
 def test_builder_produces_valid_montage_shape(tmp_path):
     wf = build_montage_lite_workflow(tmp_path, grid=GRID, tile=TILE, seed=SEED)
     validate_workflow(wf)
-    counts = wf.count_by_type()
+    counts = summarize(wf).count_by_type
     assert counts["mProjectPP"] == GRID * GRID
     assert counts["mDiffFit"] == 2 * GRID * (GRID - 1)
     assert counts["mBgModel"] == 1

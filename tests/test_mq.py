@@ -351,9 +351,6 @@ def test_chaos_simbroker_priority_survives_the_delay_band_and_the_latency_batch(
         ]
 
     assert drain("fast") == ["b", "a"]
-    assert [m[1] for m in transport.topic("slow").peek_all()] == [
-        "urgent", "bulk",
-    ]
     assert broker.reprioritize("slow", "wf", "bulk", 20.0) == 1
     assert drain("slow") == ["bulk", "urgent"]
 

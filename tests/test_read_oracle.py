@@ -123,4 +123,4 @@ def test_start_read_matches_independent_links_reference(plan):
     assert fs.bytes_read == pytest.approx(moved, rel=1e-12)
     for node in cluster.nodes:
         for link in (node.disk.read, node.nic_out, node.nic_in):
-            assert link.active == 0 and not link._heap
+            assert link._n == 0 and not link._heap

@@ -50,7 +50,6 @@ def test_cluster_spec_mixed_aggregates():
         filesystem="moosefs",
         node_types=("c3.8xlarge", "m3.2xlarge"),
     )
-    assert not spec.is_homogeneous
     assert spec.total_vcpus == 32 + 8
     assert spec.price_per_hour == pytest.approx(1.68 + 0.532)
     assert "mixed" in spec.name

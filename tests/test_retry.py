@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults.retry import DeadLetterEntry, DeadLetterQueue, RetryPolicy
+from repro.faults.retry import RetryPolicy
 from repro.dewe.state import JobStatus, WorkflowState
 from repro.workflow import Workflow
 
@@ -107,7 +107,7 @@ def test_partial_cascade_still_settles():
     assert not state.is_settled
     assert state.on_completed("c", 1) == []  # d is DEAD, must not revive
     assert state.is_settled
-    assert state.n_completed == 2 and state.n_dead == 2
+    assert state.n_completed == 2 and len(state.dead_letters) == 2
 
 
 def test_timeout_exhaustion_dead_letters():
@@ -151,20 +151,3 @@ def test_mark_dispatched_arms_deadline_only_when_asked():
     assert lossy.deadline["a"] == 5.0
     assert lossy.expired(6.0) == ["a"]  # lost dispatch recovered
     assert lossy.attempt["a"] == 2
-
-
-# -- DeadLetterQueue ---------------------------------------------------------
-def test_dead_letter_queue_views():
-    dlq = DeadLetterQueue()
-    dlq.add(DeadLetterEntry("wf1", "a", 3, "failed", 1.0))
-    dlq.extend(
-        [
-            DeadLetterEntry("wf1", "b", 0, "upstream-dead", 1.0),
-            DeadLetterEntry("wf2", "x", 2, "timeout", 2.0),
-        ]
-    )
-    assert len(dlq) == 3
-    assert dlq.jobs() == [("wf1", "a"), ("wf1", "b"), ("wf2", "x")]
-    assert sorted(dlq.by_workflow()) == ["wf1", "wf2"]
-    assert [e.job_id for e in dlq.poisoned()] == ["a", "x"]
-    assert "failed after 3 attempt(s)" in str(dlq.entries[0])

@@ -40,6 +40,11 @@ _OPS = st.lists(
 _SLICES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e7]), max_size=6)
 
 
+def log_values(log):
+    """A ``SegmentLog``'s value column, decoded from its codes."""
+    return array("d", map(log.levels.__getitem__, log.codes))
+
+
 def _program(ops, now, after, cancel):
     """Start ``ops`` on an agenda given as three functions.  Returns the
     log the run will fill and the handle of every op scheduled so far."""
@@ -69,7 +74,8 @@ def _program(ops, now, after, cancel):
 
 def _naive_trace(ops):
     """The agenda as a plain list of ``[time, seq, fire]``, sorted before
-    every pop; a cancelled entry keeps its place and fires nothing."""
+    every pop; a cancelled entry keeps its place and fires nothing, and
+    a cancel reports whether the entry was still live."""
     now, seq, entries = 0.0, 0, []
 
     def after(_kind, delay, fire):
@@ -79,9 +85,9 @@ def _naive_trace(ops):
         return entries[-1]
 
     def cancel(entry):
-        pending = any(other is entry for other in entries)
+        live = entry[2] is not None and any(other is entry for other in entries)
         entry[2] = None
-        return pending
+        return live
 
     log, _handles = _program(ops, lambda: now, after, cancel)
     while entries:
@@ -90,6 +96,18 @@ def _naive_trace(ops):
         if fire is not None:
             fire()
     return log
+
+
+def _clear(event):
+    """The kernel's lazy cancel, as a link's ``_Wake`` does it: clear the
+    callbacks and the entry is skipped when it surfaces.  The list is
+    emptied as well, so a caller still holding it sees the cancel."""
+    callbacks = event.callbacks
+    if callbacks is None:
+        return False
+    callbacks.clear()
+    event.callbacks = None
+    return True
 
 
 def _kernel_trace(ops, drive):
@@ -102,7 +120,7 @@ def _kernel_trace(ops, drive):
         event.callbacks.append(lambda _event: fire())
         return event
 
-    log, handles = _program(ops, lambda: sim.now, after, Event.cancel)
+    log, handles = _program(ops, lambda: sim.now, after, _clear)
     drive(sim, log, sorted(handles.items()))
     assert sim.peek() == INF
     return log
@@ -126,7 +144,7 @@ def _by_slices(widths):
 
 def _by_awaiting(sim, log, roots):
     for i, handle in roots:
-        live = handle.callbacks  # emptied in place by a cancel
+        live = handle.callbacks  # emptied by a cancel
         sim.run_until(handle)
         assert handle.callbacks is None
         if live:  # stopped right behind it: nothing has fired since
@@ -303,9 +321,9 @@ def _run_replaying_link_log(sim, link):
     replayed = SegmentLog(sim.now, 0.0)
     while sim.peek() < INF:
         sim.step()
-        replayed.record(sim.now, link.capacity if link.active else 0.0)
+        replayed.record(sim.now, link.capacity if link._n else 0.0)
     assert link.log.times.tobytes() == replayed.times.tobytes()
-    assert link.log.values.tobytes() == replayed.values.tobytes()
+    assert log_values(link.log).tobytes() == log_values(replayed).tobytes()
     return replayed
 
 
@@ -449,7 +467,7 @@ def test_link_matches_naive_processor_sharing(schedule):
         assert got[f] == pytest.approx(when, rel=slack, abs=slack), (f, got, expected)
     total = sum(sum(sizes) for _t, _how, sizes, _waiter in batches)
     assert link.bytes_total == pytest.approx(total, rel=slack, abs=1e-9)
-    assert link.active == 0 and not link._heap
+    assert link._n == 0 and not link._heap
 
 
 def test_link_log_same_instant_edges_match_record():
@@ -477,7 +495,7 @@ def test_link_log_same_instant_edges_match_record():
     sim.process(chain())
     replayed = _run_replaying_link_log(sim, link)
     assert list(replayed.times) == [0.0, 0.75, 2.0, 3.0]
-    assert list(replayed.values) == [1e3, 0.0, 1e3, 0.0]
+    assert list(log_values(replayed)) == [1e3, 0.0, 1e3, 0.0]
 
     # What the link's own invariants keep it from reaching, by hand: a
     # point that already holds the value's code is left alone, on both
@@ -486,7 +504,7 @@ def test_link_log_same_instant_edges_match_record():
     link.transfer(1.0)
     link.log.codes[-1] = 0
     sim.run()
-    assert list(link.log.times) == [0.0, 0.75, 2.0, 3.0] and link.active == 0
+    assert list(link.log.times) == [0.0, 0.75, 2.0, 3.0] and link._n == 0
     # ... and a clock behind the log's last point is refused, on both.
     link.log.times[-1] = sim.now + 1.0
     with pytest.raises(ValueError, match="time went backwards"):
@@ -527,7 +545,7 @@ def test_superseded_link_wake_up_is_an_ordinary_dead_agenda_entry():
     assert woken == [2.0] and sim.peek() == 11.0 and not slow.triggered
     sim.run()
     assert woken == [2.0, 11.0] and slow.callbacks is None and sim.now == 11.0
-    assert sim._seq == 5 and link.active == 0 and link._wake_ev is None
+    assert sim._seq == 5 and link._n == 0 and link._wake_ev is None
 
 
 @given(
@@ -565,14 +583,14 @@ def test_link_transfer_many_is_repeated_transfer_into(sizes, in_flight, at):
                     link._seq,
                     link._n,
                     list(link.log.times),
-                    list(link.log.values),
+                    list(log_values(link.log)),
                     list(done),
                 )
             )
 
         sim.schedule_call(at, admit)
         sim.run()
-        return admitted[0], done, list(link.log.times), list(link.log.values)
+        return admitted[0], done, list(link.log.times), list(log_values(link.log))
 
     state_many, done_many, times_many, values_many = run(batched=True)
     state_each, done_each, times_each, values_each = run(batched=False)
@@ -691,7 +709,7 @@ def test_segment_log_monotone_times(values):
     for i, value in enumerate(values):
         log.record(float(i + 1), value)
     assert all(a < b for a, b in zip(log.times, log.times[1:]))
-    assert len(log.times) == len(log.values)
+    assert len(log.times) == len(log_values(log))
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +770,7 @@ def test_segment_log_matches_naive_model(points, v0, dt):
     # A running integral kept point by point is the same left-to-right
     # double arithmetic, so the two agree to the last bit.
     running = 0.0
-    for t0, t1, value in zip(log.times, log.times[1:], log.values):
+    for t0, t1, value in zip(log.times, log.times[1:], log_values(log)):
         running += (t1 - t0) * value
     assert log.integrate(log.times[-1]) == running
     starts, means = log.sample(t_end, dt)
@@ -774,7 +792,7 @@ def _numpy_integral(log, t):
     """``integrate`` as it was written over numpy: one sequential
     ``cumsum`` of the segment areas, looked up by ``searchsorted``."""
     times = np.frombuffer(log.times)
-    values = np.frombuffer(log.values)
+    values = np.frombuffer(log_values(log))
     cum = np.concatenate(([0.0], np.cumsum(np.diff(times) * values[:-1])))
     idx = np.searchsorted(times, t, side="right") - 1
     idx = np.clip(idx, 0, len(times) - 1)
@@ -892,7 +910,7 @@ def test_coded_log_matches_the_two_column_log(
         ref.record(t, value)
         assert log.current == ref.values[-1]
     assert log.times.tobytes() == ref.times.tobytes()
-    assert log.values.tobytes() == ref.values.tobytes()
+    assert log_values(log).tobytes() == ref.values.tobytes()
     assert log.codes.typecode == ("B" if len(log.levels) <= 256 else "H")
     times = list(ref.times)
     mids = [(a + b) / 2.0 for a, b in zip(times, times[1:])]

@@ -17,6 +17,7 @@ from repro.sim import (
 )
 from repro.sim.engine import Event, SimulationError
 from repro.workflow.dag import Job
+from tests.test_sim_properties import log_values
 
 # ---------------------------------------------------------------------------
 # SegmentLog
@@ -45,7 +46,7 @@ def test_segment_log_same_instant_overwrite():
     log.record(1.0, 7.0)
     # The later value wins and no zero-length segment is kept.
     assert log.current == 7.0
-    assert len(log.times) == len(log.values) == 2
+    assert len(log.times) == len(log_values(log)) == 2
     assert log.integrate(3.0) == 14.0
     _times, means = log.sample(t_end=3.0, dt=1.0)
     assert means.tolist() == [0.0, 7.0, 7.0]
@@ -56,7 +57,7 @@ def test_segment_log_same_instant_collapse_back():
     log.record(1.0, 5.0)
     log.record(1.0, 3.0)  # back to previous value: change point vanishes
     assert log.current == 3.0
-    assert len(log.times) == len(log.values) == 1
+    assert len(log.times) == len(log_values(log)) == 1
     assert log.integrate(2.0) == 6.0
     # The vanished point left nothing behind: the log keeps recording.
     log.record(2.0, 1.0)
@@ -92,7 +93,7 @@ def test_segment_log_refuses_non_finite_times_and_values():
         with pytest.raises(ValueError, match=match):
             log.record(t, value)
     # Nothing was mutated: no point, no level, and a later time records.
-    assert list(log.times) == [0.0, 1.0] and list(log.values) == [0.0, 2.0]
+    assert list(log.times) == [0.0, 1.0] and list(log_values(log)) == [0.0, 2.0]
     assert log.levels == [0.0, 2.0]
     log.record(2.0, 0.0)
     assert log.integrate(3.0) == 2.0
@@ -112,8 +113,8 @@ def test_segment_log_widens_its_codes_past_256_levels():
             assert log.codes.typecode == "I"
     log.record(70_001.0, 0.5)  # an old level again: no new one
     assert len(log.levels) == 70_001
-    assert log.values[:3].tolist() == [0.0, 0.5, 1.0]
-    assert log.values[-2:].tolist() == [35_000.0, 0.5]
+    assert log_values(log)[:3].tolist() == [0.0, 0.5, 1.0]
+    assert log_values(log)[-2:].tolist() == [35_000.0, 0.5]
     assert log.integrate(70_001.0) == sum(i * 0.5 for i in range(70_001))
 
 
@@ -499,7 +500,7 @@ def test_link_fixed_plan_exact_floats_and_event_count():
     assert list(link.log.times) == [
         0.0, 1.9, 6.0, 8.2993993993994, 40.0, 45045085.04505405
     ]
-    assert list(link.log.values) == [57.0, 23.0, 111.0, 0.0, 111.0, 0.0]
+    assert list(log_values(link.log)) == [57.0, 23.0, 111.0, 0.0, 111.0, 0.0]
 
 
 def test_join_arriving_more_often_than_its_count_raises():
@@ -546,14 +547,14 @@ def _assert_untouched_then_honest(sim, link, join):
     and an honest stream still completes at the exact instant."""
     assert (link._n, link._heap, link._seq, link._wake_ev) == (0, [], 0, None)
     assert (link._v, link.bytes_total) == (0.0, 0.0)
-    assert list(link.log.times) == [0.0] and list(link.log.values) == [0.0]
+    assert list(link.log.times) == [0.0] and list(log_values(link.log)) == [0.0]
     assert join._pending == 1 and not join.triggered
     assert sim._seq == 0 and sim.peek() == float("inf")
     link.transfer_into(50.0, join)
     sim.run()
     assert join.callbacks is None and sim.now == 0.5
     assert list(link.log.times) == [0.0, 0.5]
-    assert list(link.log.values) == [link.capacity, 0.0]
+    assert list(log_values(link.log)) == [link.capacity, 0.0]
 
 
 @pytest.mark.parametrize("bad", _BAD_SIZES, ids=repr)
@@ -616,7 +617,7 @@ def test_link_transfer_many_validates_before_it_mutates(_strict_sanitizer):
         link.transfer_many([50.0, 0.0, -1.0], join)
     assert (link._n, link._heap, link._seq, link._wake_ev) == (0, [], 0, None)
     assert (link._v, link.bytes_total) == (0.0, 0.0)
-    assert list(link.log.times) == [0.0] and list(link.log.values) == [0.0]
+    assert list(link.log.times) == [0.0] and list(log_values(link.log)) == [0.0]
     assert join._pending == 3 and not join.triggered
     assert sim._seq == 0
     # The link is as good as new: a later busy period runs clean under

@@ -309,7 +309,9 @@ def test_stage_inputs_counts_every_member():
     # Every ensemble member owns its own physical input files (the paper's
     # 200-workflow ensemble has 288,800 input files), so staging counts
     # each member even when relabelled copies share DataFile objects.
-    assert cluster.fs.active_bytes == pytest.approx(2 * wf.bytes_by_kind()["input"])
+    assert cluster.fs.active_bytes == pytest.approx(
+        2 * sum(f.size for f in wf.skeleton().files if f.kind == "input")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,7 @@ def test_staged_and_never_staged_owners_read_the_same_bytes(ops):
     files outside the skeleton, which never grow the shared index."""
     wf = _template()
     members = [wf.relabel("m0"), wf.relabel("m1")]
-    files = list(wf.files().values()) + _OUTSIDE
+    files = list(wf.skeleton().files) + _OUTSIDE
     index_before = dict(wf.skeleton().file_index())
     _sim, staged = make_cluster(n_nodes=1, fs="local")
     _sim, adhoc = make_cluster(n_nodes=1, fs="local")
@@ -377,7 +379,7 @@ def test_relabelled_members_never_share_a_touch_row():
     fs, node = cluster.fs, cluster.nodes[0]
     wf = _template()
     fs.stage_inputs([wf.relabel("m0"), wf.relabel("m1")])
-    x = wf.files()["x.dat"]
+    x = wf.job("p1").outputs[0]
     fs.write(node, [x], "m0")
     fs.read(node, [x], "m1")  # m1 never wrote its x: full miss
     assert fs.bytes_read == x.size
@@ -402,7 +404,7 @@ def test_file_outside_the_skeleton_is_a_miss_and_leaves_the_index_alone():
     assert wf.skeleton().file_index() is index
     assert index == before
     # m0 still reads its skeleton files through its (now private) index.
-    a = wf.files()["in/a.dat"]
+    a = wf.job("p1").inputs[0]
     fs.read(node, [a], "m0")
     assert fs.bytes_read < 2 * stray.size + a.size  # staged: mostly cached
 

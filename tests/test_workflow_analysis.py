@@ -1,5 +1,7 @@
 """Tests for workflow analysis: levels, critical path, stages, stats."""
 
+from collections import Counter
+
 import pytest
 
 from repro.generators import montage_workflow
@@ -91,7 +93,7 @@ def test_stage_decomposition_no_blockers():
 def test_summarize_montage_small():
     wf = montage_workflow(degree=1.0)
     stats = summarize(wf)
-    counts = wf.count_by_type()
+    counts = Counter(job.task_type for job in wf)
     assert stats.n_jobs == len(wf)
     assert stats.count_by_type == counts
     assert stats.max_parallelism >= counts["mDiffFit"]
@@ -103,7 +105,9 @@ def test_summarize_montage_small():
 def test_summarize_file_accounting_matches_bytes_by_kind():
     wf = montage_workflow(degree=0.5)
     stats = summarize(wf)
-    by_kind = wf.bytes_by_kind()
+    by_kind = Counter()
+    for f in wf.skeleton().files:
+        by_kind[f.kind] += f.size
     assert stats.input_bytes == pytest.approx(by_kind["input"])
     assert stats.intermediate_bytes == pytest.approx(by_kind["intermediate"])
     assert stats.output_bytes == pytest.approx(by_kind["output"])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.generators import make_workflow
 from repro.workflow import DataFile, Job, ValidationError, Workflow, validate_workflow
+from repro.workflow.analysis import summarize
 from repro.workflow.serialize import load_json, workflow_to_dict
 from repro.workflow.validation import find_problems
 
@@ -33,8 +34,8 @@ def diamond() -> Workflow:
 
 def test_roots_and_leaves():
     wf = diamond()
-    assert [j.id for j in wf.roots()] == ["a"]
-    assert [j.id for j in wf.leaves()] == ["d"]
+    assert wf.skeleton().roots == ("a",)
+    assert [j.id for j in wf if not j.children] == ["d"]
 
 
 def test_topological_order_respects_dependencies():
@@ -86,24 +87,25 @@ def test_repeated_dependency_is_idempotent():
 
 def test_edges_and_counts():
     wf = diamond()
-    assert wf.n_edges() == 4
-    assert set(wf.edges()) == {("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")}
+    assert summarize(wf).n_edges == 4
+    edges = {(job.id, child) for job in wf for child in job.children}
+    assert edges == {("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")}
     assert len(wf) == 4
-    assert "a" in wf and "z" not in wf
+    assert "a" in wf.jobs and "z" not in wf.jobs
 
 
 def test_total_runtime_and_bytes():
     wf = diamond()
-    assert wf.total_runtime() == pytest.approx(7.0)
-    by_kind = wf.bytes_by_kind()
-    assert by_kind["input"] == pytest.approx(10.0)
-    assert by_kind["intermediate"] == pytest.approx(300.0)
-    assert by_kind["output"] == pytest.approx(50.0)
+    stats = summarize(wf)
+    assert stats.total_runtime == pytest.approx(7.0)
+    assert stats.input_bytes == pytest.approx(10.0)
+    assert stats.intermediate_bytes == pytest.approx(300.0)
+    assert stats.output_bytes == pytest.approx(50.0)
 
 
 def test_count_by_type():
     wf = diamond()
-    assert wf.count_by_type() == {"src": 1, "mid": 2, "sink": 1}
+    assert summarize(wf).count_by_type == {"src": 1, "mid": 2, "sink": 1}
 
 
 def test_relabel_shares_structure():
@@ -140,17 +142,6 @@ def test_load_json_refuses_a_bad_number(tmp_path, field, value):
     path.write_text(json.dumps(data))  # writes NaN, which json.loads reads
     with pytest.raises(ValueError, match=field):
         load_json(path)
-
-
-def test_job_byte_properties():
-    job = Job(
-        "j",
-        "t",
-        inputs=[DataFile("a", 10.0, "input"), DataFile("b", 20.0, "input")],
-        outputs=[DataFile("c", 5.0)],
-    )
-    assert job.input_bytes == pytest.approx(30.0)
-    assert job.output_bytes == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------

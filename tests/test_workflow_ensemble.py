@@ -64,4 +64,3 @@ def test_ensemble_default_plan_is_batch():
     template = montage_workflow(degree=0.5)
     ens = Ensemble([template])
     assert ens.plan.times == (0.0,)
-    assert ens.makespan_horizon() == 0.0
