@@ -48,8 +48,6 @@ class SimBroker:
         #: ``(now, [[message, priority], ...])`` — entries are lists so
         #: ``reprioritize`` can retag them in flight.
         self._pending: Dict[str, Any] = {}
-        self.published = 0
-        self.consumed = 0
 
     def topic(self, name: str) -> PriorityStore:
         store = self._topics.get(name)
@@ -65,14 +63,13 @@ class SimBroker:
 
         ``priority`` ranks the message among queued ones (higher first,
         publish order within a priority).  A ``None`` message is refused
-        with :class:`ValueError` before anything is counted.
+        with :class:`ValueError` before anything is batched or scheduled.
         """
         if message is None:
             # ``None`` is what a cancelled consume delivers and what
             # ``consume_nowait`` returns for "empty": as a payload it
             # would silently end the consumer that reads it.
             raise ValueError(f"cannot publish None to {topic_name!r}")
-        self.published += 1
         entry = [message, priority]
         now = self.sim.now
         # Every path returns True although no caller reads it: topics are
@@ -96,7 +93,6 @@ class SimBroker:
         """:meth:`publish`, ``delay`` seconds late (the chaos decorator's
         delay band, which refuses ``None``): a one-entry batch, never
         ``_pending``, so no reprioritize reaches it in flight."""
-        self.published += 1
         self.sim.schedule_call(
             self.latency + delay, self._deliver, topic_name,
             (self.sim.now, [[message, priority]]),
@@ -116,7 +112,6 @@ class SimBroker:
 
     def consume(self, topic_name: str) -> Event:
         """Event that fires with the next message of the topic."""
-        self.consumed += 1
         store = self._topics.get(topic_name)
         if store is None:
             store = self.topic(topic_name)
@@ -131,10 +126,7 @@ class SimBroker:
         store = self._topics.get(topic_name)
         if store is None:
             store = self.topic(topic_name)
-        message = store.pop_nowait()
-        if message is not None:
-            self.consumed += 1
-        return message
+        return store.pop_nowait()
 
     def reprioritize(
         self, topic_name: str, workflow: str, job_id: str, priority: float

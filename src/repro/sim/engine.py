@@ -26,13 +26,20 @@ Hot-path design (docs/PERFORMANCE.md):
 * A withdrawn wake-up is cancelled *lazily*: a link's ``_Wake``
   (``sim/resources.py``) is cleared with ``callbacks = None``, so its
   agenda entry stays where it is and is skipped for free when popped,
-  instead of paying an O(n) heap removal.
+  instead of paying an O(n) heap removal.  A wake-up that fires is
+  pushed again by the link as its next one, not reallocated.
 * The sanitizer-active check is cached on the simulator (``_san``) and
   refreshed at every ``run``/``run_until``/``step`` entry, so the
   disabled path costs nothing per scheduled event.
 * There is one dispatch loop, :meth:`Simulator._drain`; ``step``,
-  ``run`` and ``run_until`` differ only in the stop condition they hand
-  it, so the lane merge and the callback dispatch are written once.
+  ``run`` and ``run_until`` differ only in the ``until`` and the
+  ``awaited`` event they hand it, so the lane merge and the callback
+  dispatch are written once.  Its stop test is one identity check,
+  ``event is awaited``, after an event's callbacks have run (``step``
+  awaits the entry the loop will pop first).
+* A waiting :class:`Process` sits in its event's callback list itself,
+  and the loop resumes it in its own frame: no bound method per process
+  and no interpreter frame per resume besides the generator's.
 """
 
 from __future__ import annotations
@@ -174,7 +181,7 @@ class JoinEvent(Event):
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         # One chained comparison also rejects NaN, which as a heap key
@@ -187,7 +194,6 @@ class Timeout(Event):
         self.callbacks = []
         self._state = _SUCCEEDED
         self._value = value
-        self.delay = delay
         sim._seq += 1
         if delay == 0.0:
             sim._imm.append((sim._seq, self))
@@ -214,7 +220,6 @@ class Call(Timeout):
         self.callbacks = [self]
         self._state = _SUCCEEDED
         self._value = None
-        self.delay = delay
         self.func = func
         self.args = args
         sim._seq += 1
@@ -228,9 +233,13 @@ class Call(Timeout):
 
 
 class Process(Event):
-    """A running generator; also an event that fires on generator return."""
+    """A running generator; also an event that fires on generator return.
 
-    __slots__ = ("_generator", "_waiting_on", "_bound_resume")
+    A process waits on an event by sitting in its callback list itself;
+    :meth:`Simulator._drain` resumes it there, in the loop's own frame.
+    """
+
+    __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, sim: "Simulator", generator: Generator):
         self.sim = sim
@@ -239,16 +248,15 @@ class Process(Event):
         self._value = None
         self._generator = generator
         sim._procs[self] = None  # until it finishes: see Simulator.close
-        # One bound method reused for every wait (a fresh bound method per
-        # yield is a measurable allocation cost at millions of events).
-        resume = self._bound_resume = self._resume
         # Bootstrap: resume once at the current time.  The boot event is
         # tracked in _waiting_on so interrupt() can cancel it like any
-        # other pending wait.
-        boot = Event(sim)
+        # other pending wait (Event.__init__ + succeed, in this frame).
+        boot = Event.__new__(Event)
+        boot.sim = sim
+        boot.callbacks = [self]
         boot._state = _SUCCEEDED
+        boot._value = None
         self._waiting_on: Optional[Event] = boot
-        boot.callbacks.append(resume)
         sim._seq += 1
         sim._imm.append((sim._seq, boot))
 
@@ -271,64 +279,11 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._bound_resume)
+                target.callbacks.remove(self)
             except ValueError:
                 pass
         self._waiting_on = None
-        event.callbacks.append(self._bound_resume)
-
-    def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        gen = self._generator
-        while True:
-            try:
-                if event._state == _FAILED:
-                    exc = event._value
-                    target = gen.throw(exc)
-                else:
-                    target = gen.send(event._value)
-            except StopIteration as stop:
-                if self._state == _PENDING:
-                    self._state = _SUCCEEDED
-                    self._value = stop.value
-                    sim = self.sim
-                    del sim._procs[self]
-                    sim._seq += 1
-                    sim._imm.append((sim._seq, self))
-                return
-            except Interrupt:
-                # Interrupt escaped the generator: treat as termination.
-                if self._state == _PENDING:
-                    self._state = _SUCCEEDED
-                    self._value = None
-                    sim = self.sim
-                    del sim._procs[self]
-                    sim._seq += 1
-                    sim._imm.append((sim._seq, self))
-                return
-            except BaseException as exc:  # propagate failure to waiters
-                if self._state == _PENDING:
-                    self._state = _FAILED
-                    self._value = exc
-                    sim = self.sim
-                    del sim._procs[self]
-                    sim._seq += 1
-                    sim._imm.append((sim._seq, self))
-                    return
-                raise
-            try:
-                target_callbacks = target.callbacks
-            except AttributeError:
-                raise SimulationError(
-                    f"process yielded {target!r}; processes must yield Event"
-                ) from None
-            if target_callbacks is None:
-                # Already processed: loop and resume immediately.
-                event = target
-                continue
-            self._waiting_on = target
-            target_callbacks.append(self._bound_resume)
-            return
+        event.callbacks.append(self)
 
 
 class AllOf(Event):
@@ -429,26 +384,15 @@ class Simulator:
         return AllOf(self, events)
 
     # -- execution -------------------------------------------------------
-    def _drain(
-        self,
-        until: float = inf,
-        awaited: Optional[Event] = None,
-        limit: float = inf,
-    ) -> None:
-        """Dispatch agenda entries in ``(time, seq)`` order.
-
-        Stops when ``limit`` events have fired, when ``awaited`` has been
-        processed, or when nothing is left at or before ``until`` (a later
-        heap entry stays where it is).
-        """
+    def _drain(self, until: float = inf, awaited: Optional[Event] = None) -> None:
+        """Dispatch agenda entries in ``(time, seq)`` order until ``awaited``
+        has been dispatched or nothing is left at or before ``until``; a
+        :class:`Process` callback is resumed here, in this frame."""
         self._san = san = _sanitizer._ACTIVE
-        heap = self._heap
-        imm = self._imm
+        heap, imm, now = self._heap, self._imm, self.now
         popleft = imm.popleft
-        now = self.now
-        while limit and (awaited is None or awaited.callbacks is not None):
-            # A heap entry at the current instant outranks the imm lane:
-            # it was scheduled at an earlier instant, so its seq is smaller.
+        while True:
+            # A heap entry at this instant with a smaller seq goes first.
             if imm and not (heap and heap[0][0] == now and heap[0][1] < imm[0][0]):
                 event = popleft()[1]
             elif heap and heap[0][0] <= until:
@@ -457,27 +401,74 @@ class Simulator:
                     san.check_step(now, time)
                 self.now = now = time
             else:
-                return
-            limit -= 1
+                return  # a later heap entry stays where it is
             callbacks = event.callbacks
             event.callbacks = None  # marks the event as processed
             if callbacks:
-                for callback in callbacks:
-                    callback(event)
+                for waiter in callbacks:  # type(): __class__ is a slow lookup
+                    if type(waiter) is not Process:
+                        waiter(event)
+                        continue
+                    fired = event
+                    while True:  # a processed target resumes it at once
+                        try:
+                            if fired._state == _FAILED:
+                                fired = waiter._generator.throw(fired._value)
+                            else:
+                                fired = waiter._generator.send(fired._value)
+                        except StopIteration as stop:
+                            state, value = _SUCCEEDED, stop.value
+                        except Interrupt:  # escaped the generator: an end
+                            state, value = _SUCCEEDED, None
+                        except BaseException as exc:  # fails its waiters
+                            if waiter._state != _PENDING:
+                                raise
+                            state, value = _FAILED, exc
+                        else:
+                            try:
+                                waiting = fired.callbacks
+                            except AttributeError:
+                                msg = f"process yielded {fired!r}; yield an Event"
+                                raise SimulationError(msg) from None
+                            if waiting is None:
+                                continue
+                            waiter._waiting_on = fired
+                            waiting.append(waiter)
+                            break
+                        if waiter._state == _PENDING:  # finished: fire it
+                            waiter._state, waiter._value = state, value
+                            waiter._waiting_on = None
+                            del self._procs[waiter]
+                            self._seq += 1
+                            imm.append((self._seq, waiter))
+                        break
+            if event is awaited:
+                return
 
     def step(self) -> None:
-        """Process one event from the agenda."""
-        if not (self._imm or self._heap):
+        """Process one event from the agenda: the one ``_drain`` pops
+        first, by the loop's own lane rule, is the one it stops behind."""
+        heap = self._heap
+        imm = self._imm
+        if imm and not (heap and heap[0][0] == self.now and heap[0][1] < imm[0][0]):
+            self._drain(awaited=imm[0][1])
+        elif heap:
+            self._drain(awaited=heap[0][2])
+        else:
             raise SimulationError("step() on an empty agenda")
-        self._drain(limit=1)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the agenda is empty or ``until`` is reached.
 
-        Returns the simulation time at exit.
+        Returns the simulation time at exit.  An ``until`` that is not
+        finite, or lies in the past, is refused before anything fires.
         """
         if until is None:
             self._drain()
+        elif not -inf < until < inf:
+            # inf would drain and then set now to inf; NaN compares false
+            # with everything and would return without popping anything.
+            raise ValueError(f"until must be finite: {until!r}")
         elif until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
         else:
@@ -493,7 +484,8 @@ class Simulator:
         service processes (worker pull loops, timeout checkers) still
         have events on the agenda.
         """
-        self._drain(awaited=event)
+        if event.callbacks is not None:
+            self._drain(awaited=event)
         if event.callbacks is not None:
             raise SimulationError(
                 "agenda exhausted before the awaited event triggered"

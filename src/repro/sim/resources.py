@@ -31,10 +31,10 @@ link writes its busy/idle edges' codes into the log's columns itself.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_right
 from collections import deque
+from heapq import heapify, heappop, heappush
 from math import inf
 from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple
 
@@ -308,7 +308,6 @@ class FairShareLink:
         "_wake_time",
         "_wake_cb",
         "_busy",
-        "bytes_total",
     )
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "link"):
@@ -330,7 +329,6 @@ class FairShareLink:
         self._wake_time = 0.0
         # Every wake-up's callbacks: one tuple of one bound method, built once.
         self._wake_cb = (self._wake,)
-        self.bytes_total = 0.0
 
     def close(self) -> None:
         """Drop the wake-up and its callback tuple once the run is over:
@@ -347,32 +345,32 @@ class FairShareLink:
     # the arming ``Simulator._schedule``'s behind ``Timeout``'s finite
     # check; the arithmetic keeps one operand order on every path.
 
-    def _wake(self, _entry: _Wake) -> None:
-        """Wake-up callback: complete every ripe stream, re-arm."""
-        self._wake_ev = None
+    def _wake(self, entry: _Wake) -> None:
+        """Wake-up callback: complete every ripe stream, re-arm ``entry``
+        (it is ``_wake_ev``, and has just left the agenda)."""
         sim = self.sim
         now = sim.now
         n = self._n
         capacity = self.capacity
         if n > 0 and now > self._last:
-            delta = (now - self._last) * capacity / n
-            self._v += delta
-            self.bytes_total += delta * n
+            self._v += (now - self._last) * capacity / n
         self._last = now
         v = self._v
         heap = self._heap
         # Tolerance must scale with the magnitudes of both clocks.  The
-        # virtual-byte clock: once v reaches ~1e9, double rounding leaves
-        # residues far above any fixed epsilon.  The time clock: when the
-        # remaining service converts to a dt below the float resolution of
-        # `now`, the wake-up cannot advance time at all — so anything
-        # within one clock quantum's worth of bytes counts as delivered.
+        # virtual-byte clock (never negative: it only grows from its 0.0
+        # rebase, so v is its own abs()): once v reaches ~1e9, double
+        # rounding leaves residues far above any fixed epsilon.  The time
+        # clock: when the remaining service converts to a dt below the
+        # float resolution of `now`, the wake-up cannot advance time at
+        # all — so anything within one clock quantum's worth of bytes
+        # counts as delivered.
         quantum = 1e-9 * (now if now > 1.0 else 1.0)
         ripe = v + (
-            _EPS + 1e-9 * abs(v) + capacity * quantum / (n if n > 0 else 1)
+            _EPS + 1e-9 * v + capacity * quantum / (n if n > 0 else 1)
         )
         while heap and heap[0][0] <= ripe:
-            event = heapq.heappop(heap)[2]
+            event = heappop(heap)[2]
             n -= 1
             kind = type(event)
             if kind is JoinEvent:
@@ -407,25 +405,25 @@ class FairShareLink:
                 else:
                     codes[-1] = 0  # same instant: overwrite
             self._v = 0.0  # rebase the virtual clock between busy periods
+            self._wake_ev = None
         san = _sanitizer._ACTIVE
         if san is not None:
             san.check_link(self)
         if n:
-            # No wake-up is pending (this *was* it), so arming needs
-            # none of _arm's reuse logic.
+            # No other wake-up is pending (this *was* it), so arming needs
+            # none of _arm's reuse logic and no new entry.
             dt = (heap[0][0] - v) * n / capacity
             if dt < 0.0:
                 dt = 0.0
             elif not dt < inf:
                 raise ValueError(f"wake-up delay must be finite: {dt!r}")
             self._wake_time = target = now + dt
-            self._wake_ev = wake = _Wake()
-            wake.callbacks = self._wake_cb
+            entry.callbacks = self._wake_cb
             sim._seq += 1
             if dt == 0.0:
-                sim._imm.append((sim._seq, wake))
+                sim._imm.append((sim._seq, entry))
             else:
-                heapq.heappush(sim._heap, (target, sim._seq, wake))
+                heappush(sim._heap, (target, sim._seq, entry))
 
     def _arm(self, now: float) -> None:
         """Arm (or keep) the wake-up for the next completion.
@@ -472,9 +470,7 @@ class FairShareLink:
         now = self.sim.now
         n = self._n
         if n > 0 and now > self._last:
-            delta = (now - self._last) * self.capacity / n
-            self._v += delta
-            self.bytes_total += delta * n
+            self._v += (now - self._last) * self.capacity / n
         self._last = now
         self.capacity = float(capacity)
         self._busy = self.log.code(self.capacity)
@@ -528,14 +524,12 @@ class FairShareLink:
                 else:
                     codes[-1] = busy  # same instant: overwrite
         elif now > self._last:
-            delta = (now - self._last) * capacity / n
-            self._v += delta
-            self.bytes_total += delta * n
+            self._v += (now - self._last) * capacity / n
         self._last = now
         v = self._v
         heap = self._heap
         self._seq += 1
-        heapq.heappush(heap, (v + nbytes, self._seq, event))
+        heappush(heap, (v + nbytes, self._seq, event))
         self._n = n = n + 1
         san = _sanitizer._ACTIVE
         if san is not None:
@@ -559,7 +553,7 @@ class FairShareLink:
         if dt == 0.0:
             sim._imm.append((sim._seq, wake))
         else:
-            heapq.heappush(sim._heap, (target, sim._seq, wake))
+            heappush(sim._heap, (target, sim._seq, wake))
 
     #: ``transfer``'s way in: the same function under a private name, so
     #: a wrapper installed on the public attribute (bench/spans.py counts
@@ -584,9 +578,7 @@ class FairShareLink:
         now = self.sim.now
         n = self._n
         if n > 0 and now > self._last:
-            delta = (now - self._last) * self.capacity / n
-            self._v += delta
-            self.bytes_total += delta * n
+            self._v += (now - self._last) * self.capacity / n
         self._last = now
         v = self._v
         heap = self._heap
@@ -597,7 +589,7 @@ class FairShareLink:
                 event._complete()
                 continue
             seq += 1
-            heapq.heappush(heap, (v + nbytes, seq, event))
+            heappush(heap, (v + nbytes, seq, event))
             started += 1
         self._seq = seq
         if started == 0:
@@ -752,17 +744,17 @@ class PriorityStore:
             fifo.popleft()
             self._dead -= 1
         while heap and not heap[0].alive:
-            heapq.heappop(heap)
+            heappop(heap)
             self._dead -= 1
         if fifo and heap:
             if heap[0] < fifo[0]:
-                entry = heapq.heappop(heap)
+                entry = heappop(heap)
             else:
                 entry = fifo.popleft()
         elif fifo:
             entry = fifo.popleft()
         elif heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
         else:
             return None
         entry.alive = False
@@ -793,7 +785,7 @@ class PriorityStore:
         if priority == 0.0:
             self._fifo.append(entry)
         else:
-            heapq.heappush(self._heap, entry)
+            heappush(self._heap, entry)
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
@@ -836,13 +828,13 @@ class PriorityStore:
                 self._dead += 1
                 moved.append(_PriorityEntry(-priority, entry.seq, entry.item))
         for entry in moved:
-            heapq.heappush(self._heap, entry)
+            heappush(self._heap, entry)
         # Purge dead entries once they outnumber live ones (bounds the
         # garbage a reprioritize-heavy run can accumulate).
         if self._dead > 64 and self._dead > self._live:
             self._fifo = deque(e for e in self._fifo if e.alive)
             self._heap = [e for e in self._heap if e.alive]
-            heapq.heapify(self._heap)
+            heapify(self._heap)
             self._dead = 0
         return len(moved)
 

@@ -68,8 +68,6 @@ class SharedFileSystem:
         self.active_bytes = 0.0
         self.bytes_read = 0.0       # effective device reads (after cache)
         self.bytes_written = 0.0    # logical writes
-        self.remote_reads = 0
-        self.local_reads = 0
         # LRU stack-distance cache model: `write_clock` counts every byte
         # that entered the namespace; a file read hits the page cache iff
         # fewer bytes than the node's cache arrived since the file was
@@ -221,10 +219,8 @@ class SharedFileSystem:
             home = sole if sole is not None else homes.get(f.name) or self.home_of(f)
             if home is node:
                 local += nbytes
-                self.local_reads += 1
             else:
                 remote[home] = remote.get(home, 0.0) + nbytes
-                self.remote_reads += 1
         return self._start_read(node, local, remote)
 
     def _start_read(self, node, local: float, remote: dict) -> Event:

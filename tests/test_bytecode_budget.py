@@ -49,13 +49,13 @@ pytestmark = pytest.mark.skipif(
 #: jobs, bytecodes under ``repro/``).
 CASES = {
     "pull, 4 x 1.0 deg on 2 x r3.8xlarge MooseFS": (
-        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_653_453,
+        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_412_100,
     ),
     "pull, 2 x 2.0 deg on 1 x c3.8xlarge local": (
-        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_000_819,
+        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 6_672_978,
     ),
     "central dispatch, 2 x 2.0 deg on 1 x c3.8xlarge local": (
-        SchedulingEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_788_287,
+        SchedulingEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_472_960,
     ),
 }
 

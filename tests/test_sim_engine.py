@@ -184,6 +184,44 @@ def test_run_until_past_raises():
         sim.run(until=1.0)
 
 
+@pytest.mark.parametrize("until", [float("inf"), float("nan"), -float("inf")], ids=repr)
+def test_run_refuses_a_non_finite_until_before_popping(until):
+    """``run(until=inf)`` drained the agenda and then set ``now`` to inf;
+    ``run(until=nan)`` returned 0.0 with the agenda untouched.  Both are
+    refused, as ``Timeout`` refuses such a delay, with nothing popped."""
+    sim = Simulator()
+    fired = []
+    sim.timeout(1.0).callbacks.append(lambda _ev: fired.append(sim.now))
+    sim.timeout(0.0).callbacks.append(lambda _ev: fired.append(sim.now))
+    with pytest.raises(ValueError, match="until must be finite"):
+        sim.run(until=until)
+    assert fired == [] and sim.now == 0.0 and sim.peek() == 0.0
+    assert sim.run() == 1.0 and fired == [0.0, 1.0]
+
+
+def test_run_until_runs_a_callback_appended_to_the_awaited_event():
+    """The stop test comes after the whole callback list: a callback that
+    an earlier event appends to the awaited one, and a process that
+    starts waiting on it, both run before ``run_until`` returns."""
+    sim = Simulator()
+    awaited = sim.timeout(2.0)
+    log = []
+
+    def waiter():
+        log.append(("resumed", (yield awaited)))
+
+    def arm(_ev):
+        awaited.callbacks.append(lambda _ev: log.append(("callback", sim.now)))
+        sim.process(waiter())
+
+    sim.timeout(1.0).callbacks.append(arm)
+    sim.timeout(2.0).callbacks.append(lambda _ev: log.append(("later", sim.now)))
+    assert sim.run_until(awaited) == 2.0
+    assert log == [("callback", 2.0), ("resumed", None)]
+    sim.run()
+    assert log[-1] == ("later", 2.0)
+
+
 def test_interrupt_waiting_process():
     sim = Simulator()
     log = []

@@ -13,8 +13,11 @@ from repro.sim import (
     CorePool,
     Event,
     FairShareLink,
+    Interrupt,
     JoinEvent,
+    Process,
     SegmentLog,
+    SimulationError,
     Simulator,
 )
 
@@ -26,18 +29,33 @@ INF = float("inf")
 
 #: One op: ``(kind, delay, parent key, victim key)``.  Op ``i`` runs when
 #: op ``parent key % (i + 1) - 1`` fires (-1: before the run starts), so a
-#: program schedules from inside callbacks as well as up front.
+#: program schedules from inside callbacks as well as up front.  A
+#: ``cancel`` acts on op ``victim key % (i + 1)``, a ``trigger`` or an
+#: ``interrupt`` on the ``victim key``-th (cyclically) of the processes
+#: started so far that it can act on (:data:`_TARGETS`); a process op
+#: ends as ``victim key % 3`` says (:data:`_ENDS`).
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["timeout", "call", "succeed", "cancel"]),
+        st.sampled_from(
+            ["timeout", "call", "succeed", "cancel",
+             "sleeper", "gated", "trigger", "interrupt"]
+        ),
         # Zero, tied, short and week-long delays.
         st.sampled_from([0.0, 1.0, 1.0, 2.0, 1e7]) | st.floats(0.001, 8.0),
         st.integers(0, 1000),
         st.integers(0, 1000),
     ),
-    max_size=14,
+    max_size=16,
 )
 _SLICES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e7]), max_size=6)
+
+#: How a process op ends once its wait is over: it returns, it yields the
+#: event it waited on again (already processed: it resumes at once) and
+#: then returns, or it raises.  A ``sleeper`` waits on a timeout of its
+#: own, a ``gated`` process on an event a ``trigger`` op succeeds.
+_ENDS = ("return", "again", "raise")
+#: The process ops a targeting op can act on (``None``: any op).
+_TARGETS = {"cancel": None, "trigger": ("gated",), "interrupt": ("sleeper", "gated")}
 
 
 def log_values(log):
@@ -45,19 +63,25 @@ def log_values(log):
     return array("d", map(log.levels.__getitem__, log.codes))
 
 
-def _program(ops, now, after, cancel):
-    """Start ``ops`` on an agenda given as three functions.  Returns the
-    log the run will fill and the handle of every op scheduled so far."""
-    log, handles = [], {}
+def _program(ops, agenda):
+    """Start ``ops`` on ``agenda``.  Returns the log the run will fill;
+    every op scheduled so far is in ``agenda.handles`` (timeouts, calls,
+    succeeds) or ``agenda.procs`` (processes)."""
+    log = agenda.log
 
     def execute(i):
         kind, delay, _parent, victim = ops[i]
-        if kind == "cancel":
-            handle = handles.get(victim % (i + 1))
-            log.append((now(), i, handle is not None and cancel(handle)))
+        if kind in _TARGETS:
+            kinds, j = _TARGETS[kind], victim % (i + 1)
+            if kinds is not None:
+                targets = [k for k in agenda.procs if ops[k][0] in kinds] or [None]
+                j = targets[victim % len(targets)]
+            log.append((agenda.now(), i, getattr(agenda, kind)(j)))
+        elif kind in ("sleeper", "gated"):
+            agenda.start(i, kind, delay, _ENDS[victim % 3], lambda: fire(i))
         else:
             delay = 0.0 if kind == "succeed" else delay
-            handles[i] = after(kind, delay, lambda: fire(i))
+            agenda.handles[i] = agenda.after(kind, delay, lambda: fire(i))
 
     def execute_children(i):
         for j in range(i + 1, len(ops)):
@@ -65,37 +89,118 @@ def _program(ops, now, after, cancel):
                 execute(j)
 
     def fire(i):
-        log.append((now(), i))
+        log.append((agenda.now(), i))
         execute_children(i)
 
     execute_children(-1)
-    return log, handles
+    return log
 
 
-def _naive_trace(ops):
+class _NaiveAgenda:
     """The agenda as a plain list of ``[time, seq, fire]``, sorted before
     every pop; a cancelled entry keeps its place and fires nothing, and
-    a cancel reports whether the entry was still live."""
-    now, seq, entries = 0.0, 0, []
+    a cancel reports whether the entry was still live.  A process is a
+    state and a wait token: an entry that would resume it does so only
+    if the process still waits on that token.  Every kernel object that
+    takes a ``sim._seq`` — boot event, a sleeper's timeout, a succeeded
+    gate, an interrupt, the finished process — is one entry here."""
 
-    def after(_kind, delay, fire):
-        nonlocal seq
-        seq += 1
-        entries.append([now + delay, seq, fire])
-        return entries[-1]
+    def __init__(self):
+        self.time, self.seq, self.entries, self.log = 0.0, 0, [], []
+        self.handles, self.procs, self.gates = {}, {}, {}
 
-    def cancel(entry):
-        live = entry[2] is not None and any(other is entry for other in entries)
+    def now(self):
+        return self.time
+
+    def after(self, _kind, delay, fire):
+        self.seq += 1
+        self.entries.append([self.time + delay, self.seq, fire])
+        return self.entries[-1]
+
+    def cancel(self, j):
+        entry = self.handles.get(j)
+        if entry is None:
+            return False
+        live = entry[2] is not None and any(other is entry for other in self.entries)
         entry[2] = None
         return live
 
-    log, _handles = _program(ops, lambda: now, after, cancel)
-    while entries:
-        entries.sort(key=lambda entry: entry[:2])
-        now, _seq, fire = entries.pop(0)
-        if fire is not None:
-            fire()
-    return log
+    def start(self, i, kind, delay, end, fire):
+        proc = self.procs[i] = {"state": "booting", "wait": object()}
+        if kind == "gated":
+            self.gates[i] = {"triggered": False, "waiter": None}
+        token = proc["wait"]
+        self.after(None, 0.0, lambda: self._boot(i, kind, delay, end, fire, token))
+
+    def _boot(self, i, kind, delay, end, fire, token):
+        proc = self.procs[i]
+        if proc["wait"] is not token:  # interrupted before it began
+            return
+        proc["state"], proc["wait"] = "waiting", object()
+        resume = lambda token=proc["wait"]: self._resume(i, end, fire, token)
+        if kind == "sleeper":
+            self.after(None, delay, resume)
+        else:
+            self.gates[i]["waiter"] = resume
+
+    def _resume(self, i, end, fire, token):
+        proc = self.procs[i]
+        if proc["wait"] is not token:  # an interrupt took it off this wait
+            return
+        proc["state"], proc["wait"] = "running", None
+        fire()
+        if end == "again":
+            self.log.append((self.time, i, "again"))
+        self._finish(proc, "failed" if end == "raise" else "ok")
+
+    def _finish(self, proc, outcome="ok"):
+        proc["state"], proc["outcome"] = "done", outcome
+        self.after(None, 0.0, lambda: None)
+
+    def outcomes(self):
+        return {i: proc.get("outcome", "alive") for i, proc in self.procs.items()}
+
+    def trigger(self, j):
+        gate = self.gates.get(j)
+        if gate is None or gate["triggered"]:
+            return False
+        gate["triggered"] = True
+        # No waiter: its process was interrupted before it began.
+        self.after(None, 0.0, lambda: gate["waiter"] and gate["waiter"]())
+        return True
+
+    def interrupt(self, j):
+        proc = self.procs.get(j)
+        if proc is None or proc["state"] == "done":
+            return False
+        proc["wait"] = None  # taken off whatever it waited on
+        self.after(None, 0.0, lambda: self._interrupted(j))
+        return True
+
+    def _interrupted(self, j):
+        proc = self.procs[j]
+        if proc["state"] == "done":  # thrown into a finished generator
+            return
+        if proc["state"] == "waiting":  # caught at its wait
+            self.log.append((self.time, j, "interrupted"))
+        # A process that never began meets it at its first line: it ends,
+        # and an Interrupt that escapes a generator is a plain end.
+        self._finish(proc)
+
+    def drain(self):
+        entries = self.entries
+        while entries:
+            entries.sort(key=lambda entry: entry[:2])
+            self.time, _seq, fire = entries.pop(0)
+            if fire is not None:
+                fire()
+
+
+def _naive_trace(ops):
+    agenda = _NaiveAgenda()
+    log = _program(ops, agenda)
+    agenda.drain()
+    return log, agenda.outcomes()
 
 
 def _clear(event):
@@ -110,25 +215,89 @@ def _clear(event):
     return True
 
 
-def _kernel_trace(ops, drive):
-    sim = Simulator()
+class _KernelAgenda:
+    """The same program on a :class:`Simulator`, processes as generators."""
 
-    def after(kind, delay, fire):
+    def __init__(self):
+        self.sim, self.log = Simulator(), []
+        self.handles, self.procs, self.gates = {}, {}, {}
+
+    def now(self):
+        return self.sim.now
+
+    def after(self, kind, delay, fire):
+        sim = self.sim
         if kind == "call":
             return sim.schedule_call(delay, fire)
         event = sim.event().succeed() if kind == "succeed" else sim.timeout(delay)
         event.callbacks.append(lambda _event: fire())
         return event
 
-    log, handles = _program(ops, lambda: sim.now, after, _clear)
-    drive(sim, log, sorted(handles.items()))
-    assert sim.peek() == INF
-    return log
+    def cancel(self, j):
+        handle = self.handles.get(j)
+        return handle is not None and _clear(handle)
+
+    def start(self, i, kind, delay, end, fire):
+        sim, log = self.sim, self.log
+        gate = self.gates[i] = sim.event() if kind == "gated" else None
+
+        def body():
+            try:
+                waited = sim.timeout(delay) if gate is None else gate
+                yield waited
+            except Interrupt:
+                log.append((sim.now, i, "interrupted"))
+                if end == "raise":
+                    raise  # escapes the generator: a plain end
+                return
+            fire()
+            if end == "again":
+                assert (yield waited) is None
+                log.append((sim.now, i, "again"))
+            elif end == "raise":
+                raise RuntimeError(f"op {i} fails its process")
+
+        self.procs[i] = sim.process(body())
+
+    def trigger(self, j):
+        gate = self.gates.get(j)
+        if gate is None or gate.triggered:
+            return False
+        gate.succeed()
+        return True
+
+    def interrupt(self, j):
+        proc = self.procs.get(j)
+        if proc is None or not proc.is_alive:
+            return False
+        proc.interrupt("op")
+        return True
+
+    def outcomes(self):
+        return {
+            i: "alive" if proc.is_alive else "ok" if proc.ok else "failed"
+            for i, proc in self.procs.items()
+        }
+
+
+def _kernel_trace(ops, drive):
+    agenda = _KernelAgenda()
+    log = _program(ops, agenda)
+    roots = sorted({**agenda.handles, **agenda.procs}.items())
+    drive(agenda.sim, log, roots)
+    assert agenda.sim.peek() == INF
+    return log, agenda.outcomes()
 
 
 def _by_steps(sim, _log, _roots):
+    def size():
+        return len(sim._heap) + len(sim._imm) - sim._seq
+
     while sim.peek() < INF:
+        before = size()
         sim.step()
+        # Every sim._seq is one push: one step pops exactly one entry.
+        assert before - size() == 1
 
 
 def _by_slices(widths):
@@ -144,8 +313,13 @@ def _by_slices(widths):
 
 def _by_awaiting(sim, log, roots):
     for i, handle in roots:
-        live = handle.callbacks  # emptied by a cancel
-        sim.run_until(handle)
+        live = handle.callbacks  # emptied by a cancel; a process's is []
+        try:
+            sim.run_until(handle)
+        except SimulationError:  # a gated process nothing triggers
+            assert isinstance(handle, Process) and handle.is_alive
+            assert sim.peek() == INF
+            continue
         assert handle.callbacks is None
         if live:  # stopped right behind it: nothing has fired since
             assert [entry for entry in log if len(entry) == 2][-1] == (sim.now, i)
@@ -153,12 +327,16 @@ def _by_awaiting(sim, log, roots):
 
 
 @given(_OPS, _SLICES)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_agenda_matches_naive_sorted_list(ops, widths):
-    """Timeouts, ``schedule_call``s, ``succeed``s and cancels, up front
-    and from callbacks: ``run()``, ``run(until)`` in slices, ``run_until``
-    on each up-front event in turn and a ``step()`` loop all leave the
-    model's ``(time, op)`` trace, with the sanitizer on and off."""
+    """Timeouts, ``schedule_call``s, ``succeed``s and cancels, and
+    processes that wait on a timeout or on an event another op succeeds,
+    are interrupted, yield an already-processed event, return or raise —
+    up front and from callbacks and processes: ``run()``, ``run(until)``
+    in slices, ``run_until`` on each up-front event and process in turn
+    and a ``step()`` loop all leave the model's trace, with the sanitizer
+    on and off; every process ends as the model's does (returned,
+    failed, or still waiting)."""
     expected = _naive_trace(ops)
     drives = [lambda sim, *_: sim.run(), _by_slices(widths), _by_awaiting, _by_steps]
     assert sanitizer.active() is not None  # conftest arms the strict one
@@ -466,7 +644,7 @@ def test_link_matches_naive_processor_sharing(schedule):
     for f, when in expected.items():
         assert got[f] == pytest.approx(when, rel=slack, abs=slack), (f, got, expected)
     total = sum(sum(sizes) for _t, _how, sizes, _waiter in batches)
-    assert link.bytes_total == pytest.approx(total, rel=slack, abs=1e-9)
+    assert link.log.integrate(sim.now) == pytest.approx(total, rel=slack, abs=1e-9)
     assert link._n == 0 and not link._heap
 
 
@@ -537,10 +715,13 @@ def test_superseded_link_wake_up_is_an_ordinary_dead_agenda_entry():
     assert [time for time, _seq, _entry in sorted(sim._heap)] == [2.0, 10.0]
 
     assert sim.run(until=5.0) == 5.0
-    assert woken == [2.0] and fast.callbacks is None and live.callbacks is None
+    assert woken == [2.0] and fast.callbacks is None
     # fast's completion and the wake-up re-armed for slow took 3 and 4;
-    # the dead entry (seq 1, t=10) is still the agenda's head.
+    # the entry that fired is the one re-armed, and the dead entry (seq
+    # 1, t=10) is still the agenda's head.
+    assert link._wake_ev is live and live.callbacks is link._wake_cb
     assert sim._seq == 4 and sim.peek() == 10.0
+    assert [entry for _t, _seq, entry in sorted(sim._heap)] == [dead, live]
     assert sim.run(until=10.5) == 10.5
     assert woken == [2.0] and sim.peek() == 11.0 and not slow.triggered
     sim.run()

@@ -496,7 +496,7 @@ def test_link_fixed_plan_exact_floats_and_event_count():
         ("i", "45045085.04505405", 30),
     ]
     assert sim._seq == 30
-    assert repr(link.bytes_total) == "5000000457.834332"
+    assert repr(link.log.integrate(sim.now)) == "5000000457.834332"
     assert list(link.log.times) == [
         0.0, 1.9, 6.0, 8.2993993993994, 40.0, 45045085.04505405
     ]
@@ -546,7 +546,7 @@ def _assert_untouched_then_honest(sim, link, join):
     """After a refused call: link, barrier, log and agenda as they were,
     and an honest stream still completes at the exact instant."""
     assert (link._n, link._heap, link._seq, link._wake_ev) == (0, [], 0, None)
-    assert (link._v, link.bytes_total) == (0.0, 0.0)
+    assert link._v == 0.0
     assert list(link.log.times) == [0.0] and list(log_values(link.log)) == [0.0]
     assert join._pending == 1 and not join.triggered
     assert sim._seq == 0 and sim.peek() == float("inf")
@@ -616,7 +616,7 @@ def test_link_transfer_many_validates_before_it_mutates(_strict_sanitizer):
     with pytest.raises(ValueError, match="negative transfer size"):
         link.transfer_many([50.0, 0.0, -1.0], join)
     assert (link._n, link._heap, link._seq, link._wake_ev) == (0, [], 0, None)
-    assert (link._v, link.bytes_total) == (0.0, 0.0)
+    assert link._v == 0.0
     assert list(link.log.times) == [0.0] and list(log_values(link.log)) == [0.0]
     assert join._pending == 3 and not join.triggered
     assert sim._seq == 0

@@ -207,7 +207,9 @@ def test_local_read_uses_local_disk_only():
     sim.run()
     # 1 GB at c3 random-read 400 MB/s -> 2.5 s
     assert done == [pytest.approx(2.5, rel=1e-3)]
-    assert cluster.fs.remote_reads == 0
+    # The whole gigabyte came off the node's own disk, none over its NIC.
+    assert node.disk.read.log.integrate(sim.now) == pytest.approx(1e9)
+    assert node.nic_in.log.integrate(sim.now) == 0.0
 
 
 def test_remote_read_crosses_network():
@@ -224,10 +226,13 @@ def test_remote_read_crosses_network():
 
     sim.process(reader())
     sim.run()
-    assert fs.remote_reads == 1
     # Bottleneck is the home's 400 MB/s disk read (NIC is 1250 MB/s).
     assert done == [pytest.approx(2.5, rel=1e-3)]
-    assert home.nic_out.bytes_total > 0 or home.nic_out.log.integrate(sim.now) > 0
+    # The whole gigabyte crossed the network: out of the home, into the
+    # reader, and none of it off the reader's own disk.
+    assert home.nic_out.log.integrate(sim.now) == pytest.approx(1e9)
+    assert reader_node.nic_in.log.integrate(sim.now) == pytest.approx(1e9)
+    assert reader_node.disk.read.log.integrate(sim.now) == 0.0
 
 
 def test_recently_written_file_reads_from_cache():
