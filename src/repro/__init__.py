@@ -70,9 +70,8 @@ __getattr__, __all__ = lazy_exports(__name__, {
     "repro.dewe": "DeweConfig MasterDaemon WorkerDaemon submit_workflow",
     "repro.engines": "DeweV1Engine EngineResult PullEngine RunConfig "
                      "SchedulingEngine",
-    "repro.faults": "ChaosScenario DeadLetterEntry Degradation "
-                    "FaultAction FaultSchedule FaultTrace RetryPolicy SCENARIOS "
-                    "SpotTerminationModel StragglerModel TransientFaultModel "
+    "repro.faults": "ChaosScenario DeadLetterEntry FaultAction FaultSchedule "
+                    "FaultTrace RetryPolicy SCENARIOS TransientFaultModel "
                     "get_scenario kill_restart_cycle run_chaos",
     "repro.generators": "cybershake_workflow ligo_workflow montage_workflow "
                         "random_layered_workflow",

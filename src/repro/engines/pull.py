@@ -15,12 +15,12 @@ any object with ``install(run)``; the engine calls it once with the
 :class:`PullRun`, before any worker starts, and the run's public methods
 are what it may schedule against:
 
-* a :class:`~repro.faults.injection.FaultSchedule` scripts worker-daemon
-  kills and restarts; killed slots acknowledge nothing, so interrupted
-  jobs are recovered by the master's timeout resubmission;
-* the seeded models of :mod:`repro.faults.models` drive spot
-  terminations (with drain-on-notice), degraded straggler nodes and
-  network partitions;
+* a :class:`~repro.faults.models.FaultSchedule` scripts every node
+  disturbance: worker-daemon kills and restarts (killed slots
+  acknowledge nothing, so interrupted jobs are recovered by the master's
+  timeout resubmission), spot terminations with drain-on-notice,
+  degraded straggler nodes and network partitions — written by hand or
+  drawn by a seeded hazard of :mod:`repro.faults.models`;
 * :func:`~repro.provision.autoscale.queue_depth_autoscaler` starts and
   drains worker daemons on queue depth;
 * a :class:`~repro.liveness.MasterFailoverModel` kills the primary
@@ -173,8 +173,8 @@ class PullEngine(EngineBase):
         with ``install(run)``, called once in list order with the
         :class:`PullRun` after the master's loops exist and before any
         worker starts.  A
-        :class:`~repro.faults.injection.FaultSchedule`, the sampled
-        models of :mod:`repro.faults.models`, a
+        :class:`~repro.faults.models.FaultSchedule` (written by hand or
+        sampled from a hazard), a
         :func:`~repro.provision.autoscale.queue_depth_autoscaler` and a
         :class:`~repro.liveness.MasterFailoverModel` (needs ``journal``)
         are the ones the repo ships; what they record lands in

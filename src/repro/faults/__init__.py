@@ -1,15 +1,15 @@
 """Fault injection and fault tolerance (paper §V.A.3, and beyond).
 
-Four layers:
+Three layers:
 
-* :mod:`~repro.faults.injection` — the paper's *scripted* worker-daemon
-  kill/restart schedules;
-* :mod:`~repro.faults.models` — *stochastic* fault models (spot
-  terminations with two-minute notice, transient/poison job failures,
-  degraded straggler nodes, network partitions, file corruption/loss)
-  and the three frozen samplers (:class:`SpotHazard`,
-  :class:`StragglerHazard`, :class:`PartitionHazard`) that draw the
-  node-level ones from explicit seeds;
+* :mod:`~repro.faults.models` — the one fault script,
+  :class:`FaultSchedule`: the paper's worker-daemon kills and restarts
+  and, as timed actions of the same script, spot terminations with
+  two-minute notice, degraded straggler nodes and network partitions;
+  the three frozen samplers (:class:`SpotHazard`,
+  :class:`StragglerHazard`, :class:`PartitionHazard`) that draw such a
+  script from an explicit seed; and the models that act inside the run
+  (transient/poison job failures, file corruption/loss);
 * :mod:`~repro.faults.retry` — the unified retry policy: exponential
   backoff with deterministic jitter, per-job attempt budgets, and
   dead-lettering of poison jobs;
@@ -29,10 +29,8 @@ from repro import lazy_exports
 __getattr__, __all__ = lazy_exports(__name__, {
     "repro.faults.chaos": "ChaosReport ChaosScenario SCENARIOS get_scenario "
                           "run_chaos",
-    "repro.faults.injection": "FaultAction FaultSchedule kill_restart_cycle",
-    "repro.faults.models": "Degradation FaultEvent FaultTrace NetworkPartitionModel "
-                           "PartitionHazard PartitionWindow SpotHazard "
-                           "SpotTerminationModel StragglerHazard StragglerModel "
-                           "TransientFaultModel",
+    "repro.faults.models": "FaultAction FaultEvent FaultSchedule FaultTrace "
+                           "PartitionHazard SpotHazard StragglerHazard "
+                           "TransientFaultModel kill_restart_cycle",
     "repro.faults.retry": "DeadLetterEntry RetryPolicy",
 })

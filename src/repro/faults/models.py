@@ -1,26 +1,36 @@
-"""Seeded stochastic fault models (the failure modes of real clouds).
+"""Node disturbances as one fault script, and the seeded fault models.
 
-:mod:`repro.faults.injection` scripts the paper's deterministic
-kill/restart cycles; this module adds the failure modes that Juve et
-al.'s EC2 workflow studies show actually dominate in public clouds:
+The paper's robustness tests (§V.A.3) kill the worker daemon mid-run and
+start it again 5 seconds later — on the same node, or on the other node
+of a two-node cluster.  A :class:`FaultSchedule` is such a script: timed
+:class:`FaultAction` entries against node indices, installed as a
+controller (``PullEngine(controllers=[schedule])``).  The same script
+carries the node-level failure modes that Juve et al.'s EC2 workflow
+studies show dominate in public clouds:
 
-* :class:`SpotTerminationModel` — spot-style instance reclamation, with
-  the two-minute-notice variant (notice drains the worker daemon so
-  in-flight jobs can finish; the termination kills whatever remains);
-* :class:`TransientFaultModel` — per-attempt transient job failure
-  probability plus always-failing *poison* jobs;
-* :class:`StragglerModel` — degraded nodes: disk bandwidth and/or CPU
-  speed scaled by a factor over an interval (the "bad neighbour" /
-  failing-disk straggler).
+* spot-style reclamation — ``spot-notice`` drains the worker daemon
+  (EC2's two-minute notice: in-flight jobs may finish) and
+  ``spot-termination`` kills whatever remains, with an optional
+  replacement instance ``duration`` seconds later;
+* degraded straggler nodes — ``degrade-start`` scales both disk
+  channels' bandwidth by its ``value`` for ``duration`` seconds;
+* network partitions — ``partition-start`` cuts a node off from the
+  control plane, in the ``value`` direction, for ``duration`` seconds.
 
-The three node-level models take explicit event lists and are
-controllers: ``install(run)`` schedules their events against a
-:class:`~repro.engines.pull.PullRun` through its public methods.  Their
-rates live in three frozen samplers — :class:`SpotHazard`,
-:class:`StragglerHazard`, :class:`PartitionHazard` — whose
-``sample(seed, n_nodes, horizon)`` draws the event list once, up front,
-from an explicit ``random.Random(seed)``, so the whole fault trace is a
-pure function of the seed (the chaos goldens pin it).
+Three frozen samplers — :class:`SpotHazard`, :class:`StragglerHazard`,
+:class:`PartitionHazard` — hold these as rates; ``sample(seed, n_nodes,
+horizon)`` draws the schedule once, up front, from an explicit
+``random.Random(seed)``, so the whole fault trace is a pure function of
+the seed (the chaos goldens pin it).  :class:`TransientFaultModel`
+(per-attempt job failures and poison jobs) and the file-fault models
+act inside the run instead.
+
+Expected behaviour of a kill/restart cycle (asserted by the robustness
+benchmark): an interruption during **non-blocking** jobs adds roughly
+the interruption to the makespan (execution resumes as soon as a worker
+is back); one during **blocking** jobs adds roughly the interrupted
+job's timeout (nothing else is eligible, so the master must wait for the
+timeout to resubmit).
 """
 
 from __future__ import annotations
@@ -30,19 +40,17 @@ import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from math import inf
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "FaultEvent",
     "FaultTrace",
-    "SpotTerminationModel",
+    "FaultAction",
+    "FaultSchedule",
+    "kill_restart_cycle",
     "SpotHazard",
     "TransientFaultModel",
-    "Degradation",
-    "StragglerModel",
     "StragglerHazard",
-    "PartitionWindow",
-    "NetworkPartitionModel",
     "PartitionHazard",
     "FileCorruptionModel",
     "FileLossModel",
@@ -89,13 +97,180 @@ class FaultTrace:
         return iter(self.events)
 
 
-def check_node(run, node: int, what: str) -> None:
-    """Refuse, at install, a controller entry naming a node the run's
-    cluster does not have."""
-    if not 0 <= node < run.n_nodes:
-        raise ValueError(
-            f"{what} targets node {node} of a {run.n_nodes}-node cluster"
+#: Valid partition directions.  ``full`` severs both directions;
+#: ``to-master`` only the worker's uplink (its acks are in flight /
+#: buffered, its heartbeats lost); ``from-master`` only the downlink
+#: (it stops receiving dispatches but its acks still arrive).
+PARTITION_MODES = ("full", "to-master", "from-master")
+
+#: Action kind -> the undo its ``duration`` schedules (``None``: no undo).
+_UNDO = {
+    "kill": None,
+    "restart": None,
+    "spot-notice": None,
+    "spot-termination": "spot-replacement",
+    "degrade-start": "degrade-end",
+    "partition-start": "partition-heal",
+}
+_WINDOWS = ("degrade-start", "partition-start")
+
+
+@dataclass(frozen=True)
+class FaultAction:
+    """One timed disturbance of one node; ``action`` is the trace kind.
+
+    ``value`` is the disk factor of a ``degrade-start`` and the
+    :data:`PARTITION_MODES` entry of a ``partition-start``.  ``duration``
+    is the delay from the action to its undo (``degrade-end``,
+    ``partition-heal``, ``spot-replacement``), scheduled when the action
+    fires: required for the two windows, optional for a
+    ``spot-termination`` (without it the node is not replaced).
+    """
+
+    time: float
+    node: int
+    action: str
+    value: Union[float, str, None] = None
+    duration: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        kind, value, duration = self.action, self.value, self.duration
+        if not 0.0 <= self.time < inf:
+            raise ValueError(f"action time must be finite and >= 0, got {self.time}")
+        if not isinstance(self.node, int) or self.node < 0:
+            raise ValueError(f"node index must be an int >= 0, got {self.node!r}")
+        if kind not in _UNDO:
+            raise ValueError(f"unknown action {kind!r}")
+        if kind == "partition-start":
+            if value not in PARTITION_MODES:
+                raise ValueError(
+                    f"mode must be one of {PARTITION_MODES}, got {value!r}"
+                )
+        elif kind == "degrade-start":
+            if value is None or not 0.0 < value < inf:
+                raise ValueError(f"disk factor must be finite and > 0, got {value}")
+        elif value is not None:
+            raise ValueError(f"{kind} takes no value, got {value!r}")
+        if duration is None:
+            if kind in _WINDOWS:
+                raise ValueError(f"{kind} needs a duration")
+        elif _UNDO[kind] is None:
+            raise ValueError(f"{kind} takes no duration, got {duration}")
+        elif not (0.0 < duration < inf or duration == 0 and kind not in _WINDOWS):
+            # A replacement may start at once; a window must last.
+            raise ValueError(f"bad {kind} duration {duration}")
+
+
+class FaultSchedule:
+    """An ordered script of :class:`FaultAction`; the one controller that
+    disturbs nodes.
+
+    ``initially_down`` lists nodes whose worker daemon is *not* started at
+    t=0 (the two-node test runs only one worker daemon at a time).  Two
+    windows of one kind on one node may not overlap.
+    """
+
+    def __init__(
+        self,
+        actions: Sequence[FaultAction],
+        initially_down: Sequence[int] = (),
+    ):
+        self.actions: List[FaultAction] = sorted(actions, key=lambda a: a.time)
+        self.initially_down = tuple(initially_down)
+        windows = sorted(
+            (a for a in self.actions if a.action in _WINDOWS),
+            key=lambda a: (a.action, a.node, a.time),
         )
+        for a, b in zip(windows, windows[1:]):
+            if (a.action, a.node) == (b.action, b.node) and (
+                b.time < a.time + a.duration
+            ):
+                raise ValueError(
+                    f"overlapping {a.action} windows on node {a.node}: "
+                    f"[{a.time}, {a.time + a.duration}) and [{b.time}, ...)"
+                )
+
+    def install(self, run) -> None:
+        """Refuse a node the cluster does not have, hold the
+        ``initially_down`` nodes' daemons back at t=0 and schedule every
+        action against ``run``."""
+        for node in [a.node for a in self.actions] + list(self.initially_down):
+            if not 0 <= node < run.n_nodes:
+                raise ValueError(
+                    f"fault schedule targets node {node} of a "
+                    f"{run.n_nodes}-node cluster"
+                )
+        run.initially_down.update(self.initially_down)
+        for action in self.actions:
+            run.sim.schedule_call(action.time, self._apply, run, action)
+
+    def _apply(self, run, action: FaultAction) -> None:
+        kind, node, value = action.action, action.node, action.value
+        detail = ""
+        if kind == "degrade-start":
+            # ``cpu*1`` is hashed by the stragglers and game-day goldens.
+            detail = f"disk*{value:g} cpu*1 for {action.duration:g}s"
+        elif kind == "partition-start":
+            detail = f"mode={value} for {action.duration:g}s"
+        run.trace.record(run.sim.now, kind, node, detail)
+        if kind == "restart":
+            run.start_worker(node)
+        elif kind == "spot-notice":
+            run.stop_worker(node)  # drain: in-flight jobs may still finish
+        elif kind == "degrade-start":
+            run.set_disk_factor(node, value)
+        elif kind == "partition-start":
+            run.begin_partition(node, value)
+        else:
+            run.kill_worker(node)
+            if kind == "spot-termination":
+                run.mark_spot_terminated(node)
+        if action.duration is not None:
+            run.sim.schedule_call(action.duration, self._undo, run, action)
+
+    def _undo(self, run, action: FaultAction) -> None:
+        kind, node = _UNDO[action.action], action.node
+        run.trace.record(run.sim.now, kind, node)
+        if kind == "spot-replacement":
+            run.start_worker(node)
+        elif kind == "degrade-end":
+            run.set_disk_factor(node, 1.0)
+        else:
+            run.end_partition(node)
+
+
+def kill_restart_cycle(
+    kill_times: Sequence[float],
+    downtime: float = 5.0,
+    kill_node: int = 0,
+    restart_node: int | None = None,
+) -> FaultSchedule:
+    """The paper's interruption pattern: kill, restart ``downtime`` later.
+
+    With ``restart_node`` set, the daemon comes back on a different node
+    (the two-node NFS scenario); otherwise on the same node.
+    """
+    if downtime < 0:
+        raise ValueError(f"downtime must be >= 0, got {downtime}")
+    if restart_node == kill_node:
+        # Silently identical to the same-node cycle, except it would also
+        # mark the node initially down and deadlock the run — reject it.
+        raise ValueError(
+            f"restart_node must differ from kill_node (both {kill_node}); "
+            f"omit restart_node for a same-node restart cycle"
+        )
+    actions = []
+    current = kill_node
+    for t in kill_times:
+        actions.append(FaultAction(t, current, "kill"))
+        if restart_node is None:
+            nxt = current  # same-node restart
+        else:
+            nxt = restart_node if current == kill_node else kill_node
+        actions.append(FaultAction(t + downtime, nxt, "restart"))
+        current = nxt
+    initially_down = () if restart_node is None else (restart_node,)
+    return FaultSchedule(actions, initially_down=initially_down)
 
 
 def _hazard_steps(
@@ -146,67 +321,17 @@ def _invert_hazard(
     return horizon  # survives: cumulative hazard over [0, horizon) < unit
 
 
-class SpotTerminationModel:
-    """Spot-style node reclamation, optionally with the two-minute notice.
-
-    ``terminations`` is a sequence of ``(time, node)`` pairs.  With
-    ``notice > 0`` the node is drained ``notice`` seconds before the
-    kill (EC2's two-minute interruption notice: ``notice=120``); with
-    ``notice=0`` the instance just vanishes.  ``replacement_delay``
-    models an auto-scaling group starting a replacement instance that
-    many seconds after the termination.
-    """
-
-    def __init__(
-        self,
-        terminations: Sequence[Tuple[float, int]],
-        notice: float = 120.0,
-        replacement_delay: Optional[float] = None,
-    ):
-        if notice < 0:
-            raise ValueError(f"notice must be >= 0, got {notice}")
-        if replacement_delay is not None and replacement_delay < 0:
-            raise ValueError(
-                f"replacement_delay must be >= 0, got {replacement_delay}"
-            )
-        for t, node in terminations:
-            if t < 0 or node < 0:
-                raise ValueError(f"bad termination ({t}, {node})")
-        self.terminations: Tuple[Tuple[float, int], ...] = tuple(
-            sorted((float(t), int(n)) for t, n in terminations)
-        )
-        self.notice = float(notice)
-        self.replacement_delay = replacement_delay
-
-    def install(self, run) -> None:
-        for t, node in self.terminations:
-            check_node(run, node, "termination")
-            if self.notice > 0:
-                run.sim.schedule_call(
-                    max(0.0, t - self.notice), self._notice, run, node
-                )
-            run.sim.schedule_call(t, self._terminate, run, node)
-
-    def _notice(self, run, node: int) -> None:
-        run.trace.record(run.sim.now, "spot-notice", node)
-        run.stop_worker(node)  # drain: in-flight jobs may still finish
-
-    def _terminate(self, run, node: int) -> None:
-        run.trace.record(run.sim.now, "spot-termination", node)
-        run.kill_worker(node)
-        run.mark_spot_terminated(node)
-        if self.replacement_delay is not None:
-            run.sim.schedule_call(self.replacement_delay, self._replace, run, node)
-
-    def _replace(self, run, node: int) -> None:
-        run.trace.record(run.sim.now, "spot-replacement", node)
-        run.start_worker(node)
+def _check_range(name: str, bounds: Tuple[float, float]) -> None:
+    """Refuse a ``(low, high)`` sampling range with a bound that is not
+    finite and positive."""
+    if not all(0.0 < bound < inf for bound in bounds):
+        raise ValueError(f"{name} bounds must be finite and > 0, got {bounds}")
 
 
 @dataclass(frozen=True)
 class SpotHazard:
-    """Spot reclamation as a rate; :meth:`sample` draws the
-    :class:`SpotTerminationModel` for one seeded run.
+    """Spot reclamation as a rate; :meth:`sample` draws its
+    :class:`FaultSchedule` for one seeded run.
 
     Each non-protected node's time-to-reclamation is exponential with
     ``rate_per_hour``; draws beyond the horizon mean the node survives
@@ -234,8 +359,13 @@ class SpotHazard:
             value = getattr(self, name)
             if not 0.0 <= value < inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        delay = self.replacement_delay
+        if delay is not None and not 0.0 <= delay < inf:
+            raise ValueError(
+                f"replacement_delay must be finite and >= 0, got {delay}"
+            )
 
-    def sample(self, seed: int, n_nodes: int, horizon: float) -> SpotTerminationModel:
+    def sample(self, seed: int, n_nodes: int, horizon: float) -> FaultSchedule:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         steps = _hazard_steps(self.price_hazard)
@@ -252,9 +382,18 @@ class SpotHazard:
                 t = _invert_hazard(unit, rate / 3600.0, steps, horizon)
             if t < horizon:
                 terminations.append((t, node))
-        return SpotTerminationModel(
-            terminations, notice=self.notice, replacement_delay=self.replacement_delay
-        )
+        # Reclamation order, each notice first: actions at one instant
+        # (notices clamped to t=0) fire in list order, which the chaos
+        # goldens pin.
+        actions = []
+        for t, node in sorted(terminations):
+            if self.notice > 0:
+                notice = max(0.0, t - self.notice)
+                actions.append(FaultAction(notice, node, "spot-notice"))
+            actions.append(FaultAction(
+                t, node, "spot-termination", duration=self.replacement_delay
+            ))
+        return FaultSchedule(actions)
 
 
 @dataclass(frozen=True)
@@ -289,66 +428,9 @@ class TransientFaultModel:
 
 
 @dataclass(frozen=True)
-class Degradation:
-    """One degraded interval of one node.
-
-    ``disk_factor`` scales both disk channels' bandwidth.
-    """
-
-    node: int
-    start: float
-    duration: float
-    disk_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {self.node}")
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError(
-                f"bad degradation window ({self.start}, {self.duration})"
-            )
-        if self.disk_factor <= 0:
-            raise ValueError(f"disk_factor must be positive, got {self.disk_factor}")
-
-
-class StragglerModel:
-    """Degraded-disk straggler nodes over explicit intervals."""
-
-    def __init__(self, degradations: Sequence[Degradation]):
-        ordered = sorted(degradations, key=lambda d: (d.node, d.start))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.node == b.node and b.start < a.start + a.duration:
-                raise ValueError(
-                    f"overlapping degradations on node {a.node}: "
-                    f"[{a.start}, {a.start + a.duration}) and [{b.start}, ...)"
-                )
-        self.degradations: Tuple[Degradation, ...] = tuple(ordered)
-
-    def install(self, run) -> None:
-        for d in self.degradations:
-            check_node(run, d.node, "degradation")
-            run.sim.schedule_call(d.start, self._begin, run, d)
-
-    def _begin(self, run, d: Degradation) -> None:
-        run.trace.record(
-            run.sim.now,
-            "degrade-start",
-            d.node,
-            # ``cpu*1`` is hashed by the stragglers and game-day goldens.
-            f"disk*{d.disk_factor:g} cpu*1 for {d.duration:g}s",
-        )
-        run.set_disk_factor(d.node, d.disk_factor)
-        run.sim.schedule_call(d.duration, self._end, run, d)
-
-    def _end(self, run, d: Degradation) -> None:
-        run.trace.record(run.sim.now, "degrade-end", d.node)
-        run.set_disk_factor(d.node, 1.0)
-
-
-@dataclass(frozen=True)
 class StragglerHazard:
-    """Straggling as a probability; :meth:`sample` draws the
-    :class:`StragglerModel` for one seeded run.
+    """Straggling as a probability; :meth:`sample` draws its
+    :class:`FaultSchedule` for one seeded run.
 
     Each node independently becomes a straggler with ``p_straggler``,
     for one interval with start, duration and disk factor drawn
@@ -363,99 +445,30 @@ class StragglerHazard:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_straggler <= 1.0:
             raise ValueError(f"p_straggler must be in [0, 1], got {self.p_straggler}")
+        _check_range("disk_factor", self.disk_factor)
+        _check_range("duration", self.duration)
 
-    def sample(self, seed: int, n_nodes: int, horizon: float) -> StragglerModel:
+    def sample(self, seed: int, n_nodes: int, horizon: float) -> FaultSchedule:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         rng = random.Random(seed)
-        degradations = []
+        actions = []
         for node in range(n_nodes):
             if rng.random() >= self.p_straggler:
                 continue
             dur = rng.uniform(*self.duration)
             start = rng.uniform(0.0, max(horizon - dur, 0.0))
-            degradations.append(
-                Degradation(
-                    node=node,
-                    start=start,
-                    duration=dur,
-                    disk_factor=rng.uniform(*self.disk_factor),
-                )
-            )
+            factor = rng.uniform(*self.disk_factor)
+            actions.append(FaultAction(start, node, "degrade-start", factor, dur))
             # One more draw per straggler: the chaos goldens pin the stream.
             rng.random()
-        return StragglerModel(degradations)
-
-
-#: Valid partition directions.  ``full`` severs both directions;
-#: ``to-master`` only the worker's uplink (its acks are in flight /
-#: buffered, its heartbeats lost); ``from-master`` only the downlink
-#: (it stops receiving dispatches but its acks still arrive).
-PARTITION_MODES = ("full", "to-master", "from-master")
-
-
-@dataclass(frozen=True)
-class PartitionWindow:
-    """One node's connectivity loss over ``[start, start + duration)``."""
-
-    node: int
-    start: float
-    duration: float
-    mode: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {self.node}")
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError(f"bad partition window ({self.start}, {self.duration})")
-        if self.mode not in PARTITION_MODES:
-            raise ValueError(f"mode must be one of {PARTITION_MODES}, got {self.mode!r}")
-
-
-class NetworkPartitionModel:
-    """Node-scoped network partitions with seeded onset/healing windows.
-
-    The failure mode spot kills don't cover: the worker is *alive* —
-    still burning its lease, maybe still computing — but the control
-    plane can't see it.  Without a liveness protocol its in-flight jobs
-    hang until the job timeout; with heartbeat leases the master fences
-    it after ``MISS_THRESHOLD`` beats and redispatches.  On healing,
-    buffered uplink traffic is redelivered in order, exercising the
-    duplicate-ack and stale-epoch rejection paths.
-    """
-
-    def __init__(self, windows: Sequence[PartitionWindow]):
-        ordered = sorted(windows, key=lambda w: (w.node, w.start))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.node == b.node and b.start < a.start + a.duration:
-                raise ValueError(
-                    f"overlapping partitions on node {a.node}: "
-                    f"[{a.start}, {a.start + a.duration}) and [{b.start}, ...)"
-                )
-        self.windows: Tuple[PartitionWindow, ...] = tuple(ordered)
-
-    def install(self, run) -> None:
-        for w in self.windows:
-            check_node(run, w.node, "partition")
-            run.sim.schedule_call(w.start, self._begin, run, w)
-
-    def _begin(self, run, w: PartitionWindow) -> None:
-        run.trace.record(
-            run.sim.now, "partition-start", w.node,
-            f"mode={w.mode} for {w.duration:g}s",
-        )
-        run.begin_partition(w.node, w.mode)
-        run.sim.schedule_call(w.duration, self._end, run, w)
-
-    def _end(self, run, w: PartitionWindow) -> None:
-        run.trace.record(run.sim.now, "partition-heal", w.node)
-        run.end_partition(w.node)
+        return FaultSchedule(actions)
 
 
 @dataclass(frozen=True)
 class PartitionHazard:
-    """Partitions as a probability; :meth:`sample` draws the
-    :class:`NetworkPartitionModel` for one seeded run.
+    """Partitions as a probability; :meth:`sample` draws its
+    :class:`FaultSchedule` for one seeded run.
 
     Each node independently partitions with ``p_partition`` for one
     window of uniformly drawn start/duration; with ``p_asymmetric`` the
@@ -480,13 +493,14 @@ class PartitionHazard:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.until is not None and not 0.0 < self.until < inf:
             raise ValueError(f"until must be finite and > 0, got {self.until}")
+        _check_range("duration", self.duration)
 
-    def sample(self, seed: int, n_nodes: int, horizon: float) -> NetworkPartitionModel:
+    def sample(self, seed: int, n_nodes: int, horizon: float) -> FaultSchedule:
         horizon = min(self.until or horizon, horizon)
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         rng = random.Random(seed)
-        windows = []
+        actions = []
         for node in range(n_nodes):
             if rng.random() >= self.p_partition:
                 continue
@@ -497,10 +511,8 @@ class PartitionHazard:
                 mode = "to-master" if rng.random() < 0.5 else "from-master"
             if node in self.protected:
                 continue  # draws burned above keep traces seed-stable
-            windows.append(
-                PartitionWindow(node=node, start=start, duration=dur, mode=mode)
-            )
-        return NetworkPartitionModel(windows)
+            actions.append(FaultAction(start, node, "partition-start", mode, dur))
+        return FaultSchedule(actions)
 
 
 @dataclass(frozen=True)

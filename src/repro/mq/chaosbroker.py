@@ -81,8 +81,8 @@ class ChaosBroker:
     Partition hold: :meth:`begin_partition` cuts named workers off the
     control plane — their publishes to the partitioned topics (by
     default the uplink: acks and heartbeats, i.e. the threaded daemons
-    realize the ``to-master`` direction of
-    :class:`~repro.faults.models.NetworkPartitionModel`; cutting the
+    realize the ``to-master`` direction of a ``partition-start``
+    :class:`~repro.faults.models.FaultAction`; cutting the
     dispatch downlink would need per-worker queues the shared
     work-queue topic model doesn't have) are *held* in publish order
     instead of delivered.  :meth:`heal_partition` releases the held

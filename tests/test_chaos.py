@@ -11,11 +11,10 @@ from repro.engines import PullEngine, RunConfig
 from repro.faults import RetryPolicy
 from repro.faults.chaos import SCENARIOS, get_scenario, run_chaos
 from repro.faults.models import (
-    Degradation,
+    FaultAction,
+    FaultSchedule,
     FileLossModel,
     SpotHazard,
-    SpotTerminationModel,
-    StragglerModel,
     TransientFaultModel,
 )
 from repro.liveness import MasterFailoverModel
@@ -42,15 +41,15 @@ def test_spot_model_sampling_is_seed_deterministic():
     a = hazard.sample(7, 8, 3600.0)
     b = hazard.sample(7, 8, 3600.0)
     c = hazard.sample(8, 8, 3600.0)
-    assert a.terminations == b.terminations
-    assert a.terminations != c.terminations
+    assert a.actions == b.actions
+    assert a.actions != c.actions
 
 
 def test_spot_model_respects_protection():
     model = SpotHazard(rate_per_hour=10_000.0, protected=(0, 1)).sample(
         1, 4, 3600.0
     )
-    assert {node for _t, node in model.terminations} <= {2, 3}
+    assert {action.node for action in model.actions} <= {2, 3}
 
 
 def test_transient_model_poison_and_retry_independence():
@@ -66,10 +65,10 @@ def test_transient_model_poison_and_retry_independence():
 
 def test_straggler_model_rejects_overlap():
     with pytest.raises(ValueError, match="overlap"):
-        StragglerModel(
+        FaultSchedule(
             [
-                Degradation(0, 0.0, 10.0, disk_factor=0.5),
-                Degradation(0, 5.0, 10.0, disk_factor=0.5),
+                FaultAction(0.0, 0, "degrade-start", 0.5, 10.0),
+                FaultAction(5.0, 0, "degrade-start", 0.5, 10.0),
             ]
         )
 
@@ -207,7 +206,10 @@ def test_spot_termination_interrupts_lease_and_bills_spot_rule():
         small_spec(2),
         config=fast_cfg(),
         controllers=(
-            SpotTerminationModel([(t_kill, 1)], notice=0.5),
+            FaultSchedule([
+                FaultAction(t_kill - 0.5, 1, "spot-notice"),
+                FaultAction(t_kill, 1, "spot-termination"),
+            ]),
         ),
     )
     result = engine.run(Ensemble([template]))
@@ -233,7 +235,7 @@ def test_spot_replacement_restores_capacity():
         small_spec(2),
         config=fast_cfg(),
         controllers=(
-            SpotTerminationModel([(1.0, 1)], notice=0.0, replacement_delay=0.5),
+            FaultSchedule([FaultAction(1.0, 1, "spot-termination", duration=0.5)]),
         ),
     )
     result = engine.run(Ensemble([template]))
@@ -253,11 +255,7 @@ def test_degraded_node_slows_the_run_but_completes():
         small_spec(),
         config=fast_cfg(timeout=60.0),
         controllers=(
-            StragglerModel(
-                [
-                    Degradation(0, 0.0, 10_000.0, disk_factor=1e-4)
-                ]
-            ),
+            FaultSchedule([FaultAction(0.0, 0, "degrade-start", 1e-4, 10_000.0)]),
         ),
     ).run(Ensemble([template]))
     # Jobs are CPU-bound and the write-back cache absorbs their output:
@@ -433,7 +431,10 @@ def test_chrome_trace_carries_fault_instants():
         config=RunConfig(
             default_timeout=6.0, timeout_check_interval=0.25, record_jobs=True
         ),
-        controllers=(SpotTerminationModel([(1.0, 1)], notice=0.2),),
+        controllers=(FaultSchedule([
+            FaultAction(0.8, 1, "spot-notice"),
+            FaultAction(1.0, 1, "spot-termination"),
+        ]),),
     )
     result = engine.run(Ensemble([template]))
     doc = to_chrome_trace(result)

@@ -19,10 +19,10 @@ from repro.cloud import ClusterSpec
 from repro.dewe.core import COMPLETED, RUNNING
 from repro.engines import PullEngine, RunConfig
 from repro.faults.models import (
+    FaultAction,
+    FaultSchedule,
     FileCorruptionModel,
     FileLossModel,
-    NetworkPartitionModel,
-    PartitionWindow,
 )
 from repro.faults.retry import RetryPolicy
 from repro.generators import montage_workflow
@@ -102,8 +102,8 @@ def test_uplink_partition_without_leases_holds_acks_until_heal(monkeypatch):
         ClusterSpec("m3.2xlarge", 2, filesystem="moosefs"),
         RunConfig(default_timeout=600.0, record_jobs=True),
         controllers=[
-            NetworkPartitionModel(
-                [PartitionWindow(1, start, end - start, mode="to-master")]
+            FaultSchedule(
+                [FaultAction(start, 1, "partition-start", "to-master", end - start)]
             )
         ],
     )

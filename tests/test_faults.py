@@ -5,14 +5,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.faults import (
-    Degradation,
     FaultAction,
     FaultSchedule,
     FaultTrace,
-    NetworkPartitionModel,
-    PartitionWindow,
-    SpotTerminationModel,
-    StragglerModel,
+    PartitionHazard,
+    SpotHazard,
+    StragglerHazard,
     kill_restart_cycle,
 )
 from repro.sim import Simulator
@@ -27,6 +25,85 @@ def test_fault_action_validation():
         FaultAction(1.0, 0, "reboot")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: FaultAction(NAN, 0, "kill"), "action time"),
+        (lambda: FaultAction(INF, 0, "kill"), "action time"),
+        (lambda: FaultAction(NAN, 0, "partition-start", "full", 1.0), "action time"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", 0.5, NAN), "duration"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", 0.5, INF), "duration"),
+        (lambda: FaultAction(1.0, 0, "partition-start", "full", NAN), "duration"),
+        (lambda: FaultAction(1.0, 0, "partition-start", "full", INF), "duration"),
+        (lambda: FaultAction(1.0, 0, "spot-termination", duration=NAN), "duration"),
+        (lambda: FaultAction(1.0, 0, "spot-termination", duration=INF), "duration"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", NAN, 2.0), "disk factor"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", INF, 2.0), "disk factor"),
+        (lambda: SpotHazard(1.0, replacement_delay=NAN), "replacement_delay"),
+        (lambda: SpotHazard(1.0, replacement_delay=INF), "replacement_delay"),
+        (lambda: StragglerHazard(0.5, duration=(NAN, NAN)), "duration"),
+        (lambda: StragglerHazard(0.5, duration=(1.0, INF)), "duration"),
+        (lambda: StragglerHazard(0.5, disk_factor=(NAN, NAN)), "disk_factor"),
+        (lambda: StragglerHazard(0.5, disk_factor=(0.2, INF)), "disk_factor"),
+        (lambda: PartitionHazard(0.5, duration=(NAN, NAN)), "duration"),
+        (lambda: PartitionHazard(0.5, duration=(1.0, INF)), "duration"),
+        (lambda: FaultAction(-1.0, 0, "degrade-start", 0.5, 2.0), "action time"),
+        (lambda: FaultAction(1.0, 1.5, "kill"), "node index"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", 0.5, 0.0), "duration"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", 0.5), "needs a duration"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", 0.0, 2.0), "disk factor"),
+        (lambda: FaultAction(1.0, 0, "degrade-start", None, 2.0), "disk factor"),
+        (lambda: FaultAction(1.0, 0, "partition-start", "full"), "needs a duration"),
+        (lambda: FaultAction(1.0, 0, "partition-start", "full", -1.0), "duration"),
+        (lambda: FaultAction(1.0, 0, "partition-start", "sideways", 1.0), "mode"),
+        (lambda: FaultAction(1.0, 0, "partition-start", None, 1.0), "mode"),
+        (lambda: FaultAction(1.0, 0, "spot-termination", duration=-1.0), "duration"),
+        (lambda: FaultAction(1.0, 0, "kill", duration=1.0), "takes no duration"),
+        (lambda: FaultAction(1.0, 0, "spot-notice", 0.5), "takes no value"),
+        (lambda: SpotHazard(1.0, notice=-1.0), "notice"),
+        (lambda: SpotHazard(1.0, replacement_delay=-1.0), "replacement_delay"),
+    ],
+    ids=[
+        "time-nan", "time-inf", "partition-time-nan", "degrade-duration-nan",
+        "degrade-duration-inf", "partition-duration-nan",
+        "partition-duration-inf", "replacement-nan", "replacement-inf",
+        "disk-factor-nan", "disk-factor-inf", "spot-hazard-replacement-nan",
+        "spot-hazard-replacement-inf", "straggler-duration-nan",
+        "straggler-duration-inf", "straggler-disk-factor-nan",
+        "straggler-disk-factor-inf", "partition-hazard-duration-nan",
+        "partition-hazard-duration-inf",
+        "negative-start", "fractional-node", "zero-duration", "window-without-duration",
+        "zero-disk-factor", "missing-disk-factor", "partition-without-duration",
+        "negative-partition-duration", "unknown-mode", "missing-mode",
+        "negative-replacement", "kill-with-duration", "notice-with-value",
+        "negative-notice", "negative-hazard-replacement",
+    ],
+)
+def test_fault_inputs_are_refused_when_built(build, match):
+    """The non-finite cases (the first 19) used to be accepted when built
+    and fail only at install or mid-run ("link capacity must be in
+    (0, inf), got nan" at the degrade instant), or — for the hazards'
+    ranges — only after ``run_chaos``'s baseline run had finished."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_only_windows_of_one_kind_on_one_node_may_not_overlap():
+    """Back to back, on another node, or of the other kind on the same
+    node: accepted.  (Overlaps of one kind on one node are refused in
+    ``test_chaos.py`` and ``test_liveness.py``.)"""
+    schedule = FaultSchedule([
+        FaultAction(0.0, 0, "degrade-start", 0.5, 3.0),
+        FaultAction(3.0, 0, "degrade-start", 0.5, 2.0),
+        FaultAction(1.0, 1, "degrade-start", 0.5, 2.0),
+        FaultAction(1.0, 0, "partition-start", "full", 9.0),
+    ])
+    assert len(schedule.actions) == 4
+
+
 def test_schedule_sorts_actions():
     schedule = FaultSchedule(
         [FaultAction(10.0, 0, "kill"), FaultAction(5.0, 1, "restart")]
@@ -36,30 +113,76 @@ def test_schedule_sorts_actions():
 
 
 def test_install_fires_actions_in_order():
+    """Each kind calls its one run method and traces itself; an undo is
+    scheduled when its action fires, not at install, so it ties *after*
+    an action installed for the same instant (here: the spot notice at
+    t=3.5 before the degrade-end, the partition-heal at t=5.0 before
+    the spot-replacement)."""
     sim = Simulator()
     log = []
-    schedule = FaultSchedule(
-        [
-            FaultAction(2.0, 0, "kill"),
-            FaultAction(7.0, 0, "restart"),
-            FaultAction(9.0, 1, "kill"),
-        ],
-        initially_down=(1,),
-    )
+
+    def call(name):
+        return lambda *args: log.append((sim.now, name) + args)
+
     run = SimpleNamespace(
         sim=sim, n_nodes=2, trace=FaultTrace(), initially_down=set(),
-        start_worker=lambda n: log.append(("start", n, sim.now)),
-        kill_worker=lambda n: log.append(("kill", n, sim.now)),
+        **{name: call(name) for name in (
+            "start_worker", "stop_worker", "kill_worker", "set_disk_factor",
+            "mark_spot_terminated", "begin_partition", "end_partition",
+        )},
     )
-    schedule.install(run)
+    FaultSchedule(
+        [
+            FaultAction(1.0, 1, "kill"),
+            FaultAction(2.5, 1, "restart"),
+            FaultAction(3.5, 0, "spot-notice"),
+            FaultAction(4.0, 0, "spot-termination", duration=1.0),
+            FaultAction(0.5, 0, "degrade-start", 0.3, 3.0),
+            FaultAction(3.0, 1, "partition-start", "to-master", 2.0),
+        ],
+        initially_down=(1,),
+    ).install(run)
     assert run.initially_down == {1} and log == []
     sim.run()
-    assert log == [("kill", 0, 2.0), ("start", 0, 7.0), ("kill", 1, 9.0)]
-    assert [event.line() for event in run.trace] == [
-        "t=2.000000 kill node=0",
-        "t=7.000000 restart node=0",
-        "t=9.000000 kill node=1",
+    assert log == [
+        (0.5, "set_disk_factor", 0, 0.3),
+        (1.0, "kill_worker", 1),
+        (2.5, "start_worker", 1),
+        (3.0, "begin_partition", 1, "to-master"),
+        (3.5, "stop_worker", 0),
+        (3.5, "set_disk_factor", 0, 1.0),
+        (4.0, "kill_worker", 0),
+        (4.0, "mark_spot_terminated", 0),
+        (5.0, "end_partition", 1),
+        (5.0, "start_worker", 0),
     ]
+    assert [event.line() for event in run.trace] == [
+        "t=0.500000 degrade-start node=0 disk*0.3 cpu*1 for 3s",
+        "t=1.000000 kill node=1",
+        "t=2.500000 restart node=1",
+        "t=3.000000 partition-start node=1 mode=to-master for 2s",
+        "t=3.500000 spot-notice node=0",
+        "t=3.500000 degrade-end node=0",
+        "t=4.000000 spot-termination node=0",
+        "t=5.000000 partition-heal node=1",
+        "t=5.000000 spot-replacement node=0",
+    ]
+
+
+def test_hazards_sample_straight_into_one_schedule():
+    spot = SpotHazard(10_000.0, notice=1.0, replacement_delay=2.0).sample(1, 3, 60.0)
+    assert isinstance(spot, FaultSchedule)
+    kinds = [a.action for a in spot.actions]
+    assert kinds.count("spot-notice") == kinds.count("spot-termination") == 3
+    assert {a.duration for a in spot.actions if a.action == "spot-termination"} == {
+        2.0
+    }
+    straggler = StragglerHazard(1.0, disk_factor=(0.2, 0.5)).sample(1, 3, 600.0)
+    assert [a.action for a in straggler.actions] == ["degrade-start"] * 3
+    assert all(0.2 <= a.value <= 0.5 for a in straggler.actions)
+    partition = PartitionHazard(1.0, p_asymmetric=1.0).sample(1, 3, 600.0)
+    assert [a.action for a in partition.actions] == ["partition-start"] * 3
+    assert {a.value for a in partition.actions} <= {"to-master", "from-master"}
 
 
 def test_kill_restart_cycle_same_node():
@@ -170,11 +293,21 @@ def test_two_node_restart_during_blocking_job_costs_the_timeout():
     "controller",
     [
         pytest.param(FaultSchedule([FaultAction(1.0, 5, "kill")]), id="action"),
+        pytest.param(FaultSchedule([FaultAction(1.0, 5, "restart")]), id="restart"),
         pytest.param(FaultSchedule([], initially_down=(5,)), id="initially-down"),
-        pytest.param(SpotTerminationModel([(1.0, 5)]), id="spot"),
-        pytest.param(StragglerModel([Degradation(5, 1.0, 2.0)]), id="straggler"),
         pytest.param(
-            NetworkPartitionModel([PartitionWindow(5, 1.0, 2.0)]), id="partition"
+            FaultSchedule([FaultAction(1.0, 5, "spot-notice")]), id="spot-notice"
+        ),
+        pytest.param(
+            FaultSchedule([FaultAction(1.0, 5, "spot-termination")]), id="spot"
+        ),
+        pytest.param(
+            FaultSchedule([FaultAction(1.0, 5, "degrade-start", 0.5, 2.0)]),
+            id="straggler",
+        ),
+        pytest.param(
+            FaultSchedule([FaultAction(1.0, 5, "partition-start", "full", 2.0)]),
+            id="partition",
         ),
     ],
 )

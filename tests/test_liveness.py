@@ -13,11 +13,10 @@ from repro.engines import PullEngine, RunConfig
 from repro.faults import RetryPolicy
 from repro.faults.chaos import get_scenario, run_chaos
 from repro.faults.models import (
-    NetworkPartitionModel,
+    FaultAction,
+    FaultSchedule,
     PartitionHazard,
-    PartitionWindow,
     SpotHazard,
-    SpotTerminationModel,
 )
 from repro.generators import montage_workflow
 from repro.liveness import (
@@ -165,21 +164,25 @@ def test_failover_model_validation():
 
 
 # -- partition model ---------------------------------------------------------
+def partition(node: int, start: float, duration: float, mode: str = "full"):
+    return FaultAction(start, node, "partition-start", mode, duration)
+
+
 def test_partition_window_validation():
     with pytest.raises(ValueError):
-        PartitionWindow(node=0, start=-1.0, duration=1.0)
+        partition(node=0, start=-1.0, duration=1.0)
     with pytest.raises(ValueError):
-        PartitionWindow(node=0, start=0.0, duration=0.0)
+        partition(node=0, start=0.0, duration=0.0)
     with pytest.raises(ValueError):
-        PartitionWindow(node=0, start=0.0, duration=1.0, mode="sideways")
+        partition(node=0, start=0.0, duration=1.0, mode="sideways")
 
 
 def test_partition_model_rejects_overlapping_windows():
     with pytest.raises(ValueError, match="overlap"):
-        NetworkPartitionModel(
+        FaultSchedule(
             [
-                PartitionWindow(node=0, start=0.0, duration=5.0),
-                PartitionWindow(node=0, start=3.0, duration=2.0),
+                partition(node=0, start=0.0, duration=5.0),
+                partition(node=0, start=3.0, duration=2.0),
             ]
         )
 
@@ -189,11 +192,11 @@ def test_partition_model_sampling_is_seed_deterministic():
     a = hazard.sample(3, 8, 600.0)
     b = hazard.sample(3, 8, 600.0)
     c = hazard.sample(4, 8, 600.0)
-    assert a.windows == b.windows
-    assert a.windows != c.windows
-    assert all(w.mode in ("full", "to-master", "from-master") for w in a.windows)
+    assert a.actions == b.actions
+    assert a.actions != c.actions
+    assert all(w.value in ("full", "to-master", "from-master") for w in a.actions)
     shielded = PartitionHazard(1.0, protected=(0, 1)).sample(3, 8, 600.0)
-    assert {w.node for w in shielded.windows} <= set(range(2, 8))
+    assert {w.node for w in shielded.actions} <= set(range(2, 8))
 
 
 # -- price-indexed spot hazard -----------------------------------------------
@@ -205,8 +208,8 @@ def test_spot_price_hazard_default_preserves_traces():
     )
     # A flat 1x hazard is the identity mapping: byte-for-byte the same
     # reclamations as the pre-hazard sampler.
-    assert default.terminations == flat.terminations
-    assert unit.terminations == flat.terminations
+    assert default.actions == flat.actions
+    assert unit.actions == flat.actions
 
 
 def test_spot_price_hazard_pulls_reclamations_into_the_spike():
@@ -214,11 +217,11 @@ def test_spot_price_hazard_pulls_reclamations_into_the_spike():
     spiky = SpotHazard(
         rate_per_hour=40.0, price_hazard=((0.0, 1.0), (10.0, 50.0))
     ).sample(5, 6, 3600.0)
-    assert spiky.terminations != flat.terminations
+    assert spiky.actions != flat.actions
     # More hazard can only move each node's reclamation earlier.
-    flat_by_node = dict((n, t) for t, n in flat.terminations)
-    for t, node in spiky.terminations:
-        assert t <= flat_by_node.get(node, 3600.0) + 1e-9
+    flat_by_node = {a.node: a.time for a in flat.actions}
+    for a in spiky.actions:
+        assert a.time <= flat_by_node.get(a.node, 3600.0) + 1e-9
 
 
 # -- journal fencing ---------------------------------------------------------
@@ -263,7 +266,7 @@ def _partition_engine(windows, liveness=True, timeout=6.0):
         ClusterSpec("m3.2xlarge", 2, filesystem="moosefs"),
         config=fast_cfg(timeout),
         retry=RetryPolicy(max_attempts=6),
-        controllers=[NetworkPartitionModel(windows)],
+        controllers=[FaultSchedule(windows)],
         liveness=(
             LeaseConfig(heartbeat_interval=0.25)
             if liveness
@@ -281,7 +284,7 @@ def _wide_ensemble() -> Ensemble:
 
 
 def test_des_full_partition_fences_and_redispatches():
-    windows = [PartitionWindow(node=1, start=1.0, duration=4.0)]
+    windows = [partition(node=1, start=1.0, duration=4.0)]
     results = [
         _partition_engine(windows).run(_wide_ensemble()) for _ in range(2)
     ]
@@ -307,7 +310,7 @@ def test_des_asymmetric_partition_black_holed_dispatches_recover():
     # then rejected as stale once the lease is fenced.  Those deliveries
     # never reach the fencing requeue (no validly-acked assignment), so
     # recovery leans on the always-armed dispatch deadline.
-    windows = [PartitionWindow(node=1, start=1.0, duration=4.0, mode="to-master")]
+    windows = [partition(node=1, start=1.0, duration=4.0, mode="to-master")]
     result = _partition_engine(windows).run(_wide_ensemble())
     counts = next(iter(result.job_counts.values()))
     assert counts["completed"] == 143 and counts["dead"] == 0
@@ -316,7 +319,7 @@ def test_des_asymmetric_partition_black_holed_dispatches_recover():
 
 
 def test_des_partition_without_leases_recovers_via_job_timeout():
-    windows = [PartitionWindow(node=1, start=1.0, duration=4.0)]
+    windows = [partition(node=1, start=1.0, duration=4.0)]
     result = _partition_engine(windows, liveness=False).run(_wide_ensemble())
     counts = next(iter(result.job_counts.values()))
     assert counts["completed"] == 143 and counts["dead"] == 0
@@ -364,26 +367,28 @@ def test_des_failover_settles_every_job_exactly_once(liveness):
 
 
 def test_every_controller_kind_composes_in_one_run():
-    """Schedule + spot + straggler + partition + autoscaler + failover in
-    one ``controllers`` list: six disturbances against one run, every
-    job still settles exactly once (strict sanitizer armed)."""
-    from repro.faults import Degradation, FaultSchedule, StragglerModel
-    from repro.faults import kill_restart_cycle
+    """One fault script (kill/restart, spot, straggler, partition) +
+    autoscaler + failover in one ``controllers`` list: every kind of
+    disturbance against one run, every job still settles exactly once
+    (strict sanitizer armed)."""
     from repro.provision import queue_depth_autoscaler
 
     def run_once():
         controllers = [
-            kill_restart_cycle([1.0], downtime=1.5, kill_node=1),
-            SpotTerminationModel([(4.0, 0)], notice=0.5, replacement_delay=1.0),
-            StragglerModel([Degradation(0, 0.5, 3.0, disk_factor=0.3)]),
-            NetworkPartitionModel([PartitionWindow(1, 3.0, 2.0)]),
+            FaultSchedule([
+                FaultAction(1.0, 1, "kill"),
+                FaultAction(2.5, 1, "restart"),
+                FaultAction(3.5, 0, "spot-notice"),
+                FaultAction(4.0, 0, "spot-termination", duration=1.0),
+                FaultAction(0.5, 0, "degrade-start", 0.3, 3.0),
+                partition(node=1, start=3.0, duration=2.0),
+            ]),
             queue_depth_autoscaler(
                 min_nodes=2, check_interval=1.0, scale_out_depth=4.0,
                 scale_in_depth=1.0, boot_delay=1.0,
             ),
             MasterFailoverModel(at=2.0, detection=0.5),
         ]
-        assert isinstance(controllers[0], FaultSchedule)
         return PullEngine(
             small_spec(4),
             config=fast_cfg(),
@@ -485,12 +490,12 @@ def test_des_admission_gate_sheds_then_admits():
 
 
 def test_chrome_trace_carries_liveness_counters():
-    windows = [PartitionWindow(node=1, start=1.0, duration=3.0)]
+    windows = [partition(node=1, start=1.0, duration=3.0)]
     engine = PullEngine(
         ClusterSpec("m3.2xlarge", 2, filesystem="moosefs"),
         config=fast_cfg(record=True),
         retry=RetryPolicy(max_attempts=6),
-        controllers=[NetworkPartitionModel(windows)],
+        controllers=[FaultSchedule(windows)],
         liveness=LeaseConfig(heartbeat_interval=0.25),
     )
     result = engine.run(_montage_ensemble())

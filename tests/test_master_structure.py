@@ -311,8 +311,7 @@ CONTROL_SURFACE = {
     "primary_die", "standby_takeover", "spawn",
 }
 CONTROLLER_FILES = (
-    "faults/injection.py", "faults/models.py", "provision/autoscale.py",
-    "liveness/failover.py",
+    "faults/models.py", "provision/autoscale.py", "liveness/failover.py",
 )
 
 
@@ -374,7 +373,7 @@ def test_controllers_install_against_the_runs_public_names_only():
             and node.attr not in CONTROL_SURFACE
         )
         assert not off_surface, off_surface
-    assert installs == 6  # schedule, spot, straggler, partition, autoscaler, failover
+    assert installs == 3  # fault schedule, autoscaler, failover
 
 
 # -- a knob needs a caller ---------------------------------------------------------
@@ -397,9 +396,6 @@ PRUNED_SIGNATURES = {
     ),
     "repro.faults.models:StragglerHazard": (
         "p_straggler", "disk_factor", "duration",
-    ),
-    "repro.faults.models:Degradation": (
-        "node", "start", "duration", "disk_factor",
     ),
     "repro.generators.montage:montage_workflow": (
         "degree", "parallel_blocking_jobs",
@@ -469,12 +465,27 @@ def test_no_chaos_scenario_field_copies_a_model_parameter():
 
 
 def test_node_fault_models_take_event_lists_and_samplers_take_rates():
-    from repro.faults.models import (
-        NetworkPartitionModel, SpotTerminationModel, StragglerModel,
-    )
+    """One fault script holds every node disturbance: the records and
+    controllers that each repeated it for one kind are gone, what is left
+    takes at most ten settable values, and each sampler draws straight
+    into the script."""
+    import repro.faults
+    import repro.faults.models as models
 
-    for model in (SpotTerminationModel, StragglerModel, NetworkPartitionModel):
-        assert not hasattr(model, "sample"), model.__name__
+    gone = {
+        "SpotTerminationModel", "StragglerModel", "NetworkPartitionModel",
+        "Degradation", "PartitionWindow",
+    }
+    assert not gone & (set(dir(models)) | set(repro.faults.__all__))
+    settable = sum(
+        len(inspect.signature(cls).parameters)
+        for cls in (models.FaultAction, models.FaultSchedule)
+    )
+    print(f"settable node-fault values: {settable}")
+    assert settable <= 10
+    assert not hasattr(models.FaultSchedule, "sample")
+    for hazard in (models.SpotHazard, models.StragglerHazard, models.PartitionHazard):
+        assert inspect.signature(hazard.sample).return_annotation == "FaultSchedule"
 
 
 def test_chaos_build_engine_branches_only_on_service_mode():
@@ -634,8 +645,6 @@ KEPT_UNCALLED = {
     "engines/pull.py:PullRun._call_later":
         "fault branch: schedules a failed or timed-out job's backed-off "
         "redispatch",
-    "faults/models.py:StragglerModel._end":
-        "fault branch: a straggler's slowdown that ends before the run does",
     "liveness/lease.py:LeaseTable.observe":
         "threaded-partition suite hook (tests/test_partition_threaded.py): the "
         "threaded master's renew-on-contact for heartbeats and acks",
