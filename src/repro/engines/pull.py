@@ -360,9 +360,9 @@ class PullRun:
              attempt: int = 0, detail: str = "") -> None:
         """Append one record under the current incarnation's epoch."""
         journal = self.journal
-        # Stale writers (a finished run's generators, whose ``finally``
-        # blocks run when execute() closes the simulator) must not touch
-        # the log: execute() revokes ownership when the run ends.
+        # A stale writer (a finished run, whose suspended generators
+        # execute() finalises) must not touch the log: execute()
+        # revokes ownership when the run ends.
         if journal is None or journal.owner is not self:
             return
         journal.append(
@@ -669,99 +669,100 @@ class PullRun:
         # mid-job): this slot publishes its own RUNNING/COMPLETED acks.
         partition_mode = self.partition_mode
         leased = self.lease is not None
-        try:
-            while node_index not in draining:
-                if partition_mode[node_index] in _DOWN_CUT:
-                    # Partitioned from the master: no pulling until
-                    # the partition heals (in-flight jobs continue).
-                    try:
-                        yield self.heal_events[node_index]
-                    except Interrupt:
-                        return
-                    continue
-                pending = broker.consume(_DISPATCH)
-                if pending._state:
-                    # A job was already queued: take it without a
-                    # suspend/resume round-trip.  (Queued jobs imply
-                    # no other slot is waiting, so no one is bypassed.)
-                    msg = pending._value
-                else:
-                    idle_waits.add(pending)
-                    try:
-                        msg = yield pending
-                    except Interrupt:
-                        broker.cancel(_DISPATCH, pending)
-                        return
-                    finally:
-                        idle_waits.discard(pending)
-                if msg is None:
-                    if partition_mode[node_index] in _DOWN_CUT:
-                        # Partition onset cancelled the idle pull;
-                        # loop back into the heal wait.
-                        continue
-                    return  # consume cancelled (graceful scale-in)
-                name, job_id, attempt = msg
-                job = workflows[name].jobs[job_id]
-                if leased or partition_mode[node_index] is not None:
-                    send_ack(node_index, (RUNNING, name, job_id, attempt))
-                else:
-                    broker.publish(_ACK, (RUNNING, name, job_id, attempt))
-                if integrity is not None:
-                    bad = integrity.verify(name, job.inputs, sim.now)
-                    if bad:
-                        # Don't run on damaged data: report the bad
-                        # files so the master can regenerate them.
-                        send_ack(
-                            node_index,
-                            (CORRUPT, name, job_id, attempt, tuple(bad)),
-                        )
-                        continue
-                start = sim.now
-                thread_counts[node_index] += 1
-                log.record(sim.now, thread_counts[node_index])
+        while node_index not in draining:
+            if partition_mode[node_index] in _DOWN_CUT:
+                # Partitioned from the master: no pulling until
+                # the partition heals (in-flight jobs continue).
                 try:
-                    phases = yield from execute_job(
-                        sim, node, fs, job,
-                        speed=node.itype.cpu_speed,
-                        owner=name,
-                    )
+                    yield self.heal_events[node_index]
                 except Interrupt:
-                    # Worker daemon killed mid-job: no completion ack;
-                    # the master's timeout will resubmit (paper §V.A.3).
-                    thread_counts[node_index] -= 1
-                    log.record(sim.now, thread_counts[node_index])
-                    return
+                    break
+                continue
+            pending = broker.consume(_DISPATCH)
+            if pending._state:
+                # A job was already queued: take it without a
+                # suspend/resume round-trip.  (Queued jobs imply
+                # no other slot is waiting, so no one is bypassed.)
+                msg = pending._value
+            else:
+                idle_waits.add(pending)
+                try:
+                    msg = yield pending
+                except Interrupt:
+                    broker.cancel(_DISPATCH, pending)
+                    break
+                finally:
+                    idle_waits.discard(pending)
+            if msg is None:
+                if partition_mode[node_index] in _DOWN_CUT:
+                    # Partition onset cancelled the idle pull;
+                    # loop back into the heal wait.
+                    continue
+                break  # consume cancelled (graceful scale-in)
+            name, job_id, attempt = msg
+            job = workflows[name].jobs[job_id]
+            if leased or partition_mode[node_index] is not None:
+                send_ack(node_index, (RUNNING, name, job_id, attempt))
+            else:
+                broker.publish(_ACK, (RUNNING, name, job_id, attempt))
+            if integrity is not None:
+                bad = integrity.verify(name, job.inputs, sim.now)
+                if bad:
+                    # Don't run on damaged data: report the bad
+                    # files so the master can regenerate them.
+                    send_ack(
+                        node_index,
+                        (CORRUPT, name, job_id, attempt, tuple(bad)),
+                    )
+                    continue
+            start = sim.now
+            thread_counts[node_index] += 1
+            log.record(sim.now, thread_counts[node_index])
+            try:
+                phases = yield from execute_job(
+                    sim, node, fs, job,
+                    speed=node.itype.cpu_speed,
+                    owner=name,
+                )
+            except Interrupt:
+                # Worker daemon killed mid-job: no completion ack;
+                # the master's timeout will resubmit (paper §V.A.3).
                 thread_counts[node_index] -= 1
                 log.record(sim.now, thread_counts[node_index])
-                self.jobs_executed += 1
-                if integrity is not None:
-                    for f in job.outputs:
-                        integrity.record_write(name, f, sim.now)
-                if record_jobs:
-                    read_t, compute_t, write_t = phases
-                    self.records.append(
-                        JobRecord(
-                            workflow=name, job_id=job_id,
-                            task_type=job.task_type, node=node_index,
-                            start=start, end=sim.now, read_time=read_t,
-                            compute_time=compute_t, write_time=write_t,
-                            attempt=attempt,
-                        )
+                break
+            thread_counts[node_index] -= 1
+            log.record(sim.now, thread_counts[node_index])
+            self.jobs_executed += 1
+            if integrity is not None:
+                for f in job.outputs:
+                    integrity.record_write(name, f, sim.now)
+            if record_jobs:
+                read_t, compute_t, write_t = phases
+                self.records.append(
+                    JobRecord(
+                        workflow=name, job_id=job_id,
+                        task_type=job.task_type, node=node_index,
+                        start=start, end=sim.now, read_time=read_t,
+                        compute_time=compute_t, write_time=write_t,
+                        attempt=attempt,
                     )
-                if transient is not None and transient.should_fail(
-                    name, job_id, attempt
-                ):
-                    self.trace.record(
-                        sim.now, "transient-failure", node_index,
-                        f"{name}/{job_id}#{attempt}",
-                    )
-                    send_ack(node_index, (FAILED, name, job_id, attempt))
-                elif leased or partition_mode[node_index] is not None:
-                    send_ack(node_index, (COMPLETED, name, job_id, attempt))
-                else:
-                    broker.publish(_ACK, (COMPLETED, name, job_id, attempt))
-        finally:
-            self._slot_exit(node_index)
+                )
+            if transient is not None and transient.should_fail(
+                name, job_id, attempt
+            ):
+                self.trace.record(
+                    sim.now, "transient-failure", node_index,
+                    f"{name}/{job_id}#{attempt}",
+                )
+                send_ack(node_index, (FAILED, name, job_id, attempt))
+            elif leased or partition_mode[node_index] is not None:
+                send_ack(node_index, (COMPLETED, name, job_id, attempt))
+            else:
+                broker.publish(_ACK, (COMPLETED, name, job_id, attempt))
+        # The slot's own exits (interrupt, cancelled pull, drain) end
+        # here; a slot still suspended when the finished run is closed
+        # ends at its yield, where nothing is left to account for.
+        self._slot_exit(node_index)
 
     def heartbeat_agent(self, node_index: int):
         """Worker-side liveness: renew the node's lease every
@@ -958,11 +959,11 @@ class PullRun:
         try:
             sim.run_until(self.done)
         finally:
-            # The run is over: revoke write access so this run's worker
-            # generators — finalised by ``Simulator.close`` (``release``
-            # below) once the result is built — cannot append trailing records to a
-            # journal that another run (or nobody) now owns, and detach
-            # the journal so a caller keeping it does not keep the run.
+            # The run is over: revoke write access so nothing of this
+            # run (``release`` below finalises its suspended generators)
+            # appends trailing records to a journal that another run (or
+            # nobody) now owns, and detach the journal so a caller
+            # keeping it does not keep the run.
             if journal is not None:
                 journal.owner = None
                 journal.snapshot_provider = journal.on_crash = None

@@ -8,8 +8,9 @@ straggler and partition samplers of :mod:`repro.faults.models`,
 transient/poison job failures, broker message chaos, file corruption
 and loss, a master failover or crash.  :func:`run_chaos` runs the
 scenario fault-free for the baseline, then under chaos (and, with
-``crash_after``, once more with the master crashing and restoring), and
-checks that the recovery machinery actually recovered:
+``crash_after``, once more at the same time in a forked child process,
+with the master crashing and restoring), and checks that the recovery
+machinery actually recovered:
 
 * **completion** — every job either completed exactly once or was
   dead-lettered (with its unreachable descendants); nothing is stranded
@@ -33,6 +34,9 @@ byte-identical fault traces and the same makespan.
 
 from __future__ import annotations
 
+import json
+import os
+import signal
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -433,10 +437,98 @@ def _check_invariants(
 def resume_until_complete(scenario: ChaosScenario, seed: int, horizon: float):
     """The crash run: ``scenario`` under chaos with its master crashing
     after ``crash_after`` journal records and restoring in place.
-    Returns the result and the crash journal."""
+    Returns the result and the crash journal.  :func:`run_chaos` calls
+    it in a forked child process, through this module's attribute."""
     journal = Journal(scenario.checkpoint_every, scenario.crash_after)
     engine = scenario.build_engine(seed, horizon, journal=journal)
     return engine.run(scenario.ensemble()), journal
+
+
+def _crash_child(
+    write_fd: int, scenario: ChaosScenario, seed: int, horizon: float,
+    baseline_makespan: float,
+) -> None:
+    """The forked child's whole life: the crash run, its invariants,
+    one JSON document on ``write_fd``, then ``os._exit`` — no caller's
+    ``finally``, ``atexit`` hook or buffered output runs twice."""
+    status = 1
+    try:
+        san = _sanitizer._ACTIVE
+        seen = len(san.violations) if san is not None else 0
+        try:
+            restored, journal = resume_until_complete(scenario, seed, horizon)
+            outcome = {
+                "crashes": journal.crashes,
+                "records": len(journal),
+                "problems": _check_invariants(scenario, restored, baseline_makespan),
+            }
+        except BaseException as exc:
+            import traceback
+
+            outcome = {
+                "error": f"{type(exc).__module__}.{type(exc).__qualname__}",
+                "traceback": traceback.format_exc(),
+            }
+        if san is not None:
+            outcome["violations"] = [
+                [v.check, v.message, v.time] for v in san.violations[seen:]
+            ]
+        with open(write_fd, "w") as pipe:
+            json.dump(outcome, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _CrashRun:
+    """:func:`resume_until_complete` in a forked child, started now."""
+
+    def __init__(self, scenario, seed, horizon, baseline_makespan):
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _crash_child(write_fd, scenario, seed, horizon, baseline_makespan)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    def join(self) -> dict:
+        """The child's outcome once it has exited; its sanitizer
+        violations are replayed into this process's sanitizer (strict
+        mode raises at the first), and its error is raised here."""
+        with self._pipe:
+            data = self._pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        if not data:
+            raise RuntimeError(
+                f"the crash run's child process sent no outcome "
+                f"(wait status {status})"
+            )
+        outcome = json.loads(data)
+        san = _sanitizer._ACTIVE
+        if san is not None:
+            for check, message, time in outcome.get("violations", ()):
+                san._report(check, message, time)
+        if "error" in outcome:
+            raise RuntimeError(
+                f"the crash run raised {outcome['error']} in its child "
+                f"process:\n{outcome['traceback']}"
+            )
+        return outcome
+
+    def kill(self) -> None:
+        """Kill and reap the child unless :meth:`join` already did."""
+        self._pipe.close()
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
 
 
 def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosReport:
@@ -445,15 +537,19 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     The costs are computed inside the run so the billing sanitizer hooks
     fire; lease conservation is checked by the engine at run end.
 
-    When the scenario sets ``crash_after``, the chaos run is journaled
-    and then run a third time with the master crashing at that journal
-    offset and restoring from its checkpoint.  That run is held to the
-    same invariants; the report's trace, makespan and journal stay those
-    of the uninterrupted run.
+    When the scenario sets ``crash_after``, the chaos run is journaled,
+    and a forked child process runs it once more, at the same time, with
+    the master crashing at that journal offset and restoring from its
+    checkpoint (:func:`resume_until_complete`).  The child holds that run
+    to the same invariants and sends back its crash count, journal length,
+    problems and sanitizer violations; an error in it is raised here, and
+    a child still running when this process's own run raises is killed.
+    The report's trace, makespan and journal stay those of the
+    uninterrupted run.
     """
     seed = scenario.seed if seed is None else seed
-    # Of each earlier run only what the report needs is kept, so neither
-    # is still reachable while the crash run executes.
+    # Of the baseline only its makespan is kept, so the forked child
+    # does not carry its run.
     baseline_makespan = PullEngine(
         scenario.spec(), config=scenario.run_config()
     ).run(scenario.ensemble()).makespan
@@ -461,6 +557,35 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     # plausibly is; stretch it so late-run faults still occur under the
     # slowdown the faults themselves cause.
     horizon = baseline_makespan * (scenario.max_slowdown or 2.0)
+    crash = (
+        _CrashRun(scenario, seed, horizon, baseline_makespan)
+        if scenario.crash_after is not None
+        else None
+    )
+    try:
+        report = _chaos_report(scenario, seed, horizon, baseline_makespan)
+        if crash is not None:
+            outcome = crash.join()
+            report.crashes = outcome["crashes"]
+            if not report.crashes:
+                report.problems.append(
+                    f"crash_after={scenario.crash_after} never fired "
+                    f"(journal only has {outcome['records']} record(s))"
+                )
+            report.problems.extend(
+                f"crash/restore: {problem}" for problem in outcome["problems"]
+            )
+    finally:
+        if crash is not None:
+            crash.kill()
+    return report
+
+
+def _chaos_report(
+    scenario: ChaosScenario, seed: int, horizon: float, baseline_makespan: float
+) -> ChaosReport:
+    """The uninterrupted chaos run (journaled when the scenario crashes
+    or fails over), checked and reported."""
     journal = (
         Journal(checkpoint_every=scenario.checkpoint_every)
         if scenario.crash_after is not None or scenario.failover is not None
@@ -469,7 +594,7 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     engine = scenario.build_engine(seed, horizon, journal=journal)
     result = engine.run(scenario.ensemble())
     problems = _check_invariants(scenario, result, baseline_makespan)
-    report = ChaosReport(
+    return ChaosReport(
         scenario=scenario.name,
         seed=seed,
         makespan=result.makespan,
@@ -493,20 +618,6 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
         liveness_stats=dict(result.liveness_stats),
         journal=journal,
     )
-    del result
-    if scenario.crash_after is not None:
-        restored, crash_journal = resume_until_complete(scenario, seed, horizon)
-        report.crashes = crash_journal.crashes
-        if not report.crashes:
-            problems.append(
-                f"crash_after={scenario.crash_after} never fired "
-                f"(journal only has {len(crash_journal)} record(s))"
-            )
-        problems.extend(
-            f"crash/restore: {problem}"
-            for problem in _check_invariants(scenario, restored, baseline_makespan)
-        )
-    return report
 
 
 #: The two service scenarios' tenants, one per SLA class, each with

@@ -3,8 +3,14 @@ retry/dead-letter recovery in both execution paths, and the harness."""
 
 import dataclasses
 import hashlib
+import os
+import signal
+import time
+
 import pytest
 
+import repro.analysis.sanitizer as sanitizer
+import repro.faults.chaos as chaos_mod
 from repro.cloud import ClusterSpec
 from repro.dewe import DeweConfig, MasterDaemon, WorkerDaemon, submit_workflow
 from repro.engines import PullEngine, RunConfig
@@ -156,8 +162,6 @@ def test_threaded_unknown_workflow_acks_are_counted():
             TOPIC_ACK,
             JobAck(workflow_name="ghost", job_id="x", kind=AckKind.COMPLETED),
         )
-        import time
-
         deadline = time.monotonic() + 5.0
         while master.dropped_acks == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -328,6 +332,95 @@ def test_a_master_crash_composes_with_every_scenario_without_a_failover(name):
     report = run_chaos(dataclasses.replace(SCENARIOS[name], crash_after=30), seed=0)
     assert report.ok, report.summary()
     assert report.crashes == 1
+
+
+# -- the crash run's forked child -----------------------------------------------
+class CrashRunBroke(Exception):
+    pass
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_crash_run_that_raises_fails_run_chaos_with_its_traceback(monkeypatch):
+    def broken(*_args):
+        raise CrashRunBroke("restore went wrong")
+
+    monkeypatch.setattr(chaos_mod, "resume_until_complete", broken)
+    with pytest.raises(RuntimeError) as info:
+        run_chaos(SCENARIOS["master-crash"], seed=0)
+    message = str(info.value)
+    assert f"{__name__}.CrashRunBroke" in message
+    assert "Traceback (most recent call last)" in message
+    assert "in broken" in message and "restore went wrong" in message
+    _assert_no_child_left()
+
+
+def test_a_parent_run_that_raises_kills_and_reaps_the_child(monkeypatch):
+    parent = os.getpid()
+    real_check = chaos_mod._check_invariants
+    reaped = []
+    real_waitpid = os.waitpid
+
+    def stalled(*_args):
+        time.sleep(30)  # only a kill ends the child before the parent
+
+    def check(*args):
+        if os.getpid() == parent:
+            raise CrashRunBroke("the uninterrupted run broke")
+        return real_check(*args)
+
+    def waitpid(pid, options):
+        reaped.append(real_waitpid(pid, options))
+        return reaped[-1]
+
+    monkeypatch.setattr(chaos_mod, "resume_until_complete", stalled)
+    monkeypatch.setattr(chaos_mod, "_check_invariants", check)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(CrashRunBroke):
+        run_chaos(SCENARIOS["master-crash"], seed=0)
+    monkeypatch.undo()
+    [(pid, status)] = reaped
+    assert pid > 0 and os.WIFSIGNALED(status)
+    assert os.WTERMSIG(status) == signal.SIGKILL
+    _assert_no_child_left()
+
+
+def test_a_sanitizer_violation_in_the_crash_run_reaches_the_parent(monkeypatch):
+    real_resume = chaos_mod.resume_until_complete
+
+    def violating(*args):
+        outcome = real_resume(*args)
+        # An event popped before ``now``: a kernel invariant the
+        # sanitizer records, raised here in the child.
+        sanitizer.active().check_step(now=2.0, event_time=1.0)
+        return outcome
+
+    monkeypatch.setattr(chaos_mod, "resume_until_complete", violating)
+    with sanitizer.enabled(strict=False) as san:
+        report = run_chaos(SCENARIOS["master-crash"], seed=0)
+    assert report.ok and report.crashes == 1
+    assert [(v.check, v.time) for v in san.violations] == [("clock-monotonicity", 2.0)]
+    with sanitizer.enabled(strict=True) as san:
+        with pytest.raises(sanitizer.InvariantViolation, match="clock-monotonicity"):
+            run_chaos(SCENARIOS["master-crash"], seed=0)
+    assert len(san.violations) == 1
+    _assert_no_child_left()
+
+
+def test_a_crash_past_the_journal_end_reports_the_crash_journal_length():
+    scenario = dataclasses.replace(SCENARIOS["master-crash"], crash_after=100_000)
+    report = run_chaos(scenario, seed=0)
+    horizon = report.baseline_makespan * scenario.max_slowdown
+    _, journal = chaos_mod.resume_until_complete(scenario, 0, horizon)
+    assert journal.crashes == 0 and len(journal) == 161
+    assert report.crashes == 0
+    assert report.problems == [
+        "crash_after=100000 never fired (journal only has 161 record(s))"
+    ]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(

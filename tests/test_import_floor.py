@@ -59,6 +59,7 @@ _OFF_THE_RUN_PATH = (
     "subprocess",
     "multiprocessing",
     "concurrent.futures",
+    "pickle",
     "xml.etree.ElementTree",
     "repro.dewe.master",
     "repro.dewe.worker",

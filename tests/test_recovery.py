@@ -26,7 +26,7 @@ from repro.generators import montage_workflow
 from repro.mq import Broker
 import repro.recovery.journal as journal_module
 from repro.dewe.state import StateSnapshot, WorkflowState
-from repro.faults.chaos import SCENARIOS, run_chaos
+from repro.faults.chaos import SCENARIOS, resume_until_complete, run_chaos
 from repro.recovery import (
     Journal,
     JournalError,
@@ -511,8 +511,14 @@ def test_a_checkpoint_is_a_copy(monkeypatch):
         return checkpoint
 
     monkeypatch.setattr(Journal, "take_checkpoint", capture)
-    report = run_chaos(SCENARIOS["master-crash"], seed=0)
+    scenario = SCENARIOS["master-crash"]
+    report = run_chaos(scenario, seed=0)
     assert report.problems == [] and report.crashes == 1
+    # run_chaos restores in a forked child: run the crash run here as
+    # well, so its checkpoints and its restore are watched too.
+    horizon = report.baseline_makespan * scenario.max_slowdown
+    _, crash_journal = resume_until_complete(scenario, 0, horizon)
+    assert crash_journal.crashes == 1
     assert taken and digested == [] and rendered == []
 
     copied = jobs = 0
