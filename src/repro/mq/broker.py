@@ -8,28 +8,29 @@ ack or redelivery: lost jobs are recovered by the master daemon's
 timeout mechanism, as in the paper.
 
 Topics are priority queues: ``publish(..., priority=...)`` ranks a
-message above the default band (higher first; messages of equal priority
-leave in publish order, tie-broken by the per-topic publish sequence),
-and ``reprioritize`` retags already-queued messages in place so the
-master can re-rank still-queued jobs as completions land.
+message above the default band, and ``reprioritize`` retags
+already-queued messages in place so the master can re-rank still-queued
+jobs as completions land.  The order is
+:class:`repro.sim.resources.PriorityQueue`'s, the one the simulated
+broker's topics use too: higher first, publish order within a priority.
 
-Race detection: messages travel internally as heap entries carrying the
-per-topic publish sequence, numbered at publish time under the topic
+Race detection: each message's envelope number is the per-topic publish
+sequence the queue hands back, assigned at publish time under the topic
 condition.  The sequence number lets the happens-before detector pair
 each ``send`` with exactly the ``recv`` that took it — even with
 competing consumers — so "the producer's writes are visible to the
 message's consumer" becomes a provable edge instead of an assumption.
-Entries never escape: ``consume`` unwraps before returning.
+Queue entries never escape: ``consume`` unwraps before returning.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import repro.analysis.concurrency.recorder as _conc
 from repro.mq.messages import JobDispatch
+from repro.sim.resources import PriorityQueue
 
 __all__ = ["Topic", "Broker"]
 
@@ -37,7 +38,7 @@ __all__ = ["Topic", "Broker"]
 class Topic:
     """One named priority message stream.
 
-    ``_cond`` (a condition over a plain lock) guards the heap and the
+    ``_cond`` (a condition over a plain lock) guards the queue and the
     counters and makes ``seq`` assignment atomic with the enqueue, so
     envelope numbers are in arrival order (the detector's send/recv
     pairing relies on that).  It is deliberately built on a *plain* lock
@@ -49,15 +50,12 @@ class Topic:
     _guarded_by_ = {
         "published": "_cond",
         "consumed": "_cond",
-        "_heap": "_cond",
+        "_queue": "_cond",
     }
 
     def __init__(self, name: str):
         self.name = name
-        #: Entries are ``[-priority, seq, message]`` — lists, so
-        #: ``reprioritize`` can retag in place; ``seq`` is unique, so the
-        #: heap never compares messages.
-        self._heap: List[list] = []
+        self._queue = PriorityQueue()
         self.published = 0
         self.consumed = 0
         self._cond = threading.Condition(threading.Lock())
@@ -73,15 +71,14 @@ class Topic:
             # would be counted, then read as no message at all.
             raise ValueError(f"cannot publish None to {self.name!r}")
         with self._cond:
-            self.published += 1
-            seq = self.published
-            rec = _conc.active()
-            if rec is not None:
-                rec.on_send(self._key, seq)
             # Enqueue under the condition: atomicity keeps envelope
             # numbers in arrival order, and the notify hands the message
             # to at most one blocked consumer.
-            heapq.heappush(self._heap, [-priority, seq, message])
+            seq = self._queue.push(message, priority)
+            self.published += 1
+            rec = _conc.active()
+            if rec is not None:
+                rec.on_send(self._key, seq)
             self._cond.notify()
 
     def consume(self, timeout: Optional[float] = None) -> Optional[Any]:
@@ -91,13 +88,13 @@ class Topic:
         ``timeout=None`` polls without blocking (returns immediately).
         """
         with self._cond:
-            if not self._heap:
+            if not self._queue:
                 if timeout is None:
                     return None
-                self._cond.wait_for(lambda: bool(self._heap), timeout)
-                if not self._heap:
+                self._cond.wait_for(lambda: bool(self._queue), timeout)
+                if not self._queue:
                     return None
-            _neg_priority, seq, message = heapq.heappop(self._heap)
+            _neg_priority, seq, message = self._queue.pop()
             self.consumed += 1
             rec = _conc.active()
             if rec is not None:
@@ -110,15 +107,8 @@ class Topic:
         priority level.  Atomic against concurrent publish/consume: a
         racing consumer sees either the old or the new ranking, never a
         torn heap.  Returns the number of messages retagged."""
-        moved = 0
         with self._cond:
-            for entry in self._heap:
-                if entry[0] != -priority and selector(entry[2]):
-                    entry[0] = -priority
-                    moved += 1
-            if moved:
-                heapq.heapify(self._heap)
-        return moved
+            return self._queue.retag(selector, priority)
 
     def snapshot(self) -> Dict[str, int]:
         """Stats of this topic, read atomically under its own lock."""
@@ -126,14 +116,14 @@ class Topic:
             return {
                 "published": self.published,
                 "consumed": self.consumed,
-                "depth": len(self._heap),
+                "depth": len(self._queue),
             }
 
     @property
     def depth(self) -> int:
         """Number of queued messages."""
         with self._cond:
-            return len(self._heap)
+            return len(self._queue)
 
 
 class Broker:

@@ -539,7 +539,6 @@ _BROKER_SURFACE = (
     "or not a run calls it"
 )
 _SHARDING_RUNNER = "the sharding runner ROADMAP items 2b and 6 need"
-_FIFO_STORE = "FifoStore, until ROADMAP item 13 removes it"
 _REPR = "a __repr__"
 _FOLDER_IO = (
     "workflow file I/O of repro.dewe.folder, kept unreached for the "
@@ -682,10 +681,6 @@ KEPT_UNCALLED = {
     "sim/resources.py:CorePool.cancel":
         "fault branch: a worker killed while it waits for a core withdraws its "
         "acquire",
-    "sim/resources.py:FifoStore.__len__": _FIFO_STORE,
-    "sim/resources.py:FifoStore.cancel": _FIFO_STORE,
-    "sim/resources.py:FifoStore.peek_all": _FIFO_STORE,
-    "sim/resources.py:FifoStore.pop_nowait": _FIFO_STORE,
     "storage/base.py:SharedFileSystem._grow":
         "error branch: a read or write of a file outside its owner's workflow "
         "skeleton, which no generated workflow makes",

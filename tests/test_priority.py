@@ -7,12 +7,17 @@ machinery, and FIFO-vs-priority end-to-end runs on a deadline-skewed
 ensemble.
 """
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import ClusterSpec
 from repro.dewe.state import JobStatus, WorkflowState
 from repro.engines import PullEngine, pull
 from repro.mq import Broker, ChaosBroker, MessageChaos, SimBroker
+from repro.mq.broker import Topic
 from repro.mq.messages import JobDispatch
 from repro.mq.priority import (
     PRIORITY_BAND,
@@ -103,7 +108,9 @@ def test_store_zero_priority_path_matches_fifostore():
     for i in range(6):
         fifo.put(i)
         prio.put(i)
-    assert _drain(prio) == fifo.peek_all() == [0, 1, 2, 3, 4, 5]
+    assert _drain(prio) == [fifo.get()._value for _ in range(6)] == [
+        0, 1, 2, 3, 4, 5,
+    ]
 
 
 def test_store_negative_priority_sorts_below_default():
@@ -139,18 +146,17 @@ def test_store_reprioritize_same_priority_is_a_noop():
 
 
 def test_store_compaction_bounds_garbage():
-    """A reprioritize-heavy run must not accumulate dead entries without
-    bound: after many retags the store still drains correctly and its
-    internal containers stay proportional to the live count."""
+    """A reprioritize-heavy run leaves no garbage: a retag rewrites each
+    entry in place, so after many rounds the core holds exactly the
+    queued items and still drains in arrival order."""
     store = PriorityStore(Simulator())
     n = 50
     for i in range(n):
         store.put(i, priority=1.0)
     for round_ in range(2, 12):
-        store.reprioritize(lambda item: True, float(round_))
+        assert store.reprioritize(lambda item: True, float(round_)) == n
     assert len(store) == n
-    internal = len(store._heap) + len(store._fifo)
-    assert internal < 4 * n
+    assert len(store._queue._heap) == n and not store._fifo
     assert _drain(store) == list(range(n))
 
 
@@ -167,8 +173,8 @@ def test_store_fifo_only_workload_never_allocates_the_heap():
     got = store.get()
     assert got._value == 2
     assert store._plain  # never left the fast path
-    assert store._heap == []  # the heap lane was never populated
-    assert all(not hasattr(item, "alive") for item in store._fifo)
+    assert store._queue is None  # no PriorityQueue was ever built
+    assert list(store._fifo) == list(range(3, 50))  # raw items
     assert _drain(store) == list(range(3, 50))
 
 
@@ -211,23 +217,130 @@ def test_store_zero_priority_microbench_parity_with_fifostore():
     assert cycle(FifoStore) == cycle(PriorityStore) == (4000, 3000)
 
 
-def test_fifostore_public_inspection_api():
-    store = FifoStore(Simulator())
-    for i in range(4):
-        store.put(i)
-    assert store.peek_all() == [0, 1, 2, 3]
-    assert store.pop_nowait() == 0
-    assert store.peek_all() == [1, 2, 3]
-    assert _drain_fifo(store) == [1, 2, 3]
+_NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-def _drain_fifo(store):
-    out = []
-    while True:
-        item = store.pop_nowait()
-        if item is None:
-            return out
-        out.append(item)
+def _refuse_store_put(priority):
+    store = PriorityStore(Simulator())
+    store.put("a")
+    store.put("b")
+    with pytest.raises(ValueError, match="priority must be finite"):
+        store.put("x", priority)
+    assert store._plain  # refused before the store left plain mode
+    store.put("c", 1.0)
+    with pytest.raises(ValueError, match="priority must be finite"):
+        store.put("y", priority)
+    return _drain(store)
+
+
+def _refuse_store_reprioritize(priority):
+    store = PriorityStore(Simulator())
+    for name in ("a", "b", "c"):
+        store.put(name)
+    with pytest.raises(ValueError, match="priority must be finite"):
+        store.reprioritize(lambda item: item == "b", priority)
+    assert store._plain
+    store.reprioritize(lambda item: item == "c", 1.0)
+    with pytest.raises(ValueError, match="priority must be finite"):
+        store.reprioritize(lambda item: item == "b", priority)
+    return _drain(store)
+
+
+def _refuse_broker_publish(priority):
+    broker = Broker()
+    for name, rank in (("a", 0.0), ("b", 0.0), ("c", 1.0)):
+        broker.publish("t", name, rank)
+    with pytest.raises(ValueError, match="priority must be finite"):
+        broker.publish("t", "x", priority)
+    assert broker.stats()["t"] == {"published": 3, "consumed": 0, "depth": 3}
+    return [broker.consume("t") for _ in range(3)]
+
+
+def _refuse_broker_reprioritize(priority):
+    broker = Broker()
+    for job_id, rank in (("a", 0.0), ("b", 0.0), ("c", 1.0)):
+        broker.publish("t", JobDispatch("wf", job_id), rank)
+    with pytest.raises(ValueError, match="priority must be finite"):
+        broker.reprioritize("t", "wf", "b", priority)
+    return [broker.consume("t").job_id for _ in range(3)]
+
+
+@pytest.mark.parametrize("priority", _NON_FINITE, ids=repr)
+@pytest.mark.parametrize("refuse", [
+    _refuse_store_put, _refuse_store_reprioritize,
+    _refuse_broker_publish, _refuse_broker_reprioritize,
+])
+def test_non_finite_priority_is_refused(refuse, priority):
+    """A NaN compares false both ways, so a queued NaN would break the
+    heap order of the finite entries around it; an infinity outranks
+    every band.  Both transports refuse them and keep their order."""
+    assert refuse(priority) == ["c", "a", "b"]
+
+
+class _SortedListTopic:
+    """The order every topic promises, spelled as a sorted list: highest
+    priority first, publish order within a priority; a retag changes an
+    entry's priority and keeps its publish number."""
+
+    def __init__(self):
+        self.entries = []  # [priority, publish number, item]
+        self.published = 0
+
+    def put(self, item, priority):
+        self.published += 1
+        self.entries.append([priority, self.published, item])
+
+    def reprioritize(self, selector, priority):
+        moved = [e for e in self.entries if e[0] != priority and selector(e[2])]
+        for entry in moved:
+            entry[0] = priority
+        return len(moved)
+
+    def pop(self):
+        self.entries.sort(key=lambda e: (-e[0], e[1]))
+        return self.entries.pop(0)[2] if self.entries else None
+
+
+_RANKS = st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, 5.0])
+_TOPIC_OPS = st.one_of(
+    st.tuples(st.just("put"), _RANKS),
+    st.tuples(st.just("retag"), st.integers(1, 3), st.integers(0, 2), _RANKS),
+    st.tuples(st.just("pop")),
+)
+
+
+@given(st.lists(_TOPIC_OPS, max_size=40))
+@example([
+    ("put", 0.0), ("put", 0.0), ("pop",), ("put", 0.0),
+    ("put", 5.0), ("put", 0.0), ("retag", 2, 0, 1.0), ("pop",),
+])
+@example([("put", 0.0), ("put", 0.0), ("retag", 1, 0, 0.0), ("put", 0.0)])
+@settings(max_examples=200, deadline=None)
+def test_store_and_topic_drain_in_the_model_order(program):
+    """The DES store (``pop_nowait``) and the threaded topic (a polling
+    ``consume``) give the sorted-list model's answer to every retag and
+    pop, including programs that leave the store's plain mode part-way."""
+    store, topic, model = PriorityStore(Simulator()), Topic("t"), _SortedListTopic()
+    transports = [
+        (store.put, store.reprioritize, store.pop_nowait),
+        (topic.publish, topic.reprioritize, lambda: topic.consume(None)),
+        (model.put, model.reprioritize, model.pop),
+    ]
+    logs = []
+    for put, retag, pop in transports:
+        log = []
+        for item, op in enumerate(program):
+            if op[0] == "put":
+                put(item, op[1])
+            elif op[0] == "retag":
+                _, mod, rest, priority = op
+                log.append(retag(lambda m: m % mod == rest, priority))
+            else:
+                log.append(pop())
+        while (item := pop()) is not None:
+            log.append(item)
+        logs.append(log)
+    assert logs[0] == logs[1] == logs[2]
 
 
 # ---------------------------------------------------------------------------

@@ -685,25 +685,6 @@ def test_fifo_store_order_preserved():
     assert got == [0, 1, 2, 3, 4]
 
 
-def test_fifo_store_cancel_pending_get():
-    sim = Simulator()
-    store = FifoStore(sim)
-    results = []
-
-    def consumer():
-        item = yield store.get()
-        results.append(item)
-
-    proc_get = store.get()
-    assert store.cancel(proc_get)
-    sim.process(consumer())
-    store.put("only")
-    sim.run()
-    # The cancelled getter received None and must not steal the item.
-    assert results == ["only"]
-    assert len(store) == 0
-
-
 def _slots(event):
     return type(event), event.sim, event.callbacks, event._state, event._value
 
