@@ -214,8 +214,8 @@ def main_chaos(argv: Optional[List[str]] = None) -> int:
                              "+ spot kill + straggler + master failover in "
                              "one seeded run (docs/FAULTS.md)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's fault seed (service "
-                             "scenarios keep their own arrival seed)")
+                        help="fault seed, default 0 (service scenarios "
+                             "draw their arrivals from seed 0)")
     parser.add_argument("--list", action="store_true",
                         help="list the built-in scenarios and exit")
     parser.add_argument("--check-determinism", action="store_true",

@@ -18,7 +18,10 @@ progress counters are guarded by the ``_progress`` condition — they were
 historically bare ``+= 1`` from concurrent job threads, a lost-update
 race the happens-before detector surfaces (its fingerprint is pinned in
 ``tests/test_concurrency_detector.py``).  ``_progress`` also gives
-observers :meth:`wait_progress` instead of polling the counters.
+observers :meth:`wait_progress` instead of polling the counters.  A
+network partition cuts the worker's own link by the DES ``PullRun``'s
+rules (:meth:`begin_partition`); ``_link`` guards it, and every ack is
+sent or held under it, so a heal's flush precedes any newer ack.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import repro.analysis.concurrency.recorder as _conc
 from repro.analysis.concurrency import shims as _shims
 from repro.dewe.config import DeweConfig
 from repro.dewe.executors import CallableExecutor, Executor
+from repro.faults.models import DOWNLINK_CUT, PARTITION_MODES, UPLINK_CUT
 from repro.mq.broker import Broker
 from repro.mq.messages import (
     TOPIC_ACK,
@@ -52,6 +56,8 @@ class WorkerDaemon:
         "jobs_completed": "_progress",
         "jobs_failed": "_progress",
         "_active": "_active_lock",
+        "_cut": "_link",
+        "_held": "_link",
     }
 
     def __init__(
@@ -77,6 +83,11 @@ class WorkerDaemon:
         self._thread: Optional[threading.Thread] = None
         self._hb_thread: Optional[threading.Thread] = None
         self._job_threads: list = []
+        self._link = _shims.make_lock(f"{name}.link")
+        #: ``None`` (connected) or the active ``PARTITION_MODES`` entry.
+        self._cut: Optional[str] = None
+        #: Acks held behind an uplink cut, in send order.
+        self._held: list = []
 
     def _trace(self, op: str, site: str) -> None:
         """Report a counter access to the race recorder, if any."""
@@ -115,6 +126,8 @@ class WorkerDaemon:
         """Abrupt death: in-flight jobs never acknowledge (fault injection)."""
         self._killed.set()
         self._stop.set()
+        with self._link:
+            self._held.clear()  # acks held behind a cut die with the process
         if self._thread is not None:
             self._thread.join()
             self._thread = None
@@ -134,6 +147,32 @@ class WorkerDaemon:
     def __exit__(self, *exc) -> None:
         self.stop()
 
+    # -- network partition -------------------------------------------------
+    def begin_partition(self, mode: str) -> None:
+        """Cut this worker's link to the master in ``mode`` (a
+        :data:`~repro.faults.models.PARTITION_MODES` entry): an uplink
+        cut holds acks and drops heartbeats, a downlink cut stops
+        pulling.  Jobs already running run on."""
+        if mode not in PARTITION_MODES:
+            raise ValueError(f"mode must be one of {PARTITION_MODES}, got {mode!r}")
+        with self._link:
+            self._cut = mode
+
+    def end_partition(self) -> int:
+        """Heal the link: the held acks go out in send order, before any
+        newer ack.  Returns how many were held."""
+        with self._link:
+            self._cut = None
+            held, self._held = self._held, []
+            for ack in held:
+                self.broker.publish(TOPIC_ACK, ack)
+        return len(held)
+
+    def _deaf(self) -> bool:
+        """True while a downlink cut keeps this worker from pulling."""
+        with self._link:
+            return self._cut in DOWNLINK_CUT
+
     # -- progress observation ----------------------------------------------
     def wait_progress(
         self, seen: int, timeout: Optional[float] = None
@@ -151,19 +190,21 @@ class WorkerDaemon:
 
     # -- internals -----------------------------------------------------------
     def _ack(self, msg: JobDispatch, kind: AckKind, error: str = None) -> None:
-        if self._killed.is_set():
-            return  # a dead process sends nothing
-        self.broker.publish(
-            TOPIC_ACK,
-            JobAck(
-                workflow_name=msg.workflow_name,
-                job_id=msg.job_id,
-                kind=kind,
-                worker=self.name,
-                attempt=msg.attempt,
-                error=error,
-            ),
+        ack = JobAck(
+            workflow_name=msg.workflow_name,
+            job_id=msg.job_id,
+            kind=kind,
+            worker=self.name,
+            attempt=msg.attempt,
+            error=error,
         )
+        with self._link:
+            if self._killed.is_set():
+                return  # a dead process sends nothing
+            if self._cut in UPLINK_CUT:
+                self._held.append(ack)  # in flight until the heal
+            else:
+                self.broker.publish(TOPIC_ACK, ack)
 
     def _record_outcome(self, failed: bool) -> None:
         """Count one finished job and wake :meth:`wait_progress` waiters."""
@@ -193,18 +234,20 @@ class WorkerDaemon:
 
         The first beat announces the worker (the master grants a lease on
         first contact); a killed worker stops beating immediately, which
-        is exactly the signal the lease sweep turns into a fence.
+        is exactly the signal the lease sweep turns into a fence.  A beat
+        due while the uplink is cut is dropped, not held: a stale beat
+        carries no information.
         """
         seq = 0
-        self.broker.publish(TOPIC_HEARTBEAT, WorkerHeartbeat(worker=self.name))
-        # Event-wait between beats (lint CL008): wakes early on stop/kill.
-        while not self._stop.wait(self.config.liveness.heartbeat_interval):
-            if self._killed.is_set():
+        while True:
+            with self._link:
+                if self._cut not in UPLINK_CUT:
+                    beat = WorkerHeartbeat(worker=self.name, seq=seq)
+                    self.broker.publish(TOPIC_HEARTBEAT, beat)
+            # Event-wait between beats (lint CL008): wakes early on stop/kill.
+            if self._stop.wait(self.config.liveness.heartbeat_interval):
                 return
             seq += 1
-            self.broker.publish(
-                TOPIC_HEARTBEAT, WorkerHeartbeat(worker=self.name, seq=seq)
-            )
 
     def _loop(self) -> None:
         slots = self.config.worker_slots
@@ -212,8 +255,9 @@ class WorkerDaemon:
         while not self._stop.is_set():
             with self._active_lock:
                 full = self._active >= slots
-            if full:
-                # At the concurrency cap: stop pulling (paper §III.D).
+            if full or self._deaf():
+                # At the concurrency cap (paper §III.D) or cut off from
+                # the master: stop pulling.
                 self._stop.wait(poll)
                 continue
             msg = self.broker.consume(TOPIC_DISPATCH, timeout=poll)
@@ -224,6 +268,11 @@ class WorkerDaemon:
                     # Graceful shutdown mid-checkout: hand the job back.
                     self.broker.publish(TOPIC_DISPATCH, msg)
                 break
+            if self._deaf():
+                # A downlink cut began while this pull waited: the
+                # dispatch never reached the worker; back to the queue.
+                self.broker.publish(TOPIC_DISPATCH, msg)
+                continue
             with self._progress:
                 self._trace("write", "worker.job_started")
                 self.jobs_started += 1

@@ -53,7 +53,9 @@ from repro.engines.base import (
     EngineBase, EngineResult, JobRecord, RunConfig, _reraise, execute_job,
     release,
 )
-from repro.faults.models import FaultTrace, TransientFaultModel
+from repro.faults.models import (
+    DOWNLINK_CUT, UPLINK_CUT, FaultTrace, TransientFaultModel,
+)
 from repro.faults.retry import RetryPolicy
 from repro.liveness import (
     MISS_THRESHOLD,
@@ -76,9 +78,6 @@ __all__ = ["PullEngine", "PullRun"]
 _DISPATCH = "job-dispatching"
 _ACK = "job-acknowledgment"
 _HEARTBEAT = "worker-heartbeat"
-#: Partition modes that cut the master->worker and worker->master path.
-_DOWN_CUT = ("full", "from-master")
-_UP_CUT = ("full", "to-master")
 #: Seconds from a journal crash to the restarted master's takeover: the
 #: default ``detection`` of :class:`~repro.liveness.MasterFailoverModel`.
 _RESTART_DELAY = 1.0
@@ -529,7 +528,7 @@ class PullRun:
         if self.slot_alive[node_index] <= 0:
             return  # a drained/dead node's parting beat
         epoch = self._grant_lease(node_index)
-        if self.partition_mode[node_index] in _DOWN_CUT:
+        if self.partition_mode[node_index] in DOWNLINK_CUT:
             # The grant cannot reach a worker behind a downlink
             # partition; it is delivered when the partition heals.
             self.pending_epoch[node_index] = epoch
@@ -613,7 +612,7 @@ class PullRun:
         publishes its RUNNING/COMPLETED acks itself.)"""
         if self.lease is not None:
             payload = payload + (node_index, self.worker_epoch[node_index])
-        if self.partition_mode[node_index] in _UP_CUT:
+        if self.partition_mode[node_index] in UPLINK_CUT:
             self.pending_up[node_index].append((_ACK, payload))
         else:
             self.broker.publish(_ACK, payload)
@@ -622,7 +621,7 @@ class PullRun:
         self.stats["partitions"] += 1
         self.partition_mode[node_index] = mode
         self.heal_events[node_index] = self.sim.event()
-        if mode in _DOWN_CUT:
+        if mode in DOWNLINK_CUT:
             # Idle slots waiting on the dispatch topic can no longer
             # hear the master: cancel their pulls (they park on the
             # heal event; queued jobs go to connected workers).
@@ -670,7 +669,7 @@ class PullRun:
         partition_mode = self.partition_mode
         leased = self.lease is not None
         while node_index not in draining:
-            if partition_mode[node_index] in _DOWN_CUT:
+            if partition_mode[node_index] in DOWNLINK_CUT:
                 # Partitioned from the master: no pulling until
                 # the partition heals (in-flight jobs continue).
                 try:
@@ -694,7 +693,7 @@ class PullRun:
                 finally:
                     idle_waits.discard(pending)
             if msg is None:
-                if partition_mode[node_index] in _DOWN_CUT:
+                if partition_mode[node_index] in DOWNLINK_CUT:
                     # Partition onset cancelled the idle pull;
                     # loop back into the heal wait.
                     continue
@@ -773,7 +772,7 @@ class PullRun:
         interval = self.engine.liveness.heartbeat_interval
         try:
             while self.slot_alive[node_index] > 0:
-                if self.partition_mode[node_index] not in _UP_CUT:
+                if self.partition_mode[node_index] not in UPLINK_CUT:
                     self.broker.publish(
                         _HEARTBEAT, (node_index, self.worker_epoch[node_index])
                     )

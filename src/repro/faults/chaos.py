@@ -72,7 +72,7 @@ from repro.workflow import Ensemble
 __all__ = ["ChaosScenario", "ChaosReport", "SCENARIOS", "get_scenario", "run_chaos"]
 
 #: Seed salt per seeded model type, so each draws from an independent
-#: stream of the scenario's seed.
+#: stream of the run's seed.
 _SALT = {
     SpotHazard: 1,
     TransientFaultModel: 2,
@@ -88,6 +88,9 @@ _SALT = {
 _CHECK_INTERVAL = 0.5
 #: A service-mode scenario's embedded backlog gate (jobs).
 _SERVICE_MAX_PENDING = 24
+#: Seed of a service-mode scenario's tenant arrivals, whatever the run's
+#: seed (ROADMAP 10(g): passing the run's seed moves two golden pins).
+_SERVICE_ARRIVAL_SEED = 0
 
 
 def _reseed(model, seed: int):
@@ -100,13 +103,12 @@ class ChaosScenario:
     """One named, seeded fault-injection experiment.
 
     The scenario holds the objects :class:`PullEngine` takes, not copies
-    of their parameters.  The run's seed decides every fault draw:
-    :meth:`build_engine` re-seeds each seeded model from it plus the
-    model's salt, so a model's own ``seed`` must stay at its default,
-    and the scenario object is reusable across seeds via
-    :func:`run_chaos`'s ``seed`` override.  Service-mode arrivals are
-    the exception: :meth:`service_workload` draws them from the
-    scenario's own ``seed`` field, which that override does not change.
+    of their parameters, and no seed: :func:`run_chaos`'s ``seed``
+    decides every fault draw, because :meth:`build_engine` re-seeds each
+    seeded model from it plus the model's salt (so a model's own
+    ``seed`` must stay at its default).  Service-mode arrivals are the
+    exception: :meth:`service_workload` draws them from
+    ``_SERVICE_ARRIVAL_SEED`` whatever the run's seed.
     """
 
     name: str
@@ -130,7 +132,6 @@ class ChaosScenario:
     #: ``asynch_repriority`` pattern).
     repriority: Optional[RepriorityPolicy] = None
     # -- fault models -----------------------------------------------------
-    seed: int = 0
     #: Sampled over the run's fault horizon, in tuple order, into the
     #: run's controllers.
     faults: Tuple[Union[SpotHazard, PartitionHazard, StragglerHazard], ...] = ()
@@ -206,14 +207,13 @@ class ChaosScenario:
     def service_workload(self):
         """The open-loop multi-tenant workload (service mode only).
 
-        A pure function of the scenario fields, ``seed`` included (not
-        :func:`run_chaos`'s ``seed`` override), so the two
-        :func:`run_chaos` calls to :meth:`ensemble` (baseline and chaos)
-        see identical member names and submission times.
+        A pure function of the scenario fields (not of the run's seed),
+        so the two :func:`run_chaos` calls to :meth:`ensemble` (baseline
+        and chaos) see identical member names and submission times.
         """
         return build_workload(
             self.tenants, make_workflow("montage", self.size),
-            self.service_horizon, self.seed,
+            self.service_horizon, _SERVICE_ARRIVAL_SEED,
             name=f"{self.name}-service",
         )
 
@@ -547,7 +547,7 @@ def run_chaos(scenario: ChaosScenario, seed: Optional[int] = None) -> ChaosRepor
     The report's trace, makespan and journal stay those of the
     uninterrupted run.
     """
-    seed = scenario.seed if seed is None else seed
+    seed = 0 if seed is None else seed
     # Of the baseline only its makespan is kept, so the forked child
     # does not carry its run.
     baseline_makespan = PullEngine(

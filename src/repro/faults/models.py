@@ -102,6 +102,10 @@ class FaultTrace:
 #: buffered, its heartbeats lost); ``from-master`` only the downlink
 #: (it stops receiving dispatches but its acks still arrive).
 PARTITION_MODES = ("full", "to-master", "from-master")
+#: The modes that cut each direction, read by both stacks (``PullRun``
+#: and the threaded ``WorkerDaemon``).
+UPLINK_CUT = ("full", "to-master")
+DOWNLINK_CUT = ("full", "from-master")
 
 #: Action kind -> the undo its ``duration`` schedules (``None``: no undo).
 _UNDO = {

@@ -15,6 +15,11 @@ Dropped dispatches are recovered by the master's dispatch-loss deadline
 duplicated messages are absorbed by the idempotent
 :class:`~repro.dewe.state.WorkflowState` transitions.  That closed loop —
 chaos here, recovery there — is what the chaos harness certifies.
+
+A network partition is not a broker fault: it cuts one worker's link,
+so the worker itself holds its acks and drops its heartbeats
+(:meth:`~repro.dewe.worker.WorkerDaemon.begin_partition`, by the rules
+the DES ``PullRun`` follows).
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ import random
 import threading
 from dataclasses import dataclass
 from math import inf
-from typing import Any, Optional, Tuple
-
-from repro.mq.messages import TOPIC_ACK, TOPIC_HEARTBEAT
+from typing import Any
 
 __all__ = ["MessageChaos", "ChaosBroker"]
 
@@ -77,18 +80,6 @@ class ChaosBroker:
     (simulated transports only) records each fault at ``sim.now``.  Only
     ``publish`` is this class's own: the other broker methods are the
     transport's bound methods, so a consume crosses no frame here.
-
-    Partition hold: :meth:`begin_partition` cuts named workers off the
-    control plane — their publishes to the partitioned topics (by
-    default the uplink: acks and heartbeats, i.e. the threaded daemons
-    realize the ``to-master`` direction of a ``partition-start``
-    :class:`~repro.faults.models.FaultAction`; cutting the
-    dispatch downlink would need per-worker queues the shared
-    work-queue topic model doesn't have) are *held* in publish order
-    instead of delivered.  :meth:`heal_partition` releases the held
-    messages back through the ordinary chaos band, preserving their
-    order, which is what lets tests exercise duplicate-ack idempotency
-    and redelivery ordering across a heal.
     """
 
     _guarded_by_ = {
@@ -96,15 +87,7 @@ class ChaosBroker:
         "duplicated": "_lock",
         "delayed": "_lock",
         "_rng": "_lock",
-        "_partitioned": "_lock",
-        "_held": "_lock",
-        "held": "_lock",
-        "flushed": "_lock",
     }
-
-    #: Topics cut by a partition unless the caller names others: the
-    #: worker uplink (job acks and heartbeat renewals).
-    PARTITION_TOPICS: Tuple[str, ...] = (TOPIC_ACK, TOPIC_HEARTBEAT)
 
     def __init__(self, broker, chaos: MessageChaos, trace=None):
         self.broker = broker
@@ -115,12 +98,6 @@ class ChaosBroker:
         self.dropped = 0
         self.duplicated = 0
         self.delayed = 0
-        #: worker name -> tuple of topics cut for it.
-        self._partitioned: dict = {}
-        #: Held (topic, message, priority) triples in publish order.
-        self._held: list = []
-        self.held = 0
-        self.flushed = 0
         for name in ("consume", "consume_nowait", "cancel", "depth",
                      "reprioritize", "stats"):
             if hasattr(broker, name):
@@ -132,66 +109,19 @@ class ChaosBroker:
                 "dropped": self.dropped,
                 "duplicated": self.duplicated,
                 "delayed": self.delayed,
-                "held": self.held,
-                "flushed": self.flushed,
             }
-
-    def begin_partition(
-        self, workers, topics: Optional[Tuple[str, ...]] = None
-    ) -> None:
-        """Cut ``workers`` (names or one name) off ``topics``."""
-        if isinstance(workers, str):
-            workers = (workers,)
-        cut = tuple(topics) if topics is not None else self.PARTITION_TOPICS
-        with self._lock:
-            for worker in workers:
-                self._partitioned[worker] = cut
-
-    def heal_partition(self, workers=None) -> int:
-        """Heal ``workers`` (default: all); redeliver their held messages.
-
-        Held messages re-enter through the normal chaos band in their
-        original publish order — a healed partition looks to the master
-        like a burst of late, possibly duplicated traffic, exactly the
-        at-least-once story the state machine must absorb.  Returns the
-        number of messages released.
-        """
-        if isinstance(workers, str):
-            workers = (workers,)
-        with self._lock:
-            if workers is None:
-                healed = set(self._partitioned)
-                self._partitioned.clear()
-            else:
-                healed = {
-                    worker for worker in workers
-                    if self._partitioned.pop(worker, None) is not None
-                }
-            flush = [h for h in self._held if h[1].worker in healed]
-            self._held = [h for h in self._held if h[1].worker not in healed]
-            self.flushed += len(flush)
-        # Re-publish outside the lock (the chaos band takes it again).
-        for topic_name, message, priority in flush:
-            self.publish(topic_name, message, priority)
-        return len(flush)
 
     def publish(
         self, topic_name: str, message: Any, priority: float = 0.0
     ) -> None:
         if message is None:
-            # ``consume`` reads ``None`` as "empty".  Refused before a
-            # hold or a draw: the drop and delay bands never reach the
-            # transport's own refusal.
+            # ``consume`` reads ``None`` as "empty".  Refused before the
+            # draw: the drop and delay bands never reach the transport's
+            # own refusal.
             raise ValueError(f"cannot publish None to {topic_name!r}")
         chaos = self.chaos
         fault = None
         with self._lock:
-            if self._partitioned and topic_name in self._partitioned.get(
-                getattr(message, "worker", None), ()
-            ):
-                self._held.append((topic_name, message, priority))
-                self.held += 1
-                return  # in flight until the partition heals
             u = self._rng.random()
             if u < chaos.p_drop:
                 self.dropped += 1

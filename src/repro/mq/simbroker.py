@@ -62,14 +62,18 @@ class SimBroker:
         """Deliver ``message`` to the topic after the broker latency.
 
         ``priority`` ranks the message among queued ones (higher first,
-        publish order within a priority).  A ``None`` message is refused
-        with :class:`ValueError` before anything is batched or scheduled.
+        publish order within a priority).  A ``None`` message or a
+        non-finite priority is refused with :class:`ValueError` before
+        anything is batched or scheduled.
         """
         if message is None:
             # ``None`` is what a cancelled consume delivers and what
             # ``consume_nowait`` returns for "empty": as a payload it
             # would silently end the consumer that reads it.
             raise ValueError(f"cannot publish None to {topic_name!r}")
+        if priority and not -inf < priority < inf:
+            # The store would refuse it only at delivery, inside the run.
+            raise ValueError(f"priority must be finite, got {priority!r}")
         entry = [message, priority]
         now = self.sim.now
         # Every path returns True although no caller reads it: topics are
@@ -93,6 +97,8 @@ class SimBroker:
         """:meth:`publish`, ``delay`` seconds late (the chaos decorator's
         delay band, which refuses ``None``): a one-entry batch, never
         ``_pending``, so no reprioritize reaches it in flight."""
+        if priority and not -inf < priority < inf:
+            raise ValueError(f"priority must be finite, got {priority!r}")
         self.sim.schedule_call(
             self.latency + delay, self._deliver, topic_name,
             (self.sim.now, [[message, priority]]),

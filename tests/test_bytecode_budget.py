@@ -20,7 +20,11 @@ simulator when created, and every node's core pool and write-back cache
 check their sizes once.  A pull run builds two broker topics, so when
 ``PriorityStore.__init__`` stopped setting three attributes (its order
 moved into ``PriorityQueue``) the two pull pins fell by 2 x 9 = 18:
-6,671,920 -> 6,671,902 and 4,409,984 -> 4,409,966.
+6,671,920 -> 6,671,902 and 4,409,984 -> 4,409,966.  When
+``SimBroker.publish`` began to refuse a non-finite priority at the call
+(``if priority and ...``: two bytecodes for the default 0.0), the two
+pull pins rose by 2 per publish, three publishes per job (the dispatch
+and its two acks): 6,671,902 -> 6,684,022 and 4,409,966 -> 4,415,054.
 
 A change meant only to save memory or move code between modules leaves
 these integers as they are; a change that adds or removes per-job work
@@ -54,10 +58,10 @@ pytestmark = pytest.mark.skipif(
 #: jobs, bytecodes under ``repro/``).
 CASES = {
     "pull, 4 x 1.0 deg on 2 x r3.8xlarge MooseFS": (
-        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_409_966,
+        PullEngine, 4, 1.0, "r3.8xlarge", 2, "moosefs", 848, 4_415_054,
     ),
     "pull, 2 x 2.0 deg on 1 x c3.8xlarge local": (
-        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 6_671_902,
+        PullEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 6_684_022,
     ),
     "central dispatch, 2 x 2.0 deg on 1 x c3.8xlarge local": (
         SchedulingEngine, 2, 2.0, "c3.8xlarge", 1, "local", 2020, 7_472_960,

@@ -433,9 +433,9 @@ def test_chaos_scenario_holds_at_most_thirty_fields():
 def test_no_chaos_scenario_field_copies_a_model_parameter():
     """The scenario holds the objects the run takes; a flat copy of one of
     their parameters would need an ``if`` in ``build_engine`` to turn it
-    back into the object.  ``seed`` is the one shared name: the
-    scenario's seed plus a salt re-seeds every model, whose own seed the
-    scenario refuses to be anything but the default."""
+    back into the object.  The run's seed plus a salt re-seeds every
+    model, whose own seed the scenario refuses to be anything but the
+    default, so the scenario has no ``seed`` of its own either."""
     from repro.faults.chaos import ChaosScenario
     from repro.faults.models import (
         FileCorruptionModel, FileLossModel, PartitionHazard, SpotHazard,
@@ -449,7 +449,7 @@ def test_no_chaos_scenario_field_copies_a_model_parameter():
     from repro.mq.priority import RepriorityPolicy
     from repro.service.workload import TenantSpec
 
-    fields = {f.name for f in dataclasses.fields(ChaosScenario)} - {"seed"}
+    fields = {f.name for f in dataclasses.fields(ChaosScenario)}
     copied = sorted(
         f"{model.__name__}.{name}"
         for model in (
@@ -634,6 +634,12 @@ KEPT_UNCALLED = {
     "dewe/state.py:_ArenaView.__iter__": _MAPPING_ABC,
     "dewe/state.py:_ArenaView.__len__": _MAPPING_ABC,
     "dewe/state.py:_ArenaView.__repr__": _REPR,
+    "dewe/worker.py:WorkerDaemon.begin_partition":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): "
+        "cuts a threaded worker's link to the master",
+    "dewe/worker.py:WorkerDaemon.end_partition":
+        "threaded-partition suite hook (tests/test_partition_threaded.py): "
+        "heals a threaded worker's link and sends its held acks",
     "dewe/worker.py:WorkerDaemon._heartbeat_loop":
         "threaded-partition suite hook (tests/test_partition_threaded.py): a "
         "worker's lease renewals (DeweConfig(liveness=...))",
@@ -652,12 +658,6 @@ KEPT_UNCALLED = {
     "mq/broker.py:Broker.reprioritize": _BROKER_SURFACE,
     "mq/broker.py:Topic.depth": _BROKER_SURFACE,
     "mq/broker.py:Topic.reprioritize": _BROKER_SURFACE,
-    "mq/chaosbroker.py:ChaosBroker.begin_partition":
-        "threaded-partition suite hook (tests/test_partition_threaded.py): "
-        "cuts a threaded worker's uplink",
-    "mq/chaosbroker.py:ChaosBroker.heal_partition":
-        "threaded-partition suite hook (tests/test_partition_threaded.py): "
-        "heals a threaded worker's uplink",
     "mq/tcpbroker.py:RemoteBroker.depth": _BROKER_SURFACE,
     "mq/tcpbroker.py:RemoteBroker.reprioritize": _BROKER_SURFACE,
     "parallel/runner.py:RunDigest.to_dict": _SHARDING_RUNNER,

@@ -42,15 +42,10 @@ def test_topics_are_independent():
     assert broker.consume("a") == 1
 
 
-def _partitioned(broker):
-    broker.begin_partition("w1")
-    return broker
-
-
 def _threaded_broker_state(broker):
     state = [broker.stats()]
     if isinstance(broker, ChaosBroker):
-        state += [broker.chaos_stats(), broker._rng.getstate(), list(broker._held)]
+        state += [broker.chaos_stats(), broker._rng.getstate()]
     return state
 
 
@@ -59,15 +54,14 @@ def _threaded_broker_state(broker):
     [
         Broker,
         lambda: ChaosBroker(Broker(), MessageChaos(p_drop=1.0)),
-        lambda: _partitioned(ChaosBroker(Broker(), MessageChaos())),
     ],
-    ids=["plain", "chaos-drop", "chaos-partitioned"],
+    ids=["plain", "chaos-drop"],
 )
 def test_threaded_broker_refuses_a_none_payload_before_counting(make):
     """``consume`` returns ``None`` for "empty": as a payload it would be
     counted as published and consumed and then read as no message.
     Refused like the DES brokers refuse it, with no counter, recorder
-    send, partition hold or chaos draw spent."""
+    send or chaos draw spent."""
     broker = make()
     broker.publish(TOPIC_ACK, JobAck("wf", "j0", AckKind.COMPLETED, worker="w1"))
     before = _threaded_broker_state(broker)
@@ -323,6 +317,31 @@ def test_simbroker_refuses_a_none_payload_before_counting(make):
         assert set(broker.chaos_stats().values()) == {0}
     sim.run()
     assert broker.consume_nowait("t") is None
+
+
+@pytest.mark.parametrize(
+    "priority", [float("nan"), float("inf"), -float("inf")],
+    ids=["nan", "inf", "minus-inf"],
+)
+@pytest.mark.parametrize("latency", [0.002, 0.0], ids=["batched", "direct"])
+def test_simbroker_refuses_a_non_finite_priority_at_the_call(latency, priority):
+    """``publish`` and ``publish_after`` refuse a NaN or infinite priority
+    themselves.  The store's own refusal came only at delivery: inside
+    the run, after the batch's later messages were lost (``b`` here) or,
+    with no latency, never, for a getter already waiting."""
+    sim = Simulator()
+    broker = SimBroker(sim, latency=latency)
+    waiting = broker.consume("t")
+    broker.publish("t", "a")
+    with pytest.raises(ValueError, match="finite"):
+        broker.publish("t", "n", priority)
+    with pytest.raises(ValueError, match="finite"):
+        broker.publish_after(1.0, "t", "n", priority)
+    broker.publish("t", "b", 5.0)
+    sim.run()
+    assert waiting._value == "a"
+    assert broker.consume_nowait("t") == "b"
+    assert broker.depth("t") == 0
 
 
 def test_chaos_simbroker_priority_survives_the_delay_band_and_the_latency_batch():

@@ -1,11 +1,13 @@
-"""Partition healing on the real threaded daemons (ChaosBroker shim).
+"""Partition healing on the real threaded daemons.
 
 The DES covers partitions with exact clocks (tests/test_liveness.py);
-these tests run the genuine multi-threaded master/worker stack against
-the :class:`~repro.mq.chaosbroker.ChaosBroker` partition shim, which
-holds a cut worker's uplink (acks + heartbeats) in publish order and
-replays it through the chaos band on heal.  They are part of the race
-detector CI matrix: run them under ``REPRO_RACEDETECT=1``.
+these tests run the genuine multi-threaded master/worker stack, where a
+partition cuts one worker's link by the DES rules
+(:meth:`~repro.dewe.worker.WorkerDaemon.begin_partition`): an uplink
+cut holds acks in send order and drops heartbeats, a downlink cut stops
+pulling, a heal sends the held acks before any newer ack, and a killed
+worker's held acks die with it.  They are part of the race detector CI
+matrix: run them under ``REPRO_RACEDETECT=1``.
 """
 
 import threading
@@ -21,16 +23,15 @@ from repro.dewe import (
 )
 from repro.faults import RetryPolicy
 from repro.liveness import MISS_THRESHOLD, AdmissionControl, LeaseConfig
-from repro.mq import Broker, ChaosBroker, MessageChaos
+from repro.mq import Broker
 from repro.mq.messages import (
     TOPIC_ACK,
     TOPIC_DISPATCH,
     TOPIC_HEARTBEAT,
-    JobAck,
     AckKind,
-    WorkerHeartbeat,
+    JobDispatch,
 )
-from repro.workflow import Workflow
+from repro.workflow import Job, Workflow
 
 
 def _poll(predicate, timeout=10.0, interval=0.01):
@@ -42,14 +43,25 @@ def _poll(predicate, timeout=10.0, interval=0.01):
     return predicate()
 
 
-def _ack(worker: str, job_id: str = "j", attempt: int = 0) -> JobAck:
-    return JobAck(
-        workflow_name="wf",
-        job_id=job_id,
-        kind=AckKind.COMPLETED,
-        attempt=attempt,
-        worker=worker,
-    )
+def _held(worker: WorkerDaemon) -> int:
+    with worker._link:
+        return len(worker._held)
+
+
+def _dispatch(broker, job_id: str, action=None) -> None:
+    job = Job(job_id, "t", runtime=0.0, action=action)
+    broker.publish(TOPIC_DISPATCH, JobDispatch("wf", job_id, job=job))
+
+
+def _drain(broker, topic: str) -> list:
+    out = []
+    while (msg := broker.consume(topic, timeout=0)) is not None:
+        out.append(msg)
+    return out
+
+
+def _acks(broker) -> list:
+    return [(a.job_id, a.kind) for a in _drain(broker, TOPIC_ACK)]
 
 
 def make_parallel(name: str, n: int, action) -> Workflow:
@@ -59,41 +71,89 @@ def make_parallel(name: str, n: int, action) -> Workflow:
     return wf
 
 
-# -- ChaosBroker partition shim (unit) ----------------------------------------
-def test_chaosbroker_holds_partitioned_uplink_and_heals_in_order():
-    broker = ChaosBroker(Broker(), MessageChaos())
-    broker.begin_partition("w1")
-    for i in range(3):
-        broker.publish(TOPIC_ACK, _ack("w1", f"j{i}"))
-    broker.publish(TOPIC_HEARTBEAT, WorkerHeartbeat(worker="w1"))
-    # Another worker's traffic is unaffected.
-    broker.publish(TOPIC_ACK, _ack("w0", "other"))
-    assert broker.depth(TOPIC_ACK) == 1
-    assert broker.consume(TOPIC_ACK).worker == "w0"
-    stats = broker.chaos_stats()
-    assert stats["held"] == 4 and stats["flushed"] == 0
+# -- the worker's link (unit) --------------------------------------------------
+def test_to_master_cut_holds_acks_in_send_order_and_drops_heartbeats():
+    interval = 0.01
+    cfg = DeweConfig(
+        worker_poll_interval=0.005,
+        max_concurrent_jobs=1,  # one job at a time: a fixed send order
+        liveness=LeaseConfig(heartbeat_interval=interval),
+    )
+    broker = Broker()
+    pause = threading.Event()  # never set: each job waits a few beats
+    with WorkerDaemon(broker, config=cfg, name="w1") as worker:
+        assert _poll(lambda: broker.depth(TOPIC_HEARTBEAT) >= 1)
+        worker.begin_partition("to-master")
+        _drain(broker, TOPIC_HEARTBEAT)  # beats sent before the cut
+        for i in range(3):
+            _dispatch(broker, f"j{i}", lambda: pause.wait(3 * interval))
+        assert _poll(lambda: _held(worker) == 6), _held(worker)
+        assert broker.depth(TOPIC_ACK) == 0
+        assert broker.depth(TOPIC_HEARTBEAT) == 0  # dropped, not held
 
-    assert broker.heal_partition("w1") == 4
-    # Held messages re-enter in their original publish order.
-    flushed = [broker.consume(TOPIC_ACK) for _ in range(3)]
-    assert [m.job_id for m in flushed] == ["j0", "j1", "j2"]
-    assert broker.consume(TOPIC_HEARTBEAT).worker == "w1"
-    assert broker.chaos_stats()["flushed"] == 4
-    # Healing an already-healed worker is a no-op.
-    assert broker.heal_partition("w1") == 0
+        assert worker.end_partition() == 6
+        assert worker.end_partition() == 0  # nothing left to release
+        _dispatch(broker, "j3")
+        assert _poll(lambda: broker.depth(TOPIC_ACK) == 8)
+        assert _poll(lambda: broker.depth(TOPIC_HEARTBEAT) >= 1)
+    steps = [(f"j{i}", kind) for i in range(4)
+             for kind in (AckKind.RUNNING, AckKind.COMPLETED)]
+    assert _acks(broker) == steps
 
 
-def test_chaosbroker_partition_scopes_to_named_topics():
-    broker = ChaosBroker(Broker(), MessageChaos())
-    broker.begin_partition(("w1",), topics=(TOPIC_ACK,))
-    broker.publish(TOPIC_HEARTBEAT, WorkerHeartbeat(worker="w1"))
-    assert broker.depth(TOPIC_HEARTBEAT) == 1  # heartbeats still flow
-    broker.publish(TOPIC_ACK, _ack("w1"))
-    assert broker.depth(TOPIC_ACK) == 0  # acks held
-    # Messages without a worker attribute (dispatches) are never held.
-    broker.publish(TOPIC_DISPATCH, ("opaque", "payload"))
-    assert broker.depth(TOPIC_DISPATCH) == 1
-    assert broker.heal_partition() == 1
+def test_from_master_cut_stops_pulling_while_acks_flow():
+    cfg = DeweConfig(worker_poll_interval=0.005, max_concurrent_jobs=1)
+    broker = Broker()
+    gate = threading.Event()
+    with WorkerDaemon(broker, config=cfg, name="w1") as worker:
+        _dispatch(broker, "a", lambda: gate.wait(10.0))
+        assert broker.consume(TOPIC_ACK, timeout=10.0).kind is AckKind.RUNNING
+        # The only slot is busy, so the pull loop waits at the cap and
+        # cannot be mid-pull when the cut begins.
+        worker.begin_partition("from-master")
+        _dispatch(broker, "b")
+        gate.set()
+        done = broker.consume(TOPIC_ACK, timeout=10.0)
+        assert (done.job_id, done.kind) == ("a", AckKind.COMPLETED)
+        # Ten poll intervals with a free slot: "b" is still queued.
+        threading.Event().wait(10 * cfg.worker_poll_interval)
+        assert broker.depth(TOPIC_DISPATCH) == 1
+        assert broker.depth(TOPIC_ACK) == 0
+
+        assert worker.end_partition() == 0
+        assert _poll(lambda: broker.depth(TOPIC_ACK) == 2)
+        assert _acks(broker) == [("b", AckKind.RUNNING), ("b", AckKind.COMPLETED)]
+
+        # Idle, the worker waits inside its pull: a cut that begins there
+        # hands the next dispatch back to the queue.
+        worker.begin_partition("from-master")
+        _dispatch(broker, "c")
+        threading.Event().wait(10 * cfg.worker_poll_interval)
+        assert broker.depth(TOPIC_DISPATCH) == 1
+        assert broker.depth(TOPIC_ACK) == 0
+        worker.end_partition()
+        assert _poll(lambda: broker.depth(TOPIC_ACK) == 2)
+
+
+def test_a_killed_workers_held_acks_never_reach_the_broker():
+    broker = Broker()
+    worker = WorkerDaemon(
+        broker, config=DeweConfig(worker_poll_interval=0.005), name="w1"
+    ).start()
+    worker.begin_partition("to-master")
+    _dispatch(broker, "j0")
+    assert _poll(lambda: _held(worker) == 2)
+    worker.kill()
+    worker.join_jobs()
+    assert worker.end_partition() == 0
+    assert broker.depth(TOPIC_ACK) == 0
+
+
+def test_a_partition_mode_outside_the_three_is_refused():
+    worker = WorkerDaemon(Broker(), name="w1")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        worker.begin_partition("both")
+    assert worker.end_partition() == 0
 
 
 # -- threaded: partition -> lease fence -> requeue -> heal --------------------
@@ -105,7 +165,7 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
         max_concurrent_jobs=8,
         liveness=LeaseConfig(heartbeat_interval=0.05),
     )
-    broker = ChaosBroker(Broker(), MessageChaos())
+    broker = Broker()
     gate = threading.Event()
     started = []
     started_lock = threading.Lock()
@@ -118,19 +178,21 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
     wf = make_parallel("wf", 16, job)
     with MasterDaemon(broker, cfg) as master, WorkerDaemon(
         broker, config=cfg, name="w0"
-    ), WorkerDaemon(broker, config=cfg, name="w1"):
+    ), WorkerDaemon(broker, config=cfg, name="w1") as w1:
         submit_workflow(broker, wf)
         # 16 gated jobs against two 8-slot workers: both saturate, so the
         # partitioned worker genuinely holds RUNNING deliveries.
         assert _poll(lambda: len(started) == 16), f"started={len(started)}"
 
-        broker.begin_partition("w1")
+        w1.begin_partition("to-master")
         assert _poll(
             lambda: master.liveness_stats()["lease_fencings"] >= 1
         ), master.liveness_stats()
         gate.set()
-        healed = broker.heal_partition("w1")
-        assert healed > 0  # silence was the shim, not a dead worker
+        # w1's eight gated jobs finish behind the cut: their completions
+        # are held, not lost.
+        assert _poll(lambda: _held(w1) >= 8), _held(w1)
+        assert w1.end_partition() >= 8
         assert master.wait("wf", timeout=20.0)
         stats = master.liveness_stats()
 
@@ -140,8 +202,6 @@ def test_partitioned_worker_is_fenced_and_jobs_requeued():
     # Every job ran (the fenced worker's deliveries were requeued; reruns
     # are allowed, lost jobs are not).
     assert len(started) >= 16
-    chaos = broker.chaos_stats()
-    assert chaos["held"] > 0 and chaos["flushed"] == chaos["held"]
 
 
 # -- threaded: duplicate acks across a heal are absorbed ----------------------
@@ -152,7 +212,7 @@ def test_acks_flushed_after_heal_are_idempotent():
         worker_poll_interval=0.005,
         max_concurrent_jobs=8,
     )
-    broker = ChaosBroker(Broker(), MessageChaos())
+    broker = Broker()
     runs = []
     lock = threading.Lock()
 
@@ -163,16 +223,16 @@ def test_acks_flushed_after_heal_are_idempotent():
     wf = make_parallel("wf", 4, job)
     with MasterDaemon(
         broker, cfg, retry=RetryPolicy(max_attempts=0, redispatch_lost=True)
-    ) as master, WorkerDaemon(broker, config=cfg, name="w0"):
+    ) as master, WorkerDaemon(broker, config=cfg, name="w0") as w0:
         # Partitioned from the start: the worker still pulls dispatches
         # and executes, but every ack is held.  The master's dispatch
         # deadline keeps republishing; the worker keeps re-running.
-        broker.begin_partition("w0")
+        w0.begin_partition("to-master")
         submit_workflow(broker, wf)
         assert _poll(lambda: len(runs) >= 8)  # at least one full rerun
         assert not master.wait("wf", timeout=0.1)  # blind: cannot settle
 
-        flushed = broker.heal_partition("w0")
+        flushed = w0.end_partition()
         assert flushed >= 8  # stale and fresh attempts replay together
         assert master.wait("wf", timeout=20.0)
 
