@@ -111,8 +111,8 @@ def stochastic_spot_terminations() -> None:
         # Node 0 is never reclaimed, so the ensemble always has a worker.
         faults=(
             SpotHazard(600.0, notice=3.0, replacement_delay=5.0, protected=(0,)),
+            TransientFaultModel(poison=("mBgModel",)),
         ),
-        transient=TransientFaultModel(poison=("mBgModel",)),
         expect_dead=("mBgModel",),
     )
     for seed in (0, 1):

@@ -108,8 +108,8 @@ class EngineResult:
     #: Final per-workflow job status counts (pull engine only): each
     #: value maps :class:`~repro.dewe.state.JobStatus` values to counts.
     job_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Broker chaos tallies (``ChaosBroker.chaos_stats()``) when the run
-    #: had ``message_chaos``.
+    #: Broker chaos tallies (``ChaosBroker.chaos_stats()``) when a
+    #: ``MessageChaos`` band ran.
     mq_chaos_stats: Dict[str, int] = field(default_factory=dict)
     #: Data-integrity tallies (verified/corrupted/lost/detected/
     #: regenerated/restaged) when integrity models ran

@@ -12,8 +12,8 @@ Fault injection (paper §V.A.3 and the chaos engine beyond it): the paper
 disturbs a running cluster from outside — kill a daemon, restart it
 elsewhere, add nodes — and so does everything here.  A *controller* is
 any object with ``install(run)``; the engine calls it once with the
-:class:`PullRun`, before any worker starts, and the run's public methods
-are what it may schedule against:
+:class:`PullRun`, before the master or any worker starts, and the run's
+public names are what it may touch:
 
 * a :class:`~repro.faults.models.FaultSchedule` scripts every node
   disturbance: worker-daemon kills and restarts (killed slots
@@ -24,17 +24,14 @@ are what it may schedule against:
 * :func:`~repro.provision.autoscale.queue_depth_autoscaler` starts and
   drains worker daemons on queue depth;
 * a :class:`~repro.liveness.MasterFailoverModel` kills the primary
-  master and has the warm standby take over.
+  master and has the warm standby take over;
+* inside the run, a :class:`~repro.faults.models.TransientFaultModel`
+  fails job attempts, a :class:`~repro.mq.chaosbroker.MessageChaos` band
+  drops, duplicates or delays messages, and the file-fault models damage
+  files that workers then checksum.
 
-Inside the run rather than against it:
-
-* a :class:`~repro.faults.models.TransientFaultModel` fails job attempts
-  (and poison jobs) worker-side;
-* a :class:`~repro.mq.chaosbroker.MessageChaos` band makes the broker
-  drop, duplicate or delay messages;
-* a :class:`~repro.faults.retry.RetryPolicy` governs recovery: backoff
-  before re-dispatch, attempt budgets, and dead-lettering of poison jobs
-  so the rest of the ensemble still settles.
+A :class:`~repro.faults.retry.RetryPolicy` governs recovery: backoff
+before re-dispatch, attempt budgets, and dead-lettering of poison jobs.
 
 Every injected fault is recorded on the run's
 :class:`~repro.faults.models.FaultTrace` and exported as
@@ -65,7 +62,6 @@ from repro.liveness import (
     ServiceAdmissionPolicy,
     new_liveness_stats,
 )
-from repro.mq.chaosbroker import ChaosBroker, MessageChaos
 from repro.mq.priority import RepriorityPolicy
 from repro.mq.simbroker import SimBroker
 from repro.recovery.journal import Journal
@@ -94,10 +90,7 @@ class PullEngine(EngineBase):
         config: Optional[RunConfig] = None,
         broker_latency: float = 0.002,
         retry: Optional[RetryPolicy] = None,
-        transient: Optional[TransientFaultModel] = None,
-        message_chaos: Optional[MessageChaos] = None,
         journal: Optional[Journal] = None,
-        integrity_models: Sequence = (),
         liveness: Optional[LeaseConfig] = None,
         admission: Optional[AdmissionControl] = None,
         service: Optional[ServiceAdmissionPolicy] = None,
@@ -116,24 +109,12 @@ class PullEngine(EngineBase):
         dead-lettering once it is spent (default: unlimited immediate
         retries, the paper's behaviour).
 
-        ``transient`` injects per-attempt job failures and always-failing
-        poison jobs worker-side.
-
-        ``message_chaos`` wraps the broker in a drop/duplicate/delay band.
-
         ``journal`` is a write-ahead
         :class:`~repro.recovery.journal.Journal` recording every master
         state transition.  With ``crash_after`` set it also injects a
         master crash, which the run recovers from in place: the master
         restarts one second later and restores from the last checkpoint,
         as a standby takeover does.
-
-        ``integrity_models`` are data-plane fault injectors
-        (:class:`~repro.faults.models.FileCorruptionModel`,
-        :class:`~repro.faults.models.FileLossModel`) — when present,
-        workers checksum their inputs before running a job and the
-        master regenerates damaged files by re-executing the minimal
-        ancestor set (data-aware recovery).
 
         ``liveness`` is a :class:`~repro.liveness.LeaseConfig` enabling
         the heartbeat/lease protocol (docs/FAULTS.md) — workers renew
@@ -167,17 +148,12 @@ class PullEngine(EngineBase):
         starving work.  Without this knob all publishes stay at
         priority 0.0, which is byte-identical to FIFO order.
 
-        ``controllers`` are the disturbances scheduled against the run
-        from outside, in the paper's sense (§V.A.3): each is an object
-        with ``install(run)``, called once in list order with the
-        :class:`PullRun` after the master's loops exist and before any
-        worker starts.  A
-        :class:`~repro.faults.models.FaultSchedule` (written by hand or
-        sampled from a hazard), a
-        :func:`~repro.provision.autoscale.queue_depth_autoscaler` and a
-        :class:`~repro.liveness.MasterFailoverModel` (needs ``journal``)
-        are the ones the repo ships; what they record lands in
-        ``EngineResult.fault_events``.
+        ``controllers`` are every fault of the run (the paper's §V.A.3
+        and beyond): objects with ``install(run)``, called once in list
+        order with the :class:`PullRun` before the master or any worker
+        starts — the module docstring lists the ones the repo ships
+        (:class:`~repro.liveness.MasterFailoverModel` needs ``journal``).
+        What they record lands in ``EngineResult.fault_events``.
         """
         super().__init__(spec, config)
         if service is not None and admission is not None:
@@ -187,10 +163,7 @@ class PullEngine(EngineBase):
             )
         self.broker_latency = broker_latency
         self.retry = retry or RetryPolicy()
-        self.transient = transient
-        self.message_chaos = message_chaos
         self.journal = journal
-        self.integrity_models = tuple(integrity_models)
         self.liveness = liveness
         self.admission = admission
         self.service = service
@@ -236,7 +209,11 @@ class PullRun:
       (``report_liveness`` makes the result carry the liveness tallies
       even if the run ends before the takeover);
     * :meth:`spawn` — start a controller's own process, a generator
-      yielding DES events.
+      yielding DES events;
+    * ``broker``, ``transient``, ``integrity``, ``workflows`` — the
+      transport a message band wraps, what every slot asks after each
+      job (``None`` without a transient model or a file fault), and the
+      members whose staged inputs the integrity plane records.
     """
 
     def __init__(self, engine: PullEngine, ensemble: Ensemble):
@@ -247,10 +224,6 @@ class PullRun:
         self.thread_logs = thread_logs
         self.trace = FaultTrace()
         self.broker = SimBroker(sim, engine.broker_latency)
-        if engine.message_chaos is not None:
-            self.broker = ChaosBroker(
-                self.broker, engine.message_chaos, trace=self.trace
-            )
         self.members = list(ensemble)
         #: What a dispatch message resolves against worker-side (the
         #: real message carries the job; workers never read master state).
@@ -300,16 +273,9 @@ class PullRun:
         self.hb_procs: List[Optional[Process]] = [None] * n_nodes
         self.master_procs: List[Process] = []
 
-        # -- data-integrity plane ---------------------------------------------
+        # -- worker-side faults; their installs set them -----------------------
+        self.transient: Optional[TransientFaultModel] = None
         self.integrity: Optional[FileIntegrity] = None
-        if engine.integrity_models:
-            self.integrity = FileIntegrity(
-                trace=self.trace, models=engine.integrity_models
-            )
-            for wf in ensemble.workflows:
-                for f in wf.skeleton().files:
-                    if f.kind == "input":
-                        self.integrity.record_stage(wf.name, f)
 
         # -- write-ahead journal ----------------------------------------------
         self.journal = engine.journal
@@ -335,7 +301,6 @@ class PullRun:
             (node.disk.read.capacity, node.disk.write.capacity)
             for node in cluster.nodes
         ]
-        self.core = self._new_core()
 
     # -- the master core and its ports ---------------------------------------
     def _new_core(self) -> MasterCore:
@@ -652,11 +617,12 @@ class PullRun:
     def worker_slot(self, node_index: int):
         sim = self.sim
         broker = self.broker
-        node = self.cluster.nodes[node_index]
+        cluster = self.cluster
+        node = cluster.nodes[node_index]
         log = self.thread_logs[node_index]
-        fs = self.cluster.fs
+        fs = cluster.fs
         integrity = self.integrity
-        transient = self.engine.transient
+        transient = self.transient
         record_jobs = self.engine.config.record_jobs
         workflows = self.workflows
         idle_waits = self.idle_waits[node_index]
@@ -948,9 +914,10 @@ class PullRun:
     def execute(self) -> EngineResult:
         sim = self.sim
         journal = self.journal
-        self.start_master()
         for controller in self.engine.controllers:
             controller.install(self)
+        self.core = self._new_core()
+        self.start_master()
         for i in range(self.n_nodes):
             if i not in self.initially_down:
                 self.start_worker(i)
@@ -976,7 +943,6 @@ class PullRun:
         return result
 
     def _result(self) -> EngineResult:
-        engine = self.engine
         cluster = self.cluster
         states = self.core.states
         stats = self.stats
@@ -1014,10 +980,9 @@ class PullRun:
             # quick-soak SHA-256 in tests/test_golden_runs.py hashes this
             # dict — the key goes when those pins are next regenerated.
             liveness_stats["shed_record_drops"] = 0
-        integrity = self.integrity
         return EngineResult(
-            engine=engine.name,
-            spec=engine.spec,
+            engine=self.engine.name,
+            spec=self.engine.spec,
             n_workflows=len(self.members),
             makespan=makespan,
             workflow_spans=dict(self.spans),
@@ -1031,11 +996,11 @@ class PullRun:
             fault_events=list(self.trace),
             dead_letters=self.core.dead_letters,
             job_counts={name: state.counts() for name, state in states.items()},
-            mq_chaos_stats=(
-                self.broker.chaos_stats()
-                if engine.message_chaos is not None else {}
+            # A broker behind a MessageChaos band reports its tallies.
+            mq_chaos_stats=getattr(self.broker, "chaos_stats", dict)(),
+            integrity_stats=(
+                dict(self.integrity.stats) if self.integrity is not None else {}
             ),
-            integrity_stats=dict(integrity.stats) if integrity is not None else {},
             data_recoveries=sum(s.data_recoveries for s in states.values()),
             journal=self.journal,
             liveness_stats=liveness_stats,

@@ -3,10 +3,10 @@ the recovery invariants.
 
 A :class:`ChaosScenario` holds what one run takes: a workload, a
 cluster, a :class:`~repro.faults.retry.RetryPolicy`, the liveness,
-admission and priority policies, and the fault models — the spot,
-straggler and partition samplers of :mod:`repro.faults.models`,
+admission and priority policies, and one ordered tuple of faults — the
+spot, straggler and partition samplers of :mod:`repro.faults.models`,
 transient/poison job failures, broker message chaos, file corruption
-and loss, a master failover or crash.  :func:`run_chaos` runs the
+and loss, a master failover — beside a master crash.  :func:`run_chaos` runs the
 scenario fault-free for the baseline, then under chaos (and, with
 ``crash_after``, once more at the same time in a forked child process,
 with the master crashing and restoring), and checks that the recovery
@@ -71,8 +71,8 @@ from repro.workflow import Ensemble
 
 __all__ = ["ChaosScenario", "ChaosReport", "SCENARIOS", "get_scenario", "run_chaos"]
 
-#: Seed salt per seeded model type, so each draws from an independent
-#: stream of the run's seed.
+#: Seed salt per fault type, so each draws from an independent stream of
+#: the run's seed; the failover draws nothing.
 _SALT = {
     SpotHazard: 1,
     TransientFaultModel: 2,
@@ -81,7 +81,10 @@ _SALT = {
     FileCorruptionModel: 5,
     FileLossModel: 6,
     PartitionHazard: 7,
+    MasterFailoverModel: None,
 }
+_HAZARDS = (SpotHazard, StragglerHazard, PartitionHazard)
+Fault = Union[tuple(_SALT)]
 
 
 #: The master's timeout-sweep cadence (sim seconds).
@@ -93,9 +96,15 @@ _SERVICE_MAX_PENDING = 24
 _SERVICE_ARRIVAL_SEED = 0
 
 
-def _reseed(model, seed: int):
-    """``model`` drawing from ``seed`` plus its type's salt."""
-    return None if model is None else replace(model, seed=seed + _SALT[type(model)])
+def _draw(fault: Fault, seed: int, n_nodes: int, horizon: float):
+    """``fault`` as one seeded run installs it, drawn from ``seed`` plus
+    the type's salt: a hazard sampled over ``horizon``, a model re-seeded."""
+    salt = _SALT[type(fault)]
+    if salt is None:
+        return fault
+    if isinstance(fault, _HAZARDS):
+        return fault.sample(seed + salt, n_nodes, horizon)
+    return replace(fault, seed=seed + salt)
 
 
 @dataclass(frozen=True)
@@ -105,10 +114,10 @@ class ChaosScenario:
     The scenario holds the objects :class:`PullEngine` takes, not copies
     of their parameters, and no seed: :func:`run_chaos`'s ``seed``
     decides every fault draw, because :meth:`build_engine` re-seeds each
-    seeded model from it plus the model's salt (so a model's own
-    ``seed`` must stay at its default).  Service-mode arrivals are the
-    exception: :meth:`service_workload` draws them from
-    ``_SERVICE_ARRIVAL_SEED`` whatever the run's seed.
+    fault from it plus the type's salt (so a model's own ``seed`` must
+    stay at its default).  Service-mode arrivals are the exception:
+    :meth:`service_workload` draws them from ``_SERVICE_ARRIVAL_SEED``
+    whatever the run's seed.
     """
 
     name: str
@@ -132,15 +141,9 @@ class ChaosScenario:
     #: ``asynch_repriority`` pattern).
     repriority: Optional[RepriorityPolicy] = None
     # -- fault models -----------------------------------------------------
-    #: Sampled over the run's fault horizon, in tuple order, into the
-    #: run's controllers.
-    faults: Tuple[Union[SpotHazard, PartitionHazard, StragglerHazard], ...] = ()
-    transient: Optional[TransientFaultModel] = None
-    messages: Optional[MessageChaos] = None
-    file_faults: Tuple[Union[FileCorruptionModel, FileLossModel], ...] = ()
-    #: Kill the primary master and have the warm standby take over by
-    #: fencing the journal; installed after the sampled faults.
-    failover: Optional[MasterFailoverModel] = None
+    #: Every fault, installed as the run's controllers in tuple order (a
+    #: master crash is ``crash_after``: the journal refusing a write).
+    faults: Tuple[Fault, ...] = ()
     # -- multi-tenant open-loop service (repro.service; docs/FAULTS.md) ----
     #: Arrival window in sim seconds; with ``tenants`` it switches the
     #: scenario to open-loop service mode: the ensemble is built from the
@@ -173,25 +176,24 @@ class ChaosScenario:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if self.crash_after is not None and self.failover is not None:
+        if self.crash_after is not None and self.fails_over:
             # The crash is already a failover with no standby; a scripted
             # failover in the same run could overlap two takeovers on
             # one journal.
             raise ValueError("crash_after and failover are mutually exclusive")
-        if (
-            self.messages is not None
-            and self.messages.p_drop > 0
-            and not self.retry.redispatch_lost
-        ):
-            raise ValueError(
-                "messages.p_drop > 0 needs retry.redispatch_lost=True: only "
-                "a dispatch-time deadline recovers a dropped dispatch"
-            )
-        for model in (self.transient, self.messages, *self.file_faults):
-            if model is not None and model.seed != 0:
+        for fault in self.faults:
+            if type(fault) not in _SALT or getattr(fault, "seed", 0) != 0:
                 raise ValueError(
-                    f"{type(model).__name__}(seed={model.seed}): the scenario's "
-                    f"seed plus a salt decides it; leave it at 0"
+                    f"{fault!r}: a scenario runs its own fault types, seeded "
+                    f"by its seed plus a salt; leave the model's seed at 0"
+                )
+            if (
+                isinstance(fault, MessageChaos) and fault.p_drop > 0
+                and not self.retry.redispatch_lost
+            ):
+                raise ValueError(
+                    "MessageChaos.p_drop > 0 needs retry.redispatch_lost=True: "
+                    "only a dispatch-time deadline recovers a dropped dispatch"
                 )
         if bool(self.tenants) != (self.service_horizon > 0):
             raise ValueError("service mode needs both tenants and service_horizon > 0")
@@ -203,6 +205,10 @@ class ChaosScenario:
     @property
     def is_service(self) -> bool:
         return self.service_horizon > 0
+
+    @property
+    def fails_over(self) -> bool:
+        return any(isinstance(fault, MasterFailoverModel) for fault in self.faults)
 
     def service_workload(self):
         """The open-loop multi-tenant workload (service mode only).
@@ -237,9 +243,8 @@ class ChaosScenario:
     ) -> PullEngine:
         """Assemble the chaos-wired pull engine for one seeded run.
 
-        Each seeded model draws from ``seed`` plus its salt; the faults
-        are sampled over ``horizon`` in tuple order, and the failover,
-        if any, installs after them.
+        Each fault draws from ``seed`` plus its type's salt, hazards over
+        ``horizon``, and installs in tuple order.
         """
         service = None
         if self.is_service:
@@ -254,23 +259,18 @@ class ChaosScenario:
                 fair_share_floor=6 * _SERVICE_MAX_PENDING,
             )
             self.service_workload().wire(service)
-        sampled = [
-            hazard.sample(seed + _SALT[type(hazard)], self.n_nodes, horizon)
-            for hazard in self.faults
-        ]
         return PullEngine(
             self.spec(),
             config=self.run_config(),
             retry=self.retry,
-            transient=_reseed(self.transient, seed),
-            message_chaos=_reseed(self.messages, seed),
             journal=journal,
-            integrity_models=[_reseed(model, seed) for model in self.file_faults],
             liveness=self.liveness,
             admission=self.admission,
             service=service,
             repriority=self.repriority,
-            controllers=sampled + ([self.failover] if self.failover else []),
+            controllers=[
+                _draw(fault, seed, self.n_nodes, horizon) for fault in self.faults
+            ],
         )
 
 
@@ -588,7 +588,7 @@ def _chaos_report(
     or fails over), checked and reported."""
     journal = (
         Journal(checkpoint_every=scenario.checkpoint_every)
-        if scenario.crash_after is not None or scenario.failover is not None
+        if scenario.crash_after is not None or scenario.fails_over
         else None
     )
     engine = scenario.build_engine(seed, horizon, journal=journal)
@@ -650,9 +650,9 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             n_workflows=2,
             faults=(
                 SpotHazard(120.0, notice=2.0, replacement_delay=5.0, protected=(0,)),
+                TransientFaultModel(p_fail=0.05),
+                MessageChaos(p_duplicate=0.05),
             ),
-            transient=TransientFaultModel(p_fail=0.05),
-            messages=MessageChaos(p_duplicate=0.05),
         ),
         ChaosScenario(
             name="spot",
@@ -673,7 +673,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             n_nodes=2,
             n_workflows=2,
             retry=RetryPolicy(max_attempts=3),
-            transient=TransientFaultModel(poison=("mBgModel",)),
+            faults=(TransientFaultModel(poison=("mBgModel",)),),
             expect_dead=("mBgModel",),
         ),
         ChaosScenario(
@@ -685,8 +685,8 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             n_workflows=2,
             timeout=6.0,
             retry=RetryPolicy(max_attempts=8, redispatch_lost=True),
-            messages=MessageChaos(
-                p_drop=0.05, p_duplicate=0.05, p_delay=0.10, delay=0.5
+            faults=(
+                MessageChaos(p_drop=0.05, p_duplicate=0.05, p_delay=0.10, delay=0.5),
             ),
             max_slowdown=6.0,
         ),
@@ -697,8 +697,9 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "last checkpoint and every job must still settle exactly once.",
             n_nodes=2,
             n_workflows=2,
-            transient=TransientFaultModel(p_fail=0.05),
-            messages=MessageChaos(p_duplicate=0.05),
+            faults=(
+                TransientFaultModel(p_fail=0.05), MessageChaos(p_duplicate=0.05),
+            ),
             crash_after=60,
             checkpoint_every=20,
         ),
@@ -710,7 +711,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             "re-execution and input restaging with zero dead letters.",
             n_nodes=2,
             n_workflows=2,
-            file_faults=(
+            faults=(
                 FileCorruptionModel(p=0.02, targets=("*/p_000000.fits",)),
                 FileLossModel(p=0.02, targets=("*/raw_000003.fits",)),
             ),
@@ -760,8 +761,8 @@ SCENARIOS: Dict[str, ChaosScenario] = {
                     0.9, duration=(3.0, 6.0), p_asymmetric=0.3, until=20.0
                 ),
                 StragglerHazard(0.5, disk_factor=(0.2, 0.5), duration=(3.0, 8.0)),
+                MasterFailoverModel(8.0, detection=0.5),
             ),
-            failover=MasterFailoverModel(8.0, detection=0.5),
             checkpoint_every=15,
             max_slowdown=6.0,
             slowdown_slack=60.0,

@@ -23,7 +23,7 @@ horizon)`` draws the schedule once, up front, from an explicit
 ``random.Random(seed)``, so the whole fault trace is a pure function of
 the seed (the chaos goldens pin it).  :class:`TransientFaultModel`
 (per-attempt job failures and poison jobs) and the file-fault models
-act inside the run instead.
+are controllers too, though they act inside the run.
 
 Expected behaviour of a kill/restart cycle (asserted by the robustness
 benchmark): an interruption during **non-blocking** jobs adds roughly
@@ -422,6 +422,13 @@ class TransientFaultModel:
             raise ValueError(f"p_fail must be in [0, 1], got {self.p_fail}")
         object.__setattr__(self, "poison", frozenset(self.poison))
 
+    def install(self, run) -> None:
+        """Controller protocol: the run's worker slots ask
+        :meth:`should_fail` after each job; one model per run."""
+        if run.transient is not None:
+            raise ValueError("a run takes one TransientFaultModel")
+        run.transient = self
+
     def should_fail(self, workflow: str, job_id: str, attempt: int) -> bool:
         if job_id in self.poison:
             return True
@@ -545,6 +552,22 @@ class _FileFaultModel:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.p}")
         object.__setattr__(self, "targets", tuple(self.targets))
+
+    def install(self, run) -> None:
+        """Controller protocol: join the run's one
+        :class:`~repro.storage.integrity.FileIntegrity`, which the first
+        file-fault model builds, staging every member's raw inputs into
+        it at t=0.  Models strike in install order: an earlier one's
+        strike on a file wins."""
+        from repro.storage.integrity import FileIntegrity
+
+        if run.integrity is None:
+            run.integrity = FileIntegrity(trace=run.trace)
+            for wf in run.workflows.values():
+                for f in wf.skeleton().files:
+                    if f.kind == "input":
+                        run.integrity.record_write(wf.name, f, 0.0)
+        run.integrity.join(self)
 
     def strikes(self, owner: str, name: str, write_index: int) -> bool:
         if write_index != 1:

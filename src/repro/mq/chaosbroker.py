@@ -59,6 +59,13 @@ class MessageChaos:
         if not 0.0 <= self.delay < inf:
             raise ValueError(f"delay must be finite and >= 0, got {self.delay!r}")
 
+    def install(self, run) -> None:
+        """Controller protocol: put the run's broker behind this band,
+        tracing each fault on the run's fault trace; one band per run."""
+        if isinstance(run.broker, ChaosBroker):
+            raise ValueError("a run takes one MessageChaos band")
+        run.broker = ChaosBroker(run.broker, self, trace=run.trace)
+
 
 def _describe(topic_name: str, message: Any) -> str:
     """Compact, deterministic message label for fault traces."""

@@ -51,20 +51,16 @@ def file_digest(owner: str, name: str, size: float) -> str:
 class FileIntegrity:
     """Checksum registry for one run of one engine.
 
-    ``models`` are fault injectors with a ``strikes(owner, name,
-    write_index)`` predicate and ``kind`` / ``outcome`` attributes
-    (``"corrupt"`` stores a marker digest, ``"lost"`` erases the stored
-    digest).  A model only ever strikes a given file's *first* write, so
-    a regeneration pass always lands clean.
+    ``models`` are the fault injectors :meth:`join` added, each with a
+    ``strikes(owner, name, write_index)`` predicate and ``kind`` /
+    ``outcome`` attributes (``"corrupt"`` stores a marker digest,
+    ``"lost"`` erases the stored digest).  A model only ever strikes a
+    given file's *first* write, so a regeneration pass always lands clean.
     """
 
-    def __init__(
-        self,
-        trace: Optional[FaultTrace] = None,
-        models: Sequence[object] = (),
-    ):
+    def __init__(self, trace: Optional[FaultTrace] = None):
         self.trace = trace
-        self.models = tuple(models)
+        self.models: Tuple[object, ...] = ()
         #: Digest every (owner, file) is *supposed* to have.
         self.expected: Dict[_Key, str] = {}
         #: Digest actually on disk; ``None`` = file lost.
@@ -80,16 +76,33 @@ class FileIntegrity:
         }
 
     # -- producing ---------------------------------------------------------
-    def _apply_models(self, key: _Key, index: int, time: float) -> Optional[str]:
+    def _strike(self, key: _Key, index: int, time: float, models: tuple) -> bool:
+        """The first of ``models`` that strikes write ``index`` of
+        ``key`` stores its outcome; returns whether one did."""
         owner, name = key
-        for model in self.models:
+        for model in models:
             if model.strikes(owner, name, index):
                 if self.trace is not None:
                     self.trace.record(
                         time, model.kind, None, f"{owner}/{name}"
                     )
-                return model.outcome
-        return None
+                if model.outcome == "corrupt":
+                    self.stored[key] = "corrupt:" + self.expected[key]
+                    self.stats["corrupted"] += 1
+                else:
+                    self.stored[key] = None
+                    self.stats["lost"] += 1
+                return True
+        return False
+
+    def join(self, model: object) -> None:
+        """Hold ``model`` after the models already held.  Before the run
+        every recorded file is a staged input (its first write, the only
+        one a model strikes): ``model`` strikes those the others left clean."""
+        self.models += (model,)
+        for key, digest in self.expected.items():
+            if self.stored[key] == digest:
+                self._strike(key, 1, 0.0, (model,))
 
     def record_write(self, owner: str, f: DataFile, time: float) -> None:
         """A job (re)wrote ``f``; roll the integrity dice."""
@@ -99,14 +112,7 @@ class FileIntegrity:
         digest = file_digest(owner, f.name, f.size)
         was_bad = key in self.expected and self.stored.get(key) != digest
         self.expected[key] = digest
-        outcome = self._apply_models(key, index, time)
-        if outcome == "corrupt":
-            self.stored[key] = "corrupt:" + digest
-            self.stats["corrupted"] += 1
-            return
-        if outcome == "lost":
-            self.stored[key] = None
-            self.stats["lost"] += 1
+        if self._strike(key, index, time, self.models):
             return
         self.stored[key] = digest
         if was_bad:
@@ -118,10 +124,6 @@ class FileIntegrity:
                 san.check_regeneration(
                     owner, f.name, self.expected[key], digest, time=time
                 )
-
-    def record_stage(self, owner: str, f: DataFile) -> None:
-        """A raw input was staged into the namespace before the run."""
-        self.record_write(owner, f, 0.0)
 
     def restage(self, owner: str, f: DataFile, time: float) -> None:
         """Re-copy a raw input from the submit host (always clean —

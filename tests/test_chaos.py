@@ -95,7 +95,7 @@ def test_sim_poison_job_dead_letters_and_run_settles():
         small_spec(),
         config=fast_cfg(),
         retry=RetryPolicy(max_attempts=2),
-        transient=TransientFaultModel(poison=("mBgModel",)),
+        controllers=[TransientFaultModel(poison=("mBgModel",))],
     )
     result = engine.run(Ensemble([template]))
     counts = next(iter(result.job_counts.values()))
@@ -175,7 +175,7 @@ def test_sim_duplicated_messages_never_double_complete():
     engine = PullEngine(
         small_spec(),
         config=fast_cfg(),
-        message_chaos=MessageChaos(p_duplicate=0.5, seed=11),
+        controllers=[MessageChaos(p_duplicate=0.5, seed=11)],
     )
     result = engine.run(Ensemble([template]))
     counts = next(iter(result.job_counts.values()))
@@ -184,13 +184,24 @@ def test_sim_duplicated_messages_never_double_complete():
     assert result.mq_chaos_stats["duplicated"] > 0
 
 
+@pytest.mark.parametrize(
+    "model",
+    [TransientFaultModel(p_fail=0.1), MessageChaos(p_duplicate=0.1)],
+    ids=["transient", "messages"],
+)
+def test_a_run_takes_one_transient_model_and_one_message_band(model):
+    engine = PullEngine(small_spec(), config=fast_cfg(), controllers=[model, model])
+    with pytest.raises(ValueError, match="a run takes one"):
+        engine.run(Ensemble([montage_workflow(degree=0.3)]))
+
+
 def test_sim_dropped_messages_recovered_by_dispatch_deadline():
     template = montage_workflow(degree=0.3)
     engine = PullEngine(
         small_spec(),
         config=fast_cfg(timeout=3.0),
         retry=RetryPolicy(redispatch_lost=True, max_attempts=10),
-        message_chaos=MessageChaos(p_drop=0.15, seed=2),
+        controllers=[MessageChaos(p_drop=0.15, seed=2)],
     )
     result = engine.run(Ensemble([template]))
     counts = next(iter(result.job_counts.values()))
@@ -300,13 +311,13 @@ def test_get_scenario_unknown_name():
         ({"crash_after": -1}, "crash_after must be >= 0"),
         ({"checkpoint_every": -1}, "checkpoint_every must be >= 0"),
         (
-            {"crash_after": 10, "failover": MasterFailoverModel(5.0)},
+            {"crash_after": 10, "faults": (MasterFailoverModel(5.0),)},
             "mutually exclusive",
         ),
-        ({"messages": MessageChaos(p_drop=0.1)}, "redispatch_lost"),
-        ({"transient": TransientFaultModel(p_fail=0.1, seed=3)}, "seed=3"),
-        ({"messages": MessageChaos(p_duplicate=0.1, seed=2)}, "seed=2"),
-        ({"file_faults": (FileLossModel(p=0.1, seed=9),)}, "seed=9"),
+        ({"faults": (MessageChaos(p_drop=0.1),)}, "redispatch_lost"),
+        ({"faults": (TransientFaultModel(p_fail=0.1, seed=3),)}, "seed=3"),
+        ({"faults": (MessageChaos(p_duplicate=0.1, seed=2),)}, "seed=2"),
+        ({"faults": (FileLossModel(p=0.1, seed=9),)}, "seed=9"),
         ({"service_horizon": 5.0}, "tenants"),
     ],
     ids=[
@@ -322,7 +333,7 @@ def test_scenario_refuses_a_contradictory_or_ignored_field(changes, match):
 
 
 @pytest.mark.parametrize(
-    "name", sorted(name for name, s in SCENARIOS.items() if s.failover is None)
+    "name", sorted(name for name, s in SCENARIOS.items() if not s.fails_over)
 )
 def test_a_master_crash_composes_with_every_scenario_without_a_failover(name):
     """The crash run is judged like any chaos run, so a crash can be

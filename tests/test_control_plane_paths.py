@@ -138,9 +138,13 @@ def test_uplink_partition_without_leases_holds_acks_until_heal(monkeypatch):
 
 
 def _drive_to_horizon(engine, ensemble, horizon):
-    """``PullRun.execute`` without its open-ended wait: master and
-    workers started, the agenda run to ``horizon`` simulated seconds."""
+    """``PullRun.execute`` without its open-ended wait: controllers
+    installed, master and workers started, the agenda run to ``horizon``
+    simulated seconds."""
     run = pull.PullRun(engine, ensemble)
+    for controller in engine.controllers:
+        controller.install(run)
+    run.core = run._new_core()
     run.start_master()
     for node_index in range(run.n_nodes):
         run.start_worker(node_index)
@@ -216,7 +220,7 @@ def test_lease_free_acks_reach_the_core_from_the_consumer_loop(
         RunConfig(default_timeout=10.0, timeout_check_interval=0.5,
                   record_jobs=False),
         retry=RetryPolicy(max_attempts=4),
-        integrity_models=integrity_models,
+        controllers=integrity_models,
     )
     ensemble = Ensemble.replicated(montage_workflow(degree=0.3), 1)
     run = _drive_to_horizon(engine, ensemble, horizon=120.0)

@@ -30,7 +30,7 @@ def _run(models, retry_attempts=4):
         SPEC,
         config=CONFIG,
         retry=RetryPolicy(max_attempts=retry_attempts),
-        integrity_models=models,
+        controllers=models,
     )
     return engine.run(Ensemble.replicated(montage_workflow(degree=0.3), 1))
 
@@ -48,10 +48,8 @@ def test_file_digest_is_pure_and_distinct():
 
 def test_tracker_detects_corrupt_write():
     trace = FaultTrace()
-    tracker = FileIntegrity(
-        trace=trace,
-        models=(FileCorruptionModel(targets=("wf/bad.fits",)),),
-    )
+    tracker = FileIntegrity(trace=trace)
+    tracker.join(FileCorruptionModel(targets=("wf/bad.fits",)))
     good = DataFile("good.fits", 1.0)
     bad = DataFile("bad.fits", 1.0)
     tracker.record_write("wf", good, 1.0)
@@ -66,9 +64,10 @@ def test_tracker_detects_corrupt_write():
 
 
 def test_tracker_loss_and_restage():
-    tracker = FileIntegrity(models=(FileLossModel(targets=("raw.fits",)),))
+    tracker = FileIntegrity()
+    tracker.join(FileLossModel(targets=("raw.fits",)))
     raw = DataFile("raw.fits", 1.0, kind="input")
-    tracker.record_stage("wf", raw)
+    tracker.record_write("wf", raw, 0.0)  # staged before the run
     assert tracker.verify("wf", [raw], 1.0) == ["raw.fits"]
     tracker.restage("wf", raw, 2.0)
     assert _clean(tracker, "wf", raw)
@@ -79,13 +78,34 @@ def test_tracker_loss_and_restage():
 def test_second_write_always_lands_clean():
     """Fault models strike only a file's first write, so regeneration is
     guaranteed to converge (no corrupt-regenerate livelock)."""
-    tracker = FileIntegrity(models=(FileCorruptionModel(targets=("f",)),))
+    tracker = FileIntegrity()
+    tracker.join(FileCorruptionModel(targets=("f",)))
     f = DataFile("f", 1.0)
     tracker.record_write("wf", f, 1.0)
     assert not _clean(tracker, "wf", f)
     tracker.record_write("wf", f, 2.0)
     assert _clean(tracker, "wf", f)
     assert tracker.stats["regenerated"] == 1
+
+
+def test_file_fault_models_join_one_tracker_in_install_order():
+    """Each file-fault model is a controller of its own; the run holds
+    one tracker with them in install order, so a staged input both
+    target is struck once, by the first."""
+    from repro.engines.pull import PullRun
+
+    first = FileLossModel(targets=("*/raw_000003.fits",))
+    second = FileCorruptionModel(targets=("*/raw_00000[23].fits",))
+    engine = PullEngine(SPEC, config=CONFIG, controllers=[first, second])
+    run = PullRun(engine, Ensemble.replicated(montage_workflow(degree=0.3), 1))
+    for controller in engine.controllers:
+        controller.install(run)
+    assert run.integrity.models == (first, second)
+    struck = [(e.kind, e.detail.rsplit("/", 1)[1]) for e in run.trace]
+    assert struck == [
+        ("file-loss", "raw_000003.fits"), ("file-corruption", "raw_000002.fits"),
+    ]
+    assert run.integrity.stats["lost"] == run.integrity.stats["corrupted"] == 1
 
 
 def test_targets_match_bare_and_qualified_names():
@@ -145,7 +165,7 @@ def test_corruption_under_leases_reaches_the_core_with_its_file_list(
         SPEC,
         config=CONFIG,
         retry=RetryPolicy(max_attempts=4),
-        integrity_models=(FileCorruptionModel(targets=("*/p_000000.fits",)),),
+        controllers=[FileCorruptionModel(targets=("*/p_000000.fits",))],
         liveness=LeaseConfig(heartbeat_interval=1.0),
     )
     result = engine.run(Ensemble.replicated(montage_workflow(degree=0.3), 1))
@@ -216,7 +236,7 @@ def test_exhausted_regeneration_budget_dead_letters():
         ClusterSpec("m3.2xlarge", 1),
         config=CONFIG,
         retry=RetryPolicy(max_attempts=4),
-        integrity_models=(FileCorruptionModel(targets=("mid.fits",)),),
+        controllers=[FileCorruptionModel(targets=("mid.fits",))],
     )
     with sanitizer.enabled(strict=False):
         result = engine.run(Ensemble([wf]))

@@ -17,6 +17,7 @@ from repro.dewe import DeweConfig, MasterDaemon, WorkerDaemon, submit_workflow
 from repro.dewe.core import COMPLETED, FAILED, RUNNING, MasterCore
 from repro.dewe.state import WorkflowState
 from repro.engines import PullEngine, RunConfig
+from repro.faults.models import TransientFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.liveness import LeaseConfig
 from repro.mq import Broker
@@ -280,8 +281,8 @@ FAILING = {("m1", "b"): {1}, ("m2", "c"): {1, 2, 3}}
 RETRY = RetryPolicy(max_attempts=3, base_delay=0.01)
 
 
-class ScriptedFailures:
-    """The DES engine's ``transient`` hook, scripted instead of sampled."""
+class ScriptedFailures(TransientFaultModel):
+    """The DES run's ``transient`` hook, scripted instead of sampled."""
 
     def should_fail(self, name, job_id, attempt):
         return attempt in FAILING.get((name, job_id), ())
@@ -310,7 +311,7 @@ def _run_des(monkeypatch):
         ClusterSpec("c3.8xlarge", 1, filesystem="local"),
         RunConfig(default_timeout=5.0),
         retry=RETRY,
-        transient=ScriptedFailures(),
+        controllers=[ScriptedFailures()],
     ).run(Ensemble([diamond(f"m{i}") for i in range(3)]))
     core = runs[0].core
     return core, _outcome(core.states, core.dead_letters)

@@ -309,21 +309,26 @@ CONTROL_SURFACE = {
     "begin_partition", "end_partition",
     "queue_depth", "active_nodes", "finished",
     "primary_die", "standby_takeover", "spawn",
+    "broker", "transient", "integrity", "workflows",
 }
 CONTROLLER_FILES = (
     "faults/models.py", "provision/autoscale.py", "liveness/failover.py",
+    "mq/chaosbroker.py",
 )
 
 
-def test_pull_engine_takes_twelve_knobs_and_one_controllers_list():
+def test_pull_engine_takes_eight_knobs_and_one_controllers_list():
+    """Every fault is a controller: transient failures, the message band
+    and the file faults left the signature for the controllers list."""
     from repro.engines import PullEngine
 
     params = list(inspect.signature(PullEngine).parameters)
-    assert len(params) <= 13, params  # spec + 12 knobs
+    assert len(params) <= 10, params  # spec + 8 knobs + controllers
     assert "controllers" in params
     gone = {
         "fault_schedule", "autoscaler", "initially_down", "chaos_models",
-        "failover", "fault_trace",
+        "failover", "fault_trace", "transient", "message_chaos",
+        "integrity_models",
     }
     assert not gone & set(params)
     assert not hasattr(PullEngine, "resume_from")
@@ -343,7 +348,7 @@ def test_no_facade_class_stands_between_a_controller_and_the_run():
 def test_controllers_install_against_the_runs_public_names_only():
     """The narrowing ``ChaosAPI`` / ``ElasticAPI`` gave, kept without
     them: every ``install`` takes the run and nothing else, and whatever
-    the four controller modules read off it is on the documented list —
+    the controller modules read off it is on the documented list —
     which the run really defines."""
     run = next(c for c in _classes("engines/pull.py") if c.name == "PullRun")
     defined = {fn.name for fn, depth in _functions(run) if depth == 0}
@@ -373,7 +378,9 @@ def test_controllers_install_against_the_runs_public_names_only():
             and node.attr not in CONTROL_SURFACE
         )
         assert not off_surface, off_surface
-    assert installs == 3  # fault schedule, autoscaler, failover
+    # Fault schedule, transient model, file-fault models, autoscaler,
+    # failover, message band.
+    assert installs == 6
 
 
 # -- a knob needs a caller ---------------------------------------------------------
@@ -424,10 +431,13 @@ def test_pruned_objects_take_only_the_parameters_a_caller_sets():
 
 
 # -- a chaos scenario holds the models it runs -----------------------------------
-def test_chaos_scenario_holds_at_most_thirty_fields():
+def test_chaos_scenario_holds_at_most_twenty_fields():
+    """Its faults are one ordered tuple, not a field per kind."""
     from repro.faults.chaos import ChaosScenario
 
-    assert len(dataclasses.fields(ChaosScenario)) <= 30
+    fields = {f.name for f in dataclasses.fields(ChaosScenario)}
+    assert len(fields) <= 20, sorted(fields)
+    assert not {"transient", "messages", "file_faults", "failover"} & fields
 
 
 def test_no_chaos_scenario_field_copies_a_model_parameter():

@@ -122,9 +122,8 @@ def _engine(journal=None, p_fail=0.0, seed=7, controllers=()):
         SPEC,
         config=CONFIG,
         retry=RETRY,
-        transient=transient,
         journal=journal,
-        controllers=controllers,
+        controllers=([transient] if transient else []) + list(controllers),
     )
 
 

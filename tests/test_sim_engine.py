@@ -436,6 +436,45 @@ def test_succeed_during_same_instant_dispatch_runs_after_peers():
     assert log == ["first", "second", "side"]
 
 
+def _step_to_end(sim, fired):
+    """Drive with ``step()``; returns what had fired after each call."""
+    after = []
+    while sim.peek() < float("inf"):
+        sim.step()
+        after.append(list(fired))
+    return after
+
+
+@pytest.mark.parametrize("drive", ["run", "run_until", "step"])
+def test_a_heap_entry_at_this_instant_keeps_its_seq_between_immediate_ones(drive):
+    """At now = 1e17, now + 1.0 == now: ``Timeout(1.0)`` goes on the heap
+    at this very instant.  Scheduled between two ``succeed()`` calls, it
+    fires between them, so the loop's lane test compares seqs, not only
+    times — and ``step()``, which names the event it stops behind by
+    the same test, processes exactly one event per call."""
+    sim = Simulator()
+    sim.run(until=1e17)
+    fired = []
+    first, last = Event(sim), Event(sim)
+    first.callbacks.append(lambda ev: fired.append("first"))
+    last.callbacks.append(lambda ev: fired.append("last"))
+    first.succeed()
+    timer = sim.timeout(1.0)
+    timer.callbacks.append(lambda ev: fired.append("timer"))
+    last.succeed()
+    assert sim._heap[0][0] == sim.now  # the heap lane, at this instant
+    if drive == "run":
+        sim.run()
+    elif drive == "run_until":
+        sim.run_until(last)
+    else:
+        assert _step_to_end(sim, fired) == [
+            ["first"], ["first", "timer"], ["first", "timer", "last"],
+        ]
+    assert fired == ["first", "timer", "last"]
+    assert sim.now == 1e17
+
+
 def test_far_future_timer_fires_after_near_one():
     sim = Simulator()
     log = []
