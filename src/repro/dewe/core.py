@@ -38,7 +38,7 @@ from typing import Sequence, Set, Tuple
 import repro.analysis.sanitizer as _sanitizer
 from repro.dewe.state import JobStatus, StateSnapshot, WorkflowState
 from repro.faults.retry import DeadLetterEntry, RetryPolicy
-from repro.liveness import LeaseConfig, ServiceAdmissionPolicy
+from repro.liveness import DEFAULT_CLASSES, LeaseConfig
 from repro.mq.priority import RepriorityPolicy, base_band
 from repro.storage.integrity import FileIntegrity
 from repro.workflow.dag import Workflow
@@ -50,6 +50,9 @@ RUNNING = 0
 COMPLETED = 1
 FAILED = 2
 CORRUPT = 3    # worker found the job's input files corrupt/missing
+
+#: SLA class name -> its priority band; untagged work ("") rides at 0.0.
+_BANDS = {cls.name: base_band(cls.rank) for cls in DEFAULT_CLASSES}
 
 
 class Admission(NamedTuple):
@@ -81,7 +84,6 @@ class MasterCore:
     log: Optional[Callable[[str, str, str, int, str], None]] = None
     trace: Optional[Callable[[float, str, Optional[int], str], object]] = None
     repriority: Optional[RepriorityPolicy] = None
-    service: Optional[ServiceAdmissionPolicy] = None
     liveness: Optional[LeaseConfig] = None
     integrity: Optional[FileIntegrity] = None
     states: Dict[str, WorkflowState] = field(default_factory=dict)
@@ -162,11 +164,9 @@ class MasterCore:
         self.publish(state, job_id, attempt, priority)
 
     def _band(self, state: WorkflowState) -> float:
-        """The member's SLA priority band (0.0 for untagged work: only
-        the service front end tags members)."""
-        if self.service is not None:
-            return base_band(self.service.rank_of(state.name))
-        return 0.0
+        """The member's SLA priority band, read off the class it was
+        admitted (or restored) with: 0.0 for untagged work."""
+        return _BANDS.get(state.sla, 0.0)
 
     def rerank(self, state: WorkflowState, now: float) -> None:
         """Re-score the member's still-queued dispatches broker-side.
@@ -226,8 +226,6 @@ class MasterCore:
             return
         self.finished.add(state.name)
         self.live.pop(state.name, None)
-        if self.service is not None:
-            self.service.settle(state.name)  # release the fair-share charge
         self.on_settled(state)
 
     # -- acknowledgments -----------------------------------------------------

@@ -30,6 +30,11 @@ public names are what it may touch:
   drops, duplicates or delays messages, and the file-fault models damage
   files that workers then checksum.
 
+The master's policies beyond the paper install the same way: an
+admission gate or a tenant policy as the run's one front door
+(:mod:`repro.liveness.admission`), and a dispatch scoring policy
+(:class:`~repro.mq.priority.RepriorityPolicy`).
+
 A :class:`~repro.faults.retry.RetryPolicy` governs recovery: backoff
 before re-dispatch, attempt budgets, and dead-lettering of poison jobs.
 
@@ -41,6 +46,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
+from math import nan
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
@@ -56,13 +62,11 @@ from repro.faults.models import (
 from repro.faults.retry import RetryPolicy
 from repro.liveness import (
     MISS_THRESHOLD,
-    AdmissionControl,
     LeaseConfig,
     LeaseTable,
     ServiceAdmissionPolicy,
     new_liveness_stats,
 )
-from repro.mq.priority import RepriorityPolicy
 from repro.mq.simbroker import SimBroker
 from repro.recovery.journal import Journal
 from repro.sim import Interrupt, Process
@@ -92,9 +96,6 @@ class PullEngine(EngineBase):
         retry: Optional[RetryPolicy] = None,
         journal: Optional[Journal] = None,
         liveness: Optional[LeaseConfig] = None,
-        admission: Optional[AdmissionControl] = None,
-        service: Optional[ServiceAdmissionPolicy] = None,
-        repriority: Optional[RepriorityPolicy] = None,
         controllers: Sequence = (),
     ):
         """``config`` is the :class:`~repro.engines.base.RunConfig` every
@@ -123,51 +124,19 @@ class PullEngine(EngineBase):
         policy while stale-epoch acks are rejected for exactly-once
         settlement.
 
-        ``admission`` is an :class:`~repro.liveness.AdmissionControl`
-        gating new workflow submissions on the dispatch backlog
-        (reject-new before degrade-running).
-
-        ``service`` is a :class:`~repro.liveness.ServiceAdmissionPolicy`
-        turning the submitter into the *open-loop* multi-tenant front
-        door: instead of blocking at the admission gate, each arriving
-        submission runs the quota -> fair-share -> brownout -> backlog
-        ladder and is either admitted (with its SLA class's deadline
-        slack) or shed with a deterministic retry-after hint.  Mutually
-        exclusive with ``admission`` (the policy embeds its own gate).
-        The policy object outlives master incarnations, so quota and
-        fair-share state survive a failover.
-
-        ``repriority`` is a :class:`~repro.mq.priority.RepriorityPolicy`
-        turning the dispatching topic into a live priority queue.  Each
-        dispatch is published at its SLA band (gold structurally above
-        best-effort, :func:`~repro.mq.priority.base_band`) plus a bounded
-        heuristic score from critical-path remaining, deadline slack and
-        queue age; every completion re-scores the member's still-queued
-        jobs broker-side (the OSPREY ``asynch_repriority`` pattern), and
-        ``interval > 0`` adds a periodic master sweep so aging can lift
-        starving work.  Without this knob all publishes stay at
-        priority 0.0, which is byte-identical to FIFO order.
-
-        ``controllers`` are every fault of the run (the paper's §V.A.3
-        and beyond): objects with ``install(run)``, called once in list
-        order with the :class:`PullRun` before the master or any worker
-        starts — the module docstring lists the ones the repo ships
-        (:class:`~repro.liveness.MasterFailoverModel` needs ``journal``).
-        What they record lands in ``EngineResult.fault_events``.
+        ``controllers`` are every fault and master policy of the run
+        beyond the paper: objects with ``install(run)``, called once in
+        list order with the :class:`PullRun` before the master or any
+        worker starts — the module docstring lists the ones the repo
+        ships (:class:`~repro.liveness.MasterFailoverModel` needs
+        ``journal``; a second front door is refused).  What the faults
+        record lands in ``EngineResult.fault_events``.
         """
         super().__init__(spec, config)
-        if service is not None and admission is not None:
-            raise ValueError(
-                "pass either admission= (closed-loop gate) or service= "
-                "(open-loop policy, embeds its own gate), not both"
-            )
         self.broker_latency = broker_latency
         self.retry = retry or RetryPolicy()
         self.journal = journal
         self.liveness = liveness
-        self.admission = admission
-        self.service = service
-        self.repriority = repriority
         self.controllers = tuple(controllers)
 
     def run(self, ensemble: Ensemble) -> EngineResult:
@@ -213,7 +182,11 @@ class PullRun:
     * ``broker``, ``transient``, ``integrity``, ``workflows`` — the
       transport a message band wraps, what every slot asks after each
       job (``None`` without a transient model or a file fault), and the
-      members whose staged inputs the integrity plane records.
+      members whose staged inputs the integrity plane records;
+    * ``door``, ``stats``, ``repriority`` — the front door every arrival
+      is asked at (``None``: all are admitted; one per run), the
+      run-level liveness counters an open-loop door counts into, and the
+      master's dispatch scoring policy (``None``: FIFO).
     """
 
     def __init__(self, engine: PullEngine, ensemble: Ensemble):
@@ -232,26 +205,17 @@ class PullRun:
         self.records: List[JobRecord] = []
         self.done = sim.event()
         self.jobs_executed = 0
-        #: Submissions the open-loop service shed: they never run, so
+        #: Members the open-loop front door shed: they never run, so
         #: they count towards ``done`` without ever settling.
-        self.shed = 0
+        self.shed: set = set()
         n_nodes = self.n_nodes = len(cluster.nodes)
         self.thread_counts = [0] * n_nodes
         self.node_slots: List[List[Process]] = [[] for _ in range(n_nodes)]
 
         # -- liveness / partition / backpressure plane -------------------------
         self.stats = new_liveness_stats()
-        self.report_liveness = (
-            engine.liveness is not None
-            or engine.admission is not None
-            or engine.service is not None
-            or engine.repriority is not None
-        )
-        self.service = engine.service
-        if self.service is not None:
-            # The policy accumulates its counters straight into the
-            # run-level stats dict (stable new_liveness_stats schema).
-            self.service.stats = self.stats
+        # Controllers of the liveness plane set it on install.
+        self.report_liveness = engine.liveness is not None
         self.lease: Optional[LeaseTable] = (
             LeaseTable(engine.liveness, stats=self.stats)
             if engine.liveness is not None
@@ -273,9 +237,11 @@ class PullRun:
         self.hb_procs: List[Optional[Process]] = [None] * n_nodes
         self.master_procs: List[Process] = []
 
-        # -- worker-side faults; their installs set them -----------------------
+        # -- controllers' planes; their installs set them ----------------------
         self.transient: Optional[TransientFaultModel] = None
         self.integrity: Optional[FileIntegrity] = None
+        self.door = None
+        self.repriority = None
 
         # -- write-ahead journal ----------------------------------------------
         self.journal = engine.journal
@@ -314,8 +280,7 @@ class PullRun:
             on_settled=self._on_settled,
             log=self.jlog if self.journal is not None else None,
             trace=self.trace.record,
-            repriority=engine.repriority,
-            service=self.service,
+            repriority=self.repriority,
             liveness=engine.liveness,
             integrity=self.integrity,
         )
@@ -363,12 +328,14 @@ class PullRun:
         self.sim.schedule_call(delay, lambda: fn(self.sim.now))
 
     def _on_settled(self, state) -> None:
+        if self.door is not None:
+            self.door.settle(state.name)  # release the fair-share charge
         self.spans[state.name] = (self.spans[state.name][0], self.sim.now)
         self._check_done()
 
     def _check_done(self) -> None:
         if (
-            len(self.core.finished) + self.shed == len(self.members)
+            len(self.core.finished) + len(self.shed) == len(self.members)
             and not self.done.triggered
         ):
             self.done.succeed()
@@ -377,81 +344,66 @@ class PullRun:
     def _admit(self, wf, timeout_factor: float = 1.0,
                tenant: str = "", sla: str = "") -> None:
         now = self.sim.now
-        self.spans.setdefault(wf.name, (now, float("nan")))
+        self.spans.setdefault(wf.name, (now, nan))
         self.core.admit(wf, now, timeout_factor, tenant, sla)
 
-    def _service_arrival(self, wf) -> None:
-        """Open-loop front door: each arrival runs the quota ->
-        fair-share -> brownout -> backlog ladder exactly once — admitted
-        or shed, never blocked (offered load is not ours to pause)."""
-        service = self.service
-        now = self.sim.now
-        decision = service.decide(
-            wf.name, len(wf.jobs), self.broker.depth(_DISPATCH), now
-        )
-        if decision.admit:
-            tenant, sla = service.tag_of(wf.name)
-            self.jlog(
-                "submit", wf.name,
-                detail=f"jobs={len(wf.jobs)} tenant={tenant} "
-                f"sla={sla} factor={decision.timeout_factor:g}",
-            )
-            self._admit(wf, decision.timeout_factor, tenant, sla)
-            return
-        # Shed: the workflow will never run, so it leaves the unsettled
-        # count (else ``done`` never fires) — its retry is the *client's*
-        # problem, signalled by the deterministic retry-after hint.
-        record = service.sheds[-1]
-        detail = (
-            f"tenant={record.tenant} sla={record.sla} "
-            f"reason={record.reason} retry_after={record.retry_after:g}"
-        )
-        self.trace.record(now, "service-shed", detail=f"{wf.name} {detail}")
-        self.jlog("service-shed", wf.name, detail=detail)
-        self.shed += 1
-        self._check_done()
-
     def submitter(self, skip_admitted: bool = False):
+        """Submit each member at its time, asking the front door (if
+        any) once per arrival.  A closed-loop gate's shed holds the
+        arrival for the retry-after hint, then asks again; an open-loop
+        door's shed is final (offered load is not ours to pause)."""
         sim = self.sim
-        service = self.service
-        admission = self.engine.admission
-        broker = self.broker
+        door = self.door
+        open_loop = isinstance(door, ServiceAdmissionPolicy)
         decided: set = set()
         if skip_admitted:
             # What the failed-over primary admitted or shed stays decided.
             decided.update(self.core.states)
-            if service is not None:
-                decided.update(record.workflow for record in service.sheds)
+            decided.update(self.shed)
         try:
             for submit_time, wf in self.members:
                 if wf.name in decided:
                     continue
                 if submit_time > sim.now:
                     yield sim.timeout(submit_time - sim.now)
-                if service is not None:
-                    self._service_arrival(wf)
-                    continue
-                # Admission control: reject-new before degrade-running
-                # — a submission arriving while the dispatch backlog
-                # is saturated is shed with a retry-after hint, never
-                # queued on top of the running work.
-                while admission is not None and not admission.admits(
-                    broker.depth(_DISPATCH)
-                ):
-                    hint = admission.retry_hint(broker.depth(_DISPATCH))
+                while door is not None:
+                    decision = door.decide(
+                        wf.name, len(wf.jobs), self.broker.depth(_DISPATCH), sim.now
+                    )
+                    if decision.admit or open_loop:
+                        break
+                    hint = decision.retry_after
                     self.stats["shed_submissions"] += 1
-                    self.trace.record(
-                        sim.now, "admission-shed",
-                        detail=f"{wf.name} retry_after={hint:g}",
-                    )
-                    self.jlog(
-                        "admission-shed", wf.name, detail=f"retry_after={hint:g}"
-                    )
+                    self._refuse(wf.name, "admission-shed", f"retry_after={hint:g}")
                     yield sim.timeout(hint)
-                self.jlog("submit", wf.name, detail=f"jobs={len(wf.jobs)}")
-                self._admit(wf)
+                if not open_loop:
+                    self.jlog("submit", wf.name, detail=f"jobs={len(wf.jobs)}")
+                    self._admit(wf)
+                    continue
+                tenant, sla = door.tag_of(wf.name)
+                if decision.admit:
+                    factor = decision.timeout_factor
+                    self.jlog(
+                        "submit", wf.name,
+                        detail=f"jobs={len(wf.jobs)} tenant={tenant} "
+                        f"sla={sla} factor={factor:g}",
+                    )
+                    self._admit(wf, factor, tenant, sla)
+                    continue
+                self._refuse(
+                    wf.name, "service-shed",
+                    f"tenant={tenant} sla={sla} reason={decision.reason} "
+                    f"retry_after={decision.retry_after:g}",
+                )
+                self.shed.add(wf.name)
+                self._check_done()
         except Interrupt:
             return  # primary master failed mid-submission
+
+    def _refuse(self, name: str, kind: str, detail: str) -> None:
+        """Trace and journal one shed arrival."""
+        self.trace.record(self.sim.now, kind, detail=f"{name} {detail}")
+        self.jlog(kind, name, detail=detail)
 
     def _handle_ack(self, msg) -> None:
         """One ack under the liveness protocol: it carries the sender's
@@ -836,7 +788,7 @@ class PullRun:
                     self.engine.liveness.heartbeat_interval, self._sweep_leases
                 )
             )
-        repriority = self.engine.repriority
+        repriority = self.repriority
         if repriority is not None and repriority.interval > 0:
             loops.append(self._every(repriority.interval, core.sweep_priorities))
         self.master_procs[:] = [self.spawn(loop) for loop in loops]
@@ -860,7 +812,6 @@ class PullRun:
             return
         now = self.sim.now
         journal = self.journal
-        service = self.service
         self.stats["failovers"] += 1
         # Fence the journal first: from here on the standby's epoch
         # is the only one the log accepts, so a revived primary cannot
@@ -870,27 +821,23 @@ class PullRun:
         self.jlog("failover", detail=f"epoch={self.epoch}")
         # The standby tails the journal: its view of the run is the
         # last durable checkpoint, plus every workflow submitted since,
-        # which it re-admits.  In service mode the primary's *decisions*
-        # are authoritative: shed workflows stay shed, admitted ones
-        # keep their admitted deadline slack — the policy object
-        # survived the failover, so quota and fair-share charges carry
-        # over unchanged.
+        # which it re-admits.  The primary's *decisions* are
+        # authoritative: shed workflows stay shed, admitted ones keep
+        # their admitted deadline slack — the door survived the
+        # failover, so quota and fair-share charges carry over
+        # unchanged.  (A member held at a closed-loop gate is readmitted
+        # without asking it again: ROADMAP item 10(h).)
         snaps = (
             journal.checkpoint.snapshots if journal.checkpoint is not None else {}
         )
-        shed = (
-            {record.workflow for record in service.sheds}
-            if service is not None else ()
-        )
+        door = self.door
+        tagged = isinstance(door, ServiceAdmissionPolicy)
         readmit = []
         for submit_time, wf in self.members:
-            if submit_time <= now and wf.name not in snaps and wf.name not in shed:
-                self.spans.setdefault(wf.name, (now, float("nan")))
-                tenant, sla = (
-                    service.tag_of(wf.name) if service is not None else ("", "")
-                )
+            if submit_time <= now and wf.name not in snaps and wf.name not in self.shed:
+                self.spans.setdefault(wf.name, (now, nan))
+                tenant, sla = door.tag_of(wf.name) if tagged else ("", "")
                 readmit.append((wf, tenant, sla))
-        self.shed = len(shed)
         admissions = self.core.admissions
         self.core = self._new_core()
         restored = {

@@ -197,6 +197,10 @@ class ChaosScenario:
                 )
         if bool(self.tenants) != (self.service_horizon > 0):
             raise ValueError("service mode needs both tenants and service_horizon > 0")
+        if self.admission is not None and self.is_service:
+            raise ValueError(
+                "service mode's front door is its tenant policy, not admission"
+            )
 
     def spec(self) -> ClusterSpec:
         fs = default_filesystem(self.n_nodes)
@@ -243,8 +247,10 @@ class ChaosScenario:
     ) -> PullEngine:
         """Assemble the chaos-wired pull engine for one seeded run.
 
-        Each fault draws from ``seed`` plus its type's salt, hazards over
-        ``horizon``, and installs in tuple order.
+        The front door (the admission gate, or in service mode the
+        tenant policy) and the repriority policy install first; then
+        each fault, drawn from ``seed`` plus its type's salt (hazards
+        over ``horizon``), in tuple order.
         """
         service = None
         if self.is_service:
@@ -265,12 +271,10 @@ class ChaosScenario:
             retry=self.retry,
             journal=journal,
             liveness=self.liveness,
-            admission=self.admission,
-            service=service,
-            repriority=self.repriority,
             controllers=[
-                _draw(fault, seed, self.n_nodes, horizon) for fault in self.faults
-            ],
+                policy for policy in (self.admission, service, self.repriority)
+                if policy is not None
+            ] + [_draw(fault, seed, self.n_nodes, horizon) for fault in self.faults],
         )
 
 

@@ -27,7 +27,7 @@ never reads a clock or takes a lock — callers pass ``now`` and
 serialize access — so one implementation serves both worlds.
 """
 
-from repro.liveness.admission import AdmissionControl
+from repro.liveness.admission import AdmissionControl, AdmissionDecision
 from repro.liveness.failover import MasterFailoverModel
 from repro.liveness.lease import (
     MISS_THRESHOLD,
@@ -37,7 +37,6 @@ from repro.liveness.lease import (
 )
 from repro.liveness.policy import (
     DEFAULT_CLASSES,
-    AdmissionDecision,
     BrownoutController,
     ServiceAdmissionPolicy,
     ShedRecord,

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.liveness.admission import AdmissionControl
+from repro.liveness.admission import (
+    AdmissionControl, AdmissionDecision, install_door,
+)
 
 __all__ = [
     "SlaClass",
@@ -42,7 +44,6 @@ __all__ = [
     "MAX_SHARE",
     "TokenBucket",
     "BrownoutController",
-    "AdmissionDecision",
     "ShedRecord",
     "ServiceAdmissionPolicy",
 ]
@@ -194,22 +195,6 @@ class BrownoutController:
 
 
 @dataclass(frozen=True)
-class AdmissionDecision:
-    """Outcome of one submission through the policy ladder.
-
-    ``timeout_factor`` scales the engine's default job timeout for an
-    admitted workflow (SLA deadline slack, plus the brownout stretch for
-    silver under level >= 2).  ``retry_after`` is the deterministic
-    backoff hint recorded with a shed.
-    """
-
-    admit: bool
-    reason: str = "admitted"
-    retry_after: float = 0.0
-    timeout_factor: float = 1.0
-
-
-@dataclass(frozen=True)
 class ShedRecord:
     """One shed submission, attributed for post-mortems."""
 
@@ -236,12 +221,13 @@ class ServiceAdmissionPolicy:
     backlog gate, in that order (cheapest and most local first).
 
     Workflow names are tagged with ``(tenant, sla)`` via
-    :meth:`register` before submission; the engine calls
-    :meth:`decide` once per arriving submission and :meth:`settle` when
-    the workflow settles.  All state lives on this object, outside any
-    master incarnation, so failover preserves quota/fair-share state —
-    the journal records each decision (``service-shed`` / ``submit``
-    records carry the tenant and class) for post-mortem replay.
+    :meth:`register` before submission.  Installed as a pull run's
+    front door, it is asked :meth:`decide` once per arriving submission
+    (a shed is final) and told :meth:`settle` when the workflow settles.
+    All state lives on this object, outside any master incarnation, so
+    failover preserves quota/fair-share state — the journal records each
+    decision (``service-shed`` / ``submit`` records carry the tenant and
+    class) for post-mortem replay.
     """
 
     def __init__(
@@ -265,8 +251,8 @@ class ServiceAdmissionPolicy:
         self.sheds: List[ShedRecord] = []
         self.total_outstanding = 0
         self.peak_backlog = 0
-        #: Counter sink; engine rebinds this to its run-level
-        #: ``live_stats`` dict (``new_liveness_stats`` schema).
+        #: Counter sink; :meth:`install` rebinds this to the run-level
+        #: stats dict (``new_liveness_stats`` schema).
         self.stats: Dict[str, int] = {}
 
     # -- registration -------------------------------------------------------
@@ -291,13 +277,6 @@ class ServiceAdmissionPolicy:
     def tag_of(self, workflow_name: str) -> Tuple[str, str]:
         """``(tenant, sla)`` of a registered workflow ("", "") if untagged."""
         return self._tags.get(workflow_name, ("", ""))
-
-    def rank_of(self, workflow_name: str) -> Optional[int]:
-        """Sheddability rank for broker-level priority shedding."""
-        tag = self._tags.get(workflow_name)
-        if tag is None:
-            return None
-        return _CLASSES[tag[1]].rank
 
     # -- the ladder ---------------------------------------------------------
     def _bump(self, key: str) -> None:
@@ -398,6 +377,12 @@ class ServiceAdmissionPolicy:
         if account is not None:
             account.outstanding = max(0, account.outstanding - n_jobs)
         self.total_outstanding = max(0, self.total_outstanding - n_jobs)
+
+    def install(self, run) -> None:
+        """Controller protocol (``PullEngine(controllers=[...])``): the
+        run's open-loop front door, counting into the run's stats."""
+        install_door(run, self)
+        self.stats = run.stats
 
     # -- inspection ---------------------------------------------------------
     def tenant_stats(self) -> Dict[str, Dict[str, int]]:

@@ -73,6 +73,11 @@ class RepriorityPolicy:
     re-scores *every* queued job (this is where aging takes effect —
     without a sweep, age is only observed when a completion already
     triggers a re-score).
+
+    Installed as a pull run's controller
+    (``PullEngine(controllers=[...])``), it turns the dispatching topic
+    into a live priority queue: without it every publish stays at
+    priority 0.0, which is FIFO order.
     """
 
     #: Priority points per second a job has been waiting in the queue.
@@ -98,3 +103,9 @@ class RepriorityPolicy:
         if raw < -clamp:
             return -clamp
         return raw
+
+    def install(self, run) -> None:
+        """Controller protocol: the run's master scores every dispatch
+        with this policy."""
+        run.repriority = self
+        run.report_liveness = True

@@ -220,7 +220,7 @@ def build_soak(cfg: SoakConfig) -> SoakSetup:
         fair_share_floor=FAIR_SHARE_FLOOR,
     )
     workload.wire(policy)
-    engine = PullEngine(cfg.spec(), RUN_CONFIG, service=policy)
+    engine = PullEngine(cfg.spec(), RUN_CONFIG, controllers=[policy])
     return SoakSetup(
         config=cfg,
         workload=workload,

@@ -23,7 +23,7 @@ from repro.faults.models import (
     SpotHazard,
     TransientFaultModel,
 )
-from repro.liveness import MasterFailoverModel
+from repro.liveness import AdmissionControl, MasterFailoverModel
 from repro.generators import montage_workflow
 from repro.mq import Broker, ChaosBroker, MessageChaos, TOPIC_ACK
 from repro.mq.messages import AckKind, JobAck
@@ -319,12 +319,20 @@ def test_get_scenario_unknown_name():
         ({"faults": (MessageChaos(p_duplicate=0.1, seed=2),)}, "seed=2"),
         ({"faults": (FileLossModel(p=0.1, seed=9),)}, "seed=9"),
         ({"service_horizon": 5.0}, "tenants"),
+        (
+            {
+                "admission": AdmissionControl(),
+                "service_horizon": 5.0,
+                "tenants": get_scenario("overload").tenants,
+            },
+            "front door",
+        ),
     ],
     ids=[
         "negative-crash", "negative-checkpoint", "crash-with-failover",
         "drop-without-redispatch",
         "transient-seed", "messages-seed", "file-fault-seed",
-        "horizon-without-tenants",
+        "horizon-without-tenants", "gate-in-service-mode",
     ],
 )
 def test_scenario_refuses_a_contradictory_or_ignored_field(changes, match):

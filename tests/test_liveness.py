@@ -439,8 +439,7 @@ def test_des_failover_keeps_admission_arrival_and_deadline_slack(monkeypatch):
     result = PullEngine(
         small_spec(1),
         journal=Journal(checkpoint_every=50),
-        controllers=[MasterFailoverModel(12.0, 0.5)],
-        repriority=RepriorityPolicy(),
+        controllers=[RepriorityPolicy(), MasterFailoverModel(12.0, 0.5)],
     ).run(Ensemble.replicated(montage_workflow(degree=1.0), 3, interval=5.0))
     assert result.liveness_stats["failovers"] == 1
     after = [row for row in scored if row[0] >= 12.5]
@@ -452,6 +451,44 @@ def test_des_failover_keeps_admission_arrival_and_deadline_slack(monkeypatch):
     }
     assert {arrival for _now, _name, arrival, _factor in after} == {0.0, 5.0, 10.0}
     assert {factor for _now, _name, _arrival, factor in after} == {1.0}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10(h): the takeover readmits a member held at the "
+    "closed-loop gate without asking the gate",
+)
+def test_the_standby_readmits_only_what_the_primary_admitted(monkeypatch):
+    """Game day, seed 0: the gate sheds ``montage-0.8deg#2`` at 1.0,
+    2.625, 4.25 and 7.6875 s, and it is still held when the primary dies
+    at 8.0 s.  The standby has to ask the gate before admitting it; its
+    takeover at 8.5 s readmits it with the members the primary admitted
+    after the last checkpoint instead."""
+    from repro.dewe.core import MasterCore
+
+    # (run, member) pairs: run_chaos's baseline run admits every member
+    # too.  A pull run binds the core's ``on_settled`` port to itself.
+    admitted, unasked = set(), set()
+    admit, restore = MasterCore.admit, MasterCore.restore
+
+    def spy_admit(core, workflow, *args):
+        admitted.add((core.on_settled.__self__, workflow.name))
+        return admit(core, workflow, *args)
+
+    def spy_restore(core, restored, admissions, now, readmit=()):
+        run = core.on_settled.__self__
+        unasked.update(
+            workflow.name for workflow, _tenant, _sla in readmit
+            if (run, workflow.name) not in admitted
+        )
+        return restore(core, restored, admissions, now, readmit)
+
+    monkeypatch.setattr(MasterCore, "admit", spy_admit)
+    monkeypatch.setattr(MasterCore, "restore", spy_restore)
+    report = run_chaos(get_scenario("game-day"), seed=0)
+    assert report.ok and report.liveness_stats["failovers"] == 1
+    assert "admission-shed montage-0.8deg#2" in report.trace_text
+    assert unasked == set()
 
 
 def test_des_failover_requires_journal(monkeypatch):
@@ -474,7 +511,7 @@ def test_des_admission_gate_sheds_then_admits():
     engine = PullEngine(
         ClusterSpec("m3.2xlarge", 1, filesystem="local"),
         config=fast_cfg(timeout=30.0),
-        admission=AdmissionControl(max_pending_jobs=4, retry_after=0.5),
+        controllers=[AdmissionControl(max_pending_jobs=4, retry_after=0.5)],
     )
     # 25 ready mProjectPP jobs against 8 slots: the second workflow's
     # submission meets a real dispatch backlog and is shed, then admitted

@@ -310,28 +310,60 @@ CONTROL_SURFACE = {
     "queue_depth", "active_nodes", "finished",
     "primary_die", "standby_takeover", "spawn",
     "broker", "transient", "integrity", "workflows",
+    "door", "stats", "repriority",
 }
 CONTROLLER_FILES = (
     "faults/models.py", "provision/autoscale.py", "liveness/failover.py",
-    "mq/chaosbroker.py",
+    "mq/chaosbroker.py", "liveness/admission.py", "liveness/policy.py",
+    "mq/priority.py",
 )
 
 
-def test_pull_engine_takes_eight_knobs_and_one_controllers_list():
-    """Every fault is a controller: transient failures, the message band
-    and the file faults left the signature for the controllers list."""
+def test_pull_engine_takes_five_knobs_and_one_controllers_list():
+    """Every fault and every master policy beyond the paper is a
+    controller: transient failures, the message band, the file faults,
+    both front doors and the repriority policy left the signature for
+    the controllers list.  Only ``journal`` and ``liveness`` are left of
+    the planes."""
     from repro.engines import PullEngine
 
     params = list(inspect.signature(PullEngine).parameters)
-    assert len(params) <= 10, params  # spec + 8 knobs + controllers
+    assert len(params) <= 7, params  # spec + 5 knobs + controllers
     assert "controllers" in params
     gone = {
         "fault_schedule", "autoscaler", "initially_down", "chaos_models",
         "failover", "fault_trace", "transient", "message_chaos",
-        "integrity_models",
+        "integrity_models", "admission", "service", "repriority",
     }
     assert not gone & set(params)
     assert not hasattr(PullEngine, "resume_from")
+
+
+def test_master_core_holds_no_tenant_policy():
+    """The sans-IO core the threaded master shares reads a member's SLA
+    band off its state; the open-loop door's fair-share settle is the
+    pull run's own ``on_settled`` business."""
+    assert "service" not in MasterCore.__dataclass_fields__
+
+
+@pytest.mark.parametrize("order", ["gate first", "service first"])
+def test_a_second_front_door_is_refused_before_the_run_starts(monkeypatch, order):
+    from repro.cloud import ClusterSpec
+    from repro.engines import PullEngine
+    from repro.generators import montage_workflow
+    from repro.liveness import AdmissionControl, ServiceAdmissionPolicy
+    from repro.workflow import Ensemble
+
+    def no_events(*_args, **_kwargs):
+        raise AssertionError("simulated an event")
+
+    monkeypatch.setattr(Simulator, "_drain", no_events)
+    doors = [AdmissionControl(), ServiceAdmissionPolicy()]
+    if order == "service first":
+        doors.reverse()
+    engine = PullEngine(ClusterSpec("m3.2xlarge", 1), controllers=doors)
+    with pytest.raises(ValueError, match="one front door"):
+        engine.run(Ensemble([montage_workflow(degree=0.3)]))
 
 
 def test_no_facade_class_stands_between_a_controller_and_the_run():
@@ -379,8 +411,8 @@ def test_controllers_install_against_the_runs_public_names_only():
         )
         assert not off_surface, off_surface
     # Fault schedule, transient model, file-fault models, autoscaler,
-    # failover, message band.
-    assert installs == 6
+    # failover, message band, the two front doors, repriority.
+    assert installs == 9
 
 
 # -- a knob needs a caller ---------------------------------------------------------

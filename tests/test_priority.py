@@ -603,7 +603,8 @@ def _skewed_members(leaves=20, links=12):
 def _run_skewed(repriority, **geometry):
     spec = ClusterSpec("m3.2xlarge", 1, filesystem="local")
     members = _skewed_members(**geometry)
-    return PullEngine(spec, repriority=repriority).run(
+    controllers = [repriority] if repriority is not None else []
+    return PullEngine(spec, controllers=controllers).run(
         Ensemble([wf.relabel(wf.name) for wf in members])
     )
 

@@ -296,7 +296,8 @@ def test_build_workload_merges_tags_and_is_deterministic():
         assert name.startswith(tenant + ".")
         assert sla in ("gold", "best_effort")
     policy = load.wire(ServiceAdmissionPolicy())
-    assert policy.rank_of(load.ensemble.workflows[0].name) in (0, 2)
+    _tenant, sla = policy.tag_of(load.ensemble.workflows[0].name)
+    assert sla in ("gold", "best_effort")
 
 
 def test_build_workload_rejects_bad_input():
@@ -477,7 +478,8 @@ def test_soak_dispatch_topic_leaves_plain_mode_only_for_priorities(
     mode; only a repriority policy (SLA bands, retags) materializes
     entry records."""
     setup = build_soak(_mini_soak())
-    setup.engine.repriority = repriority
+    if repriority is not None:
+        setup.engine.controllers += (repriority,)
     runs = []
     execute = pull.PullRun.execute
 
