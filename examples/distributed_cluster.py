@@ -58,9 +58,9 @@ def main() -> None:
                 wf = build_workflow()
                 submit_workflow(submit_conn, wf)
                 ok = master.wait(wf.name, timeout=60.0)
-                state = master.states[wf.name]
+                _wf, snapshot = master.settled[wf.name]
                 print(f"workflow completed: {ok} "
-                      f"({state.n_completed}/{state.n_jobs} jobs, "
+                      f"({snapshot.counts()['completed']}/{len(snapshot.job_ids)} jobs, "
                       f"{master.makespan(wf.name):.2f} s)")
                 print("broker stats:", master_conn.stats())
         finally:

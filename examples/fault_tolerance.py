@@ -64,9 +64,9 @@ def real_system_failover() -> None:
         second = WorkerDaemon(broker, config=config, name="node-B").start()
         ok = master.wait("failover-demo", timeout=15.0)
         second.stop()
-        state = master.states["failover-demo"]
+        _wf, snapshot = master.settled["failover-demo"]
         print(f"workflow completed: {ok}; timeout resubmissions: "
-              f"{state.resubmissions}\n")
+              f"{snapshot.resubmissions}\n")
 
 
 def simulated_interruptions() -> None:

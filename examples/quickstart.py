@@ -36,11 +36,13 @@ def run_real() -> None:
     ):
         submit_workflow(broker, workflow)
         assert master.wait(workflow.name, timeout=60.0)
-        state = master.states[workflow.name]
-        print(f"completed {state.n_completed}/{state.n_jobs} jobs "
+        # A settled workflow is kept as its checkpoint snapshot.
+        _workflow, snapshot = master.settled[workflow.name]
+        print(f"completed {snapshot.counts()['completed']}/{len(snapshot.job_ids)} jobs "
               f"in {master.makespan(workflow.name):.2f} s wall time")
+        status = snapshot.to_dict()["status"]
         counts = collections.Counter(
-            job.task_type for job in workflow if state.status[job.id].value == "completed"
+            job.task_type for job in workflow if status[job.id] == "completed"
         )
         print("job mix:", dict(counts))
 

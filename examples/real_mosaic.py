@@ -52,7 +52,8 @@ def main() -> None:
             assert master.wait(wf.name, timeout=300.0)
             for w in workers:
                 w.stop()
-            print(f"  {master.states[wf.name].n_completed} jobs in "
+            _wf, snapshot = master.settled[wf.name]
+            print(f"  {snapshot.counts()['completed']} jobs in "
                   f"{master.makespan(wf.name):.2f} s")
 
         print("verifying (paper §V.A): size + MD5 vs the reference...")

@@ -21,6 +21,11 @@ only through ports bound at construction:
 ``on_settled(state)``
     one workflow reached its terminal state, exactly once per core.
 
+A settled member is kept as what a checkpoint restores it from: its
+``(workflow, snapshot)`` pair in :attr:`MasterCore.settled`, not its
+:class:`~repro.dewe.state.WorkflowState`, so a long service run holds
+live state only for the members still running.
+
 Two drivers feed it: :class:`repro.engines.pull.PullEngine` (DES
 processes, simulated time) and :class:`repro.dewe.master.MasterDaemon`
 (one thread, ``time.monotonic()``).  Only this module calls the
@@ -31,9 +36,9 @@ crash matrix and the golden digests all exercise one body of logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
-from typing import Sequence, Set, Tuple
+from typing import Sequence, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.dewe.state import JobStatus, StateSnapshot, WorkflowState
@@ -86,14 +91,13 @@ class MasterCore:
     repriority: Optional[RepriorityPolicy] = None
     liveness: Optional[LeaseConfig] = None
     integrity: Optional[FileIntegrity] = None
+    #: The members not yet settled, in admission order: what the sweeps
+    #: walk, so a long run does not revisit everything it ever settled.
     states: Dict[str, WorkflowState] = field(default_factory=dict)
-    #: The not-yet-finished members of ``states``, in admission order:
-    #: what the sweeps walk, so a long run does not revisit everything
-    #: it ever settled on every tick.
-    live: Dict[str, WorkflowState] = field(default_factory=dict)
-    #: Names of settled workflows (``on_settled`` already fired, or
-    #: restored as settled).
-    finished: Set[str] = field(default_factory=set)
+    #: Settled members (``on_settled`` already fired, or restored as
+    #: settled) as the ``(workflow, snapshot)`` pair :meth:`restore`
+    #: takes; a late ack replaces the snapshot (:meth:`_late_ack`).
+    settled: Dict[str, Tuple[Workflow, StateSnapshot]] = field(default_factory=dict)
     #: Every dead letter, in the order the master learned of it.
     dead_letters: List[DeadLetterEntry] = field(default_factory=list)
     #: (workflow, job_id) -> (worker, attempt) for deliveries accepted
@@ -127,7 +131,6 @@ class MasterCore:
         state.track_queue_age = self.repriority is not None
         self.admissions[state.name] = admission
         self.states[state.name] = state
-        self.live[state.name] = state
         return state
 
     def _launch(self, state: WorkflowState, now: float) -> None:
@@ -222,10 +225,12 @@ class MasterCore:
                     )
 
     def _maybe_finish(self, state: WorkflowState) -> None:
-        if state.name in self.finished or not state.is_settled:
+        """Move a member that just settled from :attr:`states` to
+        :attr:`settled`, then fire ``on_settled``."""
+        name = state.name
+        if not state.is_settled or self.states.pop(name, None) is None:
             return
-        self.finished.add(state.name)
-        self.live.pop(state.name, None)
+        self.settled[name] = (state.workflow, state.snapshot())
         self.on_settled(state)
 
     # -- acknowledgments -----------------------------------------------------
@@ -238,7 +243,11 @@ class MasterCore:
         (``None`` without it); ``bad_files`` are the damaged inputs a
         :data:`CORRUPT` ack reports.
         """
-        state = self.states[name]
+        try:
+            state = self.states[name]
+        except KeyError:
+            self._late_ack(kind, name, job_id, attempt, bad_files)
+            return
         if kind == RUNNING:
             if self.log is not None:
                 self.log("ack-running", name, job_id, attempt, "")
@@ -264,12 +273,37 @@ class MasterCore:
                 self.log("ack-complete", name, job_id, attempt, "")
             for child_id in state.on_completed(job_id, attempt):
                 self.dispatch(state, child_id, now)
-            if self.repriority is not None and name not in self.finished:
+            if self.repriority is not None:
                 self.rerank(state, now)
             # WorkflowState.is_settled, read in this frame: all but a
             # member's last completion stop here.
             if state._n_completed + state._n_dead == state._arena.n:
                 self._maybe_finish(state)
+
+    def _late_ack(self, kind: int, name: str, job_id: str, attempt: int,
+                  bad_files: Sequence[str]) -> None:
+        """An ack to a member that already settled.  Every job of it is
+        completed or dead, so by :class:`WorkflowState`'s own rules the
+        ack changes nothing but the duplicate count: a RUNNING,
+        COMPLETED or CORRUPT ack adds one, a FAILED ack nothing.  The
+        log and journal records are those a live state's path writes."""
+        workflow, snapshot = self.settled[name]
+        if kind == RUNNING:
+            if self.log is not None:
+                self.log("ack-running", name, job_id, attempt, "")
+        else:
+            if self.assignments:
+                self.assignments.pop((name, job_id), None)
+            if kind == FAILED:
+                self._journal("ack-failed", name, job_id, attempt, "")
+                return
+            if kind == CORRUPT:
+                self._journal("ack-corrupt", name, job_id, attempt, ",".join(bad_files))
+            else:
+                self._journal("ack-complete", name, job_id, attempt, "")
+        self.settled[name] = (workflow, replace(
+            snapshot, duplicate_acks=snapshot.duplicate_acks + 1
+        ))
 
     def _on_corrupt(self, state: WorkflowState, job_id: str, attempt: int,
                     bad_files: Sequence[str], now: float) -> None:
@@ -302,7 +336,7 @@ class MasterCore:
     # -- sweeps --------------------------------------------------------------
     def sweep_timeouts(self, now: float) -> None:
         """Requeue every delivery whose ack missed its deadline."""
-        for state in list(self.live.values()):  # _maybe_finish removes
+        for state in list(self.states.values()):  # _maybe_finish removes
             for job_id in state.expired(now):
                 attempt = state.current_attempt(job_id)
                 self._journal("timeout-requeue", state.name, job_id, attempt, "")
@@ -315,8 +349,8 @@ class MasterCore:
         this is where the aging term takes effect — a job that keeps
         losing ties accrues age until it outranks fresher work of its
         band."""
-        for name in sorted(self.live):
-            self.rerank(self.live[name], now)
+        for name in sorted(self.states):
+            self.rerank(self.states[name], now)
 
     def fence(self, worker: object, now: float) -> None:
         """A worker's lease was fenced: requeue its in-flight deliveries
@@ -328,7 +362,9 @@ class MasterCore:
         )
         for name, job_id in held:
             attempt = self.assignments.pop((name, job_id))[1]
-            state = self.states[name]
+            state = self.states.get(name)
+            if state is None:
+                continue  # settled since: every job completed or dead
             republish = state.on_lease_expired(job_id, attempt, now)
             if republish is not None:
                 self._journal(
@@ -341,8 +377,12 @@ class MasterCore:
 
     # -- checkpoint / restore ------------------------------------------------
     def snapshots(self) -> Dict[str, StateSnapshot]:
-        """Name-sorted state snapshots: the journal's checkpoint payload."""
-        return {name: self.states[name].snapshot() for name in sorted(self.states)}
+        """Name-sorted snapshots of live and settled members alike: the
+        journal's checkpoint payload."""
+        taken = {name: entry[1] for name, entry in self.settled.items()}
+        for name, state in self.states.items():
+            taken[name] = state.snapshot()
+        return {name: taken[name] for name in sorted(taken)}
 
     def restore(
         self,
@@ -366,15 +406,17 @@ class MasterCore:
         fallback = Admission(now, 1.0)
         for name in sorted(restored):
             workflow, snapshot = restored[name]
-            state = self._install(
-                workflow, admissions.get(name, fallback), snapshot=snapshot
-            )
-            # Rebuild the dead-letter ledger and settlement bookkeeping.
-            self._dead_cursor[name] = len(state.dead_letters)
-            self.dead_letters.extend(state.dead_letters)
-            if state.is_settled:
-                self.finished.add(name)
-                del self.live[name]
+            admission = admissions.get(name, fallback)
+            if snapshot.is_settled:
+                # Filed as it is: no live state is built for it.
+                snapshot.check_fits(workflow)
+                self.admissions[name] = admission
+                self.settled[name] = (workflow, snapshot)
+            else:
+                self._install(workflow, admission, snapshot=snapshot)
+            # Rebuild the dead-letter ledger.
+            self._dead_cursor[name] = len(snapshot.dead_letters)
+            self.dead_letters.extend(snapshot.dead_letters)
         for workflow, tenant, sla in readmit:
             self._journal("submit", workflow.name, "", 0, f"jobs={len(workflow.jobs)}")
             self._install(
@@ -385,7 +427,7 @@ class MasterCore:
             state = self.states[name]
             if name in fresh:
                 self._launch(state, now)
-            elif name not in self.finished:
+            else:
                 for job_id in state.requeue_in_flight(now):
                     self._journal(
                         "requeue", name, job_id, state.current_attempt(job_id), ""

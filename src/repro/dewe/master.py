@@ -39,7 +39,7 @@ import repro.analysis.concurrency.recorder as _conc
 from repro.analysis.concurrency import shims as _shims
 from repro.dewe.config import DeweConfig
 from repro.dewe.core import COMPLETED, FAILED, RUNNING, Admission, MasterCore
-from repro.dewe.state import WorkflowState
+from repro.dewe.state import StateSnapshot, WorkflowState
 from repro.faults.retry import DeadLetterEntry, RetryPolicy
 from repro.liveness import LeaseTable, new_liveness_stats
 from repro.mq.broker import Broker
@@ -53,6 +53,7 @@ from repro.mq.messages import (
     JobDispatch,
     WorkflowSubmission,
 )
+from repro.workflow.dag import Workflow
 from repro.workflow.validation import validate_workflow
 
 __all__ = ["MasterDaemon"]
@@ -142,8 +143,11 @@ class MasterDaemon:
             on_settled=self._settled,
             liveness=self.config.liveness,
         )
-        #: The core's state table (same dict object, same lock).
+        #: The core's tables (same dict objects, same lock): the live
+        #: members' states, and each settled member's
+        #: ``(workflow, snapshot)``.
         self.states: Dict[str, WorkflowState] = self._core.states
+        self.settled: Dict[str, Tuple[Workflow, StateSnapshot]] = self._core.settled
 
     def _trace(self, op: str, site: str) -> None:
         """Report a scheduler-state access to the race recorder, if any."""
@@ -225,11 +229,11 @@ class MasterDaemon:
         now = time.monotonic()
         with self._state_lock:
             self._trace("read", "master.checkpoint")
+            states = dict(self.settled)
+            for name, state in self.states.items():
+                states[name] = (state.workflow, state.snapshot())
             return MasterCheckpoint(
-                states={
-                    name: (state.workflow, state.snapshot())
-                    for name, state in self.states.items()
-                },
+                states=states,
                 elapsed={
                     name: now - t for name, t in self._submit_times.items()
                 },
@@ -268,8 +272,8 @@ class MasterDaemon:
             {name: Admission(t, 1.0) for name, t in master._submit_times.items()},
             now,
         )
-        for name in sorted(master._core.finished):
-            master._settled(master.states[name])
+        for name in sorted(master.settled):
+            master._settled(master.settled[name][1])
         return master
 
     # -- the core's ports ----------------------------------------------------
@@ -302,8 +306,9 @@ class MasterDaemon:
             self._delayed, (time.monotonic() + delay, self._delayed_seq, fn)
         )
 
-    def _settled(self, state: WorkflowState) -> None:
-        """Record settlement and release waiters.
+    def _settled(self, state: "WorkflowState | StateSnapshot") -> None:
+        """Record settlement and release waiters (only the member's
+        ``name`` is read).
 
         Requires: ``_state_lock``
         """
@@ -321,7 +326,7 @@ class MasterDaemon:
         """
         self._trace("write", "master.handle_submission")
         name = msg.workflow.name
-        if name in self.states:
+        if name in self.states or name in self.settled:
             raise ValueError(f"workflow {name!r} already submitted")
         admission = self.config.admission
         if admission is not None:
@@ -364,11 +369,12 @@ class MasterDaemon:
             # attempt staleness — fencing bumped the attempt of
             # everything the worker held.
             self._lease.observe(worker, now)
-        if ack.workflow_name not in self.states:
+        name = ack.workflow_name
+        if name not in self.states and name not in self.settled:
             self.dropped_acks += 1
             return  # ack for an unknown workflow: drop (but count)
         self._core.on_ack(
-            _ACK_KINDS[ack.kind], ack.workflow_name, ack.job_id,
+            _ACK_KINDS[ack.kind], name, ack.job_id,
             ack.attempt, worker, now,
         )
 

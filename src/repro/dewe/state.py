@@ -83,6 +83,11 @@ _STATUS_BY_CODE: Tuple[JobStatus, ...] = (
 _VALUE_BY_CODE: Tuple[str, ...] = tuple(s.value for s in _STATUS_BY_CODE)
 
 
+def _counts(status) -> Dict[str, int]:
+    """Jobs per status value of one status arena (array or bytes)."""
+    return {value: status.count(code) for code, value in enumerate(_VALUE_BY_CODE)}
+
+
 class _ArenaView(Mapping):
     """Mapping-shaped view of one per-member arena array (job id -> cell).
 
@@ -632,11 +637,7 @@ class WorkflowState:
         return self._attempt_arr[self._arena.index_of[job_id]]
 
     def counts(self) -> Dict[str, int]:
-        status_arr = self._status_arr
-        return {
-            value: status_arr.count(code)
-            for code, value in enumerate(_VALUE_BY_CODE)
-        }
+        return _counts(self._status_arr)
 
     # -- checkpoint / restore ------------------------------------------------
     def snapshot(self) -> "StateSnapshot":
@@ -671,18 +672,7 @@ class WorkflowState:
         anything is built; the arenas are then filled in place, so the
         restored state owns its arrays and aliases nothing.
         """
-        job_ids = workflow.skeleton().arena().job_ids
-        if snapshot.name != workflow.name:
-            raise ValueError(
-                f"snapshot is for workflow {snapshot.name!r}, "
-                f"got {workflow.name!r}"
-            )
-        if snapshot.job_ids is not job_ids and snapshot.job_ids != job_ids:
-            raise ValueError(
-                f"snapshot of {snapshot.name!r} does not fit its workflow: "
-                f"{len(snapshot.job_ids)} job(s) in the snapshot, "
-                f"{len(job_ids)} in the workflow"
-            )
+        snapshot.check_fits(workflow)
         state = cls(
             workflow, default_timeout=default_timeout,
             validate=False, retry=retry,
@@ -730,6 +720,33 @@ class StateSnapshot:
     data_recoveries: int
     dead_letters: Tuple[DeadLetterEntry, ...]
     regen_waiters: Tuple[Tuple[str, Tuple[str, ...]], ...]
+
+    @property
+    def is_settled(self) -> bool:
+        """Every job completed or dead: :attr:`WorkflowState.is_settled`
+        at the checkpoint, and for good (no transition leaves it)."""
+        status = self.status
+        return status.count(_COMPLETED) + status.count(_DEAD) == len(status)
+
+    def counts(self) -> Dict[str, int]:
+        """Jobs per status value, as :meth:`WorkflowState.counts`."""
+        return _counts(self.status)
+
+    def check_fits(self, workflow: Workflow) -> None:
+        """Refuse a snapshot of another workflow: another name, or other
+        jobs."""
+        job_ids = workflow.skeleton().arena().job_ids
+        if self.name != workflow.name:
+            raise ValueError(
+                f"snapshot is for workflow {self.name!r}, "
+                f"got {workflow.name!r}"
+            )
+        if self.job_ids is not job_ids and self.job_ids != job_ids:
+            raise ValueError(
+                f"snapshot of {self.name!r} does not fit its workflow: "
+                f"{len(self.job_ids)} job(s) in the snapshot, "
+                f"{len(job_ids)} in the workflow"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """The job-keyed JSON form: what the journal export writes and

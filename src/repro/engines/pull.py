@@ -335,7 +335,7 @@ class PullRun:
 
     def _check_done(self) -> None:
         if (
-            len(self.core.finished) + len(self.shed) == len(self.members)
+            len(self.core.settled) + len(self.shed) == len(self.members)
             and not self.done.triggered
         ):
             self.done.succeed()
@@ -359,6 +359,7 @@ class PullRun:
         if skip_admitted:
             # What the failed-over primary admitted or shed stays decided.
             decided.update(self.core.states)
+            decided.update(self.core.settled)
             decided.update(self.shed)
         try:
             for submit_time, wf in self.members:
@@ -891,7 +892,12 @@ class PullRun:
 
     def _result(self) -> EngineResult:
         cluster = self.cluster
-        states = self.core.states
+        core = self.core
+        # Live states and settled snapshots alike, in admission order.
+        states = {
+            name: core.states[name] if name in core.states else core.settled[name][1]
+            for name in core.admissions
+        }
         stats = self.stats
         # Under an open-loop service every member may have been shed, in
         # which case nothing ever ran and the makespan is simply "now".

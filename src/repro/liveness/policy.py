@@ -46,6 +46,7 @@ __all__ = [
     "BrownoutController",
     "ShedRecord",
     "ServiceAdmissionPolicy",
+    "tenant_tag",
 ]
 
 
@@ -206,6 +207,18 @@ class ShedRecord:
     retry_after: float
 
 
+#: One ``(tenant, sla)`` tuple per pair: a service run tags thousands of
+#: members with a handful of pairs.
+_TAGS: Dict[Tuple[str, str], Tuple[str, str]] = {}
+
+
+def tenant_tag(tenant: str, sla: str) -> Tuple[str, str]:
+    """The one ``(tenant, sla)`` tuple of this pair, shared by every
+    member it tags (the workload's tags and the policy's)."""
+    tag = (tenant, sla)
+    return _TAGS.setdefault(tag, tag)
+
+
 @dataclass
 class _TenantAccount:
     bucket: Optional[TokenBucket] = None
@@ -272,7 +285,7 @@ class ServiceAdmissionPolicy:
             raise ValueError(f"unknown SLA class {sla!r}")
         if tenant not in self._tenants:
             self._tenants[tenant] = _TenantAccount()
-        self._tags[workflow_name] = (tenant, sla)
+        self._tags[workflow_name] = tenant_tag(tenant, sla)
 
     def tag_of(self, workflow_name: str) -> Tuple[str, str]:
         """``(tenant, sla)`` of a registered workflow ("", "") if untagged."""

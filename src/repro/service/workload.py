@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.liveness.policy import ServiceAdmissionPolicy, TokenBucket
+from repro.liveness.policy import ServiceAdmissionPolicy, TokenBucket, tenant_tag
 from repro.service.arrivals import OnOffArrivals, PoissonArrivals
 from repro.workflow.dag import Workflow
 from repro.workflow.ensemble import Ensemble, SubmissionPlan
@@ -110,7 +110,7 @@ def build_workload(
     for t, tenant, k in arrivals:
         member = template.relabel(f"{tenant}.{k:04d}")
         workflows.append(member)
-        tags[member.name] = (tenant, by_id[tenant].sla)
+        tags[member.name] = tenant_tag(tenant, by_id[tenant].sla)
     plan = SubmissionPlan(times=tuple(t for t, _tenant, _k in arrivals))
     return ServiceWorkload(
         ensemble=Ensemble(workflows, plan, name=name),

@@ -15,7 +15,7 @@ and holds the page-cache read model, an LRU stack distance per file.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 import repro.analysis.sanitizer as _sanitizer
 from repro.sim import Event, JoinEvent, Simulator
@@ -30,6 +30,11 @@ PlacementPolicy = Callable[[str, int], int]
 #: Touch-row value of a file its owner has never read, written or staged
 #: (every real touch is a ``write_clock`` reading, which starts at 0).
 _NEVER = -1.0
+
+#: A skeleton's staged inputs as ``(slot in its file index, size)``, in
+#: file order: built once per skeleton, looped over by staging and by
+#: each member's first touch.
+_Inputs = Tuple[Tuple[int, float], ...]
 
 
 def local_placement(file_name: str, n_nodes: int) -> int:
@@ -80,12 +85,16 @@ class SharedFileSystem:
         # ``row[index[file name]]`` is the ``write_clock`` reading when
         # the owner's copy of that file was last touched, or ``_NEVER``.
         # A staged member's ``index`` is its skeleton's shared, immutable
-        # ``file_index()``, so a member costs 8 bytes per file.  Owners
-        # in ``_private`` have an index this file system owns and may
-        # grow: those it was never told about, and those that touched a
-        # file name outside their skeleton.
+        # ``file_index()``, so a member costs 8 bytes per file.  Its row
+        # is built at its first read or write, from what ``_staged``
+        # kept at staging; a member that never runs (shed at the front
+        # door) never gets one.  Owners in ``_private`` have an index
+        # this file system owns and may grow: those it was never told
+        # about, and those that touched a file name outside their
+        # skeleton.
         self.write_clock = 0.0
         self._touch: Dict[str, Tuple[Dict[str, int], array]] = {}
+        self._staged: Dict[str, Tuple[float, _Inputs, Dict[str, int]]] = {}
         self._private: Set[str] = set()
         # Single-node clusters have exactly one possible home; skipping
         # the placement call per file is a measurable win on the
@@ -104,38 +113,52 @@ class SharedFileSystem:
         §V.B).  Every ensemble member has its own copy of its inputs (the
         paper's 200-workflow ensemble has 288,800 input files — 200 x
         1,444), so staging is counted per workflow even when relabelled
-        members share DataFile objects.  Staging also registers each
-        member's touch row over its skeleton's shared file index."""
+        members share DataFile objects.  Staging touches each input at
+        the clock it reached; what a member's first read or write needs to
+        build its touch row from (``_touch_of``) is kept instead of the
+        row: the clock before its inputs and its skeleton's inputs."""
+        inputs_of: Dict[int, Tuple[_Inputs, Dict[str, int]]] = {}
         for wf in workflows:
             skeleton = wf.skeleton()
             owner = wf.name
-            index, row = self._touch_of(owner, skeleton.file_index())
-            for f in skeleton.files:
-                if f.kind == "input":
-                    self.active_bytes += f.size
-                    self.write_clock += f.size
-                    try:
-                        i = index[f.name]
-                    except KeyError:
-                        i = self._grow(owner, f.name)
-                    row[i] = self.write_clock
-        san = _sanitizer._ACTIVE
-        if san is not None:
-            san.check_touch_isolation(self)
+            if owner in self._touch:
+                raise ValueError(f"{owner!r} was read or written before it was staged")
+            entry = inputs_of.get(id(skeleton))
+            if entry is None:
+                index = skeleton.file_index()
+                entry = inputs_of[id(skeleton)] = (
+                    tuple(
+                        (index[f.name], f.size)
+                        for f in skeleton.files if f.kind == "input"
+                    ),
+                    index,
+                )
+            inputs, index = entry
+            self._staged[owner] = (self.write_clock, inputs, index)
+            for _slot, size in inputs:
+                self.active_bytes += size
+                self.write_clock += size
 
-    def _touch_of(
-        self, owner: str, shared_index: Optional[Dict[str, int]] = None
-    ) -> Tuple[Dict[str, int], array]:
-        """The ``(index, row)`` pair of ``owner``, registering it if new:
-        over ``shared_index`` (a skeleton's, never written through) when
-        given, else over an empty private index that grows on demand."""
+    def _touch_of(self, owner: str) -> Tuple[Dict[str, int], array]:
+        """The ``(index, row)`` pair of ``owner``, built at its first
+        touch.  A staged owner's row is over its skeleton's shared index
+        (never written through), its inputs touched at the clocks
+        staging reached: the same additions from the same clock, so the
+        same floats.  Any other owner gets an empty private index that
+        grows on demand."""
         entry = self._touch.get(owner)
         if entry is None:
-            if shared_index is None:
-                shared_index = {}
+            staged = self._staged.pop(owner, None)
+            if staged is None:
                 self._private.add(owner)
-            row = array("d", (_NEVER,)) * len(shared_index)
-            entry = self._touch[owner] = (shared_index, row)
+                entry = self._touch[owner] = ({}, array("d"))
+            else:
+                clock, inputs, index = staged
+                row = array("d", (_NEVER,)) * len(index)
+                for slot, size in inputs:
+                    clock += size
+                    row[slot] = clock
+                entry = self._touch[owner] = (index, row)
         return entry
 
     def _grow(self, owner: str, name: str) -> int:

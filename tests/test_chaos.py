@@ -126,12 +126,14 @@ def test_threaded_poison_job_dead_letters_and_rest_completes():
         with WorkerDaemon(broker, config=config, name="w1"):
             submit_workflow(broker, wf)
             assert master.wait("poison-wf", timeout=10.0)  # settles, no livelock
-        state = master.states["poison-wf"]
-        assert state.is_settled and not state.is_complete
-        assert state.status["good"].value == "completed"
+        snapshot = master.settled["poison-wf"][1]
+        held = snapshot.to_dict()
+        assert snapshot.is_settled
+        assert snapshot.counts()["completed"] < len(snapshot.job_ids)
+        assert held["status"]["good"] == "completed"
         reasons = {e.job_id: e.reason for e in master.dead_letters}
         assert reasons == {"bad": "failed", "never": "upstream-dead"}
-        assert state.attempt["bad"] == 2  # budget spent before dead-letter
+        assert held["attempt"]["bad"] == 2  # budget spent before dead-letter
 
 
 def test_threaded_duplicated_acks_complete_exactly_once():
@@ -148,10 +150,10 @@ def test_threaded_duplicated_acks_complete_exactly_once():
         with WorkerDaemon(broker, config=config, name="w1"):
             submit_workflow(broker, wf)
             assert master.wait("dup-wf", timeout=10.0)
-        state = master.states["dup-wf"]
-        assert state.is_complete
-        assert state.n_completed == 2  # not double-counted
-        assert state.duplicate_acks > 0  # duplicates arrived and were dropped
+        snapshot = master.settled["dup-wf"][1]
+        assert snapshot.counts()["completed"] == len(snapshot.job_ids)
+        assert snapshot.counts()["completed"] == 2  # not double-counted
+        assert snapshot.duplicate_acks > 0  # duplicates arrived and were dropped
         assert broker.chaos_stats()["duplicated"] > 0
 
 
@@ -166,7 +168,7 @@ def test_threaded_unknown_workflow_acks_are_counted():
         while master.dropped_acks == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert master.dropped_acks == 1
-        assert "ghost" not in master.states
+        assert "ghost" not in master.states and "ghost" not in master.settled
 
 
 # -- message chaos in the simulator ------------------------------------------

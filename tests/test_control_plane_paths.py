@@ -226,7 +226,7 @@ def test_lease_free_acks_reach_the_core_from_the_consumer_loop(
     run = _drive_to_horizon(engine, ensemble, horizon=120.0)
     assert run.done.triggered and run.lease is None
     assert run.jobs_executed == executed
-    assert not run.core.dead_letters and not run.core.live
+    assert not run.core.dead_letters and not run.core.states
 
 
 class _ChainedCall(Timeout):

@@ -157,7 +157,7 @@ def test_failed_job_resubmitted_and_recovers():
         submit_workflow(broker, wf)
         assert master.wait("flaky", timeout=10.0)
     assert len(attempts) == 3
-    assert master.states["flaky"].resubmissions == 2
+    assert master.settled["flaky"][1].resubmissions == 2
 
 
 def test_killed_worker_jobs_recovered_by_timeout():
@@ -193,7 +193,7 @@ def test_killed_worker_jobs_recovered_by_timeout():
         w2 = WorkerDaemon(broker, config=cfg, name="node2").start()
         assert master.wait("victim", timeout=10.0)
         w2.stop()
-    assert master.states["victim"].resubmissions >= 1
+    assert master.settled["victim"][1].resubmissions >= 1
 
 
 def test_null_executor_runs_montage_structure():
@@ -205,9 +205,9 @@ def test_null_executor_runs_montage_structure():
     ):
         submit_workflow(broker, wf)
         assert master.wait(wf.name, timeout=30.0)
-    state = master.states[wf.name]
-    assert state.is_complete
-    assert state.n_completed == len(wf)
+    snapshot = master.settled[wf.name][1]
+    assert snapshot.counts()["completed"] == len(snapshot.job_ids)
+    assert snapshot.counts()["completed"] == len(wf)
 
 
 def test_subprocess_executor_runs_argv():

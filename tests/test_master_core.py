@@ -11,16 +11,19 @@
 
 import threading
 
+import pytest
+
 import repro.engines.pull as pull
 from repro.cloud import ClusterSpec
 from repro.dewe import DeweConfig, MasterDaemon, WorkerDaemon, submit_workflow
-from repro.dewe.core import COMPLETED, FAILED, RUNNING, MasterCore
+from repro.dewe.core import COMPLETED, CORRUPT, FAILED, RUNNING, MasterCore
 from repro.dewe.state import WorkflowState
 from repro.engines import PullEngine, RunConfig
 from repro.faults.models import TransientFaultModel
 from repro.faults.retry import RetryPolicy
 from repro.liveness import LeaseConfig
 from repro.mq import Broker
+from repro.mq.messages import AckKind, JobAck, WorkflowSubmission
 from repro.mq.priority import RepriorityPolicy
 from repro.workflow import Ensemble, Workflow
 
@@ -163,7 +166,7 @@ def test_core_issues_the_exact_command_sequence():
         ("trace", 11.5, "dead-letter", "wf/d (upstream-dead, 0 attempts)"),
     ]
     assert core.assignments == {("wf", "c"): ("w2", 1)}
-    assert not core.finished
+    assert not core.settled
 
     # c's second attempt completes: the workflow settles exactly once.
     core.on_ack(COMPLETED, "wf", "c", 2, "w2", 12.0)
@@ -173,7 +176,7 @@ def test_core_issues_the_exact_command_sequence():
         ("settled", "wf"),
         ("log", "ack-complete", "wf", "c", 2, ""),
     ]
-    assert core.finished == {"wf"}
+    assert list(core.settled) == ["wf"] and not core.states
     assert [(e.job_id, e.reason) for e in core.dead_letters] == [
         ("b", "lease-expired"), ("d", "upstream-dead"),
     ]
@@ -212,13 +215,6 @@ def test_core_restore_requeues_in_flight_and_keeps_admission_facts():
     assert standby.states["wf"].n_completed == 1
 
 
-class _Finished:
-    """Stands in for a settled member's state: any touch fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"a sweep read .{name} of a finished member")
-
-
 def _settle(core, name):
     for job_id in "abcd":
         core.on_ack(COMPLETED, name, job_id, 1, None, 1.0)
@@ -232,10 +228,9 @@ def test_sweeps_visit_live_members_only(monkeypatch):
         core.admit(diamond(name), now=0.0)
     for name in ("m0", "m4", "m2"):
         _settle(core, name)
-    assert core.finished == {"m0", "m4", "m2"}
-    assert list(core.live) == ["m3", "m1"]
-    for name in core.finished:
-        core.states[name] = _Finished()
+    # A settled member is its snapshot: no state is left for a sweep.
+    assert list(core.settled) == ["m0", "m4", "m2"]
+    assert list(core.states) == ["m3", "m1"]
     ports.take()
 
     entered = []
@@ -245,8 +240,8 @@ def test_sweeps_visit_live_members_only(monkeypatch):
         lambda state, now: entered.append(state.name) or expired(state, now),
     )
     # Both live members hold a QUEUED root past its dispatch deadline.
-    for name in core.live:
-        core.states[name].deadline["a"] = 5.0
+    for state in core.states.values():
+        state.deadline["a"] = 5.0
     core.sweep_timeouts(6.0)
     assert entered == ["m3", "m1"]  # admission order
     assert [c for c in ports.take() if c[0] == "log"] == [
@@ -258,20 +253,112 @@ def test_sweeps_visit_live_members_only(monkeypatch):
     core.sweep_priorities(7.0)
     assert [c[1] for c in ports.take()] == ["m1", "m3"]  # name order
 
-    # A member the sweep itself settles leaves the live set mid-walk.
+    # A member that settles leaves the live set.
     _settle(core, "m3")
-    assert list(core.live) == ["m1"] and "m3" in core.finished
+    assert list(core.states) == ["m1"] and "m3" in core.settled
 
-    # A restored core starts with the settled members already out.
+    # A restored core files a settled snapshot as it is, building no
+    # state for it.
     standby = make_core(ports, retry=RetryPolicy())
     standby.restore(
-        {
-            name: (diamond(name), core.states[name].snapshot())
-            for name in ("m1", "m3")
-        },
+        {"m1": (diamond("m1"), core.states["m1"].snapshot()), "m3": core.settled["m3"]},
         core.admissions, 8.0,
     )
-    assert list(standby.live) == ["m1"] and standby.finished == {"m3"}
+    assert list(standby.states) == ["m1"] and list(standby.settled) == ["m3"]
+    assert standby.settled["m3"][1] is core.settled["m3"][1]
+    assert standby.admissions["m3"] == core.admissions["m3"]
+
+
+# -- late acks to a settled member -------------------------------------------
+def _settled_core():
+    """A core whose member ``wf`` (a -> b) settled with ``a`` completed
+    and ``b`` dead-lettered by its ack deadline while w1 held it, so a
+    fence of w1 still finds that assignment."""
+    ports = RecordingPorts()
+    core = make_core(
+        ports, retry=RetryPolicy(max_attempts=1),
+        liveness=LeaseConfig(heartbeat_interval=1.0),
+    )
+    wf = Workflow("wf")
+    wf.new_job("a", "t")
+    wf.new_job("b", "t")
+    wf.add_dependency("a", "b")
+    core.admit(wf, now=0.0)
+    core.on_ack(RUNNING, "wf", "a", 1, "w1", 0.1)
+    core.on_ack(COMPLETED, "wf", "a", 1, "w1", 0.2)
+    core.on_ack(RUNNING, "wf", "b", 1, "w1", 0.3)
+    core.sweep_timeouts(20.0)
+    assert ports.take()[-1] == ("settled", "wf")
+    assert list(core.settled) == ["wf"] and not core.states
+    assert core.assignments == {("wf", "b"): ("w1", 1)}
+    return core, ports, wf
+
+
+#: Late call -> (ack kind, the journal record the live path writes, the
+#: same call on a WorkflowState).
+LATE = {
+    "running": (RUNNING, "ack-running", lambda s, j: s.on_running(j, 1, 30.0)),
+    "completed": (COMPLETED, "ack-complete", lambda s, j: s.on_completed(j, 1)),
+    "failed": (FAILED, "ack-failed", lambda s, j: s.on_failed(j, 1, 30.0)),
+    "corrupt": (CORRUPT, "ack-corrupt", lambda s, j: s.on_corrupt(j, 1, [], 30.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "call, job_id", [(call, job_id) for call in LATE for job_id in "ab"] + [("fence", "b")]
+)
+def test_a_late_ack_to_a_settled_member_is_a_duplicate(call, job_id):
+    """The oracle is the state machine itself: the settled snapshot after
+    a late ack (or a fence) equals a state restored from it that took
+    the same call, and the journal gets what the live path writes."""
+    core, ports, wf = _settled_core()
+    before = core.settled["wf"][1]
+    oracle = WorkflowState.restore(wf, before)
+    if call == "fence":
+        core.fence("w1", 30.0)
+        oracle.on_lease_expired(job_id, 1, 30.0)
+        records = []
+    else:
+        kind, record, same_call = LATE[call]
+        bad = ("x.dat", "y.dat") if kind == CORRUPT else ()
+        core.on_ack(kind, "wf", job_id, 1, "w1", 30.0, bad)
+        same_call(oracle, job_id)
+        records = [("log", record, "wf", job_id, 1, ",".join(bad))]
+    assert ports.take() == records
+    after = core.settled["wf"][1]
+    assert after == oracle.snapshot()
+    counted = call in ("running", "completed", "corrupt")
+    assert after.duplicate_acks == before.duplicate_acks + counted
+    assert not core.states and list(core.settled) == ["wf"]
+    # Every ack but a RUNNING one drops its delivery's assignment; a
+    # fence drops the worker's.
+    dropped = call == "fence" or (call != "running" and job_id == "b")
+    assert core.assignments == ({} if dropped else {("wf", "b"): ("w1", 1)})
+
+
+def test_a_duplicated_completion_on_the_threaded_master_is_a_duplicate():
+    """The threaded master's ack gate lets a late ack to a settled member
+    through to the core (not ``dropped_acks``), which counts it on the
+    snapshot as the state machine would."""
+    master = MasterDaemon(Broker(), DeweConfig(default_timeout=5.0))
+    wf = Workflow("dup")
+    wf.new_job("a", "t")
+    wf.new_job("b", "t")
+    wf.add_dependency("a", "b")
+    with master._state_lock:
+        master._handle_submission(WorkflowSubmission(workflow=wf))
+        for job_id in "ab":
+            master._handle_ack(JobAck("dup", job_id, AckKind.RUNNING))
+            master._handle_ack(JobAck("dup", job_id, AckKind.COMPLETED))
+        before = master.settled["dup"][1]
+        oracle = WorkflowState.restore(wf, before)
+        master._handle_ack(JobAck("dup", "b", AckKind.COMPLETED))
+    oracle.on_completed("b", 1)
+    after = master.settled["dup"][1]
+    assert after == oracle.snapshot()
+    assert after.duplicate_acks == before.duplicate_acks + 1
+    assert master.dropped_acks == 0 and "dup" not in master.states
+    assert master.completion_event("dup").is_set()
 
 
 # -- DES <-> threads ---------------------------------------------------------
@@ -288,10 +375,13 @@ class ScriptedFailures(TransientFaultModel):
         return attempt in FAILING.get((name, job_id), ())
 
 
-def _outcome(states, dead_letters):
+def _outcome(core, dead_letters):
     return {
-        "settled": {name for name, state in states.items() if state.is_settled},
-        "attempts": {name: dict(state.attempt) for name, state in states.items()},
+        "settled": set(core.settled),
+        "attempts": {
+            name: snapshot.to_dict()["attempt"]
+            for name, snapshot in core.snapshots().items()
+        },
         "dead": sorted(
             (e.workflow, e.job_id, e.attempts, e.reason) for e in dead_letters
         ),
@@ -314,7 +404,7 @@ def _run_des(monkeypatch):
         controllers=[ScriptedFailures()],
     ).run(Ensemble([diamond(f"m{i}") for i in range(3)]))
     core = runs[0].core
-    return core, _outcome(core.states, core.dead_letters)
+    return core, _outcome(core, core.dead_letters)
 
 
 def _run_threads():
@@ -344,7 +434,7 @@ def _run_threads():
             submit_workflow(broker, diamond(f"m{i}", actions))
         for i in range(3):
             assert master.wait(f"m{i}", timeout=20.0)
-    return master._core, _outcome(master.states, master.dead_letters)
+    return master._core, _outcome(master._core, master.dead_letters)
 
 
 def test_des_and_threads_agree_on_settlement_attempts_and_dead_letters(monkeypatch):

@@ -339,6 +339,16 @@ def test_pull_engine_takes_five_knobs_and_one_controllers_list():
     assert not hasattr(PullEngine, "resume_from")
 
 
+def test_master_core_holds_live_states_and_settled_snapshots_only():
+    """``states`` is the live set, in admission order; a settled member
+    is its ``(workflow, snapshot)`` in ``settled``.  No second table
+    mirrors either."""
+    fields = MasterCore.__dataclass_fields__
+    assert len(fields) <= 17, sorted(fields)
+    assert not {"live", "finished"} & set(fields)
+    assert {"states", "settled"} <= set(fields)
+
+
 def test_master_core_holds_no_tenant_policy():
     """The sans-IO core the threaded master shares reads a member's SLA
     band off its state; the open-loop door's fair-share settle is the

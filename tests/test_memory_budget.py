@@ -23,7 +23,17 @@ point over every core, link and thread log of a two-node MooseFS run.
 
 * nothing of the run pinned by the simulator's agenda or the worker
   generators, since the engines close the simulator once the result is
-  built: 154.7 retained bytes per job.
+  built: 154.7 retained bytes per job;
+* a settled member held as its checkpoint snapshot, and a member's touch
+  row built at its first touch: 154.6 (154.4 at the parent when
+  re-measured; every member of this run runs and settles, so each still
+  keeps a row and a snapshot).
+
+A service run is held per submitted member: a short quick soak
+(horizon 120 s, 918 members, 506 of them shed at the front door) keeps
+2,572.9 bytes per member while every settled member kept its full state
+and every member a touch row from staging, 1,925.3 since (sanitizer
+off).
 
 The workflow template every member shares is held on its own: the jobs,
 files and id strings of one 2.0-degree Montage with its skeleton, file
@@ -44,23 +54,28 @@ import gc
 import sys
 import tracemalloc
 from array import array
+from dataclasses import replace
 from math import inf
 
 import pytest
 
 import repro.analysis.sanitizer as sanitizer
+import repro.engines.pull as pull
 from repro.cloud import ClusterSpec
+from repro.dewe.state import StateSnapshot, WorkflowState
 from repro.engines import PullEngine, SchedulingEngine
 from repro.engines.base import RunConfig
 from repro.faults.chaos import get_scenario, run_chaos
 from repro.generators import cybershake_workflow, ligo_workflow, montage_workflow
 from repro.recovery.journal import Journal
+from repro.service.soak import SoakConfig, build_soak
 from repro.sim import SegmentLog, Simulator
 from repro.workflow import Ensemble
 from repro.workflow.serialize import load_json, save_json
 
 MEASURED_BYTES_PER_JOB = 154.7
 MEASURED_TEMPLATE_BYTES_PER_JOB = 1322.8
+MEASURED_SOAK_BYTES_PER_MEMBER = 1925.3
 
 
 def test_run_residue_per_job_within_budget():
@@ -99,6 +114,49 @@ def test_template_bytes_per_job_within_budget():
     per_job = retained / len(wf)
     print(f"template bytes per job: {per_job:.1f} ({len(wf):,} jobs)")
     assert per_job <= 1.1 * MEASURED_TEMPLATE_BYTES_PER_JOB, per_job
+
+
+def test_soak_bytes_per_member_within_budget(monkeypatch):
+    """What a service run holds at its end, per submitted member: a
+    settled member is its checkpoint snapshot, not its state, and a
+    member the front door shed never touched a file, so it owns no
+    page-cache touch row."""
+    setup = build_soak(replace(SoakConfig.quick(0), horizon=120.0))
+    members = len(setup.workload.ensemble.workflows)
+    seen = {}
+    result_of = pull.PullRun._result
+
+    def at_the_end(run):
+        gc.collect()
+        seen["bytes"] = tracemalloc.get_traced_memory()[0]
+        seen["run"] = run
+        return result_of(run)
+
+    monkeypatch.setattr(pull.PullRun, "_result", at_the_end)
+    previous, sanitizer._ACTIVE = sanitizer._ACTIVE, None
+    try:
+        gc.collect()
+        tracemalloc.start()
+        setup.engine.run(setup.workload.ensemble)
+        run = seen["run"]
+        states = [
+            obj for obj in gc.get_objects()
+            if type(obj) is WorkflowState and obj.name in run.workflows
+        ]
+    finally:
+        tracemalloc.stop()
+        sanitizer._ACTIVE = previous
+    core, touched = run.core, run.cluster.fs._touch
+    assert run.shed and not core.states and states == []
+    assert len(core.settled) + len(run.shed) == members
+    assert all(type(entry[1]) is StateSnapshot for entry in core.settled.values())
+    assert not any(name in touched for name in run.shed)
+    per_member = seen["bytes"] / members
+    print(
+        f"soak bytes per member: {per_member:.1f} "
+        f"({members:,} members, {len(run.shed):,} shed)"
+    )
+    assert per_member <= 1.5 * MEASURED_SOAK_BYTES_PER_MEMBER, per_member
 
 
 def _json_round_trip(tmp_path):

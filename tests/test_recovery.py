@@ -155,23 +155,37 @@ class _CoreAtCheckpoints:
         def capture():
             snapshots = snapshot()
             core = run.core
-            jobs = {
-                name: {
-                    job_id: (
-                        state.status[job_id].value,
-                        state.current_attempt(job_id),
-                        state.pending[job_id],
-                    )
-                    for job_id in state.workflow.jobs
-                }
-                for name, state in core.states.items()
-            }
+            jobs = _jobs_of(core)
             self.captures.append(
                 (run.sim.now, snapshots, jobs, dict(core.admissions))
             )
             return snapshots
 
         run.journal.snapshot_provider = capture
+
+
+def _jobs_of(core):
+    """``(status, attempt, unfinished parents)`` of every job of every
+    member a core holds: read off a live member's state, and off a
+    settled member's snapshot."""
+    jobs = {
+        name: {
+            job_id: (
+                state.status[job_id].value,
+                state.current_attempt(job_id),
+                state.pending[job_id],
+            )
+            for job_id in state.workflow.jobs
+        }
+        for name, state in core.states.items()
+    }
+    for name, (_workflow, snapshot) in core.settled.items():
+        held = snapshot.to_dict()
+        jobs[name] = {
+            job_id: (status, held["attempt"].get(job_id, 0), held["pending"][job_id])
+            for job_id, status in held["status"].items()
+        }
+    return jobs
 
 
 def _restored(workflows, snapshots, admissions, now):
@@ -240,17 +254,13 @@ def test_restore_agrees_with_the_live_core_at_every_checkpoint(
     assert capture.captures
     for now, snapshots, live, admissions in capture.captures:
         core, published = _restored(capture.workflows, snapshots, admissions, now)
-        assert sorted(core.states) == sorted(live)
+        restored = _jobs_of(core)
+        assert sorted(restored) == sorted(live)
         requeued = []
         for name, jobs in live.items():
-            state = core.states[name]
-            buried, cascaded = _buried_with_descendants(state.workflow, jobs)
+            buried, cascaded = _buried_with_descendants(capture.workflows[name], jobs)
             for job_id, (status, attempt, pending) in jobs.items():
-                got = (
-                    state.status[job_id].value,
-                    state.current_attempt(job_id),
-                    state.pending[job_id],
-                )
+                got = restored[name][job_id]
                 if job_id in buried or job_id in cascaded:
                     expected = ("dead", attempt, pending)
                 elif status in IN_FLIGHT:
@@ -259,7 +269,12 @@ def test_restore_agrees_with_the_live_core_at_every_checkpoint(
                 else:
                     expected = (status, attempt, pending)
                 assert got == expected, (now, name, job_id)
-            fresh = state.dead_letters[len(snapshots[name].dead_letters):]
+            state = core.states.get(name)
+            letters = (
+                state.dead_letters if state is not None
+                else core.settled[name][1].dead_letters
+            )
+            fresh = letters[len(snapshots[name].dead_letters):]
             assert sorted((e.job_id, e.reason) for e in fresh) == sorted(
                 [(job_id, "master-crash") for job_id in buried]
                 + [(job_id, "upstream-dead") for job_id in cascaded]
@@ -375,10 +390,10 @@ def test_master_checkpoint_and_restore_preserves_completions():
         model.detach()
         worker.stop()
         master.stop()
-    state = master.states["chain"]
-    assert state.is_complete
+    snapshot = master.settled["chain"][1]
+    assert snapshot.counts()["completed"] == len(snapshot.job_ids)
     # Restore kept the pre-crash completions (no from-scratch re-run).
-    assert state.n_completed == 4
+    assert snapshot.counts()["completed"] == 4
 
 
 def test_from_checkpoint_requeues_in_flight_jobs():
@@ -410,7 +425,7 @@ def test_from_checkpoint_requeues_in_flight_jobs():
     assert len(backed_off._delayed) == 1
     with backed_off, WorkerDaemon(backed_off.broker, config=FAST):
         assert backed_off.wait("chain", timeout=10.0)
-    assert backed_off.states["chain"].attempt["a1"] >= 2
+    assert backed_off.settled["chain"][1].to_dict()["attempt"]["a1"] >= 2
 
     restored = MasterDaemon.from_checkpoint(broker, checkpoint, config=FAST)
     assert broker.depth(TOPIC_DISPATCH) == 1  # no backoff: published at once
@@ -421,11 +436,11 @@ def test_from_checkpoint_requeues_in_flight_jobs():
     finally:
         worker.stop()
         restored.stop()
-    new_state = restored.states["chain"]
-    assert new_state.is_complete
+    snapshot = restored.settled["chain"][1]
+    assert snapshot.counts()["completed"] == len(snapshot.job_ids)
     # a1 was re-dispatched with a bumped attempt; a0 stayed completed.
-    assert new_state.resubmissions >= 1
-    assert new_state.attempt["a1"] >= 2
+    assert snapshot.resubmissions >= 1
+    assert snapshot.to_dict()["attempt"]["a1"] >= 2
 
 
 def test_state_snapshot_restore_round_trip():

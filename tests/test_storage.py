@@ -392,6 +392,28 @@ def test_relabelled_members_never_share_a_touch_row():
     assert fs.bytes_read == x.size
 
 
+def test_a_staged_member_gets_its_touch_row_at_its_first_touch():
+    """Staging keeps no row: a member's first read builds it with the
+    clocks staging reached (m0's inputs before m1's), and a member that
+    never runs never gets one.  Staging an owner already touched is
+    refused, since its row would not see the new clocks."""
+    sim, cluster = make_cluster(n_nodes=1, fs="local")
+    fs, node = cluster.fs, cluster.nodes[0]
+    wf = _template()
+    fs.stage_inputs([wf.relabel("m0"), wf.relabel("m1"), wf.relabel("shed")])
+    assert fs._touch == {} and fs.write_clock == 3 * 8e8
+    a = wf.job("p1").inputs[0]
+    fs.read(node, [a], "m1")
+    index, row = fs._touch["m1"]
+    assert index is wf.skeleton().file_index()
+    assert row[index["in/a.dat"]] == fs.write_clock  # LRU touch
+    assert row[index["in/b.dat"]] == 8e8 + 3e8 + 5e8
+    assert row[index["x.dat"]] == -1.0
+    assert list(fs._touch) == ["m1"]
+    with pytest.raises(ValueError, match="before it was staged"):
+        fs.stage_inputs([wf.relabel("m1")])
+
+
 def test_file_outside_the_skeleton_is_a_miss_and_leaves_the_index_alone():
     sim, cluster = make_cluster(n_nodes=1, fs="local")
     fs, node = cluster.fs, cluster.nodes[0]

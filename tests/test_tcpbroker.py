@@ -241,7 +241,8 @@ def test_master_and_worker_over_tcp():
             ):
                 submit_workflow(submit_conn, small_workflow())
                 assert master.wait("tcpwf", timeout=20.0)
-                assert master.states["tcpwf"].is_complete
+                snapshot = master.settled["tcpwf"][1]
+                assert snapshot.counts()["completed"] == len(snapshot.job_ids)
         finally:
             master_conn.close()
             worker_conn.close()
